@@ -23,6 +23,7 @@ import random
 import sys
 from typing import Optional, Sequence
 
+from .finite_field import ENUMERATION_LIMIT
 from .ladders import (
     MahlerVector,
     TateVector,
@@ -60,7 +61,6 @@ from .unramified import ExtScalar
 
 MAX_DIMENSION = 64
 MAX_PRECISION = 64
-MAX_ENUMERATION = 2**20
 
 
 class SchemaError(Exception):
@@ -183,8 +183,8 @@ def _period_from(args, ctx: PrecisionContext, default: int = 1) -> int:
     period = args.N if args.N is not None else default
     if period < 1:
         raise SchemaError("N", "period must be >= 1")
-    if ctx.p**period > MAX_ENUMERATION:
-        raise SchemaError("N", f"p^N exceeds the enumeration bound {MAX_ENUMERATION}")
+    if ctx.p**period > ENUMERATION_LIMIT:
+        raise SchemaError("N", f"p^N exceeds the enumeration bound {ENUMERATION_LIMIT}")
     return period
 
 

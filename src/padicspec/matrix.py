@@ -418,7 +418,16 @@ def _bareiss_det(rows: list) -> int:
 
 
 def _berkowitz_det(rows: tuple, ops) -> object:
-    """Division-free determinant via iterated Samuelson-Berkowitz vectors."""
+    """Division-free determinant: the signed constant term of the characteristic polynomial."""
+    const = _berkowitz_charpoly(rows, ops)[0]
+    return const if len(rows) % 2 == 0 else ops.neg(const)
+
+
+def _berkowitz_charpoly(rows: tuple, ops) -> tuple:
+    """Coefficients of det(X - A), constant first, via iterated Samuelson-Berkowitz vectors.
+
+    Division-free, so it runs over any ring the ops protocol describes.
+    """
     n = len(rows)
     polys = [(ops.one,)]  # char poly of the empty matrix
     for size in range(1, n + 1):
@@ -443,8 +452,7 @@ def _berkowitz_det(rows: tuple, ops) -> object:
                 if i + j <= size:
                     new[i + j] = ops.add(new[i + j], ops.mul(c, pcoef))
         polys.append(tuple(new))
-    const = polys[-1][n]
-    return const if n % 2 == 0 else ops.neg(const)
+    return polys[-1][::-1]
 
 
 def _dotrow(row, vec, ops):

@@ -25,19 +25,39 @@ from typing import Optional, Union
 INFINITE = math.inf
 
 
+# Sorenson-Webster (Math. Comp. 2017): the smallest strong pseudoprime to
+# every prime base up to 41, so Miller-Rabin with those bases is exact below it.
+PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, adequate for p <= 2**31."""
+    """Deterministic Miller-Rabin with the prime bases 2..41.
+
+    Exact for n < PRIMALITY_LIMIT (about 3.3e24); larger n raise
+    ValueError rather than receive an unproven answer.
+    """
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in PRIMALITY_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= PRIMALITY_LIMIT:
+        raise ValueError(f"primality of {n} is only decided below {PRIMALITY_LIMIT}")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in PRIMALITY_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

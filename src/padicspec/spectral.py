@@ -3,11 +3,16 @@
 An operator in the unit ball whose sigma^N-orbit is stationary mod p^m
 splits against the p^N fixed points of sigma^N: each point gets a
 Lagrange projector, nonzero projectors are orthogonal, and the operator
-is the projector-weighted sum of the points.  Operators whose digit
-expansion consists of such fixed points (one per power of p) carry a
-finitely additive projector-valued measure on the balls of Z_p, indexed
-by digit paths; integrating the ball centers against it reconstructs the
-operator to the resolved depth.
+is the projector-weighted sum of the points.  Only the points reducing
+to eigenvalues mod p have nonzero projectors, so the resolution finds
+those as roots of the characteristic polynomial mod p and interpolates
+over them alone: O(n^4 + n^2 log p^N) field operations plus at most
+n(n-1) matrix products, however large p^N is.
+
+Operators whose digit expansion consists of such fixed points (one per
+power of p) carry a finitely additive projector-valued measure on the
+balls of Z_p, indexed by digit paths; integrating the ball centers
+against it reconstructs the operator to the resolved depth.
 
 The same machinery yields the canonical splitting A = A_s + A_n into a
 multiplicative part and a topologically nilpotent part, the spectrum
@@ -23,14 +28,18 @@ from typing import Sequence
 from .finite_field import ENUMERATION_LIMIT
 from .matrix import (
     UMatrix,
+    _BaseOps,
+    _berkowitz_charpoly,
+    _ExtOps,
+    _res_identity,
     _res_matmul,
     _res_matpow,
     _wrap_residues,
     residue_ops,
     vector_valuation,
 )
-from .padic import INFINITE, PadicScalar, PrecisionContext, teichmuller_points
-from .unramified import ExtScalar, ext_ring, sigma_fixed_points
+from .padic import INFINITE, PadicScalar, PrecisionContext, teichmuller_lift
+from .unramified import ExtScalar, ext_ring, teichmuller_lift_ext
 
 
 class NotHermiteError(Exception):
@@ -180,33 +189,53 @@ class SpectralDecomposition:
 
 
 def _spectral_points(x: UMatrix, period: int):
-    """Candidate eigenvalues and the ambient matrix for the Lagrange product.
+    """Teichmuller lifts of the eigenvalues of x mod p, and the ambient matrix.
 
-    The ambient ring must contain all p^N fixed points of sigma^N, so a
-    base matrix is promoted to the degree-N extension, and an extension
-    matrix requires N to divide its ring degree.
+    The ambient ring must contain the period-N fixed points, so a base
+    matrix is promoted to the degree-N extension, and an extension matrix
+    requires N to divide its ring degree.  Points are ordered by residue
+    mod p (base) or by the coordinates of their reduction, the order in
+    which the residue field enumerates its elements.
     """
     ctx = x.ctx
+    p = ctx.p
     if period == 1 and x.ring_tag == "base":
-        return teichmuller_points(ctx), x
-    if x.ring_tag == "base":
-        ring = ext_ring(ctx.p, period, ctx.m)
-        return sigma_fixed_points(ctx.p, period, period, ctx.m), x.promote(ring)
-    ring = x.ext_ring
+        roots = _eigenvalues_mod_p(x.residues(), p, 1, _BaseOps(p, p), range(p))
+        return [teichmuller_lift(r, ctx) for r in roots], x
+    ring = ext_ring(p, period, ctx.m) if x.ring_tag == "base" else x.ext_ring
     if ring.degree % period != 0:
         raise ValueError(
             f"period {period} does not divide the extension degree {ring.degree}"
         )
-    return sigma_fixed_points(ctx.p, ring.degree, period, ctx.m), x
+    ambient = x.promote(ring)
+    field = ring.residue_field
+    roots = _eigenvalues_mod_p(
+        ambient.residues(),
+        p**period,
+        ring.degree,
+        _ExtOps(ext_ring(p, ring.degree, 1)),
+        (a.coords for a in field.elements()),
+    )
+    return [teichmuller_lift_ext(field.element(r), ctx.m) for r in roots], ambient
 
 
 def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
-    """Lagrange resolution of a sigma^N-fixed matrix over the period-N points.
+    """Lagrange resolution of a sigma^N-fixed matrix over its eigenvalues.
 
-    Each projector is the product of (x - mu)/(lambda - mu) over the other
-    candidate points mu; the denominators are units because distinct
-    fixed points have distinct reductions, and this is asserted at
-    runtime.  Zero projectors are dropped.
+    The candidate points are the Teichmuller lifts of the eigenvalues of x
+    mod p, found as the roots of its characteristic polynomial in
+    F_{p^N}; at most n of them exist.  Each projector is the product of
+    (x - mu)/(lambda - mu) over the other points mu.  Interpolating over
+    all p^N fixed points would give the same projectors: the one for a
+    point that is not an eigenvalue mod p is an idempotent with zero
+    reduction, hence 0.  The denominators are units because distinct
+    points have distinct reductions, and this is asserted at runtime;
+    projectors summing to 1 certifies that no eigenvalue was missed.
+
+    The work is O(n^4 + n^2 log p^N) field operations for the roots (the
+    characteristic polynomial, then each gcd or splitting step; a few
+    splitting shifts suffice in practice) plus at most n(n-1) matrix
+    products for the projectors.
     """
     ctx = x.ctx
     if not x.is_integral:
@@ -223,67 +252,177 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     n = ambient.n
     ops = _matrix_ops(ambient)
     rows = ambient.residues()
-    if ambient.ring_tag == "base":
-        lam_res = [pt.residue() for pt in points]
-    else:
-        lam_res = [pt.vector() for pt in points]
-    kept = []
+    lam_res = [pt.residue_key() for pt in points]
+    shifted = [
+        tuple(
+            tuple(ops.sub(e, mu) if r == c else e for c, e in enumerate(row))
+            for r, row in enumerate(rows)
+        )
+        for mu in lam_res
+    ]
+    resolved = []
     for k, lam in enumerate(lam_res):
-        numerator = None
+        numerator = _res_identity(n, ops) if len(lam_res) == 1 else None
         denominator = ops.one
         for j, mu in enumerate(lam_res):
             if j == k:
                 continue
-            shifted = tuple(
-                tuple(
-                    ops.sub(e, mu) if r == c else e for c, e in enumerate(row)
-                )
-                for r, row in enumerate(rows)
-            )
-            numerator = shifted if numerator is None else _res_matmul(numerator, shifted, ops)
+            numerator = shifted[j] if numerator is None else _res_matmul(numerator, shifted[j], ops)
             denominator = ops.mul(denominator, ops.sub(lam, mu))
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
         inv = ops.inv_unit(denominator)
-        projector = tuple(tuple(ops.mul(inv, e) for e in row) for row in numerator)
-        if any(not ops.is_zero(e) for row in projector for e in row):
-            kept.append((points[k], projector))
-    _verify_decomposition(rows, kept, lam_res, points, ops, n)
-    wrapped = tuple((lam, _wrap_residues(proj, ambient)) for lam, proj in kept)
+        resolved.append((lam, tuple(tuple(ops.mul(inv, e) for e in row) for row in numerator)))
+    _verify_decomposition(rows, resolved, ops, n)
+    wrapped = tuple(
+        (pt, _wrap_residues(proj, ambient)) for pt, (_, proj) in zip(points, resolved)
+    )
     return SpectralDecomposition(period, wrapped, 0.0)
 
 
-def _verify_decomposition(rows, kept, lam_res, points, ops, n):
-    from .matrix import _res_identity
-
+def _verify_decomposition(rows, resolved, ops, n):
     ident = _res_identity(n, ops)
     total = None
     weighted = None
-    lam_by_point = {id(pt): res for pt, res in zip(points, lam_res)}
-    for lam_pt, proj in kept:
+    for lam, proj in resolved:
         if not any(ops.is_unit(e) for row in proj for e in row):
-            raise RuntimeError("nonzero projector has norm != 1 (internal defect)")
+            raise RuntimeError("projector has norm != 1 (internal defect)")
         if _res_matmul(proj, proj, ops) != proj:
             raise RuntimeError("projector is not idempotent (internal defect)")
         total = proj if total is None else _res_add(total, proj, ops)
-        lam = lam_by_point[id(lam_pt)]
         term = tuple(tuple(ops.mul(lam, e) for e in row) for row in proj)
         weighted = term if weighted is None else _res_add(weighted, term, ops)
     if total != ident:
         raise RuntimeError("projectors do not sum to 1 (internal defect)")
     if weighted != rows:
         raise RuntimeError("weighted projectors do not reproduce x (internal defect)")
-    for i in range(len(kept)):
-        for j in range(len(kept)):
+    for i in range(len(resolved)):
+        for j in range(len(resolved)):
             if i == j:
                 continue
-            product = _res_matmul(kept[i][1], kept[j][1], ops)
+            product = _res_matmul(resolved[i][1], resolved[j][1], ops)
             if any(not ops.is_zero(e) for row in product for e in row):
                 raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
 
 
 def _res_add(a: tuple, b: tuple, ops) -> tuple:
     return tuple(tuple(ops.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+# -- eigenvalues of the reduction mod p ------------------------------------------
+#
+# Polynomials over the residue field F_{p^D} are lists of entries under the
+# ops protocol at m = 1 (ints for D = 1 base matrices, coordinate vectors
+# otherwise), constant coefficient first, with no trailing zeros.
+
+
+def _poly_trim(a: list, ops) -> list:
+    while a and ops.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _poly_add(a, b, ops) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ops.add(out[i], c)
+    return _poly_trim(out, ops)
+
+
+def _poly_mul(a, b, ops) -> list:
+    if not a or not b:
+        return []
+    out = [ops.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ops.add(out[i + j], ops.mul(x, y))
+    return _poly_trim(out, ops)
+
+
+def _poly_divmod(a, b, ops) -> tuple:
+    rem = list(a)
+    quo = [ops.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = ops.inv_unit(b[-1])
+    for shift in range(len(a) - len(b), -1, -1):
+        coeff = ops.mul(rem[shift + len(b) - 1], inv_lead)
+        if ops.is_zero(coeff):
+            continue
+        quo[shift] = coeff
+        for j, y in enumerate(b):
+            rem[shift + j] = ops.sub(rem[shift + j], ops.mul(coeff, y))
+    return _poly_trim(quo, ops), _poly_trim(rem, ops)
+
+
+def _poly_gcd(a, b, ops) -> list:
+    """Monic gcd; a must be nonzero."""
+    while b:
+        a, b = b, _poly_divmod(a, b, ops)[1]
+    inv = ops.inv_unit(a[-1])
+    return [ops.mul(inv, c) for c in a]
+
+
+def _poly_powmod(base, exponent: int, modulus, ops) -> list:
+    result = [ops.one]
+    acc = _poly_divmod(base, modulus, ops)[1]
+    while exponent:
+        if exponent & 1:
+            result = _poly_divmod(_poly_mul(result, acc, ops), modulus, ops)[1]
+        exponent >>= 1
+        if exponent:
+            acc = _poly_divmod(_poly_mul(acc, acc, ops), modulus, ops)[1]
+    return result
+
+
+def _split(h, delta, degree: int, ops) -> tuple:
+    """Split h by the class of its roots lambda under the shift delta.
+
+    Odd p: gcd(h, (X + delta)^((q-1)/2) - 1) keeps the roots where
+    lambda + delta is a nonzero square in F_q.  p = 2: gcd(h, Tr(delta X))
+    with Tr(y) = sum_{i<D} y^(2^i) keeps the roots where Tr(delta lambda)
+    = 0.  Over all delta in F_q every two distinct roots fall in different
+    classes (for odd p the (q-1)/2 nonzero squares are no union of cosets
+    of an additive subgroup of order p; for p = 2 the trace form is
+    nondegenerate), so a sweep over F_q splits h into linear factors.
+    Returns h alone when delta does not split it.
+    """
+    if len(h) == 2:
+        return (h,)
+    if ops.p != 2:
+        power = _poly_powmod([delta, ops.one], (ops.p**degree - 1) // 2, h, ops)
+        splitter = _poly_add(power, [ops.neg(ops.one)], ops)
+    else:
+        term = _poly_divmod([ops.zero, delta], h, ops)[1]
+        splitter = term
+        for _ in range(degree - 1):
+            term = _poly_divmod(_poly_mul(term, term, ops), h, ops)[1]
+            splitter = _poly_add(splitter, term, ops)
+    d = _poly_gcd(h, splitter, ops)
+    if 1 < len(d) < len(h):
+        return d, _poly_divmod(h, d, ops)[0]
+    return (h,)
+
+
+def _eigenvalues_mod_p(rows: tuple, order: int, degree: int, ops, deltas) -> list:
+    """The distinct eigenvalues in F_order of a matrix mod p, sorted.
+
+    ops is the m = 1 protocol of F_q, q = p^degree, the field the entries
+    reduce into, and deltas enumerates F_q.  The eigenvalues are the roots
+    of gcd(f, X^order - X) for the characteristic polynomial f, split into
+    linear factors deterministically (Cantor-Zassenhaus equal-degree
+    splitting with the shift swept over F_q).
+    """
+    f = list(_berkowitz_charpoly(_reduce_rows(rows, ops.p), ops))
+    frobenius = _poly_powmod([ops.zero, ops.one], order, f, ops)
+    factors = [_poly_gcd(f, _poly_add(frobenius, [ops.zero, ops.neg(ops.one)], ops), ops)]
+    for delta in deltas:
+        if all(len(h) == 2 for h in factors):
+            break
+        factors = [part for h in factors for part in _split(h, delta, degree, ops)]
+    if any(len(h) != 2 for h in factors):
+        raise RuntimeError("equal-degree splitting left a nonlinear factor (internal defect)")
+    return sorted(ops.neg(h[0]) for h in factors)
 
 
 # -- digit expansion -------------------------------------------------------------
@@ -413,8 +552,6 @@ class SpectralMeasure:
     def ball_center(self, address: tuple, ctx: PrecisionContext) -> PadicScalar:
         """The Z_p number picked out by a digit path, scaled by p^k."""
         total = 0
-        from .padic import teichmuller_lift
-
         for j, idx in enumerate(address):
             total += teichmuller_lift(idx, ctx).residue() * ctx.p**j
         return PadicScalar.from_residue(total, ctx).shift(self.lead_valuation)

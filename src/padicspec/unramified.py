@@ -14,6 +14,8 @@ reduction mod p is nonzero.
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -277,6 +279,13 @@ def enumerate_teichmuller(p: int, degree: int, m: int) -> list:
 def sigma_fixed_points(p: int, ring_degree: int, period: int, m: int) -> list:
     """Fixed points of sigma^period inside the degree-ring_degree ring.
 
+    They lift the subfield F_{p^g}, g = gcd(period, ring_degree), of the
+    residue field, which is enumerated directly: the relative trace
+    Tr(a) = sum_j a^(p^(g j)), j < ring_degree / g, maps F_{p^ring_degree}
+    onto F_{p^g}, so the traces of the power basis span it over F_p.  The
+    output is ordered by the coordinates of the reduction, as the field
+    enumerates them.
+
     The census of these sets realises the divisibility law: the period-N
     set sits inside the period-N* set exactly when N divides N*.  Sets
     for different periods are comparable here because they live in one
@@ -287,9 +296,26 @@ def sigma_fixed_points(p: int, ring_degree: int, period: int, m: int) -> list:
             f"p^degree = {p**ring_degree} exceeds the enumeration bound {ENUMERATION_LIMIT}"
         )
     field = finite_field(p, ring_degree)
-    q = p**period
-    fixed = [a for a in field.elements() if a**q == a]
-    return [teichmuller_lift_ext(a, m) for a in fixed]
+    g = math.gcd(period, ring_degree)
+    basis = []  # echelon rows: each is zero at the pivots of the rows before it
+    for i in range(ring_degree):
+        term = field.element([0] * i + [1])
+        trace = term
+        for _ in range(ring_degree // g - 1):
+            term = term ** (p**g)
+            trace = trace + term
+        row = list(trace.coords)
+        for pivot, prev in basis:
+            row = [(a - row[pivot] * b) % p for a, b in zip(row, prev)]
+        if any(row):
+            pivot = next(j for j, c in enumerate(row) if c)
+            inv = pow(row[pivot], -1, p)
+            basis.append((pivot, [(c * inv) % p for c in row]))
+    fixed = sorted(
+        tuple(sum(c * row[j] for c, (_, row) in zip(combo, basis)) % p for j in range(ring_degree))
+        for combo in itertools.product(range(p), repeat=len(basis))
+    )
+    return [teichmuller_lift_ext(field.element(coords), m) for coords in fixed]
 
 
 def reduce_mod_p(x):

@@ -6,9 +6,18 @@ machinery so they can serve as independent cross-checks.
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from padicspec import PadicScalar, PrecisionContext, UMatrix, is_gl_zp, teichmuller_lift
+from padicspec import (
+    PadicScalar,
+    PrecisionContext,
+    UMatrix,
+    finite_field,
+    is_gl_zp,
+    teichmuller_lift,
+    teichmuller_lift_ext,
+)
 from padicspec.matrix import inverse
 
 
@@ -111,3 +120,125 @@ def rand_poly_in(a: UMatrix, rng: random.Random, degree: int = 2) -> UMatrix:
 
 def residues_of(a: UMatrix):
     return [[e.residue() for e in row] for row in a.rows]
+
+
+# -- primality, fixed fields and Lagrange resolution (oracle side) ---------------
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 4:
+        return n > 1
+    if n % 2 == 0:
+        return False
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def sigma_fixed_points_oracle(p: int, degree: int, period: int, m: int) -> list:
+    """Every element a of F_{p^degree} with a^(p^period) = a, lifted, in enumeration order."""
+    field = finite_field(p, degree)
+    q = p**period
+    return [teichmuller_lift_ext(a, m) for a in field.elements() if a**q == a]
+
+
+def ring_mul(a, b, modulus, q):
+    """Product of coordinate vectors in (Z/q)[X]/(modulus); modulus is monic, constant first."""
+    d = len(modulus) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        c = conv[k]
+        for i in range(d):
+            conv[k - d + i] -= c * modulus[i]
+    return tuple(c % q for c in conv[:d])
+
+
+def ring_pow(a, e, modulus, q):
+    out = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            out = ring_mul(out, a, modulus, q)
+        a = ring_mul(a, a, modulus, q)
+        e >>= 1
+    return out
+
+
+def ring_matmul(a, b, modulus, q):
+    n = len(a)
+    zero = (0,) * (len(modulus) - 1)
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                prod = ring_mul(a[i][k], b[k][j], modulus, q)
+                acc = tuple((x + y) % q for x, y in zip(acc, prod))
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def lagrange_oracle(rows, p: int, m: int, degree: int, period: int) -> list:
+    """Full Lagrange resolution over all p^period fixed points of sigma^period.
+
+    rows holds coordinate vectors in the degree-`degree` unramified ring
+    mod p^m (1-tuples for Z/p^m).  The points are found by testing every
+    residue-field element and lifted by iterating y -> y^(p^period); each
+    projector is the product of (x - mu)/(lambda - mu) over all the other
+    points, from prefix and suffix products.  Returns (lambda, projector)
+    for the nonzero projectors, in the field's enumeration order.
+    """
+    q = p**m
+    modulus = finite_field(p, degree).modulus
+    zero = (0,) * degree
+    one = (1,) + (0,) * (degree - 1)
+    step = p**period
+    points = []
+    for coords in itertools.product(range(p), repeat=degree):
+        if ring_pow(coords, step, modulus, p) != coords:
+            continue
+        y = coords
+        while ring_pow(y, step, modulus, q) != y:
+            y = ring_pow(y, step, modulus, q)
+        points.append(y)
+    n = len(rows)
+    ident = tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    shifted = [
+        tuple(
+            tuple(
+                tuple((a - b) % q for a, b in zip(e, mu)) if i == j else e
+                for j, e in enumerate(row)
+            )
+            for i, row in enumerate(rows)
+        )
+        for mu in points
+    ]
+    prefix = [ident]
+    for s in shifted:
+        prefix.append(ring_matmul(prefix[-1], s, modulus, q))
+    suffix = [ident]
+    for s in reversed(shifted):
+        suffix.append(ring_matmul(s, suffix[-1], modulus, q))
+    suffix.reverse()
+    unit_order = (p**degree - 1) * p ** (degree * (m - 1))
+    out = []
+    for k, lam in enumerate(points):
+        denominator = one
+        for j, mu in enumerate(points):
+            if j != k:
+                diff = tuple((a - b) % q for a, b in zip(lam, mu))
+                denominator = ring_mul(denominator, diff, modulus, q)
+        inv = ring_pow(denominator, unit_order - 1, modulus, q)
+        assert ring_mul(inv, denominator, modulus, q) == one, "Lagrange denominator is not a unit"
+        numerator = ring_matmul(prefix[k], suffix[k + 1], modulus, q)
+        proj = tuple(tuple(ring_mul(inv, e, modulus, q) for e in row) for row in numerator)
+        if any(any(e) for row in proj for e in row):
+            out.append((lam, proj))
+    return out

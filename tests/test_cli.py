@@ -66,6 +66,23 @@ def test_lift_rejects_composite_p_via_flags():
     assert doc["error"]["field"] == "p"
 
 
+def test_lift_at_61_bit_prime_and_refusal_beyond_primality_bound():
+    status, doc, _ = run(["lift", "--p", str(2**61 - 1), "--m", "2", "--residue", "1"])
+    assert status == 0
+    assert doc["value"] == {"u": "1", "v": 0}
+    status, doc, _ = run(["lift", "--p", str(2**89 - 1), "--m", "2", "--residue", "1"])
+    assert status == 2
+    assert doc["error"]["field"] == "p"
+
+
+def test_measure_at_a_million_sized_prime(tmp_path):
+    p = 1000003
+    path = write(tmp_path, "big.json", matrix_doc(p, 2, [[1, 0], [0, 2]]))
+    status, doc, _ = run(["measure", "--in", path])
+    assert status == 0
+    assert sorted(node["address"][0] for node in doc["nodes"] if len(node["address"]) == 1) == [1, 2]
+
+
 def test_lift_rejects_oversize_m_via_flags():
     status, doc, _ = run(["lift", "--p", "3", "--m", "65", "--residue", "1"])
     assert status == 2

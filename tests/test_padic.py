@@ -17,6 +17,9 @@ from padicspec import (
     teichmuller_lift,
     teichmuller_points,
 )
+from padicspec.padic import PRIMALITY_LIMIT, is_prime
+
+from helpers import trial_division_is_prime
 
 CTX34 = PrecisionContext(3, 4)
 CTX52 = PrecisionContext(5, 2)
@@ -24,6 +27,34 @@ CTX53 = PrecisionContext(5, 3)
 
 
 # -- construction and context ----------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(200_000):
+        assert is_prime(n) == trial_division_is_prime(n), n
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # Carmichael numbers, strong pseudoprimes to the bases up to 7 and up
+    # to 31, and the one to every prime base up to 37 that base 41 exposes
+    for n in (561, 41041, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n), n
+
+
+def test_is_prime_accepts_large_primes_and_refuses_beyond_its_bound():
+    assert is_prime(2**31 - 1)
+    assert is_prime(2**61 - 1)
+    assert PRIMALITY_LIMIT < 2**89 - 1
+    for n in (PRIMALITY_LIMIT, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+def test_lift_answers_at_a_61_bit_prime():
+    ctx = PrecisionContext(2**61 - 1, 2)
+    assert teichmuller_lift(1, ctx).residue() == 1
+    w = teichmuller_lift(2, ctx)
+    assert frobenius_step(w).residue() == w.residue()
 
 
 def test_context_rejects_composite_prime():

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -9,11 +10,13 @@ from helpers import (
     conjugate,
     diag_matrix,
     int_matvec,
+    lagrange_oracle,
     rand_gl,
     rand_hermite,
     rand_poly_in,
     rand_teich_diag,
     residues_of,
+    sigma_fixed_points_oracle,
 )
 from padicspec import (
     INFINITE,
@@ -22,7 +25,10 @@ from padicspec import (
     PeriodExceededError,
     PrecisionContext,
     UMatrix,
+    ext_ring,
+    finite_field,
     hermite_digits_matrix,
+    is_gl_zp,
     jordan_decompose,
     lift_idempotent,
     operator_spectrum,
@@ -31,9 +37,11 @@ from padicspec import (
     spectral_measure,
     spectrum_diameter,
     teichmuller_lift,
+    teichmuller_lift_ext,
     teichmuller_spectral,
     uncertainty_check,
 )
+from padicspec.matrix import inverse
 CTX = PrecisionContext(3, 4)
 
 
@@ -184,6 +192,119 @@ def test_spectral_requires_period_dividing_ext_degree():
     ext_matrix = dec.points[0][1]
     with pytest.raises(ValueError):
         teichmuller_spectral(ext_matrix, 3)
+
+
+# -- eigenvalue-only resolution against the full Lagrange oracle -------------------
+
+
+def _coords_of(x: UMatrix, degree: int):
+    """Residues of x as coordinate vectors in the degree-`degree` ring."""
+    pad = (0,) * (degree - 1)
+    if x.ring_tag == "ext":
+        return x.residues()
+    return tuple(tuple((e,) + pad for e in row) for row in x.residues())
+
+
+def _assert_matches_oracle(x: UMatrix, period: int, degree: int):
+    dec = teichmuller_spectral(x, period)
+    got = [
+        ((lam.residue(),) if isinstance(lam, PadicScalar) else lam.vector(), _coords_of(proj, degree))
+        for lam, proj in dec.points
+    ]
+    ctx = x.ctx
+    assert got == lagrange_oracle(_coords_of(x, degree), ctx.p, ctx.m, degree, period)
+    return dec
+
+
+def _multiplication_block(ctx: PrecisionContext, degree: int) -> list:
+    """Matrix over Z/p^m of multiplication by a lift generating the degree-N ring."""
+    ring = ext_ring(ctx.p, degree, ctx.m)
+    w = teichmuller_lift_ext(finite_field(ctx.p, degree).generator(), ctx.m)
+    basis = [ring.element([int(i == j) for i in range(degree)]) for j in range(degree)]
+    columns = [(w * e).vector() for e in basis]
+    return [[columns[j][i] for j in range(degree)] for i in range(degree)]
+
+
+def _rand_ext_gl(ring, n: int, rng: random.Random) -> UMatrix:
+    q = ring.ctx.modulus
+    while True:
+        u = UMatrix.from_ext_vectors(
+            [[[rng.randrange(q) for _ in range(ring.degree)] for _ in range(n)] for _ in range(n)],
+            ring,
+        )
+        if is_gl_zp(u):
+            return u
+
+
+@pytest.mark.parametrize("p", [2, 3, 53, 211])
+def test_resolution_matches_full_lagrange_base_period_one(p):
+    rng = random.Random(p)
+    ctx = PrecisionContext(p, 3)
+    for _ in range(3):
+        x = conjugate(rand_gl(ctx, 3, rng), diag_matrix(ctx, rand_teich_diag(ctx, 3, rng)))
+        _assert_matches_oracle(x, 1, 1)
+
+
+@pytest.mark.parametrize("p,period", [(3, 2), (5, 2), (2, 3), (3, 3)])
+def test_resolution_matches_full_lagrange_on_conjugate_eigenvalues(p, period):
+    """A base matrix whose eigenvalues mod p are Galois conjugates in F_{p^N}."""
+    rng = random.Random(100 * p + period)
+    ctx = PrecisionContext(p, 3)
+    block = _multiplication_block(ctx, period)
+    n = period + 1
+    scalar = teichmuller_lift(rng.randrange(p), ctx).residue()
+    d = [[0] * n for _ in range(n)]
+    for i in range(period):
+        d[i][:period] = block[i]
+    d[period][period] = scalar
+    x = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(d, ctx))
+    dec = _assert_matches_oracle(x, period, period)
+    lams = [lam for lam, _ in dec.points]
+    assert len(lams) >= period
+    conjugates = {lam.sigma_window().vector() for lam in lams}
+    assert conjugates == {lam.vector() for lam in lams}
+
+
+@pytest.mark.parametrize("p,degree,period", [
+    (3, 2, 1), (3, 2, 2), (5, 2, 1), (5, 2, 2), (2, 3, 1), (2, 3, 3), (3, 3, 1), (3, 3, 3),
+    (3, 4, 2),
+])
+def test_resolution_matches_full_lagrange_over_extension_rings(p, degree, period):
+    rng = random.Random(1000 * p + 10 * degree + period)
+    ctx = PrecisionContext(p, 2)
+    ring = ext_ring(p, degree, ctx.m)
+    fixed = sigma_fixed_points_oracle(p, degree, period, ctx.m)
+    diag = [rng.choice(fixed) for _ in range(3)]
+    zero = ring.zero()
+    d = UMatrix.from_scalars([[diag[i] if i == j else zero for j in range(3)] for i in range(3)])
+    u = _rand_ext_gl(ring, 3, rng)
+    _assert_matches_oracle(u * d * inverse(u), period, degree)
+
+
+def test_resolution_of_scalar_and_zero_matrices_is_one_point():
+    ctx = PrecisionContext(5, 3)
+    lam = teichmuller_lift(2, ctx)
+    ident = UMatrix.identity(3, ctx)
+    for x, expected in ((ident.scale(lam), lam.residue()), (UMatrix.zeros(3, ctx), 0)):
+        dec = _assert_matches_oracle(x, 1, 1)
+        assert [pt.residue() for pt in dec.eigenvalues] == [expected]
+        assert dec.projectors[0].congruent(ident)
+    ring = ext_ring(3, 2, 2)
+    w = teichmuller_lift_ext(finite_field(3, 2).generator(), 2)
+    scalar = UMatrix.identity(2, PrecisionContext(3, 2)).promote(ring).scale(w)
+    dec = _assert_matches_oracle(scalar, 2, 2)
+    assert [pt.vector() for pt in dec.eigenvalues] == [w.vector()]
+
+
+def test_resolution_at_p_211_takes_milliseconds():
+    rng = random.Random(211)
+    ctx = PrecisionContext(211, 3)
+    x = conjugate(rand_gl(ctx, 4, rng), diag_matrix(ctx, rand_teich_diag(ctx, 4, rng)))
+    start = time.perf_counter()
+    dec = teichmuller_spectral(x, 1)
+    elapsed = time.perf_counter() - start
+    assert 1 <= len(dec.points) <= 4
+    assert elapsed < 0.25, f"p=211, n=4, m=3 resolution took {elapsed:.3f}s"
 
 
 # -- brute-force eigenspace oracle ---------------------------------------------------

@@ -15,6 +15,9 @@ from padicspec import (
     sigma_fixed_points,
     teichmuller_lift_ext,
 )
+from padicspec.padic import is_prime
+
+from helpers import sigma_fixed_points_oracle
 
 
 def test_lift_of_one_and_zero():
@@ -103,6 +106,18 @@ def test_containment_iff_divisibility(p, pairs):
         small = {w.vector() for w in sigma_fixed_points(p, degree, n, m)}
         large = {w.vector() for w in sigma_fixed_points(p, degree, n_star, m)}
         assert (small <= large) == (n_star % n == 0)
+
+
+def test_sigma_fixed_points_match_the_filter_oracle():
+    """The subfield enumeration equals the a^(p^N) = a filter, order included."""
+    for p in filter(is_prime, range(2, 730)):
+        degree = 1
+        while p**degree <= 729:
+            for period in range(1, degree + 1):
+                got = [w.vector() for w in sigma_fixed_points(p, degree, period, 1)]
+                want = [w.vector() for w in sigma_fixed_points_oracle(p, degree, period, 1)]
+                assert got == want, (p, degree, period)
+            degree += 1
 
 
 def test_fixed_point_counts_in_common_ring():
