@@ -39,6 +39,7 @@ from .matrix import (
 )
 from .padic import (
     INFINITE,
+    NormOutOfRangeError,
     OrbitKind,
     OrbitReport,
     PadicScalar,
@@ -46,6 +47,7 @@ from .padic import (
     TeichDigits,
     classify_orbit,
     frobenius_step,
+    norm_from_valuation,
     scalar_from_rational,
     teichmuller_digits,
     teichmuller_lift,

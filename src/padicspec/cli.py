@@ -9,9 +9,10 @@ coordinate order, constant coordinate first; they appear in outputs
 only.
 
 Exit status: 0 on success, 1 on mathematical rejection (with a
-structured reason), 2 on malformed input (with a diagnostic naming the
-offending field).  Output is byte-identical across runs for identical
-inputs; every randomised check takes an explicit seed and defaults to 0.
+structured reason, including a norm that a double cannot hold), 2 on
+malformed input (with a diagnostic naming the offending field).  Output
+is byte-identical across runs for identical inputs; every randomised
+check takes an explicit seed and defaults to 0.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .ladders import (
 from .matrix import UMatrix, certify_orthogonal_projection, sample_unit_vector
 from .padic import (
     INFINITE,
+    NormOutOfRangeError,
     PadicScalar,
     PrecisionContext,
     classify_orbit,
@@ -603,6 +605,10 @@ def run_command(argv: Sequence[str], stream=None) -> int:
         status = 2
     except MathRejection as exc:
         document = {"error": exc.reason}
+        status = 1
+    except NormOutOfRangeError as exc:
+        document = {"error": {"kind": "norm_out_of_range", "p": exc.p,
+                              "valuation": exc.valuation, "reason": str(exc)}}
         status = 1
     payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if args.outfile:

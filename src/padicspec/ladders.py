@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .padic import INFINITE, PadicScalar, PrecisionContext
+from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
 
 
 def _int_scalar(k: int, ctx: PrecisionContext) -> PadicScalar:
@@ -67,8 +67,7 @@ class MahlerVector:
 
     @property
     def norm(self) -> float:
-        v = self.valuation
-        return 0.0 if v == INFINITE else float(self.ctx.p) ** (-v)
+        return norm_from_valuation(self.ctx.p, self.valuation)
 
     def __add__(self, other: "MahlerVector") -> "MahlerVector":
         self._check(other)
@@ -131,8 +130,7 @@ class TateVector:
 
     @property
     def norm(self) -> float:
-        v = self.valuation
-        return 0.0 if v == INFINITE else float(self.ctx.p) ** (-v)
+        return norm_from_valuation(self.ctx.p, self.valuation)
 
     def __add__(self, other: "TateVector") -> "TateVector":
         self._check(other)
@@ -258,10 +256,7 @@ def commutator_defect(raise_op, lower_op, basis: Sequence) -> float:
     for e in basis:
         image = lower_op(raise_op(e)) - raise_op(lower_op(e)) - e
         worst = min(worst, image.valuation)
-    if worst == INFINITE:
-        return 0.0
-    ctx = basis[0].ctx
-    return float(ctx.p) ** (-worst)
+    return norm_from_valuation(basis[0].ctx.p, worst) if basis else 0.0
 
 
 def interior_basis(cls, length: int, ctx: PrecisionContext) -> list:

@@ -14,11 +14,12 @@ run on plain residue representatives for speed.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .padic import INFINITE, PadicScalar, PrecisionContext
+from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
 from .unramified import ExtRing, ExtScalar
 
 Scalar = Union[PadicScalar, ExtScalar]
@@ -103,10 +104,7 @@ class UMatrix:
 
     @property
     def norm(self) -> float:
-        v = self.valuation
-        if v == INFINITE:
-            return 0.0
-        return float(self.ctx.p) ** (-v)
+        return norm_from_valuation(self.ctx.p, self.valuation)
 
     @property
     def is_integral(self) -> bool:
@@ -125,8 +123,7 @@ class UMatrix:
         return self.residues() == other.residues()
 
     def is_zero_mod_precision(self) -> bool:
-        key = self.residues()
-        return all(_entry_is_zero(e) for row in key for e in row)
+        return _rows_are_zero(self.residues())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -206,14 +203,9 @@ class UMatrix:
 
     # -- window operations (mod p^m) ----------------------------------------
 
-    def _ring_ops(self):
-        if self.ring_tag == "base":
-            return _BaseOps(self.ctx.modulus, self.ctx.p)
-        return _ExtOps(self.ext_ring)
-
     def window_pow(self, exponent: int) -> "UMatrix":
         """Matrix power computed on residues mod p^m; needs |A| <= 1."""
-        ops = self._ring_ops()
+        ops = residue_ops(self.ctx, self.ext_ring)
         power = _res_matpow(self.residues(), exponent, ops)
         return _wrap_residues(power, self)
 
@@ -226,12 +218,6 @@ class UMatrix:
 
     def __repr__(self):
         return f"UMatrix(n={self.n}, ring={self.ring_tag}, p={self.ctx.p}, m={self.ctx.m})"
-
-
-def _entry_is_zero(e) -> bool:
-    if isinstance(e, int):
-        return e == 0
-    return all(c == 0 for c in e)
 
 
 class _BaseOps:
@@ -251,6 +237,9 @@ class _BaseOps:
 
     def mul(self, a, b):
         return (a * b) % self.q
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.q
 
     def neg(self, a):
         return (-a) % self.q
@@ -283,6 +272,12 @@ class _ExtOps:
     def mul(self, a, b):
         return self.ring.vec_mul(a, b)
 
+    def dot(self, xs, ys):
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = self.ring.vec_add(acc, self.ring.vec_mul(x, y))
+        return acc
+
     def neg(self, a):
         return self.ring.vec_neg(a)
 
@@ -296,27 +291,32 @@ class _ExtOps:
         return self.ring.vec_inverse(a)
 
 
-def residue_ops(ring_tag: str, ctx: PrecisionContext, ring: Optional[ExtRing] = None):
-    """Entry arithmetic for residue matrices of the given ring at ctx."""
-    if ring_tag == "base":
+def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
+    """Entry arithmetic for residue rows over Z/p^m at ctx, or over ring when given."""
+    if ring is None:
         return _BaseOps(ctx.modulus, ctx.p)
     return _ExtOps(ring)
 
 
 def _res_matmul(a: tuple, b: tuple, ops) -> tuple:
-    n = len(a)
-    bcols = list(zip(*b))
-    out = []
-    for i in range(n):
-        row = []
-        arow = a[i]
-        for j in range(n):
-            acc = ops.zero
-            for x, y in zip(arow, bcols[j]):
-                acc = ops.add(acc, ops.mul(x, y))
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+    dot = ops.dot
+    bcols = tuple(zip(*b))
+    return tuple(tuple(dot(row, col) for col in bcols) for row in a)
+
+
+def _res_add(a: tuple, b: tuple, ops) -> tuple:
+    return tuple(tuple(ops.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _res_sub(a: tuple, b: tuple, ops) -> tuple:
+    return tuple(tuple(ops.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _rows_are_zero(rows: tuple) -> bool:
+    """Whether every entry (an int or a coordinate vector) is 0."""
+    if isinstance(rows[0][0], int):
+        return not any(map(any, rows))
+    return not any(any(e) for row in rows for e in row)
 
 
 def _res_identity(n: int, ops) -> tuple:
@@ -440,11 +440,8 @@ def _berkowitz_charpoly(rows: tuple, ops) -> tuple:
         coeffs = [ops.one, ops.neg(a)]
         cur = col
         for _ in range(size - 1):
-            dot = ops.zero
-            for x, y in zip(rowv, cur):
-                dot = ops.add(dot, ops.mul(x, y))
-            coeffs.append(ops.neg(dot))
-            cur = [_dotrow(block[i], cur, ops) for i in range(size - 1)]
+            coeffs.append(ops.neg(ops.dot(rowv, cur)))
+            cur = [ops.dot(block_row, cur) for block_row in block]
         prev = polys[-1]
         new = [ops.zero] * (size + 1)
         for i, c in enumerate(coeffs):
@@ -455,19 +452,12 @@ def _berkowitz_charpoly(rows: tuple, ops) -> tuple:
     return polys[-1][::-1]
 
 
-def _dotrow(row, vec, ops):
-    acc = ops.zero
-    for x, y in zip(row, vec):
-        acc = ops.add(acc, ops.mul(x, y))
-    return acc
-
-
 def inverse(u: UMatrix) -> UMatrix:
     """Inverse of a GL_n member; anything without unit determinant is refused."""
     if not is_gl_zp(u):
         raise ValueError("matrix is not in GL_n (unit determinant required)")
     n = u.n
-    ops = u._ring_ops()
+    ops = residue_ops(u.ctx, u.ext_ring)
     work = [
         list(row) + list(ident_row)
         for row, ident_row in zip(u.residues(), _res_identity(n, ops))
@@ -498,10 +488,7 @@ def vector_valuation(vector: Sequence[Scalar]):
 
 
 def vector_norm(vector: Sequence[Scalar], ctx: PrecisionContext) -> float:
-    v = vector_valuation(vector)
-    if v == INFINITE:
-        return 0.0
-    return float(ctx.p) ** (-v)
+    return norm_from_valuation(ctx.p, vector_valuation(vector))
 
 
 def sample_vector(

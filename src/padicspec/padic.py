@@ -25,6 +25,32 @@ from typing import Optional, Union
 INFINITE = math.inf
 
 
+class NormOutOfRangeError(ArithmeticError):
+    """A norm p^(-v) that a double cannot hold: it overflows, or underflows to 0.0."""
+
+    def __init__(self, p: int, valuation: int):
+        super().__init__(f"the norm {p}^{-valuation} is outside the range of a double")
+        self.p = p
+        self.valuation = valuation
+
+
+def norm_from_valuation(p: int, v) -> float:
+    """The norm p^(-v) as a float: 0.0 for v = INFINITE, else exact to rounding.
+
+    A finite v whose norm would overflow, or would underflow to 0.0 and
+    so read as zero, raises NormOutOfRangeError.
+    """
+    if v == INFINITE:
+        return 0.0
+    try:
+        norm = float(p) ** (-v)
+    except OverflowError:
+        raise NormOutOfRangeError(p, v) from None
+    if norm == 0.0:
+        raise NormOutOfRangeError(p, v)
+    return norm
+
+
 # Sorenson-Webster (Math. Comp. 2017): the smallest strong pseudoprime to
 # every prime base up to 41, so Miller-Rabin with those bases is exact below it.
 PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -165,9 +191,7 @@ class PadicScalar:
     @property
     def norm(self) -> float:
         """p-adic norm p^(-v); 0.0 for the zero sentinel."""
-        if self.is_zero:
-            return 0.0
-        return float(self.ctx.p) ** (-self.valuation)
+        return norm_from_valuation(self.ctx.p, self.valuation)
 
     def residue(self) -> int:
         """Representative in Z/p^m.  Defined for |x| <= 1 only."""
@@ -193,7 +217,7 @@ class PadicScalar:
     # -- ring operations ---------------------------------------------
 
     def _check_ctx(self, other: "PadicScalar"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed precision contexts")
 
     def __add__(self, other: "PadicScalar") -> "PadicScalar":

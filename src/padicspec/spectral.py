@@ -31,14 +31,17 @@ from .matrix import (
     _BaseOps,
     _berkowitz_charpoly,
     _ExtOps,
+    _res_add,
     _res_identity,
     _res_matmul,
     _res_matpow,
+    _res_sub,
+    _rows_are_zero,
     _wrap_residues,
     residue_ops,
     vector_valuation,
 )
-from .padic import INFINITE, PadicScalar, PrecisionContext, teichmuller_lift
+from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation, teichmuller_lift
 from .unramified import ExtScalar, ext_ring, teichmuller_lift_ext
 
 
@@ -70,10 +73,6 @@ class PeriodExceededError(Exception):
 # -- residue-level sigma machinery -------------------------------------------
 
 
-def _res_sub(a: tuple, b: tuple, ops) -> tuple:
-    return tuple(tuple(ops.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _vanishes_mod_p(rows: tuple, p: int) -> bool:
     for row in rows:
         for e in row:
@@ -81,17 +80,6 @@ def _vanishes_mod_p(rows: tuple, p: int) -> bool:
                 if e % p:
                     return False
             elif any(c % p for c in e):
-                return False
-    return True
-
-
-def _rows_are_zero(rows: tuple) -> bool:
-    for row in rows:
-        for e in row:
-            if isinstance(e, int):
-                if e:
-                    return False
-            elif any(e):
                 return False
     return True
 
@@ -125,10 +113,6 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: i
     return None
 
 
-def _matrix_ops(a: UMatrix):
-    return a._ring_ops()
-
-
 # -- unique idempotent lifting -------------------------------------------------
 
 
@@ -143,7 +127,7 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     if not a.is_integral:
         raise ValueError("lift_idempotent requires |a| <= 1")
     ctx = a.ctx
-    ops = _matrix_ops(a)
+    ops = residue_ops(a.ctx, a.ext_ring)
     rows = a.residues()
     defect = _res_sub(_res_matmul(rows, rows, ops), rows, ops)
     if not _vanishes_mod_p(defect, ctx.p):
@@ -250,7 +234,7 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
         )
     points, ambient = _spectral_points(x, period)
     n = ambient.n
-    ops = _matrix_ops(ambient)
+    ops = residue_ops(ambient.ctx, ambient.ext_ring)
     rows = ambient.residues()
     lam_res = [pt.residue_key() for pt in points]
     shifted = [
@@ -303,10 +287,6 @@ def _verify_decomposition(rows, resolved, ops, n):
             product = _res_matmul(resolved[i][1], resolved[j][1], ops)
             if any(not ops.is_zero(e) for row in product for e in row):
                 raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
-
-
-def _res_add(a: tuple, b: tuple, ops) -> tuple:
-    return tuple(tuple(ops.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
 # -- eigenvalues of the reduction mod p ------------------------------------------
@@ -480,10 +460,8 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     else:
         work = a
     ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
-    if work.ring_tag == "base":
-        ops_hi = residue_ops("base", ctx_hi)
-    else:
-        ops_hi = residue_ops("ext", ctx_hi, ext_ring(ctx.p, work.ext_ring.degree, ctx_hi.m))
+    ring = work.ext_ring
+    ops_hi = residue_ops(ctx_hi, None if ring is None else ext_ring(ctx.p, ring.degree, ctx_hi.m))
     budget = ctx_hi.budget(period)
     rows = work.residues()
     digits = []
@@ -564,6 +542,10 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     sigma; level j of the tree multiplies the first j+1 resolutions
     together.  Nonzero products are orthogonal projections, and in
     dimension n at most n of them survive at any level.
+
+    Every candidate child is tested for zero on residues mod p^m; only
+    the survivors are formed as scalar-level products, whose entries
+    keep m digits past their own valuation.
     """
     ctx = a.ctx
     if a.ring_tag != "base":
@@ -571,49 +553,63 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
     expansion = hermite_digits_matrix(a, 1)
-    ident = UMatrix.identity(a.n, ctx)
+    ops = residue_ops(ctx)
     nodes = []
-    frontier = [((), ident)]
+    frontier = None  # (address, projector, its residues) per node of the last level
     for level in range(depth):
-        digit = expansion.digits[level]
-        resolution = teichmuller_spectral(digit, 1)
-        index_of = {lam.residue() % ctx.p: proj for lam, proj in resolution.points}
-        new_frontier = []
-        for address, parent in frontier:
-            for idx in sorted(index_of):
-                child = parent * index_of[idx] if address else index_of[idx]
-                if child.is_zero_mod_precision():
-                    continue
-                new_frontier.append((address + (idx,), child))
-        frontier = new_frontier
-        nodes.extend(frontier)
+        resolution = teichmuller_spectral(expansion.digits[level], 1)
+        terms = sorted(
+            ((lam.residue() % ctx.p, proj, proj.residues()) for lam, proj in resolution.points),
+            key=lambda term: term[0],
+        )
+        if frontier is None:
+            frontier = [((idx,), proj, rows) for idx, proj, rows in terms]
+        else:
+            new_frontier = []
+            for address, parent, parent_rows in frontier:
+                for idx, proj, proj_rows in terms:
+                    rows = _res_matmul(parent_rows, proj_rows, ops)
+                    if not _rows_are_zero(rows):
+                        new_frontier.append((address + (idx,), parent * proj, rows))
+            frontier = new_frontier
+        nodes.extend((address, child) for address, child, _ in frontier)
     measure = SpectralMeasure(depth, expansion.lead_valuation, tuple(nodes))
-    _verify_measure(measure, ident, depth)
+    _verify_measure(measure)
     return measure
 
 
-def _verify_measure(measure: SpectralMeasure, ident: UMatrix, depth: int):
-    for j in range(depth):
-        layer = measure.level(j)
-        total = None
-        for _, proj in layer:
-            total = proj if total is None else total + proj
-        if total is None or not total.congruent(ident):
-            raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
-        for i, (_, pa) in enumerate(layer):
-            for k, (_, pb) in enumerate(layer):
-                if i < k and not (pa * pb).is_zero_mod_precision():
+def _verify_measure(measure: SpectralMeasure):
+    """Check every level, pair and parent of the tree mod p^m, on residues.
+
+    Per level: the projectors are pairwise orthogonal and sum to 1.  Per
+    node above the deepest level: its children sum to it.
+    """
+    first = measure.nodes[0][1]
+    ops = residue_ops(first.ctx)
+    ident = _res_identity(first.n, ops)
+    residues = [(address, proj.residues()) for address, proj in measure.nodes]
+    for j in range(measure.depth):
+        layer = [rows for address, rows in residues if len(address) == j + 1]
+        for i, pa in enumerate(layer):
+            for pb in layer[i + 1 :]:
+                if not _rows_are_zero(_res_matmul(pa, pb, ops)):
                     raise RuntimeError("same-level projectors overlap (internal defect)")
-    by_addr = measure.node_map()
-    for addr, proj in by_addr.items():
-        if len(addr) >= depth:
-            continue
-        children = [q for a2, q in by_addr.items() if len(a2) == len(addr) + 1 and a2[: len(addr)] == addr]
-        total = None
-        for q in children:
-            total = q if total is None else total + q
-        if total is None or not total.congruent(proj):
+        if _res_sum(layer, ops) != ident:
+            raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
+    children = {}
+    for address, rows in residues:
+        children.setdefault(address[:-1], []).append(rows)
+    for address, rows in residues:
+        if len(address) < measure.depth and _res_sum(children.get(address, []), ops) != rows:
             raise RuntimeError("projector does not refine into its children (internal defect)")
+
+
+def _res_sum(terms: list, ops):
+    """Entrywise sum of residue matrices; None for no terms."""
+    total = None
+    for rows in terms:
+        total = rows if total is None else _res_add(total, rows, ops)
+    return total
 
 
 def spectral_integral(measure: SpectralMeasure):
@@ -666,7 +662,7 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
     ctx = a.ctx
-    ops = _matrix_ops(a)
+    ops = residue_ops(a.ctx, a.ext_ring)
     budget = ctx.budget(period_bound) + period_bound
     iterates = [a.residues()]
     found = None
@@ -708,7 +704,8 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
 
     Digits are resolved one power of p at a time; surviving nested
     products give the projectors and the digit paths give the
-    eigenvalues, as scalars of the ambient ring.
+    eigenvalues, as scalars of the ambient ring.  The nested products
+    are formed and tested for zero on residues mod p^m.
     """
     ctx = a.ctx
     expansion = hermite_digits_matrix(a, period)
@@ -733,19 +730,20 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
                 center_term = lam.shift(k + level)
             else:
                 center_term = lam * ring.embed(pow(ctx.p, k + level, ctx.modulus))
-            terms.append((center_term, lam, proj))
+            terms.append((center_term, proj.residues()))
         if frontier is None:
-            frontier = [(center, proj) for center, _, proj in terms]
+            like = resolution.projectors[0]
+            ops = residue_ops(like.ctx, like.ext_ring)
+            frontier = terms
             continue
         new_frontier = []
-        for center, proj in frontier:
-            for term_center, _, pi in terms:
-                child = proj * pi
-                if child.is_zero_mod_precision():
-                    continue
-                new_frontier.append((center + term_center, child))
+        for center, rows in frontier:
+            for term_center, pi in terms:
+                child = _res_matmul(rows, pi, ops)
+                if not _rows_are_zero(child):
+                    new_frontier.append((center + term_center, child))
         frontier = new_frontier
-    return frontier or []
+    return [(center, _wrap_residues(rows, like)) for center, rows in frontier]
 
 
 @dataclass(frozen=True)
@@ -774,7 +772,7 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
         for j in range(i + 1, len(lams)):
             diff = lams[i] - lams[j]
             diam_val = min(diam_val, diff.valuation)
-    diam = 0.0 if diam_val == INFINITE else float(ctx.p) ** (-diam_val)
+    diam = norm_from_valuation(ctx.p, diam_val)
     lam_val = min((lam.valuation for lam in lams), default=INFINITE)
     if lam_val != a.valuation:
         raise RuntimeError("operator norm differs from max eigenvalue norm (internal defect)")
@@ -839,13 +837,13 @@ def uncertainty_check(
     kb = 0 if b.valuation == INFINITE else min(0, int(b.valuation))
     if lhs_val >= ka + kb + a.ctx.m:
         lhs_val = INFINITE
-    lhs_norm = 0.0 if lhs_val == INFINITE else float(a.ctx.p) ** (-lhs_val)
+    lhs_norm = norm_from_valuation(a.ctx.p, lhs_val)
     if da.diameter_valuation == INFINITE or db.diameter_valuation == INFINITE:
         rhs_norm = 0.0
         holds = lhs_val == INFINITE
     else:
         rhs_val = da.diameter_valuation + db.diameter_valuation
-        rhs_norm = float(a.ctx.p) ** (-rhs_val)
+        rhs_norm = norm_from_valuation(a.ctx.p, rhs_val)
         holds = lhs_val == INFINITE or lhs_val >= rhs_val
     return UncertaintyReport(
         lhs_norm=lhs_norm,

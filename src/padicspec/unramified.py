@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .finite_field import ENUMERATION_LIMIT, FqElement, finite_field
-from .padic import INFINITE, PadicScalar, PrecisionContext
+from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
 
 
 @functools.lru_cache(maxsize=None)
@@ -190,10 +190,7 @@ class ExtScalar:
 
     @property
     def norm(self) -> float:
-        v = self.valuation
-        if v == INFINITE:
-            return 0.0
-        return float(self.ctx.p) ** (-v)
+        return norm_from_valuation(self.ctx.p, self.valuation)
 
     def _check(self, other: "ExtScalar"):
         if self.ring != other.ring:

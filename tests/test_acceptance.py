@@ -18,6 +18,7 @@ from helpers import (
     int_matpow,
     int_matvec,
     rand_gl,
+    rand_hermite,
     rand_poly_in,
     rand_teich_diag,
     residues_of,
@@ -162,6 +163,17 @@ def test_measure_reconstruction():
                 counts.append(len(measure.level(depth - 1)))
             assert all(c <= n for c in counts)
             assert counts == sorted(counts)
+
+
+def test_measure_at_dimension_sixteen():
+    """The full-depth measure tree of a 16 x 16 Hermite operator at p = 3, m = 8."""
+    ctx = PrecisionContext(3, 8)
+    a, _, _ = rand_hermite(ctx, 16, random.Random(116))
+    with criterion("measure-n16", 8.0):
+        measure = spectral_measure(a, 8)
+        identity_check, reconstruction = spectral_integral(measure)
+        assert identity_check.congruent(UMatrix.identity(16, ctx))
+        assert (reconstruction - a).valuation >= 8
 
 
 def test_hermite_equivalence():

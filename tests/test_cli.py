@@ -237,6 +237,16 @@ def test_certify_projection_command(tmp_path):
     assert out["norm_of_pi"] == 1.0
 
 
+def test_certify_projection_norm_overflow_is_a_rejection(tmp_path):
+    doc = {"p": 3, "m": 4, "entries": [
+        {"v": -1000, "u": "1"}, {"v": 0, "u": "0"}, {"v": 0, "u": "0"}, {"v": 0, "u": "1"}]}
+    path = write(tmp_path, "huge.json", doc)
+    status, out, _ = run(["certify-projection", "--in", path])
+    assert status == 1
+    assert out["error"]["kind"] == "norm_out_of_range"
+    assert (out["error"]["p"], out["error"]["valuation"]) == (3, -2000)
+
+
 def test_malformed_entries_diagnostic(tmp_path):
     path = write(tmp_path, "bad.json", {"p": 3, "m": 4, "entries": [{"v": 0, "u": "1"}] * 3})
     status, doc, _ = run(["classify", "--in", path])

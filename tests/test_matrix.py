@@ -8,10 +8,13 @@ from helpers import (
     conjugate,
     diag_matrix,
     int_det,
+    int_matmul,
     rand_gl,
     rand_residue_matrix,
+    ring_matmul,
 )
 from padicspec import (
+    NormOutOfRangeError,
     PadicScalar,
     PrecisionContext,
     UMatrix,
@@ -24,7 +27,7 @@ from padicspec import (
     scalar_from_rational,
     vector_valuation,
 )
-from padicspec.matrix import inverse
+from padicspec.matrix import _res_matmul, _rows_are_zero, inverse, residue_ops
 
 CTX = PrecisionContext(3, 4)
 
@@ -274,3 +277,66 @@ def test_sample_unit_vector_has_norm_one():
     for _ in range(50):
         v = sample_unit_vector(CTX, 4, rng)
         assert vector_valuation(v) == 0
+
+
+def test_norm_out_of_double_range_raises():
+    assert UMatrix.zeros(2, CTX).norm == 0.0
+    huge = UMatrix.from_scalars([[PadicScalar(CTX, -1000, 1), PadicScalar.zero(CTX)],
+                                 [PadicScalar.zero(CTX), PadicScalar.one(CTX)]])
+    with pytest.raises(NormOutOfRangeError):
+        huge.norm
+    tiny = UMatrix.from_scalars([[PadicScalar(CTX, 1000, 1)]])
+    with pytest.raises(NormOutOfRangeError):
+        tiny.norm
+
+
+# -- the fused residue kernel -----------------------------------------------------
+
+
+def _rand_rows(rng, n, q, width=None):
+    """Random residue rows mod q, with the extreme residues 0 and q - 1 planted."""
+    def entry():
+        pick = rng.randrange(q) if rng.random() < 0.8 else rng.choice((0, q - 1))
+        return pick if width is None else tuple(
+            rng.randrange(q) if rng.random() < 0.8 else rng.choice((0, q - 1))
+            for _ in range(width)
+        )
+    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+@pytest.mark.parametrize("p,m", [(2, 5), (3, 4), (3, 8), (211, 3)])
+def test_res_matmul_matches_int_matmul_on_base_rings(p, m, n):
+    """At the working modulus p^m and at the doubled p^(2m) of digit peeling."""
+    rng = random.Random(1000 * p + 10 * m + n)
+    for ctx in (PrecisionContext(p, m), PrecisionContext(p, 2 * m)):
+        ops = residue_ops(ctx)
+        for _ in range(3):
+            a = _rand_rows(rng, n, ctx.modulus)
+            b = _rand_rows(rng, n, ctx.modulus)
+            got = _res_matmul(a, b, ops)
+            assert [list(row) for row in got] == int_matmul(a, b, ctx.modulus)
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("p,degree", [(2, 2), (3, 2), (2, 3), (5, 3)])
+def test_res_matmul_matches_ring_matmul_on_extension_rings(p, degree, n):
+    rng = random.Random(1000 * p + 10 * degree + n)
+    for m in (2, 4):
+        ring = ext_ring(p, degree, m)
+        ops = residue_ops(ring.ctx, ring)
+        q = ring.ctx.modulus
+        for _ in range(3):
+            a = _rand_rows(rng, n, q, degree)
+            b = _rand_rows(rng, n, q, degree)
+            assert _res_matmul(a, b, ops) == ring_matmul(a, b, ring.modulus, q)
+
+
+def test_rows_are_zero_on_ints_and_vectors():
+    assert _rows_are_zero(((0, 0), (0, 0)))
+    assert not _rows_are_zero(((0, 0), (0, 5)))
+    assert _rows_are_zero((((0, 0), (0, 0)),))
+    assert not _rows_are_zero((((0, 0), (0, 1)),))
+    assert UMatrix.zeros(3, CTX).is_zero_mod_precision()
+    assert UMatrix.from_ints([[81]], CTX).is_zero_mod_precision()
+    assert not UMatrix.from_ints([[27]], CTX).is_zero_mod_precision()

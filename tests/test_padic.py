@@ -7,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from padicspec import (
+    INFINITE,
+    NormOutOfRangeError,
     OrbitKind,
     PadicScalar,
     PrecisionContext,
     classify_orbit,
     frobenius_step,
+    norm_from_valuation,
     scalar_from_rational,
     teichmuller_digits,
     teichmuller_lift,
@@ -316,3 +319,20 @@ def test_subtraction_inverts_addition(data):
     # Round-trip exact up to the window at the common base valuation.
     window = min(x.valuation, y.valuation) + ctx.m
     assert diff.is_zero or diff.valuation >= window
+
+
+def test_norm_from_valuation_in_range():
+    assert norm_from_valuation(3, INFINITE) == 0.0
+    assert norm_from_valuation(3, 0) == 1.0
+    assert norm_from_valuation(3, -2) == 9.0
+    assert norm_from_valuation(2, 3) == 0.125
+    assert norm_from_valuation(2, 1074) == 2.0**-1074  # smallest subnormal, still nonzero
+
+
+@pytest.mark.parametrize("p,v", [(3, -1000), (2, -1024), (3, 1000), (2, 1075), (5, 10**400)])
+def test_norm_from_valuation_refuses_overflow_and_underflow(p, v):
+    with pytest.raises(NormOutOfRangeError) as info:
+        norm_from_valuation(p, v)
+    assert (info.value.p, info.value.valuation) == (p, v)
+    with pytest.raises(NormOutOfRangeError):
+        PadicScalar(PrecisionContext(p, 2), v, 1).norm

@@ -1,5 +1,6 @@
 """Spectral projectors, digit expansions, the ball measure, Jordan splitting."""
 
+import dataclasses
 import itertools
 import random
 import time
@@ -42,6 +43,7 @@ from padicspec import (
     uncertainty_check,
 )
 from padicspec.matrix import inverse
+from padicspec.spectral import _verify_measure
 CTX = PrecisionContext(3, 4)
 
 
@@ -588,6 +590,101 @@ def test_measure_with_shifted_valuation(shift):
     identity_check, reconstruction = spectral_integral(measure)
     assert identity_check.congruent(UMatrix.identity(2, ctx))
     assert (reconstruction - a).valuation >= measure.lead_valuation + 2
+
+
+def _branching_measure():
+    """Depth-2 measure at p = 3 whose two level-0 balls split in two each.
+
+    The residues 0, 3, 1, 4 have the digit pairs (0, 0), (0, 1), (1, 0), (1, 1).
+    """
+    ctx = PrecisionContext(3, 2)
+    a = conjugate(rand_gl(ctx, 4, random.Random(31)), diag_matrix(ctx, [0, 3, 1, 4]))
+    measure = spectral_measure(a, 2)
+    assert [addr for addr, _ in measure.level(1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    _verify_measure(measure)
+    return measure
+
+
+def _with_nodes(measure, nodes):
+    return dataclasses.replace(measure, nodes=tuple(nodes))
+
+
+def test_verify_measure_catches_a_dropped_node():
+    measure = _branching_measure()
+    nodes = [(addr, proj) for addr, proj in measure.nodes if addr != (1, 1)]
+    with pytest.raises(RuntimeError, match="level 1 projectors do not sum to 1"):
+        _verify_measure(_with_nodes(measure, nodes))
+
+
+def test_verify_measure_catches_a_duplicated_node():
+    measure = _branching_measure()
+    nodes = list(measure.nodes) + [((1, 2), measure.node_map()[(1, 1)])]
+    with pytest.raises(RuntimeError, match="same-level projectors overlap"):
+        _verify_measure(_with_nodes(measure, nodes))
+
+
+def test_verify_measure_catches_a_child_moved_to_another_parent():
+    """Swapping (0, 1) with its cousin (1, 0) keeps every level intact but no refinement."""
+    measure = _branching_measure()
+    by_addr = measure.node_map()
+    swap = {(0, 1): by_addr[(1, 0)], (1, 0): by_addr[(0, 1)]}
+    nodes = [(addr, swap.get(addr, proj)) for addr, proj in measure.nodes]
+    with pytest.raises(RuntimeError, match="does not refine into its children"):
+        _verify_measure(_with_nodes(measure, nodes))
+
+
+def _object_frontier(a: UMatrix, period: int) -> list:
+    """operator_spectrum recomputed with scalar-level matrix products."""
+    ctx = a.ctx
+    expansion = hermite_digits_matrix(a, period)
+    k = expansion.lead_valuation
+    ring = ext_ring(ctx.p, period, ctx.m) if period > 1 else None
+    frontier = None
+    for level, digit in enumerate(expansion.digits):
+        terms = []
+        for lam, proj in teichmuller_spectral(digit, period).points:
+            if ring is None:
+                terms.append((lam.shift(k + level), proj))
+            else:
+                terms.append((lam * ring.embed(pow(ctx.p, k + level, ctx.modulus)), proj))
+        if frontier is None:
+            frontier = terms
+            continue
+        frontier = [
+            (center + term, proj * pi)
+            for center, proj in frontier
+            for term, pi in terms
+            if not (proj * pi).is_zero_mod_precision()
+        ]
+    return frontier
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_operator_spectrum_matches_scalar_level_products(period):
+    rng = random.Random(40 + period)
+    ctx = PrecisionContext(3, 3)
+    cases = []
+    if period == 1:
+        for _ in range(3):
+            a, _, _ = rand_hermite(ctx, 4, rng)
+            cases += [a, a.shift(-1)]
+    else:
+        # w (+) (1 + p) w for w multiplying by a generator lift of the degree-2
+        # ring: conjugate eigenvalue pairs at digit 0 that split at digit 1
+        block = _multiplication_block(ctx, 2)
+        d = [[0] * 4 for _ in range(4)]
+        for i in range(2):
+            d[i][:2] = block[i]
+            d[i + 2][2:] = [(1 + ctx.p) * e for e in block[i]]
+        for _ in range(3):
+            cases.append(conjugate(rand_gl(ctx, 4, rng), UMatrix.from_residues(d, ctx)))
+    for a in cases:
+        got = operator_spectrum(a, period)
+        expected = _object_frontier(a, period)
+        assert len(got) == len(expected) == 4  # the tree branches below its first level
+        for (lam, proj), (mu, pi) in zip(got, expected):
+            assert lam == mu
+            assert proj.congruent(pi)
 
 
 # -- Jordan decomposition ----------------------------------------------------------------
