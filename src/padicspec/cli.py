@@ -26,8 +26,7 @@ from typing import Optional, Sequence
 
 from .finite_field import ENUMERATION_LIMIT
 from .ladders import (
-    MahlerVector,
-    TateVector,
+    CoeffVector,
     euler_operator,
     kochubei_lower,
     kochubei_raise,
@@ -125,7 +124,9 @@ def valuation_to_json(v):
 # -- input files ----------------------------------------------------------------
 
 
-def _load_document(path: str) -> dict:
+def _load_document(path: Optional[str]) -> dict:
+    if not path:
+        raise SchemaError("in", "an input file is required for this command")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
@@ -283,18 +284,7 @@ def _measure_inputs(args):
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= ctx.m:
         raise SchemaError("depth", f"depth must be an integer in [1, {ctx.m}]")
     matrix = _matrix_from(doc, ctx)
-    try:
-        measure = spectral_measure(matrix, depth)
-    except NotHermiteError as exc:
-        raise MathRejection(
-            {
-                "kind": "not_hermite",
-                "stage": exc.stage,
-                "defect_norm": exc.defect_norm,
-                "reason": exc.reason,
-            }
-        )
-    return ctx, matrix, measure
+    return ctx, matrix, spectral_measure(matrix, depth)
 
 
 def _cmd_measure(args) -> dict:
@@ -342,10 +332,6 @@ def _cmd_jordan(args) -> dict:
         pair = jordan_decompose(matrix, bound)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
-    except PeriodExceededError as exc:
-        raise MathRejection(
-            {"kind": "period_exceeded", "reason": str(exc), "period_bound": exc.period_bound}
-        )
     return {
         "p": ctx.p,
         "m": ctx.m,
@@ -361,17 +347,7 @@ def _cmd_hermite(args) -> dict:
     ctx = _context_from(doc)
     period = _period_from(args, ctx, default=doc.get("N", 1))
     matrix = _matrix_from(doc, ctx)
-    try:
-        expansion = hermite_digits_matrix(matrix, period)
-    except NotHermiteError as exc:
-        raise MathRejection(
-            {
-                "kind": "not_hermite",
-                "stage": exc.stage,
-                "defect_norm": exc.defect_norm,
-                "reason": exc.reason,
-            }
-        )
+    expansion = hermite_digits_matrix(matrix, period)
     return {
         "p": ctx.p,
         "m": ctx.m,
@@ -386,17 +362,7 @@ def _cmd_diam(args) -> dict:
     ctx = _context_from(doc)
     period = _period_from(args, ctx, default=doc.get("N", 1))
     matrix = _matrix_from(doc, ctx)
-    try:
-        report = spectrum_diameter(matrix, period)
-    except NotHermiteError as exc:
-        raise MathRejection(
-            {
-                "kind": "not_hermite",
-                "stage": exc.stage,
-                "defect_norm": exc.defect_norm,
-                "reason": exc.reason,
-            }
-        )
+    report = spectrum_diameter(matrix, period)
     return {
         "p": ctx.p,
         "m": ctx.m,
@@ -433,15 +399,6 @@ def _cmd_uncertainty(args) -> dict:
                     "holds": result.holds,
                 }
             )
-    except NotHermiteError as exc:
-        raise MathRejection(
-            {
-                "kind": "not_hermite",
-                "stage": exc.stage,
-                "defect_norm": exc.defect_norm,
-                "reason": exc.reason,
-            }
-        )
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
@@ -468,48 +425,38 @@ _TATE_OPS = {
 }
 
 
-def _coeff_vector(doc: dict, ctx: PrecisionContext, cls):
+def _coeff_vector(doc: dict, ctx: PrecisionContext) -> CoeffVector:
     raw = doc.get("coeffs")
     if not isinstance(raw, list) or not raw:
         raise SchemaError("coeffs", "a nonempty array of scalars is required")
     coeffs = tuple(
         scalar_from_json(entry, ctx, f"coeffs[{i}]") for i, entry in enumerate(raw)
     )
-    return cls(ctx, coeffs)
+    return CoeffVector(ctx, coeffs)
+
+
+def _run_ladder(args, table: dict, label: str) -> dict:
+    doc = _load_document(args.infile)
+    ctx = _context_from(doc)
+    op = table.get(args.op)
+    if op is None:
+        raise SchemaError("op", f"unknown {label} operation '{args.op}'")
+    result = op(_coeff_vector(doc, ctx))
+    return {
+        "p": ctx.p,
+        "m": ctx.m,
+        "op": args.op,
+        "coeffs": [scalar_to_json(c) for c in result.coeffs],
+        "truncated": result.truncated,
+    }
 
 
 def _cmd_kochubei(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    op = _LADDER_OPS.get(args.op)
-    if op is None:
-        raise SchemaError("op", f"unknown ladder operation '{args.op}'")
-    vector = _coeff_vector(doc, ctx, MahlerVector)
-    result = op(vector)
-    return {
-        "p": ctx.p,
-        "m": ctx.m,
-        "op": args.op,
-        "coeffs": [scalar_to_json(c) for c in result.coeffs],
-        "truncated": result.truncated,
-    }
+    return _run_ladder(args, _LADDER_OPS, "ladder")
 
 
 def _cmd_euler(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    op = _TATE_OPS.get(args.op)
-    if op is None:
-        raise SchemaError("op", f"unknown Tate operation '{args.op}'")
-    vector = _coeff_vector(doc, ctx, TateVector)
-    result = op(vector)
-    return {
-        "p": ctx.p,
-        "m": ctx.m,
-        "op": args.op,
-        "coeffs": [scalar_to_json(c) for c in result.coeffs],
-        "truncated": result.truncated,
-    }
+    return _run_ladder(args, _TATE_OPS, "Tate")
 
 
 def _cmd_certify(args) -> dict:
@@ -591,20 +538,22 @@ def run_command(argv: Sequence[str], stream=None) -> int:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
-    handler = _COMMANDS[args.command]
     try:
-        if handler in (_cmd_classify, _cmd_spectral, _cmd_measure, _cmd_integral,
-                       _cmd_jordan, _cmd_hermite, _cmd_diam, _cmd_uncertainty,
-                       _cmd_kochubei, _cmd_euler, _cmd_certify):
-            if not args.infile:
-                raise SchemaError("in", "an input file is required for this command")
-        document = handler(args)
+        document = _COMMANDS[args.command](args)
         status = 0
     except SchemaError as exc:
         document = {"error": {"kind": "malformed_input", "field": exc.fieldname, "reason": str(exc)}}
         status = 2
     except MathRejection as exc:
         document = {"error": exc.reason}
+        status = 1
+    except NotHermiteError as exc:
+        document = {"error": {"kind": "not_hermite", "stage": exc.stage,
+                              "defect_norm": exc.defect_norm, "reason": exc.reason}}
+        status = 1
+    except PeriodExceededError as exc:
+        document = {"error": {"kind": "period_exceeded", "reason": str(exc),
+                              "period_bound": exc.period_bound}}
         status = 1
     except NormOutOfRangeError as exc:
         document = {"error": {"kind": "norm_out_of_range", "p": exc.p,
@@ -621,3 +570,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

@@ -271,30 +271,3 @@ def fq_frobenius(a: FqElement) -> FqElement:
     """The p-power automorphism; its N-th iterate is the identity on F_{p^N}."""
     return a ** a.field.p
 
-
-def fq_matrix_det(rows: Sequence[Sequence[FqElement]]) -> FqElement:
-    """Determinant over F_q by Gaussian elimination."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        raise ValueError("empty matrix")
-    fld = rows[0][0].field
-    work = [list(r) for r in rows]
-    det = fld.one()
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if pivot is None:
-            return fld.zero()
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det = det * work[col][col]
-        inv = work[col][col].inverse()
-        for r in range(col + 1, n):
-            factor = work[r][col] * inv
-            if factor.is_zero:
-                continue
-            for c in range(col, n):
-                work[r][c] = work[r][c] - factor * work[col][c]
-    return det

@@ -31,8 +31,8 @@ def _int_scalar(k: int, ctx: PrecisionContext) -> PadicScalar:
 
 
 @dataclass(frozen=True)
-class MahlerVector:
-    """Truncated coefficient sequence against the binomial basis."""
+class CoeffVector:
+    """Truncated coefficient sequence with the sup norm of its coefficients."""
 
     ctx: PrecisionContext
     coeffs: tuple
@@ -43,15 +43,15 @@ class MahlerVector:
             raise ValueError("coefficient vector must be nonempty")
 
     @classmethod
-    def from_ints(cls, values: Sequence[int], ctx: PrecisionContext) -> "MahlerVector":
+    def from_ints(cls, values: Sequence[int], ctx: PrecisionContext) -> "CoeffVector":
         return cls(ctx, tuple(PadicScalar.from_int(v, ctx) for v in values))
 
     @classmethod
-    def zero(cls, length: int, ctx: PrecisionContext) -> "MahlerVector":
+    def zero(cls, length: int, ctx: PrecisionContext) -> "CoeffVector":
         return cls(ctx, (PadicScalar.zero(ctx),) * length)
 
     @classmethod
-    def basis(cls, index: int, length: int, ctx: PrecisionContext) -> "MahlerVector":
+    def basis(cls, index: int, length: int, ctx: PrecisionContext) -> "CoeffVector":
         coeffs = [PadicScalar.zero(ctx)] * length
         coeffs[index] = PadicScalar.one(ctx)
         return cls(ctx, tuple(coeffs))
@@ -69,91 +69,34 @@ class MahlerVector:
     def norm(self) -> float:
         return norm_from_valuation(self.ctx.p, self.valuation)
 
-    def __add__(self, other: "MahlerVector") -> "MahlerVector":
+    def __add__(self, other: "CoeffVector") -> "CoeffVector":
         self._check(other)
-        return MahlerVector(
+        return CoeffVector(
             self.ctx,
             tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
             self.truncated or other.truncated,
         )
 
-    def __sub__(self, other: "MahlerVector") -> "MahlerVector":
+    def __sub__(self, other: "CoeffVector") -> "CoeffVector":
         self._check(other)
-        return MahlerVector(
+        return CoeffVector(
             self.ctx,
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
             self.truncated or other.truncated,
         )
 
-    def scale(self, c: PadicScalar) -> "MahlerVector":
-        return MahlerVector(self.ctx, tuple(c * a for a in self.coeffs), self.truncated)
+    def scale(self, c: PadicScalar) -> "CoeffVector":
+        return CoeffVector(self.ctx, tuple(c * a for a in self.coeffs), self.truncated)
 
-    def _check(self, other: "MahlerVector"):
+    def _check(self, other: "CoeffVector"):
         if self.ctx != other.ctx or self.length != other.length:
             raise ValueError("mismatched coefficient spaces")
 
 
-@dataclass(frozen=True)
-class TateVector:
-    """Truncated power-series coefficients with the Gauss norm."""
-
-    ctx: PrecisionContext
-    coeffs: tuple
-    truncated: bool = field(default=False, compare=False)
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("coefficient vector must be nonempty")
-
-    @classmethod
-    def from_ints(cls, values: Sequence[int], ctx: PrecisionContext) -> "TateVector":
-        return cls(ctx, tuple(PadicScalar.from_int(v, ctx) for v in values))
-
-    @classmethod
-    def zero(cls, length: int, ctx: PrecisionContext) -> "TateVector":
-        return cls(ctx, (PadicScalar.zero(ctx),) * length)
-
-    @classmethod
-    def basis(cls, index: int, length: int, ctx: PrecisionContext) -> "TateVector":
-        coeffs = [PadicScalar.zero(ctx)] * length
-        coeffs[index] = PadicScalar.one(ctx)
-        return cls(ctx, tuple(coeffs))
-
-    @property
-    def length(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def valuation(self):
-        vals = [c.valuation for c in self.coeffs if not c.is_zero]
-        return min(vals) if vals else INFINITE
-
-    @property
-    def norm(self) -> float:
-        return norm_from_valuation(self.ctx.p, self.valuation)
-
-    def __add__(self, other: "TateVector") -> "TateVector":
-        self._check(other)
-        return TateVector(
-            self.ctx,
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-            self.truncated or other.truncated,
-        )
-
-    def __sub__(self, other: "TateVector") -> "TateVector":
-        self._check(other)
-        return TateVector(
-            self.ctx,
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-            self.truncated or other.truncated,
-        )
-
-    def scale(self, c: PadicScalar) -> "TateVector":
-        return TateVector(self.ctx, tuple(c * a for a in self.coeffs), self.truncated)
-
-    def _check(self, other: "TateVector"):
-        if self.ctx != other.ctx or self.length != other.length:
-            raise ValueError("mismatched coefficient spaces")
+# The Mahler (binomial-basis) and Tate (monomial-basis, Gauss norm) spaces
+# share one coefficient representation.
+MahlerVector = CoeffVector
+TateVector = CoeffVector
 
 
 # -- the Mahler-space ladder ----------------------------------------------------

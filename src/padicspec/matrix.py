@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
-from .unramified import ExtRing, ExtScalar
+from .unramified import ExtRing, ExtScalar, ext_ring
 
 Scalar = Union[PadicScalar, ExtScalar]
 
@@ -292,10 +292,14 @@ class _ExtOps:
 
 
 def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
-    """Entry arithmetic for residue rows over Z/p^m at ctx, or over ring when given."""
+    """Entry arithmetic for residue rows mod p^m at ctx.
+
+    Over Z/p^m, or, when a ring is given, over the unramified ring of its
+    degree at the precision of ctx (which may differ from the ring's own).
+    """
     if ring is None:
         return _BaseOps(ctx.modulus, ctx.p)
-    return _ExtOps(ring)
+    return _ExtOps(ext_ring(ctx.p, ring.degree, ctx.m))
 
 
 def _res_matmul(a: tuple, b: tuple, ops) -> tuple:
@@ -312,11 +316,22 @@ def _res_sub(a: tuple, b: tuple, ops) -> tuple:
     return tuple(tuple(ops.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
+def _res_scale(c, a: tuple, ops) -> tuple:
+    return tuple(tuple(ops.mul(c, x) for x in row) for row in a)
+
+
 def _rows_are_zero(rows: tuple) -> bool:
     """Whether every entry (an int or a coordinate vector) is 0."""
     if isinstance(rows[0][0], int):
         return not any(map(any, rows))
     return not any(any(e) for row in rows for e in row)
+
+
+def _map_coords(rows: tuple, f) -> tuple:
+    """Apply f to every int coordinate of the residue rows (ints or coordinate vectors)."""
+    if isinstance(rows[0][0], int):
+        return tuple(tuple(map(f, row)) for row in rows)
+    return tuple(tuple(tuple(map(f, e)) for e in row) for row in rows)
 
 
 def _res_identity(n: int, ops) -> tuple:
@@ -344,77 +359,71 @@ def _wrap_residues(rows: tuple, like: UMatrix) -> UMatrix:
 # -- GL_n(Z_p) and orthogonality -------------------------------------------
 
 
-def _reduction_det_nonzero(a: UMatrix) -> bool:
-    if a.ring_tag == "ext":
-        from .finite_field import fq_matrix_det
-        from .unramified import reduce_mod_p
+def _res_inverse(rows: tuple, ops) -> Optional[tuple]:
+    """Gauss-Jordan inverse of residue rows, or None when a column has no unit pivot.
 
-        return not fq_matrix_det(reduce_mod_p(a)).is_zero
-    p = a.ctx.p
-    work = [[e.residue() % p for e in row] for row in a.rows]
-    n = a.n
+    Over the local rings Z/p^m and O_K/p^m a column runs out of unit
+    pivots exactly when the reduction mod p is singular.
+    """
+    n = len(rows)
+    work = [list(row) + list(ident_row) for row, ident_row in zip(rows, _res_identity(n, ops))]
     for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] % p != 0), None)
+        pivot = next((r for r in range(col, n) if ops.is_unit(work[r][col])), None)
         if pivot is None:
-            return False
+            return None
         if pivot != col:
             work[col], work[pivot] = work[pivot], work[col]
-        inv = pow(work[col][col], -1, p)
-        for r in range(col + 1, n):
-            factor = (work[r][col] * inv) % p
-            if factor:
-                for c in range(col, n):
-                    work[r][c] = (work[r][c] - factor * work[col][c]) % p
-    return True
+        scale = ops.inv_unit(work[col][col])
+        work[col] = [ops.mul(scale, x) for x in work[col]]
+        for r in range(n):
+            if r == col:
+                continue
+            factor = work[r][col]
+            if ops.is_zero(factor):
+                continue
+            nf = ops.neg(factor)
+            work[r] = [ops.add(x, ops.mul(nf, y)) for x, y in zip(work[r], work[col])]
+    return tuple(tuple(row[n:]) for row in work)
+
+
+def _gl_inverse_rows(u: UMatrix) -> Optional[tuple]:
+    if not u.is_integral:
+        return None
+    return _res_inverse(u.residues(), residue_ops(u.ctx, u.ext_ring))
 
 
 def is_gl_zp(u: UMatrix) -> bool:
     """Membership in GL_n(Z_p): integral entries and unit determinant.
 
     Unit determinant is equivalent to an invertible reduction mod p, which
-    is what gets tested.
+    the Gauss-Jordan elimination of inverse detects.
     """
-    return u.is_integral and _reduction_det_nonzero(u)
+    return _gl_inverse_rows(u) is not None
+
+
+def inverse(u: UMatrix) -> UMatrix:
+    """Inverse of a GL_n member; anything without unit determinant is refused."""
+    rows = _gl_inverse_rows(u)
+    if rows is None:
+        raise ValueError("matrix is not in GL_n (unit determinant required)")
+    return _wrap_residues(rows, u)
 
 
 def determinant(a: UMatrix) -> Scalar:
-    """Exact determinant (fraction-free on representatives).
+    """Exact determinant mod p^m by Berkowitz's division-free algorithm.
 
-    Base matrices factor out the global valuation and run Bareiss
-    elimination over the integers; a result whose window image vanishes
-    is reported as zero at precision.  Extension matrices use the
-    division-free expansion on residue vectors.
+    A base matrix of negative valuation k is scaled by p^-k first and its
+    determinant by p^(n k) after, so the result keeps m digits past its
+    own valuation; a window image that vanishes is zero at precision.
     """
-    n = a.n
-    if a.ring_tag == "ext":
-        vec = _berkowitz_det(a.residues(), _ExtOps(a.ext_ring))
-        return ExtScalar.from_vector(a.ext_ring, vec)
+    ring = a.ext_ring
     k = a.valuation
-    if k == INFINITE:
-        return PadicScalar.zero(a.ctx)
-    work = a if k >= 0 else a.shift(-k)
-    det_int = _bareiss_det([[e.residue() for e in row] for row in work.rows])
-    det = PadicScalar.from_residue(det_int, a.ctx)
-    return det if k >= 0 else det.shift(n * k)
-
-
-def _bareiss_det(rows: list) -> int:
-    n = len(rows)
-    m = [list(map(int, r)) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if pivot is None:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    work = a.shift(-k) if k < 0 else a
+    det = _berkowitz_det(work.residues(), residue_ops(a.ctx, ring))
+    if ring is not None:
+        return ExtScalar.from_vector(ring, det)
+    det = PadicScalar.from_residue(det, a.ctx)
+    return det.shift(a.n * k) if k < 0 else det
 
 
 def _berkowitz_det(rows: tuple, ops) -> object:
@@ -450,34 +459,6 @@ def _berkowitz_charpoly(rows: tuple, ops) -> tuple:
                     new[i + j] = ops.add(new[i + j], ops.mul(c, pcoef))
         polys.append(tuple(new))
     return polys[-1][::-1]
-
-
-def inverse(u: UMatrix) -> UMatrix:
-    """Inverse of a GL_n member; anything without unit determinant is refused."""
-    if not is_gl_zp(u):
-        raise ValueError("matrix is not in GL_n (unit determinant required)")
-    n = u.n
-    ops = residue_ops(u.ctx, u.ext_ring)
-    work = [
-        list(row) + list(ident_row)
-        for row, ident_row in zip(u.residues(), _res_identity(n, ops))
-    ]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if ops.is_unit(work[r][col]))
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-        scale = ops.inv_unit(work[col][col])
-        work[col] = [ops.mul(scale, x) for x in work[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if ops.is_zero(factor):
-                continue
-            nf = ops.neg(factor)
-            work[r] = [ops.add(x, ops.mul(nf, y)) for x, y in zip(work[r], work[col])]
-    rows = tuple(tuple(work[i][n:]) for i in range(n))
-    return _wrap_residues(rows, u)
 
 
 # -- vectors -----------------------------------------------------------------
@@ -588,15 +569,12 @@ def certify_orthogonal_projection(
 
     rng = random.Random(seed)
     ring = pi.ext_ring
-    ident = UMatrix.identity(n, ctx) if ring is None else UMatrix.identity(n, ctx).promote(ring)
-    one = PadicScalar.one(ctx) if ring is None else ring.one()
-    zero = PadicScalar.zero(ctx) if ring is None else ring.zero()
+    ident = _wrap_residues(_res_identity(n, residue_ops(ctx, ring)), pi)
     complement = ident - pi
     decomposition_ok = True
     ball_stable = True
     checked = 0
-    basis = [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
-    vectors = basis + [
+    vectors = list(ident.rows) + [
         sample_vector(ctx, n, rng, ring=ring) for _ in range(max(0, samples - n))
     ]
     for x in vectors:
@@ -614,24 +592,9 @@ def certify_orthogonal_projection(
         failures.append("unit_ball")
 
     reduction_ok = pi.is_integral
-    if reduction_ok and ring is None:
-        p = ctx.p
-        red = [[e.residue() % p for e in row] for row in pi.rows]
-        sq = [
-            [sum(red[i][k] * red[k][j] for k in range(n)) % p for j in range(n)]
-            for i in range(n)
-        ]
-        reduction_ok = sq == red
-    elif reduction_ok:
-        red = [[e.reduction() for e in row] for row in pi.rows]
-        field = ring.residue_field
-        for i in range(n):
-            for j in range(n):
-                acc = field.zero()
-                for k in range(n):
-                    acc = acc + red[i][k] * red[k][j]
-                if acc != red[i][j]:
-                    reduction_ok = False
+    if reduction_ok:
+        red = _map_coords(pi.residues(), lambda c: c % ctx.p)
+        reduction_ok = _res_matmul(red, red, residue_ops(PrecisionContext(ctx.p, 1), ring)) == red
     if not reduction_ok:
         failures.append("reduction_idempotent")
 

@@ -28,13 +28,13 @@ from typing import Sequence
 from .finite_field import ENUMERATION_LIMIT
 from .matrix import (
     UMatrix,
-    _BaseOps,
     _berkowitz_charpoly,
-    _ExtOps,
+    _map_coords,
     _res_add,
     _res_identity,
     _res_matmul,
     _res_matpow,
+    _res_scale,
     _res_sub,
     _rows_are_zero,
     _wrap_residues,
@@ -73,30 +73,6 @@ class PeriodExceededError(Exception):
 # -- residue-level sigma machinery -------------------------------------------
 
 
-def _vanishes_mod_p(rows: tuple, p: int) -> bool:
-    for row in rows:
-        for e in row:
-            if isinstance(e, int):
-                if e % p:
-                    return False
-            elif any(c % p for c in e):
-                return False
-    return True
-
-
-def _div_p(rows: tuple, p: int) -> tuple:
-    out = []
-    for row in rows:
-        new = []
-        for e in row:
-            if isinstance(e, int):
-                new.append(e // p)
-            else:
-                new.append(tuple(c // p for c in e))
-        out.append(tuple(new))
-    return tuple(out)
-
-
 def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: int):
     """Stationary point of y -> y^(p^period) mod p^m, or None on a cycle."""
     exponent = ctx.p**period
@@ -130,7 +106,7 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     ops = residue_ops(a.ctx, a.ext_ring)
     rows = a.residues()
     defect = _res_sub(_res_matmul(rows, rows, ops), rows, ops)
-    if not _vanishes_mod_p(defect, ctx.p):
+    if not _rows_are_zero(_map_coords(defect, lambda c: c % ctx.p)):
         raise ValueError("input is not idempotent mod p")
     limit = _sigma_limit(rows, 1, ctx, ops, ctx.budget())
     if limit is None:
@@ -139,7 +115,7 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     sq = _res_matmul(limit, limit, ops)
     if sq != limit:
         raise RuntimeError("sigma limit of an idempotent is not idempotent (internal defect)")
-    if not _vanishes_mod_p(_res_sub(limit, rows, ops), ctx.p):
+    if not _rows_are_zero(_map_coords(_res_sub(limit, rows, ops), lambda c: c % ctx.p)):
         raise RuntimeError("idempotent lift changed the reduction (internal defect)")
     return pi
 
@@ -183,8 +159,9 @@ def _spectral_points(x: UMatrix, period: int):
     """
     ctx = x.ctx
     p = ctx.p
+    field_ctx = PrecisionContext(p, 1)
     if period == 1 and x.ring_tag == "base":
-        roots = _eigenvalues_mod_p(x.residues(), p, 1, _BaseOps(p, p), range(p))
+        roots = _eigenvalues_mod_p(x.residues(), p, 1, residue_ops(field_ctx), range(p))
         return [teichmuller_lift(r, ctx) for r in roots], x
     ring = ext_ring(p, period, ctx.m) if x.ring_tag == "base" else x.ext_ring
     if ring.degree % period != 0:
@@ -197,7 +174,7 @@ def _spectral_points(x: UMatrix, period: int):
         ambient.residues(),
         p**period,
         ring.degree,
-        _ExtOps(ext_ring(p, ring.degree, 1)),
+        residue_ops(field_ctx, ring),
         (a.coords for a in field.elements()),
     )
     return [teichmuller_lift_ext(field.element(r), ctx.m) for r in roots], ambient
@@ -256,7 +233,7 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
         inv = ops.inv_unit(denominator)
-        resolved.append((lam, tuple(tuple(ops.mul(inv, e) for e in row) for row in numerator)))
+        resolved.append((lam, _res_scale(inv, numerator, ops)))
     _verify_decomposition(rows, resolved, ops, n)
     wrapped = tuple(
         (pt, _wrap_residues(proj, ambient)) for pt, (_, proj) in zip(points, resolved)
@@ -274,7 +251,7 @@ def _verify_decomposition(rows, resolved, ops, n):
         if _res_matmul(proj, proj, ops) != proj:
             raise RuntimeError("projector is not idempotent (internal defect)")
         total = proj if total is None else _res_add(total, proj, ops)
-        term = tuple(tuple(ops.mul(lam, e) for e in row) for row in proj)
+        term = _res_scale(lam, proj, ops)
         weighted = term if weighted is None else _res_add(weighted, term, ops)
     if total != ident:
         raise RuntimeError("projectors do not sum to 1 (internal defect)")
@@ -284,8 +261,7 @@ def _verify_decomposition(rows, resolved, ops, n):
         for j in range(len(resolved)):
             if i == j:
                 continue
-            product = _res_matmul(resolved[i][1], resolved[j][1], ops)
-            if any(not ops.is_zero(e) for row in product for e in row):
+            if not _rows_are_zero(_res_matmul(resolved[i][1], resolved[j][1], ops)):
                 raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
 
 
@@ -393,7 +369,7 @@ def _eigenvalues_mod_p(rows: tuple, order: int, degree: int, ops, deltas) -> lis
     linear factors deterministically (Cantor-Zassenhaus equal-degree
     splitting with the shift swept over F_q).
     """
-    f = list(_berkowitz_charpoly(_reduce_rows(rows, ops.p), ops))
+    f = list(_berkowitz_charpoly(_map_coords(rows, lambda c: c % ops.p), ops))
     frobenius = _poly_powmod([ops.zero, ops.one], order, f, ops)
     factors = [_poly_gcd(f, _poly_add(frobenius, [ops.zero, ops.neg(ops.one)], ops), ops)]
     for delta in deltas:
@@ -456,12 +432,11 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     if a.ring_tag == "base" and k != 0:
         work = a.shift(-k)
     elif a.ring_tag == "ext" and k > 0:
-        work = _wrap_residues(_div_p_k(a.residues(), ctx.p, k), a)
+        work = _wrap_residues(_map_coords(a.residues(), lambda c: c // ctx.p**k), a)
     else:
         work = a
     ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
-    ring = work.ext_ring
-    ops_hi = residue_ops(ctx_hi, None if ring is None else ext_ring(ctx.p, ring.degree, ctx_hi.m))
+    ops_hi = residue_ops(ctx_hi, work.ext_ring)
     budget = ctx_hi.budget(period)
     rows = work.residues()
     digits = []
@@ -474,34 +449,15 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
                 reason=f"sigma^{period} orbit of digit {i} does not stabilise",
             )
         tail = _res_sub(rows, limit, ops_hi)
-        if not _vanishes_mod_p(tail, ctx.p):
+        if not _rows_are_zero(_map_coords(tail, lambda c: c % ctx.p)):
             raise NotHermiteError(
                 stage=i + 1,
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
-        digits.append(_wrap_residues(_reduce_rows(limit, ctx.modulus), work))
-        rows = _div_p(tail, ctx.p)
+        digits.append(_wrap_residues(_map_coords(limit, lambda c: c % ctx.modulus), work))
+        rows = _map_coords(tail, lambda c: c // ctx.p)
     return HermiteDigitsMatrix(int(k), tuple(digits), period)
-
-
-def _reduce_rows(rows: tuple, q: int) -> tuple:
-    out = []
-    for row in rows:
-        new = []
-        for e in row:
-            if isinstance(e, int):
-                new.append(e % q)
-            else:
-                new.append(tuple(c % q for c in e))
-        out.append(tuple(new))
-    return tuple(out)
-
-
-def _div_p_k(rows: tuple, p: int, k: int) -> tuple:
-    for _ in range(k):
-        rows = _div_p(rows, p)
-    return rows
 
 
 # -- the projector-valued measure -------------------------------------------------
@@ -574,18 +530,21 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
             frontier = new_frontier
         nodes.extend((address, child) for address, child, _ in frontier)
     measure = SpectralMeasure(depth, expansion.lead_valuation, tuple(nodes))
-    _verify_measure(measure)
+    _verify_measure(measure, expansion.digits)
     return measure
 
 
-def _verify_measure(measure: SpectralMeasure):
+def _verify_measure(measure: SpectralMeasure, digits: Sequence[UMatrix]):
     """Check every level, pair and parent of the tree mod p^m, on residues.
 
     Per level: the projectors are pairwise orthogonal and sum to 1.  Per
-    node above the deepest level: its children sum to it.
+    node above the deepest level: its children sum to it.  Per level j:
+    the nodes weighted by the Teichmuller lift of the last index of their
+    address sum to digit j, so each projector sits under its own digit.
     """
     first = measure.nodes[0][1]
-    ops = residue_ops(first.ctx)
+    ctx = first.ctx
+    ops = residue_ops(ctx)
     ident = _res_identity(first.n, ops)
     residues = [(address, proj.residues()) for address, proj in measure.nodes]
     for j in range(measure.depth):
@@ -602,6 +561,14 @@ def _verify_measure(measure: SpectralMeasure):
     for address, rows in residues:
         if len(address) < measure.depth and _res_sum(children.get(address, []), ops) != rows:
             raise RuntimeError("projector does not refine into its children (internal defect)")
+    for j in range(measure.depth):
+        weighted = [
+            _res_scale(teichmuller_lift(address[-1], ctx).residue(), rows, ops)
+            for address, rows in residues
+            if len(address) == j + 1
+        ]
+        if _res_sum(weighted, ops) != digits[j].residues():
+            raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
 
 
 def _res_sum(terms: list, ops):

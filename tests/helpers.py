@@ -61,6 +61,19 @@ def int_det(a):
     return total
 
 
+def fq_cofactor_det(rows):
+    """Determinant of a square matrix of FqElements by cofactor expansion (small n only)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = rows[0][0].field.zero()
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        term = rows[0][j] * fq_cofactor_det(minor)
+        total = total - term if j % 2 else total + term
+    return total
+
+
 # -- random generators ----------------------------------------------------------
 
 

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -285,3 +289,57 @@ def test_out_file(tmp_path):
     assert status == 0
     assert text == ""
     assert json.loads(target.read_text())["value"] == {"u": "1", "v": 0}
+
+
+def test_rejections_are_shared_by_every_command(tmp_path):
+    """One not-Hermite operator gives one rejection document through every command."""
+    bad = matrix_doc(3, 4, [[1, 1], [0, 1]])
+    path = write(tmp_path, "bad.json", bad)
+    ident = [canonical_scalar(v, 3, 4) for v in (1, 0, 0, 1)]
+    pair = write(tmp_path, "pair.json", {"p": 3, "m": 4, "A": bad["entries"], "B": ident})
+    expected = (
+        '{\n  "error": {\n    "defect_norm": 1.0,\n    "kind": "not_hermite",\n'
+        '    "reason": "nilpotent residue at digit 1",\n    "stage": 1\n  }\n}\n'
+    )
+    for argv in (["hermite", "--in", path], ["measure", "--in", path],
+                 ["integral", "--in", path], ["diam", "--in", path],
+                 ["uncertainty", "--in", pair]):
+        status, _, text = run(argv)
+        assert (status, text) == (1, expected), argv
+
+
+def test_period_exceeded_rejection(tmp_path):
+    """The rotation x has x^3 = -x at p = 3, so its p-power orbit has period 2."""
+    path = write(tmp_path, "rotation.json", matrix_doc(3, 4, [[0, 1], [-1, 0]]))
+    status, doc, _ = run(["jordan", "--in", path, "--N", "1"])
+    assert status == 1
+    assert doc["error"]["kind"] == "period_exceeded"
+    assert doc["error"]["period_bound"] == 1
+
+
+def test_every_file_command_requires_in():
+    for command in ("classify", "spectral", "measure", "integral", "jordan", "hermite",
+                    "diam", "uncertainty", "kochubei", "euler", "certify-projection"):
+        status, doc, _ = run([command])
+        assert status == 2, command
+        assert doc["error"] == {"field": "in", "kind": "malformed_input",
+                                "reason": "field 'in': an input file is required for this command"}
+
+
+def test_unknown_ladder_operations(tmp_path):
+    path = write(tmp_path, "coeffs.json", {"p": 3, "m": 4, "coeffs": [{"v": 0, "u": "1"}]})
+    status, doc, _ = run(["kochubei", "--in", path, "--op", "euler"])
+    assert (status, doc["error"]["reason"]) == (2, "field 'op': unknown ladder operation 'euler'")
+    status, doc, _ = run(["euler", "--in", path, "--op", "lower"])
+    assert (status, doc["error"]["reason"]) == (2, "field 'op': unknown Tate operation 'lower'")
+
+
+def test_module_entry_point_runs_the_cli():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "padicspec.cli", "lift", "--p", "3", "--m", "4", "--residue", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "value" in json.loads(proc.stdout)

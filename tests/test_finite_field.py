@@ -6,7 +6,7 @@ import random
 import pytest
 
 from padicspec import build_modulus, finite_field, fq_frobenius
-from padicspec.finite_field import fq_matrix_det, is_irreducible
+from padicspec.finite_field import is_irreducible
 
 
 def test_modulus_degree_one_is_x():
@@ -99,16 +99,6 @@ def test_inverse_of_zero_rejected():
     field = finite_field(3, 2)
     with pytest.raises(ZeroDivisionError):
         field.zero().inverse()
-
-
-def test_fq_matrix_det_matches_cofactor():
-    field = finite_field(3, 2)
-    rng = random.Random(3)
-    elements = list(field.elements())
-    for _ in range(25):
-        rows = [[elements[rng.randrange(len(elements))] for _ in range(2)] for _ in range(2)]
-        expected = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-        assert fq_matrix_det(rows) == expected
 
 
 def test_enumeration_bound_enforced():

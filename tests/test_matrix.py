@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     conjugate,
     diag_matrix,
+    fq_cofactor_det,
     int_det,
     int_matmul,
     rand_gl,
@@ -21,6 +22,7 @@ from padicspec import (
     certify_orthogonal_projection,
     determinant,
     ext_ring,
+    finite_field,
     is_gl_zp,
     is_orthonormal_columns,
     sample_unit_vector,
@@ -120,6 +122,83 @@ def test_ext_determinant_diagonal():
     assert determinant(mat).vector() == (x * y).vector()
 
 
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("p,m", [(2, 8), (211, 3)])
+def test_determinant_matches_integer_oracle_at_larger_n(p, m, n):
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(100 * p + n)
+    for _ in range(6):
+        # entries divisible by p are common, so singular reductions occur
+        ints = [[rng.choice((rng.randrange(-300, 300), p * rng.randrange(-9, 9)))
+                 for _ in range(n)] for _ in range(n)]
+        got = determinant(UMatrix.from_ints(ints, ctx))
+        assert got.congruent(PadicScalar.from_int(int_det(ints), ctx))
+
+
+def test_determinant_with_negative_lead_valuation_at_n_three():
+    """det(p^-1 B) = p^-3 det(B), keeping m digits past its own valuation."""
+    ctx = PrecisionContext(3, 4)
+    rng = random.Random(9)
+    for _ in range(20):
+        ints = [[rng.randrange(-40, 40) for _ in range(3)] for _ in range(3)]
+        ints[0][0] = 1  # lead valuation of B is 0, so that of p^-1 B is -1
+        a = UMatrix.from_ints(ints, ctx).shift(-1)
+        assert a.valuation == -1
+        expected = int_det(ints)
+        got = determinant(a)
+        if expected % ctx.modulus == 0:
+            assert got.is_zero
+            continue
+        assert got.valuation == PadicScalar.from_int(expected, ctx).valuation - 3
+        assert got.shift(3).congruent(PadicScalar.from_int(expected, ctx))
+
+
+def _rand_ext_matrix(ring, n, rng, singular=False):
+    q = ring.ctx.modulus
+    rows = [[tuple(rng.randrange(q) for _ in range(ring.degree)) for _ in range(n)]
+            for _ in range(n)]
+    if singular:
+        # last row = first row + p * noise: the reduction has two equal rows
+        p = ring.ctx.p
+        rows[-1] = [tuple((c + p * rng.randrange(q)) % q for c in e) for e in rows[0]]
+    return UMatrix.from_ext_vectors(rows, ring)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p,degree", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_gl_over_extension_matches_cofactor_determinant_over_fq(p, degree, n):
+    ring = ext_ring(p, degree, 3)
+    field = finite_field(p, degree)
+    rng = random.Random(100 * p + 10 * degree + n)
+    outcomes = set()
+    for trial in range(30):
+        a = _rand_ext_matrix(ring, n, rng, singular=trial % 5 == 0)
+        red = [[field.element([c % p for c in e.vector()]) for e in row] for row in a.rows]
+        expected = not fq_cofactor_det(red).is_zero
+        assert is_gl_zp(a) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p,degree", [(2, 2), (3, 2), (5, 3)])
+def test_inverse_over_extension(p, degree):
+    ring = ext_ring(p, degree, 4)
+    rng = random.Random(10 * p + degree)
+    inverted = 0
+    for n in (2, 3, 4):
+        ident = UMatrix.identity(n, ring.ctx).promote(ring)
+        for _ in range(4):
+            u = _rand_ext_matrix(ring, n, rng)
+            if not is_gl_zp(u):
+                continue
+            assert (u * inverse(u)).congruent(ident)
+            assert (inverse(u) * u).congruent(ident)
+            inverted += 1
+        with pytest.raises(ValueError, match="not in GL_n"):
+            inverse(_rand_ext_matrix(ring, n, rng, singular=True))
+    assert inverted >= 6
+
+
 def test_inverse_round_trip():
     rng = random.Random(3)
     for n in (2, 3, 4):
@@ -164,6 +243,21 @@ def test_defective_idempotent_reported():
     assert not cert.valid
     assert "idempotency" in cert.failures
     assert cert.idempotency_defect > 0.0
+
+
+def test_extension_reduction_not_idempotent_reported():
+    """Over a degree-2 ring: diag(x, 1) with x a root of the modulus X^2 + 1 of F_9."""
+    ring = ext_ring(3, 2, 3)
+    x = ring.element((0, 1))
+    assert (x * x).vector() == ring.embed(-1).vector()
+    pi = UMatrix.from_scalars([[x, ring.zero()], [ring.zero(), ring.one()]])
+    cert = certify_orthogonal_projection(pi, samples=8)
+    assert not cert.reduction_idempotent
+    assert "reduction_idempotent" in cert.failures
+    assert not cert.valid
+    # the idempotent diag(1, 0) passes the same check
+    ok = UMatrix.from_scalars([[ring.one(), ring.zero()], [ring.zero(), ring.zero()]])
+    assert certify_orthogonal_projection(ok, samples=8).reduction_idempotent
 
 
 def test_nonintegral_idempotent_fails_all_conditions():

@@ -592,17 +592,20 @@ def test_measure_with_shifted_valuation(shift):
     assert (reconstruction - a).valuation >= measure.lead_valuation + 2
 
 
-def _branching_measure():
-    """Depth-2 measure at p = 3 whose two level-0 balls split in two each.
-
-    The residues 0, 3, 1, 4 have the digit pairs (0, 0), (0, 1), (1, 0), (1, 1).
-    """
+def _branching_operator():
+    """At p = 3, m = 2: the residues 0, 3, 1, 4 have the digit pairs (0, 0), (0, 1), (1, 0), (1, 1)."""
     ctx = PrecisionContext(3, 2)
-    a = conjugate(rand_gl(ctx, 4, random.Random(31)), diag_matrix(ctx, [0, 3, 1, 4]))
+    return conjugate(rand_gl(ctx, 4, random.Random(31)), diag_matrix(ctx, [0, 3, 1, 4]))
+
+
+def _branching_measure():
+    """Depth-2 measure whose two level-0 balls split in two each, and its digits."""
+    a = _branching_operator()
     measure = spectral_measure(a, 2)
     assert [addr for addr, _ in measure.level(1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    _verify_measure(measure)
-    return measure
+    digits = hermite_digits_matrix(a, 1).digits
+    _verify_measure(measure, digits)
+    return measure, digits
 
 
 def _with_nodes(measure, nodes):
@@ -610,27 +613,42 @@ def _with_nodes(measure, nodes):
 
 
 def test_verify_measure_catches_a_dropped_node():
-    measure = _branching_measure()
+    measure, digits = _branching_measure()
     nodes = [(addr, proj) for addr, proj in measure.nodes if addr != (1, 1)]
     with pytest.raises(RuntimeError, match="level 1 projectors do not sum to 1"):
-        _verify_measure(_with_nodes(measure, nodes))
+        _verify_measure(_with_nodes(measure, nodes), digits)
 
 
 def test_verify_measure_catches_a_duplicated_node():
-    measure = _branching_measure()
+    measure, digits = _branching_measure()
     nodes = list(measure.nodes) + [((1, 2), measure.node_map()[(1, 1)])]
     with pytest.raises(RuntimeError, match="same-level projectors overlap"):
-        _verify_measure(_with_nodes(measure, nodes))
+        _verify_measure(_with_nodes(measure, nodes), digits)
 
 
 def test_verify_measure_catches_a_child_moved_to_another_parent():
     """Swapping (0, 1) with its cousin (1, 0) keeps every level intact but no refinement."""
-    measure = _branching_measure()
+    measure, digits = _branching_measure()
     by_addr = measure.node_map()
     swap = {(0, 1): by_addr[(1, 0)], (1, 0): by_addr[(0, 1)]}
     nodes = [(addr, swap.get(addr, proj)) for addr, proj in measure.nodes]
     with pytest.raises(RuntimeError, match="does not refine into its children"):
-        _verify_measure(_with_nodes(measure, nodes))
+        _verify_measure(_with_nodes(measure, nodes), digits)
+
+
+def test_verify_measure_catches_swapped_siblings():
+    """Swapping (0, 0) with its sibling (0, 1) keeps every sum, overlap and
+    refinement intact but files each projector under the wrong digit."""
+    measure, digits = _branching_measure()
+    by_addr = measure.node_map()
+    swap = {(0, 0): by_addr[(0, 1)], (0, 1): by_addr[(0, 0)]}
+    swapped = _with_nodes(measure, [(addr, swap.get(addr, proj)) for addr, proj in measure.nodes])
+    with pytest.raises(RuntimeError, match="level 1 projectors do not reassemble digit 1"):
+        _verify_measure(swapped, digits)
+    # the swap is not harmless: the integral of the swapped tree misses A
+    a = _branching_operator()
+    assert (spectral_integral(measure)[1] - a).valuation >= 2
+    assert (spectral_integral(swapped)[1] - a).valuation == 1
 
 
 def _object_frontier(a: UMatrix, period: int) -> list:
