@@ -71,6 +71,7 @@ from .spectral import (
     spectrum_diameter,
     teichmuller_spectral,
     uncertainty_check,
+    uncertainty_checks,
 )
 from .unramified import (
     ExtRing,

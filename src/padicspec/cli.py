@@ -56,12 +56,13 @@ from .spectral import (
     spectral_measure,
     spectrum_diameter,
     teichmuller_spectral,
-    uncertainty_check,
+    uncertainty_checks,
 )
 from .unramified import ExtScalar
 
 MAX_DIMENSION = 64
 MAX_PRECISION = 64
+MAX_SAMPLES = 1024
 
 
 class SchemaError(Exception):
@@ -189,6 +190,12 @@ def _period_from(args, ctx: PrecisionContext, default: int = 1) -> int:
     if ctx.p**period > ENUMERATION_LIMIT:
         raise SchemaError("N", f"p^N exceeds the enumeration bound {ENUMERATION_LIMIT}")
     return period
+
+
+def _samples_from(args) -> int:
+    if not 1 <= args.samples <= MAX_SAMPLES:
+        raise SchemaError("samples", f"sample count must be in [1, {MAX_SAMPLES}]")
+    return args.samples
 
 
 # -- subcommands -------------------------------------------------------------------
@@ -378,6 +385,7 @@ def _cmd_uncertainty(args) -> dict:
     doc = _load_document(args.infile)
     ctx = _context_from(doc)
     period = _period_from(args, ctx, default=doc.get("N", 1))
+    samples = _samples_from(args)
     a = _matrix_from(doc, ctx, "A")
     b = _matrix_from(doc, ctx, "B")
     if a.n != b.n:
@@ -386,21 +394,20 @@ def _cmd_uncertainty(args) -> dict:
         vectors = [_vector_from(doc, ctx, "psi", a.n)]
     else:
         rng = random.Random(args.seed)
-        vectors = [sample_unit_vector(ctx, a.n, rng) for _ in range(args.samples)]
-    reports = []
+        vectors = [sample_unit_vector(ctx, a.n, rng) for _ in range(samples)]
     try:
-        for psi in vectors:
-            result = uncertainty_check(a, b, psi, period)
-            reports.append(
-                {
-                    "psi": [scalar_to_json(c) for c in psi],
-                    "lhs_norm": result.lhs_norm,
-                    "rhs_norm": result.rhs_norm,
-                    "holds": result.holds,
-                }
-            )
+        results = uncertainty_checks(a, b, vectors, period)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
+    reports = [
+        {
+            "psi": [scalar_to_json(c) for c in psi],
+            "lhs_norm": result.lhs_norm,
+            "rhs_norm": result.rhs_norm,
+            "holds": result.holds,
+        }
+        for psi, result in zip(vectors, results)
+    ]
     return {
         "p": ctx.p,
         "m": ctx.m,
@@ -462,8 +469,9 @@ def _cmd_euler(args) -> dict:
 def _cmd_certify(args) -> dict:
     doc = _load_document(args.infile)
     ctx = _context_from(doc)
+    samples = _samples_from(args)
     matrix = _matrix_from(doc, ctx)
-    cert = certify_orthogonal_projection(matrix, samples=args.samples, seed=args.seed)
+    cert = certify_orthogonal_projection(matrix, samples=samples, seed=args.seed)
     return {
         "p": ctx.p,
         "m": ctx.m,

@@ -7,13 +7,15 @@ equivalently an invertible reduction mod p.  Columns of such matrices
 are exactly the orthonormal bases of Q_p^n, and idempotents of norm 1
 are exactly the orthogonal projections.
 
-Entries are PadicScalar or ExtScalar; the two cases are tagged "base"
-and "ext".  Window computations (everything that only matters mod p^m)
-run on plain residue representatives for speed.
+Entries are PadicScalar or ExtScalar, which share one scalar protocol
+(arithmetic, shift by p^k, residue_key); ext_ring names the extension
+ring, or is None over Z_p.  Window computations (everything that only
+matters mod p^m) run on plain residue representatives for speed.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import random
 from dataclasses import dataclass
@@ -82,10 +84,6 @@ class UMatrix:
         return len(self.rows)
 
     @property
-    def ring_tag(self) -> str:
-        return "ext" if isinstance(self.rows[0][0], ExtScalar) else "base"
-
-    @property
     def ext_ring(self) -> Optional[ExtRing]:
         entry = self.rows[0][0]
         return entry.ring if isinstance(entry, ExtScalar) else None
@@ -111,12 +109,10 @@ class UMatrix:
         return self.valuation >= 0
 
     def residues(self) -> tuple:
-        """Entry representatives mod p^m (ints for base, vectors for ext)."""
+        """Entry representatives mod p^m (ints over Z_p, coordinate vectors over O_K)."""
         if not self.is_integral:
             raise ValueError("matrix has norm > 1, no residues mod p^m")
-        if self.ring_tag == "base":
-            return tuple(tuple(e.residue() for e in row) for row in self.rows)
-        return tuple(tuple(e.vector() for e in row) for row in self.rows)
+        return tuple(tuple(e.residue_key() for e in row) for row in self.rows)
 
     def congruent(self, other: "UMatrix") -> bool:
         """Entrywise equality mod p^m."""
@@ -126,12 +122,6 @@ class UMatrix:
         return _rows_are_zero(self.residues())
 
     # -- arithmetic --------------------------------------------------------
-
-    def _scalar_zero(self) -> Scalar:
-        e = self.rows[0][0]
-        if isinstance(e, ExtScalar):
-            return e.ring.zero()
-        return PadicScalar.zero(self.ctx)
 
     def __add__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
@@ -154,51 +144,33 @@ class UMatrix:
 
     def __mul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
-        n = self.n
-        cols = list(zip(*other.rows))
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = self._scalar_zero()
-                for a, b in zip(self.rows[i], cols[j]):
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(tuple(row))
-        return UMatrix(tuple(out))
+        cols = tuple(zip(*other.rows))
+        return UMatrix(tuple(tuple(_dot(row, col) for col in cols) for row in self.rows))
 
     def scale(self, c: Scalar) -> "UMatrix":
         return UMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
 
     def shift(self, k: int) -> "UMatrix":
-        """Multiply by p^k (base matrices only; exact valuation shift)."""
-        if self.ring_tag != "base":
-            raise ValueError("shift is defined for base matrices")
+        """Multiply by p^k: a valuation shift over Z_p, a coordinate shift over O_K/p^m."""
         return UMatrix(tuple(tuple(a.shift(k) for a in row) for row in self.rows))
 
     def apply(self, vector: Sequence[Scalar]) -> tuple:
         if len(vector) != self.n:
             raise ValueError("vector length mismatch")
-        out = []
-        for row in self.rows:
-            acc = self._scalar_zero()
-            for a, v in zip(row, vector):
-                acc = acc + a * v
-            out.append(acc)
-        return tuple(out)
+        return tuple(_dot(row, vector) for row in self.rows)
 
     def _check(self, other: "UMatrix"):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        if self.ring_tag != other.ring_tag or self.ctx != other.ctx:
+        if self.ctx != other.ctx or self.ext_ring != other.ext_ring:
             raise ValueError("mixed matrix rings")
 
-    def promote(self, ring: ExtRing) -> "UMatrix":
-        """Embed a base matrix into an extension ring (constant coordinates)."""
-        if self.ring_tag == "ext":
-            if self.ext_ring != ring:
-                raise ValueError("matrix already lives in a different extension ring")
+    def promote(self, ring: Optional[ExtRing]) -> "UMatrix":
+        """Embed a base matrix into ring (constant coordinates); one over ring is kept."""
+        if self.ext_ring == ring:
             return self
+        if self.ext_ring is not None:
+            raise ValueError("matrix already lives in a different extension ring")
         return UMatrix(tuple(tuple(ring.embed(a) for a in row) for row in self.rows))
 
     # -- window operations (mod p^m) ----------------------------------------
@@ -217,7 +189,8 @@ class UMatrix:
         return self.residues()
 
     def __repr__(self):
-        return f"UMatrix(n={self.n}, ring={self.ring_tag}, p={self.ctx.p}, m={self.ctx.m})"
+        ring = "base" if self.ext_ring is None else "ext"
+        return f"UMatrix(n={self.n}, ring={ring}, p={self.ctx.p}, m={self.ctx.m})"
 
 
 class _BaseOps:
@@ -350,10 +323,22 @@ def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
     return result
 
 
+def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
+    """Object-level dot product, accumulated from the first product on."""
+    return functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+
+def _entry_maker(like: UMatrix):
+    """The constructor of one entry of like's ring from its residue key."""
+    ring = like.ext_ring
+    if ring is None:
+        return functools.partial(PadicScalar.from_residue, ctx=like.ctx)
+    return functools.partial(ExtScalar.from_vector, ring)
+
+
 def _wrap_residues(rows: tuple, like: UMatrix) -> UMatrix:
-    if like.ring_tag == "base":
-        return UMatrix.from_residues(rows, like.ctx)
-    return UMatrix.from_ext_vectors(rows, like.ext_ring)
+    make = _entry_maker(like)
+    return UMatrix(tuple(tuple(map(make, row)) for row in rows))
 
 
 # -- GL_n(Z_p) and orthogonality -------------------------------------------
@@ -412,18 +397,14 @@ def inverse(u: UMatrix) -> UMatrix:
 def determinant(a: UMatrix) -> Scalar:
     """Exact determinant mod p^m by Berkowitz's division-free algorithm.
 
-    A base matrix of negative valuation k is scaled by p^-k first and its
-    determinant by p^(n k) after, so the result keeps m digits past its
-    own valuation; a window image that vanishes is zero at precision.
+    A matrix of negative valuation k (only base matrices have one) is
+    scaled by p^-k first and its determinant by p^(n k) after, so the
+    result keeps m digits past its own valuation; a window image that
+    vanishes is zero at precision.
     """
-    ring = a.ext_ring
-    k = a.valuation
-    work = a.shift(-k) if k < 0 else a
-    det = _berkowitz_det(work.residues(), residue_ops(a.ctx, ring))
-    if ring is not None:
-        return ExtScalar.from_vector(ring, det)
-    det = PadicScalar.from_residue(det, a.ctx)
-    return det.shift(a.n * k) if k < 0 else det
+    k = min(0, a.valuation)
+    det = _berkowitz_det(a.shift(-k).residues(), residue_ops(a.ctx, a.ext_ring))
+    return _entry_maker(a)(det).shift(a.n * k)
 
 
 def _berkowitz_det(rows: tuple, ops) -> object:

@@ -42,7 +42,7 @@ from .matrix import (
     vector_valuation,
 )
 from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation, teichmuller_lift
-from .unramified import ExtScalar, ext_ring, teichmuller_lift_ext
+from .unramified import ext_ring, teichmuller_lift_ext
 
 
 class NotHermiteError(Exception):
@@ -160,10 +160,10 @@ def _spectral_points(x: UMatrix, period: int):
     ctx = x.ctx
     p = ctx.p
     field_ctx = PrecisionContext(p, 1)
-    if period == 1 and x.ring_tag == "base":
+    if period == 1 and x.ext_ring is None:
         roots = _eigenvalues_mod_p(x.residues(), p, 1, residue_ops(field_ctx), range(p))
         return [teichmuller_lift(r, ctx) for r in roots], x
-    ring = ext_ring(p, period, ctx.m) if x.ring_tag == "base" else x.ext_ring
+    ring = x.ext_ring or ext_ring(p, period, ctx.m)
     if ring.degree % period != 0:
         raise ValueError(
             f"period {period} does not divide the extension degree {ring.degree}"
@@ -399,11 +399,7 @@ class HermiteDigitsMatrix:
     def reassemble(self) -> UMatrix:
         acc = None
         for i, digit in enumerate(self.digits):
-            if digit.ring_tag == "base":
-                term = digit.shift(self.lead_valuation + i)
-            else:
-                ring = digit.ext_ring
-                term = digit.scale(ring.embed(pow(digit.ctx.p, self.lead_valuation + i)))
+            term = digit.shift(self.lead_valuation + i)
             acc = term if acc is None else acc + term
         return acc
 
@@ -427,14 +423,8 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     ctx = a.ctx
     k = a.valuation
     if k == INFINITE:
-        zero = UMatrix.zeros(a.n, ctx) if a.ring_tag == "base" else a
-        return HermiteDigitsMatrix(0, (zero,) * ctx.m, period)
-    if a.ring_tag == "base" and k != 0:
-        work = a.shift(-k)
-    elif a.ring_tag == "ext" and k > 0:
-        work = _wrap_residues(_map_coords(a.residues(), lambda c: c // ctx.p**k), a)
-    else:
-        work = a
+        return HermiteDigitsMatrix(0, (a,) * ctx.m, period)
+    work = a.shift(-k)
     ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
     ops_hi = residue_ops(ctx_hi, work.ext_ring)
     budget = ctx_hi.budget(period)
@@ -504,7 +494,7 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     keep m digits past their own valuation.
     """
     ctx = a.ctx
-    if a.ring_tag != "base":
+    if a.ext_ring is not None:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
@@ -674,30 +664,14 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     eigenvalues, as scalars of the ambient ring.  The nested products
     are formed and tested for zero on residues mod p^m.
     """
-    ctx = a.ctx
     expansion = hermite_digits_matrix(a, period)
     k = expansion.lead_valuation
-    base_ring = expansion.digits[0].ring_tag == "base"
-    if base_ring and period > 1:
-        if k < 0:
-            raise ValueError(
-                "period > 1 spectra are supported for integral operators only"
-            )
-        ring = ext_ring(ctx.p, period, ctx.m)
-    elif not base_ring:
-        ring = expansion.digits[0].ext_ring
-    else:
-        ring = None
+    if period > 1 and k < 0:
+        raise ValueError("period > 1 spectra are supported for integral operators only")
     frontier = None
     for level, digit in enumerate(expansion.digits):
         resolution = teichmuller_spectral(digit, period)
-        terms = []
-        for lam, proj in resolution.points:
-            if ring is None:
-                center_term = lam.shift(k + level)
-            else:
-                center_term = lam * ring.embed(pow(ctx.p, k + level, ctx.modulus))
-            terms.append((center_term, proj.residues()))
+        terms = [(lam.shift(k + level), proj.residues()) for lam, proj in resolution.points]
         if frontier is None:
             like = resolution.projectors[0]
             ops = residue_ops(like.ctx, like.ext_ring)
@@ -756,12 +730,9 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
 def _check_translations(a: UMatrix, points, diam_val, ctx: PrecisionContext):
     k = min(lam.valuation for lam, _ in points) if points else 0
     resolved = (0 if k == INFINITE else int(min(k, 0))) + ctx.m
-    for lam, _ in points:
-        if isinstance(lam, ExtScalar):
-            shifted = a.promote(lam.ring) - UMatrix.identity(a.n, ctx).promote(lam.ring).scale(lam)
-        else:
-            shifted = a - UMatrix.identity(a.n, ctx).scale(lam)
-        val = shifted.valuation
+    for lam, proj in points:
+        ring = proj.ext_ring
+        val = (a.promote(ring) - UMatrix.identity(a.n, ctx).promote(ring).scale(lam)).valuation
         if diam_val == INFINITE:
             if val < resolved:
                 raise RuntimeError("translation law failed for a singleton spectrum (internal defect)")
@@ -784,39 +755,42 @@ class UncertaintyReport:
 def uncertainty_check(
     a: UMatrix, b: UMatrix, psi: Sequence, period: int = 1
 ) -> UncertaintyReport:
-    """Evaluate the commutator inequality on a normalised vector.
+    """Evaluate the commutator inequality on one normalised vector."""
+    return uncertainty_checks(a, b, (psi,), period)[0]
 
-    Both operators must pass the digit expansion (NotHermiteError
-    propagates) and psi must have sup norm exactly 1.  A violation is
-    returned with holds=False so the caller can persist the
-    counterexample; it never passes silently.
+
+def uncertainty_checks(a: UMatrix, b: UMatrix, psis: Sequence, period: int = 1) -> list:
+    """Evaluate the commutator inequality on each normalised vector.
+
+    Every psi must have sup norm exactly 1, which is checked before any
+    other work, and both operators must pass the digit expansion
+    (NotHermiteError propagates).  The diameters and the commutator do
+    not depend on psi and are computed once.  A violation is returned
+    with holds=False so the caller can persist the counterexample; it
+    never passes silently.
     """
-    if vector_valuation(psi) != 0:
+    if any(vector_valuation(psi) != 0 for psi in psis):
         raise ValueError("psi must have sup norm 1")
     da = spectrum_diameter(a, period)
     db = spectrum_diameter(b, period)
     commutator = a * b - b * a
-    image = commutator.apply(tuple(psi))
-    lhs_val = vector_valuation(image)
-    # the commutator is only resolved to the window p^(k_A + k_B + m);
-    # anything beyond it is zero at precision
-    ka = 0 if a.valuation == INFINITE else min(0, int(a.valuation))
-    kb = 0 if b.valuation == INFINITE else min(0, int(b.valuation))
-    if lhs_val >= ka + kb + a.ctx.m:
-        lhs_val = INFINITE
-    lhs_norm = norm_from_valuation(a.ctx.p, lhs_val)
-    if da.diameter_valuation == INFINITE or db.diameter_valuation == INFINITE:
-        rhs_norm = 0.0
-        holds = lhs_val == INFINITE
-    else:
-        rhs_val = da.diameter_valuation + db.diameter_valuation
-        rhs_norm = norm_from_valuation(a.ctx.p, rhs_val)
-        holds = lhs_val == INFINITE or lhs_val >= rhs_val
-    return UncertaintyReport(
-        lhs_norm=lhs_norm,
-        rhs_norm=rhs_norm,
-        holds=holds,
-        lhs_valuation=lhs_val,
-        diam_a=da,
-        diam_b=db,
-    )
+    # the commutator is only resolved to the window p^(k_A + k_B + m),
+    # k = min(0, valuation); anything beyond it is zero at precision
+    window = min(0, a.valuation) + min(0, b.valuation) + a.ctx.m
+    rhs_val = da.diameter_valuation + db.diameter_valuation  # INFINITE if either is
+    reports = []
+    for psi in psis:
+        lhs_val = vector_valuation(commutator.apply(tuple(psi)))
+        if lhs_val >= window:
+            lhs_val = INFINITE
+        reports.append(
+            UncertaintyReport(
+                lhs_norm=norm_from_valuation(a.ctx.p, lhs_val),
+                rhs_norm=norm_from_valuation(a.ctx.p, rhs_val),
+                holds=lhs_val >= rhs_val,
+                lhs_valuation=lhs_val,
+                diam_a=da,
+                diam_b=db,
+            )
+        )
+    return reports

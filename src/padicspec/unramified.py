@@ -230,6 +230,10 @@ class ExtScalar:
         self._check(other)
         return self.vector() == other.vector()
 
+    def shift(self, k: int) -> "ExtScalar":
+        """Multiply by p^k in O_K/p^m; k < 0 needs p^-k to divide every coordinate."""
+        return ExtScalar.from_vector(self.ring, [c.shift(k).residue() for c in self.coords])
+
     def __repr__(self):
         return f"ExtScalar{self.vector()}@{self.ring!r}"
 

@@ -1,5 +1,6 @@
 """Batch interface: schemas, exit codes, determinism, round trips."""
 
+import hashlib
 import io
 import json
 import os
@@ -9,8 +10,8 @@ import sys
 
 import pytest
 
-from padicspec import PrecisionContext, UMatrix
-from padicspec.cli import run_command, scalar_from_json
+from padicspec import PrecisionContext, UMatrix, spectral
+from padicspec.cli import MAX_SAMPLES, run_command, scalar_from_json
 
 CTX = PrecisionContext(3, 4)
 
@@ -343,3 +344,53 @@ def test_module_entry_point_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert "value" in json.loads(proc.stdout)
+
+
+def _uncertainty_pair(tmp_path):
+    doc = {
+        "p": 3,
+        "m": 4,
+        "A": matrix_doc(3, 4, [[1, 0, 0], [0, 4, 0], [0, 0, 2]])["entries"],
+        "B": matrix_doc(3, 4, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])["entries"],
+    }
+    return write(tmp_path, "pair.json", doc)
+
+
+def test_uncertainty_computes_each_diameter_once(tmp_path, monkeypatch):
+    calls = []
+    original = spectral.spectrum_diameter
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spectrum_diameter", counted)
+    path = _uncertainty_pair(tmp_path)
+    status, out, text = run(["uncertainty", "--in", path, "--samples", "10", "--seed", "3"])
+    assert status == 0
+    assert len(out["checks"]) == 10
+    assert len(calls) == 2
+    # the document printed when every psi recomputed both diameters
+    digest = "e6e10a1ee69656c1426ac74bf062dd9f64f870f9e93717289fca5fa0734a31e8"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", ["uncertainty", "certify-projection"])
+@pytest.mark.parametrize("samples", [0, -5, MAX_SAMPLES + 1])
+def test_samples_outside_the_bound_are_malformed(tmp_path, command, samples):
+    if command == "uncertainty":
+        path = _uncertainty_pair(tmp_path)
+    else:
+        path = write(tmp_path, "pi.json", matrix_doc(3, 4, [[1, 0], [0, 0]]))
+    status, out, _ = run([command, "--in", path, "--samples", str(samples)])
+    assert status == 2
+    assert out["error"]["kind"] == "malformed_input"
+    assert out["error"]["field"] == "samples"
+
+
+def test_samples_at_the_bounds_are_accepted(tmp_path):
+    path = _uncertainty_pair(tmp_path)
+    for samples in (1, MAX_SAMPLES):
+        status, out, _ = run(["uncertainty", "--in", path, "--samples", str(samples)])
+        assert status == 0
+        assert len(out["checks"]) == samples

@@ -434,3 +434,21 @@ def test_rows_are_zero_on_ints_and_vectors():
     assert UMatrix.zeros(3, CTX).is_zero_mod_precision()
     assert UMatrix.from_ints([[81]], CTX).is_zero_mod_precision()
     assert not UMatrix.from_ints([[27]], CTX).is_zero_mod_precision()
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_shift_of_extension_matrix_matches_scaling(degree):
+    ring = ext_ring(3, degree, 4)
+    q = ring.ctx.modulus
+    rng = random.Random(degree)
+    a = UMatrix.from_ext_vectors(
+        [[[rng.randrange(q) for _ in range(degree)] for _ in range(3)] for _ in range(3)], ring
+    )
+    for k in range(ring.ctx.m + 1):
+        assert a.shift(k) == a.scale(ring.embed(pow(3, k, q)))
+    down = a.scale(ring.embed(9)).shift(-2)
+    assert down.residues() == tuple(
+        tuple(tuple(c % 9 for c in e) for e in row) for row in a.residues()
+    )
+    with pytest.raises(ValueError):
+        a.scale(ring.embed(3)).shift(-2)

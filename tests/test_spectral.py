@@ -202,7 +202,7 @@ def test_spectral_requires_period_dividing_ext_degree():
 def _coords_of(x: UMatrix, degree: int):
     """Residues of x as coordinate vectors in the degree-`degree` ring."""
     pad = (0,) * (degree - 1)
-    if x.ring_tag == "ext":
+    if x.ext_ring is not None:
         return x.residues()
     return tuple(tuple((e,) + pad for e in row) for row in x.residues())
 
@@ -877,3 +877,37 @@ def test_uncertainty_propagates_not_hermite():
     psi = (PadicScalar.one(CTX), PadicScalar.zero(CTX))
     with pytest.raises(NotHermiteError):
         uncertainty_check(bad, bad, psi)
+
+
+@pytest.mark.parametrize("p,degree", [(3, 2), (2, 3)])
+def test_hermite_digits_of_extension_operator_with_positive_valuation(p, degree):
+    """Peeling p * h factors out one power of p and keeps the digits of h.
+
+    p * h mod p^m knows h only mod p^(m-1), and a sigma-limit mod p^k
+    depends only on its input mod p^k, so digit i agrees with digit i of
+    h mod p^(m-1-i).
+    """
+    ctx = PrecisionContext(p, 4)
+    ring = ext_ring(p, degree, ctx.m)
+    rng = random.Random(10 * p + degree)
+    q = ctx.modulus
+    entries = [ring.one()] + [
+        ring.element([rng.randrange(q) for _ in range(degree)]) for _ in range(2)
+    ]
+    zero = ring.zero()
+    d = UMatrix.from_scalars([[entries[i] if i == j else zero for j in range(3)] for i in range(3)])
+    h = conjugate(_rand_ext_gl(ring, 3, rng), d)
+    assert h.valuation == 0
+    expansion = hermite_digits_matrix(h, degree)
+    scaled = h.scale(ring.embed(p))
+    peeled = hermite_digits_matrix(scaled, degree)
+    assert peeled.lead_valuation == 1
+    for i in range(ctx.m - 1):
+        window = p ** (ctx.m - 1 - i)
+        got, want = (
+            [[tuple(c % window for c in e) for e in row] for row in dig.residues()]
+            for dig in (peeled.digits[i], expansion.digits[i])
+        )
+        assert got == want, i
+    assert peeled.reassemble().congruent(scaled)
+    assert expansion.reassemble().congruent(h)

@@ -1,6 +1,7 @@
 """The extension ring O_K/p^m: lifts, census, reduction."""
 
 import math
+import random
 
 import pytest
 
@@ -206,3 +207,31 @@ def test_classify_ext_scalar_orbits():
     assert report.kind is OrbitKind.PERIODIC
     assert report.period == 2
     assert classify_orbit(ring.one(), 1).kind is OrbitKind.PERIODIC
+
+
+@pytest.mark.parametrize("p,degree,m", [(3, 2, 4), (2, 3, 3), (5, 3, 2)])
+def test_ext_shift_is_multiplication_by_p_power(p, degree, m):
+    ring = ext_ring(p, degree, m)
+    rng = random.Random(100 * p + degree)
+    q = ring.ctx.modulus
+    samples = [ring.zero(), ring.one()] + [
+        ring.element([rng.randrange(q) for _ in range(degree)]) for _ in range(20)
+    ]
+    for x in samples:
+        for k in sorted({0, 1, m - 1, m}):
+            assert x.shift(k) == x * ring.embed(pow(p, k, q))
+
+
+@pytest.mark.parametrize("p,degree,m", [(3, 2, 4), (2, 3, 3), (5, 3, 2)])
+def test_ext_shift_down_divides_every_coordinate(p, degree, m):
+    ring = ext_ring(p, degree, m)
+    rng = random.Random(7 * p + degree)
+    q = ring.ctx.modulus
+    for _ in range(20):
+        j = rng.randrange(1, m)
+        coords = [p**j * rng.randrange(q // p**j) for _ in range(degree)]
+        x = ring.element(coords)
+        assert x.shift(-j).vector() == tuple(c // p**j for c in coords)
+        bad = ring.element(coords[:-1] + [coords[-1] + p ** (j - 1)])
+        with pytest.raises(ValueError):
+            bad.shift(-j)
