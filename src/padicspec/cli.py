@@ -63,6 +63,7 @@ from .unramified import ExtScalar
 MAX_DIMENSION = 64
 MAX_PRECISION = 64
 MAX_SAMPLES = 1024
+MAX_UNIT_DIGITS = 4300  # CPython's default limit for int() of a decimal string
 
 
 class SchemaError(Exception):
@@ -94,8 +95,10 @@ def scalar_from_json(doc, ctx: PrecisionContext, fieldname: str) -> PadicScalar:
     if "u" not in doc or "v" not in doc:
         raise SchemaError(fieldname, "scalar must carry 'v' and 'u'")
     u_raw = doc["u"]
-    if not isinstance(u_raw, str) or not _is_decimal(u_raw):
+    if not isinstance(u_raw, str) or not u_raw.isdecimal():
         raise SchemaError(fieldname + ".u", "unit must be a decimal string")
+    if len(u_raw) > MAX_UNIT_DIGITS:
+        raise SchemaError(fieldname + ".u", f"unit has more than {MAX_UNIT_DIGITS} digits")
     v_raw = doc["v"]
     if not isinstance(v_raw, int) or isinstance(v_raw, bool):
         raise SchemaError(fieldname + ".v", "valuation must be an integer")
@@ -105,10 +108,6 @@ def scalar_from_json(doc, ctx: PrecisionContext, fieldname: str) -> PadicScalar:
     if unit % ctx.p == 0:
         raise SchemaError(fieldname + ".u", "unit residue is divisible by p")
     return PadicScalar(ctx, v_raw, unit % ctx.modulus)
-
-
-def _is_decimal(s: str) -> bool:
-    return s.isdigit()
 
 
 def matrix_to_json(a: UMatrix) -> dict:
@@ -133,7 +132,7 @@ def _load_document(path: Optional[str]) -> dict:
             doc = json.load(handle)
     except OSError as exc:
         raise SchemaError("in", f"cannot read file: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, undecodable bytes, over-long numbers
         raise SchemaError("in", f"invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError("in", "top level must be a JSON object")
@@ -183,8 +182,10 @@ def _vector_from(doc: dict, ctx: PrecisionContext, fieldname: str, length: int) 
     )
 
 
-def _period_from(args, ctx: PrecisionContext, default: int = 1) -> int:
+def _period_from(args, ctx: PrecisionContext, default=1) -> int:
     period = args.N if args.N is not None else default
+    if not isinstance(period, int) or isinstance(period, bool):
+        raise SchemaError("N", "period must be an integer")
     if period < 1:
         raise SchemaError("N", "period must be >= 1")
     if ctx.p**period > ENUMERATION_LIMIT:

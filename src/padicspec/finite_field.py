@@ -1,15 +1,20 @@
-"""Arithmetic in F_p and its extensions F_{p^N}.
+"""Arithmetic in F_p, its extensions F_{p^N}, and the rings (Z/p^m)[X]/(f).
 
-Extension elements are coordinate vectors against the power basis of a
-fixed monic irreducible modulus, chosen deterministically as the
-lexicographically smallest irreducible of the requested degree
-(constant coefficient first).  These fields are the reduction targets of
-the unramified rings in :mod:`padicspec.unramified`: the p-power map
-here is a field automorphism of order dividing N, and the fixed field of
-its d-th power has exactly p^gcd(d, N) elements.
+This module is the one home of polynomial and coordinate arithmetic.
+Polynomials are lists of coefficients, constant first, with no trailing
+zeros; the coefficients are entries of a residue ops protocol (ints
+under padic._BaseOps, coordinate vectors under _ExtOps), so the same
+helpers, the Rabin irreducibility test and the Cantor-Zassenhaus root
+finder serve F_p and F_{p^N} alike.
 
-Polynomials over F_p are plain coefficient lists, constant first, with
-no trailing zeros.
+_ExtOps is the coordinate arithmetic of (Z/p^m)[X]/(f) for a monic f of
+degree N: at m = 1 it is F_{p^N}, which FqElement wraps, and at higher m
+it is the unramified ring O_K/p^m of padicspec.unramified.  Elements are
+coordinate vectors against the power basis of f, the lexicographically
+smallest monic irreducible of the requested degree (constant coefficient
+first).  The p-power map of F_{p^N} is a field automorphism of order
+dividing N, and the fixed field of its d-th power has exactly p^gcd(d, N)
+elements.
 """
 
 from __future__ import annotations
@@ -19,88 +24,71 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .padic import is_prime
+from .padic import _BaseOps, is_prime
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
 
-# -- dense polynomial helpers over F_p --------------------------------
+# -- polynomials over an ops protocol -----------------------------------------
 
 
-def poly_trim(a: list) -> list:
-    while a and a[-1] == 0:
+def poly_trim(a: list, ops) -> list:
+    while a and ops.is_zero(a[-1]):
         a.pop()
     return a
 
 
-def poly_add(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out[i] = (ai + bi) % p
-    return poly_trim(out)
+def poly_add(a, b, ops) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = ops.add(out[i], c)
+    return poly_trim(out, ops)
 
 
-def poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list:
+def poly_mul(a, b, ops) -> list:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return poly_trim(out)
+    out = [ops.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = ops.add(out[i + j], ops.mul(x, y))
+    return poly_trim(out, ops)
 
 
-def poly_divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
+def poly_divmod(a, b, ops) -> tuple:
     rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    for shift in range(len(rem) - len(b), -1, -1):
-        coeff = (rem[shift + len(b) - 1] * inv_lead) % p
-        if coeff == 0:
+    quo = [ops.zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = ops.inv_unit(b[-1])
+    for shift in range(len(a) - len(b), -1, -1):
+        coeff = ops.mul(rem[shift + len(b) - 1], inv_lead)
+        if ops.is_zero(coeff):
             continue
         quo[shift] = coeff
-        for j, bj in enumerate(b):
-            rem[shift + j] = (rem[shift + j] - coeff * bj) % p
-    return poly_trim(quo), poly_trim(rem)
+        for j, y in enumerate(b):
+            rem[shift + j] = ops.sub(rem[shift + j], ops.mul(coeff, y))
+    return poly_trim(quo, ops), poly_trim(rem, ops)
 
 
-def poly_mod(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    return poly_divmod(a, b, p)[1]
-
-
-def poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list:
-    a, b = list(a), list(b)
+def poly_gcd(a, b, ops) -> list:
+    """Monic gcd; a and b must not both be zero."""
     while b:
-        a, b = b, poly_mod(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [(c * inv) % p for c in a]
-    return a
+        a, b = b, poly_divmod(a, b, ops)[1]
+    inv = ops.inv_unit(a[-1])
+    return [ops.mul(inv, c) for c in a]
 
 
-def poly_pow_mod(base: Sequence[int], exponent: int, modulus: Sequence[int], p: int) -> list:
-    result = [1]
-    acc = poly_mod(base, modulus, p)
-    e = exponent
-    while e:
-        if e & 1:
-            result = poly_mod(poly_mul(result, acc, p), modulus, p)
-        acc = poly_mod(poly_mul(acc, acc, p), modulus, p)
-        e >>= 1
+def poly_powmod(base, exponent: int, modulus, ops) -> list:
+    result = [ops.one]
+    acc = poly_divmod(base, modulus, ops)[1]
+    while exponent:
+        if exponent & 1:
+            result = poly_divmod(poly_mul(result, acc, ops), modulus, ops)[1]
+        exponent >>= 1
+        if exponent:
+            acc = poly_divmod(poly_mul(acc, acc, ops), modulus, ops)[1]
     return result
-
-
-def _proper_divisors(n: int) -> Iterator[int]:
-    for d in range(1, n):
-        if n % d == 0:
-            yield d
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -108,14 +96,178 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     n = len(poly) - 1
     if n < 1:
         return False
-    x = [0, 1]
-    for d in _proper_divisors(n):
-        xq = poly_pow_mod(x, p**d, poly, p)
-        diff = poly_add(xq, [(p - c) % p for c in x], p)
-        if len(poly_gcd(diff, poly, p)) > 1:
-            return False
-    xq = poly_pow_mod(x, p**n, poly, p)
-    return poly_mod(poly_add(xq, [(p - c) % p for c in x], p), poly, p) == []
+    ops = _BaseOps(p, p)
+    f = list(poly)
+    minus_x = [0, p - 1]
+    for d in range(1, n):
+        if n % d == 0:
+            xq = poly_powmod([0, 1], p**d, f, ops)
+            if len(poly_gcd(poly_add(xq, minus_x, ops), f, ops)) > 1:
+                return False
+    xq = poly_powmod([0, 1], p**n, f, ops)
+    return poly_divmod(poly_add(xq, minus_x, ops), f, ops)[1] == []
+
+
+def _split(h, delta, degree: int, ops) -> tuple:
+    """Split h by the class of its roots lambda under the shift delta.
+
+    Odd p: gcd(h, (X + delta)^((q-1)/2) - 1) keeps the roots where
+    lambda + delta is a nonzero square in F_q.  p = 2: gcd(h, Tr(delta X))
+    with Tr(y) = sum_{i<D} y^(2^i) keeps the roots where Tr(delta lambda)
+    = 0.  Over all delta in F_q every two distinct roots fall in different
+    classes (for odd p the (q-1)/2 nonzero squares are no union of cosets
+    of an additive subgroup of order p; for p = 2 the trace form is
+    nondegenerate), so a sweep over F_q splits h into linear factors.
+    Returns h alone when delta does not split it.
+    """
+    if len(h) == 2:
+        return (h,)
+    if ops.p != 2:
+        power = poly_powmod([delta, ops.one], (ops.p**degree - 1) // 2, h, ops)
+        splitter = poly_add(power, [ops.neg(ops.one)], ops)
+    else:
+        term = poly_divmod([ops.zero, delta], h, ops)[1]
+        splitter = term
+        for _ in range(degree - 1):
+            term = poly_divmod(poly_mul(term, term, ops), h, ops)[1]
+            splitter = poly_add(splitter, term, ops)
+    d = poly_gcd(h, splitter, ops)
+    if 1 < len(d) < len(h):
+        return d, poly_divmod(h, d, ops)[0]
+    return (h,)
+
+
+def poly_roots(f, order: int, degree: int, ops, deltas) -> list:
+    """The distinct roots in F_order of a nonzero polynomial f over F_q, sorted.
+
+    ops is the m = 1 protocol of F_q, q = p^degree, and deltas enumerates
+    F_q; F_order must be a subfield of F_q.  The roots are those of
+    gcd(f, X^order - X), split into linear factors deterministically
+    (Cantor-Zassenhaus equal-degree splitting with the shift swept over
+    F_q).
+    """
+    frobenius = poly_powmod([ops.zero, ops.one], order, f, ops)
+    g = poly_gcd(f, poly_add(frobenius, [ops.zero, ops.neg(ops.one)], ops), ops)
+    factors = [g] if len(g) > 1 else []
+    for delta in deltas:
+        if all(len(h) == 2 for h in factors):
+            break
+        factors = [part for h in factors for part in _split(h, delta, degree, ops)]
+    if any(len(h) != 2 for h in factors):
+        raise RuntimeError("equal-degree splitting left a nonlinear factor (internal defect)")
+    return sorted(ops.neg(h[0]) for h in factors)
+
+
+# -- coordinate arithmetic of (Z/p^m)[X]/(f) -----------------------------------
+
+
+class _ExtOps:
+    """Residue arithmetic on coordinate vectors of (Z/p^m)[X]/(f), f monic.
+
+    The modulus f is taken literally mod p^m, constant coefficient first.
+    Unit inversion needs f irreducible mod p, so that the units are
+    exactly the vectors with a coordinate not divisible by p.
+    """
+
+    def __init__(self, p: int, m: int, modulus: Sequence[int]):
+        self.p = p
+        self.m = m
+        self.q = q = p**m
+        self.modulus = tuple(modulus)
+        self.degree = n = len(modulus) - 1
+        self.zero = (0,) * n
+        self.one = (1,) + (0,) * (n - 1)
+        # X^(n+j) mod f as coordinate vectors mod p^m, j = 0 .. n-2
+        top = [(-c) % q for c in modulus[:n]]
+        table = [tuple(top)]
+        for _ in range(n - 2):
+            prev = table[-1]
+            shifted = [0] + list(prev[:-1])
+            carry = prev[-1]
+            if carry:
+                shifted = [(shifted[i] + carry * top[i]) % q for i in range(n)]
+            table.append(tuple(shifted))
+        self._power_table = table
+
+    def add(self, a, b):
+        q = self.q
+        return tuple((x + y) % q for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        q = self.q
+        return tuple((x - y) % q for x, y in zip(a, b))
+
+    def neg(self, a):
+        q = self.q
+        return tuple((-x) % q for x in a)
+
+    def mul(self, a, b):
+        n = self.degree
+        q = self.q
+        conv = [0] * (2 * n - 1)
+        for i, ai in enumerate(a):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(b):
+                conv[i + j] = (conv[i + j] + ai * bj) % q
+        out = conv[:n]
+        for j in range(n, 2 * n - 1):
+            cj = conv[j]
+            if cj == 0:
+                continue
+            row = self._power_table[j - n]
+            for i in range(n):
+                out[i] = (out[i] + cj * row[i]) % q
+        return tuple(out)
+
+    def pow(self, a, exponent: int):
+        result = self.one
+        acc = tuple(a)
+        while exponent:
+            if exponent & 1:
+                result = self.mul(result, acc)
+            acc = self.mul(acc, acc)
+            exponent >>= 1
+        return result
+
+    def dot(self, xs, ys):
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            acc = self.add(acc, self.mul(x, y))
+        return acc
+
+    def is_zero(self, a):
+        return not any(a)
+
+    def is_unit(self, a):
+        return any(c % self.p for c in a)
+
+    def inv_unit(self, a):
+        """Extended Euclid against f mod p, then Newton's b <- b (2 - a b) up to p^m."""
+        field = _BaseOps(self.p, self.p)
+        r0 = poly_trim([c % self.p for c in self.modulus], field)
+        r1 = poly_trim([c % self.p for c in a], field)
+        if not r1:
+            raise ZeroDivisionError("element is not a unit")
+        s0, s1 = [], [1]
+        while r1:
+            quo, rem = poly_divmod(r0, r1, field)
+            r0, r1 = r1, rem
+            s0, s1 = s1, poly_add(s0, [field.neg(c) for c in poly_mul(quo, s1, field)], field)
+        inv_lead = field.inv_unit(r0[-1])
+        b = tuple(field.mul(c, inv_lead) for c in s0) + self.zero[len(s0):]
+        two = self.add(self.one, self.one)
+        for _ in range(self.m.bit_length() + 2):
+            prod = self.mul(a, b)
+            if prod == self.one:
+                return b
+            b = self.mul(b, self.sub(two, prod))
+        if self.mul(a, b) == self.one:
+            return b
+        raise RuntimeError("unit inversion failed to converge (internal defect)")
+
+
+# -- the fields F_{p^N} ----------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,16 +298,25 @@ def finite_field(p: int, degree: int) -> "FiniteField":
 
 
 class FiniteField:
-    """F_{p^N} presented as F_p[X] / (modulus)."""
+    """F_{p^N} presented as F_p[X] / (modulus), with its arithmetic in ops.
+
+    A modulus the caller supplies is checked to be monic, of the requested
+    degree and irreducible; the default one comes certified from
+    build_modulus.
+    """
 
     def __init__(self, p: int, degree: int, modulus: tuple = None):
         self.p = p
         self.degree = degree
-        self.modulus = tuple(modulus) if modulus is not None else build_modulus(p, degree)
-        if len(self.modulus) != degree + 1 or self.modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the requested degree")
-        if not is_irreducible(self.modulus, p):
-            raise ValueError("modulus is reducible over F_p")
+        if modulus is None:
+            self.modulus = build_modulus(p, degree)
+        else:
+            self.modulus = tuple(modulus)
+            if len(self.modulus) != degree + 1 or self.modulus[-1] != 1:
+                raise ValueError("modulus must be monic of the requested degree")
+            if not is_irreducible(self.modulus, p):
+                raise ValueError("modulus is reducible over F_p")
+        self.ops = _ExtOps(p, 1, self.modulus)
 
     @property
     def order(self) -> int:
@@ -164,9 +325,8 @@ class FiniteField:
     def element(self, coords: Sequence[int]) -> "FqElement":
         c = [x % self.p for x in coords]
         if len(c) > self.degree:
-            c = poly_mod(c, list(self.modulus), self.p)
-        c = c + [0] * (self.degree - len(c))
-        return FqElement(self, tuple(c[: self.degree]))
+            c = poly_divmod(c, list(self.modulus), _BaseOps(self.p, self.p))[1]
+        return FqElement(self, tuple(c) + self.ops.zero[len(c):])
 
     def zero(self) -> "FqElement":
         return self.element([])
@@ -213,51 +373,28 @@ class FqElement:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coords)
 
-    def _poly(self) -> list:
-        return poly_trim(list(self.coords))
-
     def __add__(self, other: "FqElement") -> "FqElement":
         self._check(other)
-        return self.field.element(poly_add(self._poly(), other._poly(), self.field.p))
+        return FqElement(self.field, self.field.ops.add(self.coords, other.coords))
 
     def __neg__(self) -> "FqElement":
-        p = self.field.p
-        return self.field.element([(p - c) % p for c in self.coords])
+        return FqElement(self.field, self.field.ops.neg(self.coords))
 
     def __sub__(self, other: "FqElement") -> "FqElement":
-        return self + (-other)
+        self._check(other)
+        return FqElement(self.field, self.field.ops.sub(self.coords, other.coords))
 
     def __mul__(self, other: "FqElement") -> "FqElement":
         self._check(other)
-        prod = poly_mul(self._poly(), other._poly(), self.field.p)
-        return self.field.element(poly_mod(prod, list(self.field.modulus), self.field.p))
+        return FqElement(self.field, self.field.ops.mul(self.coords, other.coords))
 
     def inverse(self) -> "FqElement":
-        if self.is_zero:
-            raise ZeroDivisionError("inverse of zero in F_q")
-        # extended Euclid against the modulus
-        p = self.field.p
-        r0, r1 = list(self.field.modulus), self._poly()
-        s0, s1 = [], [1]
-        while r1:
-            q, r = poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(s0, [(p - c) % p for c in poly_mul(q, s1, p)], p)
-        inv_lead = pow(r0[-1], -1, p)
-        return self.field.element([(c * inv_lead) % p for c in s0])
+        return FqElement(self.field, self.field.ops.inv_unit(self.coords))
 
     def __pow__(self, exponent: int) -> "FqElement":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = self.field.one()
-        acc = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return FqElement(self.field, self.field.ops.pow(self.coords, exponent))
 
     def _check(self, other: "FqElement"):
         if self.field != other.field:
@@ -270,4 +407,3 @@ class FqElement:
 def fq_frobenius(a: FqElement) -> FqElement:
     """The p-power automorphism; its N-th iterate is the identity on F_{p^N}."""
     return a ** a.field.p
-

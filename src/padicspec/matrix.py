@@ -10,7 +10,10 @@ are exactly the orthogonal projections.
 Entries are PadicScalar or ExtScalar, which share one scalar protocol
 (arithmetic, shift by p^k, residue_key); ext_ring names the extension
 ring, or is None over Z_p.  Window computations (everything that only
-matters mod p^m) run on plain residue representatives for speed.
+matters mod p^m) run on plain residue representatives for speed, with
+the entry arithmetic that residue_ops picks: padic._BaseOps on ints
+over Z/p^m, or the extension ring's ops (finite_field._ExtOps) on
+coordinate vectors.  This module defines no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
+from .padic import INFINITE, PadicScalar, PrecisionContext, _BaseOps, norm_from_valuation
 from .unramified import ExtRing, ExtScalar, ext_ring
 
 Scalar = Union[PadicScalar, ExtScalar]
@@ -193,77 +196,6 @@ class UMatrix:
         return f"UMatrix(n={self.n}, ring={ring}, p={self.ctx.p}, m={self.ctx.m})"
 
 
-class _BaseOps:
-    """Residue arithmetic mod p^m on int entries."""
-
-    def __init__(self, q: int, p: int):
-        self.q = q
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.q
-
-    def sub(self, a, b):
-        return (a - b) % self.q
-
-    def mul(self, a, b):
-        return (a * b) % self.q
-
-    def dot(self, xs, ys):
-        return sum(map(operator.mul, xs, ys)) % self.q
-
-    def neg(self, a):
-        return (-a) % self.q
-
-    def is_zero(self, a):
-        return a == 0
-
-    def is_unit(self, a):
-        return a % self.p != 0
-
-    def inv_unit(self, a):
-        return pow(a, -1, self.q)
-
-
-class _ExtOps:
-    """Residue arithmetic on coordinate-vector entries."""
-
-    def __init__(self, ring: ExtRing):
-        self.ring = ring
-        self.p = ring.ctx.p
-        self.zero = ring.zero_vec()
-        self.one = ring.one_vec()
-
-    def add(self, a, b):
-        return self.ring.vec_add(a, b)
-
-    def sub(self, a, b):
-        return self.ring.vec_sub(a, b)
-
-    def mul(self, a, b):
-        return self.ring.vec_mul(a, b)
-
-    def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = self.ring.vec_add(acc, self.ring.vec_mul(x, y))
-        return acc
-
-    def neg(self, a):
-        return self.ring.vec_neg(a)
-
-    def is_zero(self, a):
-        return not any(a)
-
-    def is_unit(self, a):
-        return not self.ring.reduce_vec(a).is_zero
-
-    def inv_unit(self, a):
-        return self.ring.vec_inverse(a)
-
-
 def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
     """Entry arithmetic for residue rows mod p^m at ctx.
 
@@ -272,7 +204,7 @@ def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
     """
     if ring is None:
         return _BaseOps(ctx.modulus, ctx.p)
-    return _ExtOps(ext_ring(ctx.p, ring.degree, ctx.m))
+    return ext_ring(ctx.p, ring.degree, ctx.m).ops
 
 
 def _res_matmul(a: tuple, b: tuple, ops) -> tuple:

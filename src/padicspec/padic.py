@@ -18,6 +18,7 @@ are what everything else in the package is built from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
@@ -97,6 +98,40 @@ def int_valuation(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+class _BaseOps:
+    """Residue arithmetic mod p^m on int entries."""
+
+    def __init__(self, q: int, p: int):
+        self.q = q
+        self.p = p
+        self.zero = 0
+        self.one = 1
+
+    def add(self, a, b):
+        return (a + b) % self.q
+
+    def sub(self, a, b):
+        return (a - b) % self.q
+
+    def mul(self, a, b):
+        return (a * b) % self.q
+
+    def dot(self, xs, ys):
+        return sum(map(operator.mul, xs, ys)) % self.q
+
+    def neg(self, a):
+        return (-a) % self.q
+
+    def is_zero(self, a):
+        return a == 0
+
+    def is_unit(self, a):
+        return a % self.p != 0
+
+    def inv_unit(self, a):
+        return pow(a, -1, self.q)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finite_field import ENUMERATION_LIMIT
+from .finite_field import poly_roots
 from .matrix import (
     UMatrix,
     _berkowitz_charpoly,
@@ -151,33 +151,33 @@ class SpectralDecomposition:
 def _spectral_points(x: UMatrix, period: int):
     """Teichmuller lifts of the eigenvalues of x mod p, and the ambient matrix.
 
-    The ambient ring must contain the period-N fixed points, so a base
-    matrix is promoted to the degree-N extension, and an extension matrix
-    requires N to divide its ring degree.  Points are ordered by residue
+    The eigenvalues are the roots in F_{p^N} of the Berkowitz
+    characteristic polynomial of x mod p, over the field F_{p^D} that
+    the ambient entries reduce into (D = 1 over Z_p).  The ambient ring
+    must contain the period-N fixed points, so a base matrix is promoted
+    to the degree-N extension, and an extension matrix requires N to
+    divide its ring degree.  Points are ordered by residue
     mod p (base) or by the coordinates of their reduction, the order in
     which the residue field enumerates its elements.
     """
     ctx = x.ctx
     p = ctx.p
-    field_ctx = PrecisionContext(p, 1)
     if period == 1 and x.ext_ring is None:
-        roots = _eigenvalues_mod_p(x.residues(), p, 1, residue_ops(field_ctx), range(p))
+        ring, ambient, degree, deltas = None, x, 1, range(p)
+    else:
+        ring = x.ext_ring or ext_ring(p, period, ctx.m)
+        if ring.degree % period != 0:
+            raise ValueError(
+                f"period {period} does not divide the extension degree {ring.degree}"
+            )
+        ambient, degree = x.promote(ring), ring.degree
+        deltas = (a.coords for a in ring.residue_field.elements())
+    ops = residue_ops(PrecisionContext(p, 1), ring)
+    charpoly = _berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
+    roots = poly_roots(list(charpoly), p**period, degree, ops, deltas)
+    if ring is None:
         return [teichmuller_lift(r, ctx) for r in roots], x
-    ring = x.ext_ring or ext_ring(p, period, ctx.m)
-    if ring.degree % period != 0:
-        raise ValueError(
-            f"period {period} does not divide the extension degree {ring.degree}"
-        )
-    ambient = x.promote(ring)
-    field = ring.residue_field
-    roots = _eigenvalues_mod_p(
-        ambient.residues(),
-        p**period,
-        ring.degree,
-        residue_ops(field_ctx, ring),
-        (a.coords for a in field.elements()),
-    )
-    return [teichmuller_lift_ext(field.element(r), ctx.m) for r in roots], ambient
+    return [teichmuller_lift_ext(ring.residue_field.element(r), ctx.m) for r in roots], ambient
 
 
 def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
@@ -201,8 +201,6 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     ctx = x.ctx
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    if ctx.p**period > ENUMERATION_LIMIT:
-        raise ValueError("p^N exceeds the enumeration bound")
     image = x.sigma_window(period)
     if not image.congruent(x):
         defect = (image - x).norm
@@ -263,122 +261,6 @@ def _verify_decomposition(rows, resolved, ops, n):
                 continue
             if not _rows_are_zero(_res_matmul(resolved[i][1], resolved[j][1], ops)):
                 raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
-
-
-# -- eigenvalues of the reduction mod p ------------------------------------------
-#
-# Polynomials over the residue field F_{p^D} are lists of entries under the
-# ops protocol at m = 1 (ints for D = 1 base matrices, coordinate vectors
-# otherwise), constant coefficient first, with no trailing zeros.
-
-
-def _poly_trim(a: list, ops) -> list:
-    while a and ops.is_zero(a[-1]):
-        a.pop()
-    return a
-
-
-def _poly_add(a, b, ops) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = ops.add(out[i], c)
-    return _poly_trim(out, ops)
-
-
-def _poly_mul(a, b, ops) -> list:
-    if not a or not b:
-        return []
-    out = [ops.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = ops.add(out[i + j], ops.mul(x, y))
-    return _poly_trim(out, ops)
-
-
-def _poly_divmod(a, b, ops) -> tuple:
-    rem = list(a)
-    quo = [ops.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = ops.inv_unit(b[-1])
-    for shift in range(len(a) - len(b), -1, -1):
-        coeff = ops.mul(rem[shift + len(b) - 1], inv_lead)
-        if ops.is_zero(coeff):
-            continue
-        quo[shift] = coeff
-        for j, y in enumerate(b):
-            rem[shift + j] = ops.sub(rem[shift + j], ops.mul(coeff, y))
-    return _poly_trim(quo, ops), _poly_trim(rem, ops)
-
-
-def _poly_gcd(a, b, ops) -> list:
-    """Monic gcd; a must be nonzero."""
-    while b:
-        a, b = b, _poly_divmod(a, b, ops)[1]
-    inv = ops.inv_unit(a[-1])
-    return [ops.mul(inv, c) for c in a]
-
-
-def _poly_powmod(base, exponent: int, modulus, ops) -> list:
-    result = [ops.one]
-    acc = _poly_divmod(base, modulus, ops)[1]
-    while exponent:
-        if exponent & 1:
-            result = _poly_divmod(_poly_mul(result, acc, ops), modulus, ops)[1]
-        exponent >>= 1
-        if exponent:
-            acc = _poly_divmod(_poly_mul(acc, acc, ops), modulus, ops)[1]
-    return result
-
-
-def _split(h, delta, degree: int, ops) -> tuple:
-    """Split h by the class of its roots lambda under the shift delta.
-
-    Odd p: gcd(h, (X + delta)^((q-1)/2) - 1) keeps the roots where
-    lambda + delta is a nonzero square in F_q.  p = 2: gcd(h, Tr(delta X))
-    with Tr(y) = sum_{i<D} y^(2^i) keeps the roots where Tr(delta lambda)
-    = 0.  Over all delta in F_q every two distinct roots fall in different
-    classes (for odd p the (q-1)/2 nonzero squares are no union of cosets
-    of an additive subgroup of order p; for p = 2 the trace form is
-    nondegenerate), so a sweep over F_q splits h into linear factors.
-    Returns h alone when delta does not split it.
-    """
-    if len(h) == 2:
-        return (h,)
-    if ops.p != 2:
-        power = _poly_powmod([delta, ops.one], (ops.p**degree - 1) // 2, h, ops)
-        splitter = _poly_add(power, [ops.neg(ops.one)], ops)
-    else:
-        term = _poly_divmod([ops.zero, delta], h, ops)[1]
-        splitter = term
-        for _ in range(degree - 1):
-            term = _poly_divmod(_poly_mul(term, term, ops), h, ops)[1]
-            splitter = _poly_add(splitter, term, ops)
-    d = _poly_gcd(h, splitter, ops)
-    if 1 < len(d) < len(h):
-        return d, _poly_divmod(h, d, ops)[0]
-    return (h,)
-
-
-def _eigenvalues_mod_p(rows: tuple, order: int, degree: int, ops, deltas) -> list:
-    """The distinct eigenvalues in F_order of a matrix mod p, sorted.
-
-    ops is the m = 1 protocol of F_q, q = p^degree, the field the entries
-    reduce into, and deltas enumerates F_q.  The eigenvalues are the roots
-    of gcd(f, X^order - X) for the characteristic polynomial f, split into
-    linear factors deterministically (Cantor-Zassenhaus equal-degree
-    splitting with the shift swept over F_q).
-    """
-    f = list(_berkowitz_charpoly(_map_coords(rows, lambda c: c % ops.p), ops))
-    frobenius = _poly_powmod([ops.zero, ops.one], order, f, ops)
-    factors = [_poly_gcd(f, _poly_add(frobenius, [ops.zero, ops.neg(ops.one)], ops), ops)]
-    for delta in deltas:
-        if all(len(h) == 2 for h in factors):
-            break
-        factors = [part for h in factors for part in _split(h, delta, degree, ops)]
-    if any(len(h) != 2 for h in factors):
-        raise RuntimeError("equal-degree splitting left a nonlinear factor (internal defect)")
-    return sorted(ops.neg(h[0]) for h in factors)
 
 
 # -- digit expansion -------------------------------------------------------------

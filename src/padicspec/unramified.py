@@ -6,6 +6,10 @@ literally in {0, ..., p-1}.  Reduction mod p lands back on F_{p^N}, and
 the p-power map permutes the p^N fixed points of sigma^N, which are the
 multiplicative lifts of the residue-field elements.
 
+ExtRing holds the ring's coordinate arithmetic as ops, an _ExtOps from
+padicspec.finite_field (the same class that is F_{p^N} at m = 1), and
+ExtScalar wraps its coordinate vectors as PadicScalar coordinates.
+
 Elements carry the sup-of-coordinates norm: |a| = max_i |coords_i|.  It
 is submultiplicative, ultrametric, and equals 1 exactly when the
 reduction mod p is nonzero.
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finite_field import ENUMERATION_LIMIT, FqElement, finite_field
+from .finite_field import ENUMERATION_LIMIT, FqElement, _ExtOps, finite_field
 from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
 
 
@@ -29,119 +33,28 @@ def ext_ring(p: int, degree: int, m: int) -> "ExtRing":
 
 
 class ExtRing:
-    """Shared tables for one extension ring (Z/p^m)[X]/(f)."""
+    """One extension ring (Z/p^m)[X]/(f); its coordinate arithmetic is ops."""
 
     def __init__(self, ctx: PrecisionContext, degree: int):
         self.ctx = ctx
         self.degree = degree
         self.residue_field = finite_field(ctx.p, degree)
         self.modulus = self.residue_field.modulus  # literal lift, constant-first
-        # X^(degree+j) mod f as coordinate vectors mod p^m, j = 0 .. degree-2
-        q = ctx.modulus
-        top = [(-c) % q for c in self.modulus[:degree]]
-        table = [tuple(top)]
-        for _ in range(degree - 2):
-            prev = table[-1]
-            shifted = [0] + list(prev[:-1])
-            carry = prev[-1]
-            if carry:
-                shifted = [(shifted[i] + carry * top[i]) % q for i in range(degree)]
-            table.append(tuple(shifted))
-        self._power_table = table
-
-    # -- residue-vector arithmetic (coordinates in Z/p^m) --------------
-
-    def vec_add(self, a: Sequence[int], b: Sequence[int]) -> tuple:
-        q = self.ctx.modulus
-        return tuple((x + y) % q for x, y in zip(a, b))
-
-    def vec_sub(self, a: Sequence[int], b: Sequence[int]) -> tuple:
-        q = self.ctx.modulus
-        return tuple((x - y) % q for x, y in zip(a, b))
-
-    def vec_neg(self, a: Sequence[int]) -> tuple:
-        q = self.ctx.modulus
-        return tuple((-x) % q for x in a)
-
-    def vec_mul(self, a: Sequence[int], b: Sequence[int]) -> tuple:
-        n = self.degree
-        q = self.ctx.modulus
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                conv[i + j] = (conv[i + j] + ai * bj) % q
-        out = conv[:n]
-        for j in range(n, 2 * n - 1):
-            cj = conv[j]
-            if cj == 0:
-                continue
-            row = self._power_table[j - n]
-            for i in range(n):
-                out[i] = (out[i] + cj * row[i]) % q
-        return tuple(out)
-
-    def vec_pow(self, a: Sequence[int], exponent: int) -> tuple:
-        result = self.one_vec()
-        acc = tuple(a)
-        e = exponent
-        while e:
-            if e & 1:
-                result = self.vec_mul(result, acc)
-            acc = self.vec_mul(acc, acc)
-            e >>= 1
-        return result
-
-    def vec_inverse(self, a: Sequence[int]) -> tuple:
-        """Invert a unit (nonzero reduction) by Newton iteration from F_q."""
-        red = self.reduce_vec(a)
-        if red.is_zero:
-            raise ZeroDivisionError("element is not a unit in O_K/p^m")
-        b = tuple(c % self.ctx.modulus for c in red.inverse().coords)
-        one = self.one_vec()
-        for _ in range(self.ctx.m.bit_length() + 2):
-            prod = self.vec_mul(a, b)
-            if prod == one:
-                return b
-            # b <- b * (2 - a b)
-            corr = self.vec_sub(self.vec_add(one, one), prod)
-            b = self.vec_mul(b, corr)
-        if self.vec_mul(a, b) == one:
-            return b
-        raise RuntimeError("unit inversion failed to converge (internal defect)")
-
-    def zero_vec(self) -> tuple:
-        return (0,) * self.degree
-
-    def one_vec(self) -> tuple:
-        return (1,) + (0,) * (self.degree - 1)
-
-    def embed_residue(self, r: int) -> tuple:
-        return (r % self.ctx.modulus,) + (0,) * (self.degree - 1)
-
-    def reduce_vec(self, a: Sequence[int]) -> FqElement:
-        return self.residue_field.element([c % self.ctx.p for c in a])
-
-    def lift_vec(self, a: FqElement) -> tuple:
-        return tuple(int(c) for c in a.coords)
-
-    # -- public element constructors -----------------------------------
+        self.ops = _ExtOps(ctx.p, ctx.m, self.modulus)
 
     def element(self, coords: Sequence[int]) -> "ExtScalar":
         return ExtScalar.from_vector(self, coords)
 
     def zero(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self, self.zero_vec())
+        return ExtScalar.from_vector(self, self.ops.zero)
 
     def one(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self, self.one_vec())
+        return ExtScalar.from_vector(self, self.ops.one)
 
     def embed(self, x) -> "ExtScalar":
         """Embed an integer or integral PadicScalar as a constant."""
-        if isinstance(x, PadicScalar):
-            return ExtScalar.from_vector(self, self.embed_residue(x.residue()))
-        return ExtScalar.from_vector(self, self.embed_residue(int(x)))
+        r = x.residue() if isinstance(x, PadicScalar) else int(x)
+        return ExtScalar.from_vector(self, (r,) + self.ops.zero[1:])
 
     def __eq__(self, other):
         return (
@@ -198,33 +111,32 @@ class ExtScalar:
 
     def __add__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.vec_add(self.vector(), other.vector()))
+        return ExtScalar.from_vector(self.ring, self.ring.ops.add(self.vector(), other.vector()))
 
     def __sub__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.vec_sub(self.vector(), other.vector()))
+        return ExtScalar.from_vector(self.ring, self.ring.ops.sub(self.vector(), other.vector()))
 
     def __neg__(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self.ring, self.ring.vec_neg(self.vector()))
+        return ExtScalar.from_vector(self.ring, self.ring.ops.neg(self.vector()))
 
     def __mul__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.vec_mul(self.vector(), other.vector()))
+        return ExtScalar.from_vector(self.ring, self.ring.ops.mul(self.vector(), other.vector()))
 
     def __truediv__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(
-            self.ring, self.ring.vec_mul(self.vector(), self.ring.vec_inverse(other.vector()))
-        )
+        ops = self.ring.ops
+        return ExtScalar.from_vector(self.ring, ops.mul(self.vector(), ops.inv_unit(other.vector())))
 
     def __pow__(self, exponent: int) -> "ExtScalar":
+        ops = self.ring.ops
         if exponent < 0:
-            inv = self.ring.vec_inverse(self.vector())
-            return ExtScalar.from_vector(self.ring, self.ring.vec_pow(inv, -exponent))
-        return ExtScalar.from_vector(self.ring, self.ring.vec_pow(self.vector(), exponent))
+            return ExtScalar.from_vector(self.ring, ops.pow(ops.inv_unit(self.vector()), -exponent))
+        return ExtScalar.from_vector(self.ring, ops.pow(self.vector(), exponent))
 
     def reduction(self) -> FqElement:
-        return self.ring.reduce_vec(self.vector())
+        return self.ring.residue_field.element(self.vector())
 
     def congruent(self, other: "ExtScalar") -> bool:
         self._check(other)
@@ -240,9 +152,7 @@ class ExtScalar:
     # -- sigma-orbit protocol ------------------------------------------
 
     def sigma_window(self, period: int = 1) -> "ExtScalar":
-        return ExtScalar.from_vector(
-            self.ring, self.ring.vec_pow(self.vector(), self.ctx.p**period)
-        )
+        return ExtScalar.from_vector(self.ring, self.ring.ops.pow(self.vector(), self.ctx.p**period))
 
     def residue_key(self) -> tuple:
         return self.vector()
@@ -256,9 +166,9 @@ def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
     """
     ring = ext_ring(a.field.p, a.field.degree, m)
     q = a.field.p**a.field.degree
-    y = ring.lift_vec(a)
+    y = a.coords
     for _ in range(ring.ctx.budget(a.field.degree)):
-        nxt = ring.vec_pow(y, q)
+        nxt = ring.ops.pow(y, q)
         if nxt == y:
             return ExtScalar.from_vector(ring, y)
         y = nxt

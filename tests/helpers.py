@@ -255,3 +255,49 @@ def lagrange_oracle(rows, p: int, m: int, degree: int, period: int) -> list:
         if any(any(e) for row in proj for e in row):
             out.append((lam, proj))
     return out
+
+
+# -- polynomials over F_p and F_q (oracle side) ------------------------------------
+
+
+def monic_polys(p: int, degree: int):
+    """Every monic polynomial of the given degree over F_p, constant first."""
+    for tail in itertools.product(range(p), repeat=degree):
+        yield tuple(tail) + (1,)
+
+
+def int_poly_rem(a, b, p: int) -> list:
+    """Remainder of a by the monic b over F_p, constant first, trailing zeros kept."""
+    rem = [c % p for c in a]
+    d = len(b) - 1
+    for k in range(len(rem) - 1, d - 1, -1):
+        c = rem[k]
+        if c:
+            for i in range(d + 1):
+                rem[k - d + i] = (rem[k - d + i] - c * b[i]) % p
+    return rem[:d]
+
+
+def irreducible_by_trial_division(poly, p: int) -> bool:
+    """No monic polynomial of degree 1 .. deg - 1 divides poly over F_p."""
+    n = len(poly) - 1
+    return n >= 1 and all(
+        any(int_poly_rem(poly, g, p)) for d in range(1, n) for g in monic_polys(p, d)
+    )
+
+
+def roots_by_evaluation(f, p: int, modulus) -> list:
+    """The roots in F_q = F_p[X]/(modulus) of f (coordinate-vector coefficients), sorted.
+
+    Every element of F_q is substituted into f by Horner's rule with
+    ring_mul at q = p.
+    """
+    degree = len(modulus) - 1
+    roots = []
+    for x in itertools.product(range(p), repeat=degree):
+        acc = (0,) * degree
+        for c in reversed(f):
+            acc = tuple((a + b) % p for a, b in zip(ring_mul(acc, x, modulus, p), c))
+        if not any(acc):
+            roots.append(x)
+    return roots

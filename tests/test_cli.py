@@ -394,3 +394,80 @@ def test_samples_at_the_bounds_are_accepted(tmp_path):
         status, out, _ = run(["uncertainty", "--in", path, "--samples", str(samples)])
         assert status == 0
         assert len(out["checks"]) == samples
+
+
+@pytest.mark.parametrize("command", ["measure", "integral"])
+def test_measure_and_integral_at_a_61_bit_prime(tmp_path, command):
+    p = 2**61 - 1
+    path = write(tmp_path, "huge.json", matrix_doc(p, 4, [[1, 0], [0, 2]], depth=4))
+    status, doc, _ = run([command, "--in", path])
+    assert status == 0
+    if command == "measure":
+        assert sorted(node["address"] for node in doc["nodes"] if len(node["address"]) == 1) == [
+            [1],
+            [2],
+        ]
+    else:
+        assert doc["error_valuation"] is None
+
+
+def _period_problem(tmp_path, command, period):
+    if command == "uncertainty":
+        doc = {
+            "p": 3,
+            "m": 4,
+            "A": matrix_doc(3, 4, [[1, 0], [0, 80]])["entries"],
+            "B": matrix_doc(3, 4, [[0, 1], [1, 0]])["entries"],
+        }
+    else:
+        doc = matrix_doc(3, 4, [[1, 0], [0, 80]])
+    doc["N"] = period
+    return write(tmp_path, "period.json", doc)
+
+
+@pytest.mark.parametrize("command", ["spectral", "hermite", "diam", "uncertainty"])
+@pytest.mark.parametrize("period", ["x", 1.5, True])
+def test_document_period_must_be_an_integer(tmp_path, command, period):
+    status, doc, _ = run([command, "--in", _period_problem(tmp_path, command, period)])
+    assert status == 2
+    assert doc["error"] == {
+        "kind": "malformed_input",
+        "field": "N",
+        "reason": "field 'N': period must be an integer",
+    }
+
+
+@pytest.mark.parametrize("command", ["spectral", "hermite", "diam", "uncertainty"])
+def test_document_period_bounds_keep_their_messages(tmp_path, command):
+    status, doc, _ = run([command, "--in", _period_problem(tmp_path, command, 0)])
+    assert status == 2
+    assert doc["error"]["reason"] == "field 'N': period must be >= 1"
+    status, doc, _ = run([command, "--in", _period_problem(tmp_path, command, 13)])
+    assert status == 2
+    assert doc["error"]["reason"] == "field 'N': p^N exceeds the enumeration bound 1048576"
+
+
+def test_oversized_unit_is_malformed(tmp_path):
+    doc = matrix_doc(3, 4, [[1, 0], [0, 1]])
+    doc["entries"][3] = {"v": 0, "u": "1" * 5000}
+    status, out, _ = run(["spectral", "--in", write(tmp_path, "long.json", doc)])
+    assert status == 2
+    assert out["error"]["field"] == "entries[3].u"
+
+
+@pytest.mark.parametrize("unit", ["²", "①"])
+def test_unit_with_non_decimal_digits_is_malformed(tmp_path, unit):
+    doc = matrix_doc(3, 4, [[1, 0], [0, 1]])
+    doc["entries"][0] = {"v": 0, "u": unit}
+    status, out, _ = run(["spectral", "--in", write(tmp_path, "digit.json", doc)])
+    assert status == 2
+    assert out["error"]["field"] == "entries[0].u"
+
+
+def test_oversized_json_number_is_malformed(tmp_path):
+    path = tmp_path / "number.json"
+    path.write_text('{"p": 3, "m": 4, "depth": ' + "7" * 5000 + ', "entries": []}')
+    status, out, _ = run(["measure", "--in", str(path)])
+    assert status == 2
+    assert out["error"]["field"] == "in"
+    assert out["error"]["reason"].startswith("field 'in': invalid JSON: ")

@@ -1,12 +1,14 @@
 """F_p extension arithmetic, modulus construction, Frobenius."""
 
+import itertools
 import math
 import random
 
 import pytest
 
-from padicspec import build_modulus, finite_field, fq_frobenius
-from padicspec.finite_field import is_irreducible
+from helpers import irreducible_by_trial_division, monic_polys, ring_mul, roots_by_evaluation
+from padicspec import build_modulus, ext_ring, finite_field, fq_frobenius
+from padicspec.finite_field import is_irreducible, poly_mul, poly_roots
 
 
 def test_modulus_degree_one_is_x():
@@ -104,3 +106,76 @@ def test_inverse_of_zero_rejected():
 def test_enumeration_bound_enforced():
     with pytest.raises(ValueError):
         build_modulus(2, 25)
+
+
+IRREDUCIBILITY_CASES = [(2, d) for d in range(5)] + [(3, d) for d in range(5)] + [
+    (5, d) for d in range(4)
+]
+
+
+@pytest.mark.parametrize("p,degree", IRREDUCIBILITY_CASES)
+def test_rabin_test_matches_trial_division(p, degree):
+    for poly in monic_polys(p, degree):
+        assert is_irreducible(poly, p) == irreducible_by_trial_division(poly, p), poly
+
+
+def _random_monic(ops, elements, rng):
+    """Random linear factors, some squared, times a random monic cofactor."""
+    f = [ops.one]
+    for _ in range(rng.randrange(4)):
+        linear = [ops.neg(rng.choice(elements)), ops.one]
+        for _ in range(rng.randrange(1, 3)):
+            f = poly_mul(f, linear, ops)
+    cofactor = [rng.choice(elements) for _ in range(rng.randrange(4))] + [ops.one]
+    return poly_mul(f, cofactor, ops)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 2), (2, 3), (3, 2), (5, 2)])
+def test_poly_roots_match_evaluation(p, degree):
+    field = finite_field(p, degree)
+    ops = field.ops
+    elements = [a.coords for a in field.elements()]
+    r, s = elements[1], elements[-1]
+    repeated = poly_mul(
+        poly_mul([ops.neg(r), ops.one], [ops.neg(r), ops.one], ops), [ops.neg(s), ops.one], ops
+    )
+    rootless = next(
+        [c0, c1, ops.one]
+        for c0, c1 in itertools.product(elements, repeat=2)
+        if not roots_by_evaluation([c0, c1, ops.one], p, field.modulus)
+    )
+    rng = random.Random(p**degree)
+    cases = [repeated, rootless] + [_random_monic(ops, elements, rng) for _ in range(40)]
+    for f in cases:
+        expected = roots_by_evaluation(f, p, field.modulus)
+        assert poly_roots(f, p**degree, degree, ops, iter(elements)) == expected, f
+    assert poly_roots(repeated, p**degree, degree, ops, iter(elements)) == sorted([r, s])
+    assert poly_roots(rootless, p**degree, degree, ops, iter(elements)) == []
+
+
+@pytest.mark.parametrize("p,degree", [(3, 2), (2, 3)])
+@pytest.mark.parametrize("m", [1, 3])
+def test_ext_inv_unit_on_every_element(p, degree, m):
+    ops = ext_ring(p, degree, m).ops
+    q = p**m
+    modulus = build_modulus(p, degree)
+    one = (1,) + (0,) * (degree - 1)
+    for coords in itertools.product(range(q), repeat=degree):
+        if any(c % p for c in coords):
+            assert ring_mul(coords, ops.inv_unit(coords), modulus, q) == one, coords
+        else:
+            with pytest.raises(ZeroDivisionError):
+                ops.inv_unit(coords)
+
+
+@pytest.mark.parametrize("p,degree", [(3, 2), (2, 3)])
+def test_fq_arithmetic_is_the_ring_arithmetic_at_precision_one(p, degree):
+    field = finite_field(p, degree)
+    ops = ext_ring(p, degree, 1).ops
+    elements = list(field.elements())
+    for a in elements:
+        for b in elements:
+            product = ring_mul(a.coords, b.coords, field.modulus, p)
+            assert (a * b).coords == ops.mul(a.coords, b.coords) == product
+        if not a.is_zero:
+            assert a.inverse().coords == ops.inv_unit(a.coords)
