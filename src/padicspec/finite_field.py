@@ -58,11 +58,15 @@ def poly_mul(a, b, ops) -> list:
 
 
 def poly_divmod(a, b, ops) -> tuple:
+    """Quotient and remainder; a monic divisor skips inverting its lead."""
     rem = list(a)
     quo = [ops.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = ops.inv_unit(b[-1])
+    monic = b[-1] == ops.one
+    inv_lead = None if monic else ops.inv_unit(b[-1])
     for shift in range(len(a) - len(b), -1, -1):
-        coeff = ops.mul(rem[shift + len(b) - 1], inv_lead)
+        coeff = rem[shift + len(b) - 1]
+        if not monic:
+            coeff = ops.mul(coeff, inv_lead)
         if ops.is_zero(coeff):
             continue
         quo[shift] = coeff
@@ -75,6 +79,8 @@ def poly_gcd(a, b, ops) -> list:
     """Monic gcd; a and b must not both be zero."""
     while b:
         a, b = b, poly_divmod(a, b, ops)[1]
+    if a[-1] == ops.one:
+        return list(a)
     inv = ops.inv_unit(a[-1])
     return [ops.mul(inv, c) for c in a]
 

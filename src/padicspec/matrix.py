@@ -244,14 +244,24 @@ def _res_identity(n: int, ops) -> tuple:
 
 
 def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
-    result = _res_identity(len(a), ops)
+    """a^exponent by binary powering: floor(log2 e) + popcount(e) - 1 products for e >= 1.
+
+    The result starts at the lowest set bit instead of the identity, and
+    the square after the highest bit is never formed.
+    """
+    if exponent == 0:
+        return _res_identity(len(a), ops)
     acc = a
-    e = exponent
-    while e:
-        if e & 1:
-            result = _res_matmul(result, acc, ops)
+    while not exponent & 1:
         acc = _res_matmul(acc, acc, ops)
-        e >>= 1
+        exponent >>= 1
+    result = acc
+    exponent >>= 1
+    while exponent:
+        acc = _res_matmul(acc, acc, ops)
+        if exponent & 1:
+            result = _res_matmul(result, acc, ops)
+        exponent >>= 1
     return result
 
 

@@ -74,18 +74,40 @@ class PeriodExceededError(Exception):
 
 
 def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: int):
-    """Stationary point of y -> y^(p^period) mod p^m, or None on a cycle."""
-    exponent = ctx.p**period
-    seen = {rows}
-    cur = rows
+    """Stationary point of y -> y^q mod p^m, q = p^period, or None on a cycle mod p.
+
+    The sigma phase takes sigma^period steps while X^q and X differ mod
+    p; the reductions mod p it visits are kept, so an orbit that cycles
+    mod p returns None.  Once X^q = X mod p, Newton's method on
+    f(X) = X^q - X finishes the limit: with E = X^(q-1) and a = q/(q-1)
+    mod p^m, aE - 1 inverts f'(X) = qE - 1 up to qa(E^2 - E), a multiple
+    of f(X), so X <- X^q - a(X^q E - X^q) doubles the digits of
+    agreement at each step.  Roots of X^q = X that agree mod p are unique
+    in the commutative algebra generated by the input (Hensel), so the
+    Newton limit is the sigma limit.  Each step of either phase costs one
+    _res_matpow call and counts against budget; after the sigma phase at
+    most ceil(log2 m) + 1 steps remain.
+    """
+    p, modulus = ctx.p, ctx.modulus
+    q = p**period
+    a = q * pow(q - 1, -1, modulus) % modulus
+    x = rows
+    reduction = _map_coords(x, lambda c: c % p)
+    seen = {reduction}
     for _ in range(budget):
-        nxt = _res_matpow(cur, exponent, ops)
-        if nxt == cur:
-            return cur
-        if nxt in seen:
-            return None
-        seen.add(nxt)
-        cur = nxt
+        power = _res_matpow(x, q - 1, ops)
+        xq = _res_matmul(power, x, ops)
+        if xq == x:
+            return x
+        xq_reduction = _map_coords(xq, lambda c: c % p)
+        if xq_reduction != reduction:
+            if xq_reduction in seen:
+                return None
+            seen.add(xq_reduction)
+            x, reduction = xq, xq_reduction
+            continue
+        correction = _res_sub(_res_matmul(xq, power, ops), xq, ops)
+        x = _res_sub(xq, _map_coords(correction, lambda c: a * c % modulus), ops)
     return None
 
 
@@ -301,6 +323,12 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     runs at doubled internal precision on the canonical representatives
     and reduces the digits back to precision m; this keeps every emitted
     digit exact mod p^m and the digits pairwise commuting mod p^m.
+
+    Each limit is a sigma phase (sigma^N steps until the tail is
+    stationary mod p, none for a tail that already is) followed by
+    Newton's method on X^(p^N) = X at precision 2m, so a digit costs
+    ceil(log2 2m) + 1 matrix powers past its sigma phase, each of
+    O(N log2 p) products of n x n matrices.
     """
     ctx = a.ctx
     k = a.valuation

@@ -18,7 +18,7 @@ from padicspec import (
     teichmuller_lift,
     teichmuller_lift_ext,
 )
-from padicspec.matrix import inverse
+from padicspec.matrix import _res_matpow, inverse
 
 
 # -- independent integer-matrix arithmetic (oracle side) ----------------------
@@ -255,6 +255,26 @@ def lagrange_oracle(rows, p: int, m: int, degree: int, period: int) -> list:
         if any(any(e) for row in proj for e in row):
             out.append((lam, proj))
     return out
+
+
+def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: int):
+    """Stationary point of y -> y^(p^period) mod p^m by plain iteration, or None.
+
+    One sigma^period step at a time from rows; None when an iterate
+    repeats without being stationary, or when budget steps run out.
+    """
+    exponent = ctx.p**period
+    seen = {rows}
+    cur = rows
+    for _ in range(budget):
+        nxt = _res_matpow(cur, exponent, ops)
+        if nxt == cur:
+            return cur
+        if nxt in seen:
+            return None
+        seen.add(nxt)
+        cur = nxt
+    return None
 
 
 # -- polynomials over F_p and F_q (oracle side) ------------------------------------

@@ -309,6 +309,20 @@ def test_rejections_are_shared_by_every_command(tmp_path):
         assert (status, text) == (1, expected), argv
 
 
+def test_hermite_rejects_unipotent_jordan_block_at_digit_one(tmp_path):
+    """I + N at p = 2, n = 32, m = 2: its sigma orbit is stationary mod 2 after
+    five steps, so the rejection names the nilpotent residue, not the orbit."""
+    n = 32
+    rows = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "jordan32.json", matrix_doc(2, 2, rows))
+    status, _, text = run(["hermite", "--in", path])
+    assert status == 1
+    assert text == (
+        '{\n  "error": {\n    "defect_norm": 1.0,\n    "kind": "not_hermite",\n'
+        '    "reason": "nilpotent residue at digit 1",\n    "stage": 1\n  }\n}\n'
+    )
+
+
 def test_period_exceeded_rejection(tmp_path):
     """The rotation x has x^3 = -x at p = 3, so its p-power orbit has period 2."""
     path = write(tmp_path, "rotation.json", matrix_doc(3, 4, [[0, 1], [-1, 0]]))

@@ -8,7 +8,14 @@ import pytest
 
 from helpers import irreducible_by_trial_division, monic_polys, ring_mul, roots_by_evaluation
 from padicspec import build_modulus, ext_ring, finite_field, fq_frobenius
-from padicspec.finite_field import is_irreducible, poly_mul, poly_roots
+from padicspec.finite_field import (
+    _ExtOps,
+    is_irreducible,
+    poly_add,
+    poly_divmod,
+    poly_mul,
+    poly_roots,
+)
 
 
 def test_modulus_degree_one_is_x():
@@ -151,6 +158,41 @@ def test_poly_roots_match_evaluation(p, degree):
         assert poly_roots(f, p**degree, degree, ops, iter(elements)) == expected, f
     assert poly_roots(repeated, p**degree, degree, ops, iter(elements)) == sorted([r, s])
     assert poly_roots(rootless, p**degree, degree, ops, iter(elements)) == []
+
+
+@pytest.mark.parametrize("p,degree", [(7, 2), (5, 3)])
+def test_monic_divisors_invert_no_lead(monkeypatch, p, degree):
+    """Division by a monic polynomial over F_{p^N} calls no inv_unit, and
+    root finding never inverts 1; a non-monic divisor still divides exactly."""
+    inverted = []
+    real = _ExtOps.inv_unit
+
+    def counting(self, a):
+        inverted.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(_ExtOps, "inv_unit", counting)
+    field = finite_field(p, degree)
+    ops = field.ops
+    elements = [a.coords for a in field.elements()]
+    rng = random.Random(p + degree)
+    f = [ops.one]
+    for root in rng.sample(elements, 4):
+        f = poly_mul(f, [ops.neg(root), ops.one], ops)
+    divisor = _random_monic(ops, elements, rng)
+    quo, rem = poly_divmod(f, divisor, ops)
+    assert inverted == []
+    assert poly_add(poly_mul(quo, divisor, ops), rem, ops) == f
+    c = elements[-1]
+    scaled = [ops.mul(c, x) for x in divisor]
+    quo_c, rem_c = poly_divmod(f, scaled, ops)
+    assert rem_c == rem and poly_mul(quo_c, [c], ops) == quo
+    assert inverted == [c]
+    inverted.clear()
+    assert poly_roots(f, p**degree, degree, ops, iter(elements)) == sorted(
+        roots_by_evaluation(f, p, field.modulus)
+    )
+    assert ops.one not in inverted
 
 
 @pytest.mark.parametrize("p,degree", [(3, 2), (2, 3)])

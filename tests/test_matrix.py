@@ -10,6 +10,7 @@ from helpers import (
     fq_cofactor_det,
     int_det,
     int_matmul,
+    int_matpow,
     rand_gl,
     rand_residue_matrix,
     ring_matmul,
@@ -29,7 +30,8 @@ from padicspec import (
     scalar_from_rational,
     vector_valuation,
 )
-from padicspec.matrix import _res_matmul, _rows_are_zero, inverse, residue_ops
+from padicspec import matrix
+from padicspec.matrix import _res_matmul, _res_matpow, _rows_are_zero, inverse, residue_ops
 
 CTX = PrecisionContext(3, 4)
 
@@ -424,6 +426,36 @@ def test_res_matmul_matches_ring_matmul_on_extension_rings(p, degree, n):
             a = _rand_rows(rng, n, q, degree)
             b = _rand_rows(rng, n, q, degree)
             assert _res_matmul(a, b, ops) == ring_matmul(a, b, ring.modulus, q)
+
+
+@pytest.mark.parametrize("p,m,n", [(2, 5, 3), (3, 4, 1), (211, 3, 3)])
+def test_res_matpow_matches_int_matpow(p, m, n):
+    ctx = PrecisionContext(p, m)
+    ops = residue_ops(ctx)
+    rng = random.Random(100 * p + n)
+    a = _rand_rows(rng, n, ctx.modulus)
+    for e in list(range(71)) + [211**2]:
+        got = _res_matpow(a, e, ops)
+        assert [list(row) for row in got] == int_matpow(a, e, ctx.modulus), e
+
+
+def test_res_matpow_product_count(monkeypatch):
+    """floor(log2 e) + popcount(e) - 1 products for e >= 1, none for e = 0."""
+    count = [0]
+    real = matrix._res_matmul
+
+    def counting(a, b, ops):
+        count[0] += 1
+        return real(a, b, ops)
+
+    monkeypatch.setattr(matrix, "_res_matmul", counting)
+    ctx = PrecisionContext(3, 4)
+    a = _rand_rows(random.Random(3), 2, ctx.modulus)
+    for e in list(range(71)) + [211**2]:
+        count[0] = 0
+        _res_matpow(a, e, residue_ops(ctx))
+        expected = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
+        assert count[0] == expected, e
 
 
 def test_rows_are_zero_on_ints_and_vectors():

@@ -18,6 +18,7 @@ from helpers import (
     rand_teich_diag,
     residues_of,
     sigma_fixed_points_oracle,
+    sigma_limit_oracle,
 )
 from padicspec import (
     INFINITE,
@@ -42,8 +43,9 @@ from padicspec import (
     teichmuller_spectral,
     uncertainty_check,
 )
-from padicspec.matrix import inverse
-from padicspec.spectral import _verify_measure
+from padicspec import spectral
+from padicspec.matrix import inverse, residue_ops
+from padicspec.spectral import _sigma_limit, _verify_measure
 CTX = PrecisionContext(3, 4)
 
 
@@ -349,6 +351,66 @@ def test_brute_force_oracle_sampled_dimension_three():
             dec = teichmuller_spectral(x, 1)
             vectors = [tuple(rng.randrange(q) for _ in range(3)) for _ in range(40)]
             _brute_eigen_check(residues_of(x), dec, ctx, 3, vectors)
+
+
+# -- sigma limits: sigma phase plus Newton, against plain iteration ----------------
+
+
+def _assert_sigma_limits_match_oracle(rng, trials, degree):
+    """Random rows over the degree-`degree` ring (ints for degree 1), periods 1-3.
+
+    Returns how many inputs had a limit and how many cycled mod p.
+    """
+    outcomes = {True: 0, False: 0}
+    for _ in range(trials):
+        p = rng.choice((2, 3, 5, 7))
+        m = rng.randrange(1, 9 if degree == 1 else 5)
+        n = rng.randrange(1, 5)
+        period = rng.randrange(1, 4)
+        ctx = PrecisionContext(p, m)
+        entries = [[rng.randrange(ctx.modulus) for _ in range(degree)] for _ in range(n * n)]
+        if degree == 1:
+            ops = residue_ops(ctx)
+            entries = [e[0] for e in entries]
+        else:
+            ops = residue_ops(ctx, ext_ring(p, degree, m))
+            entries = [tuple(e) for e in entries]
+        rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+        budget = ctx.budget(period)
+        got = _sigma_limit(rows, period, ctx, ops, budget)
+        assert got == sigma_limit_oracle(rows, period, ctx, ops, budget), (p, m, n, period)
+        outcomes[got is not None] += 1
+    return outcomes
+
+
+def test_sigma_limit_matches_oracle_on_base_inputs():
+    outcomes = _assert_sigma_limits_match_oracle(random.Random(71), 400, 1)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_sigma_limit_matches_oracle_on_ring_inputs(degree):
+    """Most random ring entries leave F_p, so their sigma^1 orbits cycle mod p."""
+    outcomes = _assert_sigma_limits_match_oracle(random.Random(72 + degree), 200, degree)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 8, 8), (211, 4, 16)])
+def test_hermite_digits_work_bound(monkeypatch, p, n, m):
+    """At most ceil(log2 2m) + 1 matrix powers per digit: m (ceil(log2 2m) + 1) in all."""
+    calls = [0]
+    real = spectral._res_matpow
+
+    def counting(a, exponent, ops):
+        calls[0] += 1
+        return real(a, exponent, ops)
+
+    monkeypatch.setattr(spectral, "_res_matpow", counting)
+    ctx = PrecisionContext(p, m)
+    a, _, _ = rand_hermite(ctx, n, random.Random(n))
+    expansion = hermite_digits_matrix(a, 1)
+    assert expansion.reassemble().congruent(a)
+    assert calls[0] <= m * ((2 * m - 1).bit_length() + 1)
 
 
 # -- digit expansions -----------------------------------------------------------------
