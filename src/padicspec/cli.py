@@ -1,5 +1,11 @@
 """Batch command line interface.
 
+One parser serves every command: `padicspec COMMAND [flags]`, where all
+commands share one flag set, a command ignores the flags it does not
+read, and flags may come before the command name.  lift and digits take
+p and m from --p/--m; every other command reads them from the problem
+file named by --in.
+
 Problem files are JSON documents.  Scalars are {"v": valuation, "u":
 "unit residue as a decimal string"}, with u = "0" denoting zero.
 Matrices are row-major arrays of scalars under "entries", with "p" and
@@ -10,9 +16,11 @@ only.
 
 Exit status: 0 on success, 1 on mathematical rejection (with a
 structured reason, including a norm that a double cannot hold), 2 on
-malformed input (with a diagnostic naming the offending field).  Output
-is byte-identical across runs for identical inputs; every randomised
-check takes an explicit seed and defaults to 0.
+malformed input (with a diagnostic naming the offending field, "out"
+for an --out path that cannot be written) and on an argv that does not
+parse (usage on stderr, nothing on stdout).  Output is byte-identical
+across runs for identical inputs; every randomised check takes an
+explicit seed and defaults to 0.
 """
 
 from __future__ import annotations
@@ -63,6 +71,7 @@ from .unramified import ExtScalar
 MAX_DIMENSION = 64
 MAX_PRECISION = 64
 MAX_SAMPLES = 1024
+MAX_PERIOD_BOUND = 64  # --N of classify and jordan
 MAX_UNIT_DIGITS = 4300  # CPython's default limit for int() of a decimal string
 
 
@@ -182,8 +191,8 @@ def _vector_from(doc: dict, ctx: PrecisionContext, fieldname: str, length: int) 
     )
 
 
-def _period_from(args, ctx: PrecisionContext, default=1) -> int:
-    period = args.N if args.N is not None else default
+def _period_from(args, doc: dict, ctx: PrecisionContext) -> int:
+    period = args.N if args.N is not None else doc.get("N", 1)
     if not isinstance(period, int) or isinstance(period, bool):
         raise SchemaError("N", "period must be an integer")
     if period < 1:
@@ -193,30 +202,40 @@ def _period_from(args, ctx: PrecisionContext, default=1) -> int:
     return period
 
 
+def _period_bound_from(args) -> int:
+    """--N of classify and jordan: the longest sigma-period searched for.
+
+    Their scan takes up to m*N + 4 + N sigma-steps, and jordan keeps every
+    iterate, so the bound is capped like n and m.
+    """
+    bound = args.N if args.N is not None else 8
+    if not 1 <= bound <= MAX_PERIOD_BOUND:
+        raise SchemaError("N", f"period bound must be in [1, {MAX_PERIOD_BOUND}]")
+    return bound
+
+
 def _samples_from(args) -> int:
     if not 1 <= args.samples <= MAX_SAMPLES:
         raise SchemaError("samples", f"sample count must be in [1, {MAX_SAMPLES}]")
     return args.samples
 
 
-# -- subcommands -------------------------------------------------------------------
+# -- commands ------------------------------------------------------------------------
+#
+# Each command takes the parsed flags, the problem document (None for the
+# flag-only commands lift and digits) and its precision context, and
+# returns the body of its answer; run_command adds "p" and "m".
 
 
-def _context_from_flags(args) -> PrecisionContext:
-    return _context_from({"p": _flag_int(args.p, "p"), "m": _flag_int(args.m, "m")})
-
-
-def _cmd_lift(args) -> dict:
-    ctx = _context_from_flags(args)
+def _cmd_lift(args, doc, ctx: PrecisionContext) -> dict:
     residue = _flag_int(args.residue, "residue")
     if not 0 <= residue < ctx.p:
         raise SchemaError("residue", f"must be in [0, {ctx.p})")
     value = teichmuller_lift(residue, ctx)
-    return {"p": ctx.p, "m": ctx.m, "residue": residue, "value": scalar_to_json(value)}
+    return {"residue": residue, "value": scalar_to_json(value)}
 
 
-def _cmd_digits(args) -> dict:
-    ctx = _context_from_flags(args)
+def _cmd_digits(args, doc, ctx: PrecisionContext) -> dict:
     num = _flag_int(args.num, "num")
     den = _flag_int(args.den, "den", default=1)
     if den == 0:
@@ -224,20 +243,14 @@ def _cmd_digits(args) -> dict:
     scalar = scalar_from_rational(num, den, ctx)
     expansion = teichmuller_digits(scalar)
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "value": scalar_to_json(scalar),
         "lead_valuation": expansion.lead_valuation,
         "digits": [scalar_to_json(d) for d in expansion.digits],
     }
 
 
-def _cmd_classify(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    bound = args.N if args.N is not None else 8
-    if bound < 1:
-        raise SchemaError("N", "period bound must be >= 1")
+def _cmd_classify(args, doc: dict, ctx: PrecisionContext) -> dict:
+    bound = _period_bound_from(args)
     if "entries" in doc:
         subject = _matrix_from(doc, ctx)
     elif "scalar" in doc:
@@ -248,12 +261,7 @@ def _cmd_classify(args) -> dict:
         report = classify_orbit(subject, bound)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
-    out = {
-        "p": ctx.p,
-        "m": ctx.m,
-        "kind": report.kind.value,
-        "steps": report.steps,
-    }
+    out = {"kind": report.kind.value, "steps": report.steps}
     if report.period is not None:
         out["period"] = report.period
     if report.limit is not None:
@@ -264,18 +272,14 @@ def _cmd_classify(args) -> dict:
     return out
 
 
-def _cmd_spectral(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    period = _period_from(args, ctx, default=doc.get("N", 1))
+def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
+    period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     try:
         decomposition = teichmuller_spectral(matrix, period)
     except ValueError as exc:
         raise MathRejection({"kind": "not_teichmuller", "reason": str(exc)})
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "period": decomposition.period,
         "residual_identity_defect": decomposition.residual_identity_defect,
         "points": [
@@ -285,18 +289,16 @@ def _cmd_spectral(args) -> dict:
     }
 
 
-def _measure_inputs(args):
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
+def _measure_inputs(args, doc: dict, ctx: PrecisionContext):
     depth = args.depth if args.depth is not None else doc.get("depth", ctx.m)
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= ctx.m:
         raise SchemaError("depth", f"depth must be an integer in [1, {ctx.m}]")
     matrix = _matrix_from(doc, ctx)
-    return ctx, matrix, spectral_measure(matrix, depth)
+    return matrix, spectral_measure(matrix, depth)
 
 
-def _cmd_measure(args) -> dict:
-    ctx, _, measure = _measure_inputs(args)
+def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
+    _, measure = _measure_inputs(args, doc, ctx)
     nodes = []
     for address, projector in measure.nodes:
         nodes.append(
@@ -306,22 +308,14 @@ def _cmd_measure(args) -> dict:
                 "projector": matrix_to_json(projector),
             }
         )
-    return {
-        "p": ctx.p,
-        "m": ctx.m,
-        "depth": measure.depth,
-        "lead_valuation": measure.lead_valuation,
-        "nodes": nodes,
-    }
+    return {"depth": measure.depth, "lead_valuation": measure.lead_valuation, "nodes": nodes}
 
 
-def _cmd_integral(args) -> dict:
-    ctx, matrix, measure = _measure_inputs(args)
+def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
+    matrix, measure = _measure_inputs(args, doc, ctx)
     identity_check, reconstruction = spectral_integral(measure)
     error = reconstruction - matrix
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "depth": measure.depth,
         "identity_check": matrix_to_json(identity_check),
         "reconstruction": matrix_to_json(reconstruction),
@@ -329,20 +323,14 @@ def _cmd_integral(args) -> dict:
     }
 
 
-def _cmd_jordan(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    bound = args.N if args.N is not None else 8
-    if bound < 1:
-        raise SchemaError("N", "period bound must be >= 1")
+def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
+    bound = _period_bound_from(args)
     matrix = _matrix_from(doc, ctx)
     try:
         pair = jordan_decompose(matrix, bound)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "semisimple": matrix_to_json(pair.semisimple),
         "nilpotent": matrix_to_json(pair.nilpotent),
         "period": pair.period,
@@ -350,30 +338,22 @@ def _cmd_jordan(args) -> dict:
     }
 
 
-def _cmd_hermite(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    period = _period_from(args, ctx, default=doc.get("N", 1))
+def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
+    period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     expansion = hermite_digits_matrix(matrix, period)
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "period": expansion.period,
         "lead_valuation": expansion.lead_valuation,
         "digits": [matrix_to_json(d) for d in expansion.digits],
     }
 
 
-def _cmd_diam(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    period = _period_from(args, ctx, default=doc.get("N", 1))
+def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
+    period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     report = spectrum_diameter(matrix, period)
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "period": report.period,
         "diameter": report.diameter,
         "diameter_valuation": valuation_to_json(report.diameter_valuation),
@@ -382,10 +362,8 @@ def _cmd_diam(args) -> dict:
     }
 
 
-def _cmd_uncertainty(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    period = _period_from(args, ctx, default=doc.get("N", 1))
+def _cmd_uncertainty(args, doc: dict, ctx: PrecisionContext) -> dict:
+    period = _period_from(args, doc, ctx)
     samples = _samples_from(args)
     a = _matrix_from(doc, ctx, "A")
     b = _matrix_from(doc, ctx, "B")
@@ -409,13 +387,7 @@ def _cmd_uncertainty(args) -> dict:
         }
         for psi, result in zip(vectors, results)
     ]
-    return {
-        "p": ctx.p,
-        "m": ctx.m,
-        "period": period,
-        "holds": all(r["holds"] for r in reports),
-        "checks": reports,
-    }
+    return {"period": period, "holds": all(r["holds"] for r in reports), "checks": reports}
 
 
 _LADDER_OPS = {
@@ -432,6 +404,12 @@ _TATE_OPS = {
     "derivative": tate_derivative,
 }
 
+# command -> (operation table, its name in diagnostics, the default --op)
+_LADDERS = {
+    "kochubei": (_LADDER_OPS, "ladder", "number"),
+    "euler": (_TATE_OPS, "Tate", "euler"),
+}
+
 
 def _coeff_vector(doc: dict, ctx: PrecisionContext) -> CoeffVector:
     raw = doc.get("coeffs")
@@ -443,39 +421,25 @@ def _coeff_vector(doc: dict, ctx: PrecisionContext) -> CoeffVector:
     return CoeffVector(ctx, coeffs)
 
 
-def _run_ladder(args, table: dict, label: str) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
-    op = table.get(args.op)
+def _cmd_ladder(args, doc: dict, ctx: PrecisionContext) -> dict:
+    table, label, default = _LADDERS[args.command]
+    name = args.op if args.op is not None else default
+    op = table.get(name)
     if op is None:
-        raise SchemaError("op", f"unknown {label} operation '{args.op}'")
+        raise SchemaError("op", f"unknown {label} operation '{name}'")
     result = op(_coeff_vector(doc, ctx))
     return {
-        "p": ctx.p,
-        "m": ctx.m,
-        "op": args.op,
+        "op": name,
         "coeffs": [scalar_to_json(c) for c in result.coeffs],
         "truncated": result.truncated,
     }
 
 
-def _cmd_kochubei(args) -> dict:
-    return _run_ladder(args, _LADDER_OPS, "ladder")
-
-
-def _cmd_euler(args) -> dict:
-    return _run_ladder(args, _TATE_OPS, "Tate")
-
-
-def _cmd_certify(args) -> dict:
-    doc = _load_document(args.infile)
-    ctx = _context_from(doc)
+def _cmd_certify(args, doc: dict, ctx: PrecisionContext) -> dict:
     samples = _samples_from(args)
     matrix = _matrix_from(doc, ctx)
     cert = certify_orthogonal_projection(matrix, samples=samples, seed=args.seed)
     return {
-        "p": ctx.p,
-        "m": ctx.m,
         "idempotency_defect": cert.idempotency_defect,
         "norm_of_pi": cert.norm_of_pi,
         "max_decomposition_checked": cert.max_decomposition_checked,
@@ -506,52 +470,68 @@ _COMMANDS = {
     "hermite": _cmd_hermite,
     "diam": _cmd_diam,
     "uncertainty": _cmd_uncertainty,
-    "kochubei": _cmd_kochubei,
-    "euler": _cmd_euler,
+    "kochubei": _cmd_ladder,
+    "euler": _cmd_ladder,
     "certify-projection": _cmd_certify,
 }
 
+_FLAG_COMMANDS = ("lift", "digits")  # read p and m from --p/--m, not from a file
+
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One parser for every command: each reads the flags it needs."""
     parser = argparse.ArgumentParser(
         prog="padicspec",
         description="Batch interface to the p-adic spectral engine.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--in", dest="infile", help="JSON problem file")
-        cmd.add_argument("--p", type=int)
-        cmd.add_argument("--m", type=int)
-        cmd.add_argument("--N", type=int)
-        cmd.add_argument("--depth", type=int)
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--samples", type=int, default=10)
-        cmd.add_argument("--out", dest="outfile")
-        cmd.add_argument("--residue", type=int)
-        cmd.add_argument("--num", type=int)
-        cmd.add_argument("--den", type=int)
-        cmd.add_argument("--op", default={"kochubei": "number", "euler": "euler"}.get(name))
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--in", dest="infile", help="JSON problem file")
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--m", type=int)
+    parser.add_argument("--N", type=int)
+    parser.add_argument("--depth", type=int)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=10)
+    parser.add_argument("--out", dest="outfile")
+    parser.add_argument("--residue", type=int)
+    parser.add_argument("--num", type=int)
+    parser.add_argument("--den", type=int)
+    parser.add_argument("--op")
     return parser
 
 
+def _malformed(exc: SchemaError) -> dict:
+    return {"error": {"kind": "malformed_input", "field": exc.fieldname, "reason": str(exc)}}
+
+
+def _dump(document: dict) -> str:
+    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+
+
 def run_command(argv: Sequence[str], stream=None) -> int:
-    """Parse argv, run one subcommand, emit a JSON document.
+    """Parse argv, run one command, emit a JSON document.
 
     Returns the process exit status; the document goes to --out or the
-    given stream (stdout by default).
+    given stream (stdout by default).  An --out path that cannot be
+    written sends a malformed-input document on field "out" to the
+    stream instead, with exit status 2.
     """
     stream = stream or sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        document = _COMMANDS[args.command](args)
+        if args.command in _FLAG_COMMANDS:
+            doc = None
+            ctx = _context_from({"p": _flag_int(args.p, "p"), "m": _flag_int(args.m, "m")})
+        else:
+            doc = _load_document(args.infile)
+            ctx = _context_from(doc)
+        document = {"p": ctx.p, "m": ctx.m, **_COMMANDS[args.command](args, doc, ctx)}
         status = 0
     except SchemaError as exc:
-        document = {"error": {"kind": "malformed_input", "field": exc.fieldname, "reason": str(exc)}}
+        document = _malformed(exc)
         status = 2
     except MathRejection as exc:
         document = {"error": exc.reason}
@@ -568,12 +548,15 @@ def run_command(argv: Sequence[str], stream=None) -> int:
         document = {"error": {"kind": "norm_out_of_range", "p": exc.p,
                               "valuation": exc.valuation, "reason": str(exc)}}
         status = 1
-    payload = json.dumps(document, sort_keys=True, indent=2) + "\n"
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        stream.write(payload)
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as handle:
+                handle.write(_dump(document))
+            return status
+        except OSError as exc:
+            document = _malformed(SchemaError("out", f"cannot write file: {exc}"))
+            status = 2
+    stream.write(_dump(document))
     return status
 
 

@@ -414,10 +414,8 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     frontier = None  # (address, projector, its residues) per node of the last level
     for level in range(depth):
         resolution = teichmuller_spectral(expansion.digits[level], 1)
-        terms = sorted(
-            ((lam.residue() % ctx.p, proj, proj.residues()) for lam, proj in resolution.points),
-            key=lambda term: term[0],
-        )
+        # the points come ascending by residue mod p, so each level is in address order
+        terms = [(lam.residue() % ctx.p, proj, proj.residues()) for lam, proj in resolution.points]
         if frontier is None:
             frontier = [((idx,), proj, rows) for idx, proj, rows in terms]
         else:

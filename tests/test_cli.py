@@ -485,3 +485,78 @@ def test_oversized_json_number_is_malformed(tmp_path):
     assert status == 2
     assert out["error"]["field"] == "in"
     assert out["error"]["reason"].startswith("field 'in': invalid JSON: ")
+
+
+def test_unwritable_out_is_malformed(tmp_path):
+    target = tmp_path / "missing-dir" / "x.json"
+    status, doc, _ = run(["lift", "--p", "5", "--m", "3", "--residue", "2", "--out", str(target)])
+    assert status == 2
+    assert doc["error"]["kind"] == "malformed_input"
+    assert doc["error"]["field"] == "out"
+    assert doc["error"]["reason"].startswith("field 'out': cannot write file: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize("command", ["classify", "jordan"])
+@pytest.mark.parametrize("bound,status", [(0, 2), (1, 0), (64, 0), (65, 2)])
+def test_period_bound_is_capped(tmp_path, command, bound, status):
+    path = write(tmp_path, "ident.json", matrix_doc(3, 4, [[1, 0], [0, 1]]))
+    got, doc, _ = run([command, "--in", path, "--N", str(bound)])
+    assert got == status
+    if status == 2:
+        assert doc["error"] == {"kind": "malformed_input", "field": "N",
+                                "reason": "field 'N': period bound must be in [1, 64]"}
+    else:
+        assert doc["period"] == 1
+
+
+def test_period_sixty_fits_under_the_cap(tmp_path):
+    """Companion blocks of x^3+x+1, x^4+x+1 and x^5+x^2+1 at p = 2: period lcm(3, 4, 5)."""
+    rows = [[0] * 12 for _ in range(12)]
+    offset = 0
+    for low in ([1, 1, 0], [1, 1, 0, 0], [1, 0, 1, 0, 0]):
+        d = len(low)
+        for i in range(d):
+            if i:
+                rows[offset + i][offset + i - 1] = 1
+            rows[offset + i][offset + d - 1] = low[i]
+        offset += d
+    path = write(tmp_path, "blocks.json", matrix_doc(2, 2, rows))
+    status, doc, _ = run(["jordan", "--in", path, "--N", "59"])
+    assert (status, doc["error"]["kind"]) == (1, "period_exceeded")
+    status, doc, _ = run(["jordan", "--in", path, "--N", "60"])
+    assert (status, doc["period"]) == (0, 60)
+
+
+@pytest.mark.parametrize("argv", [["nope"], ["lift", "--p", "5", "--bogus", "1"], []])
+def test_argv_errors_exit_two_with_nothing_on_the_stream(argv):
+    assert run(argv) == (2, None, "")
+
+
+@pytest.mark.parametrize("command,default", [("kochubei", "number"), ("euler", "euler")])
+def test_ladder_op_defaults(tmp_path, command, default):
+    doc = {"p": 3, "m": 4, "coeffs": [{"v": 0, "u": "1"}, {"v": 0, "u": "2"}, {"v": 1, "u": "1"}]}
+    path = write(tmp_path, "coeffs.json", doc)
+    status, out, text = run([command, "--in", path])
+    assert (status, out["op"]) == (0, default)
+    assert text == run([command, "--in", path, "--op", default])[2]
+
+
+def test_flags_may_come_before_the_command(tmp_path):
+    path = write(tmp_path, "diag.json", matrix_doc(3, 4, [[1, 0], [0, 4]]))
+    assert run(["--in", path, "--depth", "2", "measure"]) == run(["measure", "--in", path, "--depth", "2"])
+    assert run(["--p", "5", "--m", "3", "lift", "--residue", "2"])[0] == 0
+
+
+def test_module_entry_point_refusals_print_no_traceback(tmp_path):
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    problem = write(tmp_path, "ident.json", matrix_doc(3, 4, [[1, 0], [0, 1]]))
+    for argv in (["lift", "--p", "5", "--m", "3", "--residue", "2",
+                  "--out", str(tmp_path / "missing-dir" / "x.json")],
+                 ["nope"],
+                 ["classify", "--in", problem, "--N", "65"]):
+        proc = subprocess.run([sys.executable, "-m", "padicspec.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv

@@ -247,6 +247,12 @@ def test_resolution_matches_full_lagrange_base_period_one(p):
     for _ in range(3):
         x = conjugate(rand_gl(ctx, 3, rng), diag_matrix(ctx, rand_teich_diag(ctx, 3, rng)))
         _assert_matches_oracle(x, 1, 1)
+    # eigenvalues listed in descending order still come out ascending by
+    # residue mod p, the address order spectral_measure relies on
+    residues = (p - 1, p // 2, 0)
+    x = diag_matrix(ctx, [teichmuller_lift(r, ctx).residue() for r in residues])
+    dec = _assert_matches_oracle(x, 1, 1)
+    assert [lam.residue() % p for lam in dec.eigenvalues] == sorted(set(residues))
 
 
 @pytest.mark.parametrize("p,period", [(3, 2), (5, 2), (2, 3), (3, 3)])
