@@ -17,8 +17,9 @@ only.
 Exit status: 0 on success, 1 on mathematical rejection (with a
 structured reason, including a norm that a double cannot hold), 2 on
 malformed input (with a diagnostic naming the offending field, "out"
-for an --out path that cannot be written) and on an argv that does not
-parse (usage on stderr, nothing on stdout).  Output is byte-identical
+for an --out path that cannot be written, "argv" for an argv that does
+not parse).  -h/--help exits 0 with {"help": usage text}; the CLI
+prints nothing but its one document.  Output is byte-identical
 across runs for identical inputs; every randomised check takes an
 explicit seed and defaults to 0.
 """
@@ -478,11 +479,27 @@ _COMMANDS = {
 _FLAG_COMMANDS = ("lift", "digits")  # read p and m from --p/--m, not from a file
 
 
+class _HelpRequested(Exception):
+    """-h/--help was given; the exception text is the parser's help."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises where argparse would print and exit."""
+
+    def error(self, message):
+        raise SchemaError("argv", message)
+
+    def print_help(self, file=None):
+        raise _HelpRequested(self.format_help())
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One parser for every command: each reads the flags it needs."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="padicspec",
         description="Batch interface to the p-adic spectral engine.",
+        # a fixed width keeps the help document independent of the terminal
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--in", dest="infile", help="JSON problem file")
@@ -514,13 +531,19 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     Returns the process exit status; the document goes to --out or the
     given stream (stdout by default).  An --out path that cannot be
     written sends a malformed-input document on field "out" to the
-    stream instead, with exit status 2.
+    stream instead, with exit status 2.  An argv that does not parse
+    sends one on field "argv" (exit 2), and -h/--help sends
+    {"help": usage text} (exit 0); nothing else is printed.
     """
     stream = stream or sys.stdout
     try:
         args = _build_parser().parse_args(list(argv))
-    except SystemExit as exc:
-        return 2 if exc.code else 0
+    except _HelpRequested as exc:
+        stream.write(_dump({"help": str(exc)}))
+        return 0
+    except SchemaError as exc:
+        stream.write(_dump(_malformed(exc)))
+        return 2
     try:
         if args.command in _FLAG_COMMANDS:
             doc = None

@@ -8,18 +8,19 @@ are exactly the orthonormal bases of Q_p^n, and idempotents of norm 1
 are exactly the orthogonal projections.
 
 Entries are PadicScalar or ExtScalar, which share one scalar protocol
-(arithmetic, shift by p^k, residue_key); ext_ring names the extension
-ring, or is None over Z_p.  Window computations (everything that only
-matters mod p^m) run on plain residue representatives for speed, with
-the entry arithmetic that residue_ops picks: padic._BaseOps on ints
-over Z/p^m, or the extension ring's ops (finite_field._ExtOps) on
-coordinate vectors.  This module defines no arithmetic of its own.
+(arithmetic, dot, shift by p^k, residue_key); ext_ring names the
+extension ring, or is None over Z_p.  Scalar arithmetic, the dot
+product of the object-level matmul and apply included, lives with the
+scalars.  Window computations (everything that only matters mod p^m)
+run on plain residue representatives for speed, with the entry
+arithmetic that residue_ops picks: padic._BaseOps on ints over Z/p^m,
+or the extension ring's ops (finite_field._ExtOps) on coordinate
+vectors.  This module defines no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -147,8 +148,9 @@ class UMatrix:
 
     def __mul__(self, other: "UMatrix") -> "UMatrix":
         self._check(other)
+        dot = self.rows[0][0].dot
         cols = tuple(zip(*other.rows))
-        return UMatrix(tuple(tuple(_dot(row, col) for col in cols) for row in self.rows))
+        return UMatrix(tuple(tuple(dot(row, col) for col in cols) for row in self.rows))
 
     def scale(self, c: Scalar) -> "UMatrix":
         return UMatrix(tuple(tuple(c * a for a in row) for row in self.rows))
@@ -160,7 +162,8 @@ class UMatrix:
     def apply(self, vector: Sequence[Scalar]) -> tuple:
         if len(vector) != self.n:
             raise ValueError("vector length mismatch")
-        return tuple(_dot(row, vector) for row in self.rows)
+        dot = self.rows[0][0].dot
+        return tuple(dot(row, vector) for row in self.rows)
 
     def _check(self, other: "UMatrix"):
         if self.n != other.n:
@@ -263,11 +266,6 @@ def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
             result = _res_matmul(result, acc, ops)
         exponent >>= 1
     return result
-
-
-def _dot(xs: Sequence[Scalar], ys: Sequence[Scalar]) -> Scalar:
-    """Object-level dot product, accumulated from the first product on."""
-    return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
 
 def _entry_maker(like: UMatrix):

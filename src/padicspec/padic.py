@@ -28,7 +28,7 @@ import math
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
 INFINITE = math.inf
 
@@ -268,15 +268,36 @@ class PadicScalar:
             return other
         if other.is_zero:
             return self
-        base = min(self.valuation, other.valuation)
-        total = self.unit * self.ctx.p ** (self.valuation - base) + other.unit * self.ctx.p ** (
-            other.valuation - base
-        )
-        t = int_valuation(total, self.ctx.p)
-        if t >= self.ctx.m:
-            # cancellation beyond the m-digit window
-            return PadicScalar.zero(self.ctx)
-        return PadicScalar(self.ctx, base + t, (total // self.ctx.p**t) % self.ctx.modulus)
+        v, u = _add_units(self.ctx, self.valuation, self.unit, other.valuation, other.unit)
+        return PadicScalar(self.ctx, v, u)
+
+    @staticmethod
+    def dot(xs: Sequence["PadicScalar"], ys: Sequence["PadicScalar"]) -> "PadicScalar":
+        """sum_i xs[i] * ys[i], added from the left exactly as reduce(+, map(*)) adds it.
+
+        Truncation to m digits makes the sum depend on its order, so the
+        products are added one by one, left to right, on (valuation, unit)
+        ints; only the result is built as a scalar.  The sum starts from
+        the zero sentinel, which the first product replaces unchanged.
+        """
+        first = xs[0]
+        ctx = first.ctx
+        modulus = ctx.modulus
+        v, u = INFINITE, 0
+        for x, y in zip(xs, ys):
+            if x.ctx is not ctx or y.ctx is not ctx:
+                first._check_ctx(x)
+                first._check_ctx(y)
+            xu = x.unit
+            yu = y.unit
+            if xu and yu:
+                tv = x.valuation + y.valuation
+                tu = xu * yu % modulus
+                if u:
+                    v, u = _add_units(ctx, v, u, tv, tu)
+                else:
+                    v, u = tv, tu
+        return PadicScalar(ctx, v, u)
 
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:
@@ -332,6 +353,27 @@ class PadicScalar:
 
     def residue_key(self) -> int:
         return self.residue()
+
+
+def _add_units(ctx: PrecisionContext, v1: int, u1: int, v2: int, u2: int) -> tuple:
+    """p^v1 u1 + p^v2 u2 for two nonzero scalars, as a (valuation, unit) pair.
+
+    The exact sum is formed at the common base valuation and stripped of
+    its factors of p; when they reach the m-digit window the sum is zero
+    at precision, (INFINITE, 0), otherwise its unit keeps m digits.
+    """
+    p = ctx.p
+    if v1 <= v2:
+        base, total = v1, u1 + u2 * p ** (v2 - v1)
+    else:
+        base, total = v2, u2 + u1 * p ** (v1 - v2)
+    if total % p:
+        return base, total % ctx.modulus
+    t = int_valuation(total, p)
+    if t >= ctx.m:
+        # cancellation beyond the m-digit window
+        return INFINITE, 0
+    return base + t, (total // p**t) % ctx.modulus
 
 
 def scalar_from_rational(numerator: int, denominator: int, ctx: PrecisionContext) -> PadicScalar:

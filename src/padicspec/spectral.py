@@ -401,7 +401,10 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
 
     Every candidate child is tested for zero on residues mod p^m; only
     the survivors are formed as scalar-level products, whose entries
-    keep m digits past their own valuation.
+    keep m digits past their own valuation.  Those products keep the
+    object semantics of PadicScalar addition (each partial sum truncated
+    to m digits, left to right) but run on (valuation, unit) ints in
+    PadicScalar.dot.
     """
     ctx = a.ctx
     if a.ext_ring is not None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +117,11 @@ class ExtScalar:
     def __sub__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
         return ExtScalar.from_vector(self.ring, self.ring.ops.sub(self.vector(), other.vector()))
+
+    @staticmethod
+    def dot(xs: Sequence["ExtScalar"], ys: Sequence["ExtScalar"]) -> "ExtScalar":
+        """sum_i xs[i] * ys[i] as scalar objects, accumulated from the first product on."""
+        return functools.reduce(operator.add, map(operator.mul, xs, ys))
 
     def __neg__(self) -> "ExtScalar":
         return ExtScalar.from_vector(self.ring, self.ring.ops.neg(self.vector()))

@@ -6,6 +6,7 @@ machinery so they can serve as independent cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -133,6 +134,86 @@ def rand_poly_in(a: UMatrix, rng: random.Random, degree: int = 2) -> UMatrix:
 
 def residues_of(a: UMatrix):
     return [[e.residue() for e in row] for row in a.rows]
+
+
+# -- object-level p-adic products (oracle side) ----------------------------------
+
+
+def _padic_add_oracle(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    """The relative-precision sum, computed on the scalar objects themselves."""
+    if a.ctx != b.ctx:
+        raise ValueError("mixed precision contexts")
+    if a.is_zero:
+        return b
+    if b.is_zero:
+        return a
+    p = a.ctx.p
+    base = min(a.valuation, b.valuation)
+    total = a.unit * p ** (a.valuation - base) + b.unit * p ** (b.valuation - base)
+    t = 0
+    while total % p == 0:
+        total //= p
+        t += 1
+    if t >= a.ctx.m:
+        return PadicScalar.zero(a.ctx)
+    return PadicScalar(a.ctx, base + t, total % a.ctx.modulus)
+
+
+def _padic_mul_oracle(a: PadicScalar, b: PadicScalar) -> PadicScalar:
+    if a.ctx != b.ctx:
+        raise ValueError("mixed precision contexts")
+    if a.is_zero or b.is_zero:
+        return PadicScalar.zero(a.ctx)
+    return PadicScalar(a.ctx, a.valuation + b.valuation, (a.unit * b.unit) % a.ctx.modulus)
+
+
+def padic_dot_oracle(xs, ys) -> PadicScalar:
+    """Object-level dot product, accumulated from the first product on."""
+    return functools.reduce(_padic_add_oracle, map(_padic_mul_oracle, xs, ys))
+
+
+def rand_padic_scalar(ctx: PrecisionContext, rng: random.Random, zero_frac: float, low: int):
+    """A zero sentinel with probability zero_frac, else a valuation in [low, m] and a random unit."""
+    if rng.random() < zero_frac:
+        return PadicScalar.zero(ctx)
+    unit = rng.randrange(1, ctx.modulus)
+    while unit % ctx.p == 0:
+        unit = rng.randrange(1, ctx.modulus)
+    return PadicScalar(ctx, rng.randrange(low, ctx.m + 1), unit)
+
+
+def cancelling_partner(y: PadicScalar, depth: int, rng: random.Random) -> PadicScalar:
+    """A scalar z of y's valuation with y + z of relative valuation depth (zero once depth >= m).
+
+    Requires y nonzero; x * y + x * z then cancels to the same depth.
+    """
+    ctx = y.ctx
+    unit = ctx.modulus - y.unit
+    if depth < ctx.m:
+        unit = (unit + ctx.p**depth * rng.randrange(1, ctx.modulus, ctx.p)) % ctx.modulus
+    return PadicScalar(ctx, y.valuation, unit)
+
+
+def plant_cancellations(rows, cols, count: int, rng: random.Random):
+    """Make up to count dot products rows[i] . cols[j] cancel, exactly or to a random depth.
+
+    Each plant copies rows[i][k1] to rows[i][k2] and makes cols[j][k2] a
+    cancelling partner of cols[j][k1], so those two products cancel to a
+    depth of 1..m digits (m: past the window).  The lists are edited in place.
+    """
+    n = len(rows[0])
+    for _ in range(count if n > 1 else 0):
+        i, j = rng.randrange(len(rows)), rng.randrange(len(cols))
+        k1, k2 = rng.sample(range(n), 2)
+        y = cols[j][k1]
+        if not y.is_zero:
+            rows[i][k2] = rows[i][k1]
+            cols[j][k2] = cancelling_partner(y, rng.randint(1, y.ctx.m), rng)
+
+
+def padic_matmul_oracle(a: UMatrix, b: UMatrix) -> UMatrix:
+    cols = tuple(zip(*b.rows))
+    return UMatrix(tuple(tuple(padic_dot_oracle(row, col) for col in cols) for row in a.rows))
 
 
 # -- primality, fixed fields and Lagrange resolution (oracle side) ---------------

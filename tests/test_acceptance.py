@@ -171,7 +171,7 @@ def test_measure_at_dimension_sixteen():
     """The full-depth measure tree of a 16 x 16 Hermite operator at p = 3, m = 8."""
     ctx = PrecisionContext(3, 8)
     a, _, _ = rand_hermite(ctx, 16, random.Random(116))
-    with criterion("measure-n16", 8.0):
+    with criterion("measure-n16", 2.0):
         measure = spectral_measure(a, 8)
         identity_check, reconstruction = spectral_integral(measure)
         assert identity_check.congruent(UMatrix.identity(16, ctx))

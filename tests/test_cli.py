@@ -1,5 +1,6 @@
 """Batch interface: schemas, exit codes, determinism, round trips."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -528,9 +529,38 @@ def test_period_sixty_fits_under_the_cap(tmp_path):
     assert (status, doc["period"]) == (0, 60)
 
 
-@pytest.mark.parametrize("argv", [["nope"], ["lift", "--p", "5", "--bogus", "1"], []])
-def test_argv_errors_exit_two_with_nothing_on_the_stream(argv):
-    assert run(argv) == (2, None, "")
+def run_silently(argv):
+    """run() that also returns whatever reached the process's stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        result = run(argv)
+    return result, out.getvalue() + err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv,reason",
+    [
+        (["nope"], "argument command: invalid choice: 'nope'"),
+        (["lift", "--p", "5", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+        (["lift", "--p", "x"], "argument --p: invalid int value: 'x'"),
+    ],
+    ids=["unknown-command", "unknown-flag", "no-command", "flag-not-an-int"],
+)
+def test_argv_errors_exit_two_with_a_document(argv, reason):
+    (status, doc, _), printed = run_silently(argv)
+    assert (status, printed) == (2, "")
+    assert doc["error"]["kind"] == "malformed_input"
+    assert doc["error"]["field"] == "argv"
+    assert doc["error"]["reason"].startswith(f"field 'argv': {reason}")
+
+
+@pytest.mark.parametrize("argv", [["lift", "-h"], ["--help"], ["measure", "--in", "x.json", "-h"]])
+def test_help_is_a_document(argv):
+    (status, doc, _), printed = run_silently(argv)
+    assert (status, printed, list(doc)) == (0, "", ["help"])
+    assert doc["help"].startswith("usage: padicspec [-h]")
+    assert "--samples SAMPLES" in doc["help"]
 
 
 @pytest.mark.parametrize("command,default", [("kochubei", "number"), ("euler", "euler")])

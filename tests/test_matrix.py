@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conjugate,
@@ -11,7 +13,11 @@ from helpers import (
     int_det,
     int_matmul,
     int_matpow,
+    padic_dot_oracle,
+    padic_matmul_oracle,
+    plant_cancellations,
     rand_gl,
+    rand_padic_scalar,
     rand_residue_matrix,
     ring_matmul,
 )
@@ -484,3 +490,31 @@ def test_shift_of_extension_matrix_matches_scaling(degree):
     )
     with pytest.raises(ValueError):
         a.scale(ring.embed(3)).shift(-2)
+
+
+# -- object-level products against the dot oracle ------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 211]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 16),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    low=st.integers(-4, 0),
+    plants=st.integers(0, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, m=8, n=16, zero_frac=0.3, low=-2, plants=40, seed=0)
+@example(p=2, m=1, n=16, zero_frac=0.0, low=0, plants=0, seed=1)
+def test_object_products_match_the_dot_oracle(p, m, n, zero_frac, low, plants, seed):
+    """UMatrix.__mul__ and UMatrix.apply give the object reduce's entries, byte for byte."""
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(seed)
+    rows = [[rand_padic_scalar(ctx, rng, zero_frac, low) for _ in range(n)] for _ in range(n)]
+    cols = [[rand_padic_scalar(ctx, rng, zero_frac, low) for _ in range(n)] for _ in range(n)]
+    plant_cancellations(rows, cols, plants, rng)
+    a = UMatrix.from_scalars(rows)
+    b = UMatrix.from_scalars(list(zip(*cols)))
+    assert a * b == padic_matmul_oracle(a, b)
+    assert a.apply(cols[0]) == tuple(padic_dot_oracle(row, cols[0]) for row in rows)

@@ -1,9 +1,11 @@
 """Scalar arithmetic, multiplicative lifts, digit expansions, orbit scans."""
 
+import functools
 import math
+import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicspec import (
@@ -22,7 +24,12 @@ from padicspec import (
 )
 from padicspec.padic import PRIMALITY_LIMIT, is_prime
 
-from helpers import trial_division_is_prime
+from helpers import (
+    padic_dot_oracle,
+    plant_cancellations,
+    rand_padic_scalar,
+    trial_division_is_prime,
+)
 
 CTX34 = PrecisionContext(3, 4)
 CTX52 = PrecisionContext(5, 2)
@@ -336,3 +343,50 @@ def test_norm_from_valuation_refuses_overflow_and_underflow(p, v):
     assert (info.value.p, info.value.valuation) == (p, v)
     with pytest.raises(NormOutOfRangeError):
         PadicScalar(PrecisionContext(p, 2), v, 1).norm
+
+
+# -- the fused dot product ----------------------------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 211]),
+    m=st.integers(1, 8),
+    n=st.integers(1, 16),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    low=st.integers(-4, 0),
+    plants=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, m=8, n=16, zero_frac=0.3, low=-2, plants=6, seed=0)
+@example(p=2, m=1, n=16, zero_frac=0.0, low=0, plants=0, seed=1)
+def test_dot_matches_the_object_reduce(p, m, n, zero_frac, low, plants, seed):
+    """Zero sentinels, negative and mixed valuations, sums that cancel past the window."""
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(seed)
+    xs = [rand_padic_scalar(ctx, rng, zero_frac, low) for _ in range(n)]
+    ys = [rand_padic_scalar(ctx, rng, zero_frac, low) for _ in range(n)]
+    plant_cancellations([xs], [ys], plants, rng)
+    assert PadicScalar.dot(xs, ys) == padic_dot_oracle(xs, ys)
+
+
+def test_dot_adds_from_the_left():
+    """1 + 9 drops the 9 from a 2-digit unit, so 1 + 9 + 8 is zero while 1 + 8 + 9 is 9."""
+    ctx = PrecisionContext(3, 2)
+    ones = [PadicScalar.one(ctx)] * 3
+    one, nine, eight = PadicScalar.one(ctx), PadicScalar(ctx, 2, 1), PadicScalar(ctx, 0, 8)
+    for terms, total in (([one, nine, eight], PadicScalar.zero(ctx)), ([one, eight, nine], nine)):
+        assert PadicScalar.dot(ones, terms) == total == padic_dot_oracle(ones, terms)
+        assert functools.reduce(PadicScalar.__add__, terms) == total
+
+
+def test_dot_checks_contexts_like_the_product():
+    twin = PrecisionContext(3, 4)
+    xs = [PadicScalar.one(CTX34), PadicScalar.zero(twin)]
+    ys = [PadicScalar(twin, -1, 2), PadicScalar(CTX34, 2, 5)]
+    assert PadicScalar.dot(xs, ys) == padic_dot_oracle(xs, ys) == PadicScalar(CTX34, -1, 2)
+    for other in (PadicScalar.zero(CTX53), PadicScalar.one(PrecisionContext(3, 5))):
+        with pytest.raises(ValueError, match="mixed precision contexts"):
+            PadicScalar.dot(xs, ys[:1] + [other])
+        with pytest.raises(ValueError, match="mixed precision contexts"):
+            padic_dot_oracle(xs, ys[:1] + [other])
