@@ -34,7 +34,6 @@ from .matrix import (
     is_orthonormal_columns,
     sample_unit_vector,
     sample_vector,
-    vector_norm,
     vector_valuation,
 )
 from .padic import (

@@ -227,14 +227,16 @@ class _ExtOps:
         return tuple(out)
 
     def pow(self, a, exponent: int):
-        result = self.one
-        acc = tuple(a)
+        """a^exponent by binary powering, from the lowest set bit, no square past the top bit."""
+        result = None
+        acc = tuple(c % self.q for c in a)
         while exponent:
             if exponent & 1:
-                result = self.mul(result, acc)
-            acc = self.mul(acc, acc)
+                result = acc if result is None else self.mul(result, acc)
             exponent >>= 1
-        return result
+            if exponent:
+                acc = self.mul(acc, acc)
+        return self.one if result is None else result
 
     def dot(self, xs, ys):
         acc = self.zero

@@ -389,42 +389,31 @@ def vector_valuation(vector: Sequence[Scalar]):
     return min((v.valuation for v in vector), default=INFINITE)
 
 
-def vector_norm(vector: Sequence[Scalar], ctx: PrecisionContext) -> float:
-    return norm_from_valuation(ctx.p, vector_valuation(vector))
-
-
 def sample_vector(
-    ctx: PrecisionContext,
-    n: int,
-    rng: random.Random,
-    unit_norm: bool = False,
-    ring: Optional[ExtRing] = None,
+    ctx: PrecisionContext, n: int, rng: random.Random, ring: Optional[ExtRing] = None
 ) -> tuple:
     """Random vector with entry valuations spanning 0..m-1.
 
-    With unit_norm=True, resample until some coordinate is a unit, so the
-    sup norm is exactly 1.  Passing an extension ring draws the entries
-    there instead (integral coordinates).
+    Passing an extension ring draws the entries there instead (integral
+    coordinates).  sample_unit_vector is the sampler of sup norm 1.
     """
-    while True:
-        entries = []
-        for _ in range(n):
-            v = rng.randrange(ctx.m + 1)
-            if v >= ctx.m:
-                entries.append(ring.zero() if ring else PadicScalar.zero(ctx))
-            elif ring is not None:
+    entries = []
+    for _ in range(n):
+        v = rng.randrange(ctx.m + 1)
+        if v >= ctx.m:
+            entries.append(ring.zero() if ring else PadicScalar.zero(ctx))
+        elif ring is not None:
+            coords = [rng.randrange(ctx.modulus) for _ in range(ring.degree)]
+            while all(c % ctx.p == 0 for c in coords):
                 coords = [rng.randrange(ctx.modulus) for _ in range(ring.degree)]
-                while all(c % ctx.p == 0 for c in coords):
-                    coords = [rng.randrange(ctx.modulus) for _ in range(ring.degree)]
-                scale = ctx.p**v
-                entries.append(ring.element([c * scale for c in coords]))
-            else:
+            scale = ctx.p**v
+            entries.append(ring.element([c * scale for c in coords]))
+        else:
+            unit = rng.randrange(1, ctx.modulus)
+            while unit % ctx.p == 0:
                 unit = rng.randrange(1, ctx.modulus)
-                while unit % ctx.p == 0:
-                    unit = rng.randrange(1, ctx.modulus)
-                entries.append(PadicScalar(ctx, v, unit))
-        if not unit_norm or vector_valuation(entries) == 0:
-            return tuple(entries)
+            entries.append(PadicScalar(ctx, v, unit))
+    return tuple(entries)
 
 
 def sample_unit_vector(ctx: PrecisionContext, n: int, rng: random.Random) -> tuple:

@@ -14,16 +14,19 @@ points are the multiplicative lifts of the residues mod p.  Those fixed
 points, their digit expansions, and the classification of sigma-orbits
 are what everything else in the package is built from.
 
-The contraction gains one digit per step, so a limit reached by
-iteration alone costs about m steps.  The matrix limits of
-padicspec.spectral iterate only until the orbit is stationary mod p
-(the sigma phase) and then finish with Newton's method on x^q = x,
-whose derivative q x^(q-1) - 1 is -1 mod p, a unit: the digits of
-agreement double at each step, so about log2 m steps finish the limit.
+The contraction gains one digit per step, so the fixed point over a
+residue r is the closed form r^(p^(m-1)) mod p^m, one modular power.
+The matrix limits of padicspec.spectral iterate only until the orbit
+is stationary mod p (the sigma phase) and then finish with Newton's
+method on x^q = x, whose derivative q x^(q-1) - 1 is -1 mod p, a unit:
+the digits of agreement double at each step, so about log2 m steps
+finish the limit.  Orbits that need not converge are walked by
+scan_orbit, under the one step budget of PrecisionContext.budget.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field, replace
@@ -143,16 +146,10 @@ class _BaseOps:
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Shared precision parameters: prime p, digit count m, iteration budget.
-
-    max_iters is the floor for fixed-point search budgets; individual
-    searches widen it to m * N_max + 4 when a larger period bound N_max
-    is in play.
-    """
+    """Shared precision parameters: prime p and digit count m."""
 
     p: int
     m: int
-    max_iters: int = field(default=0, compare=False)
     modulus: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,15 +157,11 @@ class PrecisionContext:
             raise ValueError(f"p = {self.p} is not prime")
         if self.m < 1:
             raise ValueError(f"precision m must be >= 1, got {self.m}")
-        if self.max_iters == 0:
-            object.__setattr__(self, "max_iters", self.m + 4)
-        if self.max_iters < self.m:
-            raise ValueError("max_iters must be at least m")
         object.__setattr__(self, "modulus", self.p**self.m)
 
     def budget(self, period_bound: int = 1) -> int:
-        """Iteration cap for a fixed-point search with periods up to period_bound."""
-        return max(self.max_iters, self.m * period_bound + 4)
+        """Step cap m * period_bound + 4 for a sigma search with periods up to period_bound."""
+        return self.m * period_bound + 4
 
 
 @dataclass(frozen=True)
@@ -404,20 +397,18 @@ def frobenius_step(x: PadicScalar, period: int = 1) -> PadicScalar:
 def teichmuller_lift(residue: int, ctx: PrecisionContext) -> PadicScalar:
     """The unique w with w^p = w mod p^m and w = residue mod p.
 
-    Iterates x <- x^p from the residue; each step gains at least one
-    digit of agreement, so the orbit stabilises within the budget.
+    Each p-th power gains one digit of agreement with the fixed point,
+    so w is the closed form residue^(p^(m-1)) mod p^m; one further power
+    checks that it is fixed.
     """
     if not 0 <= residue < ctx.p:
         raise ValueError(f"residue {residue} outside [0, p)")
     if residue == 0:
         return PadicScalar.zero(ctx)
-    x = residue
-    for _ in range(ctx.budget()):
-        nxt = pow(x, ctx.p, ctx.modulus)
-        if nxt == x:
-            return PadicScalar.from_residue(x, ctx)
-        x = nxt
-    raise RuntimeError("multiplicative lift failed to stabilise (internal defect)")
+    w = pow(residue, ctx.p ** (ctx.m - 1), ctx.modulus)
+    if pow(w, ctx.p, ctx.modulus) != w:
+        raise RuntimeError("multiplicative lift is not fixed by sigma (internal defect)")
+    return PadicScalar.from_residue(w, ctx)
 
 
 def teichmuller_points(ctx: PrecisionContext) -> list[PadicScalar]:
@@ -477,13 +468,47 @@ class OrbitReport:
 
     period is set for the (quasi-)periodic kinds; limit is the first
     element of the limit cycle for quasi-periodic orbits; steps is the
-    number of sigma applications consumed by the scan.
+    number of sigma applications consumed by the scan, out of budget.
     """
 
     kind: OrbitKind
     period: Optional[int] = None
     steps: int = 0
     limit: object = None
+    budget: int = 0
+
+
+def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext, key=None) -> OrbitReport:
+    """Walk a sigma-orbit to its first zero key or its first repeated key.
+
+    step maps a state to its sigma-image and key maps a state to its
+    residue key (the state itself by default).  The walk takes at most
+    ctx.budget(period_bound) + period_bound steps, so a cycle of length
+    up to period_bound entered within ctx.budget(period_bound) is seen
+    to repeat.  A zero key is TopNilpotent; a repeat is Periodic, or
+    QuasiPeriodic with the first cycle state as limit when the cycle
+    misses start; a longer cycle or an exhausted budget is
+    ChaosAtPrecision.
+    """
+    budget = ctx.budget(period_bound) + period_bound
+    verdict = functools.partial(OrbitReport, budget=budget)
+    key = key or (lambda state: state)
+    seen, states, cur, k = {}, [], start, 0
+    while True:
+        cur_key = key(cur)
+        if _key_is_zero(cur_key):
+            return verdict(OrbitKind.TOP_NILPOTENT, steps=k)
+        entry = seen.setdefault(cur_key, k)
+        if entry < k:
+            if k - entry > period_bound:
+                return verdict(OrbitKind.CHAOS_AT_PRECISION, steps=k)
+            if entry == 0:
+                return verdict(OrbitKind.PERIODIC, k - entry, k)
+            return verdict(OrbitKind.QUASI_PERIODIC, k - entry, k, states[entry])
+        if k == budget:
+            return verdict(OrbitKind.CHAOS_AT_PRECISION, steps=k)
+        states.append(cur)
+        cur, k = step(cur), k + 1
 
 
 def classify_orbit(x, period_bound: int) -> OrbitReport:
@@ -492,39 +517,17 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     TopNilpotent: some iterate is 0 mod p^m.  Periodic(N): sigma^N(x) = x
     mod p^m with minimal N <= period_bound.  QuasiPeriodic(N): the orbit
     enters a cycle of length N <= period_bound that does not contain x.
-    ChaosAtPrecision: neither happened within the iteration budget (a
-    precision-relative verdict, not an error).
+    ChaosAtPrecision: neither happened within the scan_orbit budget,
+    m * period_bound + 4 + period_bound steps (a precision-relative
+    verdict, not an error).  Each step is one sigma_window of x's type.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be >= 1")
     if x.valuation < 0:
         raise ValueError("classify_orbit requires |x| <= 1")
-    ctx = x.ctx
-    budget = ctx.budget(period_bound) + period_bound
-    start = x.residue_key()
-    if _key_is_zero(start):
-        return OrbitReport(OrbitKind.TOP_NILPOTENT, steps=0)
-    seen = {start: 0}
-    elems = [x]
-    cur = x
-    for k in range(1, budget + 1):
-        cur = cur.sigma_window()
-        key = cur.residue_key()
-        if _key_is_zero(key):
-            return OrbitReport(OrbitKind.TOP_NILPOTENT, steps=k)
-        if key in seen:
-            entry = seen[key]
-            period = k - entry
-            if period > period_bound:
-                return OrbitReport(OrbitKind.CHAOS_AT_PRECISION, steps=k)
-            if entry == 0:
-                return OrbitReport(OrbitKind.PERIODIC, period=period, steps=k)
-            return OrbitReport(
-                OrbitKind.QUASI_PERIODIC, period=period, steps=k, limit=elems[entry]
-            )
-        seen[key] = k
-        elems.append(cur)
-    return OrbitReport(OrbitKind.CHAOS_AT_PRECISION, steps=budget)
+    return scan_orbit(
+        x, lambda y: y.sigma_window(), period_bound, x.ctx, key=lambda y: y.residue_key()
+    )
 
 
 def _key_is_zero(key) -> bool:

@@ -22,6 +22,7 @@ diameter, and the commutator inequality
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,7 +42,15 @@ from .matrix import (
     residue_ops,
     vector_valuation,
 )
-from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation, teichmuller_lift
+from .padic import (
+    INFINITE,
+    OrbitKind,
+    PadicScalar,
+    PrecisionContext,
+    norm_from_valuation,
+    scan_orbit,
+    teichmuller_lift,
+)
 from .unramified import ext_ring, teichmuller_lift_ext
 
 
@@ -524,44 +533,35 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     the multiplicative part; the cycle element whose index is a multiple
     of that period is the canonical A_s (it has the same reduction as the
     semisimple part of A mod p).  The remainder A - A_s is checked to be
-    topologically nilpotent.  If no period up to period_bound appears
-    within the budget, the verdict is PeriodExceededError.
+    topologically nilpotent; its kill count is the step at which its own
+    orbit reaches 0.  scan_orbit walks both orbits on residue rows, the
+    second at period bound 1 (m + 5 steps: a nilpotent part of size
+    n <= 64 has (n m)-th power 0 mod p^m, and p^(m+5) >= 64 m).  An
+    orbit that reaches 0 is its own nilpotent part.  If no period up to
+    period_bound appears within the budget, the verdict is
+    PeriodExceededError.
     """
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
     ctx = a.ctx
-    ops = residue_ops(a.ctx, a.ext_ring)
-    budget = ctx.budget(period_bound) + period_bound
-    iterates = [a.residues()]
-    found = None
-    for k in range(1, budget + 1):
-        iterates.append(_res_matpow(iterates[-1], ctx.p, ops))
-        for period in range(1, min(period_bound, k) + 1):
-            if iterates[k - period] == iterates[k]:
-                found = (k, period)
-                break
-        if found:
-            break
-    if not found:
-        raise PeriodExceededError(period_bound, budget)
-    k, period = found
-    start = k - period
-    j = start + (-start) % period
-    semisimple = _wrap_residues(iterates[j], a)
-    nilpotent = a - semisimple
-    steps = _steps_to_zero(nilpotent, ops, ctx)
-    return JordanPair(semisimple, nilpotent, period, steps)
-
-
-def _steps_to_zero(a: UMatrix, ops, ctx: PrecisionContext) -> int:
+    step = functools.partial(_res_matpow, exponent=ctx.p, ops=residue_ops(ctx, a.ext_ring))
     rows = a.residues()
-    if _rows_are_zero(rows):
-        return 0
-    for step in range(1, ctx.budget(1) + 1):
-        rows = _res_matpow(rows, ctx.p, ops)
-        if _rows_are_zero(rows):
-            return step
-    raise RuntimeError("nilpotent part failed to vanish (internal defect)")
+    report = scan_orbit(rows, step, period_bound, ctx)
+    if report.kind is OrbitKind.TOP_NILPOTENT:
+        zero = _map_coords(rows, lambda c: 0)
+        return JordanPair(_wrap_residues(zero, a), a, 1, report.steps)
+    if report.kind is OrbitKind.CHAOS_AT_PRECISION:
+        raise PeriodExceededError(period_bound, report.budget)
+    # the cycle is entered at step steps - period; A_s sits at the next multiple of the period
+    cycle = rows if report.limit is None else report.limit
+    for _ in range((report.period - report.steps) % report.period):
+        cycle = step(cycle)
+    semisimple = _wrap_residues(cycle, a)
+    nilpotent = a - semisimple
+    kill = scan_orbit(nilpotent.residues(), step, 1, ctx)
+    if kill.kind is not OrbitKind.TOP_NILPOTENT:
+        raise RuntimeError("nilpotent part failed to vanish (internal defect)")
+    return JordanPair(semisimple, nilpotent, report.period, kill.steps)
 
 
 # -- spectrum, diameter, uncertainty --------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -120,8 +119,13 @@ class ExtScalar:
 
     @staticmethod
     def dot(xs: Sequence["ExtScalar"], ys: Sequence["ExtScalar"]) -> "ExtScalar":
-        """sum_i xs[i] * ys[i] as scalar objects, accumulated from the first product on."""
-        return functools.reduce(operator.add, map(operator.mul, xs, ys))
+        """sum_i xs[i] * ys[i] in one ring dot product: exact, so equal to reduce(+, map(*))."""
+        ring = xs[0].ring
+        for z in itertools.chain(xs, ys):
+            if z.ring is not ring:
+                xs[0]._check(z)
+        vectors = [x.vector() for x in xs], [y.vector() for y in ys]
+        return ExtScalar.from_vector(ring, ring.ops.dot(*vectors))
 
     def __neg__(self) -> "ExtScalar":
         return ExtScalar.from_vector(self.ring, self.ring.ops.neg(self.vector()))
@@ -167,18 +171,19 @@ class ExtScalar:
 def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
     """Lift a residue-field element to the fixed point of sigma^N mod p^m.
 
-    Iterates y <- y^(p^N) from the literal coordinate lift; stabilises in
-    at most m steps.
+    The literal coordinate lift y satisfies y^q = y mod p, q = p^N, and
+    each q-th power multiplies the digits of agreement by p^N, gaining N
+    digits; the lift is therefore the closed form y^(q^ceil((m-1)/N)).
+    One further q-th power checks that it is fixed.
     """
-    ring = ext_ring(a.field.p, a.field.degree, m)
-    q = a.field.p**a.field.degree
-    y = a.coords
-    for _ in range(ring.ctx.budget(a.field.degree)):
-        nxt = ring.ops.pow(y, q)
-        if nxt == y:
-            return ExtScalar.from_vector(ring, y)
-        y = nxt
-    raise RuntimeError("extension lift failed to stabilise (internal defect)")
+    degree = a.field.degree
+    ring = ext_ring(a.field.p, degree, m)
+    q = a.field.p**degree
+    lifts = -(-(m - 1) // degree)  # ceil((m - 1) / N)
+    w = ring.ops.pow(a.coords, q**lifts)
+    if ring.ops.pow(w, q) != w:
+        raise RuntimeError("extension lift is not fixed by sigma^N (internal defect)")
+    return ExtScalar.from_vector(ring, w)
 
 
 def enumerate_teichmuller(p: int, degree: int, m: int) -> list:

@@ -358,6 +358,105 @@ def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: in
     return None
 
 
+# -- sigma-orbit oracles: plain iteration, every iterate kept ----------------------
+
+
+def teichmuller_lift_oracle(residue: int, ctx: PrecisionContext) -> PadicScalar:
+    """Fixed point of x -> x^p mod p^m over a residue, by iterating from it.
+
+    Each step gains a digit of agreement, so the orbit is stationary
+    within m + 4 steps.
+    """
+    if residue == 0:
+        return PadicScalar.zero(ctx)
+    x = residue
+    for _ in range(ctx.m + 4):
+        nxt = pow(x, ctx.p, ctx.modulus)
+        if nxt == x:
+            return PadicScalar.from_residue(x, ctx)
+        x = nxt
+    raise AssertionError("scalar lift oracle did not stabilise")
+
+
+def teichmuller_lift_ext_oracle(a, m: int) -> tuple:
+    """Coordinates of the fixed point of y -> y^(p^N) mod p^m over a in F_{p^N}.
+
+    Iterates from the literal coordinate lift with ring_pow, within
+    m * N + 4 steps.
+    """
+    field = a.field
+    q = field.p**field.degree
+    y = tuple(a.coords)
+    for _ in range(m * field.degree + 4):
+        nxt = ring_pow(y, q, field.modulus, field.p**m)
+        if nxt == y:
+            return y
+        y = nxt
+    raise AssertionError("extension lift oracle did not stabilise")
+
+
+def teichmuller_companion(p: int, degree: int, m: int) -> list:
+    """Companion matrix mod p^m of the minimal polynomial of a Teichmuller point of degree N.
+
+    The point lifts the class of X in F_{p^N}; its N conjugates w^(p^i)
+    are the eigenvalues, distinct mod p, so the matrix is fixed by
+    sigma^N and by no smaller power.
+    """
+    modulus = finite_field(p, degree).modulus
+    q = p**m
+    w = teichmuller_lift_ext_oracle(finite_field(p, degree).generator(), m)
+    zero, one = (0,) * degree, (1,) + (0,) * (degree - 1)
+    poly = [one]  # constant first
+    for i in range(degree):
+        root = ring_pow(w, p**i, modulus, q)
+        shifted = [zero] + poly
+        scaled = [ring_mul(c, root, modulus, q) for c in poly] + [zero]
+        poly = [tuple((a - b) % q for a, b in zip(x, y)) for x, y in zip(shifted, scaled)]
+    assert all(c[1:] == zero[1:] for c in poly), "minimal polynomial left Z/p^m"
+    rows = [[0] * degree for _ in range(degree)]
+    for i in range(degree):
+        if i:
+            rows[i][i - 1] = 1
+        rows[i][degree - 1] = -poly[i][0] % q
+    return rows
+
+
+def jordan_scan_oracle(rows, p: int, m: int, period_bound: int):
+    """Jordan splitting of an integer matrix mod p^m, keeping every p-th power iterate.
+
+    At step k every period up to period_bound is tried against the
+    earlier iterates; the cycle element at the first multiple of the
+    period found is A_s, and A_n = A - A_s is raised to p-th powers until
+    it is 0.  Returns (A_s, A_n, period, steps_to_kill) as int rows, or
+    None when no period appears within m * period_bound + 4 + period_bound
+    steps or A_n is not 0 within m + 4 steps.
+    """
+    q = p**m
+    rows = [[e % q for e in row] for row in rows]
+    iterates = [rows]
+    found = None
+    for k in range(1, m * period_bound + 4 + period_bound + 1):
+        iterates.append(int_matpow(iterates[-1], p, q))
+        for period in range(1, min(period_bound, k) + 1):
+            if iterates[k - period] == iterates[k]:
+                found = (k, period)
+                break
+        if found:
+            break
+    if not found:
+        return None
+    k, period = found
+    start = k - period
+    semisimple = iterates[start + (-start) % period]
+    nilpotent = [[(a - s) % q for a, s in zip(ra, rs)] for ra, rs in zip(rows, semisimple)]
+    power = nilpotent
+    for steps in range(m + 5):
+        if not any(map(any, power)):
+            return semisimple, nilpotent, period, steps
+        power = int_matpow(power, p, q)
+    return None
+
+
 # -- polynomials over F_p and F_q (oracle side) ------------------------------------
 
 

@@ -133,6 +133,22 @@ def test_jordan_round_trip(tmp_path):
     assert (semisimple + nilpotent).congruent(UMatrix.from_ints([[1, 1], [0, 1]], ctx))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_jordan_kills_the_companion_of_x64_minus_2_at_the_budget(tmp_path, m):
+    """x^64 - 2 at p = 2: the orbit reaches 0 at step m + 5, the last step of the scan."""
+    rows = [[1 if i == j + 1 else 0 for j in range(64)] for i in range(64)]
+    rows[0][63] = 2
+    path = write(tmp_path, "companion.json", matrix_doc(2, m, rows))
+    status, doc, _ = run(["jordan", "--in", path])
+    assert status == 0
+    assert (doc["period"], doc["steps_to_kill"]) == (1, m + 5)
+    status, doc, _ = run(["classify", "--in", path, "--N", "1"])
+    assert (status, doc["kind"], doc["steps"]) == (0, "TopNilpotent", m + 5)
+    status, doc, _ = run(["jordan", "--in", path, "--N", "1"])
+    assert status == 0
+    assert (doc["period"], doc["steps_to_kill"]) == (1, m + 5)
+
+
 def test_hermite_rejection_is_exit_one(tmp_path):
     path = write(tmp_path, "bad.json", matrix_doc(3, 4, [[1, 1], [0, 1]]))
     status, doc, _ = run(["hermite", "--in", path])

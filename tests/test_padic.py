@@ -28,6 +28,7 @@ from helpers import (
     padic_dot_oracle,
     plant_cancellations,
     rand_padic_scalar,
+    teichmuller_lift_oracle,
     trial_division_is_prime,
 )
 
@@ -75,11 +76,6 @@ def test_context_rejects_composite_prime():
 def test_context_rejects_bad_precision():
     with pytest.raises(ValueError):
         PrecisionContext(3, 0)
-
-
-def test_context_rejects_small_budget():
-    with pytest.raises(ValueError):
-        PrecisionContext(3, 5, max_iters=2)
 
 
 def test_canonical_form_enforced():
@@ -172,6 +168,25 @@ def test_fixed_point_census_exhaustive(p, m):
     assert len(fixed) == p
     lifted = sorted(w.residue() for w in teichmuller_points(PrecisionContext(p, m)))
     assert lifted == sorted(fixed)
+
+
+@st.composite
+def lift_problem(draw):
+    if draw(st.integers(0, 5)) == 0:
+        p, m = 2**61 - 1, draw(st.integers(min_value=1, max_value=8))
+    else:
+        p, m = draw(st.sampled_from([2, 3, 5, 7, 211])), draw(st.integers(min_value=1, max_value=64))
+    return draw(st.integers(min_value=0, max_value=p - 1)), PrecisionContext(p, m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lift_problem())
+@example((1, PrecisionContext(2, 1)))
+@example((2**61 - 2, PrecisionContext(2**61 - 1, 8)))
+@example((210, PrecisionContext(211, 64)))
+def test_closed_form_lift_matches_iteration(problem):
+    residue, ctx = problem
+    assert teichmuller_lift(residue, ctx) == teichmuller_lift_oracle(residue, ctx)
 
 
 def test_lift_multiplicativity():

@@ -6,11 +6,14 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     conjugate,
     diag_matrix,
     int_matvec,
+    jordan_scan_oracle,
     lagrange_oracle,
     rand_gl,
     rand_hermite,
@@ -19,14 +22,17 @@ from helpers import (
     residues_of,
     sigma_fixed_points_oracle,
     sigma_limit_oracle,
+    teichmuller_companion,
 )
 from padicspec import (
     INFINITE,
     NotHermiteError,
+    OrbitKind,
     PadicScalar,
     PeriodExceededError,
     PrecisionContext,
     UMatrix,
+    classify_orbit,
     ext_ring,
     finite_field,
     hermite_digits_matrix,
@@ -850,6 +856,86 @@ def test_jordan_and_lift_over_extension_ring():
     assert pair.nilpotent.is_zero_mod_precision()
     proj = UMatrix.from_scalars([[ring.one(), ring.zero()], [ring.zero(), ring.zero()]])
     assert lift_idempotent(proj).congruent(proj)
+
+
+def companion_of_x_n_minus(n: int, constant: int, ctx: PrecisionContext) -> UMatrix:
+    rows = [[1 if i == j + 1 else 0 for j in range(n)] for i in range(n)]
+    rows[0][n - 1] = constant
+    return UMatrix.from_ints(rows, ctx)
+
+
+def nilpotent_jordan_block(n: int, ctx: PrecisionContext) -> UMatrix:
+    return UMatrix.from_ints([[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)], ctx)
+
+
+@pytest.mark.parametrize(
+    "shape,n,p,m",
+    [("companion", 64, 2, m) for m in (1, 2, 3)]
+    + [("block", n, p, m) for n in (2, 17, 33, 64) for p in (2, 3) for m in (1, 2, 3)],
+)
+def test_jordan_kill_count_is_the_classify_step(shape, n, p, m):
+    """A nilpotent matrix's kill count is the step at which classify sees it reach 0.
+
+    The p = 2, n = 64 cases sit exactly at the scan budget m + 5 of
+    period bound 1: the companion of x^64 - 2 dies at step m + 5 for
+    every m <= 3 (its 64th power is 2), the Jordan block at step 6,
+    which is m + 5 at m = 1.
+    """
+    ctx = PrecisionContext(p, m)
+    if shape == "companion":
+        a = companion_of_x_n_minus(n, 2, ctx)
+    else:
+        a = nilpotent_jordan_block(n, ctx)
+    report = classify_orbit(a, 1)
+    assert report.kind is OrbitKind.TOP_NILPOTENT
+    for bound in (1, 8):
+        pair = jordan_decompose(a, bound)
+        assert pair.period == 1
+        assert pair.steps_to_kill == report.steps
+        assert pair.semisimple.is_zero_mod_precision()
+        assert pair.nilpotent.congruent(a)
+    if shape == "companion":
+        assert report.steps == m + 5 == report.budget
+
+
+@st.composite
+def planted_jordan(draw):
+    """U (S + T) U^-1: S a period-N Teichmuller block beside Teichmuller scalars, T nilpotent."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(min_value=1, max_value=4))
+    period = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=period, max_value=6))
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    rows = [[0] * n for _ in range(n)]
+    for i, row in enumerate(teichmuller_companion(p, period, m)):
+        rows[i][:period] = row
+    for i in range(period, n):
+        rows[i][i] = teichmuller_lift(rng.randrange(p), ctx).residue()
+    scale = p ** draw(st.integers(min_value=0, max_value=m))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = (rows[i][j] + scale * rng.randrange(ctx.modulus)) % ctx.modulus
+    a = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(rows, ctx))
+    return a, draw(st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=120, deadline=None)
+@given(planted_jordan())
+def test_jordan_matches_the_scan_oracle(problem):
+    a, bound = problem
+    ctx = a.ctx
+    expected = jordan_scan_oracle(residues_of(a), ctx.p, ctx.m, bound)
+    try:
+        pair = jordan_decompose(a, bound)
+    except PeriodExceededError:
+        pair = None
+    if expected is not None:
+        semisimple, nilpotent, period, steps = expected
+        assert pair is not None
+        assert residues_of(pair.semisimple) == semisimple
+        assert residues_of(pair.nilpotent) == nilpotent
+        assert (pair.period, pair.steps_to_kill) == (period, steps)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

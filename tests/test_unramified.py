@@ -1,11 +1,16 @@
 """The extension ring O_K/p^m: lifts, census, reduction."""
 
+import functools
 import math
+import operator
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicspec import (
+    ExtScalar,
     PadicScalar,
     PrecisionContext,
     UMatrix,
@@ -18,7 +23,7 @@ from padicspec import (
 )
 from padicspec.padic import is_prime
 
-from helpers import sigma_fixed_points_oracle
+from helpers import sigma_fixed_points_oracle, teichmuller_lift_ext_oracle
 
 
 def test_lift_of_one_and_zero():
@@ -89,6 +94,22 @@ def test_lift_reduce_identity():
     field = finite_field(3, 2)
     for a in field.elements():
         assert teichmuller_lift_ext(a, 3).reduction() == a
+
+
+SMALL_FIELDS = [
+    (p, degree)
+    for p in range(2, 126)
+    if is_prime(p)
+    for degree in range(1, 8)
+    if p**degree <= 125
+]
+
+
+@pytest.mark.parametrize("p,degree", SMALL_FIELDS)
+def test_closed_form_ext_lift_matches_iteration(p, degree):
+    for a in finite_field(p, degree).elements():
+        for m in range(1, 13):
+            assert teichmuller_lift_ext(a, m).vector() == teichmuller_lift_ext_oracle(a, m)
 
 
 @pytest.mark.parametrize(
@@ -235,3 +256,39 @@ def test_ext_shift_down_divides_every_coordinate(p, degree, m):
         bad = ring.element(coords[:-1] + [coords[-1] + p ** (j - 1)])
         with pytest.raises(ValueError):
             bad.shift(-j)
+
+
+DOT_RINGS = [(2, 2, 3), (3, 2, 4), (5, 2, 2), (2, 3, 4), (3, 3, 3), (7, 3, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ring_args=st.sampled_from(DOT_RINGS),
+    other_args=st.sampled_from(DOT_RINGS),
+    n=st.integers(1, 8),
+    mixed_at=st.integers(-1, 15),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ring_args=(3, 2, 4), other_args=(3, 3, 4), n=8, mixed_at=0, seed=0)
+@example(ring_args=(3, 2, 4), other_args=(3, 2, 3), n=3, mixed_at=5, seed=1)
+def test_ext_dot_matches_the_object_reduce(ring_args, other_args, n, mixed_at, seed):
+    """One ring dot product equals reduce(+, map(*)); a factor from another ring is refused."""
+    ring = ext_ring(*ring_args)
+    rng = random.Random(seed)
+    p, m = ring.ctx.p, ring.ctx.m
+
+    def entry(r):
+        scale = p ** rng.randrange(m + 1)
+        return r.element([rng.randrange(r.ctx.modulus) * scale for _ in range(r.degree)])
+
+    xs = [entry(ring) for _ in range(n)]
+    ys = [entry(ring) for _ in range(n)]
+    other = ext_ring(*other_args)
+    if 0 <= mixed_at < 2 * n and other != ring:
+        (xs if mixed_at < n else ys)[mixed_at % n] = entry(other)
+        with pytest.raises(ValueError, match="mixed extension rings"):
+            functools.reduce(operator.add, map(operator.mul, xs, ys))
+        with pytest.raises(ValueError, match="mixed extension rings"):
+            ExtScalar.dot(xs, ys)
+        return
+    assert ExtScalar.dot(xs, ys) == functools.reduce(operator.add, map(operator.mul, xs, ys))
