@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .padic import _BaseOps, is_prime
+from .padic import _BaseOps, _packed_dot, _packed_matmul, is_prime
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
@@ -239,10 +239,12 @@ class _ExtOps:
         return self.one if result is None else result
 
     def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            acc = self.add(acc, self.mul(x, y))
-        return acc
+        """sum_i xs[i] * ys[i] for canonical coordinates: one packed sum, folded once."""
+        return _packed_dot(xs, ys, self.q, self.degree, self._power_table)
+
+    def matmul(self, a, b):
+        """a * b for square rows of canonical coordinate vectors, packed at every size."""
+        return _packed_matmul(a, b, self.q, self.degree, self._power_table)
 
     def is_zero(self, a):
         return not any(a)

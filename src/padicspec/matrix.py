@@ -15,7 +15,9 @@ scalars.  Window computations (everything that only matters mod p^m)
 run on plain residue representatives for speed, with the entry
 arithmetic that residue_ops picks: padic._BaseOps on ints over Z/p^m,
 or the extension ring's ops (finite_field._ExtOps) on coordinate
-vectors.  This module defines no arithmetic of its own.
+vectors.  Both ops provide matmul, the whole residue matrix product,
+through the one Kronecker-packed kernel padic._packed_matmul.  This
+module defines no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -194,6 +196,12 @@ class UMatrix:
     def residue_key(self) -> tuple:
         return self.residues()
 
+    def residue_orbit(self) -> tuple:
+        """The residue rows, sigma on rows, and the matrix of rows (see classify_orbit)."""
+        ops = residue_ops(self.ctx, self.ext_ring)
+        step = functools.partial(_res_matpow, exponent=self.ctx.p, ops=ops)
+        return self.residues(), step, functools.partial(_wrap_residues, like=self)
+
     def __repr__(self):
         ring = "base" if self.ext_ring is None else "ext"
         return f"UMatrix(n={self.n}, ring={ring}, p={self.ctx.p}, m={self.ctx.m})"
@@ -211,9 +219,7 @@ def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
 
 
 def _res_matmul(a: tuple, b: tuple, ops) -> tuple:
-    dot = ops.dot
-    bcols = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bcols) for row in a)
+    return ops.matmul(a, b)
 
 
 def _res_add(a: tuple, b: tuple, ops) -> tuple:

@@ -110,6 +110,91 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
+# Below this dimension the packed base-ring product does not beat the per-entry
+# dot: packing and unpacking cost about what the n^2 small products they replace do.
+_PACKED_MATMUL_MIN_N = 5
+
+
+def _slot_bits(q: int, terms: int) -> int:
+    """Width of one packed coefficient: a sum of `terms` products of residues in [0, q)."""
+    return 2 * (q - 1).bit_length() + terms.bit_length()
+
+
+def _pack(values, slot: int) -> int:
+    """One int holding values[i] at bit i * slot; each value must lie in [0, 2^slot)."""
+    acc = 0
+    for v in reversed(values):
+        acc = acc << slot | v
+    return acc
+
+
+def _unpack(total: int, count: int, slot: int) -> list:
+    """The first count slot-wide coefficients of a packed int, lowest first."""
+    mask = (1 << slot) - 1
+    return [total >> k & mask for k in range(0, count * slot, slot)]
+
+
+def _fold(conv: list, degree: int, table, q: int) -> tuple:
+    """Coordinates mod q of a polynomial with 2 degree - 1 coefficients, reduced mod f.
+
+    table[j] holds X^(degree + j) mod f; the coefficients are folded
+    unreduced and each coordinate takes one % q.
+    """
+    out = conv[:degree]
+    for c, row in zip(conv[degree:], table):
+        if c:
+            out = [x + c * r for x, r in zip(out, row)]
+    return tuple([x % q for x in out])
+
+
+def _packed_dot(xs, ys, q: int, degree: int, table) -> tuple:
+    """sum_i xs[i] * ys[i] of coordinate vectors over (Z/q)[X]/(f), folded once.
+
+    Each vector is packed as an integer polynomial, the products are
+    summed unreduced, and the 2 degree - 1 coefficients of the sum are
+    folded by _fold; coordinates must be canonical, as for _packed_matmul.
+    """
+    slot = _slot_bits(q, len(xs) * degree)
+    total = sum(_pack(x, slot) * _pack(y, slot) for x, y in zip(xs, ys))
+    return _fold(_unpack(total, 2 * degree - 1, slot), degree, table, q)
+
+
+def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tuple:
+    """a * b for square residue rows over (Z/q)[X]/(f) by Kronecker substitution.
+
+    Precondition: every coordinate is canonical, in [0, q); a negative
+    or oversized one would borrow from or carry into its neighbours.
+    Degree 1 is Z/q, whose entries are ints; otherwise entries are
+    coordinate vectors and table is the X^(degree + j) mod f table of
+    _fold.  Every coefficient sits in a slot of _slot_bits(q, n degree)
+    bits, wide enough for a sum of n degree products.  Row k of b is one
+    int, entry j starting at slot j (2 degree - 1) with coordinate i at
+    slot j (2 degree - 1) + i, so row i of a * b is the single big-int
+    sum of a[i][k] * packed row k: entry j's product polynomial lands,
+    without overlap, in its own 2 degree - 1 slots.
+    """
+    n = len(a)
+    slot = _slot_bits(q, n * degree)
+    width = 2 * degree - 1
+    if degree == 1:
+        a_entries = a
+        b_rows = [_pack(row, slot) for row in b]
+    else:
+        pad = (0,) * (degree - 1)
+        a_entries = [[_pack(e, slot) for e in row] for row in a]
+        b_rows = [_pack([c for e in row for c in (*e, *pad)], slot) for row in b]
+    out = []
+    for row in a_entries:
+        coeffs = _unpack(sum(map(operator.mul, row, b_rows)), n * width, slot)
+        if degree == 1:
+            out.append(tuple([c % q for c in coeffs]))
+        else:
+            out.append(tuple([
+                _fold(coeffs[j:j + width], degree, table, q) for j in range(0, n * width, width)
+            ]))
+    return tuple(out)
+
+
 class _BaseOps:
     """Residue arithmetic mod p^m on int entries."""
 
@@ -130,6 +215,14 @@ class _BaseOps:
 
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.q
+
+    def matmul(self, a, b):
+        """a * b for square rows of canonical residues: packed from _PACKED_MATMUL_MIN_N on."""
+        if len(a) >= _PACKED_MATMUL_MIN_N:
+            return _packed_matmul(a, b, self.q)
+        dot = self.dot
+        bcols = tuple(zip(*b))
+        return tuple(tuple(dot(row, col) for col in bcols) for row in a)
 
     def neg(self, a):
         return (-a) % self.q
@@ -347,6 +440,12 @@ class PadicScalar:
     def residue_key(self) -> int:
         return self.residue()
 
+    def residue_orbit(self) -> tuple:
+        """The residue, sigma on residues, and the scalar of a residue: what classify_orbit walks."""
+        ctx = self.ctx
+        step = functools.partial(pow, exp=ctx.p, mod=ctx.modulus)
+        return self.residue(), step, functools.partial(PadicScalar.from_residue, ctx=ctx)
+
 
 def _add_units(ctx: PrecisionContext, v1: int, u1: int, v2: int, u2: int) -> tuple:
     """p^v1 u1 + p^v2 u2 for two nonzero scalars, as a (valuation, unit) pair.
@@ -478,36 +577,33 @@ class OrbitReport:
     budget: int = 0
 
 
-def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext, key=None) -> OrbitReport:
-    """Walk a sigma-orbit to its first zero key or its first repeated key.
+def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitReport:
+    """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
 
-    step maps a state to its sigma-image and key maps a state to its
-    residue key (the state itself by default).  The walk takes at most
-    ctx.budget(period_bound) + period_bound steps, so a cycle of length
-    up to period_bound entered within ctx.budget(period_bound) is seen
-    to repeat.  A zero key is TopNilpotent; a repeat is Periodic, or
-    QuasiPeriodic with the first cycle state as limit when the cycle
-    misses start; a longer cycle or an exhausted budget is
-    ChaosAtPrecision.
+    step maps a key (an int, a coordinate vector or residue rows) to its
+    sigma-image.  The walk takes at most ctx.budget(period_bound) +
+    period_bound steps, so a cycle of length up to period_bound entered
+    within ctx.budget(period_bound) is seen to repeat.  A zero key is
+    TopNilpotent; a repeat is Periodic, or QuasiPeriodic with the first
+    cycle key as limit when the cycle misses start; a longer cycle or an
+    exhausted budget is ChaosAtPrecision.
     """
     budget = ctx.budget(period_bound) + period_bound
     verdict = functools.partial(OrbitReport, budget=budget)
-    key = key or (lambda state: state)
-    seen, states, cur, k = {}, [], start, 0
+    seen, keys, cur, k = {}, [], start, 0
     while True:
-        cur_key = key(cur)
-        if _key_is_zero(cur_key):
+        if _key_is_zero(cur):
             return verdict(OrbitKind.TOP_NILPOTENT, steps=k)
-        entry = seen.setdefault(cur_key, k)
+        entry = seen.setdefault(cur, k)
         if entry < k:
             if k - entry > period_bound:
                 return verdict(OrbitKind.CHAOS_AT_PRECISION, steps=k)
             if entry == 0:
                 return verdict(OrbitKind.PERIODIC, k - entry, k)
-            return verdict(OrbitKind.QUASI_PERIODIC, k - entry, k, states[entry])
+            return verdict(OrbitKind.QUASI_PERIODIC, k - entry, k, keys[entry])
         if k == budget:
             return verdict(OrbitKind.CHAOS_AT_PRECISION, steps=k)
-        states.append(cur)
+        keys.append(cur)
         cur, k = step(cur), k + 1
 
 
@@ -519,15 +615,19 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     enters a cycle of length N <= period_bound that does not contain x.
     ChaosAtPrecision: neither happened within the scan_orbit budget,
     m * period_bound + 4 + period_bound steps (a precision-relative
-    verdict, not an error).  Each step is one sigma_window of x's type.
+    verdict, not an error).  The scan steps on x's residue key through
+    x.residue_orbit(); only a QuasiPeriodic limit is built as an object
+    of x's type.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be >= 1")
     if x.valuation < 0:
         raise ValueError("classify_orbit requires |x| <= 1")
-    return scan_orbit(
-        x, lambda y: y.sigma_window(), period_bound, x.ctx, key=lambda y: y.residue_key()
-    )
+    start, step, wrap = x.residue_orbit()
+    report = scan_orbit(start, step, period_bound, x.ctx)
+    if report.limit is None:
+        return report
+    return replace(report, limit=wrap(report.limit))
 
 
 def _key_is_zero(key) -> bool:

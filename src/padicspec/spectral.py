@@ -22,7 +22,6 @@ diameter, and the commutator inequality
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -533,35 +532,35 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     the multiplicative part; the cycle element whose index is a multiple
     of that period is the canonical A_s (it has the same reduction as the
     semisimple part of A mod p).  The remainder A - A_s is checked to be
-    topologically nilpotent; its kill count is the step at which its own
-    orbit reaches 0.  scan_orbit walks both orbits on residue rows, the
-    second at period bound 1 (m + 5 steps: a nilpotent part of size
-    n <= 64 has (n m)-th power 0 mod p^m, and p^(m+5) >= 64 m).  An
-    orbit that reaches 0 is its own nilpotent part.  If no period up to
-    period_bound appears within the budget, the verdict is
+    topologically nilpotent: its reduction mod p is nilpotent, so A_n^n
+    is 0 mod p and A_n^(n m) is 0 mod p^m, and its orbit reaches 0 within
+    the least k with p^k >= n m steps.  Its kill count is the step at
+    which it does.  scan_orbit walks the first orbit on residue rows, and
+    an orbit that reaches 0 is its own nilpotent part.  If no period up
+    to period_bound appears within the budget, the verdict is
     PeriodExceededError.
     """
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
     ctx = a.ctx
-    step = functools.partial(_res_matpow, exponent=ctx.p, ops=residue_ops(ctx, a.ext_ring))
-    rows = a.residues()
+    rows, step, wrap = a.residue_orbit()
     report = scan_orbit(rows, step, period_bound, ctx)
     if report.kind is OrbitKind.TOP_NILPOTENT:
-        zero = _map_coords(rows, lambda c: 0)
-        return JordanPair(_wrap_residues(zero, a), a, 1, report.steps)
+        return JordanPair(wrap(_map_coords(rows, lambda c: 0)), a, 1, report.steps)
     if report.kind is OrbitKind.CHAOS_AT_PRECISION:
         raise PeriodExceededError(period_bound, report.budget)
     # the cycle is entered at step steps - period; A_s sits at the next multiple of the period
     cycle = rows if report.limit is None else report.limit
     for _ in range((report.period - report.steps) % report.period):
         cycle = step(cycle)
-    semisimple = _wrap_residues(cycle, a)
+    semisimple = wrap(cycle)
     nilpotent = a - semisimple
-    kill = scan_orbit(nilpotent.residues(), step, 1, ctx)
-    if kill.kind is not OrbitKind.TOP_NILPOTENT:
-        raise RuntimeError("nilpotent part failed to vanish (internal defect)")
-    return JordanPair(semisimple, nilpotent, report.period, kill.steps)
+    killed, kill = nilpotent.residues(), 0
+    while not _rows_are_zero(killed):
+        if ctx.p**kill >= a.n * ctx.m:
+            raise RuntimeError("nilpotent part failed to vanish (internal defect)")
+        killed, kill = step(killed), kill + 1
+    return JordanPair(semisimple, nilpotent, report.period, kill)
 
 
 # -- spectrum, diameter, uncertainty --------------------------------------------

@@ -167,6 +167,11 @@ class ExtScalar:
     def residue_key(self) -> tuple:
         return self.vector()
 
+    def residue_orbit(self) -> tuple:
+        """The coordinates, sigma on coordinates, and the scalar of a vector (see classify_orbit)."""
+        step = functools.partial(self.ring.ops.pow, exponent=self.ctx.p)
+        return self.vector(), step, functools.partial(ExtScalar.from_vector, self.ring)
+
 
 def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
     """Lift a residue-field element to the fixed point of sigma^N mod p^m.

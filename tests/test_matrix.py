@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -37,6 +37,7 @@ from padicspec import (
     vector_valuation,
 )
 from padicspec import matrix
+from padicspec.finite_field import ENUMERATION_LIMIT
 from padicspec.matrix import _res_matmul, _res_matpow, _rows_are_zero, inverse, residue_ops
 
 CTX = PrecisionContext(3, 4)
@@ -406,32 +407,69 @@ def _rand_rows(rng, n, q, width=None):
     return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
 
 
-@pytest.mark.parametrize("n", [1, 4, 16])
-@pytest.mark.parametrize("p,m", [(2, 5), (3, 4), (3, 8), (211, 3)])
+@pytest.mark.parametrize("n", [1, 4, 5, 7, 8, 16, 64])
+@pytest.mark.parametrize(
+    "p,m", [(2, 5), (3, 4), (3, 8), (211, 3), (2**61 - 1, 4), (2, 64)]
+)
 def test_res_matmul_matches_int_matmul_on_base_rings(p, m, n):
-    """At the working modulus p^m and at the doubled p^(2m) of digit peeling."""
+    """At p^m and the doubled p^(2m) of digit peeling, on both sides of the packing size rule.
+
+    The all-(q - 1) product is the widest sum a packed slot must hold.
+    """
     rng = random.Random(1000 * p + 10 * m + n)
     for ctx in (PrecisionContext(p, m), PrecisionContext(p, 2 * m)):
         ops = residue_ops(ctx)
-        for _ in range(3):
-            a = _rand_rows(rng, n, ctx.modulus)
-            b = _rand_rows(rng, n, ctx.modulus)
+        q = ctx.modulus
+        top = ((q - 1,) * n,) * n
+        pairs = [(top, top)] + [
+            (_rand_rows(rng, n, q), _rand_rows(rng, n, q)) for _ in range(3 if n < 64 else 1)
+        ]
+        for a, b in pairs:
             got = _res_matmul(a, b, ops)
-            assert [list(row) for row in got] == int_matmul(a, b, ctx.modulus)
+            assert [list(row) for row in got] == int_matmul(a, b, q)
 
 
-@pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("p,degree", [(2, 2), (3, 2), (2, 3), (5, 3)])
+@pytest.mark.parametrize(
+    "p,degree,n",
+    [(p, degree, n) for p, degree in [(2, 2), (3, 2), (2, 3), (5, 3)] for n in (1, 4)]
+    + [(p, 3, n) for p in (2, 5) for n in (8, 16)],
+)
 def test_res_matmul_matches_ring_matmul_on_extension_rings(p, degree, n):
     rng = random.Random(1000 * p + 10 * degree + n)
     for m in (2, 4):
         ring = ext_ring(p, degree, m)
         ops = residue_ops(ring.ctx, ring)
         q = ring.ctx.modulus
+        top = (((q - 1,) * degree,) * n,) * n
+        assert _res_matmul(top, top, ops) == ring_matmul(top, top, ring.modulus, q)
         for _ in range(3):
             a = _rand_rows(rng, n, q, degree)
             b = _rand_rows(rng, n, q, degree)
             assert _res_matmul(a, b, ops) == ring_matmul(a, b, ring.modulus, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 211, 2**61 - 1]),
+    m=st.integers(1, 8),
+    degree=st.integers(1, 3),
+    n=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_packed_res_matmul_matches_the_oracles(p, m, degree, n, seed):
+    """Degree 1 is Z/p^m against int_matmul; degrees 2 and 3 the extension rings against ring_matmul."""
+    assume(degree == 1 or p**degree <= ENUMERATION_LIMIT)
+    rng = random.Random(seed)
+    if degree == 1:
+        ctx = PrecisionContext(p, m)
+        a, b = (_rand_rows(rng, n, ctx.modulus) for _ in "ab")
+        got = _res_matmul(a, b, residue_ops(ctx))
+        assert [list(row) for row in got] == int_matmul(a, b, ctx.modulus)
+        return
+    ring = ext_ring(p, degree, m)
+    q = ring.ctx.modulus
+    a, b = (_rand_rows(rng, n, q, degree) for _ in "ab")
+    assert _res_matmul(a, b, residue_ops(ring.ctx, ring)) == ring_matmul(a, b, ring.modulus, q)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 3), (3, 4, 1), (211, 3, 3)])

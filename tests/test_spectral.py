@@ -28,6 +28,7 @@ from padicspec import (
     INFINITE,
     NotHermiteError,
     OrbitKind,
+    OrbitReport,
     PadicScalar,
     PeriodExceededError,
     PrecisionContext,
@@ -896,6 +897,65 @@ def test_jordan_kill_count_is_the_classify_step(shape, n, p, m):
         assert pair.nilpotent.congruent(a)
     if shape == "companion":
         assert report.steps == m + 5 == report.budget
+
+
+def test_jordan_kill_bound_covers_every_n():
+    """diag(1, J_65) at p = 2, m = 1: J_65 dies at step 7, the least k with 2^k >= 65."""
+    ctx = PrecisionContext(2, 1)
+    rows = [[1 if j == i + 1 else 0 for j in range(66)] for i in range(66)]
+    rows[0][1] = 0
+    nilpotent = [row[:] for row in rows]
+    rows[0][0] = 1
+    pair = jordan_decompose(UMatrix.from_ints(rows, ctx))
+    assert (pair.period, pair.steps_to_kill) == (1, 7)
+    assert residues_of(pair.nilpotent) == nilpotent
+    assert residues_of(pair.semisimple) == [[int(i == j == 0) for j in range(66)] for i in range(66)]
+
+
+def _sigma_window_walk(x: UMatrix, bound: int) -> OrbitReport:
+    """The orbit report of x read off its own sigma_window iterates."""
+    budget = x.ctx.budget(bound) + bound
+    seen, states, cur = {}, [], x
+    for k in range(budget + 1):
+        if cur.is_zero_mod_precision():
+            return OrbitReport(OrbitKind.TOP_NILPOTENT, steps=k, budget=budget)
+        first = seen.get(cur.residue_key())
+        if first is not None:
+            if k - first > bound:
+                return OrbitReport(OrbitKind.CHAOS_AT_PRECISION, steps=k, budget=budget)
+            if first == 0:
+                return OrbitReport(OrbitKind.PERIODIC, k - first, k, budget=budget)
+            return OrbitReport(OrbitKind.QUASI_PERIODIC, k - first, k, states[first], budget)
+        seen[cur.residue_key()] = k
+        states.append(cur)
+        cur = cur.sigma_window()
+    return OrbitReport(OrbitKind.CHAOS_AT_PRECISION, steps=budget, budget=budget)
+
+
+def test_classify_matrix_matches_the_sigma_window_walk():
+    """Stepping residue rows gives the report, limit included, of stepping the matrix."""
+    rot = UMatrix.from_ints([[0, 1], [-1, 0]], CTX)
+    unipotent = UMatrix.identity(8, CTX) + nilpotent_jordan_block(8, CTX)
+    ring = ext_ring(3, 2, 3)
+    x = ring.element((0, 1))
+    ext = UMatrix.from_scalars([[x, ring.one()], [ring.zero(), ring.one()]])
+    cases = [
+        (nilpotent_jordan_block(9, CTX), 2),
+        (companion_of_x_n_minus(64, 2, PrecisionContext(2, 2)), 1),
+        (rot, 2),
+        (rot, 1),
+        (unipotent, 1),
+        (UMatrix.from_ints([[1, 1], [0, 1]], CTX), 2),
+        (nilpotent_jordan_block(65, PrecisionContext(2, 1)), 1),
+        (ext, 1),
+        (ext, 2),
+    ]
+    kinds = set()
+    for a, bound in cases:
+        report = classify_orbit(a, bound)
+        assert report == _sigma_window_walk(a, bound)
+        kinds.add(report.kind)
+    assert kinds == set(OrbitKind)
 
 
 @st.composite

@@ -292,3 +292,24 @@ def test_ext_dot_matches_the_object_reduce(ring_args, other_args, n, mixed_at, s
             ExtScalar.dot(xs, ys)
         return
     assert ExtScalar.dot(xs, ys) == functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_args=st.sampled_from(DOT_RINGS + [(3, 1, 4), (211, 2, 3), (5, 3, 1)]),
+    n=st.integers(0, 20),
+    top=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(ring_args=(7, 3, 2), n=20, top=True, seed=0)
+def test_ext_ops_dot_matches_the_ops_reduce(ring_args, n, top, seed):
+    """The packed coordinate dot equals reduce(add, map(mul)) from zero; top plants all q - 1."""
+    ops = ext_ring(*ring_args).ops
+    rng = random.Random(seed)
+
+    def vector():
+        return tuple(ops.q - 1 if top else rng.randrange(ops.q) for _ in range(ops.degree))
+
+    xs = [vector() for _ in range(n)]
+    ys = [vector() for _ in range(n)]
+    assert ops.dot(xs, ys) == functools.reduce(ops.add, map(ops.mul, xs, ys), ops.zero)
