@@ -2,9 +2,10 @@
 
 One parser serves every command: `padicspec COMMAND [flags]`, where all
 commands share one flag set, a command ignores the flags it does not
-read, and flags may come before the command name.  lift and digits take
-p and m from --p/--m; every other command reads them from the problem
-file named by --in.
+read, and flags may come before the command name.  The parser is built
+once, when this module is imported, and run_command only parses with it.
+lift and digits take p and m from --p/--m; every other command reads
+them from the problem file named by --in.
 
 Problem files are JSON documents.  Scalars are {"v": valuation, "u":
 "unit residue as a decimal string"}, with u = "0" denoting zero.
@@ -15,11 +16,14 @@ coordinate order, constant coordinate first; they appear in outputs
 only.
 
 Exit status: 0 on success, 1 on mathematical rejection (with a
-structured reason, including a norm that a double cannot hold), 2 on
-malformed input (with a diagnostic naming the offending field, "out"
-for an --out path that cannot be written, "argv" for an argv that does
-not parse).  -h/--help exits 0 with {"help": usage text}; the CLI
-prints nothing but its one document.  Output is byte-identical
+structured reason, including a norm that a double cannot hold) or on
+any other exception, an internal defect (kind "internal", with the
+exception's type name and message), 2 on malformed input (with a
+diagnostic naming the offending field, "out" for an --out path that
+cannot be written, "argv" for an argv that does not parse).  -h/--help
+exits 0 with {"help": usage text}; the CLI prints nothing but its one
+document, whose text is exactly that of json.dumps(document,
+sort_keys=True, indent=2) plus a newline.  Output is byte-identical
 across runs for identical inputs; every randomised check takes an
 explicit seed and defaults to 0.
 """
@@ -31,6 +35,7 @@ import json
 import math
 import random
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from .finite_field import ENUMERATION_LIMIT
@@ -174,8 +179,11 @@ def _matrix_from(doc: dict, ctx: PrecisionContext, fieldname: str = "entries") -
     if n > MAX_DIMENSION:
         raise SchemaError(fieldname, f"dimension {n} exceeds the bound {MAX_DIMENSION}")
     declared = doc.get("n")
-    if declared is not None and declared != n:
-        raise SchemaError("n", f"declared dimension {declared} does not match {n}")
+    if declared is not None:
+        if not isinstance(declared, int) or isinstance(declared, bool):
+            raise SchemaError("n", "declared dimension must be an integer")
+        if declared != n:
+            raise SchemaError("n", f"declared dimension {declared} does not match {n}")
     scalars = [
         scalar_from_json(entry, ctx, f"{fieldname}[{i}]") for i, entry in enumerate(entries)
     ]
@@ -517,12 +525,89 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def _malformed(exc: SchemaError) -> dict:
     return {"error": {"kind": "malformed_input", "field": exc.fieldname, "reason": str(exc)}}
 
 
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# JSON text of each leaf type, looked up by exact type: bool has its own
+# entry, so True and False never reach int.__repr__.
+_LEAVES = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _render(value, indent: str, out: list) -> None:
+    """Append the pieces of json.dumps(value, sort_keys=True, indent=2) to out.
+
+    json's own encoder drops to pure Python generators whenever indent is
+    set; this renders the same layout with the C string escaper, and
+    renders a container's leaves in place instead of recursing into them.
+    """
+    kind = type(value)
+    leaf = _LEAVES.get(kind)
+    if leaf is not None:
+        out.append(leaf(value))
+        return
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        opener = "{\n" + inner
+        for key in sorted(value):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(opener + _encode_str(key) + ": ")
+            item = value[key]
+            leaf = _LEAVES.get(type(item))
+            if leaf is not None:
+                out.append(leaf(item))
+            else:
+                _render(item, inner, out)
+            opener = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        opener = "[\n" + inner
+        for item in value:
+            leaf = _LEAVES.get(type(item))
+            if leaf is not None:
+                out.append(opener + leaf(item))
+            else:
+                out.append(opener)
+                _render(item, inner, out)
+            opener = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"{kind.__name__} is not JSON serializable")
+
+
 def _dump(document: dict) -> str:
-    return json.dumps(document, sort_keys=True, indent=2) + "\n"
+    """The text of json.dumps(document, sort_keys=True, indent=2) plus a newline."""
+    out: list = []
+    _render(document, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def run_command(argv: Sequence[str], stream=None) -> int:
@@ -537,7 +622,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     """
     stream = stream or sys.stdout
     try:
-        args = _build_parser().parse_args(list(argv))
+        args = _PARSER.parse_args(list(argv))
     except _HelpRequested as exc:
         stream.write(_dump({"help": str(exc)}))
         return 0
@@ -570,6 +655,10 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     except NormOutOfRangeError as exc:
         document = {"error": {"kind": "norm_out_of_range", "p": exc.p,
                               "valuation": exc.valuation, "reason": str(exc)}}
+        status = 1
+    except Exception as exc:  # an internal defect: still one document, no traceback
+        document = {"error": {"kind": "internal", "exception": type(exc).__name__,
+                              "reason": str(exc)}}
         status = 1
     if args.outfile:
         try:

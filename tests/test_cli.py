@@ -1,5 +1,6 @@
 """Batch interface: schemas, exit codes, determinism, round trips."""
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -10,9 +11,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from padicspec import PrecisionContext, UMatrix, spectral
-from padicspec.cli import MAX_SAMPLES, run_command, scalar_from_json
+from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
 CTX = PrecisionContext(3, 4)
 
@@ -545,6 +548,10 @@ def test_period_sixty_fits_under_the_cap(tmp_path):
     assert (status, doc["period"]) == (0, 60)
 
 
+# diam on 3^2 at p = 3, m = 2, N = 2 trips the library's own consistency check
+DEFECT_PROBE = {"p": 3, "m": 2, "N": 2, "entries": [{"v": 2, "u": "1"}]}
+
+
 def run_silently(argv):
     """run() that also returns whatever reached the process's stdout and stderr."""
     out, err = io.StringIO(), io.StringIO()
@@ -598,11 +605,149 @@ def test_module_entry_point_refusals_print_no_traceback(tmp_path):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     problem = write(tmp_path, "ident.json", matrix_doc(3, 4, [[1, 0], [0, 1]]))
-    for argv in (["lift", "--p", "5", "--m", "3", "--residue", "2",
-                  "--out", str(tmp_path / "missing-dir" / "x.json")],
-                 ["nope"],
-                 ["classify", "--in", problem, "--N", "65"]):
+    defect = write(tmp_path, "defect.json", DEFECT_PROBE)
+    for argv, status in ((["lift", "--p", "5", "--m", "3", "--residue", "2",
+                           "--out", str(tmp_path / "missing-dir" / "x.json")], 2),
+                         (["nope"], 2),
+                         (["classify", "--in", problem, "--N", "65"], 2),
+                         (["diam", "--in", defect], 1)):
         proc = subprocess.run([sys.executable, "-m", "padicspec.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.returncode == status, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
+        assert "error" in json.loads(proc.stdout), argv
+
+
+def test_internal_defect_is_a_document(tmp_path):
+    """A defect the library detects in itself ends in one document, exit 1."""
+    path = write(tmp_path, "defect.json", DEFECT_PROBE)
+    (status, doc, _), printed = run_silently(["diam", "--in", path])
+    assert (status, printed) == (1, "")
+    assert doc["error"] == {
+        "kind": "internal",
+        "exception": "RuntimeError",
+        "reason": "operator norm differs from max eigenvalue norm (internal defect)",
+    }
+
+
+@pytest.mark.parametrize(
+    "declared,reason",
+    [
+        (True, "declared dimension must be an integer"),
+        (1.0, "declared dimension must be an integer"),
+        ("1", "declared dimension must be an integer"),
+        (2, "declared dimension 2 does not match 1"),
+    ],
+    ids=["bool", "float", "string", "mismatch"],
+)
+def test_declared_dimension_is_an_integer_equal_to_n(tmp_path, declared, reason):
+    path = write(tmp_path, "one.json", matrix_doc(3, 4, [[1]], n=declared))
+    status, doc, _ = run(["hermite", "--in", path])
+    assert status == 2
+    assert doc["error"] == {"kind": "malformed_input", "field": "n", "reason": f"field 'n': {reason}"}
+
+
+# every character, lone surrogates included
+_TEXT = st.text(st.characters(exclude_categories=()))
+_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**60), max_value=10**60),
+    st.floats(),
+    _TEXT,
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TREES)
+@example({"a": [float("nan"), float("inf"), -float("inf"), -0.0, 10**40, "\ud800\x00\u00e9"],
+          "": {}, "t": (), "z": [[], {"k": None}, True, False]})
+def test_dump_is_json_dumps(tree):
+    assert _dump(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("tree", [{"a": {1, 2}}, {1: "x"}, [{"k": {"deep": {3: 4}}}]],
+                         ids=["set-value", "int-key", "nested-int-key"])
+def test_dump_refuses_sets_and_non_string_keys(tree):
+    with pytest.raises(TypeError):
+        _dump(tree)
+
+
+def _one_call_per_command(tmp_path):
+    # diag(1, -1): Teichmuller, so spectral accepts it at period 1
+    matrix = write(tmp_path, "diag.json", matrix_doc(3, 4, [[1, 0], [0, -1]], depth=2))
+    projection = write(tmp_path, "pi.json", matrix_doc(3, 4, [[1, 0], [0, 0]]))
+    coeffs = write(tmp_path, "coeffs.json", {"p": 3, "m": 4, "coeffs": [{"v": 0, "u": "1"}]})
+    return [
+        ["lift", "--p", "5", "--m", "3", "--residue", "2"],
+        ["digits", "--p", "5", "--m", "2", "--num", "2"],
+        ["classify", "--in", matrix],
+        ["spectral", "--in", matrix],
+        ["measure", "--in", matrix],
+        ["integral", "--in", matrix],
+        ["jordan", "--in", matrix],
+        ["hermite", "--in", matrix],
+        ["diam", "--in", matrix],
+        ["uncertainty", "--in", _uncertainty_pair(tmp_path), "--samples", "2"],
+        ["kochubei", "--in", coeffs],
+        ["euler", "--in", coeffs],
+        ["certify-projection", "--in", projection],
+    ]
+
+
+def test_run_command_builds_no_parser(tmp_path, monkeypatch):
+    argvs = _one_call_per_command(tmp_path)
+    assert [argv[0] for argv in argvs] == list(_COMMANDS)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in argvs:
+        assert run(argv)[0] == 0, argv
+    assert built == []
+
+
+def test_flag_defaults_do_not_leak_between_calls(tmp_path):
+    path = write(tmp_path, "pi.json", matrix_doc(3, 4, [[1, 0], [0, 0]]))
+    bare = run(["certify-projection", "--in", path])[2]
+    flagged = run(["certify-projection", "--in", path, "--samples", "3", "--seed", "7"])[2]
+    assert json.loads(flagged)["samples"] == 3
+    assert run(["certify-projection", "--in", path])[2] == bare != flagged
+
+
+def test_an_argv_error_does_not_change_the_next_answer(tmp_path):
+    path = write(tmp_path, "pi.json", matrix_doc(3, 4, [[1, 0], [0, 0]]))
+    first = run(["certify-projection", "--in", path])
+    status, doc, _ = run(["certify-projection", "--in", path, "--samples", "3", "--bogus"])
+    assert (status, doc["error"]["field"]) == (2, "argv")
+    assert run(["certify-projection", "--in", path]) == first
+
+
+def test_help_document_is_the_same_after_other_commands(tmp_path):
+    before = run(["--help"])
+    for argv in _one_call_per_command(tmp_path):
+        run(argv)
+    run(["nope"])
+    assert run(["--help"]) == before
+
+
+def test_out_file_bytes_are_the_stream_bytes(tmp_path):
+    path = write(tmp_path, "diag.json", matrix_doc(3, 4, [[1, 0], [0, 4]], depth=2))
+    target = tmp_path / "out.json"
+    _, _, text = run(["measure", "--in", path])
+    assert run(["measure", "--in", path, "--out", str(target)])[2] == ""
+    assert target.read_bytes() == text.encode("utf-8")
