@@ -361,7 +361,10 @@ def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
 def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
-    report = spectrum_diameter(matrix, period)
+    try:
+        report = spectrum_diameter(matrix, period)
+    except ValueError as exc:
+        raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
         "period": report.period,
         "diameter": report.diameter,

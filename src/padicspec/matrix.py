@@ -187,7 +187,7 @@ class UMatrix:
         """Matrix power computed on residues mod p^m; needs |A| <= 1."""
         ops = residue_ops(self.ctx, self.ext_ring)
         power = _res_matpow(self.residues(), exponent, ops)
-        return _wrap_residues(power, self)
+        return _wrap_residues(power, self.ctx, self.ext_ring)
 
     def sigma_window(self, period: int = 1) -> "UMatrix":
         """The p-power map A -> A^(p^period) in the window."""
@@ -200,7 +200,8 @@ class UMatrix:
         """The residue rows, sigma on rows, and the matrix of rows (see classify_orbit)."""
         ops = residue_ops(self.ctx, self.ext_ring)
         step = functools.partial(_res_matpow, exponent=self.ctx.p, ops=ops)
-        return self.residues(), step, functools.partial(_wrap_residues, like=self)
+        wrap = functools.partial(_wrap_residues, ctx=self.ctx, ring=self.ext_ring)
+        return self.residues(), step, wrap
 
     def __repr__(self):
         ring = "base" if self.ext_ring is None else "ext"
@@ -274,16 +275,16 @@ def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
     return result
 
 
-def _entry_maker(like: UMatrix):
-    """The constructor of one entry of like's ring from its residue key."""
-    ring = like.ext_ring
+def _entry_maker(ctx: PrecisionContext, ring: Optional[ExtRing]):
+    """The constructor of one entry of Z/p^m at ctx, or of ring, from its residue key."""
     if ring is None:
-        return functools.partial(PadicScalar.from_residue, ctx=like.ctx)
+        return functools.partial(PadicScalar.from_residue, ctx=ctx)
     return functools.partial(ExtScalar.from_vector, ring)
 
 
-def _wrap_residues(rows: tuple, like: UMatrix) -> UMatrix:
-    make = _entry_maker(like)
+def _wrap_residues(rows: tuple, ctx: PrecisionContext, ring: Optional[ExtRing]) -> UMatrix:
+    """The matrix of residue rows: scalars are built here, at the API boundary only."""
+    make = _entry_maker(ctx, ring)
     return UMatrix(tuple(tuple(map(make, row)) for row in rows))
 
 
@@ -337,7 +338,7 @@ def inverse(u: UMatrix) -> UMatrix:
     rows = _gl_inverse_rows(u)
     if rows is None:
         raise ValueError("matrix is not in GL_n (unit determinant required)")
-    return _wrap_residues(rows, u)
+    return _wrap_residues(rows, u.ctx, u.ext_ring)
 
 
 def determinant(a: UMatrix) -> Scalar:
@@ -350,7 +351,7 @@ def determinant(a: UMatrix) -> Scalar:
     """
     k = min(0, a.valuation)
     det = _berkowitz_det(a.shift(-k).residues(), residue_ops(a.ctx, a.ext_ring))
-    return _entry_maker(a)(det).shift(a.n * k)
+    return _entry_maker(a.ctx, a.ext_ring)(det).shift(a.n * k)
 
 
 def _berkowitz_det(rows: tuple, ops) -> object:
@@ -485,7 +486,7 @@ def certify_orthogonal_projection(
 
     rng = random.Random(seed)
     ring = pi.ext_ring
-    ident = _wrap_residues(_res_identity(n, residue_ops(ctx, ring)), pi)
+    ident = _wrap_residues(_res_identity(n, residue_ops(ctx, ring)), ctx, ring)
     complement = ident - pi
     decomposition_ok = True
     ball_stable = True

@@ -21,7 +21,8 @@ is stationary mod p (the sigma phase) and then finish with Newton's
 method on x^q = x, whose derivative q x^(q-1) - 1 is -1 mod p, a unit:
 the digits of agreement double at each step, so about log2 m steps
 finish the limit.  Orbits that need not converge are walked by
-scan_orbit, under the one step budget of PrecisionContext.budget.
+scan_orbit, under one step budget: PrecisionContext.budget, raised to
+a bound on the pre-period where the orbit's ring is large.
 """
 
 from __future__ import annotations
@@ -581,14 +582,33 @@ def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitRe
     """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
 
     step maps a key (an int, a coordinate vector or residue rows) to its
-    sigma-image.  The walk takes at most ctx.budget(period_bound) +
-    period_bound steps, so a cycle of length up to period_bound entered
-    within ctx.budget(period_bound) is seen to repeat.  A zero key is
-    TopNilpotent; a repeat is Periodic, or QuasiPeriodic with the first
-    cycle key as limit when the cycle misses start; a longer cycle or an
-    exhausted budget is ChaosAtPrecision.
+    sigma-image.  The walk takes at most max(ctx.budget(period_bound), P)
+    + period_bound steps, so a cycle of length up to period_bound entered
+    within max(ctx.budget(period_bound), P) steps is seen to repeat.  A
+    zero key is TopNilpotent; a repeat is Periodic, or QuasiPeriodic with
+    the first cycle key as limit when the cycle misses start; a longer
+    cycle or an exhausted budget is ChaosAtPrecision.
+
+    P = m + floor(log_p(e - 1)) (P = m for e = 1) bounds the pre-period
+    of every orbit, e = n * deg * m for keys of n x n rows over a
+    degree-deg ring A (n = 1 for a scalar, A = Z/p^m at deg = 1).  The
+    key x generates the commutative ring R = A[x], by Cayley-Hamilton a
+    quotient of A^n, so its length as an abelian group is at most e.  R
+    is a product of local rings, and in each factor x is either
+    nilpotent, with x^e = 0, or omega (1 + z): omega a root of unity of
+    order prime to p, whose p-power orbit is a cycle from step 0, and z
+    in the maximal ideal, so z^e = 0.  In the binomial expansion
+    (1 + z)^(p^k) = sum_j C(p^k, j) z^j only j <= e - 1 survive, and
+    v_p(C(p^k, j)) = k - v_p(j) >= k - floor(log_p(e - 1)) for those
+    j >= 1, so (1 + z)^(p^k) = 1 mod p^m once k >= P; a nilpotent factor
+    is 0 once p^k >= e, which k = P satisfies.  From step P on, the orbit
+    is on its cycle.
     """
-    budget = ctx.budget(period_bound) + period_bound
+    e = ctx.m * _key_size(start)
+    pre_period, power = ctx.m, ctx.p
+    while power <= e - 1:
+        pre_period, power = pre_period + 1, power * ctx.p
+    budget = max(ctx.budget(period_bound), pre_period) + period_bound
     verdict = functools.partial(OrbitReport, budget=budget)
     seen, keys, cur, k = {}, [], start, 0
     while True:
@@ -614,8 +634,9 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     mod p^m with minimal N <= period_bound.  QuasiPeriodic(N): the orbit
     enters a cycle of length N <= period_bound that does not contain x.
     ChaosAtPrecision: neither happened within the scan_orbit budget,
-    m * period_bound + 4 + period_bound steps (a precision-relative
-    verdict, not an error).  The scan steps on x's residue key through
+    max(m * period_bound + 4, P) + period_bound steps with P the
+    pre-period bound derived there (a precision-relative verdict, not an
+    error).  The scan steps on x's residue key through
     x.residue_orbit(); only a QuasiPeriodic limit is built as an object
     of x's type.
     """
@@ -628,6 +649,13 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     if report.limit is None:
         return report
     return replace(report, limit=wrap(report.limit))
+
+
+def _key_size(key) -> int:
+    """n * deg for a key of n x n rows over a degree-deg ring (1 for an int key)."""
+    if isinstance(key, int):
+        return 1
+    return len(key) if isinstance(key[0], int) else len(key) * _key_size(key[0][0])
 
 
 def _key_is_zero(key) -> bool:

@@ -18,6 +18,12 @@ The same machinery yields the canonical splitting A = A_s + A_n into a
 multiplicative part and a topologically nilpotent part, the spectrum
 diameter, and the commutator inequality
 |[A, B] psi| <= diam(A) * diam(B) for unit psi.
+
+The pipeline exchanges residue rows mod p^m (ints over Z/p^m,
+coordinate vectors over an extension ring): _hermite_rows peels the
+digits, _resolve checks and resolves one digit, and the trees multiply
+and certify on rows.  Scalars and matrices are built only for what a
+public function returns.
 """
 
 from __future__ import annotations
@@ -141,13 +147,11 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     limit = _sigma_limit(rows, 1, ctx, ops, ctx.budget())
     if limit is None:
         raise RuntimeError("idempotent lift failed to stabilise (internal defect)")
-    pi = _wrap_residues(limit, a)
-    sq = _res_matmul(limit, limit, ops)
-    if sq != limit:
+    if _res_matmul(limit, limit, ops) != limit:
         raise RuntimeError("sigma limit of an idempotent is not idempotent (internal defect)")
     if not _rows_are_zero(_map_coords(_res_sub(limit, rows, ops), lambda c: c % ctx.p)):
         raise RuntimeError("idempotent lift changed the reduction (internal defect)")
-    return pi
+    return _wrap_residues(limit, ctx, a.ext_ring)
 
 
 # -- Lagrange spectral decomposition -------------------------------------------
@@ -178,69 +182,57 @@ class SpectralDecomposition:
         return tuple(proj for _, proj in self.points)
 
 
-def _spectral_points(x: UMatrix, period: int):
-    """Teichmuller lifts of the eigenvalues of x mod p, and the ambient matrix.
+def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
+    """Teichmuller lifts of the eigenvalues of rows mod p, the ambient ring, its rows.
 
     The eigenvalues are the roots in F_{p^N} of the Berkowitz
-    characteristic polynomial of x mod p, over the field F_{p^D} that
+    characteristic polynomial of rows mod p, over the field F_{p^D} that
     the ambient entries reduce into (D = 1 over Z_p).  The ambient ring
-    must contain the period-N fixed points, so a base matrix is promoted
-    to the degree-N extension, and an extension matrix requires N to
-    divide its ring degree.  Points are ordered by residue
+    must contain the period-N fixed points, so base rows are promoted to
+    the degree-N extension (constant coordinates), and an extension ring
+    requires N to divide its degree.  Points are ordered by residue
     mod p (base) or by the coordinates of their reduction, the order in
     which the residue field enumerates its elements.
     """
-    ctx = x.ctx
     p = ctx.p
-    if period == 1 and x.ext_ring is None:
-        ring, ambient, degree, deltas = None, x, 1, range(p)
+    if period == 1 and ring is None:
+        degree, deltas = 1, range(p)
     else:
-        ring = x.ext_ring or ext_ring(p, period, ctx.m)
+        if ring is None:
+            ring = ext_ring(p, period, ctx.m)
+            pad = (0,) * (period - 1)
+            rows = tuple(tuple((c,) + pad for c in row) for row in rows)
         if ring.degree % period != 0:
             raise ValueError(
                 f"period {period} does not divide the extension degree {ring.degree}"
             )
-        ambient, degree = x.promote(ring), ring.degree
+        degree = ring.degree
         deltas = (a.coords for a in ring.residue_field.elements())
     ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = _berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
+    charpoly = _berkowitz_charpoly(_map_coords(rows, lambda c: c % p), ops)
     roots = poly_roots(list(charpoly), p**period, degree, ops, deltas)
     if ring is None:
-        return [teichmuller_lift(r, ctx) for r in roots], x
-    return [teichmuller_lift_ext(ring.residue_field.element(r), ctx.m) for r in roots], ambient
+        return [teichmuller_lift(r, ctx) for r in roots], ring, rows
+    return [teichmuller_lift_ext(ring.residue_field.element(r), ctx.m) for r in roots], ring, rows
 
 
-def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
-    """Lagrange resolution of a sigma^N-fixed matrix over its eigenvalues.
+def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
+    """The Lagrange resolution of teichmuller_spectral on residue rows.
 
-    The candidate points are the Teichmuller lifts of the eigenvalues of x
-    mod p, found as the roots of its characteristic polynomial in
-    F_{p^N}; at most n of them exist.  Each projector is the product of
-    (x - mu)/(lambda - mu) over the other points mu.  Interpolating over
-    all p^N fixed points would give the same projectors: the one for a
-    point that is not an eigenvalue mod p is an idempotent with zero
-    reduction, hence 0.  The denominators are units because distinct
-    points have distinct reductions, and this is asserted at runtime;
-    projectors summing to 1 certifies that no eigenvalue was missed.
-
-    The work is O(n^4 + n^2 log p^N) field operations for the roots (the
-    characteristic polynomial, then each gcd or splitting step; a few
-    splitting shifts suffice in practice) plus at most n(n-1) matrix
-    products for the projectors.
+    Returns (points, ambient ring, projector rows): the eigenvalue points
+    as scalars of the ambient ring (None for Z_p) and, in the same order,
+    their nonzero projectors as residue rows over it, verified by
+    _verify_decomposition.  Rows not fixed by sigma^N mod p^m are refused
+    with ValueError; the defect norm is computed on that path only.
     """
-    ctx = x.ctx
-    if not x.is_integral:
-        raise ValueError("teichmuller_spectral requires |x| <= 1")
-    image = x.sigma_window(period)
-    if not image.congruent(x):
-        defect = (image - x).norm
-        raise ValueError(
-            f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})"
-        )
-    points, ambient = _spectral_points(x, period)
-    n = ambient.n
-    ops = residue_ops(ambient.ctx, ambient.ext_ring)
-    rows = ambient.residues()
+    ops = residue_ops(ctx, ring)
+    image = _res_matpow(rows, ctx.p**period, ops)
+    if image != rows:
+        defect = _wrap_residues(_res_sub(image, rows, ops), ctx, ring).norm
+        raise ValueError(f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})")
+    points, ring, rows = _spectral_points(rows, ctx, ring, period)
+    n = len(rows)
+    ops = residue_ops(ctx, ring)
     lam_res = [pt.residue_key() for pt in points]
     shifted = [
         tuple(
@@ -263,10 +255,34 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
         inv = ops.inv_unit(denominator)
         resolved.append((lam, _res_scale(inv, numerator, ops)))
     _verify_decomposition(rows, resolved, ops, n)
-    wrapped = tuple(
-        (pt, _wrap_residues(proj, ambient)) for pt, (_, proj) in zip(points, resolved)
-    )
-    return SpectralDecomposition(period, wrapped, 0.0)
+    return points, ring, [proj for _, proj in resolved]
+
+
+def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
+    """Lagrange resolution of a sigma^N-fixed matrix over its eigenvalues.
+
+    The candidate points are the Teichmuller lifts of the eigenvalues of x
+    mod p, found as the roots of its characteristic polynomial in
+    F_{p^N}; at most n of them exist.  Each projector is the product of
+    (x - mu)/(lambda - mu) over the other points mu.  Interpolating over
+    all p^N fixed points would give the same projectors: the one for a
+    point that is not an eigenvalue mod p is an idempotent with zero
+    reduction, hence 0.  The denominators are units because distinct
+    points have distinct reductions, and this is asserted at runtime;
+    projectors summing to 1 certifies that no eigenvalue was missed.
+
+    The work is O(n^4 + n^2 log p^N) field operations for the roots (the
+    characteristic polynomial, then each gcd or splitting step; a few
+    splitting shifts suffice in practice) plus at most n(n-1) matrix
+    products for the projectors.  The sigma^N check, the resolution and
+    its certificate run on residue rows (_resolve); only the projectors
+    returned here are built as matrices.
+    """
+    if not x.is_integral:
+        raise ValueError("teichmuller_spectral requires |x| <= 1")
+    points, ring, projectors = _resolve(x.residues(), x.ctx, x.ext_ring, period)
+    wrapped = (_wrap_residues(proj, x.ctx, ring) for proj in projectors)
+    return SpectralDecomposition(period, tuple(zip(points, wrapped)), 0.0)
 
 
 def _verify_decomposition(rows, resolved, ops, n):
@@ -336,12 +352,21 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     stationary mod p, none for a tail that already is) followed by
     Newton's method on X^(p^N) = X at precision 2m, so a digit costs
     ceil(log2 2m) + 1 matrix powers past its sigma phase, each of
-    O(N log2 p) products of n x n matrices.
+    O(N log2 p) products of n x n matrices.  The peeling runs on residue
+    rows (_hermite_rows); only the digits returned here are built as
+    matrices.
     """
+    k, digits = _hermite_rows(a, period)
+    ctx, ring = a.ctx, a.ext_ring
+    return HermiteDigitsMatrix(k, tuple(_wrap_residues(d, ctx, ring) for d in digits), period)
+
+
+def _hermite_rows(a: UMatrix, period: int):
+    """The digit peeling of hermite_digits_matrix: (lead valuation, digit rows mod p^m)."""
     ctx = a.ctx
     k = a.valuation
     if k == INFINITE:
-        return HermiteDigitsMatrix(0, (a,) * ctx.m, period)
+        return 0, (a.residues(),) * ctx.m
     work = a.shift(-k)
     ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
     ops_hi = residue_ops(ctx_hi, work.ext_ring)
@@ -363,9 +388,9 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
-        digits.append(_wrap_residues(_map_coords(limit, lambda c: c % ctx.modulus), work))
+        digits.append(_map_coords(limit, lambda c: c % ctx.modulus))
         rows = _map_coords(tail, lambda c: c // ctx.p)
-    return HermiteDigitsMatrix(int(k), tuple(digits), period)
+    return int(k), tuple(digits)
 
 
 # -- the projector-valued measure -------------------------------------------------
@@ -378,12 +403,15 @@ class SpectralMeasure:
     nodes maps digit-path addresses (i_0, ..., i_j) to the product of the
     per-digit projectors along the path; zero products are omitted.  The
     stored projectors at each level sum to the identity, refine their
-    parents, and are pairwise orthogonal.
+    parents, and are pairwise orthogonal.  lifts[j] maps each index of
+    level j to the residue of its Teichmuller lift, the point that level
+    j's resolution already computed, so the ball centers need no lift.
     """
 
     depth: int
     lead_valuation: int
     nodes: tuple  # ((address, projector), ...) sorted by level then address
+    lifts: tuple  # ({index: lift residue mod p^m}, ...) per level
 
     def level(self, j: int) -> list:
         return [(addr, proj) for addr, proj in self.nodes if len(addr) == j + 1]
@@ -392,10 +420,8 @@ class SpectralMeasure:
         return {addr: proj for addr, proj in self.nodes}
 
     def ball_center(self, address: tuple, ctx: PrecisionContext) -> PadicScalar:
-        """The Z_p number picked out by a digit path, scaled by p^k."""
-        total = 0
-        for j, idx in enumerate(address):
-            total += teichmuller_lift(idx, ctx).residue() * ctx.p**j
+        """The Z_p number picked out by a digit path of the tree, scaled by p^k."""
+        total = sum(self.lifts[j][idx] * ctx.p**j for j, idx in enumerate(address))
         return PadicScalar.from_residue(total, ctx).shift(self.lead_valuation)
 
 
@@ -407,11 +433,14 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     together.  Nonzero products are orthogonal projections, and in
     dimension n at most n of them survive at any level.
 
-    Every candidate child is tested for zero on residues mod p^m; only
-    the survivors are formed as scalar-level products, whose entries
-    keep m digits past their own valuation.  Those products keep the
-    object semantics of PadicScalar addition (each partial sum truncated
-    to m digits, left to right) but run on (valuation, unit) ints in
+    The digits, their resolutions and the zero test of every candidate
+    child run on residue rows mod p^m; only the emitted nodes are built
+    as matrices.  Each projector is wrapped once (every one is a factor
+    of some survivor, as the parents sum to 1), and each surviving child
+    is the scalar-level product parent * proj, whose entries keep m
+    digits past their own valuation.  Those products keep the object
+    semantics of PadicScalar addition (each partial sum truncated to m
+    digits, left to right) but run on (valuation, unit) ints in
     PadicScalar.dot.
     """
     ctx = a.ctx
@@ -419,14 +448,19 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
-    expansion = hermite_digits_matrix(a, 1)
+    lead_valuation, digits = _hermite_rows(a, 1)
     ops = residue_ops(ctx)
-    nodes = []
+    nodes, lifts = [], []
     frontier = None  # (address, projector, its residues) per node of the last level
     for level in range(depth):
-        resolution = teichmuller_spectral(expansion.digits[level], 1)
+        points, _, projectors = _resolve(digits[level], ctx, None, 1)
+        residues = [lam.residue() for lam in points]
+        lifts.append({r % ctx.p: r for r in residues})
         # the points come ascending by residue mod p, so each level is in address order
-        terms = [(lam.residue() % ctx.p, proj, proj.residues()) for lam, proj in resolution.points]
+        terms = [
+            (r % ctx.p, _wrap_residues(rows, ctx, None), rows)
+            for r, rows in zip(residues, projectors)
+        ]
         if frontier is None:
             frontier = [((idx,), proj, rows) for idx, proj, rows in terms]
         else:
@@ -438,22 +472,23 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
                         new_frontier.append((address + (idx,), parent * proj, rows))
             frontier = new_frontier
         nodes.extend((address, child) for address, child, _ in frontier)
-    measure = SpectralMeasure(depth, expansion.lead_valuation, tuple(nodes))
-    _verify_measure(measure, expansion.digits)
+    measure = SpectralMeasure(depth, lead_valuation, tuple(nodes), tuple(lifts))
+    _verify_measure(measure, digits)
     return measure
 
 
-def _verify_measure(measure: SpectralMeasure, digits: Sequence[UMatrix]):
+def _verify_measure(measure: SpectralMeasure, digits: Sequence[tuple]):
     """Check every level, pair and parent of the tree mod p^m, on residues.
 
-    Per level: the projectors are pairwise orthogonal and sum to 1.  Per
-    node above the deepest level: its children sum to it.  Per level j:
-    the nodes weighted by the Teichmuller lift of the last index of their
-    address sum to digit j, so each projector sits under its own digit.
+    digits holds the residue rows of the expansion's digits.  Per level:
+    the projectors are pairwise orthogonal and sum to 1.  Per node above
+    the deepest level: its children sum to it.  Per level j: the nodes
+    weighted by the Teichmuller lift of the last index of their address
+    sum to digit j, so each projector sits under its own digit.  The
+    residues are read off the emitted nodes.
     """
     first = measure.nodes[0][1]
-    ctx = first.ctx
-    ops = residue_ops(ctx)
+    ops = residue_ops(first.ctx)
     ident = _res_identity(first.n, ops)
     residues = [(address, proj.residues()) for address, proj in measure.nodes]
     for j in range(measure.depth):
@@ -471,12 +506,13 @@ def _verify_measure(measure: SpectralMeasure, digits: Sequence[UMatrix]):
         if len(address) < measure.depth and _res_sum(children.get(address, []), ops) != rows:
             raise RuntimeError("projector does not refine into its children (internal defect)")
     for j in range(measure.depth):
+        lifts = measure.lifts[j]
         weighted = [
-            _res_scale(teichmuller_lift(address[-1], ctx).residue(), rows, ops)
+            _res_scale(lifts[address[-1]], rows, ops)
             for address, rows in residues
             if len(address) == j + 1
         ]
-        if _res_sum(weighted, ops) != digits[j].residues():
+        if _res_sum(weighted, ops) != digits[j]:
             raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
 
 
@@ -571,30 +607,34 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
 
     Digits are resolved one power of p at a time; surviving nested
     products give the projectors and the digit paths give the
-    eigenvalues, as scalars of the ambient ring.  The nested products
-    are formed and tested for zero on residues mod p^m.
+    eigenvalues, as scalars of the ambient ring.  The digits, their
+    resolutions and the nested products stay residue rows mod p^m; only
+    the projectors of the final frontier are built as matrices.
+
+    A period N > 1 resolves in the extension ring O_K/p^m, where p^k is 0
+    once k >= m, so it needs an operator of valuation 0 <= k < m; any
+    other valuation is refused with ValueError.
     """
-    expansion = hermite_digits_matrix(a, period)
-    k = expansion.lead_valuation
-    if period > 1 and k < 0:
-        raise ValueError("period > 1 spectra are supported for integral operators only")
+    ctx = a.ctx
+    k, digits = _hermite_rows(a, period)
+    if period > 1 and not 0 <= k < ctx.m:
+        raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
     frontier = None
-    for level, digit in enumerate(expansion.digits):
-        resolution = teichmuller_spectral(digit, period)
-        terms = [(lam.shift(k + level), proj.residues()) for lam, proj in resolution.points]
+    for level, rows in enumerate(digits):
+        points, ring, projectors = _resolve(rows, ctx, a.ext_ring, period)
+        terms = [(lam.shift(k + level), proj) for lam, proj in zip(points, projectors)]
         if frontier is None:
-            like = resolution.projectors[0]
-            ops = residue_ops(like.ctx, like.ext_ring)
+            ops = residue_ops(ctx, ring)
             frontier = terms
             continue
         new_frontier = []
-        for center, rows in frontier:
+        for center, parent in frontier:
             for term_center, pi in terms:
-                child = _res_matmul(rows, pi, ops)
+                child = _res_matmul(parent, pi, ops)
                 if not _rows_are_zero(child):
                     new_frontier.append((center + term_center, child))
         frontier = new_frontier
-    return [(center, _wrap_residues(rows, like)) for center, rows in frontier]
+    return [(center, _wrap_residues(rows, ctx, ring)) for center, rows in frontier]
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,15 @@ from padicspec import (
     PadicScalar,
     PrecisionContext,
     UMatrix,
+    ext_ring,
     finite_field,
+    hermite_digits_matrix,
     is_gl_zp,
     teichmuller_lift,
     teichmuller_lift_ext,
 )
-from padicspec.matrix import _res_matpow, inverse
+from padicspec.finite_field import poly_roots
+from padicspec.matrix import _berkowitz_charpoly, _map_coords, _res_matpow, inverse, residue_ops
 
 
 # -- independent integer-matrix arithmetic (oracle side) ----------------------
@@ -356,6 +359,113 @@ def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: in
         seen.add(nxt)
         cur = nxt
     return None
+
+
+# -- the spectral pipeline on matrix objects (oracle side) -------------------------
+
+
+def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
+    """(eigenvalue, projector) pairs of x by the object-level route.
+
+    The sigma^N check compares x with its sigma_window image.  The points
+    are the Teichmuller lifts of the roots of x's characteristic
+    polynomial mod p, found in the ambient ring (x promoted to the
+    degree-N extension when it has none); each projector is the
+    object-level product of (x - mu) over the other points mu, scaled by
+    the inverse of the product of the (lambda - mu).  Raises the
+    ValueErrors of teichmuller_spectral, with the same text.
+    """
+    ctx = x.ctx
+    if not x.is_integral:
+        raise ValueError("teichmuller_spectral requires |x| <= 1")
+    image = x.sigma_window(period)
+    if not image.congruent(x):
+        defect = (image - x).norm
+        raise ValueError(f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})")
+    p = ctx.p
+    ring = x.ext_ring
+    if period == 1 and ring is None:
+        ambient, field = x, finite_field(p, 1)
+    else:
+        ring = ring or ext_ring(p, period, ctx.m)
+        if ring.degree % period != 0:
+            raise ValueError(f"period {period} does not divide the extension degree {ring.degree}")
+        ambient, field = x.promote(ring), ring.residue_field
+    ops = residue_ops(PrecisionContext(p, 1), ring)
+    charpoly = _berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
+    roots = poly_roots(list(charpoly), p**period, field.degree, ops,
+                       (a.coords for a in field.elements()) if ring else range(p))
+    if ring is None:
+        points = [teichmuller_lift(r, ctx) for r in roots]
+        ident = UMatrix.identity(x.n, ctx)
+    else:
+        points = [teichmuller_lift_ext(field.element(r), ctx.m) for r in roots]
+        ident = UMatrix.identity(x.n, ctx).promote(ring)
+    out = []
+    for k, lam in enumerate(points):
+        numerator, denominator = ident, None
+        for j, mu in enumerate(points):
+            if j != k:
+                numerator = numerator * (ambient - ident.scale(mu))
+                diff = lam - mu
+                denominator = diff if denominator is None else denominator * diff
+        proj = numerator if denominator is None else numerator.scale(_inverse_unit(denominator))
+        out.append((lam, proj))
+    return out
+
+
+def _inverse_unit(u):
+    if isinstance(u, PadicScalar):
+        return PadicScalar.one(u.ctx) / u
+    return u.ring.one() / u
+
+
+def spectral_tree_oracle(a: UMatrix, period: int, depth: int) -> list:
+    """Levels 0..depth-1 of the digit tree of a by the object-level route.
+
+    Each digit of hermite_digits_matrix is resolved by
+    teichmuller_spectral_oracle; level j holds (address, center,
+    projector) for the nonzero object-level products of one projector
+    per level, in address order.  An address index is the reduction mod
+    p of its point (an int over Z_p, a coordinate tuple over an
+    extension), and a center sums the points shifted by p^(k + level).
+    """
+    expansion = hermite_digits_matrix(a, period)
+    k = expansion.lead_valuation
+    levels, frontier = [], [((), None, None)]
+    for level in range(depth):
+        terms = teichmuller_spectral_oracle(expansion.digits[level], period)
+        frontier = [
+            (address + (_point_index(lam),), _center_add(center, lam.shift(k + level)),
+             proj if parent is None else parent * proj)
+            for address, center, parent in frontier
+            for lam, proj in terms
+        ]
+        frontier = [node for node in frontier if not node[2].is_zero_mod_precision()]
+        levels.append(frontier)
+    return levels
+
+
+def _point_index(lam):
+    key = lam.residue_key()
+    p = lam.ctx.p
+    return key % p if isinstance(key, int) else tuple(c % p for c in key)
+
+
+def _center_add(center, lam):
+    return lam if center is None else center + lam
+
+
+def operator_spectrum_oracle(a: UMatrix, period: int = 1) -> list:
+    """operator_spectrum by the object-level route: the deepest tree level, as (center, projector).
+
+    Raises the ValueErrors of operator_spectrum's preconditions, with the same text.
+    """
+    ctx = a.ctx
+    k = hermite_digits_matrix(a, period).lead_valuation
+    if period > 1 and not 0 <= k < ctx.m:
+        raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
+    return [(center, proj) for _, center, proj in spectral_tree_oracle(a, period, ctx.m)[-1]]
 
 
 # -- sigma-orbit oracles: plain iteration, every iterate kept ----------------------

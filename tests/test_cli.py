@@ -138,7 +138,7 @@ def test_jordan_round_trip(tmp_path):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_jordan_kills_the_companion_of_x64_minus_2_at_the_budget(tmp_path, m):
-    """x^64 - 2 at p = 2: the orbit reaches 0 at step m + 5, the last step of the scan."""
+    """x^64 - 2 at p = 2: the orbit reaches 0 at step m + 5, past m * N + 4 at N = 1."""
     rows = [[1 if i == j + 1 else 0 for j in range(64)] for i in range(64)]
     rows[0][63] = 2
     path = write(tmp_path, "companion.json", matrix_doc(2, m, rows))
@@ -150,6 +150,24 @@ def test_jordan_kills_the_companion_of_x64_minus_2_at_the_budget(tmp_path, m):
     status, doc, _ = run(["jordan", "--in", path, "--N", "1"])
     assert status == 0
     assert (doc["period"], doc["steps_to_kill"]) == (1, m + 5)
+
+
+@pytest.mark.parametrize("bound", ["1", "2"])
+def test_jordan_and_classify_find_the_period_of_diag_1_j63(tmp_path, bound):
+    """diag(1, J_63) at p = 2, m = 1: J_63 dies at step 6, past m * 1 + 4.
+
+    Within the scan's pre-period bound m + floor(log2(64 - 1)) = 6, so
+    period 1 is found at bound 1 as at bound 2.
+    """
+    rows = [[1 if j == i + 1 else 0 for j in range(64)] for i in range(64)]
+    rows[0][1] = 0
+    rows[0][0] = 1
+    path = write(tmp_path, "diag_1_j63.json", matrix_doc(2, 1, rows))
+    status, doc, _ = run(["jordan", "--in", path, "--N", bound])
+    assert status == 0, doc
+    assert (doc["period"], doc["steps_to_kill"]) == (1, 6)
+    status, doc, _ = run(["classify", "--in", path, "--N", bound])
+    assert (status, doc["kind"], doc["period"], doc["steps"]) == (0, "QuasiPeriodic", 1, 7)
 
 
 def test_hermite_rejection_is_exit_one(tmp_path):
@@ -548,8 +566,9 @@ def test_period_sixty_fits_under_the_cap(tmp_path):
     assert (status, doc["period"]) == (0, 60)
 
 
-# diam on 3^2 at p = 3, m = 2, N = 2 trips the library's own consistency check
-DEFECT_PROBE = {"p": 3, "m": 2, "N": 2, "entries": [{"v": 2, "u": "1"}]}
+# diam on 3^2 at p = 3, m = 2, N = 2: a valuation that reaches m, where the
+# extension ring holds p^2 as 0, is a named precondition
+VALUATION_AT_M_PROBE = {"p": 3, "m": 2, "N": 2, "entries": [{"v": 2, "u": "1"}]}
 
 
 def run_silently(argv):
@@ -605,12 +624,12 @@ def test_module_entry_point_refusals_print_no_traceback(tmp_path):
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     problem = write(tmp_path, "ident.json", matrix_doc(3, 4, [[1, 0], [0, 1]]))
-    defect = write(tmp_path, "defect.json", DEFECT_PROBE)
+    refused = write(tmp_path, "refused.json", VALUATION_AT_M_PROBE)
     for argv, status in ((["lift", "--p", "5", "--m", "3", "--residue", "2",
                            "--out", str(tmp_path / "missing-dir" / "x.json")], 2),
                          (["nope"], 2),
                          (["classify", "--in", problem, "--N", "65"], 2),
-                         (["diam", "--in", defect], 1)):
+                         (["diam", "--in", refused], 1)):
         proc = subprocess.run([sys.executable, "-m", "padicspec.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == status, (argv, proc.stderr)
@@ -618,9 +637,15 @@ def test_module_entry_point_refusals_print_no_traceback(tmp_path):
         assert "error" in json.loads(proc.stdout), argv
 
 
-def test_internal_defect_is_a_document(tmp_path):
+def test_internal_defect_is_a_document(tmp_path, monkeypatch):
     """A defect the library detects in itself ends in one document, exit 1."""
-    path = write(tmp_path, "defect.json", DEFECT_PROBE)
+    resolve = spectral.operator_spectrum
+
+    def off_by_p(a, period=1):  # a planted defect: every eigenvalue gains a factor p
+        return [(lam.shift(1), proj) for lam, proj in resolve(a, period)]
+
+    monkeypatch.setattr(spectral, "operator_spectrum", off_by_p)
+    path = write(tmp_path, "diag.json", matrix_doc(3, 2, [[1, 0], [0, 2]]))
     (status, doc, _), printed = run_silently(["diam", "--in", path])
     assert (status, printed) == (1, "")
     assert doc["error"] == {
@@ -628,6 +653,26 @@ def test_internal_defect_is_a_document(tmp_path):
         "exception": "RuntimeError",
         "reason": "operator norm differs from max eigenvalue norm (internal defect)",
     }
+
+
+@pytest.mark.parametrize(
+    "argv,doc,reason",
+    [
+        (["--N", "2"], {"p": 3, "m": 2, "entries": [{"v": -1, "u": "1"}]},
+         "period > 1 spectra need a valuation in [0, m) = [0, 2); got -1"),
+        ([], VALUATION_AT_M_PROBE, "period > 1 spectra need a valuation in [0, m) = [0, 2); got 2"),
+    ],
+    ids=["negative-valuation", "valuation-at-m"],
+)
+@pytest.mark.parametrize("command", ["diam", "uncertainty"])
+def test_period_spectrum_preconditions_are_rejections(tmp_path, argv, doc, reason, command):
+    if command == "uncertainty":
+        doc = {"p": doc["p"], "m": doc["m"], "A": doc["entries"], "B": doc["entries"],
+               **({"N": doc["N"]} if "N" in doc else {})}
+    path = write(tmp_path, "probe.json", doc)
+    status, out, _ = run([command, "--in", path, *argv])
+    assert status == 1
+    assert out["error"] == {"kind": "precondition", "reason": reason}
 
 
 @pytest.mark.parametrize(

@@ -15,6 +15,7 @@ from helpers import (
     int_matvec,
     jordan_scan_oracle,
     lagrange_oracle,
+    operator_spectrum_oracle,
     rand_gl,
     rand_hermite,
     rand_poly_in,
@@ -22,7 +23,9 @@ from helpers import (
     residues_of,
     sigma_fixed_points_oracle,
     sigma_limit_oracle,
+    spectral_tree_oracle,
     teichmuller_companion,
+    teichmuller_spectral_oracle,
 )
 from padicspec import (
     INFINITE,
@@ -674,11 +677,11 @@ def _branching_operator():
 
 
 def _branching_measure():
-    """Depth-2 measure whose two level-0 balls split in two each, and its digits."""
+    """Depth-2 measure whose two level-0 balls split in two each, and its digit rows."""
     a = _branching_operator()
     measure = spectral_measure(a, 2)
     assert [addr for addr, _ in measure.level(1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    digits = hermite_digits_matrix(a, 1).digits
+    digits = [digit.residues() for digit in hermite_digits_matrix(a, 1).digits]
     _verify_measure(measure, digits)
     return measure, digits
 
@@ -726,32 +729,6 @@ def test_verify_measure_catches_swapped_siblings():
     assert (spectral_integral(swapped)[1] - a).valuation == 1
 
 
-def _object_frontier(a: UMatrix, period: int) -> list:
-    """operator_spectrum recomputed with scalar-level matrix products."""
-    ctx = a.ctx
-    expansion = hermite_digits_matrix(a, period)
-    k = expansion.lead_valuation
-    ring = ext_ring(ctx.p, period, ctx.m) if period > 1 else None
-    frontier = None
-    for level, digit in enumerate(expansion.digits):
-        terms = []
-        for lam, proj in teichmuller_spectral(digit, period).points:
-            if ring is None:
-                terms.append((lam.shift(k + level), proj))
-            else:
-                terms.append((lam * ring.embed(pow(ctx.p, k + level, ctx.modulus)), proj))
-        if frontier is None:
-            frontier = terms
-            continue
-        frontier = [
-            (center + term, proj * pi)
-            for center, proj in frontier
-            for term, pi in terms
-            if not (proj * pi).is_zero_mod_precision()
-        ]
-    return frontier
-
-
 @pytest.mark.parametrize("period", [1, 2])
 def test_operator_spectrum_matches_scalar_level_products(period):
     rng = random.Random(40 + period)
@@ -773,11 +750,132 @@ def test_operator_spectrum_matches_scalar_level_products(period):
             cases.append(conjugate(rand_gl(ctx, 4, rng), UMatrix.from_residues(d, ctx)))
     for a in cases:
         got = operator_spectrum(a, period)
-        expected = _object_frontier(a, period)
+        expected = operator_spectrum_oracle(a, period)
         assert len(got) == len(expected) == 4  # the tree branches below its first level
         for (lam, proj), (mu, pi) in zip(got, expected):
             assert lam == mu
             assert proj.congruent(pi)
+
+
+# -- the residue pipeline against the object-level route ----------------------------
+
+
+@st.composite
+def spectral_problems(draw):
+    """A Hermite operator over Z_p or with degree-2 blocks, or one of the edge inputs.
+
+    period 1 draws U diag U^-1; period 2 draws U (a_i + b_i W) U^-1 for
+    blocks W of multiplication by a degree-2 Teichmuller lift (with one
+    1 x 1 block at odd n).  The shape then shifts the valuation below 0
+    or to m or m + 1, promotes to the degree-2 ring, takes the zero
+    matrix, or replaces the operator by random residues (not fixed by
+    sigma^N).
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=8))
+    period = draw(st.sampled_from([1, 2]))
+    shape = draw(st.sampled_from(["plain", "negative", "deep", "promoted", "zero", "unfixed"]))
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    q = ctx.modulus
+    if period == 1:
+        a, _, _ = rand_hermite(ctx, n, rng)
+    else:
+        w = _multiplication_block(ctx, 2)
+        d = [[0] * n for _ in range(n)]
+        for i in range(0, n - 1, 2):
+            x, y = rng.randrange(q), rng.randrange(q)
+            for r in range(2):
+                for c in range(2):
+                    d[i + r][i + c] = (x * (r == c) + y * w[r][c]) % q
+        if n % 2:
+            d[n - 1][n - 1] = rng.randrange(q)
+        a = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(d, ctx))
+    if shape == "negative" and a.valuation != INFINITE:
+        a = a.shift(-1 - int(a.valuation))
+    elif shape == "deep" and a.valuation != INFINITE:  # valuation m or m + 1
+        a = a.shift(m + rng.randrange(2) - int(a.valuation))
+    elif shape == "promoted":
+        a = a.promote(ext_ring(p, 2, m))
+    elif shape == "zero":
+        a = UMatrix.zeros(n, ctx)
+    elif shape == "unfixed":
+        a = UMatrix.from_residues([[rng.randrange(q) for _ in range(n)] for _ in range(n)], ctx)
+    return a, period
+
+
+def _outcome(resolve, *args):
+    """resolve(*args), or the type and text of its refusal as a tuple."""
+    try:
+        return resolve(*args)
+    except (ValueError, NotHermiteError) as exc:
+        return type(exc), str(exc)
+
+
+def _with_residues(pairs):
+    """(scalar, projector residues) pairs of a resolution, or its refusal."""
+    if isinstance(pairs, tuple) and isinstance(pairs[0], type):
+        return pairs
+    return [(lam, proj.residues()) for lam, proj in pairs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(spectral_problems())
+def test_residue_pipeline_matches_the_object_level_route(problem):
+    """teichmuller_spectral, operator_spectrum and spectral_measure against the oracles.
+
+    Equal eigenvalue scalars, projector residues and node addresses, or
+    the same refusal (type and text), on the operator, on its first
+    digit, and for the measure at every depth over Z_p.
+    """
+    a, period = problem
+    ctx = a.ctx
+    subjects = [a]
+    expansion = _outcome(hermite_digits_matrix, a, period)
+    if not isinstance(expansion, tuple):
+        subjects.append(expansion.digits[0])
+    for x in subjects:
+        got = _outcome(lambda: teichmuller_spectral(x, period).points)
+        assert _with_residues(got) == _with_residues(_outcome(teichmuller_spectral_oracle, x, period))
+    got = _with_residues(_outcome(operator_spectrum, a, period))
+    assert got == _with_residues(_outcome(operator_spectrum_oracle, a, period))
+    if period != 1 or a.ext_ring is not None or isinstance(expansion, tuple):
+        return
+    depth = ctx.m
+    measure = spectral_measure(a, depth)
+    levels = spectral_tree_oracle(a, 1, depth)
+    for j, level in enumerate(levels):
+        assert [(addr, proj.residues()) for addr, proj in measure.level(j)] == [
+            (addr, proj.residues()) for addr, _, proj in level
+        ]
+        for addr, center, _ in level:
+            window = measure.lead_valuation + ctx.m
+            assert (measure.ball_center(addr, ctx) - center).valuation >= window
+
+
+def test_measure_and_integral_lift_no_point_twice(monkeypatch):
+    """The ball centers, the tree certificate and the integral read the resolutions' lifts.
+
+    Every teichmuller_lift call comes from a level's resolution, one per
+    point, and every point of a level indexes at least one of its nodes.
+    """
+    calls = []
+
+    def counted(residue, ctx):
+        calls.append(residue)
+        return teichmuller_lift(residue, ctx)
+
+    monkeypatch.setattr(spectral, "teichmuller_lift", counted)
+    a = _branching_operator()
+    ctx = a.ctx
+    measure = spectral_measure(a, ctx.m)
+    points = sum(len({addr[-1] for addr, _ in measure.level(j)}) for j in range(ctx.m))
+    assert len(calls) == points == 4  # indices 0, 1 at level 0 and at level 1
+    for addr, _ in measure.nodes:
+        measure.ball_center(addr, ctx)
+    spectral_integral(measure)
+    assert len(calls) == points
 
 
 # -- Jordan decomposition ----------------------------------------------------------------
@@ -877,10 +975,10 @@ def nilpotent_jordan_block(n: int, ctx: PrecisionContext) -> UMatrix:
 def test_jordan_kill_count_is_the_classify_step(shape, n, p, m):
     """A nilpotent matrix's kill count is the step at which classify sees it reach 0.
 
-    The p = 2, n = 64 cases sit exactly at the scan budget m + 5 of
-    period bound 1: the companion of x^64 - 2 dies at step m + 5 for
-    every m <= 3 (its 64th power is 2), the Jordan block at step 6,
-    which is m + 5 at m = 1.
+    The p = 2, n = 64 cases outrun m * 1 + 4, the precision part of the
+    scan budget at period bound 1: the companion of x^64 - 2 dies at
+    step m + 5 for every m <= 3 (its 64th power is 2), the Jordan block
+    at step 6.  Both stay within the pre-period bound m + floor(log2(64 m - 1)).
     """
     ctx = PrecisionContext(p, m)
     if shape == "companion":
@@ -895,8 +993,9 @@ def test_jordan_kill_count_is_the_classify_step(shape, n, p, m):
         assert pair.steps_to_kill == report.steps
         assert pair.semisimple.is_zero_mod_precision()
         assert pair.nilpotent.congruent(a)
+    assert report.budget == documented_scan_budget(p, m, n, 1)
     if shape == "companion":
-        assert report.steps == m + 5 == report.budget
+        assert report.steps == m + 5
 
 
 def test_jordan_kill_bound_covers_every_n():
@@ -912,9 +1011,17 @@ def test_jordan_kill_bound_covers_every_n():
     assert residues_of(pair.semisimple) == [[int(i == j == 0) for j in range(66)] for i in range(66)]
 
 
+def documented_scan_budget(p: int, m: int, size: int, bound: int) -> int:
+    """max(m * bound + 4, P) + bound with P = m + floor(log_p(size * m - 1)), size = n * deg."""
+    e = size * m
+    pre_period = m + max((j for j in range(e) if p**j <= e - 1), default=0)
+    return max(m * bound + 4, pre_period) + bound
+
+
 def _sigma_window_walk(x: UMatrix, bound: int) -> OrbitReport:
     """The orbit report of x read off its own sigma_window iterates."""
-    budget = x.ctx.budget(bound) + bound
+    degree = 1 if x.ext_ring is None else x.ext_ring.degree
+    budget = documented_scan_budget(x.ctx.p, x.ctx.m, x.n * degree, bound)
     seen, states, cur = {}, [], x
     for k in range(budget + 1):
         if cur.is_zero_mod_precision():

@@ -78,9 +78,12 @@ COMMAND_PROBLEMS = [
 
 # spans the CLI never reaches: the CLI calls uncertainty_checks, not the
 # one-vector uncertainty_check; FqElement powers and sigma_fixed_points
-# serve the library API and the tests
+# serve the library API and the tests; the spectral pipeline checks
+# sigma^N-fixedness on residue rows, so UMatrix.window_pow (and
+# sigma_window above it) serves the library API only
 UNREACHED_FROM_THE_CLI = {
     "spectral.uncertainty_check",
+    "matrix.UMatrix.window_pow",
     "finite_field.FqElement.__pow__",
     "unramified.sigma_fixed_points",
 }
