@@ -16,13 +16,20 @@ run on plain residue representatives for speed, with the entry
 arithmetic that residue_ops picks: padic._BaseOps on ints over Z/p^m,
 or the extension ring's ops (finite_field._ExtOps) on coordinate
 vectors.  Both ops provide matmul, the whole residue matrix product,
-through the one Kronecker-packed kernel padic._packed_matmul.  This
-module defines no arithmetic of its own.
+through the one Kronecker-packed kernel padic._packed_matmul: its slots
+are rounded to 8, 16, 32 or 64 bits, so a row is packed and unpacked
+by one struct call and int.from_bytes / int.to_bytes, and slots wider
+than 64 bits hand off to shift-and-mask loops.  The entrywise helpers
+(_res_add, _res_sub, _res_scale, _map_coords) are map chains over
+operator functions and bound int methods, one % q per coordinate;
+only a ring-element scale goes through ops.mul.  This module defines
+no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -223,16 +230,34 @@ def _res_matmul(a: tuple, b: tuple, ops) -> tuple:
     return ops.matmul(a, b)
 
 
+def _entrywise(op, a: tuple, b: tuple, q: int) -> tuple:
+    """op(x, y) % q at every int coordinate of two residue matrices of one shape."""
+    rmod = q.__rmod__
+    if isinstance(a[0][0], int):
+        return tuple([tuple(map(rmod, map(op, ra, rb))) for ra, rb in zip(a, b)])
+    return tuple([
+        tuple([tuple(map(rmod, map(op, x, y))) for x, y in zip(ra, rb)])
+        for ra, rb in zip(a, b)
+    ])
+
+
 def _res_add(a: tuple, b: tuple, ops) -> tuple:
-    return tuple(tuple(ops.add(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _entrywise(operator.add, a, b, ops.q)
 
 
 def _res_sub(a: tuple, b: tuple, ops) -> tuple:
-    return tuple(tuple(ops.sub(x, y) for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+    return _entrywise(operator.sub, a, b, ops.q)
 
 
 def _res_scale(c, a: tuple, ops) -> tuple:
-    return tuple(tuple(ops.mul(c, x) for x in row) for row in a)
+    """c * a: an int c scales every coordinate, a ring element (coordinate vector) goes through ops.mul."""
+    if not isinstance(c, int):
+        mul = functools.partial(ops.mul, c)
+        return tuple([tuple(map(mul, row)) for row in a])
+    rmod, mul = ops.q.__rmod__, c.__mul__
+    if isinstance(a[0][0], int):
+        return tuple([tuple(map(rmod, map(mul, row))) for row in a])
+    return tuple([tuple([tuple(map(rmod, map(mul, e))) for e in row]) for row in a])
 
 
 def _rows_are_zero(rows: tuple) -> bool:
@@ -510,7 +535,7 @@ def certify_orthogonal_projection(
 
     reduction_ok = pi.is_integral
     if reduction_ok:
-        red = _map_coords(pi.residues(), lambda c: c % ctx.p)
+        red = _map_coords(pi.residues(), ctx.p.__rmod__)
         reduction_ok = _res_matmul(red, red, residue_ops(PrecisionContext(ctx.p, 1), ring)) == red
     if not reduction_ok:
         failures.append("reduction_idempotent")

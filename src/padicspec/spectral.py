@@ -106,14 +106,14 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: i
     q = p**period
     a = q * pow(q - 1, -1, modulus) % modulus
     x = rows
-    reduction = _map_coords(x, lambda c: c % p)
+    reduction = _map_coords(x, p.__rmod__)
     seen = {reduction}
     for _ in range(budget):
         power = _res_matpow(x, q - 1, ops)
         xq = _res_matmul(power, x, ops)
         if xq == x:
             return x
-        xq_reduction = _map_coords(xq, lambda c: c % p)
+        xq_reduction = _map_coords(xq, p.__rmod__)
         if xq_reduction != reduction:
             if xq_reduction in seen:
                 return None
@@ -121,7 +121,7 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: i
             x, reduction = xq, xq_reduction
             continue
         correction = _res_sub(_res_matmul(xq, power, ops), xq, ops)
-        x = _res_sub(xq, _map_coords(correction, lambda c: a * c % modulus), ops)
+        x = _res_sub(xq, _res_scale(a, correction, ops), ops)
     return None
 
 
@@ -142,14 +142,14 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     ops = residue_ops(a.ctx, a.ext_ring)
     rows = a.residues()
     defect = _res_sub(_res_matmul(rows, rows, ops), rows, ops)
-    if not _rows_are_zero(_map_coords(defect, lambda c: c % ctx.p)):
+    if not _rows_are_zero(_map_coords(defect, ctx.p.__rmod__)):
         raise ValueError("input is not idempotent mod p")
     limit = _sigma_limit(rows, 1, ctx, ops, ctx.budget())
     if limit is None:
         raise RuntimeError("idempotent lift failed to stabilise (internal defect)")
     if _res_matmul(limit, limit, ops) != limit:
         raise RuntimeError("sigma limit of an idempotent is not idempotent (internal defect)")
-    if not _rows_are_zero(_map_coords(_res_sub(limit, rows, ops), lambda c: c % ctx.p)):
+    if not _rows_are_zero(_map_coords(_res_sub(limit, rows, ops), ctx.p.__rmod__)):
         raise RuntimeError("idempotent lift changed the reduction (internal defect)")
     return _wrap_residues(limit, ctx, a.ext_ring)
 
@@ -209,7 +209,7 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
         degree = ring.degree
         deltas = (a.coords for a in ring.residue_field.elements())
     ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = _berkowitz_charpoly(_map_coords(rows, lambda c: c % p), ops)
+    charpoly = _berkowitz_charpoly(_map_coords(rows, p.__rmod__), ops)
     roots = poly_roots(list(charpoly), p**period, degree, ops, deltas)
     if ring is None:
         return [teichmuller_lift(r, ctx) for r in roots], ring, rows
@@ -234,11 +234,9 @@ def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
     n = len(rows)
     ops = residue_ops(ctx, ring)
     lam_res = [pt.residue_key() for pt in points]
+    # x - mu differs from x on the diagonal only
     shifted = [
-        tuple(
-            tuple(ops.sub(e, mu) if r == c else e for c, e in enumerate(row))
-            for r, row in enumerate(rows)
-        )
+        tuple([row[:r] + (ops.sub(row[r], mu),) + row[r + 1 :] for r, row in enumerate(rows)])
         for mu in lam_res
     ]
     resolved = []
@@ -382,14 +380,14 @@ def _hermite_rows(a: UMatrix, period: int):
                 reason=f"sigma^{period} orbit of digit {i} does not stabilise",
             )
         tail = _res_sub(rows, limit, ops_hi)
-        if not _rows_are_zero(_map_coords(tail, lambda c: c % ctx.p)):
+        if not _rows_are_zero(_map_coords(tail, ctx.p.__rmod__)):
             raise NotHermiteError(
                 stage=i + 1,
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
-        digits.append(_map_coords(limit, lambda c: c % ctx.modulus))
-        rows = _map_coords(tail, lambda c: c // ctx.p)
+        digits.append(_map_coords(limit, ctx.modulus.__rmod__))
+        rows = _map_coords(tail, ctx.p.__rfloordiv__)
     return int(k), tuple(digits)
 
 
@@ -678,16 +676,32 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
 
 
 def _check_translations(a: UMatrix, points, diam_val, ctx: PrecisionContext):
-    k = min(lam.valuation for lam, _ in points) if points else 0
+    if not points:
+        return
+    k = min(lam.valuation for lam, _ in points)
     resolved = (0 if k == INFINITE else int(min(k, 0))) + ctx.m
-    for lam, proj in points:
-        ring = proj.ext_ring
-        val = (a.promote(ring) - UMatrix.identity(a.n, ctx).promote(ring).scale(lam)).valuation
+    ring = points[0][1].ext_ring
+    for val in _translation_valuations(a, ring, [lam for lam, _ in points]):
         if diam_val == INFINITE:
             if val < resolved:
                 raise RuntimeError("translation law failed for a singleton spectrum (internal defect)")
         elif val != diam_val:
             raise RuntimeError("translation by a spectrum point changed the norm (internal defect)")
+
+
+def _translation_valuations(a: UMatrix, ring, lams) -> list:
+    """The valuation of A - lam I over ring (None for Z_p) for each scalar lam of ring.
+
+    Off the diagonal A - lam I is A, so the minimum over those entries
+    is taken once; each lam adds only its n diagonal differences.
+    """
+    rows = a.promote(ring).rows
+    off_diagonal = min(
+        (e.valuation for i, row in enumerate(rows) for j, e in enumerate(row) if i != j),
+        default=INFINITE,
+    )
+    diagonal = [row[i] for i, row in enumerate(rows)]
+    return [min(off_diagonal, min((d - lam).valuation for d in diagonal)) for lam in lams]
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,15 @@ def operator_spectrum_oracle(a: UMatrix, period: int = 1) -> list:
 # -- sigma-orbit oracles: plain iteration, every iterate kept ----------------------
 
 
+def translation_valuation_oracle(a: UMatrix, lam, ring) -> object:
+    """The valuation of A - lam I over ring (None for Z_p), formed as a full matrix difference.
+
+    The identity is promoted and scaled by lam, so every off-diagonal
+    entry is an explicit a_ij - lam * 0.
+    """
+    return (a.promote(ring) - UMatrix.identity(a.n, a.ctx).promote(ring).scale(lam)).valuation
+
+
 def teichmuller_lift_oracle(residue: int, ctx: PrecisionContext) -> PadicScalar:
     """Fixed point of x -> x^p mod p^m over a residue, by iterating from it.
 

@@ -1,5 +1,7 @@
 """Sup-norm matrices: GL membership, determinants, projections, sampling."""
 
+import functools
+import operator
 import random
 
 import pytest
@@ -36,9 +38,19 @@ from padicspec import (
     scalar_from_rational,
     vector_valuation,
 )
-from padicspec import matrix
+from padicspec import matrix, padic
 from padicspec.finite_field import ENUMERATION_LIMIT
-from padicspec.matrix import _res_matmul, _res_matpow, _rows_are_zero, inverse, residue_ops
+from padicspec.matrix import (
+    _map_coords,
+    _res_add,
+    _res_matmul,
+    _res_matpow,
+    _res_scale,
+    _res_sub,
+    _rows_are_zero,
+    inverse,
+    residue_ops,
+)
 
 CTX = PrecisionContext(3, 4)
 
@@ -470,6 +482,91 @@ def test_packed_res_matmul_matches_the_oracles(p, m, degree, n, seed):
     q = ring.ctx.modulus
     a, b = (_rand_rows(rng, n, q, degree) for _ in "ab")
     assert _res_matmul(a, b, residue_ops(ring.ctx, ring)) == ring_matmul(a, b, ring.modulus, q)
+
+
+# (m, n, degree, raw) at p = 2: raw = 2 bits(q - 1) + bits(n degree) is the exact slot width,
+# on both sides of every byte size (8, 16, 32, 64) and of the hand-off past 64 bits
+SLOT_EDGES = [
+    (m, n, degree, 2 * m + extra)
+    for m in (3, 7, 15, 31)
+    for degree, sizes in ((1, (3, 7)), (2, (1, 3)), (3, (1, 2)))
+    for n, extra in zip(sizes, (2, 3))
+]
+
+
+@pytest.mark.parametrize("m,n,degree,raw", SLOT_EDGES)
+def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
+    """_packed_matmul and _packed_dot against int_matmul / ring_matmul and the ops reduce.
+
+    The slot is rounded up to 8, 16, 32 or 64 bits up to 64 and kept
+    exact past it; all-(q - 1) entries fill every slot of the widest sum.
+    """
+    q = 2**m
+    assert 2 * (q - 1).bit_length() + (n * degree).bit_length() == raw
+    rounded = {8: 8, 9: 16, 16: 16, 17: 32, 32: 32, 33: 64, 64: 64, 65: 65}[raw]
+    assert padic._slot_bits(q, n * degree) == rounded
+    rng = random.Random(raw * 10 + degree)
+    if degree == 1:
+        top = ((q - 1,) * n,) * n
+        pairs = [(top, top)] + [(_rand_rows(rng, n, q), _rand_rows(rng, n, q)) for _ in range(3)]
+        for a, b in pairs:
+            assert [list(row) for row in padic._packed_matmul(a, b, q)] == int_matmul(a, b, q)
+            xs, ys = [(x,) for x in a[0]], [(y,) for y in b[0]]
+            assert padic._packed_dot(xs, ys, q, 1, ()) == (sum(map(operator.mul, a[0], b[0])) % q,)
+        return
+    ring = ext_ring(2, degree, m)
+    ops = ring.ops
+    top = (((q - 1,) * degree,) * n,) * n
+    pairs = [(top, top)] + [
+        (_rand_rows(rng, n, q, degree), _rand_rows(rng, n, q, degree)) for _ in range(3)
+    ]
+    for a, b in pairs:
+        assert ops.matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
+        assert ops.dot(a[0], b[0]) == functools.reduce(ops.add, map(ops.mul, a[0], b[0]), ops.zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ring_args=st.sampled_from([(2, 1, 5), (3, 1, 4), (211, 1, 2), (2, 2, 3), (3, 2, 4), (5, 3, 2)]),
+    n=st.integers(1, 5),
+    ring_scalar=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_entrywise_residue_helpers_match_the_ops(ring_args, n, ring_scalar, seed):
+    """_res_add, _res_sub, _res_scale and _map_coords against one ops call per entry.
+
+    An int scalar multiplies every coordinate, so over an extension ring
+    it must act as the constant (c mod q, 0, ...); a ring-element scalar
+    (coordinate vector) is multiplied in the ring.
+    """
+    p, degree, m = ring_args
+    ctx = PrecisionContext(p, m)
+    ops = residue_ops(ctx) if degree == 1 else residue_ops(ctx, ext_ring(p, degree, m))
+    q = ops.q
+    rng = random.Random(seed)
+    width = None if degree == 1 else degree
+    a, b = _rand_rows(rng, n, q, width), _rand_rows(rng, n, q, width)
+
+    def per_entry(f, *mats):
+        return tuple(tuple(map(f, *rows)) for rows in zip(*mats))
+
+    assert _res_add(a, b, ops) == per_entry(ops.add, a, b)
+    assert _res_sub(a, b, ops) == per_entry(ops.sub, a, b)
+    c = rng.choice((0, 1, q - 1, rng.randrange(q)))
+    if degree == 1:
+        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, c), a)
+    elif ring_scalar:
+        c = tuple(rng.randrange(q) for _ in range(degree))
+        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, c), a)
+    else:
+        constant = (c,) + (0,) * (degree - 1)
+        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, constant), a)
+    if degree == 1:
+        assert _map_coords(a, p.__rmod__) == per_entry(lambda x: x % p, a)
+        assert _map_coords(a, p.__rfloordiv__) == per_entry(lambda x: x // p, a)
+    else:
+        assert _map_coords(a, p.__rmod__) == per_entry(lambda e: tuple(x % p for x in e), a)
+        assert _map_coords(a, p.__rfloordiv__) == per_entry(lambda e: tuple(x // p for x in e), a)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 3), (3, 4, 1), (211, 3, 3)])

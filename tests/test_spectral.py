@@ -6,7 +6,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -18,6 +18,7 @@ from helpers import (
     operator_spectrum_oracle,
     rand_gl,
     rand_hermite,
+    rand_padic_scalar,
     rand_poly_in,
     rand_teich_diag,
     residues_of,
@@ -26,6 +27,7 @@ from helpers import (
     spectral_tree_oracle,
     teichmuller_companion,
     teichmuller_spectral_oracle,
+    translation_valuation_oracle,
 )
 from padicspec import (
     INFINITE,
@@ -55,7 +57,7 @@ from padicspec import (
 )
 from padicspec import spectral
 from padicspec.matrix import inverse, residue_ops
-from padicspec.spectral import _sigma_limit, _verify_measure
+from padicspec.spectral import _sigma_limit, _translation_valuations, _verify_measure
 CTX = PrecisionContext(3, 4)
 
 
@@ -1151,6 +1153,57 @@ def test_diameter_operator_norm_cross_check():
         a, _, _ = rand_hermite(ctx, 3, rng)
         report = spectrum_diameter(a)
         assert report.operator_norm == a.norm
+
+
+def _rand_ext_scalar(ring, rng, zero_frac=0.2):
+    if rng.random() < zero_frac:
+        return ring.zero()
+    scale = ring.ctx.p ** rng.randrange(ring.ctx.m)
+    return ring.element([rng.randrange(ring.ctx.modulus) * scale for _ in range(ring.degree)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    shape=st.sampled_from(["base", "promoted", "extension"]),
+    p=st.sampled_from([2, 3, 5]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(shape="diag(3, 27)", p=3, m=2, n=2, seed=0)
+def test_translation_valuations_match_the_full_difference(shape, p, m, n, seed):
+    """Base matrices over Z_p, base matrices promoted to a period-2 ring, and matrices over it.
+
+    The points include the diagonal entries themselves (total
+    cancellation on the diagonal) and zero; diag(3, 27) at p = 3, m = 2
+    is checked against its own period-2 spectrum points.
+    """
+    rng = random.Random(seed)
+    ctx = PrecisionContext(p, m)
+    if shape == "diag(3, 27)":
+        a = UMatrix.from_ints([[3, 0], [0, 27]], ctx)
+        points = operator_spectrum(a, period=2)
+        ring = points[0][1].ext_ring
+        lams = [lam for lam, _ in points]
+    elif shape == "base":
+        a = UMatrix.from_scalars(
+            [[rand_padic_scalar(ctx, rng, 0.3, -2) for _ in range(n)] for _ in range(n)]
+        )
+        ring = None
+        lams = [rand_padic_scalar(ctx, rng, 0.2, -2) for _ in range(3)]
+        lams += [a.entry(i, i) for i in range(n)] + [PadicScalar.zero(ctx)]
+    else:
+        ring = ext_ring(p, 2, m)
+        if shape == "promoted":
+            a = UMatrix.from_scalars(
+                [[rand_padic_scalar(ctx, rng, 0.3, 0) for _ in range(n)] for _ in range(n)]
+            )
+        else:
+            a = UMatrix.from_scalars([[_rand_ext_scalar(ring, rng) for _ in range(n)] for _ in range(n)])
+        lams = [_rand_ext_scalar(ring, rng) for _ in range(3)]
+        lams += [a.promote(ring).entry(i, i) for i in range(n)] + [ring.zero()]
+    expected = [translation_valuation_oracle(a, lam, ring) for lam in lams]
+    assert _translation_valuations(a, ring, lams) == expected
 
 
 def test_uncertainty_worked_example():
