@@ -243,7 +243,7 @@ class _ExtOps:
         return _packed_dot(xs, ys, self.q, self.degree, self._power_table)
 
     def matmul(self, a, b):
-        """a * b for square rows of canonical coordinate vectors, packed at every size."""
+        """a * b for rows of canonical coordinate vectors (any shape), packed at every size."""
         return _packed_matmul(a, b, self.q, self.degree, self._power_table)
 
     def is_zero(self, a):

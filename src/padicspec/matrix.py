@@ -15,11 +15,13 @@ scalars.  Window computations (everything that only matters mod p^m)
 run on plain residue representatives for speed, with the entry
 arithmetic that residue_ops picks: padic._BaseOps on ints over Z/p^m,
 or the extension ring's ops (finite_field._ExtOps) on coordinate
-vectors.  Both ops provide matmul, the whole residue matrix product,
-through the one Kronecker-packed kernel padic._packed_matmul: its slots
-are rounded to 8, 16, 32 or 64 bits, so a row is packed and unpacked
-by one struct call and int.from_bytes / int.to_bytes, and slots wider
-than 64 bits hand off to shift-and-mask loops.  The entrywise helpers
+vectors.  Both ops provide matmul, the whole residue matrix product of
+any compatible shapes (_res_matmul_blocks multiplies one matrix by
+several at once), through the one Kronecker-packed kernel
+padic._packed_matmul: its slots are rounded to 8, 16, 32 or 64 bits,
+so a row is packed and unpacked by one struct call and int.from_bytes
+/ int.to_bytes, and slots wider than 64 bits hand off to
+shift-and-mask loops.  The entrywise helpers
 (_res_add, _res_sub, _res_scale, _map_coords) are map chains over
 operator functions and bound int methods, one % q per coordinate;
 only a ring-element scale goes through ops.mul.  This module defines
@@ -29,12 +31,20 @@ no arithmetic of its own.
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .padic import INFINITE, PadicScalar, PrecisionContext, _BaseOps, norm_from_valuation
+from .padic import (
+    _PACKED_MATMUL_MIN_N,
+    INFINITE,
+    PadicScalar,
+    PrecisionContext,
+    _BaseOps,
+    norm_from_valuation,
+)
 from .unramified import ExtRing, ExtScalar, ext_ring
 
 Scalar = Union[PadicScalar, ExtScalar]
@@ -272,6 +282,30 @@ def _map_coords(rows: tuple, f) -> tuple:
     if isinstance(rows[0][0], int):
         return tuple(tuple(map(f, row)) for row in rows)
     return tuple(tuple(tuple(map(f, e)) for e in row) for row in rows)
+
+
+def _res_hstack(blocks) -> tuple:
+    """Residue matrices of one height side by side: row i joins row i of every block."""
+    return tuple([tuple(itertools.chain.from_iterable(rows)) for rows in zip(*blocks)])
+
+
+def _res_hsplit(rows: tuple, width: int) -> list:
+    """The blocks of width columns that _res_hstack joined, left to right."""
+    return [tuple([row[j : j + width] for row in rows]) for j in range(0, len(rows[0]), width)]
+
+
+def _res_matmul_blocks(a: tuple, blocks: list, ops) -> list:
+    """[a * b for b in blocks], as one product of a by the blocks side by side.
+
+    The packed kernel then takes one big-int sum per row of a for all
+    the blocks instead of one per block.  Where the base ring's
+    per-entry dot runs instead (inner size below _PACKED_MATMUL_MIN_N),
+    joining and splitting the blocks only adds work, so they are
+    multiplied one by one.
+    """
+    if isinstance(a[0][0], int) and len(a[0]) < _PACKED_MATMUL_MIN_N:
+        return [_res_matmul(a, b, ops) for b in blocks]
+    return _res_hsplit(_res_matmul(a, _res_hstack(blocks), ops), len(blocks[0][0]))
 
 
 def _res_identity(n: int, ops) -> tuple:

@@ -205,18 +205,22 @@ def _packed_dot(xs, ys, q: int, degree: int, table) -> tuple:
 
 
 def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tuple:
-    """a * b for square residue rows over (Z/q)[X]/(f) by Kronecker substitution.
+    """a * b for residue rows over (Z/q)[X]/(f) by Kronecker substitution.
 
-    Precondition: every coordinate is canonical, in [0, q); a negative
-    or oversized one would borrow from or carry into its neighbours.
-    Degree 1 is Z/q, whose entries are ints; otherwise entries are
-    coordinate vectors and table is the X^(degree + j) mod f table of
-    _fold.  Every coefficient sits in a slot of _slot_bits(q, n degree)
-    bits, wide enough for a sum of n degree products.  Row k of b is one
+    The shapes may be rectangular: a has any number of rows of len(b)
+    entries, b has len(b) rows of len(b[0]) entries.  Precondition:
+    every coordinate is canonical, in [0, q); a negative or oversized
+    one would borrow from or carry into its neighbours.  Degree 1 is
+    Z/q, whose entries are ints; otherwise entries are coordinate
+    vectors and table is the X^(degree + j) mod f table of _fold.  Every
+    coefficient sits in a slot of _slot_bits(q, len(b) degree) bits,
+    wide enough for a sum of len(b) degree products.  Row k of b is one
     int, entry j starting at slot j (2 degree - 1) with coordinate i at
     slot j (2 degree - 1) + i, so row i of a * b is the single big-int
     sum of a[i][k] * packed row k: entry j's product polynomial lands,
-    without overlap, in its own 2 degree - 1 slots.
+    without overlap, in its own 2 degree - 1 slots.  A product of one
+    matrix by several side by side thus costs one big-int sum per row of
+    a, however many blocks b holds.
 
     The layout is byte-aligned: a slot of up to 64 bits is rounded to 8,
     16, 32 or 64 bits, so a packed row is a little-endian machine array.
@@ -228,10 +232,10 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
     shift-and-mask loops of _pack and _unpack, which byte slicing and
     64-bit word recombination did not beat there.
     """
-    n = len(a)
-    slot = _slot_bits(q, n * degree)
+    inner, cols = len(b), len(b[0])
+    slot = _slot_bits(q, inner * degree)
     width = 2 * degree - 1
-    count = n * width
+    count = cols * width
     mul = operator.mul
     if slot > 64:
         if degree > 1:
@@ -246,7 +250,7 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
             pack = _row_struct(degree, slot).pack
             a = [[from_bytes(pack(*e), "little") for e in row] for row in a]
             b = [flat(row) for row in b]
-        pack = _row_struct(n, slot, degree, width).pack
+        pack = _row_struct(cols, slot, degree, width).pack
         layout = _row_struct(count, slot)
         unpack, size = layout.unpack, layout.size
         b_rows = [from_bytes(pack(*row), "little") for row in b]
@@ -281,8 +285,8 @@ class _BaseOps:
         return sum(map(operator.mul, xs, ys)) % self.q
 
     def matmul(self, a, b):
-        """a * b for square rows of canonical residues: packed from _PACKED_MATMUL_MIN_N on."""
-        if len(a) >= _PACKED_MATMUL_MIN_N:
+        """a * b for canonical residue rows, packed once len(b) >= _PACKED_MATMUL_MIN_N."""
+        if len(b) >= _PACKED_MATMUL_MIN_N:
             return _packed_matmul(a, b, self.q)
         dot = self.dot
         bcols = tuple(zip(*b))

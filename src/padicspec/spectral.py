@@ -28,6 +28,7 @@ public function returns.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,8 +38,11 @@ from .matrix import (
     _berkowitz_charpoly,
     _map_coords,
     _res_add,
+    _res_hsplit,
+    _res_hstack,
     _res_identity,
     _res_matmul,
+    _res_matmul_blocks,
     _res_matpow,
     _res_scale,
     _res_sub,
@@ -284,13 +288,22 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
 
 
 def _verify_decomposition(rows, resolved, ops, n):
+    """Check each projector's norm and idempotency, the two sums, then pairwise orthogonality.
+
+    Every product P_i P_j comes from one product of the projectors
+    stacked (kn x n) by the projectors side by side (n x kn): block (i, j)
+    of the kn x kn result is P_i P_j.
+    """
+    projs = [proj for _, proj in resolved]
+    products = _res_matmul(tuple(itertools.chain.from_iterable(projs)), _res_hstack(projs), ops)
+    blocks = [_res_hsplit(products[i * n : (i + 1) * n], n) for i in range(len(projs))]
     ident = _res_identity(n, ops)
     total = None
     weighted = None
-    for lam, proj in resolved:
+    for i, (lam, proj) in enumerate(resolved):
         if not any(ops.is_unit(e) for row in proj for e in row):
             raise RuntimeError("projector has norm != 1 (internal defect)")
-        if _res_matmul(proj, proj, ops) != proj:
+        if blocks[i][i] != proj:
             raise RuntimeError("projector is not idempotent (internal defect)")
         total = proj if total is None else _res_add(total, proj, ops)
         term = _res_scale(lam, proj, ops)
@@ -299,11 +312,9 @@ def _verify_decomposition(rows, resolved, ops, n):
         raise RuntimeError("projectors do not sum to 1 (internal defect)")
     if weighted != rows:
         raise RuntimeError("weighted projectors do not reproduce x (internal defect)")
-    for i in range(len(resolved)):
-        for j in range(len(resolved)):
-            if i == j:
-                continue
-            if not _rows_are_zero(_res_matmul(resolved[i][1], resolved[j][1], ops)):
+    for i, row_blocks in enumerate(blocks):
+        for j, block in enumerate(row_blocks):
+            if i != j and not _rows_are_zero(block):
                 raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
 
 
@@ -342,52 +353,85 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     current digit.
 
     Each division by p consumes one digit of accuracy, so the peeling
-    runs at doubled internal precision on the canonical representatives
-    and reduces the digits back to precision m; this keeps every emitted
-    digit exact mod p^m and the digits pairwise commuting mod p^m.
+    runs on the canonical representatives at a precision that falls by
+    one digit per stage, from 2m - 1 digits at digit 0 to m at digit
+    m - 1 (see _hermite_rows), and reduces the digits back to precision
+    m; this keeps every emitted digit exact mod p^m and the digits
+    pairwise commuting mod p^m.
 
     Each limit is a sigma phase (sigma^N steps until the tail is
     stationary mod p, none for a tail that already is) followed by
-    Newton's method on X^(p^N) = X at precision 2m, so a digit costs
-    ceil(log2 2m) + 1 matrix powers past its sigma phase, each of
-    O(N log2 p) products of n x n matrices.  The peeling runs on residue
-    rows (_hermite_rows); only the digits returned here are built as
-    matrices.
+    Newton's method on X^(p^N) = X at the stage's precision P, so a
+    digit costs ceil(log2 P) + 1 matrix powers past its sigma phase,
+    each of O(N log2 p) products of n x n matrices.  The peeling runs on
+    residue rows (_hermite_rows); only the digits returned here are
+    built as matrices.
     """
-    k, digits = _hermite_rows(a, period)
+    k, digits = _hermite_rows(a, period, a.ctx.m)
     ctx, ring = a.ctx, a.ext_ring
     return HermiteDigitsMatrix(k, tuple(_wrap_residues(d, ctx, ring) for d in digits), period)
 
 
-def _hermite_rows(a: UMatrix, period: int):
-    """The digit peeling of hermite_digits_matrix: (lead valuation, digit rows mod p^m)."""
+def _hermite_rows(a: UMatrix, period: int, depth: int):
+    """The digit peeling of hermite_digits_matrix: (lead valuation, digit rows 0..depth-1 mod p^m).
+
+    Every stage i < m is run, as every one can refuse the input, but
+    each at only the precision its outputs need.  The sigma limit and
+    the tail below are integer polynomial maps of the entries, so digit
+    i mod p^j depends only on tail i mod p^j, and tail i + 1 =
+    (tail i - digit i) / p mod p^j only on tail i mod p^(j + 1).  Digit
+    depth - 1 is wanted mod p^m, so stage i < depth runs at
+    P_i = m + depth - 1 - i digits.  A stage past the depth is needed
+    only for its verdict, which is decided mod p (below), so stage
+    i >= depth runs at P_i = m - i digits; the rows are reduced mod
+    p^(m - depth) where the schedule drops by more than the one digit
+    the division by p takes, since the packed products need canonical
+    entries.  hermite_digits_matrix and operator_spectrum take every
+    digit (depth m: P_i = 2m - 1 - i); spectral_measure takes its depth.
+
+    Each stage returns the limit of the same stage run at 2m digits,
+    reduced mod p^(P_i), and the same verdicts.  Mod p^P every step of
+    _sigma_limit is the 2m step reduced, so both take the same branches
+    until the stage at P stops at x^q = x mod p^P.  From there the
+    Newton update X^q - a(X^q E - X^q) leaves x fixed mod p^P, as
+    X^q E = X^(2q - 1) = X^q mod p^P, and no sigma step can follow: the
+    reduction mod p is fixed.  Every other branch (a sigma step, a cycle
+    mod p, a tail that is not divisible by p) is decided mod p, the same
+    at every precision.  The step budget stays that of precision 2m, so
+    a stage stops no later than at 2m; its verdict can differ only where
+    the 2m run exhausts the budget in its last Newton steps.
+    """
     ctx = a.ctx
+    p, m = ctx.p, ctx.m
     k = a.valuation
     if k == INFINITE:
-        return 0, (a.residues(),) * ctx.m
+        return 0, (a.residues(),) * depth
     work = a.shift(-k)
-    ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
-    ops_hi = residue_ops(ctx_hi, work.ext_ring)
-    budget = ctx_hi.budget(period)
+    budget = PrecisionContext(p, 2 * m).budget(period)
     rows = work.residues()
     digits = []
-    for i in range(ctx.m):
-        limit = _sigma_limit(rows, period, ctx_hi, ops_hi, budget)
+    for i in range(m):
+        stage_ctx = PrecisionContext(p, m + depth - 1 - i if i < depth else m - i)
+        if i == depth:
+            rows = _map_coords(rows, stage_ctx.modulus.__rmod__)
+        ops = residue_ops(stage_ctx, work.ext_ring)
+        limit = _sigma_limit(rows, period, stage_ctx, ops, budget)
         if limit is None:
             raise NotHermiteError(
                 stage=i,
                 defect_norm=1.0,
                 reason=f"sigma^{period} orbit of digit {i} does not stabilise",
             )
-        tail = _res_sub(rows, limit, ops_hi)
-        if not _rows_are_zero(_map_coords(tail, ctx.p.__rmod__)):
+        tail = _res_sub(rows, limit, ops)
+        if not _rows_are_zero(_map_coords(tail, p.__rmod__)):
             raise NotHermiteError(
                 stage=i + 1,
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
-        digits.append(_map_coords(limit, ctx.modulus.__rmod__))
-        rows = _map_coords(tail, ctx.p.__rfloordiv__)
+        if i < depth:
+            digits.append(_map_coords(limit, ctx.modulus.__rmod__))
+        rows = _map_coords(tail, p.__rfloordiv__)
     return int(k), tuple(digits)
 
 
@@ -446,7 +490,7 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
-    lead_valuation, digits = _hermite_rows(a, 1)
+    lead_valuation, digits = _hermite_rows(a, 1, depth)
     ops = residue_ops(ctx)
     nodes, lifts = [], []
     frontier = None  # (address, projector, its residues) per node of the last level
@@ -456,16 +500,15 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
         lifts.append({r % ctx.p: r for r in residues})
         # the points come ascending by residue mod p, so each level is in address order
         terms = [
-            (r % ctx.p, _wrap_residues(rows, ctx, None), rows)
-            for r, rows in zip(residues, projectors)
+            (r % ctx.p, _wrap_residues(rows, ctx, None)) for r, rows in zip(residues, projectors)
         ]
         if frontier is None:
-            frontier = [((idx,), proj, rows) for idx, proj, rows in terms]
+            frontier = [((idx,), proj, rows) for (idx, proj), rows in zip(terms, projectors)]
         else:
             new_frontier = []
             for address, parent, parent_rows in frontier:
-                for idx, proj, proj_rows in terms:
-                    rows = _res_matmul(parent_rows, proj_rows, ops)
+                children = _res_matmul_blocks(parent_rows, projectors, ops)
+                for (idx, proj), rows in zip(terms, children):
                     if not _rows_are_zero(rows):
                         new_frontier.append((address + (idx,), parent * proj, rows))
             frontier = new_frontier
@@ -491,10 +534,10 @@ def _verify_measure(measure: SpectralMeasure, digits: Sequence[tuple]):
     residues = [(address, proj.residues()) for address, proj in measure.nodes]
     for j in range(measure.depth):
         layer = [rows for address, rows in residues if len(address) == j + 1]
-        for i, pa in enumerate(layer):
-            for pb in layer[i + 1 :]:
-                if not _rows_are_zero(_res_matmul(pa, pb, ops)):
-                    raise RuntimeError("same-level projectors overlap (internal defect)")
+        for i in range(len(layer) - 1):
+            overlaps = _res_matmul_blocks(layer[i], layer[i + 1 :], ops)
+            if not all(map(_rows_are_zero, overlaps)):
+                raise RuntimeError("same-level projectors overlap (internal defect)")
         if _res_sum(layer, ops) != ident:
             raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
     children = {}
@@ -614,21 +657,21 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     other valuation is refused with ValueError.
     """
     ctx = a.ctx
-    k, digits = _hermite_rows(a, period)
+    k, digits = _hermite_rows(a, period, ctx.m)
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
     frontier = None
     for level, rows in enumerate(digits):
         points, ring, projectors = _resolve(rows, ctx, a.ext_ring, period)
-        terms = [(lam.shift(k + level), proj) for lam, proj in zip(points, projectors)]
+        centers = [lam.shift(k + level) for lam in points]
         if frontier is None:
             ops = residue_ops(ctx, ring)
-            frontier = terms
+            frontier = list(zip(centers, projectors))
             continue
         new_frontier = []
         for center, parent in frontier:
-            for term_center, pi in terms:
-                child = _res_matmul(parent, pi, ops)
+            children = _res_matmul_blocks(parent, projectors, ops)
+            for term_center, child in zip(centers, children):
                 if not _rows_are_zero(child):
                     new_frontier.append((center + term_center, child))
         frontier = new_frontier

@@ -22,17 +22,28 @@ from padicspec import (
     teichmuller_lift_ext,
 )
 from padicspec.finite_field import poly_roots
-from padicspec.matrix import _berkowitz_charpoly, _map_coords, _res_matpow, inverse, residue_ops
+from padicspec.matrix import (
+    _berkowitz_charpoly,
+    _map_coords,
+    _res_matpow,
+    _res_sub,
+    _rows_are_zero,
+    inverse,
+    residue_ops,
+)
+from padicspec.padic import INFINITE
+from padicspec.spectral import NotHermiteError, _sigma_limit
 
 
 # -- independent integer-matrix arithmetic (oracle side) ----------------------
 
 
 def int_matmul(a, b, q):
-    n = len(a)
+    """a * b mod q for any compatible shapes: len(a) x len(b) by len(b) x len(b[0])."""
+    inner, cols = len(b), len(b[0])
     return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) % q for j in range(n)]
-        for i in range(n)
+        [sum(a[i][k] * b[k][j] for k in range(inner)) % q for j in range(cols)]
+        for i in range(len(a))
     ]
 
 
@@ -267,14 +278,14 @@ def ring_pow(a, e, modulus, q):
 
 
 def ring_matmul(a, b, modulus, q):
-    n = len(a)
+    """a * b over (Z/q)[X]/(modulus) for any compatible shapes, as int_matmul."""
     zero = (0,) * (len(modulus) - 1)
     out = []
-    for i in range(n):
+    for i in range(len(a)):
         row = []
-        for j in range(n):
+        for j in range(len(b[0])):
             acc = zero
-            for k in range(n):
+            for k in range(len(b)):
                 prod = ring_mul(a[i][k], b[k][j], modulus, q)
                 acc = tuple((x + y) % q for x, y in zip(acc, prod))
             row.append(acc)
@@ -359,6 +370,44 @@ def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: in
         seen.add(nxt)
         cur = nxt
     return None
+
+
+def hermite_rows_oracle(a: UMatrix, period: int):
+    """Digit peeling with every stage at one precision 2m: (lead valuation, all m digit rows).
+
+    The schedule that spectral._hermite_rows refines: each sigma^N
+    limit runs at p^(2m) on the canonical tail, which is divided by p
+    after each digit, and the digits are reduced mod p^m.  Raises
+    NotHermiteError with the stages and texts of _hermite_rows.
+    """
+    ctx = a.ctx
+    k = a.valuation
+    if k == INFINITE:
+        return 0, (a.residues(),) * ctx.m
+    work = a.shift(-k)
+    ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
+    ops_hi = residue_ops(ctx_hi, work.ext_ring)
+    budget = ctx_hi.budget(period)
+    rows = work.residues()
+    digits = []
+    for i in range(ctx.m):
+        limit = _sigma_limit(rows, period, ctx_hi, ops_hi, budget)
+        if limit is None:
+            raise NotHermiteError(
+                stage=i,
+                defect_norm=1.0,
+                reason=f"sigma^{period} orbit of digit {i} does not stabilise",
+            )
+        tail = _res_sub(rows, limit, ops_hi)
+        if not _rows_are_zero(_map_coords(tail, ctx.p.__rmod__)):
+            raise NotHermiteError(
+                stage=i + 1,
+                defect_norm=1.0,
+                reason=f"nilpotent residue at digit {i + 1}",
+            )
+        digits.append(_map_coords(limit, ctx.modulus.__rmod__))
+        rows = _map_coords(tail, ctx.p.__rfloordiv__)
+    return int(k), tuple(digits)
 
 
 # -- the spectral pipeline on matrix objects (oracle side) -------------------------

@@ -361,6 +361,22 @@ def test_hermite_rejects_unipotent_jordan_block_at_digit_one(tmp_path):
     )
 
 
+def test_hermite_names_the_nilpotent_residue_of_i_plus_j17_at_m1(tmp_path):
+    """I + N at p = 2, n = 17, m = 1: five of the six budget steps are the
+    sigma phase, and the sixth finds the orbit stationary at one digit, so
+    the rejection names the nilpotent residue (a peeling at 2m digits
+    throughout runs out of steps there and names the orbit)."""
+    n = 17
+    rows = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "jordan17.json", matrix_doc(2, 1, rows))
+    status, _, text = run(["hermite", "--in", path])
+    assert status == 1
+    assert text == (
+        '{\n  "error": {\n    "defect_norm": 1.0,\n    "kind": "not_hermite",\n'
+        '    "reason": "nilpotent residue at digit 1",\n    "stage": 1\n  }\n}\n'
+    )
+
+
 def test_period_exceeded_rejection(tmp_path):
     """The rotation x has x^3 = -x at p = 3, so its p-power orbit has period 2."""
     path = write(tmp_path, "rotation.json", matrix_doc(3, 4, [[0, 1], [-1, 0]]))

@@ -408,15 +408,15 @@ def test_norm_out_of_double_range_raises():
 # -- the fused residue kernel -----------------------------------------------------
 
 
-def _rand_rows(rng, n, q, width=None):
-    """Random residue rows mod q, with the extreme residues 0 and q - 1 planted."""
+def _rand_rows(rng, n, q, width=None, cols=None):
+    """Random n x cols residue rows mod q (n x n by default), with 0 and q - 1 planted."""
     def entry():
         pick = rng.randrange(q) if rng.random() < 0.8 else rng.choice((0, q - 1))
         return pick if width is None else tuple(
             rng.randrange(q) if rng.random() < 0.8 else rng.choice((0, q - 1))
             for _ in range(width)
         )
-    return tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+    return tuple(tuple(entry() for _ in range(n if cols is None else cols)) for _ in range(n))
 
 
 @pytest.mark.parametrize("n", [1, 4, 5, 7, 8, 16, 64])
@@ -500,6 +500,7 @@ def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
 
     The slot is rounded up to 8, 16, 32 or 64 bits up to 64 and kept
     exact past it; all-(q - 1) entries fill every slot of the widest sum.
+    Square products, then n x kn products by n x n and kn x n matrices.
     """
     q = 2**m
     assert 2 * (q - 1).bit_length() + (n * degree).bit_length() == raw
@@ -513,6 +514,8 @@ def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
             assert [list(row) for row in padic._packed_matmul(a, b, q)] == int_matmul(a, b, q)
             xs, ys = [(x,) for x in a[0]], [(y,) for y in b[0]]
             assert padic._packed_dot(xs, ys, q, 1, ()) == (sum(map(operator.mul, a[0], b[0])) % q,)
+        for a, b in _wide_shapes(rng, n, q, None):
+            assert [list(row) for row in padic._packed_matmul(a, b, q)] == int_matmul(a, b, q)
         return
     ring = ext_ring(2, degree, m)
     ops = ring.ops
@@ -523,6 +526,24 @@ def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
     for a, b in pairs:
         assert ops.matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
         assert ops.dot(a[0], b[0]) == functools.reduce(ops.add, map(ops.mul, a[0], b[0]), ops.zero)
+    for a, b in _wide_shapes(rng, n, q, degree):
+        assert ops.matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
+
+
+def _wide_shapes(rng, n, q, width):
+    """(a, b) pairs with b of n x kn for k = 2, 3 and a of 1 x n, n x n or kn x n (k stacked).
+
+    The inner size stays n, so the slot is the square product's; one
+    pair of each shape has every entry q - 1 and fills every slot.
+    """
+    top = q - 1 if width is None else (q - 1,) * width
+    for k in (2, 3):
+        wide = [((top,) * (k * n),) * n, _rand_rows(rng, n, q, width, k * n)]
+        tall = [((top,) * n,) * (k * n), _rand_rows(rng, k * n, q, width, n)]
+        for a, b in zip(tall, wide):
+            yield a[:1], b
+            yield a[:n], b
+            yield a, b
 
 
 @settings(max_examples=100, deadline=None)

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from helpers import (
     conjugate,
     diag_matrix,
+    hermite_rows_oracle,
+    int_matmul,
     int_matvec,
     jordan_scan_oracle,
     lagrange_oracle,
@@ -57,7 +59,12 @@ from padicspec import (
 )
 from padicspec import spectral
 from padicspec.matrix import inverse, residue_ops
-from padicspec.spectral import _sigma_limit, _translation_valuations, _verify_measure
+from padicspec.spectral import (
+    _sigma_limit,
+    _translation_valuations,
+    _verify_decomposition,
+    _verify_measure,
+)
 CTX = PrecisionContext(3, 4)
 
 
@@ -413,9 +420,8 @@ def test_sigma_limit_matches_oracle_on_ring_inputs(degree):
     assert outcomes[True] > 0 and outcomes[False] > 0
 
 
-@pytest.mark.parametrize("p,n,m", [(3, 8, 8), (211, 4, 16)])
-def test_hermite_digits_work_bound(monkeypatch, p, n, m):
-    """At most ceil(log2 2m) + 1 matrix powers per digit: m (ceil(log2 2m) + 1) in all."""
+def _count_matpow_calls(monkeypatch) -> list:
+    """A one-element counter of the spectral module's _res_matpow calls from here on."""
     calls = [0]
     real = spectral._res_matpow
 
@@ -424,11 +430,45 @@ def test_hermite_digits_work_bound(monkeypatch, p, n, m):
         return real(a, exponent, ops)
 
     monkeypatch.setattr(spectral, "_res_matpow", counting)
+    return calls
+
+
+def _peeling_bound(m: int, depth: int) -> int:
+    """(P_i - 1).bit_length() + 1 matrix powers per stage i at P_i digits.
+
+    Stage i carries P_i = m + depth - 1 - i digits below the depth and
+    m - i past it.  Newton's method doubles the digits of agreement
+    from one, so a stage takes ceil(log2 P_i) steps and one more to see
+    the fixed point, past a sigma phase that semisimple tails skip.
+    """
+    precisions = [m + depth - 1 - i if i < depth else m - i for i in range(m)]
+    return sum((precision - 1).bit_length() + 1 for precision in precisions)
+
+
+@pytest.mark.parametrize("p,n,m", [(3, 8, 8), (211, 4, 16)])
+def test_hermite_digits_work_bound(monkeypatch, p, n, m):
+    """Every digit is wanted, so stage i carries 2m - 1 - i digits."""
+    calls = _count_matpow_calls(monkeypatch)
     ctx = PrecisionContext(p, m)
     a, _, _ = rand_hermite(ctx, n, random.Random(n))
     expansion = hermite_digits_matrix(a, 1)
     assert expansion.reassemble().congruent(a)
-    assert calls[0] <= m * ((2 * m - 1).bit_length() + 1)
+    assert calls[0] <= _peeling_bound(m, m)
+
+
+@pytest.mark.parametrize("p,n,m,depth", [(3, 8, 8, 3), (211, 4, 16, 5)])
+def test_spectral_measure_work_bound(monkeypatch, p, n, m, depth):
+    """A tree of depth d < m peels at m + d - 1 - i digits, then m - i past the depth.
+
+    Each of the d resolutions adds its one sigma check.
+    """
+    calls = _count_matpow_calls(monkeypatch)
+    ctx = PrecisionContext(p, m)
+    a, _, _ = rand_hermite(ctx, n, random.Random(n))
+    identity_check, reconstruction = spectral_integral(spectral_measure(a, depth))
+    assert identity_check.congruent(UMatrix.identity(n, ctx))
+    assert (reconstruction - a).valuation >= depth
+    assert calls[0] <= _peeling_bound(m, depth) + depth
 
 
 # -- digit expansions -----------------------------------------------------------------
@@ -556,6 +596,85 @@ def test_spectrum_invariant_under_conjugation():
     b = conjugate(u, a)
     spec_b = sorted(lam.residue() for lam, _ in operator_spectrum(b))
     assert spec_a == spec_b
+
+
+def _verify_planted_decomposition(p: int, m: int, degree: int, points: list, rows=None):
+    """Run _verify_decomposition on planted int (eigenvalue, projector) pairs.
+
+    The pairs are taken over Z/p^m (degree 1) or the degree-N ring;
+    rows defaults to the weighted sum of the projectors, and over the
+    ring every int becomes the constant coordinate vector.
+    """
+    q = p**m
+    n = len(points[0][1])
+    if rows is None:
+        rows = [
+            [sum(lam * proj[i][j] for lam, proj in points) % q for j in range(n)]
+            for i in range(n)
+        ]
+    if degree == 1:
+        ops = residue_ops(PrecisionContext(p, m))
+        embed = int
+    else:
+        ops = residue_ops(PrecisionContext(p, m), ext_ring(p, degree, m))
+        pad = (0,) * (degree - 1)
+
+        def embed(c):
+            return (c % q,) + pad
+
+    def matrix(int_rows):
+        return tuple(tuple(embed(c % q) for c in row) for row in int_rows)
+
+    resolved = [(embed(lam % q), matrix(proj)) for lam, proj in points]
+    _verify_decomposition(matrix(rows), resolved, ops, n)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_verify_decomposition_refuses_a_projector_of_norm_below_1(degree):
+    points = [(1, [[1, 0], [0, 1]]), (0, [[3, 0], [0, 0]])]
+    with pytest.raises(RuntimeError, match="projector has norm != 1"):
+        _verify_planted_decomposition(3, 2, degree, points)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_verify_decomposition_refuses_a_non_idempotent_projector(degree):
+    """2 E11 has a unit entry and sums to 1 with 1 - 2 E11, but (2 E11)^2 = 4 E11 mod 9."""
+    points = [(1, [[2, 0], [0, 0]]), (4, [[-1, 0], [0, 1]])]
+    with pytest.raises(RuntimeError, match="projector is not idempotent"):
+        _verify_planted_decomposition(3, 2, degree, points)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_verify_decomposition_refuses_projectors_not_summing_to_1(degree):
+    points = [(1, [[1, 0], [0, 0]])]
+    with pytest.raises(RuntimeError, match="projectors do not sum to 1"):
+        _verify_planted_decomposition(3, 2, degree, points)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_verify_decomposition_refuses_a_weighted_sum_other_than_x(degree):
+    points = [(1, [[1, 0], [0, 0]]), (4, [[0, 0], [0, 1]])]
+    with pytest.raises(RuntimeError, match="weighted projectors do not reproduce x"):
+        _verify_planted_decomposition(3, 2, degree, points, rows=[[1, 0], [0, 1]])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_verify_decomposition_refuses_a_one_sided_overlap(degree):
+    """Idempotents over F_2 that sum to 1 yet overlap, with P_0 P_3 != 0 = P_3 P_0.
+
+    The two copies of E22 cancel, so the four sum to 1.  In
+    characteristic 0 idempotents summing to 1 are orthogonal (compare
+    traces and ranks); over F_p they need not be, but every such set an
+    exhaustive search found (p = 2, 3 at n = 2 with up to five
+    projectors, p = 2 at n = 3 with up to four) also has two-sided
+    overlaps besides its one-sided ones.
+    """
+    e22, low, col = [[0, 0], [0, 1]], [[0, 0], [1, 1]], [[1, 0], [1, 0]]
+    assert int_matmul(e22, col, 2) == [[0, 0], [1, 0]]
+    assert int_matmul(col, e22, 2) == [[0, 0], [0, 0]]
+    points = [(0, e22), (1, e22), (0, low), (1, col)]
+    with pytest.raises(RuntimeError, match="projectors are not pairwise orthogonal"):
+        _verify_planted_decomposition(2, 1, degree, points)
 
 
 def test_classify_matrix_orbits():
@@ -762,6 +881,23 @@ def test_operator_spectrum_matches_scalar_level_products(period):
 # -- the residue pipeline against the object-level route ----------------------------
 
 
+def _hermite_operator(ctx: PrecisionContext, n: int, period: int, rng: random.Random) -> UMatrix:
+    """U diag U^-1 (period 1) or U (a_i + b_i W) U^-1 (period 2) over Z/p^m."""
+    if period == 1:
+        return rand_hermite(ctx, n, rng)[0]
+    q = ctx.modulus
+    w = _multiplication_block(ctx, 2)
+    d = [[0] * n for _ in range(n)]
+    for i in range(0, n - 1, 2):
+        x, y = rng.randrange(q), rng.randrange(q)
+        for r in range(2):
+            for c in range(2):
+                d[i + r][i + c] = (x * (r == c) + y * w[r][c]) % q
+    if n % 2:
+        d[n - 1][n - 1] = rng.randrange(q)
+    return conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(d, ctx))
+
+
 @st.composite
 def spectral_problems(draw):
     """A Hermite operator over Z_p or with degree-2 blocks, or one of the edge inputs.
@@ -781,19 +917,7 @@ def spectral_problems(draw):
     ctx = PrecisionContext(p, m)
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     q = ctx.modulus
-    if period == 1:
-        a, _, _ = rand_hermite(ctx, n, rng)
-    else:
-        w = _multiplication_block(ctx, 2)
-        d = [[0] * n for _ in range(n)]
-        for i in range(0, n - 1, 2):
-            x, y = rng.randrange(q), rng.randrange(q)
-            for r in range(2):
-                for c in range(2):
-                    d[i + r][i + c] = (x * (r == c) + y * w[r][c]) % q
-        if n % 2:
-            d[n - 1][n - 1] = rng.randrange(q)
-        a = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(d, ctx))
+    a = _hermite_operator(ctx, n, period, rng)
     if shape == "negative" and a.valuation != INFINITE:
         a = a.shift(-1 - int(a.valuation))
     elif shape == "deep" and a.valuation != INFINITE:  # valuation m or m + 1
@@ -854,6 +978,95 @@ def test_residue_pipeline_matches_the_object_level_route(problem):
         for addr, center, _ in level:
             window = measure.lead_valuation + ctx.m
             assert (measure.ball_center(addr, ctx) - center).valuation >= window
+
+
+@st.composite
+def peeling_problems(draw):
+    """An operator for the digit peeling, over Z_p or the degree-2 ring, and its period.
+
+    plain is _hermite_operator's; planted adds p^s E_{0,n-1} inside
+    U diag U^-1 with equal first and last diagonal entries, a nilpotent
+    residue in the tail of digit s; shifted moves plain's valuation by
+    -1 or +1; unfixed is random residues; zero is 0.  An integral
+    operator may be promoted to the degree-2 ring.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=1, max_value=5))
+    period = draw(st.sampled_from([1, 2]))
+    shape = draw(st.sampled_from(["plain", "planted", "shifted", "unfixed", "zero"]))
+    promoted = draw(st.booleans())
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    q = ctx.modulus
+    if shape == "planted" and n > 1:
+        d = [rng.randrange(q) for _ in range(n)]
+        d[-1] = d[0]
+        rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows[0][-1] = p ** draw(st.integers(min_value=0, max_value=m - 1))
+        a = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(rows, ctx))
+    elif shape == "unfixed":
+        a = UMatrix.from_residues([[rng.randrange(q) for _ in range(n)] for _ in range(n)], ctx)
+    elif shape == "zero":
+        a = UMatrix.zeros(n, ctx)
+    else:
+        a = _hermite_operator(ctx, n, period, rng)
+        if shape == "shifted" and a.valuation != INFINITE:
+            a = a.shift(rng.choice((-1, 1)))
+    if promoted and a.is_integral:
+        a = a.promote(ext_ring(p, 2, m))
+    return a, period
+
+
+def _peeling(peel, *args):
+    """(lead valuation, digit rows) from a peeling, or ("refused", stage, reason)."""
+    try:
+        return peel(*args)
+    except NotHermiteError as exc:
+        return "refused", exc.stage, exc.reason
+
+
+@settings(max_examples=150, deadline=None)
+@given(peeling_problems())
+def test_hermite_rows_match_the_fixed_precision_peeling(problem):
+    """_hermite_rows at every depth 1..m against hermite_rows_oracle, every stage at 2m digits.
+
+    Equal lead valuations and digits 0..depth-1, or the same refusal:
+    equal NotHermiteError stage and reason.  The two schedules can part
+    only where a sigma phase leaves the 2m run too few budget steps,
+    which needs n >= 17 (test_hermite_budget_edge_changes_the_verdict).
+    """
+    a, period = problem
+    expected = _peeling(hermite_rows_oracle, a, period)
+    for depth in range(1, a.ctx.m + 1):
+        got = _peeling(spectral._hermite_rows, a, period, depth)
+        if expected[0] == "refused":
+            assert got == expected
+        else:
+            assert got == (expected[0], expected[1][:depth])
+
+
+def test_hermite_budget_edge_changes_the_verdict():
+    """I + N for the 17 x 17 Jordan shift N at p = 2, m = 1: where the schedules part.
+
+    The budget is 2m + 4 = 6 steps.  The sigma phase takes five, as
+    (I + N)^16 = I + N^16 is not I mod 2 but (I + N)^32 is.  At one
+    digit the sixth step finds that fixed point, and stage 1 refuses the
+    nilpotent residue N.  At two digits (I + N)^32 = I + 2 N^16 mod 4 is
+    not yet fixed, so the fixed-2m peeling runs out of steps and reports
+    an orbit that does not stabilise.  At n = 16 the phase takes four
+    steps and both refuse N.  A scan of I + N and N for n <= 64 (the
+    CLI's largest dimension), p = 2, 3, m <= 3 and periods 1, 2 found
+    no other parting than n = 17 to 32 here.
+    """
+    ctx = PrecisionContext(2, 1)
+    for n, old in [(16, (1, "nilpotent residue at digit 1")),
+                   (17, (0, "sigma^1 orbit of digit 0 does not stabilise"))]:
+        a = UMatrix.from_ints([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)], ctx)
+        assert _peeling(hermite_rows_oracle, a, 1) == ("refused", *old)
+        with pytest.raises(NotHermiteError) as err:
+            hermite_digits_matrix(a, 1)
+        assert (err.value.stage, err.value.reason) == (1, "nilpotent residue at digit 1")
 
 
 def test_measure_and_integral_lift_no_point_twice(monkeypatch):
