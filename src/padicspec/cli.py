@@ -214,7 +214,8 @@ def _period_from(args, doc: dict, ctx: PrecisionContext) -> int:
 def _period_bound_from(args) -> int:
     """--N of classify and jordan: the longest sigma-period searched for.
 
-    Their scan takes up to m*N + 4 + N sigma-steps, and jordan keeps every
+    Their scan takes up to max(m*N + 4, P) + N sigma-steps, P the
+    pre-period bound of padic.pre_period_bound, and jordan keeps every
     iterate, so the bound is capped like n and m.
     """
     bound = args.N if args.N is not None else 8

@@ -19,10 +19,11 @@ residue r is the closed form r^(p^(m-1)) mod p^m, one modular power.
 The matrix limits of padicspec.spectral iterate only until the orbit
 is stationary mod p (the sigma phase) and then finish with Newton's
 method on x^q = x, whose derivative q x^(q-1) - 1 is -1 mod p, a unit:
-the digits of agreement double at each step, so about log2 m steps
+the digits of agreement double at each step, so ceil(log2 m) steps
 finish the limit.  Orbits that need not converge are walked by
-scan_orbit, under one step budget: PrecisionContext.budget, raised to
-a bound on the pre-period where the orbit's ring is large.
+scan_orbit.  The sigma phase and scan_orbit's walk are both bounded by
+pre_period_bound, the number of sigma steps after which any orbit is on
+its cycle, derived from the length of the ring the orbit generates.
 """
 
 from __future__ import annotations
@@ -71,11 +72,14 @@ PRIMALITY_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIMALITY_LIMIT = 3317044064679887385961981
 
 
+@functools.lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin with the prime bases 2..41.
 
     Exact for n < PRIMALITY_LIMIT (about 3.3e24); larger n raise
-    ValueError rather than receive an unproven answer.
+    ValueError rather than receive an unproven answer.  Answers are
+    cached, since every PrecisionContext checks its p and the pipeline
+    builds one context per peeling stage and per resolution.
     """
     if n < 2:
         return False
@@ -319,10 +323,6 @@ class PrecisionContext:
         if self.m < 1:
             raise ValueError(f"precision m must be >= 1, got {self.m}")
         object.__setattr__(self, "modulus", self.p**self.m)
-
-    def budget(self, period_bound: int = 1) -> int:
-        """Step cap m * period_bound + 4 for a sigma search with periods up to period_bound."""
-        return self.m * period_bound + 4
 
 
 @dataclass(frozen=True)
@@ -645,20 +645,12 @@ class OrbitReport:
     budget: int = 0
 
 
-def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitReport:
-    """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
+def pre_period_bound(p: int, m: int, size: int) -> int:
+    """The step P from which every sigma-orbit of a key mod p^m is on its cycle.
 
-    step maps a key (an int, a coordinate vector or residue rows) to its
-    sigma-image.  The walk takes at most max(ctx.budget(period_bound), P)
-    + period_bound steps, so a cycle of length up to period_bound entered
-    within max(ctx.budget(period_bound), P) steps is seen to repeat.  A
-    zero key is TopNilpotent; a repeat is Periodic, or QuasiPeriodic with
-    the first cycle key as limit when the cycle misses start; a longer
-    cycle or an exhausted budget is ChaosAtPrecision.
-
-    P = m + floor(log_p(e - 1)) (P = m for e = 1) bounds the pre-period
-    of every orbit, e = n * deg * m for keys of n x n rows over a
-    degree-deg ring A (n = 1 for a scalar, A = Z/p^m at deg = 1).  The
+    P = m + floor(log_p(e - 1)) (P = m for e = 1), e = m * size, for the
+    p-power orbit of any key of n x n rows over a degree-deg ring A mod
+    p^m, size = n * deg (n = 1 for a scalar, A = Z/p^m at deg = 1).  The
     key x generates the commutative ring R = A[x], by Cayley-Hamilton a
     quotient of A^n, so its length as an abelian group is at most e.  R
     is a product of local rings, and in each factor x is either
@@ -667,15 +659,33 @@ def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitRe
     in the maximal ideal, so z^e = 0.  In the binomial expansion
     (1 + z)^(p^k) = sum_j C(p^k, j) z^j only j <= e - 1 survive, and
     v_p(C(p^k, j)) = k - v_p(j) >= k - floor(log_p(e - 1)) for those
-    j >= 1, so (1 + z)^(p^k) = 1 mod p^m once k >= P; a nilpotent factor
-    is 0 once p^k >= e, which k = P satisfies.  From step P on, the orbit
-    is on its cycle.
+    j >= 1, so (1 + z)^(p^k) = 1 mod p^m once k >= P; a nilpotent
+    factor is 0 once p^k >= e, which k = P satisfies.  From step P on,
+    the orbit is on its cycle.
     """
-    e = ctx.m * _key_size(start)
-    pre_period, power = ctx.m, ctx.p
-    while power <= e - 1:
-        pre_period, power = pre_period + 1, power * ctx.p
-    budget = max(ctx.budget(period_bound), pre_period) + period_bound
+    bound, power = m, p
+    while power < m * size:
+        bound, power = bound + 1, power * p
+    return bound
+
+
+def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitReport:
+    """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
+
+    step maps a key (an int, a coordinate vector or residue rows) to its
+    sigma-image.  The walk takes at most max(m * period_bound + 4, P) +
+    period_bound steps, P = pre_period_bound(p, m, n * deg) for n x n
+    rows over a degree-deg ring, so a cycle of length up to period_bound
+    is seen to repeat: the orbit is on it from step P.  A zero key is
+    TopNilpotent; a repeat is Periodic, or QuasiPeriodic with the first
+    cycle key as limit when the cycle misses start; a longer cycle or an
+    exhausted walk is ChaosAtPrecision.
+    """
+    pre_period = pre_period_bound(ctx.p, ctx.m, _key_size(start))
+    # P + period_bound steps would do; the floor m * period_bound + 4 stays because
+    # dropping it shortens walks that end in ChaosAtPrecision, and classify reports
+    # their steps, so its output would change.
+    budget = max(ctx.m * period_bound + 4, pre_period) + period_bound
     verdict = functools.partial(OrbitReport, budget=budget)
     seen, keys, cur, k = {}, [], start, 0
     while True:
@@ -700,12 +710,11 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     TopNilpotent: some iterate is 0 mod p^m.  Periodic(N): sigma^N(x) = x
     mod p^m with minimal N <= period_bound.  QuasiPeriodic(N): the orbit
     enters a cycle of length N <= period_bound that does not contain x.
-    ChaosAtPrecision: neither happened within the scan_orbit budget,
-    max(m * period_bound + 4, P) + period_bound steps with P the
-    pre-period bound derived there (a precision-relative verdict, not an
-    error).  The scan steps on x's residue key through
-    x.residue_orbit(); only a QuasiPeriodic limit is built as an object
-    of x's type.
+    ChaosAtPrecision: neither happened within scan_orbit's walk of
+    max(m * period_bound + 4, P) + period_bound steps, P the
+    pre_period_bound of x (a precision-relative verdict, not an error).
+    The scan steps on x's residue key through x.residue_orbit(); only a
+    QuasiPeriodic limit is built as an object of x's type.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be >= 1")

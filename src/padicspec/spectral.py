@@ -56,7 +56,9 @@ from .padic import (
     OrbitKind,
     PadicScalar,
     PrecisionContext,
+    _key_size,
     norm_from_valuation,
+    pre_period_bound,
     scan_orbit,
     teichmuller_lift,
 )
@@ -91,42 +93,48 @@ class PeriodExceededError(Exception):
 # -- residue-level sigma machinery -------------------------------------------
 
 
-def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops, budget: int):
+def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
     """Stationary point of y -> y^q mod p^m, q = p^period, or None on a cycle mod p.
 
     The sigma phase takes sigma^period steps while X^q and X differ mod
-    p; the reductions mod p it visits are kept, so an orbit that cycles
-    mod p returns None.  Once X^q = X mod p, Newton's method on
-    f(X) = X^q - X finishes the limit: with E = X^(q-1) and a = q/(q-1)
-    mod p^m, aE - 1 inverts f'(X) = qE - 1 up to qa(E^2 - E), a multiple
-    of f(X), so X <- X^q - a(X^q E - X^q) doubles the digits of
-    agreement at each step.  Roots of X^q = X that agree mod p are unique
-    in the commutative algebra generated by the input (Hensel), so the
-    Newton limit is the sigma limit.  Each step of either phase costs one
-    _res_matpow call and counts against budget; after the sigma phase at
-    most ceil(log2 m) + 1 steps remain.
+    p.  The orbit mod p is on its cycle from sigma step
+    P_1 = pre_period_bound(p, 1, n deg), so from sigma^period step
+    ceil(P_1 / period) on; a step from there that still moves X mod p
+    shows a cycle longer than 1, and the phase returns None.  Once
+    X^q = X mod p, Newton's method on f(X) = X^q - X finishes the limit:
+    with E = X^(q-1) and a = q/(q-1) mod p^m, aE - 1 inverts
+    f'(X) = qE - 1 up to qa(E^2 - E), a multiple of f(X), so
+    X <- X^q - a(X^q E - X^q) doubles the digits of agreement at each
+    step.  Roots of X^q = X that agree mod p are unique in the
+    commutative algebra generated by the input (Hensel), so the Newton
+    limit is the sigma limit.  Each step of either phase costs one
+    _res_matpow call; the Newton phase takes at most ceil(log2 m) + 1 of
+    them, counting the one that ended the sigma phase, and a limit that
+    needs more is an internal defect.
     """
     p, modulus = ctx.p, ctx.modulus
     q = p**period
-    a = q * pow(q - 1, -1, modulus) % modulus
-    x = rows
-    reduction = _map_coords(x, p.__rmod__)
-    seen = {reduction}
-    for _ in range(budget):
+    x, reduction = rows, _map_coords(rows, p.__rmod__)
+    for _ in range(-(-pre_period_bound(p, 1, _key_size(rows)) // period) + 1):
         power = _res_matpow(x, q - 1, ops)
         xq = _res_matmul(power, x, ops)
         if xq == x:
             return x
         xq_reduction = _map_coords(xq, p.__rmod__)
-        if xq_reduction != reduction:
-            if xq_reduction in seen:
-                return None
-            seen.add(xq_reduction)
-            x, reduction = xq, xq_reduction
-            continue
+        if xq_reduction == reduction:
+            break
+        x, reduction = xq, xq_reduction
+    else:
+        return None
+    a = q * pow(q - 1, -1, modulus) % modulus
+    for _ in range((ctx.m - 1).bit_length()):
         correction = _res_sub(_res_matmul(xq, power, ops), xq, ops)
         x = _res_sub(xq, _res_scale(a, correction, ops), ops)
-    return None
+        power = _res_matpow(x, q - 1, ops)
+        xq = _res_matmul(power, x, ops)
+        if xq == x:
+            return x
+    raise RuntimeError(f"Newton's method on X^{q} = X did not converge (internal defect)")
 
 
 # -- unique idempotent lifting -------------------------------------------------
@@ -148,7 +156,7 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     defect = _res_sub(_res_matmul(rows, rows, ops), rows, ops)
     if not _rows_are_zero(_map_coords(defect, ctx.p.__rmod__)):
         raise ValueError("input is not idempotent mod p")
-    limit = _sigma_limit(rows, 1, ctx, ops, ctx.budget())
+    limit = _sigma_limit(rows, 1, ctx, ops)
     if limit is None:
         raise RuntimeError("idempotent lift failed to stabilise (internal defect)")
     if _res_matmul(limit, limit, ops) != limit:
@@ -297,20 +305,14 @@ def _verify_decomposition(rows, resolved, ops, n):
     projs = [proj for _, proj in resolved]
     products = _res_matmul(tuple(itertools.chain.from_iterable(projs)), _res_hstack(projs), ops)
     blocks = [_res_hsplit(products[i * n : (i + 1) * n], n) for i in range(len(projs))]
-    ident = _res_identity(n, ops)
-    total = None
-    weighted = None
-    for i, (lam, proj) in enumerate(resolved):
+    for i, proj in enumerate(projs):
         if not any(ops.is_unit(e) for row in proj for e in row):
             raise RuntimeError("projector has norm != 1 (internal defect)")
         if blocks[i][i] != proj:
             raise RuntimeError("projector is not idempotent (internal defect)")
-        total = proj if total is None else _res_add(total, proj, ops)
-        term = _res_scale(lam, proj, ops)
-        weighted = term if weighted is None else _res_add(weighted, term, ops)
-    if total != ident:
+    if _res_sum(projs, ops) != _res_identity(n, ops):
         raise RuntimeError("projectors do not sum to 1 (internal defect)")
-    if weighted != rows:
+    if _res_sum([_res_scale(lam, proj, ops) for lam, proj in resolved], ops) != rows:
         raise RuntimeError("weighted projectors do not reproduce x (internal defect)")
     for i, row_blocks in enumerate(blocks):
         for j, block in enumerate(row_blocks):
@@ -362,10 +364,11 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     Each limit is a sigma phase (sigma^N steps until the tail is
     stationary mod p, none for a tail that already is) followed by
     Newton's method on X^(p^N) = X at the stage's precision P, so a
-    digit costs ceil(log2 P) + 1 matrix powers past its sigma phase,
-    each of O(N log2 p) products of n x n matrices.  The peeling runs on
-    residue rows (_hermite_rows); only the digits returned here are
-    built as matrices.
+    digit costs at most ceil(P_1 / N) + ceil(log2 P) + 1 matrix powers,
+    P_1 = pre_period_bound(p, 1, n deg) for a degree-deg ring (see
+    _sigma_limit), each of O(N log2 p) products of n x n matrices.  The
+    peeling runs on residue rows (_hermite_rows); only the digits
+    returned here are built as matrices.
     """
     k, digits = _hermite_rows(a, period, a.ctx.m)
     ctx, ring = a.ctx, a.ext_ring
@@ -397,9 +400,9 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     X^q E = X^(2q - 1) = X^q mod p^P, and no sigma step can follow: the
     reduction mod p is fixed.  Every other branch (a sigma step, a cycle
     mod p, a tail that is not divisible by p) is decided mod p, the same
-    at every precision.  The step budget stays that of precision 2m, so
-    a stage stops no later than at 2m; its verdict can differ only where
-    the 2m run exhausts the budget in its last Newton steps.
+    at every precision.  Neither phase of _sigma_limit stops short of
+    its limit or its cycle mod p at any precision, so every stage
+    reaches the verdict of the stage at 2m.
     """
     ctx = a.ctx
     p, m = ctx.p, ctx.m
@@ -407,7 +410,6 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     if k == INFINITE:
         return 0, (a.residues(),) * depth
     work = a.shift(-k)
-    budget = PrecisionContext(p, 2 * m).budget(period)
     rows = work.residues()
     digits = []
     for i in range(m):
@@ -415,7 +417,7 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
         if i == depth:
             rows = _map_coords(rows, stage_ctx.modulus.__rmod__)
         ops = residue_ops(stage_ctx, work.ext_ring)
-        limit = _sigma_limit(rows, period, stage_ctx, ops, budget)
+        limit = _sigma_limit(rows, period, stage_ctx, ops)
         if limit is None:
             raise NotHermiteError(
                 stage=i,

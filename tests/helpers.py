@@ -352,16 +352,17 @@ def lagrange_oracle(rows, p: int, m: int, degree: int, period: int) -> list:
     return out
 
 
-def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: int):
+def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops):
     """Stationary point of y -> y^(p^period) mod p^m by plain iteration, or None.
 
-    One sigma^period step at a time from rows; None when an iterate
-    repeats without being stationary, or when budget steps run out.
+    One sigma^period step at a time from rows, until an iterate is
+    stationary or repeats without being stationary (None).  The residue
+    rows mod p^m are finitely many, so one of the two always happens.
     """
     exponent = ctx.p**period
     seen = {rows}
     cur = rows
-    for _ in range(budget):
+    while True:
         nxt = _res_matpow(cur, exponent, ops)
         if nxt == cur:
             return cur
@@ -369,7 +370,6 @@ def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops, budget: in
             return None
         seen.add(nxt)
         cur = nxt
-    return None
 
 
 def hermite_rows_oracle(a: UMatrix, period: int):
@@ -387,11 +387,10 @@ def hermite_rows_oracle(a: UMatrix, period: int):
     work = a.shift(-k)
     ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
     ops_hi = residue_ops(ctx_hi, work.ext_ring)
-    budget = ctx_hi.budget(period)
     rows = work.residues()
     digits = []
     for i in range(ctx.m):
-        limit = _sigma_limit(rows, period, ctx_hi, ops_hi, budget)
+        limit = _sigma_limit(rows, period, ctx_hi, ops_hi)
         if limit is None:
             raise NotHermiteError(
                 stage=i,

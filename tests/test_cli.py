@@ -361,14 +361,13 @@ def test_hermite_rejects_unipotent_jordan_block_at_digit_one(tmp_path):
     )
 
 
-def test_hermite_names_the_nilpotent_residue_of_i_plus_j17_at_m1(tmp_path):
-    """I + N at p = 2, n = 17, m = 1: five of the six budget steps are the
-    sigma phase, and the sixth finds the orbit stationary at one digit, so
-    the rejection names the nilpotent residue (a peeling at 2m digits
-    throughout runs out of steps there and names the orbit)."""
-    n = 17
+@pytest.mark.parametrize("n", [17, 33, 64])
+def test_hermite_names_the_nilpotent_residue_of_i_plus_j17_at_m1(tmp_path, n):
+    """I + N at p = 2, m = 1 for the n x n Jordan shift N: the sigma phase
+    reaches (I + N)^(2^k) = I within its pre_period_bound(2, 1, n) steps,
+    so the rejection names the nilpotent residue N, not the orbit."""
     rows = [[int(j in (i, i + 1)) for j in range(n)] for i in range(n)]
-    path = write(tmp_path, "jordan17.json", matrix_doc(2, 1, rows))
+    path = write(tmp_path, f"jordan{n}.json", matrix_doc(2, 1, rows))
     status, _, text = run(["hermite", "--in", path])
     assert status == 1
     assert text == (

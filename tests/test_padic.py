@@ -14,8 +14,10 @@ from padicspec import (
     OrbitKind,
     PadicScalar,
     PrecisionContext,
+    UMatrix,
     classify_orbit,
     frobenius_step,
+    hermite_digits_matrix,
     norm_from_valuation,
     scalar_from_rational,
     teichmuller_digits,
@@ -59,6 +61,18 @@ def test_is_prime_accepts_large_primes_and_refuses_beyond_its_bound():
     for n in (PRIMALITY_LIMIT, 2**89 - 1):
         with pytest.raises(ValueError):
             is_prime(n)
+
+
+def test_peeling_at_a_61_bit_prime_proves_it_once():
+    """Each peeling stage builds a context at p, and only the first one runs Miller-Rabin."""
+    p = 2**61 - 1
+    is_prime.cache_clear()
+    ctx = PrecisionContext(p, 8)
+    rng = random.Random(5)
+    a = UMatrix.from_residues([[rng.randrange(ctx.modulus), 0], [0, rng.randrange(ctx.modulus)]], ctx)
+    assert len(hermite_digits_matrix(a).digits) == ctx.m
+    info = is_prime.cache_info()
+    assert (info.misses, info.hits >= ctx.m) == (1, True)
 
 
 def test_lift_answers_at_a_61_bit_prime():

@@ -401,9 +401,8 @@ def _assert_sigma_limits_match_oracle(rng, trials, degree):
             ops = residue_ops(ctx, ext_ring(p, degree, m))
             entries = [tuple(e) for e in entries]
         rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-        budget = ctx.budget(period)
-        got = _sigma_limit(rows, period, ctx, ops, budget)
-        assert got == sigma_limit_oracle(rows, period, ctx, ops, budget), (p, m, n, period)
+        got = _sigma_limit(rows, period, ctx, ops)
+        assert got == sigma_limit_oracle(rows, period, ctx, ops), (p, m, n, period)
         outcomes[got is not None] += 1
     return outcomes
 
@@ -418,6 +417,38 @@ def test_sigma_limit_matches_oracle_on_ring_inputs(degree):
     """Most random ring entries leave F_p, so their sigma^1 orbits cycle mod p."""
     outcomes = _assert_sigma_limits_match_oracle(random.Random(72 + degree), 200, degree)
     assert outcomes[True] > 0 and outcomes[False] > 0
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_sigma_limit_matches_oracle_on_unipotent_inputs(degree):
+    """w (I + N) at p = 2 for the n x n Jordan shift N, w = 1 or a degree-2 Teichmuller lift.
+
+    (I + N)^(2^j) = I + N^(2^j) mod 2 reaches I at the least j with
+    2^j >= n, so at n = 2^k + 1 the sigma phase needs all
+    pre_period_bound(2, 1, n) = k + 1 of its sigma steps: a bound one
+    step shorter refuses these inputs.  Over the degree-2 ring, w has
+    order 3, so sigma moves w(I + N) mod 2 forever and only sigma^2 has
+    a limit.
+    """
+    outcomes = {True: 0, False: 0}
+    for m in (1, 2, 3):
+        ctx = PrecisionContext(2, m)
+        if degree == 1:
+            ops, zero, omegas = residue_ops(ctx), 0, [1]
+        else:
+            ring = ext_ring(2, 2, m)
+            ops, zero = residue_ops(ctx, ring), (0, 0)
+            generator = ring.residue_field.element((0, 1))
+            omegas = [(1, 0), teichmuller_lift_ext(generator, m).residue_key()]
+        sizes = (1, 2, 4, 5, 8, 9, 16, 17, 32, 33)
+        for omega, n, period in itertools.product(omegas, sizes, (1, 2, 3)):
+            rows = tuple(
+                tuple(omega if j in (i, i + 1) else zero for j in range(n)) for i in range(n)
+            )
+            got = _sigma_limit(rows, period, ctx, ops)
+            assert got == sigma_limit_oracle(rows, period, ctx, ops), (m, omega, n, period)
+            outcomes[got is not None] += 1
+    assert outcomes[True] > 0 and outcomes[False] == (0 if degree == 1 else 60)
 
 
 def _count_matpow_calls(monkeypatch) -> list:
@@ -1032,9 +1063,7 @@ def test_hermite_rows_match_the_fixed_precision_peeling(problem):
     """_hermite_rows at every depth 1..m against hermite_rows_oracle, every stage at 2m digits.
 
     Equal lead valuations and digits 0..depth-1, or the same refusal:
-    equal NotHermiteError stage and reason.  The two schedules can part
-    only where a sigma phase leaves the 2m run too few budget steps,
-    which needs n >= 17 (test_hermite_budget_edge_changes_the_verdict).
+    equal NotHermiteError stage and reason.
     """
     a, period = problem
     expected = _peeling(hermite_rows_oracle, a, period)
@@ -1046,27 +1075,21 @@ def test_hermite_rows_match_the_fixed_precision_peeling(problem):
             assert got == (expected[0], expected[1][:depth])
 
 
-def test_hermite_budget_edge_changes_the_verdict():
-    """I + N for the 17 x 17 Jordan shift N at p = 2, m = 1: where the schedules part.
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hermite_schedules_agree_on_unipotent_jordan_blocks(m):
+    """I + N for the n x n Jordan shift N at p = 2: both schedules refuse N at digit 1.
 
-    The budget is 2m + 4 = 6 steps.  The sigma phase takes five, as
-    (I + N)^16 = I + N^16 is not I mod 2 but (I + N)^32 is.  At one
-    digit the sixth step finds that fixed point, and stage 1 refuses the
-    nilpotent residue N.  At two digits (I + N)^32 = I + 2 N^16 mod 4 is
-    not yet fixed, so the fixed-2m peeling runs out of steps and reports
-    an orbit that does not stabilise.  At n = 16 the phase takes four
-    steps and both refuse N.  A scan of I + N and N for n <= 64 (the
-    CLI's largest dimension), p = 2, 3, m <= 3 and periods 1, 2 found
-    no other parting than n = 17 to 32 here.
+    The sigma limit of I + N is I, so its tail N is the nilpotent
+    residue at digit 1, whatever the precision.  The sizes sit on both
+    sides of the powers of 2 where the sigma phase needs one step more;
+    n = 33 and 64 take all pre_period_bound(2, 1, n) = 6 sigma steps.
     """
-    ctx = PrecisionContext(2, 1)
-    for n, old in [(16, (1, "nilpotent residue at digit 1")),
-                   (17, (0, "sigma^1 orbit of digit 0 does not stabilise"))]:
+    ctx = PrecisionContext(2, m)
+    for n in (16, 17, 32, 33, 64):
         a = UMatrix.from_ints([[int(j in (i, i + 1)) for j in range(n)] for i in range(n)], ctx)
-        assert _peeling(hermite_rows_oracle, a, 1) == ("refused", *old)
-        with pytest.raises(NotHermiteError) as err:
-            hermite_digits_matrix(a, 1)
-        assert (err.value.stage, err.value.reason) == (1, "nilpotent residue at digit 1")
+        refusal = ("refused", 1, "nilpotent residue at digit 1")
+        assert _peeling(hermite_rows_oracle, a, 1) == refusal, n
+        assert _peeling(hermite_digits_matrix, a, 1) == refusal, n
 
 
 def test_measure_and_integral_lift_no_point_twice(monkeypatch):
