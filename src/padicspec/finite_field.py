@@ -4,8 +4,11 @@ This module is the one home of polynomial and coordinate arithmetic.
 Polynomials are lists of coefficients, constant first, with no trailing
 zeros; the coefficients are entries of a residue ops protocol (ints
 under padic._BaseOps, coordinate vectors under _ExtOps), so the same
-helpers, the Rabin irreducibility test and the Cantor-Zassenhaus root
-finder serve F_p and F_{p^N} alike.
+helpers, the Rabin irreducibility test and both root finders serve F_p
+and F_{p^N} alike.  A split polynomial over a small field is deflated by
+a scan of its elements (_scan_roots, O(q deg f) for q elements); above
+SCAN_PER_DEGREE * deg f elements, Cantor-Zassenhaus splitting
+(poly_roots) is faster.
 
 _ExtOps is the coordinate arithmetic of (Z/p^m)[X]/(f) for a monic f of
 degree N: at m = 1 it is F_{p^N}, which FqElement wraps, and at higher m
@@ -164,6 +167,52 @@ def poly_roots(f, order: int, degree: int, ops, deltas) -> list:
     return sorted(ops.neg(h[0]) for h in factors)
 
 
+def _horner_divide(f, x, ops) -> tuple:
+    """(quotient, remainder) of f by X - x, by Horner's rule; f must not be constant."""
+    acc = f[-1]
+    quo = [acc]
+    for c in reversed(f[:-1]):
+        acc = ops.add(c, ops.mul(x, acc))
+        quo.append(acc)
+    rem = quo.pop()
+    quo.reverse()
+    return quo, rem
+
+
+# The root scan beats Cantor-Zassenhaus while q <= SCAN_PER_DEGREE * deg f, for q
+# the number of field elements scanned (see CHANGES.md for the measured tables).
+SCAN_PER_DEGREE = 128
+
+
+def _scan_roots(f, elements, ops) -> list:
+    """The distinct roots of a polynomial f that splits over the scanned field, in scan order.
+
+    Walks the elements and divides f by X - x while the remainder is 0,
+    recording each such x once, and stops as soon as f is constant: O(q
+    deg f) field operations for q elements, fewer when the roots come
+    early.  The caller guarantees that f splits into linear factors over
+    the elements, so a scan that ends with deg f > 0 is a defect.
+    """
+    roots = []
+    for x in elements:
+        if len(f) == 1:
+            break
+        quo, rem = _horner_divide(f, x, ops)
+        if not ops.is_zero(rem):
+            continue
+        roots.append(x)
+        while ops.is_zero(rem):
+            f = quo
+            if len(f) == 1:
+                break
+            quo, rem = _horner_divide(f, x, ops)
+    if len(f) > 1:
+        raise RuntimeError(
+            f"root scan left a factor of degree {len(f) - 1} (internal defect)"
+        )
+    return roots
+
+
 # -- coordinate arithmetic of (Z/p^m)[X]/(f) -----------------------------------
 
 
@@ -295,8 +344,12 @@ def build_modulus(p: int, degree: int) -> tuple:
         raise ValueError(f"p^N = {p**degree} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     if degree == 1:
         return (0, 1)  # X itself
+    ops = _BaseOps(p, p)
     for tail in itertools.product(range(p), repeat=degree):
         candidate = list(tail) + [1]
+        # a root in F_p is a linear factor; Rabin certifies the survivor
+        if any(_horner_divide(candidate, x, ops)[1] == 0 for x in range(p)):
+            continue
         if is_irreducible(candidate, p):
             return tuple(candidate)
     raise RuntimeError("no irreducible polynomial found (internal defect)")

@@ -43,6 +43,7 @@ from .padic import (
     PadicScalar,
     PrecisionContext,
     _BaseOps,
+    int_valuation,
     norm_from_valuation,
 )
 from .unramified import ExtRing, ExtScalar, ext_ring
@@ -401,7 +402,7 @@ def inverse(u: UMatrix) -> UMatrix:
 
 
 def determinant(a: UMatrix) -> Scalar:
-    """Exact determinant mod p^m by Berkowitz's division-free algorithm.
+    """Exact determinant mod p^m by elimination on least-valuation pivots, O(n^3).
 
     A matrix of negative valuation k (only base matrices have one) is
     scaled by p^-k first and its determinant by p^(n k) after, so the
@@ -409,43 +410,106 @@ def determinant(a: UMatrix) -> Scalar:
     vanishes is zero at precision.
     """
     k = min(0, a.valuation)
-    det = _berkowitz_det(a.shift(-k).residues(), residue_ops(a.ctx, a.ext_ring))
+    det = _res_det(a.shift(-k).residues(), residue_ops(a.ctx, a.ext_ring))
     return _entry_maker(a.ctx, a.ext_ring)(det).shift(a.n * k)
 
 
-def _berkowitz_det(rows: tuple, ops) -> object:
-    """Division-free determinant: the signed constant term of the characteristic polynomial."""
-    const = _berkowitz_charpoly(rows, ops)[0]
-    return const if len(rows) % 2 == 0 else ops.neg(const)
+def _entry_valuation(x, p: int):
+    """Least valuation over the int coordinates of a residue entry; INFINITE for 0."""
+    coords = (x,) if isinstance(x, int) else x
+    return min((int_valuation(c, p) for c in coords if c), default=INFINITE)
 
 
-def _berkowitz_charpoly(rows: tuple, ops) -> tuple:
-    """Coefficients of det(X - A), constant first, via iterated Samuelson-Berkowitz vectors.
+def _map_entry(x, f):
+    """f applied to every int coordinate of one residue entry, keeping its shape."""
+    return f(x) if isinstance(x, int) else tuple(map(f, x))
 
-    Division-free, so it runs over any ring the ops protocol describes.
+
+def _res_det(rows: tuple, ops) -> object:
+    """Determinant of residue rows over Z/p^m or O_K/p^m, by elimination down the columns.
+
+    Both are chain rings: an entry p^v u (u a unit) divides every entry
+    of valuation >= v.  Each column's pivot is an entry of least
+    valuation on or below the diagonal, moved up by a row swap (which
+    negates the determinant).  An entry x below it is cleared exactly by
+    subtracting (x / p^v) u^-1 times the pivot row, which keeps the
+    determinant, so it ends as the signed product of the pivots.
+    """
+    n, p = len(rows), ops.p
+    work = [list(row) for row in rows]
+    det = ops.one
+    for col in range(n):
+        v, r = min((_entry_valuation(work[r][col], p), r) for r in range(col, n))
+        if v == INFINITE:
+            return ops.zero
+        if r != col:
+            work[col], work[r] = work[r], work[col]
+            det = ops.neg(det)
+        pivot = work[col][col]
+        det = ops.mul(det, pivot)
+        over_pv = (p**v).__rfloordiv__
+        inv = ops.inv_unit(_map_entry(pivot, over_pv))
+        for r in range(col + 1, n):
+            x = work[r][col]
+            if not ops.is_zero(x):
+                factor = ops.neg(ops.mul(_map_entry(x, over_pv), inv))
+                work[r] = [ops.add(y, ops.mul(factor, z)) for y, z in zip(work[r], work[col])]
+    return det
+
+
+def _hessenberg_charpoly(rows: tuple, ops) -> list:
+    """Coefficients of det(X - A) over a field, constant first, in O(n^3) field operations.
+
+    ops is an m = 1 protocol (F_p or F_{p^N}), where every nonzero entry
+    is a unit.  A is reduced to upper Hessenberg form H by similarity
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg.
+    2.2.9): for each column j, a nonzero entry below the diagonal is
+    moved to the subdiagonal by a row swap and the matching column
+    swap, and each entry x below it is cleared by row_i -= u row_(j+1)
+    with u = x / pivot, undone on the right by col_(j+1) += u col_i.
+    Then p_0 = 1 and p_k = (X - h_kk) p_(k-1) - sum_i t_i h_(k-i),k
+    p_(k-i-1), where t_i is the product of the i subdiagonal entries
+    h_(k-i+1),(k-i) .. h_k,(k-1), and det(X - A) = p_n.
     """
     n = len(rows)
-    polys = [(ops.one,)]  # char poly of the empty matrix
-    for size in range(1, n + 1):
-        sub = [row[:size] for row in rows[:size]]
-        a = sub[size - 1][size - 1]
-        col = [sub[i][size - 1] for i in range(size - 1)]
-        rowv = [sub[size - 1][j] for j in range(size - 1)]
-        block = [row[: size - 1] for row in sub[: size - 1]]
-        # Toeplitz coefficients: 1, -a, -(row col), -(row block col), ...
-        coeffs = [ops.one, ops.neg(a)]
-        cur = col
-        for _ in range(size - 1):
-            coeffs.append(ops.neg(ops.dot(rowv, cur)))
-            cur = [ops.dot(block_row, cur) for block_row in block]
-        prev = polys[-1]
-        new = [ops.zero] * (size + 1)
-        for i, c in enumerate(coeffs):
-            for j, pcoef in enumerate(prev):
-                if i + j <= size:
-                    new[i + j] = ops.add(new[i + j], ops.mul(c, pcoef))
-        polys.append(tuple(new))
-    return polys[-1][::-1]
+    h = [list(row) for row in rows]
+    add, sub, mul, is_zero = ops.add, ops.sub, ops.mul, ops.is_zero
+    for j in range(n - 2):
+        r = j + 1
+        s = next((s for s in range(r, n) if not is_zero(h[s][j])), None)
+        if s is None:
+            continue
+        if s != r:
+            h[r], h[s] = h[s], h[r]
+            for row in h:
+                row[r], row[s] = row[s], row[r]
+        inv = ops.inv_unit(h[r][j])
+        pivot_row = h[r]
+        for i in range(r + 1, n):
+            x = h[i][j]
+            if is_zero(x):
+                continue
+            u = mul(x, inv)
+            h[i] = [sub(y, mul(u, z)) for y, z in zip(h[i], pivot_row)]
+            for row in h:
+                row[r] = add(row[r], mul(u, row[i]))
+    polys = [[ops.one]]
+    for k in range(n):
+        prev = polys[k]
+        diag = h[k][k]
+        cur = [ops.zero] + prev
+        for d, c in enumerate(prev):
+            cur[d] = sub(cur[d], mul(diag, c))
+        t = ops.one
+        for i in range(1, k + 1):
+            t = mul(t, h[k - i + 1][k - i])
+            if is_zero(t):
+                break
+            coeff = mul(t, h[k - i][k])
+            for d, c in enumerate(polys[k - i]):
+                cur[d] = sub(cur[d], mul(coeff, c))
+        polys.append(cur)
+    return polys[n]
 
 
 # -- vectors -----------------------------------------------------------------

@@ -6,8 +6,11 @@ Lagrange projector, nonzero projectors are orthogonal, and the operator
 is the projector-weighted sum of the points.  Only the points reducing
 to eigenvalues mod p have nonzero projectors, so the resolution finds
 those as roots of the characteristic polynomial mod p and interpolates
-over them alone: O(n^4 + n^2 log p^N) field operations plus at most
-n(n-1) matrix products, however large p^N is.
+over them alone.  The polynomial costs O(n^3) field operations by
+Hessenberg reduction; its roots cost at most 128 n^2 more by a scan of
+the residue field F_q while q <= 128 n, and O(n^2 log p^N) per gcd or
+splitting step of Cantor-Zassenhaus above that.  Then at most n(n-1)
+matrix products remain, however large p^N is.
 
 Operators whose digit expansion consists of such fixed points (one per
 power of p) carry a finitely additive projector-valued measure on the
@@ -32,10 +35,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .finite_field import poly_roots
+from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
 from .matrix import (
     UMatrix,
-    _berkowitz_charpoly,
+    _hessenberg_charpoly,
     _map_coords,
     _res_add,
     _res_hsplit,
@@ -197,18 +200,21 @@ class SpectralDecomposition:
 def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
     """Teichmuller lifts of the eigenvalues of rows mod p, the ambient ring, its rows.
 
-    The eigenvalues are the roots in F_{p^N} of the Berkowitz
-    characteristic polynomial of rows mod p, over the field F_{p^D} that
-    the ambient entries reduce into (D = 1 over Z_p).  The ambient ring
-    must contain the period-N fixed points, so base rows are promoted to
-    the degree-N extension (constant coordinates), and an extension ring
-    requires N to divide its degree.  Points are ordered by residue
-    mod p (base) or by the coordinates of their reduction, the order in
-    which the residue field enumerates its elements.
+    The eigenvalues are the roots of the characteristic polynomial of
+    rows mod p, built by Hessenberg reduction over the field F_q, q =
+    p^D, that the ambient entries reduce into (D = 1 over Z_p).  The
+    caller has checked that rows is fixed by sigma^N, so the polynomial
+    splits over F_{p^N}: a scan of F_q finds its roots while q <=
+    SCAN_PER_DEGREE * n, and Cantor-Zassenhaus above that.  The ambient
+    ring must contain the period-N fixed points, so base rows are
+    promoted to the degree-N extension (constant coordinates), and an
+    extension ring requires N to divide its degree.  Points are ordered
+    by residue mod p (base) or by the coordinates of their reduction,
+    the order in which the residue field enumerates its elements.
     """
     p = ctx.p
     if period == 1 and ring is None:
-        degree, deltas = 1, range(p)
+        degree, elements = 1, range(p)
     else:
         if ring is None:
             ring = ext_ring(p, period, ctx.m)
@@ -219,10 +225,13 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
                 f"period {period} does not divide the extension degree {ring.degree}"
             )
         degree = ring.degree
-        deltas = (a.coords for a in ring.residue_field.elements())
+        elements = itertools.product(range(p), repeat=degree)
     ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = _berkowitz_charpoly(_map_coords(rows, p.__rmod__), ops)
-    roots = poly_roots(list(charpoly), p**period, degree, ops, deltas)
+    charpoly = _hessenberg_charpoly(_map_coords(rows, p.__rmod__), ops)
+    if p**degree <= SCAN_PER_DEGREE * len(rows):
+        roots = _scan_roots(charpoly, elements, ops)
+    else:
+        roots = poly_roots(charpoly, p**period, degree, ops, elements)
     if ring is None:
         return [teichmuller_lift(r, ctx) for r in roots], ring, rows
     return [teichmuller_lift_ext(ring.residue_field.element(r), ctx.m) for r in roots], ring, rows
@@ -281,10 +290,12 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     points have distinct reductions, and this is asserted at runtime;
     projectors summing to 1 certifies that no eigenvalue was missed.
 
-    The work is O(n^4 + n^2 log p^N) field operations for the roots (the
-    characteristic polynomial, then each gcd or splitting step; a few
-    splitting shifts suffice in practice) plus at most n(n-1) matrix
-    products for the projectors.  The sigma^N check, the resolution and
+    The work is O(n^3) field operations for the characteristic
+    polynomial (Hessenberg reduction), then at most q n for a scan of the
+    residue field F_q when q <= 128 n, or O(n^2 log p^N) for each gcd or
+    splitting step of Cantor-Zassenhaus above that (a few splitting
+    shifts suffice in practice), plus at most n(n-1) matrix products for
+    the projectors.  The sigma^N check, the resolution and
     its certificate run on residue rows (_resolve); only the projectors
     returned here are built as matrices.
     """

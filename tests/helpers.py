@@ -23,7 +23,6 @@ from padicspec import (
 )
 from padicspec.finite_field import poly_roots
 from padicspec.matrix import (
-    _berkowitz_charpoly,
     _map_coords,
     _res_matpow,
     _res_sub,
@@ -440,8 +439,8 @@ def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
             raise ValueError(f"period {period} does not divide the extension degree {ring.degree}")
         ambient, field = x.promote(ring), ring.residue_field
     ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = _berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
-    roots = poly_roots(list(charpoly), p**period, field.degree, ops,
+    charpoly = berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
+    roots = poly_roots(charpoly, p**period, field.degree, ops,
                        (a.coords for a in field.elements()) if ring else range(p))
     if ring is None:
         points = [teichmuller_lift(r, ctx) for r in roots]
@@ -622,6 +621,40 @@ def jordan_scan_oracle(rows, p: int, m: int, period_bound: int):
             return semisimple, nilpotent, period, steps
         power = int_matpow(power, p, q)
     return None
+
+
+def berkowitz_charpoly(rows, ops) -> list:
+    """Coefficients of det(X - A), constant first, via iterated Samuelson-Berkowitz vectors.
+
+    Division-free, so it runs over any ring the ops protocol describes;
+    O(n^4) ring operations.
+    """
+    n = len(rows)
+    poly = [ops.one]  # char poly of the empty matrix, leading coefficient first
+    for size in range(1, n + 1):
+        a = rows[size - 1][size - 1]
+        col = [rows[i][size - 1] for i in range(size - 1)]
+        rowv = [rows[size - 1][j] for j in range(size - 1)]
+        block = [row[: size - 1] for row in rows[: size - 1]]
+        # Toeplitz coefficients: 1, -a, -(row col), -(row block col), ...
+        coeffs = [ops.one, ops.neg(a)]
+        cur = col
+        for _ in range(size - 1):
+            coeffs.append(ops.neg(ops.dot(rowv, cur)))
+            cur = [ops.dot(block_row, cur) for block_row in block]
+        new = [ops.zero] * (size + 1)
+        for i, c in enumerate(coeffs):
+            for j, pcoef in enumerate(poly):
+                if i + j <= size:
+                    new[i + j] = ops.add(new[i + j], ops.mul(c, pcoef))
+        poly = new
+    return poly[::-1]
+
+
+def berkowitz_det(rows, ops):
+    """Division-free determinant: the signed constant term of berkowitz_charpoly."""
+    const = berkowitz_charpoly(rows, ops)[0]
+    return const if len(rows) % 2 == 0 else ops.neg(const)
 
 
 # -- polynomials over F_p and F_q (oracle side) ------------------------------------

@@ -12,8 +12,21 @@ import random
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import rand_hermite, residues_of
-from padicspec import NotHermiteError, PrecisionContext, UMatrix
+from helpers import (
+    conjugate,
+    diag_matrix,
+    rand_gl,
+    rand_hermite,
+    residues_of,
+    teichmuller_companion,
+)
+from padicspec import (
+    NotHermiteError,
+    PrecisionContext,
+    UMatrix,
+    teichmuller_lift,
+    teichmuller_spectral,
+)
 from padicspec import spectral
 
 
@@ -82,3 +95,50 @@ def test_hermite_agrees_across_precisions(problem, delta):
         assert [[[c % q for c in row] for row in digit] for digit in high[1][:m]] == [
             [list(row) for row in digit] for digit in low[1]
         ]
+
+
+@st.composite
+def spectral_inputs(draw):
+    """(p, m, delta, period, integer rows below p^(m + delta)) fixed by sigma^period there.
+
+    Period 1 plants U diag(omega) U^-1 for Teichmuller lifts omega at
+    m' = m + delta; period 2 plants U C U^-1 for the companion C of a
+    Teichmuller point of degree 2.  Read at m, the same integers are
+    fixed by sigma^period mod p^m too.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(min_value=1, max_value=3))
+    delta = draw(st.sampled_from([1, 2]))
+    period = draw(st.sampled_from([1, 2]))
+    n = 2 if period == 2 else draw(st.integers(min_value=1, max_value=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    ctx = PrecisionContext(p, m + delta)
+    if period == 1:
+        planted = diag_matrix(ctx, [teichmuller_lift(rng.randrange(p), ctx).residue() for _ in range(n)])
+    else:
+        planted = UMatrix.from_residues(teichmuller_companion(p, 2, m + delta), ctx)
+    return p, m, delta, period, residues_of(conjugate(rand_gl(ctx, n, rng), planted))
+
+
+def _reduce(x, q: int):
+    """Every int inside a nest of tuples and lists, mod q, as tuples."""
+    return x % q if isinstance(x, int) else tuple(_reduce(y, q) for y in x)
+
+
+def _spectrum(rows, p: int, m: int, period: int) -> list:
+    dec = teichmuller_spectral(UMatrix.from_residues(rows, PrecisionContext(p, m)), period)
+    return [(lam.residue_key(), proj.residues()) for lam, proj in dec.points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectral_inputs())
+def test_spectral_agrees_across_precisions(problem):
+    """teichmuller_spectral of the same integers at m and at m + delta.
+
+    Both runs accept, and the points and projectors at m + delta, in
+    their order, reduce mod p^m to those at m.
+    """
+    p, m, delta, period, rows = problem
+    low = _spectrum(rows, p, m, period)
+    high = _spectrum(rows, p, m + delta, period)
+    assert _reduce(high, p**m) == _reduce(low, p**m)

@@ -5,17 +5,21 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import irreducible_by_trial_division, monic_polys, ring_mul, roots_by_evaluation
 from padicspec import build_modulus, ext_ring, finite_field, fq_frobenius
 from padicspec.finite_field import (
     _ExtOps,
+    _scan_roots,
     is_irreducible,
     poly_add,
     poly_divmod,
     poly_mul,
     poly_roots,
 )
+from padicspec.padic import _BaseOps
 
 
 def test_modulus_degree_one_is_x():
@@ -39,9 +43,11 @@ def test_modulus_is_deterministic_and_cached():
 
 @pytest.mark.parametrize("p,n", [(2, 3), (2, 4), (3, 3), (5, 2), (7, 2)])
 def test_modulus_certificate(p, n):
+    """Monic, irreducible, and the first irreducible in enumeration order by trial division."""
     f = build_modulus(p, n)
     assert len(f) == n + 1 and f[-1] == 1
     assert is_irreducible(f, p)
+    assert f == next(g for g in monic_polys(p, n) if irreducible_by_trial_division(g, p))
 
 
 def test_irreducible_rejects_products():
@@ -158,6 +164,50 @@ def test_poly_roots_match_evaluation(p, degree):
         assert poly_roots(f, p**degree, degree, ops, iter(elements)) == expected, f
     assert poly_roots(repeated, p**degree, degree, ops, iter(elements)) == sorted([r, s])
     assert poly_roots(rootless, p**degree, degree, ops, iter(elements)) == []
+
+
+def _scan_field(p: int, degree: int):
+    """(ops, elements in enumeration order, f -> f with coordinate-vector coefficients)."""
+    if degree == 1:
+        return _BaseOps(p, p), list(range(p)), lambda f: [(c,) for c in f]
+    field = finite_field(p, degree)
+    return field.ops, [a.coords for a in field.elements()], list
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (53, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=10),
+)
+@example(field=(3, 1), picks=[1])
+@example(field=(5, 1), picks=[0, 1, 2, 3, 4])
+@example(field=(3, 2), picks=[4, 4, 4, 8, 8])
+def test_scan_roots_match_evaluation(field, picks):
+    """A product of linear factors (repeats allowed, n = 1 and the full split of F_q among
+    them) deflates to a constant; the distinct roots come in enumeration order."""
+    p, degree = field
+    ops, elements, as_vectors = _scan_field(p, degree)
+    f = [ops.one]
+    for k in picks:
+        f = poly_mul(f, [ops.neg(elements[k % len(elements)]), ops.one], ops)
+    expected = roots_by_evaluation(as_vectors(f), p, finite_field(p, degree).modulus)
+    got = _scan_roots(f, iter(elements), ops)
+    assert as_vectors(got) == expected
+    assert got == sorted({elements[k % len(elements)] for k in picks})
+
+
+@pytest.mark.parametrize("p,degree", [(2, 1), (5, 1), (2, 2), (3, 2)])
+def test_scan_without_full_split_is_an_internal_defect(p, degree):
+    """A linear factor times a monic quadratic with no root: the scan ends at degree 2."""
+    ops, elements, as_vectors = _scan_field(p, degree)
+    rootless = next(
+        [c0, c1, ops.one]
+        for c0, c1 in itertools.product(elements, repeat=2)
+        if not roots_by_evaluation(as_vectors([c0, c1, ops.one]), p, finite_field(p, degree).modulus)
+    )
+    f = poly_mul(rootless, [ops.neg(elements[-1]), ops.one], ops)
+    with pytest.raises(RuntimeError, match=r"degree 2 \(internal defect\)"):
+        _scan_roots(f, iter(elements), ops)
 
 
 @pytest.mark.parametrize("p,degree", [(7, 2), (5, 3)])

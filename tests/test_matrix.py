@@ -9,6 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    berkowitz_charpoly,
+    berkowitz_det,
     conjugate,
     diag_matrix,
     fq_cofactor_det,
@@ -41,8 +43,10 @@ from padicspec import (
 from padicspec import matrix, padic
 from padicspec.finite_field import ENUMERATION_LIMIT
 from padicspec.matrix import (
+    _hessenberg_charpoly,
     _map_coords,
     _res_add,
+    _res_det,
     _res_matmul,
     _res_matpow,
     _res_scale,
@@ -172,6 +176,74 @@ def test_determinant_with_negative_lead_valuation_at_n_three():
             continue
         assert got.valuation == PadicScalar.from_int(expected, ctx).valuation - 3
         assert got.shift(3).congruent(PadicScalar.from_int(expected, ctx))
+
+
+# -- characteristic polynomials and determinants against Berkowitz -------------------
+
+
+def _field_ops(p: int, degree: int):
+    return residue_ops(PrecisionContext(p, 1), ext_ring(p, degree, 1) if degree > 1 else None)
+
+
+def _rand_entry(rng, q: int, degree: int, zero_frac: float, p: int = 1, top: int = 0):
+    """A residue mod q (a coordinate vector for degree > 1), times p^v for v drawn in [0, top]."""
+    if rng.random() < zero_frac:
+        return 0 if degree == 1 else (0,) * degree
+    scale = p ** rng.randrange(top + 1)
+    if degree == 1:
+        return rng.randrange(q) * scale % q
+    return tuple(rng.randrange(q) * scale % q for _ in range(degree))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    field=st.sampled_from([(2, 1), (3, 1), (5, 1), (211, 1), (2, 2), (3, 2), (5, 2), (2, 3), (3, 3)]),
+    n=st.integers(1, 16),
+    zero_frac=st.sampled_from([0.0, 0.5, 0.8, 0.95]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hessenberg_charpoly_matches_berkowitz(field, n, zero_frac, seed):
+    """det(X - A) over F_p (_BaseOps) and F_{p^N} (_ExtOps at m = 1), dense and sparse."""
+    p, degree = field
+    ops = _field_ops(p, degree)
+    rng = random.Random(seed)
+    rows = [[_rand_entry(rng, p, degree, zero_frac) for _ in range(n)] for _ in range(n)]
+    assert _hessenberg_charpoly(rows, ops) == berkowitz_charpoly(rows, ops)
+
+
+@pytest.mark.parametrize("p,degree", [(2, 1), (5, 1), (3, 2)])
+def test_hessenberg_charpoly_on_swaps_and_empty_columns(p, degree):
+    """A subdiagonal zero with a nonzero entry below it (the pivot needs a row and column
+    swap), a column that is zero below the subdiagonal (nothing to clear), and a
+    triangular matrix (no step at all)."""
+    ops = _field_ops(p, degree)
+    one, zero = ops.one, ops.zero
+    two = ops.add(one, one)
+    swap = [[one, two, zero, one], [zero, one, two, zero], [one, zero, one, two], [two, one, zero, one]]
+    empty = [[one, zero, two, zero], [two, one, zero, zero], [zero, zero, one, one], [zero, zero, two, zero]]
+    triangular = [[one if i == j else (two if j > i else zero) for j in range(5)] for i in range(5)]
+    for rows in (swap, empty, triangular, [[two]]):
+        assert _hessenberg_charpoly(rows, ops) == berkowitz_charpoly(rows, ops), rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    m=st.sampled_from([1, 2, 4]),
+    degree=st.sampled_from([1, 2]),
+    n=st.integers(1, 8),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.7]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=2, m=4, degree=1, n=3, zero_frac=0.0, seed=0)
+def test_elimination_determinant_matches_berkowitz(p, m, degree, n, zero_frac, seed):
+    """_res_det over Z/p^m and a degree-2 ring, with entries of every valuation up to m."""
+    ctx = PrecisionContext(p, m)
+    ops = residue_ops(ctx, ext_ring(p, degree, m) if degree > 1 else None)
+    rng = random.Random(seed)
+    rows = [[_rand_entry(rng, ctx.modulus, degree, zero_frac, p, m) for _ in range(n)]
+            for _ in range(n)]
+    assert _res_det(rows, ops) == berkowitz_det(rows, ops)
 
 
 def _rand_ext_matrix(ring, n, rng, singular=False):

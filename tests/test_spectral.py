@@ -217,6 +217,47 @@ def test_spectral_requires_period_dividing_ext_degree():
         teichmuller_spectral(ext_matrix, 3)
 
 
+@pytest.mark.parametrize(
+    "p,degree,n,finder",
+    [
+        (1009, 1, 2, "poly_roots"),  # q = 1009 > 128 * 2
+        (1009, 1, 8, "_scan_roots"),  # q = 1009 <= 128 * 8
+        (2, 8, 2, "_scan_roots"),  # q = 256 = 128 * 2, at the crossover
+        (2, 8, 1, "poly_roots"),  # q = 256 > 128 * 1
+    ],
+)
+def test_root_finder_switches_at_the_crossover(monkeypatch, p, degree, n, finder):
+    """_spectral_points scans F_q while q <= SCAN_PER_DEGREE * n, else splits with
+    Cantor-Zassenhaus; either way the points and projectors are the oracle's."""
+    assert spectral.SCAN_PER_DEGREE == 128
+    calls = []
+    for name in ("poly_roots", "_scan_roots"):
+        real = getattr(spectral, name)
+
+        def counting(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(spectral, name, counting)
+    ctx = PrecisionContext(p, 2)
+    if degree == 1:
+        x = conjugate(rand_gl(ctx, n, random.Random(n)),
+                      diag_matrix(ctx, [teichmuller_lift(k + 1, ctx).residue() for k in range(n)]))
+    else:
+        field = finite_field(p, degree)
+        points = [field.one(), field.generator()][:n]
+        lifts = [teichmuller_lift_ext(w, ctx.m) for w in points]
+        ring = lifts[0].ring
+        x = UMatrix.from_scalars([[lifts[i] if i == j else ring.zero() for j in range(n)]
+                                  for i in range(n)])
+    dec = teichmuller_spectral(x, degree)
+    assert calls == [finder]
+    assert len(dec.points) == n
+    oracle = teichmuller_spectral_oracle(x, degree)
+    assert [lam.residue_key() for lam, _ in dec.points] == [lam.residue_key() for lam, _ in oracle]
+    assert all(proj.congruent(want) for (_, proj), (_, want) in zip(dec.points, oracle))
+
+
 # -- eigenvalue-only resolution against the full Lagrange oracle -------------------
 
 
