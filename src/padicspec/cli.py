@@ -1,9 +1,13 @@
 """Batch command line interface.
 
-One parser serves every command: `padicspec COMMAND [flags]`, where all
+One grammar serves every command: `padicspec COMMAND [flags]`, where all
 commands share one flag set, a command ignores the flags it does not
-read, and flags may come before the command name.  The parser is built
-once, when this module is imported, and run_command only parses with it.
+read, and flags may come before the command name.  The flags are listed
+once, in _FLAGS.  An argv of one command and distinct exact flags, each
+with one plain value, is read straight from that table; argparse, built
+once when this module is imported, parses every other argv (help,
+errors, abbreviations, --flag=value, repeats), and both give the same
+namespace wherever both apply.
 lift and digits take p and m from --p/--m; every other command reads
 them from the problem file named by --in.
 
@@ -206,7 +210,8 @@ def _period_from(args, doc: dict, ctx: PrecisionContext) -> int:
         raise SchemaError("N", "period must be an integer")
     if period < 1:
         raise SchemaError("N", "period must be >= 1")
-    if ctx.p**period > ENUMERATION_LIMIT:
+    # p >= 2, so a period past the limit's bit length is refused before p**period
+    if period >= ENUMERATION_LIMIT.bit_length() or ctx.p**period > ENUMERATION_LIMIT:
         raise SchemaError("N", f"p^N exceeds the enumeration bound {ENUMERATION_LIMIT}")
     return period
 
@@ -505,6 +510,23 @@ class _Parser(argparse.ArgumentParser):
         raise _HelpRequested(self.format_help())
 
 
+# The shared flag set: (option, dest, int or str, default, help).
+_FLAGS = (
+    ("--in", "infile", str, None, "JSON problem file"),
+    ("--p", "p", int, None, None),
+    ("--m", "m", int, None, None),
+    ("--N", "N", int, None, None),
+    ("--depth", "depth", int, None, None),
+    ("--seed", "seed", int, 0, None),
+    ("--samples", "samples", int, 10, None),
+    ("--out", "outfile", str, None, None),
+    ("--residue", "residue", int, None, None),
+    ("--num", "num", int, None, None),
+    ("--den", "den", int, None, None),
+    ("--op", "op", str, None, None),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """One parser for every command: each reads the flags it needs."""
     parser = _Parser(
@@ -514,23 +536,58 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=lambda prog: argparse.HelpFormatter(prog, width=80),
     )
     parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--in", dest="infile", help="JSON problem file")
-    parser.add_argument("--p", type=int)
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--N", type=int)
-    parser.add_argument("--depth", type=int)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=10)
-    parser.add_argument("--out", dest="outfile")
-    parser.add_argument("--residue", type=int)
-    parser.add_argument("--num", type=int)
-    parser.add_argument("--den", type=int)
-    parser.add_argument("--op")
+    for option, dest, kind, default, text in _FLAGS:
+        parser.add_argument(option, dest=dest, type=kind, default=default, help=text)
     return parser
 
 
 # Built once per process: parse_args keeps no state between calls.
 _PARSER = _build_parser()
+
+_FLAG_KINDS = {option: (dest, kind) for option, dest, kind, _, _ in _FLAGS}
+_DEFAULTS = {dest: default for _, dest, _, default, _ in _FLAGS}
+
+
+def _parse_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace _PARSER.parse_args(argv) returns, or None to let it parse.
+
+    Reads argv made of one command and distinct table flags, each followed
+    by one value: an int as ASCII -?[0-9]+ that int() converts (at most
+    sys.get_int_max_str_digits() digits, MAX_UNIT_DIGITS by default), a
+    str not starting with '-'.  Anything else (help, '--', abbreviations,
+    --flag=value, repeats, other int spellings, unknown tokens) returns
+    None, so argparse keeps its own answer and messages.
+    """
+    values = dict(_DEFAULTS)
+    seen = set()
+    command = None
+    tokens = iter(argv)
+    for token in tokens:
+        flag = _FLAG_KINDS.get(token)
+        if flag is None:
+            if command is not None or token not in _COMMANDS:
+                return None
+            command = token
+            continue
+        value = next(tokens, None)
+        if value is None or token in seen:
+            return None
+        seen.add(token)
+        dest, kind = flag
+        if kind is int:
+            digits = value[1:] if value[:1] == "-" else value
+            if not (digits.isascii() and digits.isdigit()):
+                return None
+            try:
+                value = int(value)
+            except ValueError:  # past the interpreter's digit limit
+                return None
+        elif value[:1] == "-":
+            return None
+        values[dest] = value
+    if command is None:
+        return None
+    return argparse.Namespace(command=command, **values)
 
 
 def _malformed(exc: SchemaError) -> dict:
@@ -625,14 +682,16 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     {"help": usage text} (exit 0); nothing else is printed.
     """
     stream = stream or sys.stdout
-    try:
-        args = _PARSER.parse_args(list(argv))
-    except _HelpRequested as exc:
-        stream.write(_dump({"help": str(exc)}))
-        return 0
-    except SchemaError as exc:
-        stream.write(_dump(_malformed(exc)))
-        return 2
+    args = _parse_argv(argv)
+    if args is None:
+        try:
+            args = _PARSER.parse_args(list(argv))
+        except _HelpRequested as exc:
+            stream.write(_dump({"help": str(exc)}))
+            return 0
+        except SchemaError as exc:
+            stream.write(_dump(_malformed(exc)))
+            return 2
     try:
         if args.command in _FLAG_COMMANDS:
             doc = None

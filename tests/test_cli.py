@@ -9,12 +9,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padicspec import PrecisionContext, UMatrix, spectral
+from padicspec import cli
 from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
 CTX = PrecisionContext(3, 4)
@@ -514,6 +517,36 @@ def test_document_period_bounds_keep_their_messages(tmp_path, command):
     assert doc["error"]["reason"] == "field 'N': p^N exceeds the enumeration bound 1048576"
 
 
+def test_huge_period_is_refused_from_the_period_alone(tmp_path):
+    """p**N at N = 10^8 takes minutes to form, so the refusal must not form it.
+
+    The calls run in one child process under a timeout, so a regression
+    fails instead of hanging the suite.
+    """
+    argvs = []
+    for command, period, flags in (("spectral", 10**8, []), ("hermite", 10**8, []),
+                                   ("diam", 10**8, []), ("uncertainty", 10**8, []),
+                                   ("hermite", 1, ["--N", "100000000"])):
+        workdir = tmp_path / str(len(argvs))
+        workdir.mkdir()
+        argvs.append([command, "--in", _period_problem(workdir, command, period), *flags])
+    script = (
+        "import io, json, sys\n"
+        "from padicspec.cli import run_command\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    stream = io.StringIO()\n"
+        "    print(json.dumps([run_command(argv, stream), json.loads(stream.getvalue())]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    refusal = {"kind": "malformed_input", "field": "N",
+               "reason": "field 'N': p^N exceeds the enumeration bound 1048576"}
+    assert [json.loads(line) for line in proc.stdout.splitlines()] == [[2, {"error": refusal}]] * 5
+
+
 def test_oversized_unit_is_malformed(tmp_path):
     doc = matrix_doc(3, 4, [[1, 0], [0, 1]])
     doc["entries"][3] = {"v": 0, "u": "1" * 5000}
@@ -601,8 +634,9 @@ def run_silently(argv):
         (["lift", "--p", "5", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
         ([], "the following arguments are required: command"),
         (["lift", "--p", "x"], "argument --p: invalid int value: 'x'"),
+        (["lift", "--p", "9" * 4301, "--m", "2"], "argument --p: invalid int value"),
     ],
-    ids=["unknown-command", "unknown-flag", "no-command", "flag-not-an-int"],
+    ids=["unknown-command", "unknown-flag", "no-command", "flag-not-an-int", "int-past-digit-limit"],
 )
 def test_argv_errors_exit_two_with_a_document(argv, reason):
     (status, doc, _), printed = run_silently(argv)
@@ -643,6 +677,7 @@ def test_module_entry_point_refusals_print_no_traceback(tmp_path):
     for argv, status in ((["lift", "--p", "5", "--m", "3", "--residue", "2",
                            "--out", str(tmp_path / "missing-dir" / "x.json")], 2),
                          (["nope"], 2),
+                         (["lift", "--p", "9" * 4301, "--m", "2"], 2),
                          (["classify", "--in", problem, "--N", "65"], 2),
                          (["diam", "--in", refused], 1)):
         proc = subprocess.run([sys.executable, "-m", "padicspec.cli", *argv],
@@ -650,6 +685,16 @@ def test_module_entry_point_refusals_print_no_traceback(tmp_path):
         assert proc.returncode == status, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
         assert "error" in json.loads(proc.stdout), argv
+
+
+def test_int_flag_past_a_lowered_digit_limit_is_an_argv_error():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+    proc = subprocess.run([sys.executable, "-m", "padicspec.cli", "lift", "--p", "9" * 700, "--m", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    assert json.loads(proc.stdout)["error"]["reason"].startswith(
+        "field 'argv': argument --p: invalid int value")
 
 
 def test_internal_defect_is_a_document(tmp_path, monkeypatch):
@@ -811,3 +856,82 @@ def test_out_file_bytes_are_the_stream_bytes(tmp_path):
     _, _, text = run(["measure", "--in", path])
     assert run(["measure", "--in", path, "--out", str(target)])[2] == ""
     assert target.read_bytes() == text.encode("utf-8")
+
+
+# Tokens of the equivalence property: the table's flags and commands, other
+# spellings argparse reads or refuses, and values on both sides of every
+# check of cli._parse_argv.
+_OPTIONS = [option for option, *_ in cli._FLAGS] + ["--dep", "--i", "--p=3", "-h", "--", "--bogus"]
+_VALUES = ["-5", "007", "-0", "+4", " 5", "1_0", "\u0663", "\u00b2", "", "-x", "-", "lift",
+           "9" * 4300, "-" + "9" * 4300, "9" * 4301]
+
+
+@st.composite
+def argvs(draw):
+    """Options each followed by zero to two values, with zero to two commands anywhere."""
+    pieces = draw(st.lists(st.tuples(st.sampled_from(_OPTIONS),
+                                     st.lists(st.sampled_from(_VALUES), max_size=2)), max_size=4))
+    argv = [token for option, values in pieces for token in (option, *values)]
+    for command in draw(st.lists(st.sampled_from(list(_COMMANDS)), max_size=2)):
+        argv.insert(draw(st.integers(min_value=0, max_value=len(argv))), command)
+    return argv
+
+
+def _outcome(argv):
+    """run_command's status, stream text and written files, run in a fresh directory."""
+    with tempfile.TemporaryDirectory() as workdir, contextlib.chdir(workdir):
+        (status, _, text), printed = run_silently(argv)
+        files = {path.name: path.read_bytes() for path in pathlib.Path(workdir).iterdir()}
+    return status, text, printed, files
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["lift", "--p", "5", "--m", "4", "--residue", "7"])
+@example(["--in", "lift", "--op", "-x", "euler"])
+@example(["--m", "2", "digits", "--p", "9" * 4301])
+@example(["digits", "--num", "-" + "9" * 4300, "--p", "007", "--m", "-0"])
+@example(["lift", "--p", "5", "--p", "7"])
+@example(["--out", "lift", "lift", "--p", "5", "--m", "2", "--residue", "1"])
+def test_table_parser_agrees_with_argparse(argv):
+    """Where the flag table reads an argv, it reads what argparse reads.
+
+    And run_command answers every argv with the same status and bytes as
+    when every argv goes to argparse.
+    """
+    parsed = cli._parse_argv(argv)
+    if parsed is not None:
+        assert vars(parsed) == vars(cli._PARSER.parse_args(list(argv)))
+    answer = _outcome(argv)
+    with mock.patch.object(cli, "_parse_argv", lambda argv: None):
+        assert _outcome(argv) == answer
+
+
+def test_every_command_and_flag_takes_the_table_path():
+    argv = ["--in", "x.json", "--p", "5", "--m", "-3", "--N", "007", "--depth", "2", "--seed", "-0",
+            "--samples", "4", "--out", "y.json", "--residue", "1", "--num", "2", "--den", "3",
+            "--op", "raise"]
+    for command in _COMMANDS:
+        for tokens in ([command, *argv], [*argv, command], [*argv[:6], command, *argv[6:]]):
+            parsed = cli._parse_argv(tokens)
+            assert parsed is not None, tokens
+            assert vars(parsed) == vars(cli._PARSER.parse_args(tokens))
+
+
+@pytest.mark.parametrize("argv", [
+    ["lift", "--p", "5", "--p", "7"],
+    ["lift", "lift", "--p", "5"],
+    ["--p", "5"],
+    ["lift", "--p"],
+    ["lift", "-h"],
+    ["lift", "--", "--p", "5"],
+    ["lift", "--dep", "2"],
+    ["lift", "--p=5"],
+    ["lift", "--bogus", "1"],
+    *[["lift", "--p", value] for value in ("+4", " 5", "1_0", "\u0663", "\u00b2", "", "--5", "9" * 4301)],
+    ["euler", "--op", "-x"],
+], ids=["repeated-flag", "two-commands", "no-command", "no-value", "help", "double-dash",
+        "abbreviation", "equals", "unknown-flag", "plus", "space", "underscore", "arabic-indic",
+        "superscript", "empty", "double-minus", "past-digit-limit", "str-with-dash"])
+def test_table_parser_declines_other_spellings(argv):
+    assert cli._parse_argv(argv) is None

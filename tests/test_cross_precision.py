@@ -7,7 +7,11 @@ same verdict.  The shapes are drawn here, not imported from the
 benchmark corpus, so the property stays independent of it.
 """
 
+import io
+import json
+import os
 import random
+import tempfile
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +32,7 @@ from padicspec import (
     teichmuller_spectral,
 )
 from padicspec import spectral
+from padicspec.cli import run_command
 
 
 def unipotent_rows(n: int) -> list:
@@ -142,3 +147,114 @@ def test_spectral_agrees_across_precisions(problem):
     low = _spectrum(rows, p, m, period)
     high = _spectrum(rows, p, m + delta, period)
     assert _reduce(high, p**m) == _reduce(low, p**m)
+
+
+# -- the same properties through the batch CLI ---------------------------------
+
+
+def _cli(argv, doc=None):
+    """run_command's status and document, with doc, if any, in an --in file."""
+    stream = io.StringIO()
+    if doc is None:
+        status = run_command(argv, stream)
+    else:
+        with tempfile.TemporaryDirectory() as workdir:
+            path = os.path.join(workdir, "problem.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            status = run_command([*argv, "--in", path], stream)
+    return status, json.loads(stream.getvalue())
+
+
+def _integer(scalar, p: int, q: int) -> int:
+    """The integral scalar document p^v u, mod q."""
+    return p ** scalar["v"] * int(scalar["u"]) % q
+
+
+def _matrix_doc(rows, p: int, m: int) -> dict:
+    """The integers rows as a problem document read at m digits."""
+    entries = []
+    for value in (value for row in rows for value in row):
+        v = 0
+        while value and value % p == 0:
+            value, v = value // p, v + 1
+        entries.append({"v": v, "u": str(value)})
+    return {"p": p, "m": m, "entries": entries}
+
+
+_PRIMES = st.sampled_from([2, 3, 5, 7])
+_DELTAS = st.sampled_from([1, 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_PRIMES, st.integers(min_value=1, max_value=4), _DELTAS, st.data())
+def test_cli_lift_agrees_across_precisions(p, m, delta, data):
+    """The lift of a residue at m + delta reduces mod p^m to the lift at m."""
+    residue = str(data.draw(st.integers(min_value=0, max_value=p - 1)))
+    low, high = (_cli(["lift", "--p", str(p), "--m", str(digits), "--residue", residue])
+                 for digits in (m, m + delta))
+    assert low[0] == high[0] == 0
+    assert _integer(high[1]["value"], p, p**m) == _integer(low[1]["value"], p, p**m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRIMES, st.integers(min_value=1, max_value=4), _DELTAS,
+       st.integers(min_value=-(10**6), max_value=10**6),
+       st.integers(min_value=-(10**6), max_value=10**6).filter(bool))
+def test_cli_digits_agree_across_precisions(p, m, delta, num, den):
+    """num/den and its digits at m + delta reduce to those at m.
+
+    The value is known to m significant digits, so its valuation is the
+    same at both precisions and its unit agrees mod p^m; the first m
+    digits at m + delta reduce mod p^m to the m digits at m.
+    """
+    low, high = (_cli(["digits", "--p", str(p), "--m", str(digits), "--num", str(num),
+                       "--den", str(den)])
+                 for digits in (m, m + delta))
+    assert low[0] == high[0] == 0
+    low, high = low[1], high[1]
+    assert high["lead_valuation"] == low["lead_valuation"]
+    assert high["value"]["v"] == low["value"]["v"]
+    assert int(high["value"]["u"]) % p**m == int(low["value"]["u"])
+    assert [_integer(d, p, p**m) for d in high["digits"][:m]] == [
+        _integer(d, p, p**m) for d in low["digits"]
+    ]
+
+
+@st.composite
+def jordan_inputs(draw):
+    """(p, m, delta, integer rows below p^m): planted Hermite, random or I + N."""
+    p = draw(_PRIMES)
+    m = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=1, max_value=4))
+    shape = draw(st.sampled_from(["planted", "random", "unipotent"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    ctx = PrecisionContext(p, m)
+    if shape == "planted":
+        rows = residues_of(rand_hermite(ctx, n, rng)[0])
+    elif shape == "random":
+        rows = [[rng.randrange(ctx.modulus) for _ in range(n)] for _ in range(n)]
+    else:
+        rows = unipotent_rows(n)
+    return p, m, draw(_DELTAS), rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(jordan_inputs())
+def test_cli_jordan_agrees_across_precisions(problem):
+    """jordan of the same integers at m and at m + delta.
+
+    Both runs reach the same verdict.  Where both accept, the semisimple
+    and nilpotent parts at m + delta reduce mod p^m to those at m.
+    """
+    p, m, delta, rows = problem
+    low, high = (_cli(["jordan"], _matrix_doc(rows, p, digits)) for digits in (m, m + delta))
+    assert high[0] == low[0]
+    if low[0] != 0:
+        assert high[1]["error"]["kind"] == low[1]["error"]["kind"]
+        return
+    q = p**m
+    for part in ("semisimple", "nilpotent"):
+        assert [_integer(e, p, q) for e in high[1][part]["entries"]] == [
+            _integer(e, p, q) for e in low[1][part]["entries"]
+        ]
