@@ -82,7 +82,6 @@ MAX_DIMENSION = 64
 MAX_PRECISION = 64
 MAX_SAMPLES = 1024
 MAX_PERIOD_BOUND = 64  # --N of classify and jordan
-MAX_UNIT_DIGITS = 4300  # CPython's default limit for int() of a decimal string
 
 
 class SchemaError(Exception):
@@ -116,8 +115,10 @@ def scalar_from_json(doc, ctx: PrecisionContext, fieldname: str) -> PadicScalar:
     u_raw = doc["u"]
     if not isinstance(u_raw, str) or not u_raw.isdecimal():
         raise SchemaError(fieldname + ".u", "unit must be a decimal string")
-    if len(u_raw) > MAX_UNIT_DIGITS:
-        raise SchemaError(fieldname + ".u", f"unit has more than {MAX_UNIT_DIGITS} digits")
+    # int()'s digit limit (4300 by default; 0, or no such function before Python 3.10.7: none)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and len(u_raw) > limit:
+        raise SchemaError(fieldname + ".u", f"unit has more than {limit} digits")
     v_raw = doc["v"]
     if not isinstance(v_raw, int) or isinstance(v_raw, bool):
         raise SchemaError(fieldname + ".v", "valuation must be an integer")
@@ -553,7 +554,7 @@ def _parse_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
 
     Reads argv made of one command and distinct table flags, each followed
     by one value: an int as ASCII -?[0-9]+ that int() converts (at most
-    sys.get_int_max_str_digits() digits, MAX_UNIT_DIGITS by default), a
+    sys.get_int_max_str_digits() digits, 4300 by default), a
     str not starting with '-'.  Anything else (help, '--', abbreviations,
     --flag=value, repeats, other int spellings, unknown tokens) returns
     None, so argparse keeps its own answer and messages.

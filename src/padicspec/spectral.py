@@ -13,9 +13,12 @@ splitting step of Cantor-Zassenhaus above that.  Then at most n(n-1)
 matrix products remain, however large p^N is.
 
 Operators whose digit expansion consists of such fixed points (one per
-power of p) carry a finitely additive projector-valued measure on the
-balls of Z_p, indexed by digit paths; integrating the ball centers
-against it reconstructs the operator to the resolved depth.
+power of p) carry one tree of projectors, indexed by digit paths: level
+j holds the nonzero products of one projector from each of the first
+j + 1 resolutions.  Over Z_p it is a finitely additive projector-valued
+measure on the balls of Z_p, and integrating the ball centers against
+it reconstructs the operator to the resolved depth; its deepest level
+over all m digits, at any period, is the spectrum.
 
 The same machinery yields the canonical splitting A = A_s + A_n into a
 multiplicative part and a topologically nilpotent part, the spectrum
@@ -24,16 +27,19 @@ diameter, and the commutator inequality
 
 The pipeline exchanges residue rows mod p^m (ints over Z/p^m,
 coordinate vectors over an extension ring): _hermite_rows peels the
-digits, _resolve checks and resolves one digit, and the trees multiply
-and certify on rows.  Scalars and matrices are built only for what a
-public function returns.
+digits, _resolve checks and resolves one digit, _spectral_tree builds
+the tree and _verify_tree certifies it, for the measure and the
+spectrum (so diam and uncertainty) alike.  Scalars and matrices are
+built only for what a public function returns.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
 from .matrix import (
@@ -240,11 +246,15 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
 def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
     """The Lagrange resolution of teichmuller_spectral on residue rows.
 
-    Returns (points, ambient ring, projector rows): the eigenvalue points
-    as scalars of the ambient ring (None for Z_p) and, in the same order,
-    their nonzero projectors as residue rows over it, verified by
-    _verify_decomposition.  Rows not fixed by sigma^N mod p^m are refused
-    with ValueError; the defect norm is computed on that path only.
+    Returns (points, ambient ring, rows, projector rows): the eigenvalue
+    points as scalars of the ambient ring (None for Z_p), the input rows
+    over that ring (base rows promoted by _spectral_points) and, in the
+    order of the points, their projectors as residue rows over it.  The
+    caller certifies what it returns: teichmuller_spectral the
+    projectors (_verify_decomposition), _spectral_tree the tree built
+    from them (_verify_tree).  Rows not fixed by sigma^N mod p^m are
+    refused with ValueError; the defect norm is computed on that path
+    only.
     """
     ops = residue_ops(ctx, ring)
     image = _res_matpow(rows, ctx.p**period, ops)
@@ -272,9 +282,8 @@ def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
         inv = ops.inv_unit(denominator)
-        resolved.append((lam, _res_scale(inv, numerator, ops)))
-    _verify_decomposition(rows, resolved, ops, n)
-    return points, ring, [proj for _, proj in resolved]
+        resolved.append(_res_scale(inv, numerator, ops))
+    return points, ring, rows, resolved
 
 
 def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
@@ -295,13 +304,15 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     residue field F_q when q <= 128 n, or O(n^2 log p^N) for each gcd or
     splitting step of Cantor-Zassenhaus above that (a few splitting
     shifts suffice in practice), plus at most n(n-1) matrix products for
-    the projectors.  The sigma^N check, the resolution and
-    its certificate run on residue rows (_resolve); only the projectors
-    returned here are built as matrices.
+    the projectors.  The sigma^N check, the resolution (_resolve) and
+    its certificate (_verify_decomposition) run on residue rows; only the
+    projectors returned here are built as matrices.
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    points, ring, projectors = _resolve(x.residues(), x.ctx, x.ext_ring, period)
+    points, ring, rows, projectors = _resolve(x.residues(), x.ctx, x.ext_ring, period)
+    resolved = [(pt.residue_key(), proj) for pt, proj in zip(points, projectors)]
+    _verify_decomposition(rows, resolved, residue_ops(x.ctx, ring), len(rows))
     wrapped = (_wrap_residues(proj, x.ctx, ring) for proj in projectors)
     return SpectralDecomposition(period, tuple(zip(points, wrapped)), 0.0)
 
@@ -448,6 +459,96 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     return int(k), tuple(digits)
 
 
+# -- the digit tree and its certificate -----------------------------------------------
+
+
+class _TreeLevel(NamedTuple):
+    """One level of the digit tree, on residue rows over the ambient ring.
+
+    digit is the level's digit; terms maps each point's index to (point,
+    projector rows), in the order of the resolution; nodes holds
+    (address, rows) for the nonzero products, in address order.
+    """
+
+    digit: tuple
+    terms: dict
+    nodes: list
+
+
+def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period: int):
+    """The certified digit tree of an operator: (ambient ring, levels).
+
+    Level j resolves digit j against the period-N points (_resolve) and
+    multiplies each node of level j - 1 by all of the level's projectors
+    in one _res_matmul_blocks, dropping zero children.  A child's address
+    extends its parent's by the index of its point, the point's reduction
+    mod p: an int over Z_p, a coordinate tuple over an extension.  The
+    points come ordered by that index, so each level is in address order.
+    _verify_tree certifies the levels before they are returned.
+    """
+    p = ctx.p
+    levels, frontier = [], [((), None)]
+    for digit in digits:
+        points, ambient, digit, projectors = _resolve(digit, ctx, ring, period)
+        ops = residue_ops(ctx, ambient)
+        keys = [pt.residue_key() for pt in points]
+        indices = [key % p if ambient is None else tuple(c % p for c in key) for key in keys]
+        children = []
+        for addr, parent in frontier:
+            blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ops)
+            children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not _rows_are_zero(c)]
+        frontier = children
+        levels.append(_TreeLevel(digit, dict(zip(indices, zip(points, projectors))), frontier))
+    _verify_tree(levels, ops)
+    return ambient, levels
+
+
+def _verify_tree(levels: list, ops):
+    """Certify a digit tree mod p^m on residue rows, over any ring.
+
+    At the deepest level: P_i^2 = P_i and P_i P_j = 0 for every pair of
+    nodes i < j, one _res_matmul_blocks per node.  At every level j: the
+    nodes sum to 1; each node of level j - 1 is the sum of its children;
+    the nodes weighted by the Teichmuller lift of the last index of their
+    address sum to digit j, so each projector sits under its own digit.
+    Each level's nodes are summed once per parent and once per index, so
+    the three checks cost about two additions per node and one scaling
+    per point.
+
+    Nothing more is needed.  The deepest nodes sum to 1, so
+    P_k = sum_i P_k P_i, and P_k P_i = 0 for i < k follows by induction
+    on k (multiply on the right by P_i): the deepest nodes are
+    orthogonal idempotents.  By induction on the refinement each node is
+    the sum of its deepest descendants, and nodes with distinct
+    addresses have disjoint descendants, so every level is orthogonal
+    and idempotent too.
+    """
+    deepest = [rows for _, rows in levels[-1].nodes]
+    for i, rows in enumerate(deepest):
+        square, *overlaps = _res_matmul_blocks(rows, deepest[i:], ops)
+        if square != rows:
+            raise RuntimeError("projector is not idempotent (internal defect)")
+        if not all(map(_rows_are_zero, overlaps)):
+            raise RuntimeError("same-level projectors overlap (internal defect)")
+    ident = _res_identity(len(levels[0].digit), ops)
+    parents = []
+    for j, level in enumerate(levels):
+        by_parent, by_index = {}, {}  # the sums of the nodes under each parent, of each index
+        for address, rows in level.nodes:
+            parent, index = address[:-1], address[-1]
+            by_parent[parent] = _res_add(by_parent[parent], rows, ops) if parent in by_parent else rows
+            by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows
+        if _res_sum(list(by_parent.values()), ops) != ident:
+            raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
+        if any(by_parent.get(address) != rows for address, rows in parents):
+            raise RuntimeError("projector does not refine into its children (internal defect)")
+        lifts = {index: pt.residue_key() for index, (pt, _) in level.terms.items()}
+        weighted = [_res_scale(lifts[index], rows, ops) for index, rows in by_index.items()]
+        if _res_sum(weighted, ops) != level.digit:
+            raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
+        parents = level.nodes
+
+
 # -- the projector-valued measure -------------------------------------------------
 
 
@@ -488,15 +589,16 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     together.  Nonzero products are orthogonal projections, and in
     dimension n at most n of them survive at any level.
 
-    The digits, their resolutions and the zero test of every candidate
-    child run on residue rows mod p^m; only the emitted nodes are built
-    as matrices.  Each projector is wrapped once (every one is a factor
-    of some survivor, as the parents sum to 1), and each surviving child
-    is the scalar-level product parent * proj, whose entries keep m
-    digits past their own valuation.  Those products keep the object
-    semantics of PadicScalar addition (each partial sum truncated to m
-    digits, left to right) but run on (valuation, unit) ints in
-    PadicScalar.dot.
+    The tree is _spectral_tree's, built and certified on residue rows mod
+    p^m (_verify_tree); its addresses are the residues mod p of the
+    points.  Only the emitted nodes are built as matrices.  Each
+    projector is wrapped once (every one is a factor of some survivor, as
+    the parents sum to 1), and each node below level 0 is the
+    scalar-level product parent * proj, whose entries keep m digits past
+    their own valuation and agree with the certified rows mod p^m.
+    Those products keep the object semantics of PadicScalar addition
+    (each partial sum truncated to m digits, left to right) but run on
+    (valuation, unit) ints in PadicScalar.dot.
     """
     ctx = a.ctx
     if a.ext_ring is not None:
@@ -504,70 +606,17 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
     lead_valuation, digits = _hermite_rows(a, 1, depth)
-    ops = residue_ops(ctx)
-    nodes, lifts = [], []
-    frontier = None  # (address, projector, its residues) per node of the last level
-    for level in range(depth):
-        points, _, projectors = _resolve(digits[level], ctx, None, 1)
-        residues = [lam.residue() for lam in points]
-        lifts.append({r % ctx.p: r for r in residues})
-        # the points come ascending by residue mod p, so each level is in address order
-        terms = [
-            (r % ctx.p, _wrap_residues(rows, ctx, None)) for r, rows in zip(residues, projectors)
-        ]
-        if frontier is None:
-            frontier = [((idx,), proj, rows) for (idx, proj), rows in zip(terms, projectors)]
-        else:
-            new_frontier = []
-            for address, parent, parent_rows in frontier:
-                children = _res_matmul_blocks(parent_rows, projectors, ops)
-                for (idx, proj), rows in zip(terms, children):
-                    if not _rows_are_zero(rows):
-                        new_frontier.append((address + (idx,), parent * proj, rows))
-            frontier = new_frontier
-        nodes.extend((address, child) for address, child, _ in frontier)
-    measure = SpectralMeasure(depth, lead_valuation, tuple(nodes), tuple(lifts))
-    _verify_measure(measure, digits)
-    return measure
-
-
-def _verify_measure(measure: SpectralMeasure, digits: Sequence[tuple]):
-    """Check every level, pair and parent of the tree mod p^m, on residues.
-
-    digits holds the residue rows of the expansion's digits.  Per level:
-    the projectors are pairwise orthogonal and sum to 1.  Per node above
-    the deepest level: its children sum to it.  Per level j: the nodes
-    weighted by the Teichmuller lift of the last index of their address
-    sum to digit j, so each projector sits under its own digit.  The
-    residues are read off the emitted nodes.
-    """
-    first = measure.nodes[0][1]
-    ops = residue_ops(first.ctx)
-    ident = _res_identity(first.n, ops)
-    residues = [(address, proj.residues()) for address, proj in measure.nodes]
-    for j in range(measure.depth):
-        layer = [rows for address, rows in residues if len(address) == j + 1]
-        for i in range(len(layer) - 1):
-            overlaps = _res_matmul_blocks(layer[i], layer[i + 1 :], ops)
-            if not all(map(_rows_are_zero, overlaps)):
-                raise RuntimeError("same-level projectors overlap (internal defect)")
-        if _res_sum(layer, ops) != ident:
-            raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
-    children = {}
-    for address, rows in residues:
-        children.setdefault(address[:-1], []).append(rows)
-    for address, rows in residues:
-        if len(address) < measure.depth and _res_sum(children.get(address, []), ops) != rows:
-            raise RuntimeError("projector does not refine into its children (internal defect)")
-    for j in range(measure.depth):
-        lifts = measure.lifts[j]
-        weighted = [
-            _res_scale(lifts[address[-1]], rows, ops)
-            for address, rows in residues
-            if len(address) == j + 1
-        ]
-        if _res_sum(weighted, ops) != digits[j]:
-            raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
+    _, levels = _spectral_tree(digits, ctx, None, 1)
+    nodes, lifts, emitted = [], [], {(): None}
+    for level in levels:
+        lifts.append({i: lam.residue() for i, (lam, _) in level.terms.items()})
+        projs = {i: _wrap_residues(rows, ctx, None) for i, (_, rows) in level.terms.items()}
+        parents, emitted = emitted, {}
+        for address, _ in level.nodes:
+            parent, proj = parents[address[:-1]], projs[address[-1]]
+            emitted[address] = proj if parent is None else parent * proj
+        nodes.extend(emitted.items())
+    return SpectralMeasure(depth, lead_valuation, tuple(nodes), tuple(lifts))
 
 
 def _res_sum(terms: list, ops):
@@ -659,11 +708,11 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
 def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     """Eigenvalue/projector pairs from the fully refined digit resolution.
 
-    Digits are resolved one power of p at a time; surviving nested
-    products give the projectors and the digit paths give the
-    eigenvalues, as scalars of the ambient ring.  The digits, their
-    resolutions and the nested products stay residue rows mod p^m; only
-    the projectors of the final frontier are built as matrices.
+    The deepest level of _spectral_tree over all m digits, certified by
+    _verify_tree: each node's projector, with the sum of the points along
+    its address, each shifted by p^(k + level) and added left to right,
+    as its eigenvalue, a scalar of the ambient ring.  Only the deepest
+    projectors are built as matrices.
 
     A period N > 1 resolves in the extension ring O_K/p^m, where p^k is 0
     once k >= m, so it needs an operator of valuation 0 <= k < m; any
@@ -673,22 +722,16 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     k, digits = _hermite_rows(a, period, ctx.m)
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
-    frontier = None
-    for level, rows in enumerate(digits):
-        points, ring, projectors = _resolve(rows, ctx, a.ext_ring, period)
-        centers = [lam.shift(k + level) for lam in points]
-        if frontier is None:
-            ops = residue_ops(ctx, ring)
-            frontier = list(zip(centers, projectors))
-            continue
-        new_frontier = []
-        for center, parent in frontier:
-            children = _res_matmul_blocks(parent, projectors, ops)
-            for term_center, child in zip(centers, children):
-                if not _rows_are_zero(child):
-                    new_frontier.append((center + term_center, child))
-        frontier = new_frontier
-    return [(center, _wrap_residues(rows, ctx, ring)) for center, rows in frontier]
+    ring, levels = _spectral_tree(digits, ctx, a.ext_ring, period)
+    centers = [
+        {index: lam.shift(k + j) for index, (lam, _) in level.terms.items()}
+        for j, level in enumerate(levels)
+    ]
+    spectrum = []
+    for address, rows in levels[-1].nodes:
+        center = functools.reduce(operator.add, map(dict.__getitem__, centers, address))
+        spectrum.append((center, _wrap_residues(rows, ctx, ring)))
+    return spectrum
 
 
 @dataclass(frozen=True)
@@ -712,11 +755,7 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
     ctx = a.ctx
     points = operator_spectrum(a, period)
     lams = [lam for lam, _ in points]
-    diam_val = INFINITE
-    for i in range(len(lams)):
-        for j in range(i + 1, len(lams)):
-            diff = lams[i] - lams[j]
-            diam_val = min(diam_val, diff.valuation)
+    diam_val = min(((x - y).valuation for x, y in itertools.combinations(lams, 2)), default=INFINITE)
     diam = norm_from_valuation(ctx.p, diam_val)
     lam_val = min((lam.valuation for lam in lams), default=INFINITE)
     if lam_val != a.valuation:

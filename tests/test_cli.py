@@ -697,6 +697,32 @@ def test_int_flag_past_a_lowered_digit_limit_is_an_argv_error():
         "field 'argv': argument --p: invalid int value")
 
 
+def _long_unit_doc(digits):
+    return {"p": 3, "m": 2, "entries": [{"v": 0, "u": "1" * digits}] + [{"v": 0, "u": "0"}] * 3}
+
+
+def test_unit_past_the_digit_limit_is_malformed(tmp_path):
+    path = write(tmp_path, "long.json", _long_unit_doc(4301))
+    status, doc, _ = run(["hermite", "--in", path])
+    assert (status, doc["error"]["field"]) == (2, "entries[0].u")
+    assert doc["error"]["reason"] == "field 'entries[0].u': unit has more than 4300 digits"
+    status, _, _ = run(["hermite", "--in", write(tmp_path, "max.json", _long_unit_doc(4300))])
+    assert status != 2
+
+
+def test_unit_past_a_lowered_digit_limit_is_malformed(tmp_path):
+    """The unit is bounded by int()'s digit limit as the interpreter sets it, not a fixed 4300."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONINTMAXSTRDIGITS="640")
+    path = write(tmp_path, "long.json", _long_unit_doc(700))
+    proc = subprocess.run([sys.executable, "-m", "padicspec.cli", "hermite", "--in", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (2, "")
+    error = json.loads(proc.stdout)["error"]
+    assert (error["kind"], error["field"]) == ("malformed_input", "entries[0].u")
+    assert error["reason"] == "field 'entries[0].u': unit has more than 640 digits"
+
+
 def test_internal_defect_is_a_document(tmp_path, monkeypatch):
     """A defect the library detects in itself ends in one document, exit 1."""
     resolve = spectral.operator_spectrum

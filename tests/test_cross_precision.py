@@ -258,3 +258,68 @@ def test_cli_jordan_agrees_across_precisions(problem):
         assert [_integer(e, p, q) for e in high[1][part]["entries"]] == [
             _integer(e, p, q) for e in low[1][part]["entries"]
         ]
+
+
+@st.composite
+def cli_operator_inputs(draw):
+    """(p, m, delta, period, integer rows): jordan_inputs' shapes at period 1 or 2, or spectral_inputs'."""
+    if draw(st.booleans()):
+        return draw(spectral_inputs())
+    p, m, delta, rows = draw(jordan_inputs())
+    return p, m, delta, draw(st.sampled_from([1, 2])), rows
+
+
+def _integers(x, p: int, q: int):
+    """Every scalar document inside a nest of lists and objects as an int mod q."""
+    if isinstance(x, dict):
+        return _integer(x, p, q) if set(x) == {"u", "v"} else {
+            key: _integers(value, p, q) for key, value in x.items()}
+    return [_integers(y, p, q) for y in x] if isinstance(x, list) else x
+
+
+def _run_at_both(command: str, problem):
+    """command --N period on the same integers at m and at m + delta, and the refusal clause.
+
+    Every refusal at m is a refusal at m + delta of the same kind.
+    Returns both (status, document) pairs.
+    """
+    p, m, delta, period, rows = problem
+    low, high = (_cli([command, "--N", str(period)], _matrix_doc(rows, p, digits))
+                 for digits in (m, m + delta))
+    if low[0] != 0:
+        assert high[0] == low[0]
+        assert high[1]["error"]["kind"] == low[1]["error"]["kind"]
+    return low, high
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_operator_inputs())
+def test_cli_hermite_agrees_across_precisions(problem):
+    """hermite of the same integers at m and at m + delta.
+
+    A refusal at m is the same refusal at m + delta, at the same stage.
+    Where both accept, the lead valuations are equal and the first m
+    digits at m + delta reduce mod p^m to the digits at m.
+    """
+    p, m = problem[:2]
+    low, high = _run_at_both("hermite", problem)
+    if low[0] != 0:
+        assert high[1]["error"].get("stage") == low[1]["error"].get("stage")
+    elif high[0] == 0:
+        assert high[1]["lead_valuation"] == low[1]["lead_valuation"]
+        assert _integers(high[1]["digits"][:m], p, p**m) == _integers(low[1]["digits"], p, p**m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_operator_inputs())
+def test_cli_spectral_agrees_across_precisions(problem):
+    """spectral of the same integers at m and at m + delta.
+
+    A refusal at m is a refusal at m + delta of the same kind.  Where
+    both accept, the points at m + delta, eigenvalues and projectors in
+    their order, reduce mod p^m to those at m.
+    """
+    p, m = problem[:2]
+    low, high = _run_at_both("spectral", problem)
+    if low[0] == high[0] == 0:
+        assert _integers(high[1]["points"], p, p**m) == _integers(low[1]["points"], p, p**m)

@@ -63,7 +63,7 @@ from padicspec.spectral import (
     _sigma_limit,
     _translation_valuations,
     _verify_decomposition,
-    _verify_measure,
+    _verify_tree,
 )
 CTX = PrecisionContext(3, 4)
 
@@ -869,57 +869,189 @@ def _branching_operator():
     return conjugate(rand_gl(ctx, 4, random.Random(31)), diag_matrix(ctx, [0, 3, 1, 4]))
 
 
-def _branching_measure():
-    """Depth-2 measure whose two level-0 balls split in two each, and its digit rows."""
+def _branching_tree():
+    """The certified depth-2 tree whose two level-0 balls split in two each, and its ops."""
     a = _branching_operator()
-    measure = spectral_measure(a, 2)
-    assert [addr for addr, _ in measure.level(1)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    digits = [digit.residues() for digit in hermite_digits_matrix(a, 1).digits]
-    _verify_measure(measure, digits)
-    return measure, digits
+    _, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], a.ctx, None, 1)
+    assert [addr for addr, _ in levels[1].nodes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    return levels, residue_ops(a.ctx)
 
 
-def _with_nodes(measure, nodes):
-    return dataclasses.replace(measure, nodes=tuple(nodes))
+def _with_nodes(levels, j, nodes):
+    """levels with the nodes of level j replaced."""
+    return [level._replace(nodes=list(nodes)) if i == j else level
+            for i, level in enumerate(levels)]
+
+
+def _swapped(levels, j, first, second):
+    """levels with the rows of two nodes of level j exchanged."""
+    rows = dict(levels[j].nodes)
+    swap = {first: rows[second], second: rows[first]}
+    return _with_nodes(levels, j, [(addr, swap.get(addr, r)) for addr, r in levels[j].nodes])
 
 
 def test_verify_measure_catches_a_dropped_node():
-    measure, digits = _branching_measure()
-    nodes = [(addr, proj) for addr, proj in measure.nodes if addr != (1, 1)]
+    levels, ops = _branching_tree()
+    nodes = [(addr, rows) for addr, rows in levels[1].nodes if addr != (1, 1)]
     with pytest.raises(RuntimeError, match="level 1 projectors do not sum to 1"):
-        _verify_measure(_with_nodes(measure, nodes), digits)
+        _verify_tree(_with_nodes(levels, 1, nodes), ops)
 
 
 def test_verify_measure_catches_a_duplicated_node():
-    measure, digits = _branching_measure()
-    nodes = list(measure.nodes) + [((1, 2), measure.node_map()[(1, 1)])]
+    levels, ops = _branching_tree()
+    nodes = levels[1].nodes + [((1, 2), dict(levels[1].nodes)[(1, 1)])]
     with pytest.raises(RuntimeError, match="same-level projectors overlap"):
-        _verify_measure(_with_nodes(measure, nodes), digits)
+        _verify_tree(_with_nodes(levels, 1, nodes), ops)
 
 
 def test_verify_measure_catches_a_child_moved_to_another_parent():
     """Swapping (0, 1) with its cousin (1, 0) keeps every level intact but no refinement."""
-    measure, digits = _branching_measure()
-    by_addr = measure.node_map()
-    swap = {(0, 1): by_addr[(1, 0)], (1, 0): by_addr[(0, 1)]}
-    nodes = [(addr, swap.get(addr, proj)) for addr, proj in measure.nodes]
+    levels, ops = _branching_tree()
     with pytest.raises(RuntimeError, match="does not refine into its children"):
-        _verify_measure(_with_nodes(measure, nodes), digits)
+        _verify_tree(_swapped(levels, 1, (0, 1), (1, 0)), ops)
 
 
 def test_verify_measure_catches_swapped_siblings():
     """Swapping (0, 0) with its sibling (0, 1) keeps every sum, overlap and
     refinement intact but files each projector under the wrong digit."""
-    measure, digits = _branching_measure()
-    by_addr = measure.node_map()
-    swap = {(0, 0): by_addr[(0, 1)], (0, 1): by_addr[(0, 0)]}
-    swapped = _with_nodes(measure, [(addr, swap.get(addr, proj)) for addr, proj in measure.nodes])
+    levels, ops = _branching_tree()
     with pytest.raises(RuntimeError, match="level 1 projectors do not reassemble digit 1"):
-        _verify_measure(swapped, digits)
+        _verify_tree(_swapped(levels, 1, (0, 0), (0, 1)), ops)
     # the swap is not harmless: the integral of the swapped tree misses A
     a = _branching_operator()
+    measure = spectral_measure(a, 2)
+    by_addr = measure.node_map()
+    swap = {(0, 0): by_addr[(0, 1)], (0, 1): by_addr[(0, 0)]}
+    swapped = dataclasses.replace(
+        measure, nodes=tuple((addr, swap.get(addr, proj)) for addr, proj in measure.nodes)
+    )
     assert (spectral_integral(measure)[1] - a).valuation >= 2
     assert (spectral_integral(swapped)[1] - a).valuation == 1
+
+
+def test_verify_tree_catches_a_level_zero_node_listed_as_its_children():
+    """Level 0 lists address (1,) twice, once with each of its children's projectors.
+
+    The level still sums to 1 and reassembles digit 0, and the deepest
+    level is untouched, so only the refinement check sees that neither
+    copy is the sum of the children of (1,).
+    """
+    levels, ops = _branching_tree()
+    children = dict(levels[1].nodes)
+    nodes = [levels[0].nodes[0], ((1,), children[(1, 0)]), ((1,), children[(1, 1)])]
+    assert [addr for addr, _ in levels[0].nodes] == [(0,), (1,)]
+    with pytest.raises(RuntimeError, match="does not refine into its children"):
+        _verify_tree(_with_nodes(levels, 0, nodes), ops)
+
+
+def _period_two_tree():
+    """A certified depth-2 tree over the degree-2 ring: a conjugate pair at digit 0, each split at digit 1.
+
+    The operator is w (+) (1 + p) w over Z/3^3, w multiplying by a lift
+    generating the degree-2 ring, so its period-2 points are coordinate
+    pairs and each level-0 ball has two children.
+    """
+    ctx = PrecisionContext(3, 3)
+    block = _multiplication_block(ctx, 2)
+    d = [[0] * 4 for _ in range(4)]
+    for i in range(2):
+        d[i][:2] = block[i]
+        d[i + 2][2:] = [(1 + ctx.p) * e for e in block[i]]
+    a = conjugate(rand_gl(ctx, 4, random.Random(43)), UMatrix.from_residues(d, ctx))
+    ring, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], ctx, None, 2)
+    assert ring.degree == 2
+    parents = [addr[:-1] for addr, _ in levels[1].nodes]
+    assert len(parents) == 4 and len(set(parents)) == 2
+    return levels, residue_ops(ctx, ring)
+
+
+def test_verify_tree_catches_a_dropped_deepest_node_over_a_degree_two_ring():
+    levels, ops = _period_two_tree()
+    with pytest.raises(RuntimeError, match="level 1 projectors do not sum to 1"):
+        _verify_tree(_with_nodes(levels, 1, levels[1].nodes[:-1]), ops)
+
+
+def test_verify_tree_catches_swapped_siblings_over_a_degree_two_ring():
+    levels, ops = _period_two_tree()
+    (first, _), (second, _) = levels[1].nodes[:2]
+    assert first[:-1] == second[:-1]
+    with pytest.raises(RuntimeError, match="level 1 projectors do not reassemble digit 1"):
+        _verify_tree(_swapped(levels, 1, first, second), ops)
+
+
+def test_verify_tree_checks_idempotency_where_orthogonality_is_one_sided():
+    """Q_1 = E_11, Q_2 = [[0, 0], [-1, 0]], Q_3 = [[0, 0], [1, 1]] at p = 5.
+
+    They sum to 1, Q_i Q_j = 0 for i < j, and the digit is their
+    lift-weighted sum, but Q_3 Q_1 = -Q_2 is not 0 and Q_2 is nilpotent:
+    only the deepest level's squares refuse the tree.
+    """
+    ctx = PrecisionContext(5, 2)
+    ops = residue_ops(ctx)
+    q = ctx.modulus
+    projectors = {0: ((1, 0), (0, 0)), 1: ((0, 0), (q - 1, 0)), 2: ((0, 0), (1, 1))}
+    lifts = {i: teichmuller_lift(i, ctx) for i in projectors}
+    digit = [[sum(lifts[i].residue() * rows[r][c] for i, rows in projectors.items()) % q
+              for c in range(2)] for r in range(2)]
+    level = spectral._TreeLevel(
+        tuple(map(tuple, digit)),
+        {i: (lifts[i], rows) for i, rows in projectors.items()},
+        [((i,), rows) for i, rows in projectors.items()],
+    )
+    with pytest.raises(RuntimeError, match="projector is not idempotent"):
+        _verify_tree([level], ops)
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_spectral_tree_matches_the_object_level_tree_at_every_level(period):
+    """_spectral_tree against spectral_tree_oracle: equal addresses and residues at every level."""
+    rng = random.Random(50 + period)
+    ctx = PrecisionContext(3, 3)
+    for n in (1, 3, 4, 5):
+        a = _hermite_operator(ctx, n, period, rng)
+        for x in (a, a.shift(1)):
+            _, digits = spectral._hermite_rows(x, period, ctx.m)
+            _, levels = spectral._spectral_tree(digits, ctx, x.ext_ring, period)
+            expected = spectral_tree_oracle(x, period, ctx.m)
+            assert len(levels) == len(expected) == ctx.m
+            for level, oracle_level in zip(levels, expected):
+                assert level.nodes == [(addr, proj.residues()) for addr, _, proj in oracle_level]
+
+
+@pytest.mark.parametrize("period", [1, 2])
+def test_diam_tree_sums_to_one_and_refines_at_every_level(monkeypatch, period):
+    """The tree behind spectrum_diameter, read off _spectral_tree, checked level by level."""
+    trees = []
+
+    def recorded(*args):
+        trees.append(spectral_tree(*args))
+        return trees[-1]
+
+    spectral_tree = spectral._spectral_tree
+    monkeypatch.setattr(spectral, "_spectral_tree", recorded)
+    rng = random.Random(60 + period)
+    ctx = PrecisionContext(3, 4)
+    a = _hermite_operator(ctx, 5, period, rng)
+    diam = spectrum_diameter(a, period)
+    assert len(trees) == 1
+    ring, levels = trees[0]
+    ops = residue_ops(ctx, ring)
+    assert len(levels) == ctx.m and len(levels[-1].nodes) == len(diam.spectrum)
+    ident = tuple(tuple(ops.one if i == j else ops.zero for j in range(5)) for i in range(5))
+    for j, level in enumerate(levels):
+        total = ident
+        for _, rows in level.nodes:
+            total = tuple(tuple(ops.sub(x, y) for x, y in zip(tr, r)) for tr, r in zip(total, rows))
+        assert all(e == ops.zero for row in total for e in row), j
+        if j == 0:
+            continue
+        for parent, rows in levels[j - 1].nodes:
+            refined = rows
+            for addr, child in level.nodes:
+                if addr[:-1] == parent:
+                    refined = tuple(tuple(ops.sub(x, y) for x, y in zip(pr, cr))
+                                    for pr, cr in zip(refined, child))
+            assert all(e == ops.zero for row in refined for e in row), (j, parent)
 
 
 @pytest.mark.parametrize("period", [1, 2])
