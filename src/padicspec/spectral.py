@@ -28,9 +28,10 @@ diameter, and the commutator inequality
 The pipeline exchanges residue rows mod p^m (ints over Z/p^m,
 coordinate vectors over an extension ring): _hermite_rows peels the
 digits, _resolve checks and resolves one digit, _spectral_tree builds
-the tree and _verify_tree certifies it, for the measure and the
-spectrum (so diam and uncertainty) alike.  Scalars and matrices are
-built only for what a public function returns.
+the tree and _verify_tree certifies it, for the Lagrange resolution
+(the one-level tree whose digit is the operator itself), the measure
+and the spectrum (so diam and uncertainty) alike.  Scalars and
+matrices are built only for what a public function returns.
 """
 
 from __future__ import annotations
@@ -47,8 +48,6 @@ from .matrix import (
     _hessenberg_charpoly,
     _map_coords,
     _res_add,
-    _res_hsplit,
-    _res_hstack,
     _res_identity,
     _res_matmul,
     _res_matmul_blocks,
@@ -185,9 +184,10 @@ class SpectralDecomposition:
     points holds (eigenvalue, projector) pairs for the nonzero projectors
     only.  The four defining identities (projectors sum to 1, weighted
     sum reproduces the operator, idempotency, pairwise orthogonality) are
-    verified mod p^m at construction; residual_identity_defect records
-    the sup norm of sum(projectors) - 1 and is 0.0 for every emitted
-    decomposition.
+    certified mod p^m by the tree certificate (_verify_tree on the
+    one-level tree) before the decomposition is built;
+    residual_identity_defect records the sup norm of sum(projectors) - 1
+    and is 0.0 for every emitted decomposition.
     """
 
     period: int
@@ -244,17 +244,15 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
 
 
 def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
-    """The Lagrange resolution of teichmuller_spectral on residue rows.
+    """The Lagrange resolution of one digit of _spectral_tree on residue rows.
 
     Returns (points, ambient ring, rows, projector rows): the eigenvalue
     points as scalars of the ambient ring (None for Z_p), the input rows
     over that ring (base rows promoted by _spectral_points) and, in the
     order of the points, their projectors as residue rows over it.  The
-    caller certifies what it returns: teichmuller_spectral the
-    projectors (_verify_decomposition), _spectral_tree the tree built
-    from them (_verify_tree).  Rows not fixed by sigma^N mod p^m are
-    refused with ValueError; the defect norm is computed on that path
-    only.
+    caller certifies the tree built from them (_verify_tree).  Rows not
+    fixed by sigma^N mod p^m are refused with ValueError; the defect
+    norm is computed on that path only.
     """
     ops = residue_ops(ctx, ring)
     image = _res_matpow(rows, ctx.p**period, ops)
@@ -304,42 +302,18 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     residue field F_q when q <= 128 n, or O(n^2 log p^N) for each gcd or
     splitting step of Cantor-Zassenhaus above that (a few splitting
     shifts suffice in practice), plus at most n(n-1) matrix products for
-    the projectors.  The sigma^N check, the resolution (_resolve) and
-    its certificate (_verify_decomposition) run on residue rows; only the
-    projectors returned here are built as matrices.
+    the projectors.  The resolution is the one-level spectral tree whose
+    digit is x itself (_spectral_tree), certified on residue rows by
+    _verify_tree; only the projectors returned here are built as
+    matrices, in address order.
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    points, ring, rows, projectors = _resolve(x.residues(), x.ctx, x.ext_ring, period)
-    resolved = [(pt.residue_key(), proj) for pt, proj in zip(points, projectors)]
-    _verify_decomposition(rows, resolved, residue_ops(x.ctx, ring), len(rows))
-    wrapped = (_wrap_residues(proj, x.ctx, ring) for proj in projectors)
-    return SpectralDecomposition(period, tuple(zip(points, wrapped)), 0.0)
-
-
-def _verify_decomposition(rows, resolved, ops, n):
-    """Check each projector's norm and idempotency, the two sums, then pairwise orthogonality.
-
-    Every product P_i P_j comes from one product of the projectors
-    stacked (kn x n) by the projectors side by side (n x kn): block (i, j)
-    of the kn x kn result is P_i P_j.
-    """
-    projs = [proj for _, proj in resolved]
-    products = _res_matmul(tuple(itertools.chain.from_iterable(projs)), _res_hstack(projs), ops)
-    blocks = [_res_hsplit(products[i * n : (i + 1) * n], n) for i in range(len(projs))]
-    for i, proj in enumerate(projs):
-        if not any(ops.is_unit(e) for row in proj for e in row):
-            raise RuntimeError("projector has norm != 1 (internal defect)")
-        if blocks[i][i] != proj:
-            raise RuntimeError("projector is not idempotent (internal defect)")
-    if _res_sum(projs, ops) != _res_identity(n, ops):
-        raise RuntimeError("projectors do not sum to 1 (internal defect)")
-    if _res_sum([_res_scale(lam, proj, ops) for lam, proj in resolved], ops) != rows:
-        raise RuntimeError("weighted projectors do not reproduce x (internal defect)")
-    for i, row_blocks in enumerate(blocks):
-        for j, block in enumerate(row_blocks):
-            if i != j and not _rows_are_zero(block):
-                raise RuntimeError("projectors are not pairwise orthogonal (internal defect)")
+    ring, (level,) = _spectral_tree((x.residues(),), x.ctx, x.ext_ring, period)
+    points = tuple(
+        (level.terms[index][0], _wrap_residues(rows, x.ctx, ring)) for (index,), rows in level.nodes
+    )
+    return SpectralDecomposition(period, points, 0.0)
 
 
 # -- digit expansion -------------------------------------------------------------
@@ -484,7 +458,10 @@ def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period:
     extends its parent's by the index of its point, the point's reduction
     mod p: an int over Z_p, a coordinate tuple over an extension.  The
     points come ordered by that index, so each level is in address order.
-    _verify_tree certifies the levels before they are returned.
+    _verify_tree certifies the levels before they are returned.  Every
+    spectral command runs this one tree: teichmuller_spectral on the
+    single digit x, spectral_measure to its depth, operator_spectrum
+    over all m digits.
     """
     p = ctx.p
     levels, frontier = [], [((), None)]

@@ -741,6 +741,22 @@ def test_internal_defect_is_a_document(tmp_path, monkeypatch):
     }
 
 
+def test_spectral_runs_the_tree_certificate(tmp_path, monkeypatch):
+    """A resolution missing its last projector is refused by the certificate, exit 1."""
+    resolve = spectral._resolve
+
+    def drop_last(rows, ctx, ring, period):  # a planted defect: one eigenvalue missed
+        points, ambient, rows, projectors = resolve(rows, ctx, ring, period)
+        return points[:-1], ambient, rows, projectors[:-1]
+
+    monkeypatch.setattr(spectral, "_resolve", drop_last)
+    path = write(tmp_path, "diag.json", matrix_doc(3, 2, [[1, 0], [0, -1]]))
+    (status, doc, _), printed = run_silently(["spectral", "--in", path])
+    assert (status, printed) == (1, "")
+    assert doc["error"]["kind"] == "internal"
+    assert "do not sum to 1" in doc["error"]["reason"]
+
+
 @pytest.mark.parametrize(
     "argv,doc,reason",
     [

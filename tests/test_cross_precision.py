@@ -323,3 +323,30 @@ def test_cli_spectral_agrees_across_precisions(problem):
     low, high = _run_at_both("spectral", problem)
     if low[0] == high[0] == 0:
         assert _integers(high[1]["points"], p, p**m) == _integers(low[1]["points"], p, p**m)
+
+
+def _capped(valuation, m: int) -> int:
+    """min(valuation, m), with null (an infinite valuation) as +infinity."""
+    return m if valuation is None else min(valuation, m)
+
+
+def _point_set(points, p: int, q: int) -> set:
+    """The scalar documents mod q as a set; a coordinate list becomes a tuple."""
+    return {tuple(x) if isinstance(x, list) else x for x in _integers(points, p, q)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_operator_inputs())
+def test_cli_diam_agrees_across_precisions(problem):
+    """diam of the same integers at m and at m + delta.
+
+    A refusal at m is a refusal at m + delta of the same kind.  Where
+    both accept, the diameter valuations agree up to m, and the spectra
+    at m + delta reduce mod p^m to the spectrum at m, as sets.
+    """
+    p, m = problem[:2]
+    low, high = _run_at_both("diam", problem)
+    if low[0] == high[0] == 0:
+        low, high = low[1], high[1]
+        assert _capped(high["diameter_valuation"], m) == _capped(low["diameter_valuation"], m)
+        assert _point_set(high["spectrum"], p, p**m) == _point_set(low["spectrum"], p, p**m)

@@ -62,7 +62,6 @@ from padicspec.matrix import inverse, residue_ops
 from padicspec.spectral import (
     _sigma_limit,
     _translation_valuations,
-    _verify_decomposition,
     _verify_tree,
 )
 CTX = PrecisionContext(3, 4)
@@ -670,64 +669,71 @@ def test_spectrum_invariant_under_conjugation():
     assert spec_a == spec_b
 
 
-def _verify_planted_decomposition(p: int, m: int, degree: int, points: list, rows=None):
-    """Run _verify_decomposition on planted int (eigenvalue, projector) pairs.
+def _planted_level(p: int, m: int, degree: int, points: list, rows=None):
+    """A one-level tree of planted int (eigenvalue, projector) pairs, and its ops.
 
-    The pairs are taken over Z/p^m (degree 1) or the degree-N ring;
-    rows defaults to the weighted sum of the projectors, and over the
-    ring every int becomes the constant coordinate vector.
+    The level is what _spectral_tree builds for teichmuller_spectral:
+    its digit is the operator and its nodes are the projectors, indexed
+    by their position.  The pairs are taken over Z/p^m (degree 1) or the
+    degree-N ring; rows defaults to the weighted sum of the projectors,
+    and over the ring every int becomes the constant coordinate vector.
     """
     q = p**m
     n = len(points[0][1])
+    ctx = PrecisionContext(p, m)
     if rows is None:
         rows = [
             [sum(lam * proj[i][j] for lam, proj in points) % q for j in range(n)]
             for i in range(n)
         ]
-    if degree == 1:
-        ops = residue_ops(PrecisionContext(p, m))
-        embed = int
-    else:
-        ops = residue_ops(PrecisionContext(p, m), ext_ring(p, degree, m))
-        pad = (0,) * (degree - 1)
+    ring = None if degree == 1 else ext_ring(p, degree, m)
 
-        def embed(c):
-            return (c % q,) + pad
+    def embed(c):
+        return c % q if ring is None else (c % q,) + (0,) * (degree - 1)
+
+    def scalar(c):
+        return PadicScalar.from_residue(c % q, ctx) if ring is None else ring.element(embed(c))
 
     def matrix(int_rows):
-        return tuple(tuple(embed(c % q) for c in row) for row in int_rows)
+        return tuple(tuple(embed(c) for c in row) for row in int_rows)
 
-    resolved = [(embed(lam % q), matrix(proj)) for lam, proj in points]
-    _verify_decomposition(matrix(rows), resolved, ops, n)
+    terms = {i: (scalar(lam), matrix(proj)) for i, (lam, proj) in enumerate(points)}
+    nodes = [((i,), proj) for i, (_, proj) in terms.items()]
+    return spectral._TreeLevel(matrix(rows), terms, nodes), residue_ops(ctx, ring)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_verify_decomposition_refuses_a_projector_of_norm_below_1(degree):
+    """3 E11 is idempotent only as 0 mod 9; its overlap with I is I * 3 E11 != 0."""
     points = [(1, [[1, 0], [0, 1]]), (0, [[3, 0], [0, 0]])]
-    with pytest.raises(RuntimeError, match="projector has norm != 1"):
-        _verify_planted_decomposition(3, 2, degree, points)
+    level, ops = _planted_level(3, 2, degree, points)
+    with pytest.raises(RuntimeError, match="same-level projectors overlap"):
+        _verify_tree([level], ops)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_verify_decomposition_refuses_a_non_idempotent_projector(degree):
     """2 E11 has a unit entry and sums to 1 with 1 - 2 E11, but (2 E11)^2 = 4 E11 mod 9."""
     points = [(1, [[2, 0], [0, 0]]), (4, [[-1, 0], [0, 1]])]
+    level, ops = _planted_level(3, 2, degree, points)
     with pytest.raises(RuntimeError, match="projector is not idempotent"):
-        _verify_planted_decomposition(3, 2, degree, points)
+        _verify_tree([level], ops)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_verify_decomposition_refuses_projectors_not_summing_to_1(degree):
     points = [(1, [[1, 0], [0, 0]])]
-    with pytest.raises(RuntimeError, match="projectors do not sum to 1"):
-        _verify_planted_decomposition(3, 2, degree, points)
+    level, ops = _planted_level(3, 2, degree, points)
+    with pytest.raises(RuntimeError, match="level 0 projectors do not sum to 1"):
+        _verify_tree([level], ops)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_verify_decomposition_refuses_a_weighted_sum_other_than_x(degree):
     points = [(1, [[1, 0], [0, 0]]), (4, [[0, 0], [0, 1]])]
-    with pytest.raises(RuntimeError, match="weighted projectors do not reproduce x"):
-        _verify_planted_decomposition(3, 2, degree, points, rows=[[1, 0], [0, 1]])
+    level, ops = _planted_level(3, 2, degree, points, rows=[[1, 0], [0, 1]])
+    with pytest.raises(RuntimeError, match="level 0 projectors do not reassemble digit 0"):
+        _verify_tree([level], ops)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -739,14 +745,16 @@ def test_verify_decomposition_refuses_a_one_sided_overlap(degree):
     traces and ranks); over F_p they need not be, but every such set an
     exhaustive search found (p = 2, 3 at n = 2 with up to five
     projectors, p = 2 at n = 3 with up to four) also has two-sided
-    overlaps besides its one-sided ones.
+    overlaps besides its one-sided ones.  The certificate forms P_i P_j
+    for i < j only, P_0 P_3 among them.
     """
     e22, low, col = [[0, 0], [0, 1]], [[0, 0], [1, 1]], [[1, 0], [1, 0]]
     assert int_matmul(e22, col, 2) == [[0, 0], [1, 0]]
     assert int_matmul(col, e22, 2) == [[0, 0], [0, 0]]
     points = [(0, e22), (1, e22), (0, low), (1, col)]
-    with pytest.raises(RuntimeError, match="projectors are not pairwise orthogonal"):
-        _verify_planted_decomposition(2, 1, degree, points)
+    level, ops = _planted_level(2, 1, degree, points)
+    with pytest.raises(RuntimeError, match="same-level projectors overlap"):
+        _verify_tree([level], ops)
 
 
 def test_classify_matrix_orbits():

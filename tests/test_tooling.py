@@ -30,3 +30,33 @@ def test_runtime_imports_only_the_standard_library():
         if name.partition(".")[0] not in allowed
     ]
     assert not foreign
+
+
+def _literal_text(node) -> str:
+    """The text of a str or f-string literal, placeholders dropped; "" for anything else."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.JoinedStr):
+        return "".join(_literal_text(part) for part in node.values)
+    return ""
+
+
+def test_runtime_errors_are_named_internal_defects():
+    """Every raise RuntimeError(...) in src/padicspec names itself an internal defect.
+
+    The CLI reports any exception that escapes a command as kind
+    "internal" with str(exc) as its reason; the wording marks the
+    library's self-checks among them.
+    """
+    sites, unnamed = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id == "RuntimeError"):
+                continue
+            sites += 1
+            if not (call.args and "(internal defect)" in _literal_text(call.args[0])):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert sites
+    assert not unnamed
