@@ -18,7 +18,11 @@ j holds the nonzero products of one projector from each of the first
 j + 1 resolutions.  Over Z_p it is a finitely additive projector-valued
 measure on the balls of Z_p, and integrating the ball centers against
 it reconstructs the operator to the resolved depth; its deepest level
-over all m digits, at any period, is the spectrum.
+over all m digits, at any period, is the spectrum.  Once a ball holds a
+single eigenvalue class, deeper digits only relabel it: a level at
+which no node splits is read off one product of the stacked nodes by
+the digit, so the full resolution runs only at level 0 and at the
+levels where some node splits.
 
 The same machinery yields the canonical splitting A = A_s + A_n into a
 multiplicative part and a topologically nilpotent part, the spectrum
@@ -27,7 +31,8 @@ diameter, and the commutator inequality
 
 The pipeline exchanges residue rows mod p^m (ints over Z/p^m,
 coordinate vectors over an extension ring): _hermite_rows peels the
-digits, _resolve checks and resolves one digit, _spectral_tree builds
+digits, _resolve checks and resolves one digit, _pass_through carries
+the nodes past a digit that splits none of them, _spectral_tree builds
 the tree and _verify_tree certifies it, for the Lagrange resolution
 (the one-level tree whose digit is the operator itself), the measure
 and the spectrum (so diam and uncertainty) alike.  Scalars and
@@ -213,19 +218,17 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
     splits over F_{p^N}: a scan of F_q finds its roots while q <=
     SCAN_PER_DEGREE * n, and Cantor-Zassenhaus above that.  The ambient
     ring must contain the period-N fixed points, so base rows are
-    promoted to the degree-N extension (constant coordinates), and an
-    extension ring requires N to divide its degree.  Points are ordered
+    promoted to the degree-N extension (_ambient), and an extension ring
+    requires N to divide its degree.  Each root is lifted once
+    (_teichmuller_point).  Points are ordered
     by residue mod p (base) or by the coordinates of their reduction,
     the order in which the residue field enumerates its elements.
     """
     p = ctx.p
-    if period == 1 and ring is None:
+    ring, rows = _ambient(rows, ctx, ring, period)
+    if ring is None:
         degree, elements = 1, range(p)
     else:
-        if ring is None:
-            ring = ext_ring(p, period, ctx.m)
-            pad = (0,) * (period - 1)
-            rows = tuple(tuple((c,) + pad for c in row) for row in rows)
         if ring.degree % period != 0:
             raise ValueError(
                 f"period {period} does not divide the extension degree {ring.degree}"
@@ -238,13 +241,42 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
         roots = _scan_roots(charpoly, elements, ops)
     else:
         roots = poly_roots(charpoly, p**period, degree, ops, elements)
+    return [_teichmuller_point(r, ctx, ring) for r in roots], ring, rows
+
+
+def _ambient(rows: tuple, ctx: PrecisionContext, ring, period: int):
+    """The ring that holds the period-N points, and rows over it.
+
+    Period-1 base rows stay over Z_p (ring None) and an extension ring
+    is kept; base rows at N > 1 are promoted to the degree-N extension,
+    with constant coordinates.
+    """
+    if ring is not None or period == 1:
+        return ring, rows
+    pad = (0,) * (period - 1)
+    return ext_ring(ctx.p, period, ctx.m), tuple(tuple((c,) + pad for c in row) for row in rows)
+
+
+def _teichmuller_point(index, ctx: PrecisionContext, ring):
+    """The Teichmuller lift in ring (None for Z_p) of an index: an int or a coordinate tuple mod p."""
     if ring is None:
-        return [teichmuller_lift(r, ctx) for r in roots], ring, rows
-    return [teichmuller_lift_ext(ring.residue_field.element(r), ctx.m) for r in roots], ring, rows
+        return teichmuller_lift(index, ctx)
+    return teichmuller_lift_ext(ring.residue_field.element(index), ctx.m)
+
+
+def _index(key, p: int):
+    """The reduction mod p of a residue key: an int over Z_p, a coordinate tuple over an extension."""
+    return key % p if isinstance(key, int) else tuple(c % p for c in key)
 
 
 def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
     """The Lagrange resolution of one digit of _spectral_tree on residue rows.
+
+    _spectral_tree runs it at level 0 and at each level where some node
+    splits; _pass_through covers the other levels.  It costs one
+    sigma^N power of the rows, a characteristic polynomial mod p, its
+    roots and one lift per root, then k(k - 2) matrix products for the
+    projectors of k >= 2 points.
 
     Returns (points, ambient ring, rows, projector rows): the eigenvalue
     points as scalars of the ambient ring (None for Z_p), the input rows
@@ -452,32 +484,74 @@ class _TreeLevel(NamedTuple):
 def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period: int):
     """The certified digit tree of an operator: (ambient ring, levels).
 
-    Level j resolves digit j against the period-N points (_resolve) and
-    multiplies each node of level j - 1 by all of the level's projectors
-    in one _res_matmul_blocks, dropping zero children.  A child's address
-    extends its parent's by the index of its point, the point's reduction
-    mod p: an int over Z_p, a coordinate tuple over an extension.  The
-    points come ordered by that index, so each level is in address order.
-    _verify_tree certifies the levels before they are returned.  Every
-    spectral command runs this one tree: teichmuller_spectral on the
-    single digit x, spectral_measure to its depth, operator_spectrum
-    over all m digits.
+    Level 0 resolves digit 0 against the period-N points (_resolve).
+    Each later level first tries _pass_through: one product of all the
+    frontier nodes, stacked, by the level's digit shows whether every
+    node lies in one eigenspace of it.  If so no node splits and the
+    level is read off that product.  Otherwise the level is resolved and
+    each frontier node is multiplied by all of its projectors in one
+    _res_matmul_blocks, dropping zero children.  A child's address
+    extends its parent's by the index of its point, the point's
+    reduction mod p: an int over Z_p, a coordinate tuple over an
+    extension.  The points come ordered by that index, so each level is
+    in address order.  So the full resolution (a sigma^N check, a
+    characteristic polynomial, its roots, their lifts and the Lagrange
+    products) runs only at level 0 and at the levels where some node
+    splits.  _verify_tree certifies every level before the tree is
+    returned.  Every spectral command runs this one tree:
+    teichmuller_spectral on the single digit x, spectral_measure to its
+    depth, operator_spectrum over all m digits.
     """
-    p = ctx.p
-    levels, frontier = [], [((), None)]
+    levels, level = [], None
     for digit in digits:
-        points, ambient, digit, projectors = _resolve(digit, ctx, ring, period)
-        ops = residue_ops(ctx, ambient)
-        keys = [pt.residue_key() for pt in points]
-        indices = [key % p if ambient is None else tuple(c % p for c in key) for key in keys]
-        children = []
-        for addr, parent in frontier:
-            blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ops)
-            children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not _rows_are_zero(c)]
-        frontier = children
-        levels.append(_TreeLevel(digit, dict(zip(indices, zip(points, projectors))), frontier))
-    _verify_tree(levels, ops)
+        if level is not None:
+            level = _pass_through(level.nodes, _ambient(digit, ctx, ring, period)[1], ctx, ambient)
+        if level is None:
+            points, ambient, digit, projectors = _resolve(digit, ctx, ring, period)
+            ops = residue_ops(ctx, ambient)
+            indices = [_index(pt.residue_key(), ctx.p) for pt in points]
+            children = []
+            for addr, parent in levels[-1].nodes if levels else [((), None)]:
+                blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ops)
+                children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not _rows_are_zero(c)]
+            level = _TreeLevel(digit, dict(zip(indices, zip(points, projectors))), children)
+        levels.append(level)
+    _verify_tree(levels, residue_ops(ctx, ambient))
     return ambient, levels
+
+
+def _pass_through(nodes: list, digit: tuple, ctx: PrecisionContext, ring):
+    """The next tree level when no node splits under digit, or None.
+
+    All nodes N, stacked, are multiplied by digit x in one product.  A
+    node passes through if N x = lambda N, with lambda = (N x)[a][b] /
+    N[a][b] at its first unit entry: then N E_mu is N for mu = lambda
+    and 0 for every other point mu, so N is its own only child, at the
+    index of lambda mod p.  If every node passes, the projector of each
+    index is the sum of its nodes (the spectral projectors of x are
+    unique) and its point is the Teichmuller lift of the index.  A node
+    without a unit entry or with N x != lambda N gives None, and the
+    caller resolves the level; _verify_tree's reassembly check forces
+    lambda to be that lift.
+    """
+    ops = residue_ops(ctx, ring)
+    n = len(digit)
+    image = _res_matmul(tuple(itertools.chain.from_iterable(rows for _, rows in nodes)), digit, ops)
+    children, by_index = [], {}  # the sum of the nodes of each index
+    for k, (address, rows) in enumerate(nodes):
+        units = ((r, c) for r, row in enumerate(rows) for c, e in enumerate(row) if ops.is_unit(e))
+        r, c = next(units, (None, None))
+        if r is None:
+            return None
+        block = image[k * n : (k + 1) * n]
+        lam = ops.mul(block[r][c], ops.inv_unit(rows[r][c]))
+        if _res_scale(lam, rows, ops) != block:
+            return None
+        index = _index(lam, ctx.p)
+        children.append((address + (index,), rows))
+        by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows
+    terms = {i: (_teichmuller_point(i, ctx, ring), by_index[i]) for i in sorted(by_index)}
+    return _TreeLevel(digit, terms, children)
 
 
 def _verify_tree(levels: list, ops):
@@ -538,7 +612,7 @@ class SpectralMeasure:
     stored projectors at each level sum to the identity, refine their
     parents, and are pairwise orthogonal.  lifts[j] maps each index of
     level j to the residue of its Teichmuller lift, the point that level
-    j's resolution already computed, so the ball centers need no lift.
+    j of the tree already computed, so the ball centers need no lift.
     """
 
     depth: int
@@ -688,27 +762,36 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     The deepest level of _spectral_tree over all m digits, certified by
     _verify_tree: each node's projector, with the sum of the points along
     its address, each shifted by p^(k + level) and added left to right,
-    as its eigenvalue, a scalar of the ambient ring.  Only the deepest
-    projectors are built as matrices.
+    as its eigenvalue, a scalar of the ambient ring.  The tree resolves
+    digit 0 and every digit at which a ball splits; the others pass its
+    nodes through (see _spectral_tree).  Only the deepest projectors are
+    built as matrices.
 
     A period N > 1 resolves in the extension ring O_K/p^m, where p^k is 0
     once k >= m, so it needs an operator of valuation 0 <= k < m; any
     other valuation is refused with ValueError.
     """
+    ring, centers, rows = _spectrum(a, period)
+    return [(center, _wrap_residues(r, a.ctx, ring)) for center, r in zip(centers, rows)]
+
+
+def _spectrum(a: UMatrix, period: int):
+    """operator_spectrum on residue rows: (ambient ring, eigenvalues, projector rows)."""
     ctx = a.ctx
     k, digits = _hermite_rows(a, period, ctx.m)
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
     ring, levels = _spectral_tree(digits, ctx, a.ext_ring, period)
-    centers = [
+    shifted = [
         {index: lam.shift(k + j) for index, (lam, _) in level.terms.items()}
         for j, level in enumerate(levels)
     ]
-    spectrum = []
-    for address, rows in levels[-1].nodes:
-        center = functools.reduce(operator.add, map(dict.__getitem__, centers, address))
-        spectrum.append((center, _wrap_residues(rows, ctx, ring)))
-    return spectrum
+    deepest = levels[-1].nodes
+    centers = [
+        functools.reduce(operator.add, map(dict.__getitem__, shifted, address))
+        for address, _ in deepest
+    ]
+    return ring, centers, [rows for _, rows in deepest]
 
 
 @dataclass(frozen=True)
@@ -727,17 +810,17 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
 
     Cross-checks that the operator norm is the largest eigenvalue norm
     and that every translation A - mu by a spectrum point has norm equal
-    to the diameter (at the resolved precision).
+    to the diameter (at the resolved precision).  The spectrum is
+    operator_spectrum's, read on residue rows: no projector is built.
     """
     ctx = a.ctx
-    points = operator_spectrum(a, period)
-    lams = [lam for lam, _ in points]
+    ring, lams, _ = _spectrum(a, period)
     diam_val = min(((x - y).valuation for x, y in itertools.combinations(lams, 2)), default=INFINITE)
     diam = norm_from_valuation(ctx.p, diam_val)
     lam_val = min((lam.valuation for lam in lams), default=INFINITE)
     if lam_val != a.valuation:
         raise RuntimeError("operator norm differs from max eigenvalue norm (internal defect)")
-    _check_translations(a, points, diam_val, ctx)
+    _check_translations(a, ring, lams, diam_val, ctx)
     return SpectrumDiameter(
         diameter=diam,
         diameter_valuation=diam_val,
@@ -747,13 +830,12 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
     )
 
 
-def _check_translations(a: UMatrix, points, diam_val, ctx: PrecisionContext):
-    if not points:
+def _check_translations(a: UMatrix, ring, lams: list, diam_val, ctx: PrecisionContext):
+    if not lams:
         return
-    k = min(lam.valuation for lam, _ in points)
+    k = min(lam.valuation for lam in lams)
     resolved = (0 if k == INFINITE else int(min(k, 0))) + ctx.m
-    ring = points[0][1].ext_ring
-    for val in _translation_valuations(a, ring, [lam for lam, _ in points]):
+    for val in _translation_valuations(a, ring, lams):
         if diam_val == INFINITE:
             if val < resolved:
                 raise RuntimeError("translation law failed for a singleton spectrum (internal defect)")

@@ -493,6 +493,20 @@ def spectral_tree_oracle(a: UMatrix, period: int, depth: int) -> list:
     return levels
 
 
+def spectral_terms_oracle(a: UMatrix, period: int, depth: int) -> list:
+    """Per level 0..depth-1, {index: (point, projector residues)} of each digit's oracle resolution.
+
+    The resolution of digit j is teichmuller_spectral_oracle's; an index
+    is its point's reduction mod p, as in spectral_tree_oracle.
+    """
+    expansion = hermite_digits_matrix(a, period)
+    return [
+        {_point_index(lam): (lam, proj.residues())
+         for lam, proj in teichmuller_spectral_oracle(digit, period)}
+        for digit in expansion.digits[:depth]
+    ]
+
+
 def _point_index(lam):
     key = lam.residue_key()
     p = lam.ctx.p

@@ -1,0 +1,152 @@
+"""A standing mutation table for the tree certificate and the tree's shortcuts.
+
+Each entry is (file under src/padicspec, exact old text, replacement,
+pytest node ids).  A mutant is killed when every one of its node ids
+fails on a copy of src/ with that one replacement made.  The table
+follows the code: tests/test_tooling.py checks that every old text
+occurs exactly once under src/padicspec.  A change to a certificate or
+to an internal-defect check adds its mutants here.
+
+Run it from anywhere with
+
+    python tests/mutants.py
+
+It copies src/ into a temporary directory, first runs every listed node
+id on the unmutated copy (they must pass), then applies each mutant to
+a fresh copy and runs its node ids in a child pytest with PYTHONPATH
+on the copy.  It prints one line per mutant and exits 1 if any mutant
+survives or the unmutated run fails.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "padicspec"
+
+_SPECTRAL = "tests/test_spectral.py::"
+_CLI = "tests/test_cli.py::"
+_DEFECTS = [
+    _CLI + "test_pass_through_defect_is_a_document[wrong index]",
+    _CLI + "test_pass_through_defect_is_a_document[point off by p]",
+]
+
+# (file, old text, replacement, node ids that must all fail)
+MUTANTS = (
+    # _verify_tree, the one certificate of every spectral command
+    ("spectral.py", "if square != rows:", "if False and square != rows:", [
+        _SPECTRAL + "test_verify_tree_checks_idempotency_where_orthogonality_is_one_sided",
+        _SPECTRAL + "test_verify_decomposition_refuses_a_non_idempotent_projector[1]",
+        _SPECTRAL + "test_verify_decomposition_refuses_a_non_idempotent_projector[2]",
+    ]),
+    ("spectral.py", "if not all(map(_rows_are_zero, overlaps)):",
+     "if False and not all(map(_rows_are_zero, overlaps)):", [
+        _SPECTRAL + "test_verify_measure_catches_a_duplicated_node",
+        _SPECTRAL + "test_verify_decomposition_refuses_a_one_sided_overlap[1]",
+        _SPECTRAL + "test_verify_decomposition_refuses_a_one_sided_overlap[2]",
+    ]),
+    ("spectral.py", "if _res_sum(list(by_parent.values()), ops) != ident:",
+     "if False and _res_sum(list(by_parent.values()), ops) != ident:", [
+        _SPECTRAL + "test_verify_measure_catches_a_dropped_node",
+        _SPECTRAL + "test_verify_tree_catches_a_dropped_deepest_node_over_a_degree_two_ring",
+        _CLI + "test_spectral_runs_the_tree_certificate",
+    ]),
+    ("spectral.py", "if any(by_parent.get(address) != rows for address, rows in parents):",
+     "if False and any(by_parent.get(address) != rows for address, rows in parents):", [
+        _SPECTRAL + "test_verify_measure_catches_a_child_moved_to_another_parent",
+        _SPECTRAL + "test_verify_tree_catches_a_level_zero_node_listed_as_its_children",
+    ]),
+    ("spectral.py", "if _res_sum(weighted, ops) != level.digit:",
+     "if False and _res_sum(weighted, ops) != level.digit:", [
+        _SPECTRAL + "test_verify_measure_catches_swapped_siblings",
+        _SPECTRAL + "test_verify_tree_catches_swapped_siblings_over_a_degree_two_ring",
+        *_DEFECTS,
+    ]),
+    ("spectral.py", "_verify_tree(levels, residue_ops(ctx, ambient))", "residue_ops(ctx, ambient)", [
+        _CLI + "test_spectral_runs_the_tree_certificate",
+        *_DEFECTS,
+    ]),
+    # _pass_through, the levels that no node splits
+    ("spectral.py", "if _res_scale(lam, rows, ops) != block:",
+     "if False and _res_scale(lam, rows, ops) != block:", [
+        _SPECTRAL + "test_a_level_that_splits_one_node_but_not_another_is_resolved",
+        _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
+        _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
+    ]),
+    ("spectral.py", "for c, e in enumerate(row) if ops.is_unit(e))",
+     "for c, e in enumerate(row) if not ops.is_zero(e))", [
+        _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
+    ]),
+    ("spectral.py",
+     "children.append((address + (index,), rows))\n"
+     "        by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows",
+     "children.append((address + (index,), rows))\n"
+     "        by_index.setdefault(index, rows)", [
+        _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
+        _SPECTRAL + "test_spectral_tree_matches_the_object_level_tree_at_every_level[1]",
+    ]),
+)
+
+
+def _copy_src(workdir: pathlib.Path) -> pathlib.Path:
+    target = workdir / "src"
+    shutil.copytree(ROOT / "src", target, ignore=shutil.ignore_patterns("__pycache__"))
+    return target
+
+
+def _failed_ids(src: pathlib.Path, node_ids: list) -> set:
+    """The node ids among node_ids that fail or error in a child pytest with src on the path."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider", *node_ids],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    failed = set()
+    for line in result.stdout.splitlines():
+        verdict, _, rest = line.partition(" ")
+        if verdict in ("FAILED", "ERROR"):
+            failed.update(node for node in node_ids if rest.startswith(node))
+    if result.returncode not in (0, 1):  # usage error, collection error, interrupted
+        failed.add("<pytest exit %d>" % result.returncode)
+    return failed
+
+
+def main() -> int:
+    start = time.perf_counter()
+    every_id = sorted({node for *_, nodes in MUTANTS for node in nodes})
+    with tempfile.TemporaryDirectory() as workdir:
+        src = _copy_src(pathlib.Path(workdir) / "clean")
+        failed = _failed_ids(src, every_id)
+    if failed:
+        print("unmutated source fails:", *sorted(failed), sep="\n  ")
+        return 1
+    survivors = 0
+    for filename, old, new, nodes in MUTANTS:
+        with tempfile.TemporaryDirectory() as workdir:
+            src = _copy_src(pathlib.Path(workdir))
+            path = src / "padicspec" / filename
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"STALE    {filename}: {old!r} occurs {text.count(old)} times")
+                survivors += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            failed = _failed_ids(src, nodes)
+            passed = [node for node in nodes if node not in failed]
+        survivors += bool(passed)
+        print(f"{'SURVIVED' if passed else 'killed  '} {filename}: {old!r}")
+        for node in passed:
+            print(f"           still passes: {node}")
+    print(f"{len(MUTANTS)} mutants, {survivors} survived, {time.perf_counter() - start:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

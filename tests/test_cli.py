@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicspec import PrecisionContext, UMatrix, spectral
+from padicspec import PadicScalar, PrecisionContext, UMatrix, spectral, teichmuller_lift
 from padicspec import cli
 from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
@@ -725,12 +725,13 @@ def test_unit_past_a_lowered_digit_limit_is_malformed(tmp_path):
 
 def test_internal_defect_is_a_document(tmp_path, monkeypatch):
     """A defect the library detects in itself ends in one document, exit 1."""
-    resolve = spectral.operator_spectrum
+    resolve = spectral._spectrum
 
-    def off_by_p(a, period=1):  # a planted defect: every eigenvalue gains a factor p
-        return [(lam.shift(1), proj) for lam, proj in resolve(a, period)]
+    def off_by_p(a, period):  # a planted defect: every eigenvalue gains a factor p
+        ring, centers, rows = resolve(a, period)
+        return ring, [lam.shift(1) for lam in centers], rows
 
-    monkeypatch.setattr(spectral, "operator_spectrum", off_by_p)
+    monkeypatch.setattr(spectral, "_spectrum", off_by_p)
     path = write(tmp_path, "diag.json", matrix_doc(3, 2, [[1, 0], [0, 2]]))
     (status, doc, _), printed = run_silently(["diam", "--in", path])
     assert (status, printed) == (1, "")
@@ -738,6 +739,47 @@ def test_internal_defect_is_a_document(tmp_path, monkeypatch):
         "kind": "internal",
         "exception": "RuntimeError",
         "reason": "operator norm differs from max eigenvalue norm (internal defect)",
+    }
+
+
+@pytest.mark.parametrize("defect", ["wrong index", "point off by p"])
+def test_pass_through_defect_is_a_document(tmp_path, monkeypatch, defect):
+    """A level that skipped its resolution but carries a planted defect is refused, exit 1.
+
+    diag(1, 4, -1) at p = 3, m = 3 has the digits (1, 0, 0), (1, 1, 0),
+    (2, 0, 0), so level 2 splits no node and passes all three through
+    under index 0.  Filing them under index 1, or giving index 0 the
+    point 0 + p, leaves every sum and refinement intact; only the
+    reassembly of digit 2 refuses the tree.
+    """
+    pass_through, planted = spectral._pass_through, []
+
+    def faulty(nodes, digit, ctx, ring):
+        level = pass_through(nodes, digit, ctx, ring)
+        if level is None:
+            return None
+        planted.append(len(nodes))
+        if defect == "wrong index":
+            moved = {i: (i + 1) % ctx.p for i in level.terms}
+            return level._replace(
+                nodes=[(addr[:-1] + (moved[addr[-1]],), rows) for addr, rows in level.nodes],
+                terms={moved[i]: (teichmuller_lift(moved[i], ctx), rows)
+                       for i, (_, rows) in level.terms.items()},
+            )
+        return level._replace(terms={
+            i: (PadicScalar.from_residue(point.residue() + ctx.p, ctx), rows)
+            for i, (point, rows) in level.terms.items()
+        })
+
+    monkeypatch.setattr(spectral, "_pass_through", faulty)
+    path = write(tmp_path, "diag.json", matrix_doc(3, 3, [[1, 0, 0], [0, 4, 0], [0, 0, 26]]))
+    (status, doc, _), printed = run_silently(["diam", "--in", path])
+    assert planted == [3]
+    assert (status, printed) == (1, "")
+    assert doc["error"] == {
+        "kind": "internal",
+        "exception": "RuntimeError",
+        "reason": "level 2 projectors do not reassemble digit 2 (internal defect)",
     }
 
 

@@ -350,3 +350,71 @@ def test_cli_diam_agrees_across_precisions(problem):
         low, high = low[1], high[1]
         assert _capped(high["diameter_valuation"], m) == _capped(low["diameter_valuation"], m)
         assert _point_set(high["spectrum"], p, p**m) == _point_set(low["spectrum"], p, p**m)
+
+
+@st.composite
+def uncertainty_inputs(draw):
+    """(p, m, delta, period, rows of A, rows of B, psi): cli_operator_inputs' A, a B of its size.
+
+    B is drawn like A at the same p, m, delta and dimension: planted
+    sigma^period-fixed at m + delta (period 1 diagonal Teichmuller lifts,
+    or the degree-2 companion at n = 2), Hermite at m, uniform residues,
+    or I + N.  psi is a vector of integers below p^m with a unit entry,
+    so it has sup norm 1 at both precisions.
+    """
+    p, m, delta, period, rows_a = draw(cli_operator_inputs())
+    n = len(rows_a)
+    shape = draw(st.sampled_from(["planted", "hermite", "random", "unipotent"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    high = PrecisionContext(p, m + delta)
+    if shape == "planted" and period == 2 and n == 2:
+        planted = UMatrix.from_residues(teichmuller_companion(p, 2, m + delta), high)
+    elif shape == "planted":
+        planted = diag_matrix(high, [teichmuller_lift(rng.randrange(p), high).residue()
+                                     for _ in range(n)])
+    if shape == "planted":
+        rows_b = residues_of(conjugate(rand_gl(high, n, rng), planted))
+    elif shape == "hermite":
+        rows_b = residues_of(rand_hermite(PrecisionContext(p, m), n, rng)[0])
+    elif shape == "random":
+        rows_b = [[rng.randrange(p**m) for _ in range(n)] for _ in range(n)]
+    else:
+        rows_b = unipotent_rows(n)
+    psi = [rng.randrange(p**m) for _ in range(n)]
+    psi[rng.randrange(n)] = p * rng.randrange(p ** (m - 1)) + rng.randrange(1, p)
+    return p, m, delta, period, rows_a, rows_b, psi
+
+
+def _capped_norm_valuation(norm: float, p: int, m: int) -> int:
+    """min(v, m) for the norm p^-v printed as a float (0.0 for an infinite v)."""
+    return next((v for v in range(m) if norm == float(p) ** -v), m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(uncertainty_inputs())
+def test_cli_uncertainty_agrees_across_precisions(problem):
+    """uncertainty of the same integers A, B and psi at m and at m + delta.
+
+    A refusal at m is a refusal at m + delta of the same kind.  Where
+    both accept, the verdicts agree, and so does the valuation of
+    [A, B] psi capped at m, read off lhs_norm.
+    """
+    p, m, delta, period, rows_a, rows_b, psi = problem
+
+    def document(digits: int) -> dict:
+        doc = _matrix_doc(rows_a, p, digits)
+        doc["A"] = doc.pop("entries")
+        doc["B"] = _matrix_doc(rows_b, p, digits)["entries"]
+        doc["psi"] = _matrix_doc([psi], p, digits)["entries"]
+        return doc
+
+    low, high = (_cli(["uncertainty", "--N", str(period)], document(digits))
+                 for digits in (m, m + delta))
+    if low[0] != 0:
+        assert high[0] == low[0]
+        assert high[1]["error"]["kind"] == low[1]["error"]["kind"]
+    elif high[0] == 0:
+        (low_check,), (high_check,) = low[1]["checks"], high[1]["checks"]
+        assert high[1]["holds"] == low[1]["holds"]
+        assert _capped_norm_valuation(high_check["lhs_norm"], p, m) == _capped_norm_valuation(
+            low_check["lhs_norm"], p, m)

@@ -1,7 +1,9 @@
 """Spectral projectors, digit expansions, the ball measure, Jordan splitting."""
 
 import dataclasses
+import io
 import itertools
+import json
 import random
 import time
 
@@ -26,6 +28,7 @@ from helpers import (
     residues_of,
     sigma_fixed_points_oracle,
     sigma_limit_oracle,
+    spectral_terms_oracle,
     spectral_tree_oracle,
     teichmuller_companion,
     teichmuller_spectral_oracle,
@@ -58,6 +61,7 @@ from padicspec import (
     uncertainty_check,
 )
 from padicspec import spectral
+from padicspec.cli import run_command
 from padicspec.matrix import inverse, residue_ops
 from padicspec.spectral import (
     _sigma_limit,
@@ -1012,18 +1016,21 @@ def test_verify_tree_checks_idempotency_where_orthogonality_is_one_sided():
 
 @pytest.mark.parametrize("period", [1, 2])
 def test_spectral_tree_matches_the_object_level_tree_at_every_level(period):
-    """_spectral_tree against spectral_tree_oracle: equal addresses and residues at every level."""
-    rng = random.Random(50 + period)
-    ctx = PrecisionContext(3, 3)
-    for n in (1, 3, 4, 5):
-        a = _hermite_operator(ctx, n, period, rng)
-        for x in (a, a.shift(1)):
-            _, digits = spectral._hermite_rows(x, period, ctx.m)
-            _, levels = spectral._spectral_tree(digits, ctx, x.ext_ring, period)
-            expected = spectral_tree_oracle(x, period, ctx.m)
-            assert len(levels) == len(expected) == ctx.m
-            for level, oracle_level in zip(levels, expected):
-                assert level.nodes == [(addr, proj.residues()) for addr, _, proj in oracle_level]
+    """_spectral_tree against the object-level route at p = 2, 3, 5, every level.
+
+    Equal node addresses and rows, and equal term points and rows, on
+    random Hermite operators and their shifts by p; most trees have
+    levels that no node splits, many with several nodes of one index.
+    """
+    for p in (2, 3, 5):
+        rng = random.Random(50 + 10 * p + period)
+        ctx = PrecisionContext(p, 4)
+        for n in (1, 3, 4, 5):
+            a = _hermite_operator(ctx, n, period, rng)
+            for x in (a, a.shift(1)):
+                _, digits = spectral._hermite_rows(x, period, ctx.m)
+                _, levels = spectral._spectral_tree(digits, ctx, x.ext_ring, period)
+                _assert_tree_matches_the_oracles(x, period, levels)
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -1060,6 +1067,127 @@ def test_diam_tree_sums_to_one_and_refines_at_every_level(monkeypatch, period):
                     refined = tuple(tuple(ops.sub(x, y) for x, y in zip(pr, cr))
                                     for pr, cr in zip(refined, child))
             assert all(e == ops.zero for row in refined for e in row), (j, parent)
+
+
+# -- levels that no node splits --------------------------------------------------------
+
+
+def _assert_tree_matches_the_oracles(a: UMatrix, period: int, levels: list):
+    """Every level of a depth-m tree against the object-level route: nodes, then terms by index."""
+    m = a.ctx.m
+    nodes, terms = spectral_tree_oracle(a, period, m), spectral_terms_oracle(a, period, m)
+    assert len(levels) == len(nodes) == len(terms) == m
+    for level, oracle_nodes, oracle_terms in zip(levels, nodes, terms):
+        assert level.nodes == [(addr, proj.residues()) for addr, _, proj in oracle_nodes]
+        assert list(level.terms) == sorted(level.terms)
+        assert level.terms == oracle_terms
+
+
+def _recording_resolve(monkeypatch) -> list:
+    """Replace spectral._resolve by a wrapper that records the rows of every call."""
+    calls, resolve = [], spectral._resolve
+
+    def recorded(rows, *args):
+        calls.append(rows)
+        return resolve(rows, *args)
+
+    monkeypatch.setattr(spectral, "_resolve", recorded)
+    return calls
+
+
+def _splitting_levels(levels: list) -> list:
+    """The levels j >= 1 with more nodes than level j - 1: those where some node splits."""
+    return [j for j in range(1, len(levels)) if len(levels[j].nodes) > len(levels[j - 1].nodes)]
+
+
+def _teichmuller_expansion(digit_rows, ctx: PrecisionContext) -> list:
+    """sum_j omega(d_j) p^j mod p^m for each digit sequence d."""
+    lifts = {d: teichmuller_lift(d, ctx).residue() for d in range(ctx.p)}
+    return [sum(lifts[d] * ctx.p**j for j, d in enumerate(digits)) % ctx.modulus
+            for digits in digit_rows]
+
+
+def _scalar_doc(value: int, p: int) -> dict:
+    """The scalar document p^v u of a nonnegative integer."""
+    v = 0
+    while value and value % p == 0:
+        value, v = value // p, v + 1
+    return {"v": v, "u": str(value)}
+
+
+def test_diam_period_two_tree_matches_the_oracles(monkeypatch, tmp_path):
+    """The tree behind diam --N 2 on base operators, recorded inside run_command."""
+    trees, spectral_tree = [], spectral._spectral_tree
+
+    def recorded(*args):
+        trees.append(spectral_tree(*args))
+        return trees[-1]
+
+    monkeypatch.setattr(spectral, "_spectral_tree", recorded)
+    rng = random.Random(91)
+    for p in (2, 3):
+        ctx = PrecisionContext(p, 3)
+        a = _hermite_operator(ctx, 4, 2, rng)
+        entries = [_scalar_doc(e, p) for row in residues_of(a) for e in row]
+        path = tmp_path / f"diam{p}.json"
+        path.write_text(json.dumps({"p": p, "m": ctx.m, "entries": entries}))
+        assert run_command(["diam", "--N", "2", "--in", str(path)], io.StringIO()) == 0
+        ring, levels = trees[-1]
+        assert ring.degree == 2
+        _assert_tree_matches_the_oracles(a, 2, levels)
+
+
+def test_a_level_that_splits_one_node_but_not_another_is_resolved(monkeypatch):
+    """Eigenvalues 1, 4, -1 at p = 3, m = 3: level 1 splits (1,) but not (2,).
+
+    Their digits are (1, 0, 0), (1, 1, 0), (2, 0, 0).  Level 1 is
+    resolved even though the ball (2,) passes through it; level 2
+    splits nothing and is not.
+    """
+    calls = _recording_resolve(monkeypatch)
+    ctx = PrecisionContext(3, 3)
+    a = conjugate(rand_gl(ctx, 3, random.Random(5)), diag_matrix(ctx, [1, 4, ctx.modulus - 1]))
+    _, digits = spectral._hermite_rows(a, 1, ctx.m)
+    _, levels = spectral._spectral_tree(digits, ctx, None, 1)
+    assert [[addr for addr, _ in level.nodes] for level in levels[1:]] == [
+        [(1, 0), (1, 1), (2, 0)], [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
+    ]
+    assert calls == list(digits[:2])
+    _assert_tree_matches_the_oracles(a, 1, levels)
+
+
+def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
+    """Four eigenvalue classes at p = 3, m = 8 that part at digits 2, 5 and 6.
+
+    Every other level passes its nodes through; at level 3 two nodes
+    and at level 7 all four share index 1, so the term rows there are
+    sums of several nodes.
+    """
+    calls = _recording_resolve(monkeypatch)
+    ctx = PrecisionContext(3, 8)
+    first = [1] * 8
+    second = first[:2] + [2] + first[3:]
+    third = first[:5] + [0] + first[6:]
+    fourth = second[:6] + [2] + second[7:]
+    planted = diag_matrix(ctx, _teichmuller_expansion([first, second, third, fourth], ctx))
+    a = conjugate(rand_gl(ctx, 4, random.Random(8)), planted)
+    _, digits = spectral._hermite_rows(a, 1, ctx.m)
+    _, levels = spectral._spectral_tree(digits, ctx, None, 1)
+    assert _splitting_levels(levels) == [2, 5, 6]
+    assert len(calls) == 1 + 3
+    assert [len(level.nodes) for level in levels] == [1, 1, 2, 2, 2, 3, 4, 4]
+    _assert_tree_matches_the_oracles(a, 1, levels)
+
+
+def test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue():
+    """A node with no unit entry, or one that the digit does not scale, sends the level to _resolve."""
+    ctx = PrecisionContext(3, 2)
+    ident = ((1, 0), (0, 1))
+    assert spectral._pass_through([((0,), ((3, 0), (0, 3)))], ident, ctx, None) is None
+    assert spectral._pass_through([((0,), ident)], ((1, 0), (0, 8)), ctx, None) is None
+    level = spectral._pass_through([((0,), ident)], ((8, 0), (0, 8)), ctx, None)
+    assert level.nodes == [((0, 2), ident)]
+    assert level.terms == {2: (teichmuller_lift(2, ctx), ident)}
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -1274,10 +1402,11 @@ def test_hermite_schedules_agree_on_unipotent_jordan_blocks(m):
 
 
 def test_measure_and_integral_lift_no_point_twice(monkeypatch):
-    """The ball centers, the tree certificate and the integral read the resolutions' lifts.
+    """The ball centers, the tree certificate and the integral read the tree's lifts.
 
-    Every teichmuller_lift call comes from a level's resolution, one per
-    point, and every point of a level indexes at least one of its nodes.
+    Every teichmuller_lift call comes from a level of the tree (its
+    resolution or its pass-through), one per point, and every point of a
+    level indexes at least one of its nodes.
     """
     calls = []
 

@@ -60,3 +60,25 @@ def test_runtime_errors_are_named_internal_defects():
                 unnamed.append(f"{path.name}:{node.lineno}")
     assert sites
     assert not unnamed
+
+
+def test_mutant_table_matches_the_source():
+    """Every old text of tests/mutants.py occurs exactly once under src/padicspec, in its file.
+
+    Each of its node ids names a test function that exists, so the
+    table cannot rot silently when code or tests move.
+    """
+    from mutants import MUTANTS
+
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    root = PACKAGE.parents[1]
+    assert MUTANTS
+    for filename, old, new, nodes in MUTANTS:
+        assert old != new
+        assert sum(text.count(old) for text in sources.values()) == 1, old
+        assert sources[filename].count(old) == 1, old
+        assert nodes
+        for node in nodes:
+            test_file, _, name = node.partition("::")
+            text = (root / test_file).read_text(encoding="utf-8")
+            assert f"def {name.partition('[')[0]}(" in text, node
