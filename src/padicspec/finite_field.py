@@ -24,10 +24,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .padic import _BaseOps, _packed_dot, _packed_matmul, is_prime
+from .padic import INFINITE, _BaseOps, _packed_matmul, int_valuation, is_prime
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
@@ -105,7 +106,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     n = len(poly) - 1
     if n < 1:
         return False
-    ops = _BaseOps(p, p)
+    ops = _BaseOps(p, 1)
     f = list(poly)
     minus_x = [0, p - 1]
     for d in range(1, n):
@@ -219,9 +220,12 @@ def _scan_roots(f, elements, ops) -> list:
 class _ExtOps:
     """Residue arithmetic on coordinate vectors of (Z/p^m)[X]/(f), f monic.
 
-    The modulus f is taken literally mod p^m, constant coefficient first.
-    Unit inversion needs f irreducible mod p, so that the units are
-    exactly the vectors with a coordinate not divisible by p.
+    The members are padic._BaseOps's, the one entry protocol, on
+    coordinate vectors instead of ints; ring is the ExtRing that owns
+    the ops, set by it.  The modulus f is taken literally mod p^m,
+    constant coefficient first.  Unit inversion needs f irreducible mod
+    p, so that the units are exactly the vectors with a coordinate not
+    divisible by p.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -288,12 +292,55 @@ class _ExtOps:
         return self.one if result is None else result
 
     def dot(self, xs, ys):
-        """sum_i xs[i] * ys[i] for canonical coordinates: one packed sum, folded once."""
-        return _packed_dot(xs, ys, self.q, self.degree, self._power_table)
+        """sum_i xs[i] * ys[i] for canonical coordinates: the 1 x k by k x 1 packed product."""
+        return self.matmul((xs,), tuple((y,) for y in ys))[0][0] if xs else self.zero
+
+    def packs(self, inner: int) -> bool:
+        return True
 
     def matmul(self, a, b):
         """a * b for rows of canonical coordinate vectors (any shape), packed at every size."""
         return _packed_matmul(a, b, self.q, self.degree, self._power_table)
+
+    def reduce(self, a):
+        p = self.p
+        return tuple(c % p for c in a)
+
+    def valuation(self, a):
+        return min((int_valuation(c, self.p) for c in a if c), default=INFINITE)
+
+    def elements(self):
+        return itertools.product(range(self.p), repeat=self.degree)
+
+    @functools.cached_property
+    def field(self) -> "_ExtOps":
+        return self if self.m == 1 else _ExtOps(self.p, 1, self.modulus)
+
+    def map_coords(self, rows: tuple, f) -> tuple:
+        return tuple([tuple([tuple(map(f, e)) for e in row]) for row in rows])
+
+    def rows_add(self, a: tuple, b: tuple) -> tuple:
+        rmod, add = self.q.__rmod__, operator.add
+        return tuple([
+            tuple([tuple(map(rmod, map(add, x, y))) for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)
+        ])
+
+    def rows_sub(self, a: tuple, b: tuple) -> tuple:
+        rmod, sub = self.q.__rmod__, operator.sub
+        return tuple([
+            tuple([tuple(map(rmod, map(sub, x, y))) for x, y in zip(ra, rb)]) for ra, rb in zip(a, b)
+        ])
+
+    def rows_scale(self, c: int, rows: tuple) -> tuple:
+        rmod, mul = self.q.__rmod__, c.__mul__
+        return tuple([tuple([tuple(map(rmod, map(mul, e))) for e in row]) for row in rows])
+
+    def rows_mul(self, c, rows: tuple) -> tuple:
+        mul = functools.partial(self.mul, c)
+        return tuple([tuple(map(mul, row)) for row in rows])
+
+    def rows_are_zero(self, rows: tuple) -> bool:
+        return not any(any(e) for row in rows for e in row)
 
     def is_zero(self, a):
         return not any(a)
@@ -303,7 +350,7 @@ class _ExtOps:
 
     def inv_unit(self, a):
         """Extended Euclid against f mod p, then Newton's b <- b (2 - a b) up to p^m."""
-        field = _BaseOps(self.p, self.p)
+        field = _BaseOps(self.p, 1)
         r0 = poly_trim([c % self.p for c in self.modulus], field)
         r1 = poly_trim([c % self.p for c in a], field)
         if not r1:
@@ -344,7 +391,7 @@ def build_modulus(p: int, degree: int) -> tuple:
         raise ValueError(f"p^N = {p**degree} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     if degree == 1:
         return (0, 1)  # X itself
-    ops = _BaseOps(p, p)
+    ops = _BaseOps(p, 1)
     for tail in itertools.product(range(p), repeat=degree):
         candidate = list(tail) + [1]
         # a root in F_p is a linear factor; Rabin certifies the survivor
@@ -388,7 +435,7 @@ class FiniteField:
     def element(self, coords: Sequence[int]) -> "FqElement":
         c = [x % self.p for x in coords]
         if len(c) > self.degree:
-            c = poly_divmod(c, list(self.modulus), _BaseOps(self.p, self.p))[1]
+            c = poly_divmod(c, list(self.modulus), _BaseOps(self.p, 1))[1]
         return FqElement(self, tuple(c) + self.ops.zero[len(c):])
 
     def zero(self) -> "FqElement":

@@ -12,38 +12,37 @@ Entries are PadicScalar or ExtScalar, which share one scalar protocol
 extension ring, or is None over Z_p.  Scalar arithmetic, the dot
 product of the object-level matmul and apply included, lives with the
 scalars.  Window computations (everything that only matters mod p^m)
-run on plain residue representatives for speed, with the entry
-arithmetic that residue_ops picks: padic._BaseOps on ints over Z/p^m,
-or the extension ring's ops (finite_field._ExtOps) on coordinate
-vectors.  Both ops provide matmul, the whole residue matrix product of
-any compatible shapes (_res_matmul_blocks multiplies one matrix by
-several at once), through the one Kronecker-packed kernel
-padic._packed_matmul: its slots are rounded to 8, 16, 32 or 64 bits,
-so a row is packed and unpacked by one struct call and int.from_bytes
-/ int.to_bytes, and slots wider than 64 bits hand off to
-shift-and-mask loops.  The entrywise helpers
-(_res_add, _res_sub, _res_scale, _map_coords) are map chains over
-operator functions and bound int methods, one % q per coordinate;
-only a ring-element scale goes through ops.mul.  This module defines
-no arithmetic of its own.
+run on plain residue representatives for speed, through the one entry
+protocol that residue_ops picks: padic._BaseOps on ints over Z/p^m, or
+the extension ring's ops (finite_field._ExtOps) on coordinate vectors.
+Only those two classes know what an entry is; the residue helpers here
+(_res_matpow, _res_matmul_blocks, _res_inverse, _res_det and the
+Hessenberg reduction) call their members.  Both provide matmul, the
+whole residue matrix product of any compatible shapes
+(_res_matmul_blocks multiplies one matrix by several at once), through
+the one Kronecker-packed kernel padic._packed_matmul: its slots are
+rounded to 8, 16, 32 or 64 bits, so a row is packed and unpacked by one
+struct call and int.from_bytes / int.to_bytes, and slots wider than 64
+bits hand off to shift-and-mask loops.  Their entrywise row members
+(rows_add, rows_sub, rows_scale, map_coords) are map chains over
+operator functions and bound int methods, one % q per coordinate; only
+a ring-element scale over an extension goes through ops.mul.  This
+module defines no arithmetic of its own.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import operator
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .padic import (
-    _PACKED_MATMUL_MIN_N,
     INFINITE,
     PadicScalar,
     PrecisionContext,
     _BaseOps,
-    int_valuation,
     norm_from_valuation,
 )
 from .unramified import ExtRing, ExtScalar, ext_ring
@@ -143,7 +142,7 @@ class UMatrix:
         return self.residues() == other.residues()
 
     def is_zero_mod_precision(self) -> bool:
-        return _rows_are_zero(self.residues())
+        return residue_ops(self.ctx, self.ext_ring).rows_are_zero(self.residues())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -233,56 +232,8 @@ def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
     degree at the precision of ctx (which may differ from the ring's own).
     """
     if ring is None:
-        return _BaseOps(ctx.modulus, ctx.p)
+        return _BaseOps(ctx.p, ctx.m)
     return ext_ring(ctx.p, ring.degree, ctx.m).ops
-
-
-def _res_matmul(a: tuple, b: tuple, ops) -> tuple:
-    return ops.matmul(a, b)
-
-
-def _entrywise(op, a: tuple, b: tuple, q: int) -> tuple:
-    """op(x, y) % q at every int coordinate of two residue matrices of one shape."""
-    rmod = q.__rmod__
-    if isinstance(a[0][0], int):
-        return tuple([tuple(map(rmod, map(op, ra, rb))) for ra, rb in zip(a, b)])
-    return tuple([
-        tuple([tuple(map(rmod, map(op, x, y))) for x, y in zip(ra, rb)])
-        for ra, rb in zip(a, b)
-    ])
-
-
-def _res_add(a: tuple, b: tuple, ops) -> tuple:
-    return _entrywise(operator.add, a, b, ops.q)
-
-
-def _res_sub(a: tuple, b: tuple, ops) -> tuple:
-    return _entrywise(operator.sub, a, b, ops.q)
-
-
-def _res_scale(c, a: tuple, ops) -> tuple:
-    """c * a: an int c scales every coordinate, a ring element (coordinate vector) goes through ops.mul."""
-    if not isinstance(c, int):
-        mul = functools.partial(ops.mul, c)
-        return tuple([tuple(map(mul, row)) for row in a])
-    rmod, mul = ops.q.__rmod__, c.__mul__
-    if isinstance(a[0][0], int):
-        return tuple([tuple(map(rmod, map(mul, row))) for row in a])
-    return tuple([tuple([tuple(map(rmod, map(mul, e))) for e in row]) for row in a])
-
-
-def _rows_are_zero(rows: tuple) -> bool:
-    """Whether every entry (an int or a coordinate vector) is 0."""
-    if isinstance(rows[0][0], int):
-        return not any(map(any, rows))
-    return not any(any(e) for row in rows for e in row)
-
-
-def _map_coords(rows: tuple, f) -> tuple:
-    """Apply f to every int coordinate of the residue rows (ints or coordinate vectors)."""
-    if isinstance(rows[0][0], int):
-        return tuple(tuple(map(f, row)) for row in rows)
-    return tuple(tuple(tuple(map(f, e)) for e in row) for row in rows)
 
 
 def _res_hstack(blocks) -> tuple:
@@ -300,13 +251,13 @@ def _res_matmul_blocks(a: tuple, blocks: list, ops) -> list:
 
     The packed kernel then takes one big-int sum per row of a for all
     the blocks instead of one per block.  Where the base ring's
-    per-entry dot runs instead (inner size below _PACKED_MATMUL_MIN_N),
+    per-entry dot runs instead (ops.packs is false for the inner size),
     joining and splitting the blocks only adds work, so they are
     multiplied one by one.
     """
-    if isinstance(a[0][0], int) and len(a[0]) < _PACKED_MATMUL_MIN_N:
-        return [_res_matmul(a, b, ops) for b in blocks]
-    return _res_hsplit(_res_matmul(a, _res_hstack(blocks), ops), len(blocks[0][0]))
+    if not ops.packs(len(a[0])):
+        return [ops.matmul(a, b) for b in blocks]
+    return _res_hsplit(ops.matmul(a, _res_hstack(blocks)), len(blocks[0][0]))
 
 
 def _res_identity(n: int, ops) -> tuple:
@@ -323,14 +274,14 @@ def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
         return _res_identity(len(a), ops)
     acc = a
     while not exponent & 1:
-        acc = _res_matmul(acc, acc, ops)
+        acc = ops.matmul(acc, acc)
         exponent >>= 1
     result = acc
     exponent >>= 1
     while exponent:
-        acc = _res_matmul(acc, acc, ops)
+        acc = ops.matmul(acc, acc)
         if exponent & 1:
-            result = _res_matmul(result, acc, ops)
+            result = ops.matmul(result, acc)
         exponent >>= 1
     return result
 
@@ -414,17 +365,6 @@ def determinant(a: UMatrix) -> Scalar:
     return _entry_maker(a.ctx, a.ext_ring)(det).shift(a.n * k)
 
 
-def _entry_valuation(x, p: int):
-    """Least valuation over the int coordinates of a residue entry; INFINITE for 0."""
-    coords = (x,) if isinstance(x, int) else x
-    return min((int_valuation(c, p) for c in coords if c), default=INFINITE)
-
-
-def _map_entry(x, f):
-    """f applied to every int coordinate of one residue entry, keeping its shape."""
-    return f(x) if isinstance(x, int) else tuple(map(f, x))
-
-
 def _res_det(rows: tuple, ops) -> object:
     """Determinant of residue rows over Z/p^m or O_K/p^m, by elimination down the columns.
 
@@ -439,20 +379,19 @@ def _res_det(rows: tuple, ops) -> object:
     work = [list(row) for row in rows]
     det = ops.one
     for col in range(n):
-        v, r = min((_entry_valuation(work[r][col], p), r) for r in range(col, n))
+        v, r = min((ops.valuation(work[r][col]), r) for r in range(col, n))
         if v == INFINITE:
             return ops.zero
         if r != col:
             work[col], work[r] = work[r], work[col]
             det = ops.neg(det)
-        pivot = work[col][col]
-        det = ops.mul(det, pivot)
-        over_pv = (p**v).__rfloordiv__
-        inv = ops.inv_unit(_map_entry(pivot, over_pv))
-        for r in range(col + 1, n):
-            x = work[r][col]
+        det = ops.mul(det, work[col][col])
+        # the column from the pivot down, divided by p^v: exact, as no entry has a lower valuation
+        ((pivot, *below),) = ops.map_coords(([row[col] for row in work[col:]],), (p**v).__rfloordiv__)
+        inv = ops.inv_unit(pivot)
+        for r, x in enumerate(below, col + 1):
             if not ops.is_zero(x):
-                factor = ops.neg(ops.mul(_map_entry(x, over_pv), inv))
+                factor = ops.neg(ops.mul(x, inv))
                 work[r] = [ops.add(y, ops.mul(factor, z)) for y, z in zip(work[r], work[col])]
     return det
 
@@ -633,8 +572,9 @@ def certify_orthogonal_projection(
 
     reduction_ok = pi.is_integral
     if reduction_ok:
-        red = _map_coords(pi.residues(), ctx.p.__rmod__)
-        reduction_ok = _res_matmul(red, red, residue_ops(PrecisionContext(ctx.p, 1), ring)) == red
+        field = residue_ops(ctx, ring).field
+        red = field.map_coords(pi.residues(), ctx.p.__rmod__)
+        reduction_ok = field.matmul(red, red) == red
     if not reduction_ok:
         failures.append("reduction_idempotent")
 

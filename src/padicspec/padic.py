@@ -186,37 +186,16 @@ def _fold(conv, degree: int, table, q: int) -> tuple:
     return tuple(map(q.__rmod__, out))
 
 
-def _packed_dot(xs, ys, q: int, degree: int, table) -> tuple:
-    """sum_i xs[i] * ys[i] of coordinate vectors over (Z/q)[X]/(f), folded once.
-
-    Each vector is packed as an integer polynomial in the slots of
-    _slot_bits, byte-aligned up to 64 bits as in _packed_matmul, the
-    products are summed unreduced, and the 2 degree - 1 coefficients of
-    the sum are folded by _fold; coordinates must be canonical, as for
-    _packed_matmul.
-    """
-    slot = _slot_bits(q, len(xs) * degree)
-    width = 2 * degree - 1
-    if slot > 64:
-        total = sum(_pack(x, slot) * _pack(y, slot) for x, y in zip(xs, ys))
-        return _fold(_unpack(total, width, slot), degree, table, q)
-    pack, from_bytes = _row_struct(degree, slot).pack, int.from_bytes
-    total = sum(
-        from_bytes(pack(*x), "little") * from_bytes(pack(*y), "little") for x, y in zip(xs, ys)
-    )
-    layout = _row_struct(width, slot)
-    return _fold(layout.unpack(total.to_bytes(layout.size, "little")), degree, table, q)
-
-
-def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tuple:
+def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> tuple:
     """a * b for residue rows over (Z/q)[X]/(f) by Kronecker substitution.
 
     The shapes may be rectangular: a has any number of rows of len(b)
     entries, b has len(b) rows of len(b[0]) entries.  Precondition:
     every coordinate is canonical, in [0, q); a negative or oversized
-    one would borrow from or carry into its neighbours.  Degree 1 is
-    Z/q, whose entries are ints; otherwise entries are coordinate
-    vectors and table is the X^(degree + j) mod f table of _fold.  Every
+    one would borrow from or carry into its neighbours.  Without a
+    table the ring is Z/q (degree 1), whose entries are ints; with one,
+    entries are coordinate vectors (of any degree, 1 included) and table
+    is the X^(degree + j) mod f table of _fold.  Every
     coefficient sits in a slot of _slot_bits(q, len(b) degree) bits,
     wide enough for a sum of len(b) degree products.  Row k of b is one
     int, entry j starting at slot j (2 degree - 1) with coordinate i at
@@ -242,7 +221,7 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
     count = cols * width
     mul = operator.mul
     if slot > 64:
-        if degree > 1:
+        if table is not None:
             pad = (0,) * (degree - 1)
             a = [[_pack(e, slot) for e in row] for row in a]
             b = [[c for e in row for c in (*e, *pad)] for row in b]
@@ -250,7 +229,7 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
         sums = [_unpack(sum(map(mul, row, b_rows)), count, slot) for row in a]
     else:
         from_bytes, flat = int.from_bytes, itertools.chain.from_iterable
-        if degree > 1:
+        if table is not None:
             pack = _row_struct(degree, slot).pack
             a = [[from_bytes(pack(*e), "little") for e in row] for row in a]
             b = [flat(row) for row in b]
@@ -259,7 +238,7 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
         unpack, size = layout.unpack, layout.size
         b_rows = [from_bytes(pack(*row), "little") for row in b]
         sums = [unpack(sum(map(mul, row, b_rows)).to_bytes(size, "little")) for row in a]
-    if degree == 1:
+    if table is None:
         return tuple([tuple(map(q.__rmod__, coeffs)) for coeffs in sums])
     return tuple([
         tuple([_fold(coeffs[j : j + width], degree, table, q) for j in range(0, count, width)])
@@ -268,11 +247,29 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=()) -> tup
 
 
 class _BaseOps:
-    """Residue arithmetic mod p^m on int entries."""
+    """Residue arithmetic on int entries of Z/p^m.
 
-    def __init__(self, q: int, p: int):
-        self.q = q
+    The one entry protocol, which finite_field._ExtOps also provides on
+    coordinate vectors of (Z/p^m)[X]/(f): only these two classes know
+    what an entry is.  Entry members: zero, one, add, sub, mul, neg, pow,
+    dot, is_zero, is_unit, inv_unit, reduce (the entry mod p, an index
+    of the residue field) and valuation.  Row members, on residue
+    matrices given as tuples of rows: matmul, map_coords (a map of every
+    int coordinate), rows_add, rows_sub, rows_scale (every coordinate
+    times an int), rows_mul (every entry times a ring element) and
+    rows_are_zero.  Ring members: p, m, q = p^m, degree, ring (the
+    ExtRing the ops belong to; None here), elements (the residue field,
+    in enumeration order), field (the same ring at m = 1) and packs
+    (whether matmul packs a product of a given inner size).
+    """
+
+    degree = 1
+    ring = None
+
+    def __init__(self, p: int, m: int):
         self.p = p
+        self.m = m
+        self.q = p**m
         self.zero = 0
         self.one = 1
 
@@ -285,12 +282,18 @@ class _BaseOps:
     def mul(self, a, b):
         return (a * b) % self.q
 
+    def pow(self, a, exponent: int):
+        return pow(a, exponent, self.q)
+
     def dot(self, xs, ys):
         return sum(map(operator.mul, xs, ys)) % self.q
 
+    def packs(self, inner: int) -> bool:
+        return inner >= _PACKED_MATMUL_MIN_N
+
     def matmul(self, a, b):
         """a * b for canonical residue rows, packed once len(b) >= _PACKED_MATMUL_MIN_N."""
-        if len(b) >= _PACKED_MATMUL_MIN_N:
+        if self.packs(len(b)):
             return _packed_matmul(a, b, self.q)
         dot = self.dot
         bcols = tuple(zip(*b))
@@ -307,6 +310,56 @@ class _BaseOps:
 
     def inv_unit(self, a):
         return pow(a, -1, self.q)
+
+    def reduce(self, a):
+        return a % self.p
+
+    def valuation(self, a):
+        return int_valuation(a, self.p) if a else INFINITE
+
+    def elements(self):
+        return range(self.p)
+
+    @functools.cached_property
+    def field(self) -> "_BaseOps":
+        return self if self.m == 1 else _BaseOps(self.p, 1)
+
+    def map_coords(self, rows: tuple, f) -> tuple:
+        return tuple([tuple(map(f, row)) for row in rows])
+
+    def rows_add(self, a: tuple, b: tuple) -> tuple:
+        rmod, add = self.q.__rmod__, operator.add
+        return tuple([tuple(map(rmod, map(add, ra, rb))) for ra, rb in zip(a, b)])
+
+    def rows_sub(self, a: tuple, b: tuple) -> tuple:
+        rmod, sub = self.q.__rmod__, operator.sub
+        return tuple([tuple(map(rmod, map(sub, ra, rb))) for ra, rb in zip(a, b)])
+
+    def rows_scale(self, c: int, rows: tuple) -> tuple:
+        rmod, mul = self.q.__rmod__, c.__mul__
+        return tuple([tuple(map(rmod, map(mul, row))) for row in rows])
+
+    rows_mul = rows_scale  # a ring element is an int
+
+    def rows_are_zero(self, rows: tuple) -> bool:
+        return not any(map(any, rows))
+
+
+def _teichmuller_residue(x, ops):
+    """The fixed point w of sigma^D mod p^m over the residue-field element x, D = ops.degree.
+
+    x is an entry of ops read mod p (an int over Z/p^m, a coordinate
+    vector over the degree-D ring), and x^(p^D) = x mod p.  Each p^D-th
+    power multiplies the digits of agreement with the fixed point by
+    p^D, gaining D digits, so w is the closed form
+    x^(p^(D ceil((m - 1) / D))): x^(p^(m-1)) over Z/p^m.  One further
+    p^D-th power checks that w is fixed.
+    """
+    q = ops.p**ops.degree
+    w = ops.pow(x, q ** -(-(ops.m - 1) // ops.degree))
+    if ops.pow(w, q) != w:
+        raise RuntimeError("Teichmuller lift is not fixed by sigma^D (internal defect)")
+    return w
 
 
 @dataclass(frozen=True)
@@ -562,20 +615,10 @@ def frobenius_step(x: PadicScalar, period: int = 1) -> PadicScalar:
 
 
 def teichmuller_lift(residue: int, ctx: PrecisionContext) -> PadicScalar:
-    """The unique w with w^p = w mod p^m and w = residue mod p.
-
-    Each p-th power gains one digit of agreement with the fixed point,
-    so w is the closed form residue^(p^(m-1)) mod p^m; one further power
-    checks that it is fixed.
-    """
+    """The unique w with w^p = w mod p^m and w = residue mod p (see _teichmuller_residue)."""
     if not 0 <= residue < ctx.p:
         raise ValueError(f"residue {residue} outside [0, p)")
-    if residue == 0:
-        return PadicScalar.zero(ctx)
-    w = pow(residue, ctx.p ** (ctx.m - 1), ctx.modulus)
-    if pow(w, ctx.p, ctx.modulus) != w:
-        raise RuntimeError("multiplicative lift is not fixed by sigma (internal defect)")
-    return PadicScalar.from_residue(w, ctx)
+    return PadicScalar.from_residue(_teichmuller_residue(residue, _BaseOps(ctx.p, ctx.m)), ctx)
 
 
 def teichmuller_points(ctx: PrecisionContext) -> list[PadicScalar]:

@@ -29,14 +29,18 @@ multiplicative part and a topologically nilpotent part, the spectrum
 diameter, and the commutator inequality
 |[A, B] psi| <= diam(A) * diam(B) for unit psi.
 
-The pipeline exchanges residue rows mod p^m (ints over Z/p^m,
-coordinate vectors over an extension ring): _hermite_rows peels the
-digits, _resolve checks and resolves one digit, _pass_through carries
-the nodes past a digit that splits none of them, _spectral_tree builds
-the tree and _verify_tree certifies it, for the Lagrange resolution
-(the one-level tree whose digit is the operator itself), the measure
-and the spectrum (so diam and uncertainty) alike.  Scalars and
-matrices are built only for what a public function returns.
+The pipeline exchanges residue rows mod p^m and one ring handle, the
+entry protocol of padic._BaseOps or finite_field._ExtOps, which alone
+knows what an entry is: _hermite_rows peels the digits, _resolve checks
+and resolves one digit, _pass_through carries the nodes past a digit
+that splits none of them, _spectral_tree builds the tree and
+_verify_tree certifies it, for the Lagrange resolution (the one-level
+tree whose digit is the operator itself), the measure and the spectrum
+(so diam and uncertainty) alike.  _ambient moves base rows to the
+degree-N ring at period N > 1, and the points are Teichmuller lifts
+kept as residues (padic._teichmuller_residue, the one lift over either
+ring).  Scalars and matrices are built only for what a public function
+returns.
 """
 
 from __future__ import annotations
@@ -50,16 +54,11 @@ from typing import NamedTuple, Sequence
 from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
 from .matrix import (
     UMatrix,
+    _entry_maker,
     _hessenberg_charpoly,
-    _map_coords,
-    _res_add,
     _res_identity,
-    _res_matmul,
     _res_matmul_blocks,
     _res_matpow,
-    _res_scale,
-    _res_sub,
-    _rows_are_zero,
     _wrap_residues,
     residue_ops,
     vector_valuation,
@@ -69,13 +68,12 @@ from .padic import (
     OrbitKind,
     PadicScalar,
     PrecisionContext,
-    _key_size,
+    _teichmuller_residue,
     norm_from_valuation,
     pre_period_bound,
     scan_orbit,
-    teichmuller_lift,
 )
-from .unramified import ext_ring, teichmuller_lift_ext
+from .unramified import ext_ring
 
 
 class NotHermiteError(Exception):
@@ -127,13 +125,13 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
     """
     p, modulus = ctx.p, ctx.modulus
     q = p**period
-    x, reduction = rows, _map_coords(rows, p.__rmod__)
-    for _ in range(-(-pre_period_bound(p, 1, _key_size(rows)) // period) + 1):
+    x, reduction = rows, ops.map_coords(rows, p.__rmod__)
+    for _ in range(-(-pre_period_bound(p, 1, len(rows) * ops.degree) // period) + 1):
         power = _res_matpow(x, q - 1, ops)
-        xq = _res_matmul(power, x, ops)
+        xq = ops.matmul(power, x)
         if xq == x:
             return x
-        xq_reduction = _map_coords(xq, p.__rmod__)
+        xq_reduction = ops.map_coords(xq, p.__rmod__)
         if xq_reduction == reduction:
             break
         x, reduction = xq, xq_reduction
@@ -141,10 +139,10 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
         return None
     a = q * pow(q - 1, -1, modulus) % modulus
     for _ in range((ctx.m - 1).bit_length()):
-        correction = _res_sub(_res_matmul(xq, power, ops), xq, ops)
-        x = _res_sub(xq, _res_scale(a, correction, ops), ops)
+        correction = ops.rows_sub(ops.matmul(xq, power), xq)
+        x = ops.rows_sub(xq, ops.rows_scale(a, correction))
         power = _res_matpow(x, q - 1, ops)
-        xq = _res_matmul(power, x, ops)
+        xq = ops.matmul(power, x)
         if xq == x:
             return x
     raise RuntimeError(f"Newton's method on X^{q} = X did not converge (internal defect)")
@@ -166,15 +164,15 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     ctx = a.ctx
     ops = residue_ops(a.ctx, a.ext_ring)
     rows = a.residues()
-    defect = _res_sub(_res_matmul(rows, rows, ops), rows, ops)
-    if not _rows_are_zero(_map_coords(defect, ctx.p.__rmod__)):
+    defect = ops.rows_sub(ops.matmul(rows, rows), rows)
+    if not ops.rows_are_zero(ops.map_coords(defect, ctx.p.__rmod__)):
         raise ValueError("input is not idempotent mod p")
     limit = _sigma_limit(rows, 1, ctx, ops)
     if limit is None:
         raise RuntimeError("idempotent lift failed to stabilise (internal defect)")
-    if _res_matmul(limit, limit, ops) != limit:
+    if ops.matmul(limit, limit) != limit:
         raise RuntimeError("sigma limit of an idempotent is not idempotent (internal defect)")
-    if not _rows_are_zero(_map_coords(_res_sub(limit, rows, ops), ctx.p.__rmod__)):
+    if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ctx.p.__rmod__)):
         raise RuntimeError("idempotent lift changed the reduction (internal defect)")
     return _wrap_residues(limit, ctx, a.ext_ring)
 
@@ -208,8 +206,8 @@ class SpectralDecomposition:
         return tuple(proj for _, proj in self.points)
 
 
-def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
-    """Teichmuller lifts of the eigenvalues of rows mod p, the ambient ring, its rows.
+def _spectral_points(rows: tuple, ops, period: int):
+    """Teichmuller lifts of the eigenvalues of rows mod p, the ambient ops, its rows.
 
     The eigenvalues are the roots of the characteristic polynomial of
     rows mod p, built by Hessenberg reduction over the field F_q, q =
@@ -217,59 +215,39 @@ def _spectral_points(rows: tuple, ctx: PrecisionContext, ring, period: int):
     caller has checked that rows is fixed by sigma^N, so the polynomial
     splits over F_{p^N}: a scan of F_q finds its roots while q <=
     SCAN_PER_DEGREE * n, and Cantor-Zassenhaus above that.  The ambient
-    ring must contain the period-N fixed points, so base rows are
-    promoted to the degree-N extension (_ambient), and an extension ring
-    requires N to divide its degree.  Each root is lifted once
-    (_teichmuller_point).  Points are ordered
-    by residue mod p (base) or by the coordinates of their reduction,
-    the order in which the residue field enumerates its elements.
+    ring must contain the period-N fixed points (_ambient).  Each root
+    is lifted once, to its residue mod p^m (_teichmuller_residue).
+    Points are ordered by the residue field's enumeration of their
+    reductions: by residue mod p over Z_p, by coordinates over an
+    extension.
     """
-    p = ctx.p
-    ring, rows = _ambient(rows, ctx, ring, period)
-    if ring is None:
-        degree, elements = 1, range(p)
+    ops, rows = _ambient(rows, ops, period)
+    field = ops.field
+    charpoly = _hessenberg_charpoly(ops.map_coords(rows, ops.p.__rmod__), field)
+    if ops.p**ops.degree <= SCAN_PER_DEGREE * len(rows):
+        roots = _scan_roots(charpoly, field.elements(), field)
     else:
-        if ring.degree % period != 0:
-            raise ValueError(
-                f"period {period} does not divide the extension degree {ring.degree}"
-            )
-        degree = ring.degree
-        elements = itertools.product(range(p), repeat=degree)
-    ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = _hessenberg_charpoly(_map_coords(rows, p.__rmod__), ops)
-    if p**degree <= SCAN_PER_DEGREE * len(rows):
-        roots = _scan_roots(charpoly, elements, ops)
-    else:
-        roots = poly_roots(charpoly, p**period, degree, ops, elements)
-    return [_teichmuller_point(r, ctx, ring) for r in roots], ring, rows
+        roots = poly_roots(charpoly, ops.p**period, ops.degree, field, field.elements())
+    return [_teichmuller_residue(r, ops) for r in roots], ops, rows
 
 
-def _ambient(rows: tuple, ctx: PrecisionContext, ring, period: int):
-    """The ring that holds the period-N points, and rows over it.
+def _ambient(rows: tuple, ops, period: int):
+    """The ops of the ring that holds the period-N points, and rows over it.
 
-    Period-1 base rows stay over Z_p (ring None) and an extension ring
-    is kept; base rows at N > 1 are promoted to the degree-N extension,
-    with constant coordinates.
+    A ring whose degree N divides is kept (Z_p at N = 1); base rows at
+    N > 1 are promoted to the degree-N extension, with constant
+    coordinates, and an extension whose degree N does not divide is
+    refused with ValueError.
     """
-    if ring is not None or period == 1:
-        return ring, rows
+    if ops.degree % period == 0:
+        return ops, rows
+    if ops.degree > 1:
+        raise ValueError(f"period {period} does not divide the extension degree {ops.degree}")
     pad = (0,) * (period - 1)
-    return ext_ring(ctx.p, period, ctx.m), tuple(tuple((c,) + pad for c in row) for row in rows)
+    return ext_ring(ops.p, period, ops.m).ops, ops.map_coords(rows, lambda c: (c,) + pad)
 
 
-def _teichmuller_point(index, ctx: PrecisionContext, ring):
-    """The Teichmuller lift in ring (None for Z_p) of an index: an int or a coordinate tuple mod p."""
-    if ring is None:
-        return teichmuller_lift(index, ctx)
-    return teichmuller_lift_ext(ring.residue_field.element(index), ctx.m)
-
-
-def _index(key, p: int):
-    """The reduction mod p of a residue key: an int over Z_p, a coordinate tuple over an extension."""
-    return key % p if isinstance(key, int) else tuple(c % p for c in key)
-
-
-def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
+def _resolve(rows: tuple, ops, period: int):
     """The Lagrange resolution of one digit of _spectral_tree on residue rows.
 
     _spectral_tree runs it at level 0 and at each level where some node
@@ -278,42 +256,39 @@ def _resolve(rows: tuple, ctx: PrecisionContext, ring, period: int):
     roots and one lift per root, then k(k - 2) matrix products for the
     projectors of k >= 2 points.
 
-    Returns (points, ambient ring, rows, projector rows): the eigenvalue
-    points as scalars of the ambient ring (None for Z_p), the input rows
-    over that ring (base rows promoted by _spectral_points) and, in the
+    Returns (lifts, ambient ops, rows, projector rows): the residues mod
+    p^m of the eigenvalue points in the ambient ring, its ops, the input
+    rows over it (base rows promoted by _spectral_points) and, in the
     order of the points, their projectors as residue rows over it.  The
     caller certifies the tree built from them (_verify_tree).  Rows not
     fixed by sigma^N mod p^m are refused with ValueError; the defect
     norm is computed on that path only.
     """
-    ops = residue_ops(ctx, ring)
-    image = _res_matpow(rows, ctx.p**period, ops)
+    image = _res_matpow(rows, ops.p**period, ops)
     if image != rows:
-        defect = _wrap_residues(_res_sub(image, rows, ops), ctx, ring).norm
+        valuation = min(map(ops.valuation, itertools.chain.from_iterable(ops.rows_sub(image, rows))))
+        defect = norm_from_valuation(ops.p, valuation)
         raise ValueError(f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})")
-    points, ring, rows = _spectral_points(rows, ctx, ring, period)
+    lifts, ops, rows = _spectral_points(rows, ops, period)
     n = len(rows)
-    ops = residue_ops(ctx, ring)
-    lam_res = [pt.residue_key() for pt in points]
     # x - mu differs from x on the diagonal only
     shifted = [
         tuple([row[:r] + (ops.sub(row[r], mu),) + row[r + 1 :] for r, row in enumerate(rows)])
-        for mu in lam_res
+        for mu in lifts
     ]
     resolved = []
-    for k, lam in enumerate(lam_res):
-        numerator = _res_identity(n, ops) if len(lam_res) == 1 else None
+    for k, lam in enumerate(lifts):
+        numerator = _res_identity(n, ops) if len(lifts) == 1 else None
         denominator = ops.one
-        for j, mu in enumerate(lam_res):
+        for j, mu in enumerate(lifts):
             if j == k:
                 continue
-            numerator = shifted[j] if numerator is None else _res_matmul(numerator, shifted[j], ops)
+            numerator = shifted[j] if numerator is None else ops.matmul(numerator, shifted[j])
             denominator = ops.mul(denominator, ops.sub(lam, mu))
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
-        inv = ops.inv_unit(denominator)
-        resolved.append(_res_scale(inv, numerator, ops))
-    return points, ring, rows, resolved
+        resolved.append(ops.rows_mul(ops.inv_unit(denominator), numerator))
+    return lifts, ops, rows, resolved
 
 
 def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
@@ -341,9 +316,11 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    ring, (level,) = _spectral_tree((x.residues(),), x.ctx, x.ext_ring, period)
+    ops, (level,) = _spectral_tree((x.residues(),), residue_ops(x.ctx, x.ext_ring), period)
+    make = _entry_maker(x.ctx, ops.ring)
     points = tuple(
-        (level.terms[index][0], _wrap_residues(rows, x.ctx, ring)) for (index,), rows in level.nodes
+        (make(level.terms[index][0]), _wrap_residues(rows, x.ctx, ops.ring))
+        for (index,), rows in level.nodes
     )
     return SpectralDecomposition(period, points, 0.0)
 
@@ -442,9 +419,9 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     digits = []
     for i in range(m):
         stage_ctx = PrecisionContext(p, m + depth - 1 - i if i < depth else m - i)
-        if i == depth:
-            rows = _map_coords(rows, stage_ctx.modulus.__rmod__)
         ops = residue_ops(stage_ctx, work.ext_ring)
+        if i == depth:
+            rows = ops.map_coords(rows, ops.q.__rmod__)
         limit = _sigma_limit(rows, period, stage_ctx, ops)
         if limit is None:
             raise NotHermiteError(
@@ -452,16 +429,16 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
                 defect_norm=1.0,
                 reason=f"sigma^{period} orbit of digit {i} does not stabilise",
             )
-        tail = _res_sub(rows, limit, ops)
-        if not _rows_are_zero(_map_coords(tail, p.__rmod__)):
+        tail = ops.rows_sub(rows, limit)
+        if not ops.rows_are_zero(ops.map_coords(tail, p.__rmod__)):
             raise NotHermiteError(
                 stage=i + 1,
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
         if i < depth:
-            digits.append(_map_coords(limit, ctx.modulus.__rmod__))
-        rows = _map_coords(tail, p.__rfloordiv__)
+            digits.append(ops.map_coords(limit, ctx.modulus.__rmod__))
+        rows = ops.map_coords(tail, p.__rfloordiv__)
     return int(k), tuple(digits)
 
 
@@ -471,9 +448,10 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
 class _TreeLevel(NamedTuple):
     """One level of the digit tree, on residue rows over the ambient ring.
 
-    digit is the level's digit; terms maps each point's index to (point,
-    projector rows), in the order of the resolution; nodes holds
-    (address, rows) for the nonzero products, in address order.
+    digit is the level's digit; terms maps each point's index to (the
+    point's residue mod p^m, projector rows), in the order of the
+    resolution; nodes holds (address, rows) for the nonzero products, in
+    address order.
     """
 
     digit: tuple
@@ -481,8 +459,8 @@ class _TreeLevel(NamedTuple):
     nodes: list
 
 
-def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period: int):
-    """The certified digit tree of an operator: (ambient ring, levels).
+def _spectral_tree(digits: Sequence[tuple], ops, period: int):
+    """The certified digit tree of an operator: (ambient ops, levels).
 
     Level 0 resolves digit 0 against the period-N points (_resolve).
     Each later level first tries _pass_through: one product of all the
@@ -492,10 +470,10 @@ def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period:
     each frontier node is multiplied by all of its projectors in one
     _res_matmul_blocks, dropping zero children.  A child's address
     extends its parent's by the index of its point, the point's
-    reduction mod p: an int over Z_p, a coordinate tuple over an
-    extension.  The points come ordered by that index, so each level is
-    in address order.  So the full resolution (a sigma^N check, a
-    characteristic polynomial, its roots, their lifts and the Lagrange
+    reduction mod p (ops.reduce: an int over Z_p, a coordinate tuple
+    over an extension).  The points come ordered by that index, so each
+    level is in address order.  So the full resolution (a sigma^N check,
+    a characteristic polynomial, its roots, their lifts and the Lagrange
     products) runs only at level 0 and at the levels where some node
     splits.  _verify_tree certifies every level before the tree is
     returned.  Every spectral command runs this one tree:
@@ -505,22 +483,21 @@ def _spectral_tree(digits: Sequence[tuple], ctx: PrecisionContext, ring, period:
     levels, level = [], None
     for digit in digits:
         if level is not None:
-            level = _pass_through(level.nodes, _ambient(digit, ctx, ring, period)[1], ctx, ambient)
+            level = _pass_through(level.nodes, _ambient(digit, ops, period)[1], ambient)
         if level is None:
-            points, ambient, digit, projectors = _resolve(digit, ctx, ring, period)
-            ops = residue_ops(ctx, ambient)
-            indices = [_index(pt.residue_key(), ctx.p) for pt in points]
+            lifts, ambient, digit, projectors = _resolve(digit, ops, period)
+            indices = list(map(ambient.reduce, lifts))
             children = []
             for addr, parent in levels[-1].nodes if levels else [((), None)]:
-                blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ops)
-                children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not _rows_are_zero(c)]
-            level = _TreeLevel(digit, dict(zip(indices, zip(points, projectors))), children)
+                blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ambient)
+                children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not ambient.rows_are_zero(c)]
+            level = _TreeLevel(digit, dict(zip(indices, zip(lifts, projectors))), children)
         levels.append(level)
-    _verify_tree(levels, residue_ops(ctx, ambient))
+    _verify_tree(levels, ambient)
     return ambient, levels
 
 
-def _pass_through(nodes: list, digit: tuple, ctx: PrecisionContext, ring):
+def _pass_through(nodes: list, digit: tuple, ops):
     """The next tree level when no node splits under digit, or None.
 
     All nodes N, stacked, are multiplied by digit x in one product.  A
@@ -534,9 +511,8 @@ def _pass_through(nodes: list, digit: tuple, ctx: PrecisionContext, ring):
     caller resolves the level; _verify_tree's reassembly check forces
     lambda to be that lift.
     """
-    ops = residue_ops(ctx, ring)
     n = len(digit)
-    image = _res_matmul(tuple(itertools.chain.from_iterable(rows for _, rows in nodes)), digit, ops)
+    image = ops.matmul(tuple(itertools.chain.from_iterable(rows for _, rows in nodes)), digit)
     children, by_index = [], {}  # the sum of the nodes of each index
     for k, (address, rows) in enumerate(nodes):
         units = ((r, c) for r, row in enumerate(rows) for c, e in enumerate(row) if ops.is_unit(e))
@@ -545,12 +521,12 @@ def _pass_through(nodes: list, digit: tuple, ctx: PrecisionContext, ring):
             return None
         block = image[k * n : (k + 1) * n]
         lam = ops.mul(block[r][c], ops.inv_unit(rows[r][c]))
-        if _res_scale(lam, rows, ops) != block:
+        if ops.rows_mul(lam, rows) != block:
             return None
-        index = _index(lam, ctx.p)
+        index = ops.reduce(lam)
         children.append((address + (index,), rows))
-        by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows
-    terms = {i: (_teichmuller_point(i, ctx, ring), by_index[i]) for i in sorted(by_index)}
+        by_index[index] = ops.rows_add(by_index[index], rows) if index in by_index else rows
+    terms = {i: (_teichmuller_residue(i, ops), by_index[i]) for i in sorted(by_index)}
     return _TreeLevel(digit, terms, children)
 
 
@@ -579,7 +555,7 @@ def _verify_tree(levels: list, ops):
         square, *overlaps = _res_matmul_blocks(rows, deepest[i:], ops)
         if square != rows:
             raise RuntimeError("projector is not idempotent (internal defect)")
-        if not all(map(_rows_are_zero, overlaps)):
+        if not all(map(ops.rows_are_zero, overlaps)):
             raise RuntimeError("same-level projectors overlap (internal defect)")
     ident = _res_identity(len(levels[0].digit), ops)
     parents = []
@@ -587,14 +563,13 @@ def _verify_tree(levels: list, ops):
         by_parent, by_index = {}, {}  # the sums of the nodes under each parent, of each index
         for address, rows in level.nodes:
             parent, index = address[:-1], address[-1]
-            by_parent[parent] = _res_add(by_parent[parent], rows, ops) if parent in by_parent else rows
-            by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows
+            by_parent[parent] = ops.rows_add(by_parent[parent], rows) if parent in by_parent else rows
+            by_index[index] = ops.rows_add(by_index[index], rows) if index in by_index else rows
         if _res_sum(list(by_parent.values()), ops) != ident:
             raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
         if any(by_parent.get(address) != rows for address, rows in parents):
             raise RuntimeError("projector does not refine into its children (internal defect)")
-        lifts = {index: pt.residue_key() for index, (pt, _) in level.terms.items()}
-        weighted = [_res_scale(lifts[index], rows, ops) for index, rows in by_index.items()]
+        weighted = [ops.rows_mul(level.terms[index][0], rows) for index, rows in by_index.items()]
         if _res_sum(weighted, ops) != level.digit:
             raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
         parents = level.nodes
@@ -652,15 +627,16 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     (valuation, unit) ints in PadicScalar.dot.
     """
     ctx = a.ctx
-    if a.ext_ring is not None:
+    ops = residue_ops(ctx, a.ext_ring)
+    if ops.degree > 1:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
     lead_valuation, digits = _hermite_rows(a, 1, depth)
-    _, levels = _spectral_tree(digits, ctx, None, 1)
+    _, levels = _spectral_tree(digits, ops, 1)
     nodes, lifts, emitted = [], [], {(): None}
     for level in levels:
-        lifts.append({i: lam.residue() for i, (lam, _) in level.terms.items()})
+        lifts.append({i: lift for i, (lift, _) in level.terms.items()})
         projs = {i: _wrap_residues(rows, ctx, None) for i, (_, rows) in level.terms.items()}
         parents, emitted = emitted, {}
         for address, _ in level.nodes:
@@ -674,7 +650,7 @@ def _res_sum(terms: list, ops):
     """Entrywise sum of residue matrices; None for no terms."""
     total = None
     for rows in terms:
-        total = rows if total is None else _res_add(total, rows, ops)
+        total = rows if total is None else ops.rows_add(total, rows)
     return total
 
 
@@ -733,10 +709,11 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
     ctx = a.ctx
+    ops = residue_ops(ctx, a.ext_ring)
     rows, step, wrap = a.residue_orbit()
     report = scan_orbit(rows, step, period_bound, ctx)
     if report.kind is OrbitKind.TOP_NILPOTENT:
-        return JordanPair(wrap(_map_coords(rows, lambda c: 0)), a, 1, report.steps)
+        return JordanPair(wrap(ops.map_coords(rows, lambda c: 0)), a, 1, report.steps)
     if report.kind is OrbitKind.CHAOS_AT_PRECISION:
         raise PeriodExceededError(period_bound, report.budget)
     # the cycle is entered at step steps - period; A_s sits at the next multiple of the period
@@ -746,7 +723,7 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     semisimple = wrap(cycle)
     nilpotent = a - semisimple
     killed, kill = nilpotent.residues(), 0
-    while not _rows_are_zero(killed):
+    while not ops.rows_are_zero(killed):
         if ctx.p**kill >= a.n * ctx.m:
             raise RuntimeError("nilpotent part failed to vanish (internal defect)")
         killed, kill = step(killed), kill + 1
@@ -781,9 +758,10 @@ def _spectrum(a: UMatrix, period: int):
     k, digits = _hermite_rows(a, period, ctx.m)
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
-    ring, levels = _spectral_tree(digits, ctx, a.ext_ring, period)
+    ops, levels = _spectral_tree(digits, residue_ops(ctx, a.ext_ring), period)
+    make = _entry_maker(ctx, ops.ring)
     shifted = [
-        {index: lam.shift(k + j) for index, (lam, _) in level.terms.items()}
+        {index: make(lift).shift(k + j) for index, (lift, _) in level.terms.items()}
         for j, level in enumerate(levels)
     ]
     deepest = levels[-1].nodes
@@ -791,7 +769,7 @@ def _spectrum(a: UMatrix, period: int):
         functools.reduce(operator.add, map(dict.__getitem__, shifted, address))
         for address, _ in deepest
     ]
-    return ring, centers, [rows for _, rows in deepest]
+    return ops.ring, centers, [rows for _, rows in deepest]
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .finite_field import ENUMERATION_LIMIT, FqElement, _ExtOps, finite_field
-from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
+from .padic import INFINITE, PadicScalar, PrecisionContext, _teichmuller_residue, norm_from_valuation
 
 
 @functools.lru_cache(maxsize=None)
@@ -41,6 +41,7 @@ class ExtRing:
         self.residue_field = finite_field(ctx.p, degree)
         self.modulus = self.residue_field.modulus  # literal lift, constant-first
         self.ops = _ExtOps(ctx.p, ctx.m, self.modulus)
+        self.ops.ring = self
 
     def element(self, coords: Sequence[int]) -> "ExtScalar":
         return ExtScalar.from_vector(self, coords)
@@ -174,21 +175,9 @@ class ExtScalar:
 
 
 def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
-    """Lift a residue-field element to the fixed point of sigma^N mod p^m.
-
-    The literal coordinate lift y satisfies y^q = y mod p, q = p^N, and
-    each q-th power multiplies the digits of agreement by p^N, gaining N
-    digits; the lift is therefore the closed form y^(q^ceil((m-1)/N)).
-    One further q-th power checks that it is fixed.
-    """
-    degree = a.field.degree
-    ring = ext_ring(a.field.p, degree, m)
-    q = a.field.p**degree
-    lifts = -(-(m - 1) // degree)  # ceil((m - 1) / N)
-    w = ring.ops.pow(a.coords, q**lifts)
-    if ring.ops.pow(w, q) != w:
-        raise RuntimeError("extension lift is not fixed by sigma^N (internal defect)")
-    return ExtScalar.from_vector(ring, w)
+    """Lift a residue-field element to the fixed point of sigma^N mod p^m (see _teichmuller_residue)."""
+    ring = ext_ring(a.field.p, a.field.degree, m)
+    return ExtScalar.from_vector(ring, _teichmuller_residue(a.coords, ring.ops))
 
 
 def enumerate_teichmuller(p: int, degree: int, m: int) -> list:

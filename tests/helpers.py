@@ -22,14 +22,7 @@ from padicspec import (
     teichmuller_lift_ext,
 )
 from padicspec.finite_field import poly_roots
-from padicspec.matrix import (
-    _map_coords,
-    _res_matpow,
-    _res_sub,
-    _rows_are_zero,
-    inverse,
-    residue_ops,
-)
+from padicspec.matrix import _res_matpow, inverse, residue_ops
 from padicspec.padic import INFINITE
 from padicspec.spectral import NotHermiteError, _sigma_limit
 
@@ -396,15 +389,15 @@ def hermite_rows_oracle(a: UMatrix, period: int):
                 defect_norm=1.0,
                 reason=f"sigma^{period} orbit of digit {i} does not stabilise",
             )
-        tail = _res_sub(rows, limit, ops_hi)
-        if not _rows_are_zero(_map_coords(tail, ctx.p.__rmod__)):
+        tail = ops_hi.rows_sub(rows, limit)
+        if not ops_hi.rows_are_zero(ops_hi.map_coords(tail, ctx.p.__rmod__)):
             raise NotHermiteError(
                 stage=i + 1,
                 defect_norm=1.0,
                 reason=f"nilpotent residue at digit {i + 1}",
             )
-        digits.append(_map_coords(limit, ctx.modulus.__rmod__))
-        rows = _map_coords(tail, ctx.p.__rfloordiv__)
+        digits.append(ops_hi.map_coords(limit, ctx.modulus.__rmod__))
+        rows = ops_hi.map_coords(tail, ctx.p.__rfloordiv__)
     return int(k), tuple(digits)
 
 
@@ -439,7 +432,7 @@ def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
             raise ValueError(f"period {period} does not divide the extension degree {ring.degree}")
         ambient, field = x.promote(ring), ring.residue_field
     ops = residue_ops(PrecisionContext(p, 1), ring)
-    charpoly = berkowitz_charpoly(_map_coords(ambient.residues(), lambda c: c % p), ops)
+    charpoly = berkowitz_charpoly(ops.map_coords(ambient.residues(), lambda c: c % p), ops)
     roots = poly_roots(charpoly, p**period, field.degree, ops,
                        (a.coords for a in field.elements()) if ring else range(p))
     if ring is None:
@@ -494,14 +487,15 @@ def spectral_tree_oracle(a: UMatrix, period: int, depth: int) -> list:
 
 
 def spectral_terms_oracle(a: UMatrix, period: int, depth: int) -> list:
-    """Per level 0..depth-1, {index: (point, projector residues)} of each digit's oracle resolution.
+    """Per level 0..depth-1, {index: (point residue, projector residues)} of each digit's oracle resolution.
 
     The resolution of digit j is teichmuller_spectral_oracle's; an index
-    is its point's reduction mod p, as in spectral_tree_oracle.
+    is its point's reduction mod p, as in spectral_tree_oracle, and a
+    point residue is its residue key mod p^m.
     """
     expansion = hermite_digits_matrix(a, period)
     return [
-        {_point_index(lam): (lam, proj.residues())
+        {_point_index(lam): (lam.residue_key(), proj.residues())
          for lam, proj in teichmuller_spectral_oracle(digit, period)}
         for digit in expansion.digits[:depth]
     ]

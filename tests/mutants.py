@@ -1,4 +1,4 @@
-"""A standing mutation table for the tree certificate and the tree's shortcuts.
+"""A standing mutation table for the certificates, the internal-defect checks and the shortcuts.
 
 Each entry is (file under src/padicspec, exact old text, replacement,
 pytest node ids).  A mutant is killed when every one of its node ids
@@ -33,6 +33,8 @@ PACKAGE = ROOT / "src" / "padicspec"
 
 _SPECTRAL = "tests/test_spectral.py::"
 _CLI = "tests/test_cli.py::"
+_MATRIX = "tests/test_matrix.py::"
+_PADIC = "tests/test_padic.py::"
 _DEFECTS = [
     _CLI + "test_pass_through_defect_is_a_document[wrong index]",
     _CLI + "test_pass_through_defect_is_a_document[point off by p]",
@@ -46,8 +48,8 @@ MUTANTS = (
         _SPECTRAL + "test_verify_decomposition_refuses_a_non_idempotent_projector[1]",
         _SPECTRAL + "test_verify_decomposition_refuses_a_non_idempotent_projector[2]",
     ]),
-    ("spectral.py", "if not all(map(_rows_are_zero, overlaps)):",
-     "if False and not all(map(_rows_are_zero, overlaps)):", [
+    ("spectral.py", "if not all(map(ops.rows_are_zero, overlaps)):",
+     "if False and not all(map(ops.rows_are_zero, overlaps)):", [
         _SPECTRAL + "test_verify_measure_catches_a_duplicated_node",
         _SPECTRAL + "test_verify_decomposition_refuses_a_one_sided_overlap[1]",
         _SPECTRAL + "test_verify_decomposition_refuses_a_one_sided_overlap[2]",
@@ -69,13 +71,13 @@ MUTANTS = (
         _SPECTRAL + "test_verify_tree_catches_swapped_siblings_over_a_degree_two_ring",
         *_DEFECTS,
     ]),
-    ("spectral.py", "_verify_tree(levels, residue_ops(ctx, ambient))", "residue_ops(ctx, ambient)", [
+    ("spectral.py", "_verify_tree(levels, ambient)", "(levels, ambient)", [
         _CLI + "test_spectral_runs_the_tree_certificate",
         *_DEFECTS,
     ]),
     # _pass_through, the levels that no node splits
-    ("spectral.py", "if _res_scale(lam, rows, ops) != block:",
-     "if False and _res_scale(lam, rows, ops) != block:", [
+    ("spectral.py", "if ops.rows_mul(lam, rows) != block:",
+     "if False and ops.rows_mul(lam, rows) != block:", [
         _SPECTRAL + "test_a_level_that_splits_one_node_but_not_another_is_resolved",
         _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
         _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
@@ -86,11 +88,35 @@ MUTANTS = (
     ]),
     ("spectral.py",
      "children.append((address + (index,), rows))\n"
-     "        by_index[index] = _res_add(by_index[index], rows, ops) if index in by_index else rows",
+     "        by_index[index] = ops.rows_add(by_index[index], rows) if index in by_index else rows",
      "children.append((address + (index,), rows))\n"
      "        by_index.setdefault(index, rows)", [
         _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
         _SPECTRAL + "test_spectral_tree_matches_the_object_level_tree_at_every_level[1]",
+    ]),
+    # the one Teichmuller lift: its closed form is checked to be fixed
+    ("padic.py", "if ops.pow(w, q) != w:", "if False and ops.pow(w, q) != w:", [
+        _PADIC + "test_teichmuller_residue_checks_that_its_point_is_fixed[1]",
+        _PADIC + "test_teichmuller_residue_checks_that_its_point_is_fixed[2]",
+    ]),
+    # the eigenvalue search: the Hessenberg column update and the root-scan crossover
+    ("matrix.py", "row[r] = add(row[r], mul(u, row[i]))", "row[r] = row[r]", [
+        _MATRIX + "test_hessenberg_charpoly_matches_berkowitz",
+        _MATRIX + "test_hessenberg_charpoly_on_swaps_and_empty_columns[5-1]",
+        _MATRIX + "test_hessenberg_charpoly_on_swaps_and_empty_columns[3-2]",
+    ]),
+    ("spectral.py", "if ops.p**ops.degree <= SCAN_PER_DEGREE * len(rows):",
+     "if ops.p**ops.degree < SCAN_PER_DEGREE * len(rows):", [
+        _SPECTRAL + "test_root_finder_switches_at_the_crossover[2-8-2-_scan_roots]",
+    ]),
+    # the determinant: a row swap negates it
+    ("matrix.py", "det = ops.neg(det)", "det = det", [
+        _MATRIX + "test_elimination_determinant_matches_berkowitz",
+    ]),
+    # the flag table: a str value starting with '-' goes to argparse
+    ("cli.py", 'elif value[:1] == "-":', "elif False:", [
+        _CLI + "test_table_parser_declines_other_spellings[str-with-dash]",
+        _CLI + "test_table_parser_agrees_with_argparse",
     ]),
 )
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicspec import PadicScalar, PrecisionContext, UMatrix, spectral, teichmuller_lift
+from padicspec import PrecisionContext, UMatrix, spectral, teichmuller_lift
 from padicspec import cli
 from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
@@ -754,21 +754,21 @@ def test_pass_through_defect_is_a_document(tmp_path, monkeypatch, defect):
     """
     pass_through, planted = spectral._pass_through, []
 
-    def faulty(nodes, digit, ctx, ring):
-        level = pass_through(nodes, digit, ctx, ring)
+    def faulty(nodes, digit, ops):
+        level = pass_through(nodes, digit, ops)
         if level is None:
             return None
         planted.append(len(nodes))
         if defect == "wrong index":
-            moved = {i: (i + 1) % ctx.p for i in level.terms}
+            moved = {i: (i + 1) % ops.p for i in level.terms}
+            ctx = PrecisionContext(ops.p, ops.m)
             return level._replace(
                 nodes=[(addr[:-1] + (moved[addr[-1]],), rows) for addr, rows in level.nodes],
-                terms={moved[i]: (teichmuller_lift(moved[i], ctx), rows)
+                terms={moved[i]: (teichmuller_lift(moved[i], ctx).residue(), rows)
                        for i, (_, rows) in level.terms.items()},
             )
         return level._replace(terms={
-            i: (PadicScalar.from_residue(point.residue() + ctx.p, ctx), rows)
-            for i, (point, rows) in level.terms.items()
+            i: ((point + ops.p) % ops.q, rows) for i, (point, rows) in level.terms.items()
         })
 
     monkeypatch.setattr(spectral, "_pass_through", faulty)
@@ -787,9 +787,9 @@ def test_spectral_runs_the_tree_certificate(tmp_path, monkeypatch):
     """A resolution missing its last projector is refused by the certificate, exit 1."""
     resolve = spectral._resolve
 
-    def drop_last(rows, ctx, ring, period):  # a planted defect: one eigenvalue missed
-        points, ambient, rows, projectors = resolve(rows, ctx, ring, period)
-        return points[:-1], ambient, rows, projectors[:-1]
+    def drop_last(rows, ops, period):  # a planted defect: one eigenvalue missed
+        lifts, ambient, rows, projectors = resolve(rows, ops, period)
+        return lifts[:-1], ambient, rows, projectors[:-1]
 
     monkeypatch.setattr(spectral, "_resolve", drop_last)
     path = write(tmp_path, "diag.json", matrix_doc(3, 2, [[1, 0], [0, -1]]))

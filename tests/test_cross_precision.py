@@ -418,3 +418,33 @@ def test_cli_uncertainty_agrees_across_precisions(problem):
         assert high[1]["holds"] == low[1]["holds"]
         assert _capped_norm_valuation(high_check["lhs_norm"], p, m) == _capped_norm_valuation(
             low_check["lhs_norm"], p, m)
+
+
+_LADDER_OPS = [("kochubei", op) for op in ("raise", "lower", "shift", "number", "position")] + [
+    ("euler", op) for op in ("euler", "raise", "derivative")
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_PRIMES, st.integers(min_value=1, max_value=4), _DELTAS, st.sampled_from(_LADDER_OPS),
+       st.data())
+def test_cli_ladders_agree_across_precisions(p, m, delta, command_op, data):
+    """Every kochubei and euler op on the same integer coefficients at m and at m + delta.
+
+    The coefficients are integers below p^m.  Both runs end with the same
+    status and the same truncated flag, and every output coefficient at
+    m + delta reduces mod p^m to the one at m.
+    """
+    command, op = command_op
+    q = p**m
+    values = data.draw(st.lists(st.integers(min_value=0, max_value=q - 1), min_size=1, max_size=6))
+    low, high = (_cli([command, "--op", op], {**doc, "coeffs": doc.pop("entries")})
+                 for doc in (_matrix_doc([values], p, digits) for digits in (m, m + delta)))
+    assert high[0] == low[0]
+    if low[0] != 0:
+        assert high[1]["error"]["kind"] == low[1]["error"]["kind"]
+        return
+    assert high[1]["truncated"] == low[1]["truncated"]
+    assert [_integer(c, p, q) for c in high[1]["coeffs"]] == [
+        _integer(c, p, q) for c in low[1]["coeffs"]
+    ]

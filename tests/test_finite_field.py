@@ -169,7 +169,7 @@ def test_poly_roots_match_evaluation(p, degree):
 def _scan_field(p: int, degree: int):
     """(ops, elements in enumeration order, f -> f with coordinate-vector coefficients)."""
     if degree == 1:
-        return _BaseOps(p, p), list(range(p)), lambda f: [(c,) for c in f]
+        return _BaseOps(p, 1), list(range(p)), lambda f: [(c,) for c in f]
     field = finite_field(p, degree)
     return field.ops, [a.coords for a in field.elements()], list
 

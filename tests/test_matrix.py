@@ -40,21 +40,9 @@ from padicspec import (
     scalar_from_rational,
     vector_valuation,
 )
-from padicspec import matrix, padic
+from padicspec import padic
 from padicspec.finite_field import ENUMERATION_LIMIT
-from padicspec.matrix import (
-    _hessenberg_charpoly,
-    _map_coords,
-    _res_add,
-    _res_det,
-    _res_matmul,
-    _res_matpow,
-    _res_scale,
-    _res_sub,
-    _rows_are_zero,
-    inverse,
-    residue_ops,
-)
+from padicspec.matrix import _hessenberg_charpoly, _res_det, _res_matpow, inverse, residue_ops
 
 CTX = PrecisionContext(3, 4)
 
@@ -509,7 +497,7 @@ def test_res_matmul_matches_int_matmul_on_base_rings(p, m, n):
             (_rand_rows(rng, n, q), _rand_rows(rng, n, q)) for _ in range(3 if n < 64 else 1)
         ]
         for a, b in pairs:
-            got = _res_matmul(a, b, ops)
+            got = ops.matmul(a, b)
             assert [list(row) for row in got] == int_matmul(a, b, q)
 
 
@@ -525,11 +513,11 @@ def test_res_matmul_matches_ring_matmul_on_extension_rings(p, degree, n):
         ops = residue_ops(ring.ctx, ring)
         q = ring.ctx.modulus
         top = (((q - 1,) * degree,) * n,) * n
-        assert _res_matmul(top, top, ops) == ring_matmul(top, top, ring.modulus, q)
+        assert ops.matmul(top, top) == ring_matmul(top, top, ring.modulus, q)
         for _ in range(3):
             a = _rand_rows(rng, n, q, degree)
             b = _rand_rows(rng, n, q, degree)
-            assert _res_matmul(a, b, ops) == ring_matmul(a, b, ring.modulus, q)
+            assert ops.matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
 
 
 @settings(max_examples=40, deadline=None)
@@ -547,13 +535,13 @@ def test_packed_res_matmul_matches_the_oracles(p, m, degree, n, seed):
     if degree == 1:
         ctx = PrecisionContext(p, m)
         a, b = (_rand_rows(rng, n, ctx.modulus) for _ in "ab")
-        got = _res_matmul(a, b, residue_ops(ctx))
+        got = residue_ops(ctx).matmul(a, b)
         assert [list(row) for row in got] == int_matmul(a, b, ctx.modulus)
         return
     ring = ext_ring(p, degree, m)
     q = ring.ctx.modulus
     a, b = (_rand_rows(rng, n, q, degree) for _ in "ab")
-    assert _res_matmul(a, b, residue_ops(ring.ctx, ring)) == ring_matmul(a, b, ring.modulus, q)
+    assert residue_ops(ring.ctx, ring).matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
 
 
 # (m, n, degree, raw) at p = 2: raw = 2 bits(q - 1) + bits(n degree) is the exact slot width,
@@ -568,7 +556,7 @@ SLOT_EDGES = [
 
 @pytest.mark.parametrize("m,n,degree,raw", SLOT_EDGES)
 def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
-    """_packed_matmul and _packed_dot against int_matmul / ring_matmul and the ops reduce.
+    """_packed_matmul and the ops dot against int_matmul / ring_matmul and the ops reduce.
 
     The slot is rounded up to 8, 16, 32 or 64 bits up to 64 and kept
     exact past it; all-(q - 1) entries fill every slot of the widest sum.
@@ -584,8 +572,9 @@ def test_packed_kernels_at_every_slot_width(m, n, degree, raw):
         pairs = [(top, top)] + [(_rand_rows(rng, n, q), _rand_rows(rng, n, q)) for _ in range(3)]
         for a, b in pairs:
             assert [list(row) for row in padic._packed_matmul(a, b, q)] == int_matmul(a, b, q)
-            xs, ys = [(x,) for x in a[0]], [(y,) for y in b[0]]
-            assert padic._packed_dot(xs, ys, q, 1, ()) == (sum(map(operator.mul, a[0], b[0])) % q,)
+            # the 1 x n by n x 1 product that _ExtOps.dot forms
+            column = tuple((y,) for y in b[0])
+            assert padic._packed_matmul(a[:1], column, q) == ((sum(map(operator.mul, a[0], b[0])) % q,),)
         for a, b in _wide_shapes(rng, n, q, None):
             assert [list(row) for row in padic._packed_matmul(a, b, q)] == int_matmul(a, b, q)
         return
@@ -626,7 +615,7 @@ def _wide_shapes(rng, n, q, width):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_entrywise_residue_helpers_match_the_ops(ring_args, n, ring_scalar, seed):
-    """_res_add, _res_sub, _res_scale and _map_coords against one ops call per entry.
+    """The ops rows_add, rows_sub, rows_scale, rows_mul and map_coords against one ops call per entry.
 
     An int scalar multiplies every coordinate, so over an extension ring
     it must act as the constant (c mod q, 0, ...); a ring-element scalar
@@ -643,23 +632,24 @@ def test_entrywise_residue_helpers_match_the_ops(ring_args, n, ring_scalar, seed
     def per_entry(f, *mats):
         return tuple(tuple(map(f, *rows)) for rows in zip(*mats))
 
-    assert _res_add(a, b, ops) == per_entry(ops.add, a, b)
-    assert _res_sub(a, b, ops) == per_entry(ops.sub, a, b)
+    assert ops.rows_add(a, b) == per_entry(ops.add, a, b)
+    assert ops.rows_sub(a, b) == per_entry(ops.sub, a, b)
     c = rng.choice((0, 1, q - 1, rng.randrange(q)))
     if degree == 1:
-        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, c), a)
+        assert ops.rows_scale(c, a) == per_entry(functools.partial(ops.mul, c), a)
+        assert ops.rows_mul(c, a) == per_entry(functools.partial(ops.mul, c), a)
     elif ring_scalar:
         c = tuple(rng.randrange(q) for _ in range(degree))
-        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, c), a)
+        assert ops.rows_mul(c, a) == per_entry(functools.partial(ops.mul, c), a)
     else:
         constant = (c,) + (0,) * (degree - 1)
-        assert _res_scale(c, a, ops) == per_entry(functools.partial(ops.mul, constant), a)
+        assert ops.rows_scale(c, a) == per_entry(functools.partial(ops.mul, constant), a)
     if degree == 1:
-        assert _map_coords(a, p.__rmod__) == per_entry(lambda x: x % p, a)
-        assert _map_coords(a, p.__rfloordiv__) == per_entry(lambda x: x // p, a)
+        assert ops.map_coords(a, p.__rmod__) == per_entry(lambda x: x % p, a)
+        assert ops.map_coords(a, p.__rfloordiv__) == per_entry(lambda x: x // p, a)
     else:
-        assert _map_coords(a, p.__rmod__) == per_entry(lambda e: tuple(x % p for x in e), a)
-        assert _map_coords(a, p.__rfloordiv__) == per_entry(lambda e: tuple(x // p for x in e), a)
+        assert ops.map_coords(a, p.__rmod__) == per_entry(lambda e: tuple(x % p for x in e), a)
+        assert ops.map_coords(a, p.__rfloordiv__) == per_entry(lambda e: tuple(x // p for x in e), a)
 
 
 @pytest.mark.parametrize("p,m,n", [(2, 5, 3), (3, 4, 1), (211, 3, 3)])
@@ -676,13 +666,13 @@ def test_res_matpow_matches_int_matpow(p, m, n):
 def test_res_matpow_product_count(monkeypatch):
     """floor(log2 e) + popcount(e) - 1 products for e >= 1, none for e = 0."""
     count = [0]
-    real = matrix._res_matmul
+    real = padic._BaseOps.matmul
 
-    def counting(a, b, ops):
+    def counting(ops, a, b):
         count[0] += 1
-        return real(a, b, ops)
+        return real(ops, a, b)
 
-    monkeypatch.setattr(matrix, "_res_matmul", counting)
+    monkeypatch.setattr(padic._BaseOps, "matmul", counting)
     ctx = PrecisionContext(3, 4)
     a = _rand_rows(random.Random(3), 2, ctx.modulus)
     for e in list(range(71)) + [211**2]:
@@ -693,10 +683,11 @@ def test_res_matpow_product_count(monkeypatch):
 
 
 def test_rows_are_zero_on_ints_and_vectors():
-    assert _rows_are_zero(((0, 0), (0, 0)))
-    assert not _rows_are_zero(((0, 0), (0, 5)))
-    assert _rows_are_zero((((0, 0), (0, 0)),))
-    assert not _rows_are_zero((((0, 0), (0, 1)),))
+    base, ext = residue_ops(CTX), ext_ring(3, 2, 4).ops
+    assert base.rows_are_zero(((0, 0), (0, 0)))
+    assert not base.rows_are_zero(((0, 0), (0, 5)))
+    assert ext.rows_are_zero((((0, 0), (0, 0)),))
+    assert not ext.rows_are_zero((((0, 0), (0, 1)),))
     assert UMatrix.zeros(3, CTX).is_zero_mod_precision()
     assert UMatrix.from_ints([[81]], CTX).is_zero_mod_precision()
     assert not UMatrix.from_ints([[27]], CTX).is_zero_mod_precision()

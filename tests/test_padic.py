@@ -24,7 +24,8 @@ from padicspec import (
     teichmuller_lift,
     teichmuller_points,
 )
-from padicspec.padic import PRIMALITY_LIMIT, is_prime
+from padicspec.finite_field import _ExtOps, finite_field
+from padicspec.padic import PRIMALITY_LIMIT, _BaseOps, _teichmuller_residue, is_prime
 
 from helpers import (
     padic_dot_oracle,
@@ -210,6 +211,27 @@ def test_lift_multiplicativity():
             lhs = teichmuller_lift(a, ctx) * teichmuller_lift(b, ctx)
             rhs = teichmuller_lift((a * b) % 7, ctx)
             assert lhs.congruent(rhs)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_teichmuller_residue_checks_that_its_point_is_fixed(degree):
+    """The one lift over Z/5^3 and the degree-2 ring mod 5^3, at 2 and at X + 2.
+
+    Its closed form is fixed by sigma^D and reduces to the element it
+    lifts.  Ops that understate their precision (m = 1 on a ring mod
+    5^3) stop the closed form short of the fixed point, and the lift
+    refuses it as an internal defect.
+    """
+    if degree == 1:
+        ops, x = _BaseOps(5, 3), 2
+    else:
+        ops, x = _ExtOps(5, 3, finite_field(5, 2).modulus), (2, 1)
+    q = 5**degree
+    w = _teichmuller_residue(x, ops)
+    assert ops.pow(w, q) == w and ops.reduce(w) == x
+    ops.m = 1
+    with pytest.raises(RuntimeError, match="internal defect"):
+        _teichmuller_residue(x, ops)
 
 
 # -- digits ---------------------------------------------------------------------------

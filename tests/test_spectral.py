@@ -695,13 +695,10 @@ def _planted_level(p: int, m: int, degree: int, points: list, rows=None):
     def embed(c):
         return c % q if ring is None else (c % q,) + (0,) * (degree - 1)
 
-    def scalar(c):
-        return PadicScalar.from_residue(c % q, ctx) if ring is None else ring.element(embed(c))
-
     def matrix(int_rows):
         return tuple(tuple(embed(c) for c in row) for row in int_rows)
 
-    terms = {i: (scalar(lam), matrix(proj)) for i, (lam, proj) in enumerate(points)}
+    terms = {i: (embed(lam), matrix(proj)) for i, (lam, proj) in enumerate(points)}
     nodes = [((i,), proj) for i, (_, proj) in terms.items()]
     return spectral._TreeLevel(matrix(rows), terms, nodes), residue_ops(ctx, ring)
 
@@ -884,9 +881,9 @@ def _branching_operator():
 def _branching_tree():
     """The certified depth-2 tree whose two level-0 balls split in two each, and its ops."""
     a = _branching_operator()
-    _, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], a.ctx, None, 1)
+    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], residue_ops(a.ctx), 1)
     assert [addr for addr, _ in levels[1].nodes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    return levels, residue_ops(a.ctx)
+    return levels, ops
 
 
 def _with_nodes(levels, j, nodes):
@@ -970,11 +967,11 @@ def _period_two_tree():
         d[i][:2] = block[i]
         d[i + 2][2:] = [(1 + ctx.p) * e for e in block[i]]
     a = conjugate(rand_gl(ctx, 4, random.Random(43)), UMatrix.from_residues(d, ctx))
-    ring, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], ctx, None, 2)
-    assert ring.degree == 2
+    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], residue_ops(ctx), 2)
+    assert ops.degree == 2
     parents = [addr[:-1] for addr, _ in levels[1].nodes]
     assert len(parents) == 4 and len(set(parents)) == 2
-    return levels, residue_ops(ctx, ring)
+    return levels, ops
 
 
 def test_verify_tree_catches_a_dropped_deepest_node_over_a_degree_two_ring():
@@ -1002,8 +999,8 @@ def test_verify_tree_checks_idempotency_where_orthogonality_is_one_sided():
     ops = residue_ops(ctx)
     q = ctx.modulus
     projectors = {0: ((1, 0), (0, 0)), 1: ((0, 0), (q - 1, 0)), 2: ((0, 0), (1, 1))}
-    lifts = {i: teichmuller_lift(i, ctx) for i in projectors}
-    digit = [[sum(lifts[i].residue() * rows[r][c] for i, rows in projectors.items()) % q
+    lifts = {i: teichmuller_lift(i, ctx).residue() for i in projectors}
+    digit = [[sum(lifts[i] * rows[r][c] for i, rows in projectors.items()) % q
               for c in range(2)] for r in range(2)]
     level = spectral._TreeLevel(
         tuple(map(tuple, digit)),
@@ -1029,7 +1026,7 @@ def test_spectral_tree_matches_the_object_level_tree_at_every_level(period):
             a = _hermite_operator(ctx, n, period, rng)
             for x in (a, a.shift(1)):
                 _, digits = spectral._hermite_rows(x, period, ctx.m)
-                _, levels = spectral._spectral_tree(digits, ctx, x.ext_ring, period)
+                _, levels = spectral._spectral_tree(digits, residue_ops(ctx, x.ext_ring), period)
                 _assert_tree_matches_the_oracles(x, period, levels)
 
 
@@ -1049,8 +1046,7 @@ def test_diam_tree_sums_to_one_and_refines_at_every_level(monkeypatch, period):
     a = _hermite_operator(ctx, 5, period, rng)
     diam = spectrum_diameter(a, period)
     assert len(trees) == 1
-    ring, levels = trees[0]
-    ops = residue_ops(ctx, ring)
+    ops, levels = trees[0]
     assert len(levels) == ctx.m and len(levels[-1].nodes) == len(diam.spectrum)
     ident = tuple(tuple(ops.one if i == j else ops.zero for j in range(5)) for i in range(5))
     for j, level in enumerate(levels):
@@ -1132,8 +1128,8 @@ def test_diam_period_two_tree_matches_the_oracles(monkeypatch, tmp_path):
         path = tmp_path / f"diam{p}.json"
         path.write_text(json.dumps({"p": p, "m": ctx.m, "entries": entries}))
         assert run_command(["diam", "--N", "2", "--in", str(path)], io.StringIO()) == 0
-        ring, levels = trees[-1]
-        assert ring.degree == 2
+        ops, levels = trees[-1]
+        assert ops.degree == 2
         _assert_tree_matches_the_oracles(a, 2, levels)
 
 
@@ -1148,7 +1144,7 @@ def test_a_level_that_splits_one_node_but_not_another_is_resolved(monkeypatch):
     ctx = PrecisionContext(3, 3)
     a = conjugate(rand_gl(ctx, 3, random.Random(5)), diag_matrix(ctx, [1, 4, ctx.modulus - 1]))
     _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, ctx, None, 1)
+    _, levels = spectral._spectral_tree(digits, residue_ops(ctx), 1)
     assert [[addr for addr, _ in level.nodes] for level in levels[1:]] == [
         [(1, 0), (1, 1), (2, 0)], [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
     ]
@@ -1172,7 +1168,7 @@ def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
     planted = diag_matrix(ctx, _teichmuller_expansion([first, second, third, fourth], ctx))
     a = conjugate(rand_gl(ctx, 4, random.Random(8)), planted)
     _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, ctx, None, 1)
+    _, levels = spectral._spectral_tree(digits, residue_ops(ctx), 1)
     assert _splitting_levels(levels) == [2, 5, 6]
     assert len(calls) == 1 + 3
     assert [len(level.nodes) for level in levels] == [1, 1, 2, 2, 2, 3, 4, 4]
@@ -1182,12 +1178,13 @@ def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
 def test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue():
     """A node with no unit entry, or one that the digit does not scale, sends the level to _resolve."""
     ctx = PrecisionContext(3, 2)
+    ops = residue_ops(ctx)
     ident = ((1, 0), (0, 1))
-    assert spectral._pass_through([((0,), ((3, 0), (0, 3)))], ident, ctx, None) is None
-    assert spectral._pass_through([((0,), ident)], ((1, 0), (0, 8)), ctx, None) is None
-    level = spectral._pass_through([((0,), ident)], ((8, 0), (0, 8)), ctx, None)
+    assert spectral._pass_through([((0,), ((3, 0), (0, 3)))], ident, ops) is None
+    assert spectral._pass_through([((0,), ident)], ((1, 0), (0, 8)), ops) is None
+    level = spectral._pass_through([((0,), ident)], ((8, 0), (0, 8)), ops)
     assert level.nodes == [((0, 2), ident)]
-    assert level.terms == {2: (teichmuller_lift(2, ctx), ident)}
+    assert level.terms == {2: (teichmuller_lift(2, ctx).residue(), ident)}
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -1404,17 +1401,18 @@ def test_hermite_schedules_agree_on_unipotent_jordan_blocks(m):
 def test_measure_and_integral_lift_no_point_twice(monkeypatch):
     """The ball centers, the tree certificate and the integral read the tree's lifts.
 
-    Every teichmuller_lift call comes from a level of the tree (its
-    resolution or its pass-through), one per point, and every point of a
-    level indexes at least one of its nodes.
+    Every lift (spectral._teichmuller_residue) comes from a level of the
+    tree (its resolution or its pass-through), one per point, and every
+    point of a level indexes at least one of its nodes.
     """
     calls = []
+    lift = spectral._teichmuller_residue
 
-    def counted(residue, ctx):
-        calls.append(residue)
-        return teichmuller_lift(residue, ctx)
+    def counted(index, ops):
+        calls.append(index)
+        return lift(index, ops)
 
-    monkeypatch.setattr(spectral, "teichmuller_lift", counted)
+    monkeypatch.setattr(spectral, "_teichmuller_residue", counted)
     a = _branching_operator()
     ctx = a.ctx
     measure = spectral_measure(a, ctx.m)

@@ -82,3 +82,39 @@ def test_mutant_table_matches_the_source():
             test_file, _, name = node.partition("::")
             text = (root / test_file).read_text(encoding="utf-8")
             assert f"def {name.partition('[')[0]}(" in text, node
+
+
+def _format_sniffs(path: pathlib.Path) -> list:
+    """The lines of a source file that call isinstance(..., int) or compare a ring with None.
+
+    A ring is a name or attribute ending in "ring" (ring, ext_ring,
+    x.ext_ring); None is the literal constant on either side of a
+    comparison.
+    """
+    def is_ring(node):
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+        return name.endswith("ring")
+
+    def is_none(node):
+        return isinstance(node, ast.Constant) and node.value is None
+
+    lines = {"isinstance": [], "ring": []}
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and "int" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
+            lines["isinstance"].append(node.lineno)
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            if any(map(is_ring, sides)) and any(map(is_none, sides)):
+                lines["ring"].append(node.lineno)
+    return lines
+
+
+def test_only_the_ops_know_the_entry_format():
+    """spectral.py and matrix.py never ask whether an entry is an int, and spectral.py
+    never asks whether a ring is None: the entry format and the ring are the ops'
+    (padic._BaseOps, finite_field._ExtOps)."""
+    spectral = _format_sniffs(PACKAGE / "spectral.py")
+    assert spectral == {"isinstance": [], "ring": []}
+    assert _format_sniffs(PACKAGE / "matrix.py")["isinstance"] == []

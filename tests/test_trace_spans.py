@@ -80,12 +80,15 @@ COMMAND_PROBLEMS = [
 # one-vector uncertainty_check; FqElement powers and sigma_fixed_points
 # serve the library API and the tests; the spectral pipeline checks
 # sigma^N-fixedness on residue rows, so UMatrix.window_pow (and
-# sigma_window above it) serves the library API only
+# sigma_window above it) serves the library API only; and it lifts its
+# points to residues with padic._teichmuller_residue, so the scalar
+# wrapper teichmuller_lift_ext serves the library API only
 UNREACHED_FROM_THE_CLI = {
     "spectral.uncertainty_check",
     "matrix.UMatrix.window_pow",
     "finite_field.FqElement.__pow__",
     "unramified.sigma_fixed_points",
+    "unramified.teichmuller_lift_ext",
 }
 
 
