@@ -191,8 +191,10 @@ def _scan_roots(f, elements, ops) -> list:
     Walks the elements and divides f by X - x while the remainder is 0,
     recording each such x once, and stops as soon as f is constant: O(q
     deg f) field operations for q elements, fewer when the roots come
-    early.  The caller guarantees that f splits into linear factors over
-    the elements, so a scan that ends with deg f > 0 is a defect.
+    early.  A scan that ends with deg f > 0 raises RuntimeError.  For
+    the characteristic polynomial of a sigma^N-fixed matrix, which
+    splits over the elements, that is a defect; for a matrix that is
+    not fixed, spectral._spectral_tree turns it into its refusal.
     """
     roots = []
     for x in elements:

@@ -9,8 +9,9 @@ those as roots of the characteristic polynomial mod p and interpolates
 over them alone.  The polynomial costs O(n^3) field operations by
 Hessenberg reduction; its roots cost at most 128 n^2 more by a scan of
 the residue field F_q while q <= 128 n, and O(n^2 log p^N) per gcd or
-splitting step of Cantor-Zassenhaus above that.  Then at most n(n-1)
-matrix products remain, however large p^N is.
+splitting step of Cantor-Zassenhaus above that.  Then 3(k - 2)
+matrix products for k >= 2 points (at most 3(n - 2)) remain, however
+large p^N is.
 
 Operators whose digit expansion consists of such fixed points (one per
 power of p) carry one tree of projectors, indexed by digit paths: level
@@ -31,16 +32,16 @@ diameter, and the commutator inequality
 
 The pipeline exchanges residue rows mod p^m and one ring handle, the
 entry protocol of padic._BaseOps or finite_field._ExtOps, which alone
-knows what an entry is: _hermite_rows peels the digits, _resolve checks
-and resolves one digit, _pass_through carries the nodes past a digit
-that splits none of them, _spectral_tree builds the tree and
-_verify_tree certifies it, for the Lagrange resolution (the one-level
-tree whose digit is the operator itself), the measure and the spectrum
-(so diam and uncertainty) alike.  _ambient moves base rows to the
-degree-N ring at period N > 1, and the points are Teichmuller lifts
-kept as residues (padic._teichmuller_residue, the one lift over either
-ring).  Scalars and matrices are built only for what a public function
-returns.
+knows what an entry is: _hermite_rows peels the digits, _resolve
+resolves one digit, _pass_through carries the nodes past a digit that
+splits none of them, _spectral_tree builds the tree and _verify_tree
+certifies it (which, with the points, proves every resolved digit fixed
+by sigma^N), for the Lagrange resolution (the one-level tree whose digit
+is the operator itself), the measure and the spectrum (so diam and
+uncertainty) alike.  _ambient moves base rows to the degree-N ring at
+period N > 1, and the points are Teichmuller lifts kept as residues
+(padic._teichmuller_residue, the one lift over either ring).  Scalars
+and matrices are built only for what a public function returns.
 """
 
 from __future__ import annotations
@@ -211,10 +212,13 @@ def _spectral_points(rows: tuple, ops, period: int):
 
     The eigenvalues are the roots of the characteristic polynomial of
     rows mod p, built by Hessenberg reduction over the field F_q, q =
-    p^D, that the ambient entries reduce into (D = 1 over Z_p).  The
-    caller has checked that rows is fixed by sigma^N, so the polynomial
-    splits over F_{p^N}: a scan of F_q finds its roots while q <=
-    SCAN_PER_DEGREE * n, and Cantor-Zassenhaus above that.  The ambient
+    p^D, that the ambient entries reduce into (D = 1 over Z_p).  For
+    rows fixed by sigma^N the polynomial splits over F_{p^N}: a scan of
+    F_q finds its roots while q <= SCAN_PER_DEGREE * n, and
+    Cantor-Zassenhaus above that.  For other rows the scan may leave a
+    factor (RuntimeError) or find roots outside F_{p^N}, and
+    Cantor-Zassenhaus finds the roots in F_{p^N} only; _spectral_tree
+    refuses such rows whatever happens here.  The ambient
     ring must contain the period-N fixed points (_ambient).  Each root
     is lifted once, to its residue mod p^m (_teichmuller_residue).
     Points are ordered by the residue field's enumeration of their
@@ -251,40 +255,43 @@ def _resolve(rows: tuple, ops, period: int):
     """The Lagrange resolution of one digit of _spectral_tree on residue rows.
 
     _spectral_tree runs it at level 0 and at each level where some node
-    splits; _pass_through covers the other levels.  It costs one
-    sigma^N power of the rows, a characteristic polynomial mod p, its
-    roots and one lift per root, then k(k - 2) matrix products for the
-    projectors of k >= 2 points.
+    splits; _pass_through covers the other levels.  It costs a
+    characteristic polynomial mod p, its roots and one lift per root,
+    one p^N-th power of each lift when the ambient degree D exceeds N,
+    then 3(k - 2) matrix products for the projectors of k >= 2 points:
+    the numerator of point j is the prefix product of the shifted
+    matrices x - mu before j times the suffix product after j.
 
     Returns (lifts, ambient ops, rows, projector rows): the residues mod
     p^m of the eigenvalue points in the ambient ring, its ops, the input
     rows over it (base rows promoted by _spectral_points) and, in the
     order of the points, their projectors as residue rows over it.  The
-    caller certifies the tree built from them (_verify_tree).  Rows not
-    fixed by sigma^N mod p^m are refused with ValueError; the defect
-    norm is computed on that path only.
+    caller certifies the tree built from them (_verify_tree), which
+    proves the rows fixed by sigma^N once every point is (see
+    _spectral_tree).  A point not fixed by sigma^N, which only rows not
+    fixed can have, raises RuntimeError.
     """
-    image = _res_matpow(rows, ops.p**period, ops)
-    if image != rows:
-        valuation = min(map(ops.valuation, itertools.chain.from_iterable(ops.rows_sub(image, rows))))
-        defect = norm_from_valuation(ops.p, valuation)
-        raise ValueError(f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})")
     lifts, ops, rows = _spectral_points(rows, ops, period)
+    if ops.degree != period and any(ops.pow(lam, ops.p**period) != lam for lam in lifts):
+        raise RuntimeError(f"eigenvalue point is not fixed by sigma^{period} (internal defect)")
     n = len(rows)
-    # x - mu differs from x on the diagonal only
+    # x - mu differs from x on the diagonal only; all of them commute
     shifted = [
         tuple([row[:r] + (ops.sub(row[r], mu),) + row[r + 1 :] for r, row in enumerate(rows)])
         for mu in lifts
     ]
+    if len(lifts) <= 1:  # no point only for rows not fixed by sigma^N: the certificate fails
+        numerators = [_res_identity(n, ops)] * len(lifts)
+    else:
+        prefixes = list(itertools.accumulate(shifted[:-1], ops.matmul))  # shifted[0..j]
+        suffixes = list(itertools.accumulate(shifted[:0:-1], ops.matmul))[::-1]  # shifted[j+1..]
+        numerators = [suffixes[0], *map(ops.matmul, prefixes[:-1], suffixes[1:]), prefixes[-1]]
     resolved = []
-    for k, lam in enumerate(lifts):
-        numerator = _res_identity(n, ops) if len(lifts) == 1 else None
+    for k, (lam, numerator) in enumerate(zip(lifts, numerators)):
         denominator = ops.one
         for j, mu in enumerate(lifts):
-            if j == k:
-                continue
-            numerator = shifted[j] if numerator is None else ops.matmul(numerator, shifted[j])
-            denominator = ops.mul(denominator, ops.sub(lam, mu))
+            if j != k:
+                denominator = ops.mul(denominator, ops.sub(lam, mu))
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
         resolved.append(ops.rows_mul(ops.inv_unit(denominator), numerator))
@@ -308,11 +315,13 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     polynomial (Hessenberg reduction), then at most q n for a scan of the
     residue field F_q when q <= 128 n, or O(n^2 log p^N) for each gcd or
     splitting step of Cantor-Zassenhaus above that (a few splitting
-    shifts suffice in practice), plus at most n(n-1) matrix products for
-    the projectors.  The resolution is the one-level spectral tree whose
-    digit is x itself (_spectral_tree), certified on residue rows by
-    _verify_tree; only the projectors returned here are built as
-    matrices, in address order.
+    shifts suffice in practice), plus 3(k - 2) matrix products for the
+    projectors of k >= 2 points.  The resolution is the one-level
+    spectral tree whose digit is x itself (_spectral_tree), certified on
+    residue rows by _verify_tree, which with the points also proves x
+    fixed by sigma^N, so no sigma^N power of x is taken on the way to an
+    answer; only the projectors returned here are built as matrices, in
+    address order.
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
@@ -472,28 +481,53 @@ def _spectral_tree(digits: Sequence[tuple], ops, period: int):
     extends its parent's by the index of its point, the point's
     reduction mod p (ops.reduce: an int over Z_p, a coordinate tuple
     over an extension).  The points come ordered by that index, so each
-    level is in address order.  So the full resolution (a sigma^N check,
-    a characteristic polynomial, its roots, their lifts and the Lagrange
-    products) runs only at level 0 and at the levels where some node
-    splits.  _verify_tree certifies every level before the tree is
-    returned.  Every spectral command runs this one tree:
-    teichmuller_spectral on the single digit x, spectral_measure to its
-    depth, operator_spectrum over all m digits.
+    level is in address order.  So the full resolution (a characteristic
+    polynomial, its roots, their lifts and the Lagrange products) runs
+    only at level 0 and at the levels where some node splits.
+    _verify_tree certifies every level before the tree is returned.
+    Every spectral command runs this one tree: teichmuller_spectral on
+    the single digit x, spectral_measure to its depth, operator_spectrum
+    over all m digits.
+
+    The certificate also proves every resolved digit fixed by sigma^N
+    mod p^m, so no sigma^N power is taken on an accepted tree.  It shows
+    digit X = sum_i lambda_i E_i, with E_i the sums of the level's nodes
+    by index, orthogonal idempotents summing to 1; hence X^(p^N) =
+    sum_i lambda_i^(p^N) E_i, which is X once every point lambda_i is
+    fixed by sigma^N.  _teichmuller_residue checks its point fixed by
+    sigma^D, which is sigma^N when the ambient degree D equals N, and
+    _resolve checks lambda^(p^N) = lambda itself when D > N.  When
+    building or certifying the tree raises, the digits handed to
+    _resolve are checked in level order, and the first that is not
+    fixed is refused with ValueError and the sup norm of X^(p^N) - X;
+    any other failure is raised unchanged.  The digits of the other
+    levels are sigma^N limits (_hermite_rows), fixed by construction.
     """
-    levels, level = [], None
-    for digit in digits:
-        if level is not None:
-            level = _pass_through(level.nodes, _ambient(digit, ops, period)[1], ambient)
-        if level is None:
-            lifts, ambient, digit, projectors = _resolve(digit, ops, period)
-            indices = list(map(ambient.reduce, lifts))
-            children = []
-            for addr, parent in levels[-1].nodes if levels else [((), None)]:
-                blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ambient)
-                children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not ambient.rows_are_zero(c)]
-            level = _TreeLevel(digit, dict(zip(indices, zip(lifts, projectors))), children)
-        levels.append(level)
-    _verify_tree(levels, ambient)
+    levels, level, resolved = [], None, []
+    try:
+        for digit in digits:
+            if level is not None:
+                level = _pass_through(level.nodes, _ambient(digit, ops, period)[1], ambient)
+            if level is None:
+                resolved.append(digit)
+                lifts, ambient, digit, projectors = _resolve(digit, ops, period)
+                indices = list(map(ambient.reduce, lifts))
+                children = []
+                for addr, parent in levels[-1].nodes if levels else [((), None)]:
+                    blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ambient)
+                    children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not ambient.rows_are_zero(c)]
+                level = _TreeLevel(digit, dict(zip(indices, zip(lifts, projectors))), children)
+            levels.append(level)
+        _verify_tree(levels, ambient)
+    except Exception:
+        for digit in resolved:
+            image = _res_matpow(digit, ops.p**period, ops)
+            if image != digit:
+                valuation = min(map(ops.valuation, itertools.chain.from_iterable(ops.rows_sub(image, digit))))
+                defect = norm_from_valuation(ops.p, valuation)
+                reason = f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})"
+                raise ValueError(reason) from None
+        raise
     return ambient, levels
 
 

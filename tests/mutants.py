@@ -94,6 +94,29 @@ MUTANTS = (
         _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
         _SPECTRAL + "test_spectral_tree_matches_the_object_level_tree_at_every_level[1]",
     ]),
+    # sigma^N-fixedness: the points over a larger ring, and the digits once the tree fails
+    ("spectral.py",
+     "if ops.degree != period and any(ops.pow(lam, ops.p**period) != lam for lam in lifts):",
+     "if False and any(ops.pow(lam, ops.p**period) != lam for lam in lifts):", [
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[companion-over-degree-2]",
+        _SPECTRAL + "test_spectral_refusals_follow_their_route[companion-over-degree-2]",
+    ]),
+    ("spectral.py", "if image != digit:", "if False and image != digit:", [
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[companion-over-degree-2]",
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[jordan-block]",
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[companion-over-Zp]",
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[no-root-at-p-1009]",
+        _SPECTRAL + "test_spectral_refusals_keep_their_exact_text[period-3-over-degree-2-unfixed]",
+        _CLI + "test_spectral_rejects_non_fixed",
+    ]),
+    # a resolution without points reaches the certificate, not an IndexError
+    ("spectral.py", "if len(lifts) <= 1:", "if len(lifts) == 1:", [
+        _SPECTRAL + "test_spectral_refusals_follow_their_route[no-root-at-p-1009]",
+    ]),
+    # the Lagrange projectors: distinct points have unit differences
+    ("spectral.py", "if not ops.is_unit(denominator):", "if False and not ops.is_unit(denominator):", [
+        _SPECTRAL + "test_lagrange_refuses_two_points_with_one_reduction",
+    ]),
     # the one Teichmuller lift: its closed form is checked to be fixed
     ("padic.py", "if ops.pow(w, q) != w:", "if False and ops.pow(w, q) != w:", [
         _PADIC + "test_teichmuller_residue_checks_that_its_point_is_fixed[1]",

@@ -201,10 +201,14 @@ def test_spectral_command(tmp_path):
 
 
 def test_spectral_rejects_non_fixed(tmp_path):
+    """The Jordan block fails its tree certificate, and the refusal names the sigma check."""
     path = write(tmp_path, "uni.json", matrix_doc(3, 4, [[1, 1], [0, 1]]))
     status, doc, _ = run(["spectral", "--in", path])
     assert status == 1
-    assert doc["error"]["kind"] == "not_teichmuller"
+    assert doc == {"error": {
+        "kind": "not_teichmuller",
+        "reason": "input is not fixed by sigma^1 mod p^m (defect norm 1.0)",
+    }}
 
 
 def test_measure_and_integral(tmp_path):

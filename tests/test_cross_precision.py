@@ -448,3 +448,67 @@ def test_cli_ladders_agree_across_precisions(p, m, delta, command_op, data):
     assert [_integer(c, p, q) for c in high[1]["coeffs"]] == [
         _integer(c, p, q) for c in low[1]["coeffs"]
     ]
+
+
+
+@st.composite
+def projection_inputs(draw, shapes):
+    """(p, m, delta, integer rows below p^(m + delta)): U D U^-1 for U in GL_n(Z/p^(m + delta)).
+
+    D is diag(e) with e all 0, all 1 or mixed (both values present), an
+    idempotent at every precision; shape "nilpotent" puts the shift
+    [[0, 1], [0, 0]] in the top left of D, so the reduction mod p of
+    U D U^-1 is not idempotent.
+    """
+    p = draw(_PRIMES)
+    m = draw(st.integers(min_value=1, max_value=4))
+    delta = draw(_DELTAS)
+    shape = draw(st.sampled_from(shapes))
+    n = draw(st.integers(min_value=1 if shape in ("zeros", "ones") else 2, max_value=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    ctx = PrecisionContext(p, m + delta)
+    if shape == "mixed":
+        e = [0, 1] + [rng.randrange(2) for _ in range(n - 2)]
+        rng.shuffle(e)
+    else:
+        e = [int(shape == "ones")] * n
+    planted = residues_of(diag_matrix(ctx, e))
+    if shape == "nilpotent":
+        planted[0][:2], planted[1][:2] = [0, 1], [0, 0]
+    u = rand_gl(ctx, n, rng)
+    return p, m, delta, shape, residues_of(conjugate(u, UMatrix.from_residues(planted, ctx)))
+
+
+def _certify_at_both(problem):
+    """certify-projection --samples 8 on the same integers at m and at m + delta."""
+    p, m, delta, _, rows = problem
+    return [_cli(["certify-projection", "--samples", "8"], _matrix_doc(rows, p, digits))
+            for digits in (m, m + delta)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(projection_inputs(("zeros", "ones", "mixed")))
+def test_cli_certify_projection_agrees_across_precisions(problem):
+    """certify-projection of a planted idempotent at m and at m + delta: the same verdict.
+
+    U diag(e) U^-1 is an orthogonal projection at every precision, so
+    every sample passes at both; all-0 e fails the norm alone.
+    """
+    low, high = _certify_at_both(problem)
+    assert high[0] == low[0] == 0
+    assert (high[1]["valid"], high[1]["failures"]) == (low[1]["valid"], low[1]["failures"])
+    assert low[1]["failures"] == (["norm_not_one"] if problem[3] == "zeros" else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(projection_inputs(("nilpotent",)))
+def test_cli_certify_projection_refuses_a_non_idempotent_reduction_at_both_precisions(problem):
+    """A reduction mod p that is not idempotent is the same mod p at m and at m + delta.
+
+    Both runs refuse it with reduction_idempotent false (the sampled
+    conditions may differ, as the samples are drawn at each precision).
+    """
+    for status, doc in _certify_at_both(problem):
+        assert status == 0
+        assert (doc["valid"], doc["reduction_idempotent"]) == (False, False)
+        assert "reduction_idempotent" in doc["failures"]

@@ -60,7 +60,7 @@ from padicspec import (
     teichmuller_spectral,
     uncertainty_check,
 )
-from padicspec import spectral
+from padicspec import padic, spectral
 from padicspec.cli import run_command
 from padicspec.matrix import inverse, residue_ops
 from padicspec.spectral import (
@@ -168,6 +168,84 @@ def test_spectral_of_teichmuller_diagonal():
 def test_spectral_rejects_non_fixed_input():
     with pytest.raises(ValueError):
         teichmuller_spectral(UMatrix.from_ints([[1, 1], [0, 1]], CTX), 1)
+
+
+def _companion(ring=None) -> UMatrix:
+    """The companion of a degree-2 Teichmuller point at p = 3, m = 4, over Z_p or ring."""
+    a = UMatrix.from_residues(teichmuller_companion(3, 2, 4), CTX)
+    return a if ring is None else a.promote(ring)
+
+
+_UNFIXED_1 = "input is not fixed by sigma^1 mod p^m (defect norm 1.0)"
+_UNFIXED_3 = "input is not fixed by sigma^3 mod p^m (defect norm 1.0)"
+
+# (id, input, period, refusal, the failure that led to it: None when there is none)
+_REFUSALS = [
+    # D = 2 > N = 1: the points w, w^3 are found and certified, but are not sigma-fixed
+    ("companion-over-degree-2", lambda: _companion(ext_ring(3, 2, 4)), 1, _UNFIXED_1,
+     "eigenvalue point is not fixed by sigma^1 (internal defect)"),
+    # one point, 1, whose projector is the identity: the tree fails its reassembly
+    ("jordan-block", lambda: UMatrix.from_ints([[1, 1], [0, 1]], CTX), 1, _UNFIXED_1,
+     "level 0 projectors do not reassemble digit 0 (internal defect)"),
+    # the root scan of F_3 finds no root of the minimal polynomial of w
+    ("companion-over-Zp", _companion, 1, _UNFIXED_1,
+     "root scan left a factor of degree 2 (internal defect)"),
+    # above the scan crossover Cantor-Zassenhaus finds no root of x^2 - 11 in F_1009:
+    # no point, no projector, and the tree fails its sum to 1
+    ("no-root-at-p-1009", lambda: UMatrix.from_ints([[0, 11], [1, 0]], PrecisionContext(1009, 3)),
+     1, _UNFIXED_1, "level 0 projectors do not sum to 1 (internal defect)"),
+    # N = 3 does not divide D = 2: refused for the period only if the input is fixed
+    ("period-3-over-degree-2-unfixed", lambda: _companion(ext_ring(3, 2, 4)), 3, _UNFIXED_3,
+     "period 3 does not divide the extension degree 2"),
+    ("period-3-over-degree-2-fixed", lambda: UMatrix.identity(2, CTX).promote(ext_ring(3, 2, 4)),
+     3, "period 3 does not divide the extension degree 2", None),
+]
+
+
+@pytest.mark.parametrize(
+    "make,period,reason", [case[1:4] for case in _REFUSALS], ids=[case[0] for case in _REFUSALS]
+)
+def test_spectral_refusals_keep_their_exact_text(make, period, reason):
+    """Each route by which the resolution of an input fails ends in the same refusal.
+
+    An input that is not fixed by sigma^N is refused with the sup norm
+    of x^(p^N) - x, whichever step of the tree it fails; a fixed input
+    keeps its own refusal.
+    """
+    with pytest.raises(ValueError) as err:
+        teichmuller_spectral(make(), period)
+    assert str(err.value) == reason
+
+
+@pytest.mark.parametrize(
+    "make,period,failure", [case[1:3] + case[4:] for case in _REFUSALS],
+    ids=[case[0] for case in _REFUSALS],
+)
+def test_spectral_refusals_follow_their_route(make, period, failure):
+    """The tree is built and certified before any sigma^N power is taken.
+
+    So an input that is not fixed first fails on its way (a point that
+    is not fixed, a reassembly, a root scan, a sum to 1, a period that
+    does not divide the degree), and the sigma^N refusal replaces that
+    failure, which stays reachable as its context.
+    """
+    with pytest.raises(ValueError) as err:
+        teichmuller_spectral(make(), period)
+    context = err.value.__context__
+    assert (context and str(context)) == failure
+
+
+def test_lagrange_refuses_two_points_with_one_reduction(monkeypatch):
+    """A repeated point makes a Lagrange denominator a non-unit: an internal defect."""
+    points = spectral._spectral_points
+
+    def repeated(rows, ops, period):
+        lifts, ambient, rows = points(rows, ops, period)
+        return lifts + lifts[:1], ambient, rows
+
+    monkeypatch.setattr(spectral, "_spectral_points", repeated)
+    with pytest.raises(RuntimeError, match="Lagrange denominator is not a unit"):
+        teichmuller_spectral(diag_matrix(PrecisionContext(5, 2), [1, 7]), 1)
 
 
 def test_spectral_identities_on_random_conjugates():
@@ -535,7 +613,8 @@ def test_hermite_digits_work_bound(monkeypatch, p, n, m):
 def test_spectral_measure_work_bound(monkeypatch, p, n, m, depth):
     """A tree of depth d < m peels at m + d - 1 - i digits, then m - i past the depth.
 
-    Each of the d resolutions adds its one sigma check.
+    The resolutions take no sigma power: the tree certificate proves the
+    digits fixed.
     """
     calls = _count_matpow_calls(monkeypatch)
     ctx = PrecisionContext(p, m)
@@ -543,7 +622,41 @@ def test_spectral_measure_work_bound(monkeypatch, p, n, m, depth):
     identity_check, reconstruction = spectral_integral(spectral_measure(a, depth))
     assert identity_check.congruent(UMatrix.identity(n, ctx))
     assert (reconstruction - a).valuation >= depth
-    assert calls[0] <= _peeling_bound(m, depth) + depth
+    assert calls[0] <= _peeling_bound(m, depth)
+
+
+@pytest.mark.parametrize("k", [4, 8])
+def test_spectral_work_bound(monkeypatch, k):
+    """k planted points at p = 11: no sigma power, 3(k - 2) products for the projectors.
+
+    The numerators are prefix times suffix products of the k shifted
+    matrices x - mu; the characteristic polynomial and its roots take
+    no residue product.
+    """
+    matpows = _count_matpow_calls(monkeypatch)
+    products, inside = [0], [False]
+    matmul, resolve = padic._BaseOps.matmul, spectral._resolve
+
+    def counting_matmul(self, a, b):
+        products[0] += inside[0]
+        return matmul(self, a, b)
+
+    def counting_resolve(*args):
+        inside[0] = True
+        try:
+            return resolve(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(padic._BaseOps, "matmul", counting_matmul)
+    monkeypatch.setattr(spectral, "_resolve", counting_resolve)
+    ctx = PrecisionContext(11, 3)
+    rng = random.Random(k)
+    points = [teichmuller_lift(r, ctx).residue() for r in rng.sample(range(11), k)]
+    x = conjugate(rand_gl(ctx, k + 1, rng), diag_matrix(ctx, points + points[:1]))
+    dec = teichmuller_spectral(x, 1)
+    assert sorted(lam.residue() for lam in dec.eigenvalues) == sorted(points)
+    assert (matpows[0], products[0]) == (0, 3 * (k - 2))
 
 
 # -- digit expansions -----------------------------------------------------------------
