@@ -4,10 +4,12 @@ One grammar serves every command: `padicspec COMMAND [flags]`, where all
 commands share one flag set, a command ignores the flags it does not
 read, and flags may come before the command name.  The flags are listed
 once, in _FLAGS.  An argv of one command and distinct exact flags, each
-with one plain value, is read straight from that table; argparse, built
-once when this module is imported, parses every other argv (help,
-errors, abbreviations, --flag=value, repeats), and both give the same
-namespace wherever both apply.
+with one plain value, is read straight from that table; argparse parses
+every other argv (help, errors, abbreviations, --flag=value, repeats),
+and both give the same namespace wherever both apply.  The argparse
+parser is built, and argparse imported, the first time such an argv
+arrives, so a process whose argvs all come from the table never loads
+it.
 lift and digits take p and m from --p/--m; every other command reads
 them from the problem file named by --in.
 
@@ -34,12 +36,13 @@ explicit seed and defaults to 0.
 
 from __future__ import annotations
 
-import argparse
+import functools
 import json
 import math
 import random
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from .finite_field import ENUMERATION_LIMIT
@@ -501,16 +504,6 @@ class _HelpRequested(Exception):
     """-h/--help was given; the exception text is the parser's help."""
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that raises where argparse would print and exit."""
-
-    def error(self, message):
-        raise SchemaError("argv", message)
-
-    def print_help(self, file=None):
-        raise _HelpRequested(self.format_help())
-
-
 # The shared flag set: (option, dest, int or str, default, help).
 _FLAGS = (
     ("--in", "infile", str, None, "JSON problem file"),
@@ -528,8 +521,23 @@ _FLAGS = (
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One parser for every command: each reads the flags it needs."""
+@functools.cache
+def _parser():
+    """The argparse parser of every argv the flag table does not read, built on first use.
+
+    One parser serves every command: each reads the flags it needs.  It
+    raises where argparse would print and exit, and parse_args keeps no
+    state between calls, so one parser serves the whole process.
+    """
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise SchemaError("argv", message)
+
+        def print_help(self, file=None):
+            raise _HelpRequested(self.format_help())
+
     parser = _Parser(
         prog="padicspec",
         description="Batch interface to the p-adic spectral engine.",
@@ -542,15 +550,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Built once per process: parse_args keeps no state between calls.
-_PARSER = _build_parser()
-
 _FLAG_KINDS = {option: (dest, kind) for option, dest, kind, _, _ in _FLAGS}
 _DEFAULTS = {dest: default for _, dest, _, default, _ in _FLAGS}
 
 
-def _parse_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
-    """The namespace _PARSER.parse_args(argv) returns, or None to let it parse.
+def _parse_argv(argv: Sequence[str]) -> Optional[SimpleNamespace]:
+    """The namespace _parser().parse_args(argv) returns, or None to let it parse.
 
     Reads argv made of one command and distinct table flags, each followed
     by one value: an int as ASCII -?[0-9]+ that int() converts (at most
@@ -588,7 +593,7 @@ def _parse_argv(argv: Sequence[str]) -> Optional[argparse.Namespace]:
         values[dest] = value
     if command is None:
         return None
-    return argparse.Namespace(command=command, **values)
+    return SimpleNamespace(command=command, **values)
 
 
 def _malformed(exc: SchemaError) -> dict:
@@ -686,7 +691,7 @@ def run_command(argv: Sequence[str], stream=None) -> int:
     args = _parse_argv(argv)
     if args is None:
         try:
-            args = _PARSER.parse_args(list(argv))
+            args = _parser().parse_args(list(argv))
         except _HelpRequested as exc:
             stream.write(_dump({"help": str(exc)}))
             return 0

@@ -25,10 +25,9 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .padic import INFINITE, _BaseOps, _packed_matmul, int_valuation, is_prime
+from .padic import INFINITE, _BaseOps, _Frozen, _packed_matmul, _setattr, int_valuation, is_prime
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
@@ -472,12 +471,12 @@ class FiniteField:
         return f"FiniteField(p={self.p}, degree={self.degree})"
 
 
-@dataclass(frozen=True)
-class FqElement:
-    field: FiniteField
-    coords: tuple
+class FqElement(_Frozen):
+    __slots__ = _fields = _compare = ("field", "coords")
 
-    def __post_init__(self):
+    def __init__(self, field: FiniteField, coords: tuple):
+        _setattr(self, "field", field)
+        _setattr(self, "coords", coords)
         if len(self.coords) != self.field.degree:
             raise ValueError("coordinate vector has wrong length")
 

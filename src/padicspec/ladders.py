@@ -20,25 +20,28 @@ identities [lower, raise] = 1 hold exactly away from the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .padic import INFINITE, PadicScalar, PrecisionContext, norm_from_valuation
+from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _setattr, norm_from_valuation
 
 
 def _int_scalar(k: int, ctx: PrecisionContext) -> PadicScalar:
     return PadicScalar.from_int(k, ctx)
 
 
-@dataclass(frozen=True)
-class CoeffVector:
-    """Truncated coefficient sequence with the sup norm of its coefficients."""
+class CoeffVector(_Frozen):
+    """Truncated coefficient sequence with the sup norm of its coefficients.
 
-    ctx: PrecisionContext
-    coeffs: tuple
-    truncated: bool = field(default=False, compare=False)
+    truncated is shown by repr but left out of equality and hashing.
+    """
 
-    def __post_init__(self):
+    __slots__ = _fields = ("ctx", "coeffs", "truncated")
+    _compare = ("ctx", "coeffs")
+
+    def __init__(self, ctx: PrecisionContext, coeffs: tuple, truncated: bool = False):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "coeffs", coeffs)
+        _setattr(self, "truncated", truncated)
         if not self.coeffs:
             raise ValueError("coefficient vector must be nonempty")
 

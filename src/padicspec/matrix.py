@@ -35,14 +35,15 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .padic import (
     INFINITE,
     PadicScalar,
     PrecisionContext,
     _BaseOps,
+    _Frozen,
+    _setattr,
     norm_from_valuation,
 )
 from .unramified import ExtRing, ExtScalar, ext_ring
@@ -50,13 +51,13 @@ from .unramified import ExtRing, ExtScalar, ext_ring
 Scalar = Union[PadicScalar, ExtScalar]
 
 
-@dataclass(frozen=True)
-class UMatrix:
+class UMatrix(_Frozen):
     """Immutable n x n matrix over one scalar ring."""
 
-    rows: tuple
+    __slots__ = _fields = _compare = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple):
+        _setattr(self, "rows", rows)
         n = len(self.rows)
         if n == 0 or any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square and nonempty")
@@ -498,8 +499,7 @@ def sample_unit_vector(ctx: PrecisionContext, n: int, rng: random.Random) -> tup
 # -- orthogonal projection certification --------------------------------------
 
 
-@dataclass(frozen=True)
-class ProjectionCertificate:
+class ProjectionCertificate(NamedTuple):
     """Evidence that an idempotent is (or is not) an orthogonal projection.
 
     A valid certificate asserts: the idempotency defect vanishes mod p^m,

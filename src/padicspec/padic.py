@@ -33,9 +33,8 @@ import itertools
 import math
 import operator
 import struct
-from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 INFINITE = math.inf
 
@@ -362,24 +361,66 @@ def _teichmuller_residue(x, ops):
     return w
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+_setattr = object.__setattr__
+
+
+class _Frozen:
+    """An immutable value on __slots__, with the semantics of a frozen dataclass.
+
+    A subclass lists its constructor's fields in order in _fields (shown by
+    repr) and the fields that equality and hashing read in _compare; its
+    __init__ sets every slot through object.__setattr__ and then checks
+    them.  An instance equals only an instance of the same class whose
+    compared fields are equal, hashes as the tuple of those fields, and
+    refuses assignment and deletion with AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _compare: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compare])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+
+class PrecisionContext(_Frozen):
     """Shared precision parameters: prime p and digit count m."""
 
-    p: int
-    m: int
-    modulus: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("p", "m", "modulus")
+    _fields = _compare = ("p", "m")
 
-    def __post_init__(self):
+    def __init__(self, p: int, m: int):
+        _setattr(self, "p", p)
+        _setattr(self, "m", m)
         if not is_prime(self.p):
             raise ValueError(f"p = {self.p} is not prime")
         if self.m < 1:
             raise ValueError(f"precision m must be >= 1, got {self.m}")
-        object.__setattr__(self, "modulus", self.p**self.m)
+        _setattr(self, "modulus", self.p**self.m)
 
 
-@dataclass(frozen=True)
-class PadicScalar:
+class PadicScalar(_Frozen):
     """An element of Q_p known to m significant base-p digits.
 
     Invariants: either the zero sentinel (valuation = +inf, unit = 0) or
@@ -388,11 +429,12 @@ class PadicScalar:
     with total cancellation reported as the zero sentinel.
     """
 
-    ctx: PrecisionContext
-    valuation: Union[int, float]
-    unit: int
+    __slots__ = _fields = _compare = ("ctx", "valuation", "unit")
 
-    def __post_init__(self):
+    def __init__(self, ctx: PrecisionContext, valuation: Union[int, float], unit: int):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "valuation", valuation)
+        _setattr(self, "unit", unit)
         if self.valuation == INFINITE:
             if self.unit != 0:
                 raise ValueError("zero sentinel must have unit 0")
@@ -461,7 +503,7 @@ class PadicScalar:
         """Multiply by p^k (exact valuation shift)."""
         if self.is_zero or k == 0:
             return self
-        return replace(self, valuation=self.valuation + k)
+        return PadicScalar(self.ctx, self.valuation + k, self.unit)
 
     # -- ring operations ---------------------------------------------
 
@@ -509,7 +551,7 @@ class PadicScalar:
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:
             return self
-        return replace(self, unit=self.ctx.modulus - self.unit)
+        return PadicScalar(self.ctx, self.valuation, self.ctx.modulus - self.unit)
 
     def __sub__(self, other: "PadicScalar") -> "PadicScalar":
         return self + (-other)
@@ -573,13 +615,20 @@ def _add_units(ctx: PrecisionContext, v1: int, u1: int, v2: int, u2: int) -> tup
 
     The exact sum is formed at the common base valuation and stripped of
     its factors of p; when they reach the m-digit window the sum is zero
-    at precision, (INFINITE, 0), otherwise its unit keeps m digits.
+    at precision, (INFINITE, 0), otherwise its unit keeps m digits.  When
+    the valuations are m or more apart, the other term is 0 mod
+    p^(base + m), so the sum is the operand of smaller valuation: p^gap
+    is never formed for a gap that could be arbitrarily large.
     """
-    p = ctx.p
-    if v1 <= v2:
-        base, total = v1, u1 + u2 * p ** (v2 - v1)
+    p, gap = ctx.p, v2 - v1
+    if gap >= ctx.m:
+        return v1, u1
+    if gap <= -ctx.m:
+        return v2, u2
+    if gap >= 0:
+        base, total = v1, u1 + u2 * p**gap
     else:
-        base, total = v2, u2 + u1 * p ** (v1 - v2)
+        base, total = v2, u2 + u1 * p**-gap
     if total % p:
         return base, total % ctx.modulus
     t = int_valuation(total, p)
@@ -626,8 +675,7 @@ def teichmuller_points(ctx: PrecisionContext) -> list[PadicScalar]:
     return [teichmuller_lift(r, ctx) for r in range(ctx.p)]
 
 
-@dataclass(frozen=True)
-class TeichDigits:
+class TeichDigits(NamedTuple):
     """Digit expansion x = sum_i d_i p^(k+i) with every d_i a fixed point of sigma.
 
     Exactly m digits are produced; reassembling them reproduces the source
@@ -672,8 +720,7 @@ class OrbitKind(Enum):
     CHAOS_AT_PRECISION = "ChaosAtPrecision"
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     """Verdict of a sigma-orbit scan at precision m.
 
     period is set for the (quasi-)periodic kinds; limit is the first
@@ -767,7 +814,7 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     report = scan_orbit(start, step, period_bound, x.ctx)
     if report.limit is None:
         return report
-    return replace(report, limit=wrap(report.limit))
+    return report._replace(limit=wrap(report.limit))
 
 
 def _key_size(key) -> int:

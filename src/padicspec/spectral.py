@@ -49,7 +49,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
@@ -181,8 +180,7 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
 # -- Lagrange spectral decomposition -------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Resolution of a sigma^N-fixed operator against the period-N points.
 
     points holds (eigenvalue, projector) pairs for the nonzero projectors
@@ -337,8 +335,7 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
 # -- digit expansion -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HermiteDigitsMatrix:
+class HermiteDigitsMatrix(NamedTuple):
     """Digit expansion A = sum_i x_i p^(k+i) with sigma^N-fixed commuting digits."""
 
     lead_valuation: int
@@ -612,8 +609,7 @@ def _verify_tree(levels: list, ops):
 # -- the projector-valued measure -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralMeasure:
+class SpectralMeasure(NamedTuple):
     """Finitely additive projector assignment on depth-d digit balls.
 
     nodes maps digit-path addresses (i_0, ..., i_j) to the product of the
@@ -711,8 +707,7 @@ def spectral_integral(measure: SpectralMeasure):
 # -- Jordan decomposition ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JordanPair:
+class JordanPair(NamedTuple):
     """Canonical splitting A = A_s + A_n.
 
     semisimple is fixed by sigma^period mod p^m; sigma-iterates of the
@@ -806,8 +801,7 @@ def _spectrum(a: UMatrix, period: int):
     return ops.ring, centers, [rows for _, rows in deepest]
 
 
-@dataclass(frozen=True)
-class SpectrumDiameter:
+class SpectrumDiameter(NamedTuple):
     """Largest pairwise eigenvalue distance, with the operator-norm cross-check."""
 
     diameter: float
@@ -870,8 +864,7 @@ def _translation_valuations(a: UMatrix, ring, lams) -> list:
     return [min(off_diagonal, min((d - lam).valuation for d in diagonal)) for lam in lams]
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     """Both sides of |[A, B] psi| <= diam(A) diam(B), and the verdict."""
 
     lhs_norm: float

@@ -20,11 +20,18 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .finite_field import ENUMERATION_LIMIT, FqElement, _ExtOps, finite_field
-from .padic import INFINITE, PadicScalar, PrecisionContext, _teichmuller_residue, norm_from_valuation
+from .padic import (
+    INFINITE,
+    PadicScalar,
+    PrecisionContext,
+    _Frozen,
+    _setattr,
+    _teichmuller_residue,
+    norm_from_valuation,
+)
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,12 +79,14 @@ class ExtRing:
         return f"ExtRing(p={self.ctx.p}, degree={self.degree}, m={self.ctx.m})"
 
 
-@dataclass(frozen=True)
-class ExtScalar:
+class ExtScalar(_Frozen):
     """Element of O_K/p^m as degree-N coordinates over PadicScalar."""
 
-    ring: ExtRing
-    coords: tuple
+    __slots__ = _fields = _compare = ("ring", "coords")
+
+    def __init__(self, ring: ExtRing, coords: tuple):
+        _setattr(self, "ring", ring)
+        _setattr(self, "coords", coords)
 
     @classmethod
     def from_vector(cls, ring: ExtRing, coords: Sequence[int]) -> "ExtScalar":

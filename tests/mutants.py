@@ -35,6 +35,7 @@ _SPECTRAL = "tests/test_spectral.py::"
 _CLI = "tests/test_cli.py::"
 _MATRIX = "tests/test_matrix.py::"
 _PADIC = "tests/test_padic.py::"
+_MALFORMED = _PADIC + "test_value_constructors_refuse_malformed_fields"
 _DEFECTS = [
     _CLI + "test_pass_through_defect_is_a_document[wrong index]",
     _CLI + "test_pass_through_defect_is_a_document[point off by p]",
@@ -140,6 +141,57 @@ MUTANTS = (
     ("cli.py", 'elif value[:1] == "-":', "elif False:", [
         _CLI + "test_table_parser_declines_other_spellings[str-with-dash]",
         _CLI + "test_table_parser_agrees_with_argparse",
+    ]),
+    # the field checks of the value types' constructors
+    ("padic.py", "if not (0 < self.unit < self.ctx.modulus):", "if False:", [
+        _MALFORMED + "[unit-past-the-window]",
+        _MALFORMED + "[negative-unit]",
+    ]),
+    ("padic.py", "if self.unit % self.ctx.p == 0:", "if False:", [
+        _MALFORMED + "[unit-divisible-by-p]",
+        _PADIC + "test_canonical_form_enforced",
+    ]),
+    ("padic.py", "if not is_prime(self.p):", "if False:", [
+        _MALFORMED + "[composite-p]",
+        _PADIC + "test_context_rejects_composite_prime",
+    ]),
+    ("matrix.py", "if n == 0 or any(len(r) != n for r in self.rows):", "if n == 0:", [
+        _MALFORMED + "[non-square-matrix]",
+    ]),
+    ("finite_field.py", "if len(self.coords) != self.field.degree:", "if False:", [
+        _MALFORMED + "[fq-coordinates-too-short]",
+    ]),
+    # the sigma limit's Newton phase: its step bound is tight, and hitting it is refused
+    ("spectral.py", "for _ in range((ctx.m - 1).bit_length()):",
+     "for _ in range((ctx.m - 1).bit_length() - 1):", [
+        _SPECTRAL + "test_sigma_limit_matches_oracle_on_base_inputs",
+        _SPECTRAL + "test_sigma_limit_matches_oracle_on_unipotent_inputs[1]",
+        _SPECTRAL + "test_hermite_digits_work_bound[3-8-8]",
+    ]),
+    ("spectral.py",
+     "raise RuntimeError(f\"Newton's method on X^{q} = X did not converge (internal defect)\")",
+     "return x", [
+        _SPECTRAL + "test_sigma_limit_refuses_a_newton_phase_that_does_not_converge",
+    ]),
+    # lift_idempotent's three checks of the limit
+    ("spectral.py", 'if limit is None:\n        raise RuntimeError("idempotent lift',
+     'if False:\n        raise RuntimeError("idempotent lift', [
+        _SPECTRAL + "test_lift_idempotent_checks_the_limit_it_is_given[no-limit]",
+    ]),
+    ("spectral.py", "if ops.matmul(limit, limit) != limit:",
+     "if False and ops.matmul(limit, limit) != limit:", [
+        _SPECTRAL + "test_lift_idempotent_checks_the_limit_it_is_given[not-idempotent]",
+    ]),
+    ("spectral.py",
+     "if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ctx.p.__rmod__)):",
+     "if False:", [
+        _SPECTRAL + "test_lift_idempotent_checks_the_limit_it_is_given[other-reduction]",
+    ]),
+    # jordan_decompose's kill bound, the least k with p^k >= n m, is not one step too long
+    ("spectral.py", "if ctx.p**kill >= a.n * ctx.m:", "if ctx.p**(kill + 1) >= a.n * ctx.m:", [
+        _SPECTRAL + "test_jordan_kill_bound_covers_every_n",
+        _SPECTRAL + "test_jordan_matches_the_scan_oracle",
+        "tests/test_acceptance.py::test_jordan_decomposition",
     ]),
 )
 

@@ -297,6 +297,22 @@ def test_certify_projection_norm_overflow_is_a_rejection(tmp_path):
     assert (out["error"]["p"], out["error"]["valuation"]) == (3, -2000)
 
 
+def test_certify_projection_of_a_huge_valuation_ends(tmp_path):
+    """pi^2 - pi on p^v, v = 10^30, adds terms 10^30 apart: p^(10^30) must never be formed.
+
+    The sum of two scalars whose valuations are m or more apart is the
+    one of smaller valuation, so the certificate reaches the norm of the
+    defect, which no double holds.
+    """
+    for exponent in (7, 30):
+        path = write(tmp_path, f"huge{exponent}.json",
+                     {"p": 3, "m": 2, "entries": [{"v": 10**exponent, "u": "1"}]})
+        [[status, doc]] = _run_in_child([["certify-projection", "--in", path]], timeout=20)
+        assert status == 1
+        assert doc["error"]["kind"] == "norm_out_of_range"
+        assert (doc["error"]["p"], doc["error"]["valuation"]) == (3, 10**exponent)
+
+
 def test_malformed_entries_diagnostic(tmp_path):
     path = write(tmp_path, "bad.json", {"p": 3, "m": 4, "entries": [{"v": 0, "u": "1"}] * 3})
     status, doc, _ = run(["classify", "--in", path])
@@ -521,6 +537,26 @@ def test_document_period_bounds_keep_their_messages(tmp_path, command):
     assert doc["error"]["reason"] == "field 'N': p^N exceeds the enumeration bound 1048576"
 
 
+def _run_in_child(argvs, timeout=60):
+    """[status, document] of run_command on each argv, all in one child process under a timeout.
+
+    A call that hangs then fails its test instead of hanging the suite.
+    """
+    script = (
+        "import io, json, sys\n"
+        "from padicspec.cli import run_command\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    stream = io.StringIO()\n"
+        "    print(json.dumps([run_command(argv, stream), json.loads(stream.getvalue())]))\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
 def test_huge_period_is_refused_from_the_period_alone(tmp_path):
     """p**N at N = 10^8 takes minutes to form, so the refusal must not form it.
 
@@ -534,21 +570,9 @@ def test_huge_period_is_refused_from_the_period_alone(tmp_path):
         workdir = tmp_path / str(len(argvs))
         workdir.mkdir()
         argvs.append([command, "--in", _period_problem(workdir, command, period), *flags])
-    script = (
-        "import io, json, sys\n"
-        "from padicspec.cli import run_command\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    stream = io.StringIO()\n"
-        "    print(json.dumps([run_command(argv, stream), json.loads(stream.getvalue())]))\n"
-    )
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
     refusal = {"kind": "malformed_input", "field": "N",
                "reason": "field 'N': p^N exceeds the enumeration bound 1048576"}
-    assert [json.loads(line) for line in proc.stdout.splitlines()] == [[2, {"error": refusal}]] * 5
+    assert _run_in_child(argvs) == [[2, {"error": refusal}]] * 5
 
 
 def test_oversized_unit_is_malformed(tmp_path):
@@ -989,7 +1013,7 @@ def test_table_parser_agrees_with_argparse(argv):
     """
     parsed = cli._parse_argv(argv)
     if parsed is not None:
-        assert vars(parsed) == vars(cli._PARSER.parse_args(list(argv)))
+        assert vars(parsed) == vars(cli._parser().parse_args(list(argv)))
     answer = _outcome(argv)
     with mock.patch.object(cli, "_parse_argv", lambda argv: None):
         assert _outcome(argv) == answer
@@ -1003,7 +1027,7 @@ def test_every_command_and_flag_takes_the_table_path():
         for tokens in ([command, *argv], [*argv, command], [*argv[:6], command, *argv[6:]]):
             parsed = cli._parse_argv(tokens)
             assert parsed is not None, tokens
-            assert vars(parsed) == vars(cli._PARSER.parse_args(tokens))
+            assert vars(parsed) == vars(cli._parser().parse_args(tokens))
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,9 @@
 """Scalar arithmetic, multiplicative lifts, digit expansions, orbit scans."""
 
+import copy
 import functools
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +18,7 @@ from padicspec import (
     PrecisionContext,
     UMatrix,
     classify_orbit,
+    ext_ring,
     frobenius_step,
     hermite_digits_matrix,
     norm_from_valuation,
@@ -24,7 +27,8 @@ from padicspec import (
     teichmuller_lift,
     teichmuller_points,
 )
-from padicspec.finite_field import _ExtOps, finite_field
+from padicspec.finite_field import FqElement, _ExtOps, finite_field
+from padicspec.ladders import CoeffVector
 from padicspec.padic import PRIMALITY_LIMIT, _BaseOps, _teichmuller_residue, is_prime
 
 from helpers import (
@@ -98,6 +102,93 @@ def test_canonical_form_enforced():
         PadicScalar(CTX34, 0, 3)  # unit divisible by p
     with pytest.raises(ValueError):
         PadicScalar(CTX34, 0, 81)  # unit outside window
+
+
+# (build, ValueError text) for each field check of a value type's constructor
+_MALFORMED = {
+    "unit-divisible-by-p": (lambda: PadicScalar(CTX34, 0, 3), "divisible by p"),
+    "unit-past-the-window": (lambda: PadicScalar(CTX34, 0, 82), r"outside \(0, p\^m\)"),
+    "negative-unit": (lambda: PadicScalar(CTX34, 0, -1), r"outside \(0, p\^m\)"),
+    "sentinel-with-a-unit": (lambda: PadicScalar(CTX34, INFINITE, 1), "unit 0"),
+    "fractional-valuation": (lambda: PadicScalar(CTX34, 0.5, 1), "must be an integer"),
+    "composite-p": (lambda: PrecisionContext(9, 2), "not prime"),
+    "precision-0": (lambda: PrecisionContext(3, 0), "must be >= 1"),
+    "non-square-matrix": (lambda: UMatrix(((PadicScalar.one(CTX34),) * 2,)), "square"),
+    "empty-matrix": (lambda: UMatrix(()), "square"),
+    "mixed-entry-types": (lambda: UMatrix(((PadicScalar.one(CTX34), ext_ring(3, 2, 4).one()),) * 2),
+                          "mixed entry types"),
+    "fq-coordinates-too-short": (lambda: FqElement(finite_field(3, 2), (1,)), "wrong length"),
+    "empty-coefficient-vector": (lambda: CoeffVector(CTX34, ()), "nonempty"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_value_constructors_refuse_malformed_fields(case):
+    build, text = _MALFORMED[case]
+    with pytest.raises(ValueError, match=text):
+        build()
+
+
+# -- value semantics of the frozen types ------------------------------------------
+
+# Each value type twice from the same arguments, and its repr as the frozen
+# dataclasses printed it.
+_CTX32 = PrecisionContext(3, 2)
+_VALUES = {
+    "context": (lambda: PrecisionContext(3, 2), "PrecisionContext(p=3, m=2)"),
+    "scalar": (lambda: PadicScalar(_CTX32, 1, 2), "PadicScalar(3^1*2; m=2)"),
+    "zero": (lambda: PadicScalar.zero(_CTX32), "PadicScalar(0; p=3, m=2)"),
+    "fq": (lambda: finite_field(3, 2).generator(), "Fq(0, 1)@p^2"),
+    "fp": (lambda: finite_field(5, 1).one(), "F5(1)"),
+    "ext": (lambda: ext_ring(3, 2, 2).element([1, 2]), "ExtScalar(1, 2)@ExtRing(p=3, degree=2, m=2)"),
+    "matrix": (lambda: UMatrix.from_ints([[1, 3], [0, 2]], _CTX32), "UMatrix(n=2, ring=base, p=3, m=2)"),
+    "coefficients": (
+        lambda: CoeffVector(_CTX32, (PadicScalar.one(_CTX32), PadicScalar.zero(_CTX32)), True),
+        "CoeffVector(ctx=PrecisionContext(p=3, m=2), coeffs=(PadicScalar(3^0*1; m=2), "
+        "PadicScalar(0; p=3, m=2)), truncated=True)",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_VALUES))
+def test_value_types_are_frozen(kind):
+    value = _VALUES[kind][0]()
+    before = repr(value)
+    for name in [*type(value)._fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize("kind", list(_VALUES))
+def test_value_types_compare_and_hash_by_value_within_their_class(kind):
+    build, text = _VALUES[kind]
+    a, b = build(), build()
+    assert repr(a) == text
+    assert a == b and not a != b and hash(a) == hash(b)
+    assert copy.copy(a) == a == pickle.loads(pickle.dumps(a))
+    for other_kind, (other, _) in _VALUES.items():
+        if other_kind != kind:
+            assert a != other()
+    assert a != tuple(getattr(a, name) for name in type(a)._fields)
+
+
+def test_context_compares_on_p_and_m():
+    ctx = PrecisionContext(3, 2)
+    assert ctx == PrecisionContext(3, 2) != PrecisionContext(3, 3) != PrecisionContext(2, 3)
+    assert hash(ctx) == hash((3, 2))
+    assert ctx.modulus == 9
+
+
+def test_coefficient_vector_compares_without_its_truncation_flag():
+    coeffs = (PadicScalar.one(CTX34),)
+    flagged, clean = CoeffVector(CTX34, coeffs, True), CoeffVector(CTX34, coeffs)
+    assert flagged == clean and hash(flagged) == hash(clean)
+    assert (flagged.truncated, clean.truncated) == (True, False)
+    assert repr(flagged) == repr(clean).replace("truncated=False", "truncated=True") != repr(clean)
+    assert flagged != CoeffVector(CTX34, (PadicScalar.zero(CTX34),), True)
 
 
 # -- scalar_from_rational ----------------------------------------------------------
@@ -429,6 +520,27 @@ def test_dot_adds_from_the_left():
     for terms, total in (([one, nine, eight], PadicScalar.zero(ctx)), ([one, eight, nine], nine)):
         assert PadicScalar.dot(ones, terms) == total == padic_dot_oracle(ones, terms)
         assert functools.reduce(PadicScalar.__add__, terms) == total
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (5, 4)])
+def test_a_sum_across_a_gap_of_m_or_more_is_the_lower_term(p, m):
+    """Valuations m or more apart: the higher term vanishes mod p^(base + m).
+
+    The oracle forms the exact sum with p^gap, so the shortcut that
+    skips that power must agree with it on both sides of gap = m.
+    """
+    ctx = PrecisionContext(p, m)
+    units = [u for u in range(1, ctx.modulus) if u % p][:4]
+    one = PadicScalar.one(ctx)
+    for gap in range(m - 1, m + 3):
+        for u1 in units:
+            for u2 in units:
+                x, y = PadicScalar(ctx, -1, u1), PadicScalar(ctx, gap - 1, u2)
+                total = padic_dot_oracle([one, one], [x, y])
+                assert x + y == y + x == total
+                assert PadicScalar.dot([one, one], [x, y]) == total
+                if gap >= m:
+                    assert total == x
 
 
 def test_dot_checks_contexts_like_the_product():

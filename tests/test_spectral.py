@@ -1,6 +1,5 @@
 """Spectral projectors, digit expansions, the ball measure, Jordan splitting."""
 
-import dataclasses
 import io
 import itertools
 import json
@@ -96,6 +95,26 @@ def test_lift_diag_with_p_noise():
 def test_lift_rejects_non_idempotent():
     with pytest.raises(ValueError):
         lift_idempotent(UMatrix.from_ints([[1, 1], [1, 1]], CTX))
+
+
+@pytest.mark.parametrize("fault, text", [
+    ("no-limit", "failed to stabilise"),
+    ("not-idempotent", "is not idempotent"),
+    ("other-reduction", "changed the reduction"),
+], ids=["no-limit", "not-idempotent", "other-reduction"])
+def test_lift_idempotent_checks_the_limit_it_is_given(monkeypatch, fault, text):
+    """Each internal-defect check of lift_idempotent refuses a sigma limit that breaks it.
+
+    The input is idempotent mod 3 but not mod 81, so returning it
+    unchanged is a limit that is not idempotent; the identity is an
+    idempotent with another reduction.
+    """
+    a = UMatrix.from_ints([[1, 3], [3, 0]], CTX)
+    limits = {"no-limit": None, "not-idempotent": a.residues(),
+              "other-reduction": UMatrix.identity(2, CTX).residues()}
+    monkeypatch.setattr(spectral, "_sigma_limit", lambda *args: limits[fault])
+    with pytest.raises(RuntimeError, match=text):
+        lift_idempotent(a)
 
 
 def test_lift_independent_of_commuting_representative():
@@ -573,6 +592,30 @@ def test_sigma_limit_matches_oracle_on_unipotent_inputs(degree):
     assert outcomes[True] > 0 and outcomes[False] == (0 if degree == 1 else 60)
 
 
+def test_sigma_limit_refuses_a_newton_phase_that_does_not_converge():
+    """Products off by p^(m-1) in one entry keep X^q != X, so the step bound is hit.
+
+    The noise vanishes mod p, so the sigma phase still ends and the
+    Newton phase spends every step it may take.
+    """
+    ctx = PrecisionContext(3, 4)
+    ops = residue_ops(ctx)
+
+    class NoisyOps:
+        def __getattr__(self, name):
+            return getattr(ops, name)
+
+        def matmul(self, a, b):
+            rows = [list(row) for row in ops.matmul(a, b)]
+            rows[0][0] = (rows[0][0] + 27) % 81
+            return tuple(map(tuple, rows))
+
+    rows = ((2, 1), (0, 1))
+    assert _sigma_limit(rows, 1, ctx, ops) == sigma_limit_oracle(rows, 1, ctx, ops) is not None
+    with pytest.raises(RuntimeError, match="did not converge"):
+        _sigma_limit(rows, 1, ctx, NoisyOps())
+
+
 def _count_matpow_calls(monkeypatch) -> list:
     """A one-element counter of the spectral module's _res_matpow calls from here on."""
     calls = [0]
@@ -1044,8 +1087,8 @@ def test_verify_measure_catches_swapped_siblings():
     measure = spectral_measure(a, 2)
     by_addr = measure.node_map()
     swap = {(0, 0): by_addr[(0, 1)], (0, 1): by_addr[(0, 0)]}
-    swapped = dataclasses.replace(
-        measure, nodes=tuple((addr, swap.get(addr, proj)) for addr, proj in measure.nodes)
+    swapped = measure._replace(
+        nodes=tuple((addr, swap.get(addr, proj)) for addr, proj in measure.nodes)
     )
     assert (spectral_integral(measure)[1] - a).valuation >= 2
     assert (spectral_integral(swapped)[1] - a).valuation == 1

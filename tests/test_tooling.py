@@ -1,7 +1,9 @@
 """Rules about the source tree itself rather than its mathematics."""
 
 import ast
+import os
 import pathlib
+import subprocess
 import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "padicspec"
@@ -30,6 +32,49 @@ def test_runtime_imports_only_the_standard_library():
         if name.partition(".")[0] not in allowed
     ]
     assert not foreign
+
+
+def test_no_dataclasses_in_the_runtime():
+    """Value types are __slots__ classes and records are NamedTuples.
+
+    Importing dataclasses loads inspect, ast, dis and tokenize, and each
+    dataclass execs the methods it generates, all inside the start-up of
+    every padicspec process.
+    """
+    found = [
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        if "dataclasses" in {name.partition(".")[0] for name in _imported_modules(path)}
+    ]
+    assert not found
+
+
+def test_argparse_loads_only_for_an_argv_the_flag_table_declines():
+    """A fresh `import padicspec.cli` loads no dataclasses, inspect or argparse.
+
+    An argv read from the flag table keeps argparse out; --help, which
+    only argparse answers, brings it in.
+    """
+    script = (
+        "import io, sys\n"
+        "before = set(sys.modules)\n"
+        "from padicspec.cli import run_command\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+        "run_command(['lift', '--p', '5', '--m', '3', '--residue', '2'], io.StringIO())\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+        "run_command(['--help'], io.StringIO())\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported, after_table, after_help = (set(line.split()) for line in proc.stdout.splitlines())
+    assert "padicspec.cli" in imported
+    heavy = {"dataclasses", "inspect", "argparse"}
+    assert not heavy & imported
+    assert not heavy & after_table
+    assert "argparse" in after_help
 
 
 def _literal_text(node) -> str:
