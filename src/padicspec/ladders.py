@@ -25,10 +25,6 @@ from typing import Callable, Sequence
 from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _setattr, norm_from_valuation
 
 
-def _int_scalar(k: int, ctx: PrecisionContext) -> PadicScalar:
-    return PadicScalar.from_int(k, ctx)
-
-
 class CoeffVector(_Frozen):
     """Truncated coefficient sequence with the sup norm of its coefficients.
 
@@ -114,7 +110,7 @@ def kochubei_raise(f: MahlerVector) -> MahlerVector:
     ctx = f.ctx
     out = [PadicScalar.zero(ctx)]
     for n in range(f.length - 1):
-        out.append(_int_scalar(n + 1, ctx) * f.coeffs[n])
+        out.append(PadicScalar.from_int(n + 1, ctx) * f.coeffs[n])
     lost = not f.coeffs[f.length - 1].is_zero
     return MahlerVector(ctx, tuple(out), f.truncated or lost)
 
@@ -155,7 +151,7 @@ def tate_raise(f: TateVector) -> TateVector:
 def tate_derivative(f: TateVector) -> TateVector:
     """d/dX on coefficients: slot k receives (k+1) a_{k+1}."""
     ctx = f.ctx
-    out = [_int_scalar(k + 1, ctx) * f.coeffs[k + 1] for k in range(f.length - 1)]
+    out = [PadicScalar.from_int(k + 1, ctx) * f.coeffs[k + 1] for k in range(f.length - 1)]
     out.append(PadicScalar.zero(ctx))
     return TateVector(ctx, tuple(out), f.truncated)
 
@@ -163,7 +159,7 @@ def tate_derivative(f: TateVector) -> TateVector:
 def euler_operator(f: TateVector) -> TateVector:
     """X d/dX: diagonal with eigenvalue k on X^k."""
     ctx = f.ctx
-    out = [_int_scalar(k, ctx) * c for k, c in enumerate(f.coeffs)]
+    out = [PadicScalar.from_int(k, ctx) * c for k, c in enumerate(f.coeffs)]
     return TateVector(ctx, tuple(out), f.truncated)
 
 

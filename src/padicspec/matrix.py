@@ -8,14 +8,16 @@ are exactly the orthonormal bases of Q_p^n, and idempotents of norm 1
 are exactly the orthogonal projections.
 
 Entries are PadicScalar or ExtScalar, which share one scalar protocol
-(arithmetic, dot, shift by p^k, residue_key); ext_ring names the
-extension ring, or is None over Z_p.  Scalar arithmetic, the dot
-product of the object-level matmul and apply included, lives with the
-scalars.  Window computations (everything that only matters mod p^m)
-run on plain residue representatives for speed, through the one entry
-protocol that residue_ops picks: padic._BaseOps on ints over Z/p^m, or
-the extension ring's ops (finite_field._ExtOps) on coordinate vectors.
-Only those two classes know what an entry is; the residue helpers here
+(arithmetic, dot, shift by p^k, residue_key), all over one ring: ring
+is the handle of that ring, a padic.PrecisionContext for Z/p^m or an
+unramified.ExtRing for O_K/p^m, and is never None.  Scalar arithmetic,
+the dot product of the object-level matmul and apply included, lives
+with the scalars.  Window computations (everything that only matters
+mod p^m) run on plain residue representatives for speed, through the
+ring's entry protocol ring.ops: padic._BaseOps on ints over Z/p^m, or
+finite_field._ExtOps on coordinate vectors.  _wrap_residues builds the
+matrix of residue rows with the ring's element constructor.  Only the
+two ops classes know what an entry is; the residue helpers here
 (_res_matpow, _res_matmul_blocks, _res_inverse, _res_det and the
 Hessenberg reduction) call their members.  Both provide matmul, the
 whole residue matrix product of any compatible shapes
@@ -37,22 +39,15 @@ import itertools
 import random
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .padic import (
-    INFINITE,
-    PadicScalar,
-    PrecisionContext,
-    _BaseOps,
-    _Frozen,
-    _setattr,
-    norm_from_valuation,
-)
-from .unramified import ExtRing, ExtScalar, ext_ring
+from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _setattr, norm_from_valuation
+from .unramified import ExtRing, ExtScalar
 
 Scalar = Union[PadicScalar, ExtScalar]
+Ring = Union[PrecisionContext, ExtRing]
 
 
 class UMatrix(_Frozen):
-    """Immutable n x n matrix over one scalar ring."""
+    """Immutable n x n matrix over one scalar ring; entries over another ring are refused."""
 
     __slots__ = _fields = _compare = ("rows",)
 
@@ -61,11 +56,11 @@ class UMatrix(_Frozen):
         n = len(self.rows)
         if n == 0 or any(len(r) != n for r in self.rows):
             raise ValueError("matrix must be square and nonempty")
-        first = self.rows[0][0]
+        ring = self.rows[0][0].ring
         for row in self.rows:
             for entry in row:
-                if type(entry) is not type(first):
-                    raise ValueError("mixed entry types in matrix")
+                if entry.ring is not ring and entry.ring != ring:
+                    raise ValueError("mixed entry types or rings in matrix")
 
     # -- constructors ---------------------------------------------------
 
@@ -80,26 +75,17 @@ class UMatrix(_Frozen):
         )
 
     @classmethod
-    def from_residues(cls, rows: Sequence[Sequence[int]], ctx: PrecisionContext) -> "UMatrix":
-        return cls(
-            tuple(tuple(PadicScalar.from_residue(v, ctx) for v in row) for row in rows)
-        )
+    def from_residues(cls, rows: Sequence[Sequence], ring: Ring) -> "UMatrix":
+        """The matrix of residue keys over ring: ints over Z/p^m, coordinate vectors over O_K/p^m."""
+        return _wrap_residues(rows, ring)
 
     @classmethod
-    def from_ext_vectors(cls, rows: Sequence[Sequence[tuple]], ring: ExtRing) -> "UMatrix":
-        return cls(
-            tuple(tuple(ExtScalar.from_vector(ring, v) for v in row) for row in rows)
-        )
+    def identity(cls, n: int, ring: Ring) -> "UMatrix":
+        return _wrap_residues(_res_identity(n, ring.ops), ring)
 
     @classmethod
-    def identity(cls, n: int, ctx: PrecisionContext) -> "UMatrix":
-        one, zero = PadicScalar.one(ctx), PadicScalar.zero(ctx)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, n: int, ctx: PrecisionContext) -> "UMatrix":
-        zero = PadicScalar.zero(ctx)
-        return cls(tuple((zero,) * n for _ in range(n)))
+    def zeros(cls, n: int, ring: Ring) -> "UMatrix":
+        return _wrap_residues(((ring.ops.zero,) * n,) * n, ring)
 
     # -- structure -------------------------------------------------------
 
@@ -108,9 +94,8 @@ class UMatrix(_Frozen):
         return len(self.rows)
 
     @property
-    def ext_ring(self) -> Optional[ExtRing]:
-        entry = self.rows[0][0]
-        return entry.ring if isinstance(entry, ExtScalar) else None
+    def ring(self) -> Ring:
+        return self.rows[0][0].ring
 
     @property
     def ctx(self) -> PrecisionContext:
@@ -143,7 +128,7 @@ class UMatrix(_Frozen):
         return self.residues() == other.residues()
 
     def is_zero_mod_precision(self) -> bool:
-        return residue_ops(self.ctx, self.ext_ring).rows_are_zero(self.residues())
+        return self.ring.ops.rows_are_zero(self.residues())
 
     # -- arithmetic --------------------------------------------------------
 
@@ -188,24 +173,30 @@ class UMatrix(_Frozen):
     def _check(self, other: "UMatrix"):
         if self.n != other.n:
             raise ValueError("dimension mismatch")
-        if self.ctx != other.ctx or self.ext_ring != other.ext_ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("mixed matrix rings")
 
-    def promote(self, ring: Optional[ExtRing]) -> "UMatrix":
-        """Embed a base matrix into ring (constant coordinates); one over ring is kept."""
-        if self.ext_ring == ring:
+    def promote(self, ring: Ring) -> "UMatrix":
+        """Embed a base matrix into ring (constant coordinates); one over ring is kept.
+
+        ring must have the matrix's p and m, and a matrix over an extension
+        ring is not embedded again: either is refused with ValueError.
+        """
+        own = self.ring
+        if ring == own:
             return self
-        if self.ext_ring is not None:
+        if own is not own.ctx:
             raise ValueError("matrix already lives in a different extension ring")
-        return UMatrix(tuple(tuple(ring.embed(a) for a in row) for row in self.rows))
+        if ring.ctx != own:
+            raise ValueError(f"{ring!r} has another p or m than the matrix's {own!r}")
+        return UMatrix(tuple(tuple(map(ring.embed, row)) for row in self.rows))
 
     # -- window operations (mod p^m) ----------------------------------------
 
     def window_pow(self, exponent: int) -> "UMatrix":
         """Matrix power computed on residues mod p^m; needs |A| <= 1."""
-        ops = residue_ops(self.ctx, self.ext_ring)
-        power = _res_matpow(self.residues(), exponent, ops)
-        return _wrap_residues(power, self.ctx, self.ext_ring)
+        ring = self.ring
+        return _wrap_residues(_res_matpow(self.residues(), exponent, ring.ops), ring)
 
     def sigma_window(self, period: int = 1) -> "UMatrix":
         """The p-power map A -> A^(p^period) in the window."""
@@ -215,26 +206,19 @@ class UMatrix(_Frozen):
         return self.residues()
 
     def residue_orbit(self) -> tuple:
-        """The residue rows, sigma on rows, and the matrix of rows (see classify_orbit)."""
-        ops = residue_ops(self.ctx, self.ext_ring)
-        step = functools.partial(_res_matpow, exponent=self.ctx.p, ops=ops)
-        wrap = functools.partial(_wrap_residues, ctx=self.ctx, ring=self.ext_ring)
-        return self.residues(), step, wrap
+        """The residue rows, sigma on rows, the matrix of rows, the zero test and n * deg.
+
+        What classify_orbit walks (see padic.scan_orbit).
+        """
+        ring = self.ring
+        ops = ring.ops
+        step = functools.partial(_res_matpow, exponent=ops.p, ops=ops)
+        wrap = functools.partial(_wrap_residues, ring=ring)
+        return self.residues(), step, wrap, ops.rows_are_zero, self.n * ops.degree
 
     def __repr__(self):
-        ring = "base" if self.ext_ring is None else "ext"
-        return f"UMatrix(n={self.n}, ring={ring}, p={self.ctx.p}, m={self.ctx.m})"
-
-
-def residue_ops(ctx: PrecisionContext, ring: Optional[ExtRing] = None):
-    """Entry arithmetic for residue rows mod p^m at ctx.
-
-    Over Z/p^m, or, when a ring is given, over the unramified ring of its
-    degree at the precision of ctx (which may differ from the ring's own).
-    """
-    if ring is None:
-        return _BaseOps(ctx.p, ctx.m)
-    return ext_ring(ctx.p, ring.degree, ctx.m).ops
+        kind = "base" if self.ring is self.ctx else "ext"
+        return f"UMatrix(n={self.n}, ring={kind}, p={self.ctx.p}, m={self.ctx.m})"
 
 
 def _res_hstack(blocks) -> tuple:
@@ -287,16 +271,9 @@ def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
     return result
 
 
-def _entry_maker(ctx: PrecisionContext, ring: Optional[ExtRing]):
-    """The constructor of one entry of Z/p^m at ctx, or of ring, from its residue key."""
-    if ring is None:
-        return functools.partial(PadicScalar.from_residue, ctx=ctx)
-    return functools.partial(ExtScalar.from_vector, ring)
-
-
-def _wrap_residues(rows: tuple, ctx: PrecisionContext, ring: Optional[ExtRing]) -> UMatrix:
-    """The matrix of residue rows: scalars are built here, at the API boundary only."""
-    make = _entry_maker(ctx, ring)
+def _wrap_residues(rows: tuple, ring: Ring) -> UMatrix:
+    """The matrix of residue rows over ring: scalars are built here, at the API boundary only."""
+    make = ring.element
     return UMatrix(tuple(tuple(map(make, row)) for row in rows))
 
 
@@ -333,7 +310,7 @@ def _res_inverse(rows: tuple, ops) -> Optional[tuple]:
 def _gl_inverse_rows(u: UMatrix) -> Optional[tuple]:
     if not u.is_integral:
         return None
-    return _res_inverse(u.residues(), residue_ops(u.ctx, u.ext_ring))
+    return _res_inverse(u.residues(), u.ring.ops)
 
 
 def is_gl_zp(u: UMatrix) -> bool:
@@ -350,7 +327,7 @@ def inverse(u: UMatrix) -> UMatrix:
     rows = _gl_inverse_rows(u)
     if rows is None:
         raise ValueError("matrix is not in GL_n (unit determinant required)")
-    return _wrap_residues(rows, u.ctx, u.ext_ring)
+    return _wrap_residues(rows, u.ring)
 
 
 def determinant(a: UMatrix) -> Scalar:
@@ -361,9 +338,9 @@ def determinant(a: UMatrix) -> Scalar:
     result keeps m digits past its own valuation; a window image that
     vanishes is zero at precision.
     """
-    k = min(0, a.valuation)
-    det = _res_det(a.shift(-k).residues(), residue_ops(a.ctx, a.ext_ring))
-    return _entry_maker(a.ctx, a.ext_ring)(det).shift(a.n * k)
+    k, ring = min(0, a.valuation), a.ring
+    det = _res_det(a.shift(-k).residues(), ring.ops)
+    return ring.element(det).shift(a.n * k)
 
 
 def _res_det(rows: tuple, ops) -> object:
@@ -459,30 +436,18 @@ def vector_valuation(vector: Sequence[Scalar]):
     return min((v.valuation for v in vector), default=INFINITE)
 
 
-def sample_vector(
-    ctx: PrecisionContext, n: int, rng: random.Random, ring: Optional[ExtRing] = None
-) -> tuple:
-    """Random vector with entry valuations spanning 0..m-1.
+def sample_vector(ring: Ring, n: int, rng: random.Random) -> tuple:
+    """Random vector over ring with entry valuations spanning 0..m-1.
 
-    Passing an extension ring draws the entries there instead (integral
-    coordinates).  sample_unit_vector is the sampler of sup norm 1.
+    Each entry's valuation v is drawn from 0..m, m giving 0, and the rest
+    by ring.random_entry.  sample_unit_vector is the sampler of sup norm 1.
     """
+    ops = ring.ops
+    zero = ring.element(ops.zero)
     entries = []
     for _ in range(n):
-        v = rng.randrange(ctx.m + 1)
-        if v >= ctx.m:
-            entries.append(ring.zero() if ring else PadicScalar.zero(ctx))
-        elif ring is not None:
-            coords = [rng.randrange(ctx.modulus) for _ in range(ring.degree)]
-            while all(c % ctx.p == 0 for c in coords):
-                coords = [rng.randrange(ctx.modulus) for _ in range(ring.degree)]
-            scale = ctx.p**v
-            entries.append(ring.element([c * scale for c in coords]))
-        else:
-            unit = rng.randrange(1, ctx.modulus)
-            while unit % ctx.p == 0:
-                unit = rng.randrange(1, ctx.modulus)
-            entries.append(PadicScalar(ctx, v, unit))
+        v = rng.randrange(ops.m + 1)
+        entries.append(zero if v >= ops.m else ring.random_entry(rng, v))
     return tuple(entries)
 
 
@@ -547,15 +512,13 @@ def certify_orthogonal_projection(
         failures.append("norm_not_one")
 
     rng = random.Random(seed)
-    ring = pi.ext_ring
-    ident = _wrap_residues(_res_identity(n, residue_ops(ctx, ring)), ctx, ring)
+    ring = pi.ring
+    ident = UMatrix.identity(n, ring)
     complement = ident - pi
     decomposition_ok = True
     ball_stable = True
     checked = 0
-    vectors = list(ident.rows) + [
-        sample_vector(ctx, n, rng, ring=ring) for _ in range(max(0, samples - n))
-    ]
+    vectors = list(ident.rows) + [sample_vector(ring, n, rng) for _ in range(max(0, samples - n))]
     for x in vectors:
         vx = vector_valuation(x)
         v_proj = vector_valuation(pi.apply(x))
@@ -572,7 +535,7 @@ def certify_orthogonal_projection(
 
     reduction_ok = pi.is_integral
     if reduction_ok:
-        field = residue_ops(ctx, ring).field
+        field = ring.ops.field
         red = field.map_coords(pi.residues(), ctx.p.__rmod__)
         reduction_ok = field.matmul(red, red) == red
     if not reduction_ok:
@@ -599,25 +562,20 @@ def is_orthonormal_columns(u: UMatrix, samples: int = 16, seed: int = 0) -> bool
     """
     if not is_gl_zp(u):
         return False
-    ctx = u.ctx
-    ring = u.ext_ring
+    ring = u.ring
+    zero = ring.element(ring.ops.zero)
     rng = random.Random(seed)
     for _ in range(samples):
-        if ring is not None:
-            # extension scalars model the integers of K, so the sampled
-            # coefficients stay integral there
-            coeffs = sample_vector(ctx, u.n, rng, ring=ring)
-        else:
+        if ring is ring.ctx:
+            # base scalars are elements of Q_p: coefficients of norm > 1 and zeros are drawn too
             coeffs = []
             for _ in range(u.n):
-                v = rng.randrange(-2, ctx.m)
-                unit = rng.randrange(1, ctx.modulus)
-                while unit % ctx.p == 0:
-                    unit = rng.randrange(1, ctx.modulus)
-                if rng.random() < 0.15:
-                    coeffs.append(PadicScalar.zero(ctx))
-                else:
-                    coeffs.append(PadicScalar(ctx, v, unit))
+                entry = ring.random_entry(rng, rng.randrange(-2, ring.m))
+                coeffs.append(zero if rng.random() < 0.15 else entry)
+        else:
+            # extension scalars model the integers of K, so the sampled
+            # coefficients stay integral there
+            coeffs = sample_vector(ring, u.n, rng)
         combo = u.apply(tuple(coeffs))
         if vector_valuation(combo) != vector_valuation(coeffs):
             return False

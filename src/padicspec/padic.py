@@ -77,8 +77,8 @@ def is_prime(n: int) -> bool:
 
     Exact for n < PRIMALITY_LIMIT (about 3.3e24); larger n raise
     ValueError rather than receive an unproven answer.  Answers are
-    cached, since every PrecisionContext checks its p and the pipeline
-    builds one context per peeling stage and per resolution.
+    cached, since every PrecisionContext checks its p and digit peeling
+    builds one per stage (the ring at the stage's precision).
     """
     if n < 2:
         return False
@@ -256,14 +256,13 @@ class _BaseOps:
     matrices given as tuples of rows: matmul, map_coords (a map of every
     int coordinate), rows_add, rows_sub, rows_scale (every coordinate
     times an int), rows_mul (every entry times a ring element) and
-    rows_are_zero.  Ring members: p, m, q = p^m, degree, ring (the
-    ExtRing the ops belong to; None here), elements (the residue field,
-    in enumeration order), field (the same ring at m = 1) and packs
-    (whether matmul packs a product of a given inner size).
+    rows_are_zero.  Ring members: p, m, q = p^m, degree, elements (the
+    residue field, in enumeration order), field (the same ring at m = 1),
+    packs (whether matmul packs a product of a given inner size) and
+    ring (the PrecisionContext or ExtRing the ops belong to, set by it).
     """
 
     degree = 1
-    ring = None
 
     def __init__(self, p: int, m: int):
         self.p = p
@@ -405,9 +404,16 @@ class _Frozen:
 
 
 class PrecisionContext(_Frozen):
-    """Shared precision parameters: prime p and digit count m."""
+    """Shared precision parameters: prime p and digit count m.
 
-    __slots__ = ("p", "m", "modulus")
+    A context is also the ring handle of Z/p^m, as unramified.ExtRing is
+    of O_K/p^m: ops is its entry protocol (a _BaseOps whose ring is the
+    context), element builds the scalar of a residue, at is the ring at
+    another precision, random_entry draws an entry of a given valuation,
+    and ctx is the context itself.  A scalar's ring is its context.
+    """
+
+    __slots__ = ("p", "m", "modulus", "ops")
     _fields = _compare = ("p", "m")
 
     def __init__(self, p: int, m: int):
@@ -418,6 +424,30 @@ class PrecisionContext(_Frozen):
         if self.m < 1:
             raise ValueError(f"precision m must be >= 1, got {self.m}")
         _setattr(self, "modulus", self.p**self.m)
+        _setattr(self, "ops", _BaseOps(p, m))
+        self.ops.ring = self
+
+    @property
+    def ctx(self) -> "PrecisionContext":
+        return self
+
+    def at(self, m: int) -> "PrecisionContext":
+        return self if m == self.m else PrecisionContext(self.p, m)
+
+    def element(self, residue: int) -> "PadicScalar":
+        """The scalar of a representative of Z/p^m, taken as exact."""
+        r = residue % self.modulus
+        if r == 0:
+            return PadicScalar(self, INFINITE, 0)
+        v = int_valuation(r, self.p)
+        return PadicScalar(self, v, r // self.p**v)
+
+    def random_entry(self, rng, v: int) -> "PadicScalar":
+        """p^v u for a unit u drawn uniformly mod p^m; v may be negative."""
+        unit = rng.randrange(1, self.modulus)
+        while unit % self.p == 0:
+            unit = rng.randrange(1, self.modulus)
+        return PadicScalar(self, v, unit)
 
 
 class PadicScalar(_Frozen):
@@ -467,11 +497,7 @@ class PadicScalar(_Frozen):
     @classmethod
     def from_residue(cls, residue: int, ctx: PrecisionContext) -> "PadicScalar":
         """Scalar for a representative of Z/p^m, taken as exact."""
-        r = residue % ctx.modulus
-        if r == 0:
-            return cls.zero(ctx)
-        v = int_valuation(r, ctx.p)
-        return cls(ctx, v, r // ctx.p**v)
+        return ctx.element(residue)
 
     # -- canonical data ----------------------------------------------
 
@@ -604,10 +630,17 @@ class PadicScalar(_Frozen):
         return self.residue()
 
     def residue_orbit(self) -> tuple:
-        """The residue, sigma on residues, and the scalar of a residue: what classify_orbit walks."""
+        """The residue, sigma on residues, the scalar of a residue, the zero test and size 1.
+
+        What classify_orbit walks (see scan_orbit).
+        """
         ctx = self.ctx
         step = functools.partial(pow, exp=ctx.p, mod=ctx.modulus)
-        return self.residue(), step, functools.partial(PadicScalar.from_residue, ctx=ctx)
+        return self.residue(), step, ctx.element, ctx.ops.is_zero, 1
+
+
+# a base scalar's ring is its context: the ctx slot, read under the name of the ring protocol
+PadicScalar.ring = PadicScalar.ctx
 
 
 def _add_units(ctx: PrecisionContext, v1: int, u1: int, v2: int, u2: int) -> tuple:
@@ -667,7 +700,7 @@ def teichmuller_lift(residue: int, ctx: PrecisionContext) -> PadicScalar:
     """The unique w with w^p = w mod p^m and w = residue mod p (see _teichmuller_residue)."""
     if not 0 <= residue < ctx.p:
         raise ValueError(f"residue {residue} outside [0, p)")
-    return PadicScalar.from_residue(_teichmuller_residue(residue, _BaseOps(ctx.p, ctx.m)), ctx)
+    return ctx.element(_teichmuller_residue(residue, ctx.ops))
 
 
 def teichmuller_points(ctx: PrecisionContext) -> list[PadicScalar]:
@@ -759,27 +792,29 @@ def pre_period_bound(p: int, m: int, size: int) -> int:
     return bound
 
 
-def scan_orbit(start, step, period_bound: int, ctx: PrecisionContext) -> OrbitReport:
+def scan_orbit(start, step, is_zero, size: int, period_bound: int, ops) -> OrbitReport:
     """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
 
-    step maps a key (an int, a coordinate vector or residue rows) to its
-    sigma-image.  The walk takes at most max(m * period_bound + 4, P) +
-    period_bound steps, P = pre_period_bound(p, m, n * deg) for n x n
-    rows over a degree-deg ring, so a cycle of length up to period_bound
-    is seen to repeat: the orbit is on it from step P.  A zero key is
-    TopNilpotent; a repeat is Periodic, or QuasiPeriodic with the first
-    cycle key as limit when the cycle misses start; a longer cycle or an
-    exhausted walk is ChaosAtPrecision.
+    step maps a key (an entry of ops or residue rows over it) to its
+    sigma-image and is_zero tests a key; both come with size, n * deg
+    for n x n rows over a degree-deg ring (deg for an entry), from the
+    residue_orbit protocol, and p and m from ops.  The walk takes at
+    most max(m * period_bound + 4, P) + period_bound steps,
+    P = pre_period_bound(p, m, size), so a cycle of length up to
+    period_bound is seen to repeat: the orbit is on it from step P.  A
+    zero key is TopNilpotent; a repeat is Periodic, or QuasiPeriodic
+    with the first cycle key as limit when the cycle misses start; a
+    longer cycle or an exhausted walk is ChaosAtPrecision.
     """
-    pre_period = pre_period_bound(ctx.p, ctx.m, _key_size(start))
+    pre_period = pre_period_bound(ops.p, ops.m, size)
     # P + period_bound steps would do; the floor m * period_bound + 4 stays because
     # dropping it shortens walks that end in ChaosAtPrecision, and classify reports
     # their steps, so its output would change.
-    budget = max(ctx.m * period_bound + 4, pre_period) + period_bound
+    budget = max(ops.m * period_bound + 4, pre_period) + period_bound
     verdict = functools.partial(OrbitReport, budget=budget)
     seen, keys, cur, k = {}, [], start, 0
     while True:
-        if _key_is_zero(cur):
+        if is_zero(cur):
             return verdict(OrbitKind.TOP_NILPOTENT, steps=k)
         entry = seen.setdefault(cur, k)
         if entry < k:
@@ -803,28 +838,17 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     ChaosAtPrecision: neither happened within scan_orbit's walk of
     max(m * period_bound + 4, P) + period_bound steps, P the
     pre_period_bound of x (a precision-relative verdict, not an error).
-    The scan steps on x's residue key through x.residue_orbit(); only a
-    QuasiPeriodic limit is built as an object of x's type.
+    The scan steps on x's residue key through x.residue_orbit(), over
+    the ops of x's ring; only a QuasiPeriodic limit is built as an
+    object of x's type.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be >= 1")
     if x.valuation < 0:
         raise ValueError("classify_orbit requires |x| <= 1")
-    start, step, wrap = x.residue_orbit()
-    report = scan_orbit(start, step, period_bound, x.ctx)
+    start, step, wrap, is_zero, size = x.residue_orbit()
+    report = scan_orbit(start, step, is_zero, size, period_bound, x.ring.ops)
     if report.limit is None:
         return report
     return report._replace(limit=wrap(report.limit))
 
-
-def _key_size(key) -> int:
-    """n * deg for a key of n x n rows over a degree-deg ring (1 for an int key)."""
-    if isinstance(key, int):
-        return 1
-    return len(key) if isinstance(key[0], int) else len(key) * _key_size(key[0][0])
-
-
-def _key_is_zero(key) -> bool:
-    if isinstance(key, int):
-        return key == 0
-    return all(_key_is_zero(part) for part in key)

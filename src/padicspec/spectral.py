@@ -30,9 +30,13 @@ multiplicative part and a topologically nilpotent part, the spectrum
 diameter, and the commutator inequality
 |[A, B] psi| <= diam(A) * diam(B) for unit psi.
 
-The pipeline exchanges residue rows mod p^m and one ring handle, the
+The pipeline exchanges residue rows mod p^m and one ops handle, the
 entry protocol of padic._BaseOps or finite_field._ExtOps, which alone
-knows what an entry is: _hermite_rows peels the digits, _resolve
+knows what an entry is, taken from the matrix's ring (a
+PrecisionContext or an ExtRing, never None); ops.ring is that ring
+again, which builds the scalars and matrices returned (_wrap_residues)
+and, at another precision, the ops of a peeling stage (ring.at).
+_hermite_rows peels the digits, _resolve
 resolves one digit, _pass_through carries the nodes past a digit that
 splits none of them, _spectral_tree builds the tree and _verify_tree
 certifies it (which, with the points, proves every resolved digit fixed
@@ -54,13 +58,11 @@ from typing import NamedTuple, Sequence
 from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
 from .matrix import (
     UMatrix,
-    _entry_maker,
     _hessenberg_charpoly,
     _res_identity,
     _res_matmul_blocks,
     _res_matpow,
     _wrap_residues,
-    residue_ops,
     vector_valuation,
 )
 from .padic import (
@@ -104,11 +106,12 @@ class PeriodExceededError(Exception):
 # -- residue-level sigma machinery -------------------------------------------
 
 
-def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
+def _sigma_limit(rows: tuple, period: int, ops):
     """Stationary point of y -> y^q mod p^m, q = p^period, or None on a cycle mod p.
 
-    The sigma phase takes sigma^period steps while X^q and X differ mod
-    p.  The orbit mod p is on its cycle from sigma step
+    The rows are over the ring of ops, which gives p and m.  The sigma
+    phase takes sigma^period steps while X^q and X differ mod p.  The
+    orbit mod p is on its cycle from sigma step
     P_1 = pre_period_bound(p, 1, n deg), so from sigma^period step
     ceil(P_1 / period) on; a step from there that still moves X mod p
     shows a cycle longer than 1, and the phase returns None.  Once
@@ -123,7 +126,7 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
     them, counting the one that ended the sigma phase, and a limit that
     needs more is an internal defect.
     """
-    p, modulus = ctx.p, ctx.modulus
+    p, modulus = ops.p, ops.q
     q = p**period
     x, reduction = rows, ops.map_coords(rows, p.__rmod__)
     for _ in range(-(-pre_period_bound(p, 1, len(rows) * ops.degree) // period) + 1):
@@ -138,7 +141,7 @@ def _sigma_limit(rows: tuple, period: int, ctx: PrecisionContext, ops):
     else:
         return None
     a = q * pow(q - 1, -1, modulus) % modulus
-    for _ in range((ctx.m - 1).bit_length()):
+    for _ in range((ops.m - 1).bit_length()):
         correction = ops.rows_sub(ops.matmul(xq, power), xq)
         x = ops.rows_sub(xq, ops.rows_scale(a, correction))
         power = _res_matpow(x, q - 1, ops)
@@ -161,20 +164,19 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
     """
     if not a.is_integral:
         raise ValueError("lift_idempotent requires |a| <= 1")
-    ctx = a.ctx
-    ops = residue_ops(a.ctx, a.ext_ring)
+    ops = a.ring.ops
     rows = a.residues()
     defect = ops.rows_sub(ops.matmul(rows, rows), rows)
-    if not ops.rows_are_zero(ops.map_coords(defect, ctx.p.__rmod__)):
+    if not ops.rows_are_zero(ops.map_coords(defect, ops.p.__rmod__)):
         raise ValueError("input is not idempotent mod p")
-    limit = _sigma_limit(rows, 1, ctx, ops)
+    limit = _sigma_limit(rows, 1, ops)
     if limit is None:
         raise RuntimeError("idempotent lift failed to stabilise (internal defect)")
     if ops.matmul(limit, limit) != limit:
         raise RuntimeError("sigma limit of an idempotent is not idempotent (internal defect)")
-    if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ctx.p.__rmod__)):
+    if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ops.p.__rmod__)):
         raise RuntimeError("idempotent lift changed the reduction (internal defect)")
-    return _wrap_residues(limit, ctx, a.ext_ring)
+    return _wrap_residues(limit, a.ring)
 
 
 # -- Lagrange spectral decomposition -------------------------------------------
@@ -323,10 +325,10 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    ops, (level,) = _spectral_tree((x.residues(),), residue_ops(x.ctx, x.ext_ring), period)
-    make = _entry_maker(x.ctx, ops.ring)
+    ops, (level,) = _spectral_tree((x.residues(),), x.ring.ops, period)
+    ring = ops.ring
     points = tuple(
-        (make(level.terms[index][0]), _wrap_residues(rows, x.ctx, ops.ring))
+        (ring.element(level.terms[index][0]), _wrap_residues(rows, ring))
         for (index,), rows in level.nodes
     )
     return SpectralDecomposition(period, points, 0.0)
@@ -382,8 +384,7 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     returned here are built as matrices.
     """
     k, digits = _hermite_rows(a, period, a.ctx.m)
-    ctx, ring = a.ctx, a.ext_ring
-    return HermiteDigitsMatrix(k, tuple(_wrap_residues(d, ctx, ring) for d in digits), period)
+    return HermiteDigitsMatrix(k, tuple(_wrap_residues(d, a.ring) for d in digits), period)
 
 
 def _hermite_rows(a: UMatrix, period: int, depth: int):
@@ -415,20 +416,18 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     its limit or its cycle mod p at any precision, so every stage
     reaches the verdict of the stage at 2m.
     """
-    ctx = a.ctx
-    p, m = ctx.p, ctx.m
+    ring = a.ring
+    p, m, q = ring.ops.p, ring.ops.m, ring.ops.q
     k = a.valuation
     if k == INFINITE:
         return 0, (a.residues(),) * depth
-    work = a.shift(-k)
-    rows = work.residues()
+    rows = a.shift(-k).residues()
     digits = []
     for i in range(m):
-        stage_ctx = PrecisionContext(p, m + depth - 1 - i if i < depth else m - i)
-        ops = residue_ops(stage_ctx, work.ext_ring)
+        ops = ring.at(m + depth - 1 - i if i < depth else m - i).ops
         if i == depth:
             rows = ops.map_coords(rows, ops.q.__rmod__)
-        limit = _sigma_limit(rows, period, stage_ctx, ops)
+        limit = _sigma_limit(rows, period, ops)
         if limit is None:
             raise NotHermiteError(
                 stage=i,
@@ -443,7 +442,7 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
                 reason=f"nilpotent residue at digit {i + 1}",
             )
         if i < depth:
-            digits.append(ops.map_coords(limit, ctx.modulus.__rmod__))
+            digits.append(ops.map_coords(limit, q.__rmod__))
         rows = ops.map_coords(tail, p.__rfloordiv__)
     return int(k), tuple(digits)
 
@@ -656,18 +655,17 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     (each partial sum truncated to m digits, left to right) but run on
     (valuation, unit) ints in PadicScalar.dot.
     """
-    ctx = a.ctx
-    ops = residue_ops(ctx, a.ext_ring)
-    if ops.degree > 1:
+    ctx, ring = a.ctx, a.ring
+    if ring is not ctx:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
     lead_valuation, digits = _hermite_rows(a, 1, depth)
-    _, levels = _spectral_tree(digits, ops, 1)
+    _, levels = _spectral_tree(digits, ring.ops, 1)
     nodes, lifts, emitted = [], [], {(): None}
     for level in levels:
         lifts.append({i: lift for i, (lift, _) in level.terms.items()})
-        projs = {i: _wrap_residues(rows, ctx, None) for i, (_, rows) in level.terms.items()}
+        projs = {i: _wrap_residues(rows, ring) for i, (_, rows) in level.terms.items()}
         parents, emitted = emitted, {}
         for address, _ in level.nodes:
             parent, proj = parents[address[:-1]], projs[address[-1]]
@@ -737,10 +735,9 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     """
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
-    ctx = a.ctx
-    ops = residue_ops(ctx, a.ext_ring)
-    rows, step, wrap = a.residue_orbit()
-    report = scan_orbit(rows, step, period_bound, ctx)
+    ops = a.ring.ops
+    rows, step, wrap, is_zero, size = a.residue_orbit()
+    report = scan_orbit(rows, step, is_zero, size, period_bound, ops)
     if report.kind is OrbitKind.TOP_NILPOTENT:
         return JordanPair(wrap(ops.map_coords(rows, lambda c: 0)), a, 1, report.steps)
     if report.kind is OrbitKind.CHAOS_AT_PRECISION:
@@ -753,7 +750,7 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     nilpotent = a - semisimple
     killed, kill = nilpotent.residues(), 0
     while not ops.rows_are_zero(killed):
-        if ctx.p**kill >= a.n * ctx.m:
+        if ops.p**kill >= a.n * ops.m:
             raise RuntimeError("nilpotent part failed to vanish (internal defect)")
         killed, kill = step(killed), kill + 1
     return JordanPair(semisimple, nilpotent, report.period, kill)
@@ -778,7 +775,7 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     other valuation is refused with ValueError.
     """
     ring, centers, rows = _spectrum(a, period)
-    return [(center, _wrap_residues(r, a.ctx, ring)) for center, r in zip(centers, rows)]
+    return [(center, _wrap_residues(r, ring)) for center, r in zip(centers, rows)]
 
 
 def _spectrum(a: UMatrix, period: int):
@@ -787,10 +784,10 @@ def _spectrum(a: UMatrix, period: int):
     k, digits = _hermite_rows(a, period, ctx.m)
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
-    ops, levels = _spectral_tree(digits, residue_ops(ctx, a.ext_ring), period)
-    make = _entry_maker(ctx, ops.ring)
+    ops, levels = _spectral_tree(digits, a.ring.ops, period)
+    ring = ops.ring
     shifted = [
-        {index: make(lift).shift(k + j) for index, (lift, _) in level.terms.items()}
+        {index: ring.element(lift).shift(k + j) for index, (lift, _) in level.terms.items()}
         for j, level in enumerate(levels)
     ]
     deepest = levels[-1].nodes
@@ -798,7 +795,7 @@ def _spectrum(a: UMatrix, period: int):
         functools.reduce(operator.add, map(dict.__getitem__, shifted, address))
         for address, _ in deepest
     ]
-    return ops.ring, centers, [rows for _, rows in deepest]
+    return ring, centers, [rows for _, rows in deepest]
 
 
 class SpectrumDiameter(NamedTuple):
@@ -826,7 +823,7 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
     lam_val = min((lam.valuation for lam in lams), default=INFINITE)
     if lam_val != a.valuation:
         raise RuntimeError("operator norm differs from max eigenvalue norm (internal defect)")
-    _check_translations(a, ring, lams, diam_val, ctx)
+    _check_translations(a, ring, lams, diam_val)
     return SpectrumDiameter(
         diameter=diam,
         diameter_valuation=diam_val,
@@ -836,11 +833,11 @@ def spectrum_diameter(a: UMatrix, period: int = 1) -> SpectrumDiameter:
     )
 
 
-def _check_translations(a: UMatrix, ring, lams: list, diam_val, ctx: PrecisionContext):
+def _check_translations(a: UMatrix, ring, lams: list, diam_val):
     if not lams:
         return
     k = min(lam.valuation for lam in lams)
-    resolved = (0 if k == INFINITE else int(min(k, 0))) + ctx.m
+    resolved = (0 if k == INFINITE else int(min(k, 0))) + a.ctx.m
     for val in _translation_valuations(a, ring, lams):
         if diam_val == INFINITE:
             if val < resolved:
@@ -850,7 +847,7 @@ def _check_translations(a: UMatrix, ring, lams: list, diam_val, ctx: PrecisionCo
 
 
 def _translation_valuations(a: UMatrix, ring, lams) -> list:
-    """The valuation of A - lam I over ring (None for Z_p) for each scalar lam of ring.
+    """The valuation of A - lam I over ring (A's own or an extension of it) for each scalar lam of ring.
 
     Off the diagonal A - lam I is A, so the minimum over those entries
     is taken once; each lam adds only its n diagonal differences.

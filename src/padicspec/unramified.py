@@ -6,8 +6,12 @@ literally in {0, ..., p-1}.  Reduction mod p lands back on F_{p^N}, and
 the p-power map permutes the p^N fixed points of sigma^N, which are the
 multiplicative lifts of the residue-field elements.
 
-ExtRing holds the ring's coordinate arithmetic as ops, an _ExtOps from
-padicspec.finite_field (the same class that is F_{p^N} at m = 1), and
+ExtRing is the ring handle of O_K/p^m, as padic.PrecisionContext is of
+Z/p^m: ops is its coordinate arithmetic, an _ExtOps from
+padicspec.finite_field (the same class that is F_{p^N} at m = 1) whose
+ring is the ExtRing; element builds the ExtScalar of a coordinate
+vector, at is the ring at another precision, random_entry draws an
+entry of a given valuation, and ctx is the base context Z/p^m.
 ExtScalar wraps its coordinate vectors as PadicScalar coordinates.
 
 Elements carry the sup-of-coordinates norm: |a| = max_i |coords_i|.  It
@@ -53,6 +57,18 @@ class ExtRing:
     def element(self, coords: Sequence[int]) -> "ExtScalar":
         return ExtScalar.from_vector(self, coords)
 
+    def at(self, m: int) -> "ExtRing":
+        return self if m == self.ctx.m else ext_ring(self.ctx.p, self.degree, m)
+
+    def random_entry(self, rng, v: int) -> "ExtScalar":
+        """p^v u for a unit u whose coordinates are drawn uniformly mod p^m; 0 <= v."""
+        p, q = self.ctx.p, self.ctx.modulus
+        coords = [rng.randrange(q) for _ in range(self.degree)]
+        while all(c % p == 0 for c in coords):
+            coords = [rng.randrange(q) for _ in range(self.degree)]
+        scale = p**v
+        return self.element([c * scale for c in coords])
+
     def zero(self) -> "ExtScalar":
         return ExtScalar.from_vector(self, self.ops.zero)
 
@@ -90,8 +106,7 @@ class ExtScalar(_Frozen):
 
     @classmethod
     def from_vector(cls, ring: ExtRing, coords: Sequence[int]) -> "ExtScalar":
-        ctx = ring.ctx
-        scalars = tuple(PadicScalar.from_residue(c, ctx) for c in coords)
+        scalars = tuple(map(ring.ctx.element, coords))
         if len(scalars) != ring.degree:
             raise ValueError("coordinate vector has wrong length")
         return cls(ring, scalars)
@@ -178,15 +193,19 @@ class ExtScalar(_Frozen):
         return self.vector()
 
     def residue_orbit(self) -> tuple:
-        """The coordinates, sigma on coordinates, and the scalar of a vector (see classify_orbit)."""
-        step = functools.partial(self.ring.ops.pow, exponent=self.ctx.p)
-        return self.vector(), step, functools.partial(ExtScalar.from_vector, self.ring)
+        """The coordinates, sigma on them, the scalar of a vector, the zero test and the degree.
+
+        What classify_orbit walks (see padic.scan_orbit).
+        """
+        ring = self.ring
+        step = functools.partial(ring.ops.pow, exponent=self.ctx.p)
+        return self.vector(), step, ring.element, ring.ops.is_zero, ring.degree
 
 
 def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
     """Lift a residue-field element to the fixed point of sigma^N mod p^m (see _teichmuller_residue)."""
     ring = ext_ring(a.field.p, a.field.degree, m)
-    return ExtScalar.from_vector(ring, _teichmuller_residue(a.coords, ring.ops))
+    return ring.element(_teichmuller_residue(a.coords, ring.ops))
 
 
 def enumerate_teichmuller(p: int, degree: int, m: int) -> list:

@@ -22,7 +22,7 @@ from padicspec import (
     teichmuller_lift_ext,
 )
 from padicspec.finite_field import poly_roots
-from padicspec.matrix import _res_matpow, inverse, residue_ops
+from padicspec.matrix import _res_matpow, inverse
 from padicspec.padic import INFINITE
 from padicspec.spectral import NotHermiteError, _sigma_limit
 
@@ -344,14 +344,14 @@ def lagrange_oracle(rows, p: int, m: int, degree: int, period: int) -> list:
     return out
 
 
-def sigma_limit_oracle(rows, period: int, ctx: PrecisionContext, ops):
+def sigma_limit_oracle(rows, period: int, ops):
     """Stationary point of y -> y^(p^period) mod p^m by plain iteration, or None.
 
     One sigma^period step at a time from rows, until an iterate is
     stationary or repeats without being stationary (None).  The residue
     rows mod p^m are finitely many, so one of the two always happens.
     """
-    exponent = ctx.p**period
+    exponent = ops.p**period
     seen = {rows}
     cur = rows
     while True:
@@ -377,12 +377,11 @@ def hermite_rows_oracle(a: UMatrix, period: int):
     if k == INFINITE:
         return 0, (a.residues(),) * ctx.m
     work = a.shift(-k)
-    ctx_hi = PrecisionContext(ctx.p, 2 * ctx.m)
-    ops_hi = residue_ops(ctx_hi, work.ext_ring)
+    ops_hi = work.ring.at(2 * ctx.m).ops
     rows = work.residues()
     digits = []
     for i in range(ctx.m):
-        limit = _sigma_limit(rows, period, ctx_hi, ops_hi)
+        limit = _sigma_limit(rows, period, ops_hi)
         if limit is None:
             raise NotHermiteError(
                 stage=i,
@@ -423,7 +422,7 @@ def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
         defect = (image - x).norm
         raise ValueError(f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})")
     p = ctx.p
-    ring = x.ext_ring
+    ring = None if x.ring is ctx else x.ring
     if period == 1 and ring is None:
         ambient, field = x, finite_field(p, 1)
     else:
@@ -431,7 +430,7 @@ def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
         if ring.degree % period != 0:
             raise ValueError(f"period {period} does not divide the extension degree {ring.degree}")
         ambient, field = x.promote(ring), ring.residue_field
-    ops = residue_ops(PrecisionContext(p, 1), ring)
+    ops = (ring or ctx).at(1).ops
     charpoly = berkowitz_charpoly(ops.map_coords(ambient.residues(), lambda c: c % p), ops)
     roots = poly_roots(charpoly, p**period, field.degree, ops,
                        (a.coords for a in field.elements()) if ring else range(p))
@@ -527,7 +526,7 @@ def operator_spectrum_oracle(a: UMatrix, period: int = 1) -> list:
 
 
 def translation_valuation_oracle(a: UMatrix, lam, ring) -> object:
-    """The valuation of A - lam I over ring (None for Z_p), formed as a full matrix difference.
+    """The valuation of A - lam I over ring (A's own or an extension), formed as a full matrix difference.
 
     The identity is promoted and scaled by lam, so every off-diagonal
     entry is an explicit a_ij - lam * 0.

@@ -35,6 +35,7 @@ _SPECTRAL = "tests/test_spectral.py::"
 _CLI = "tests/test_cli.py::"
 _MATRIX = "tests/test_matrix.py::"
 _PADIC = "tests/test_padic.py::"
+_FIELD = "tests/test_finite_field.py::"
 _MALFORMED = _PADIC + "test_value_constructors_refuse_malformed_fields"
 _DEFECTS = [
     _CLI + "test_pass_through_defect_is_a_document[wrong index]",
@@ -162,8 +163,8 @@ MUTANTS = (
         _MALFORMED + "[fq-coordinates-too-short]",
     ]),
     # the sigma limit's Newton phase: its step bound is tight, and hitting it is refused
-    ("spectral.py", "for _ in range((ctx.m - 1).bit_length()):",
-     "for _ in range((ctx.m - 1).bit_length() - 1):", [
+    ("spectral.py", "for _ in range((ops.m - 1).bit_length()):",
+     "for _ in range((ops.m - 1).bit_length() - 1):", [
         _SPECTRAL + "test_sigma_limit_matches_oracle_on_base_inputs",
         _SPECTRAL + "test_sigma_limit_matches_oracle_on_unipotent_inputs[1]",
         _SPECTRAL + "test_hermite_digits_work_bound[3-8-8]",
@@ -183,15 +184,48 @@ MUTANTS = (
         _SPECTRAL + "test_lift_idempotent_checks_the_limit_it_is_given[not-idempotent]",
     ]),
     ("spectral.py",
-     "if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ctx.p.__rmod__)):",
+     "if not ops.rows_are_zero(ops.map_coords(ops.rows_sub(limit, rows), ops.p.__rmod__)):",
      "if False:", [
         _SPECTRAL + "test_lift_idempotent_checks_the_limit_it_is_given[other-reduction]",
     ]),
     # jordan_decompose's kill bound, the least k with p^k >= n m, is not one step too long
-    ("spectral.py", "if ctx.p**kill >= a.n * ctx.m:", "if ctx.p**(kill + 1) >= a.n * ctx.m:", [
+    ("spectral.py", "if ops.p**kill >= a.n * ops.m:", "if ops.p**(kill + 1) >= a.n * ops.m:", [
         _SPECTRAL + "test_jordan_kill_bound_covers_every_n",
         _SPECTRAL + "test_jordan_matches_the_scan_oracle",
         "tests/test_acceptance.py::test_jordan_decomposition",
+    ]),
+    # the root finders and unit inversion of finite_field
+    ("finite_field.py", "if any(len(h) != 2 for h in factors):", "if False:", [
+        _FIELD + "test_poly_roots_refuses_a_factor_it_could_not_split",
+    ]),
+    ("finite_field.py", "if len(f) > 1:\n        raise RuntimeError(", "if False:\n        raise RuntimeError(", [
+        _SPECTRAL + "test_spectral_refusals_follow_their_route[companion-over-Zp]",
+    ]),
+    ("finite_field.py", 'raise RuntimeError("unit inversion failed to converge (internal defect)")',
+     "return b", [
+        _FIELD + "test_unit_inversion_refuses_a_newton_phase_that_does_not_converge",
+    ]),
+    # spectrum_diameter's cross-checks: the operator norm and the translation law
+    ("spectral.py", "if lam_val != a.valuation:", "if False and lam_val != a.valuation:", [
+        _CLI + "test_internal_defect_is_a_document",
+    ]),
+    ("spectral.py", "elif val != diam_val:", "elif False:", [
+        _SPECTRAL + "test_spectrum_diameter_checks_the_translation_law[diameter]",
+    ]),
+    ("spectral.py", "if val < resolved:", "if False:", [
+        _SPECTRAL + "test_spectrum_diameter_checks_the_translation_law[singleton]",
+    ]),
+    # one ring per matrix: mixed entries and a promotion to another p or m are refused
+    ("matrix.py", "if entry.ring is not ring and entry.ring != ring:", "if False:", [
+        _MATRIX + "test_a_matrix_over_mixed_rings_is_refused",
+        _MALFORMED + "[mixed-entry-types]",
+    ]),
+    ("matrix.py", "if ring.ctx != own:", "if False:", [
+        _MATRIX + "test_a_matrix_over_mixed_rings_is_refused",
+    ]),
+    ("spectral.py", "if ring is not ctx:", "if False:", [
+        _SPECTRAL + "test_measure_refuses_an_extension_ring[1]",
+        _SPECTRAL + "test_measure_refuses_an_extension_ring[2]",
     ]),
 )
 

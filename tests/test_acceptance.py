@@ -433,9 +433,9 @@ def test_sigma_limit_matches_oracle_on_acceptance_corpora(monkeypatch):
     calls = [0]
     real = spectral._sigma_limit
 
-    def checked(rows, period, ctx, ops):
-        got = real(rows, period, ctx, ops)
-        assert got == sigma_limit_oracle(rows, period, ctx, ops)
+    def checked(rows, period, ops):
+        got = real(rows, period, ops)
+        assert got == sigma_limit_oracle(rows, period, ops)
         calls[0] += 1
         return got
 

@@ -271,3 +271,32 @@ def test_fq_arithmetic_is_the_ring_arithmetic_at_precision_one(p, degree):
             assert (a * b).coords == ops.mul(a.coords, b.coords) == product
         if not a.is_zero:
             assert a.inverse().coords == ops.inv_unit(a.coords)
+
+
+def test_poly_roots_refuses_a_factor_it_could_not_split():
+    """With no shift to sweep, (X - 1)(X - 2) over F_5 stays one quadratic factor: RuntimeError."""
+    ops = _BaseOps(5, 1)
+    with pytest.raises(RuntimeError, match="nonlinear factor"):
+        poly_roots([2, 2, 1], 5, 1, ops, ())
+    assert poly_roots([2, 2, 1], 5, 1, ops, range(5)) == [1, 2]
+
+
+def test_unit_inversion_refuses_a_newton_phase_that_does_not_converge():
+    """Newton's unit inversion spends a bounded number of steps, then refuses.
+
+    The noisy product below adds p^(m-1) to every product equal to 1, so
+    the noise vanishes mod p, the Euclidean start mod p is unchanged, and
+    no product ever reads exactly 1.
+    """
+    p, m = 3, 3
+    modulus = build_modulus(p, 2)
+
+    class NeverOne(_ExtOps):
+        def mul(self, a, b):
+            prod = super().mul(a, b)
+            return self.add(prod, (p ** (m - 1), 0)) if prod == self.one else prod
+
+    exact = _ExtOps(p, m, modulus)
+    assert exact.mul((2, 1), exact.inv_unit((2, 1))) == exact.one
+    with pytest.raises(RuntimeError, match="unit inversion failed to converge"):
+        NeverOne(p, m, modulus).inv_unit((2, 1))

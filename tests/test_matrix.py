@@ -42,7 +42,7 @@ from padicspec import (
 )
 from padicspec import padic
 from padicspec.finite_field import ENUMERATION_LIMIT
-from padicspec.matrix import _hessenberg_charpoly, _res_det, _res_matpow, inverse, residue_ops
+from padicspec.matrix import _hessenberg_charpoly, _res_det, _res_matpow, inverse
 
 CTX = PrecisionContext(3, 4)
 
@@ -170,7 +170,7 @@ def test_determinant_with_negative_lead_valuation_at_n_three():
 
 
 def _field_ops(p: int, degree: int):
-    return residue_ops(PrecisionContext(p, 1), ext_ring(p, degree, 1) if degree > 1 else None)
+    return (ext_ring(p, degree, 1) if degree > 1 else PrecisionContext(p, 1)).ops
 
 
 def _rand_entry(rng, q: int, degree: int, zero_frac: float, p: int = 1, top: int = 0):
@@ -227,7 +227,7 @@ def test_hessenberg_charpoly_on_swaps_and_empty_columns(p, degree):
 def test_elimination_determinant_matches_berkowitz(p, m, degree, n, zero_frac, seed):
     """_res_det over Z/p^m and a degree-2 ring, with entries of every valuation up to m."""
     ctx = PrecisionContext(p, m)
-    ops = residue_ops(ctx, ext_ring(p, degree, m) if degree > 1 else None)
+    ops = (ext_ring(p, degree, m) if degree > 1 else ctx).ops
     rng = random.Random(seed)
     rows = [[_rand_entry(rng, ctx.modulus, degree, zero_frac, p, m) for _ in range(n)]
             for _ in range(n)]
@@ -242,7 +242,7 @@ def _rand_ext_matrix(ring, n, rng, singular=False):
         # last row = first row + p * noise: the reduction has two equal rows
         p = ring.ctx.p
         rows[-1] = [tuple((c + p * rng.randrange(q)) % q for c in e) for e in rows[0]]
-    return UMatrix.from_ext_vectors(rows, ring)
+    return UMatrix.from_residues(rows, ring)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -490,7 +490,7 @@ def test_res_matmul_matches_int_matmul_on_base_rings(p, m, n):
     """
     rng = random.Random(1000 * p + 10 * m + n)
     for ctx in (PrecisionContext(p, m), PrecisionContext(p, 2 * m)):
-        ops = residue_ops(ctx)
+        ops = ctx.ops
         q = ctx.modulus
         top = ((q - 1,) * n,) * n
         pairs = [(top, top)] + [
@@ -510,7 +510,7 @@ def test_res_matmul_matches_ring_matmul_on_extension_rings(p, degree, n):
     rng = random.Random(1000 * p + 10 * degree + n)
     for m in (2, 4):
         ring = ext_ring(p, degree, m)
-        ops = residue_ops(ring.ctx, ring)
+        ops = ring.ops
         q = ring.ctx.modulus
         top = (((q - 1,) * degree,) * n,) * n
         assert ops.matmul(top, top) == ring_matmul(top, top, ring.modulus, q)
@@ -535,13 +535,13 @@ def test_packed_res_matmul_matches_the_oracles(p, m, degree, n, seed):
     if degree == 1:
         ctx = PrecisionContext(p, m)
         a, b = (_rand_rows(rng, n, ctx.modulus) for _ in "ab")
-        got = residue_ops(ctx).matmul(a, b)
+        got = ctx.ops.matmul(a, b)
         assert [list(row) for row in got] == int_matmul(a, b, ctx.modulus)
         return
     ring = ext_ring(p, degree, m)
     q = ring.ctx.modulus
     a, b = (_rand_rows(rng, n, q, degree) for _ in "ab")
-    assert residue_ops(ring.ctx, ring).matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
+    assert ring.ops.matmul(a, b) == ring_matmul(a, b, ring.modulus, q)
 
 
 # (m, n, degree, raw) at p = 2: raw = 2 bits(q - 1) + bits(n degree) is the exact slot width,
@@ -623,7 +623,7 @@ def test_entrywise_residue_helpers_match_the_ops(ring_args, n, ring_scalar, seed
     """
     p, degree, m = ring_args
     ctx = PrecisionContext(p, m)
-    ops = residue_ops(ctx) if degree == 1 else residue_ops(ctx, ext_ring(p, degree, m))
+    ops = ctx.ops if degree == 1 else ext_ring(p, degree, m).ops
     q = ops.q
     rng = random.Random(seed)
     width = None if degree == 1 else degree
@@ -655,7 +655,7 @@ def test_entrywise_residue_helpers_match_the_ops(ring_args, n, ring_scalar, seed
 @pytest.mark.parametrize("p,m,n", [(2, 5, 3), (3, 4, 1), (211, 3, 3)])
 def test_res_matpow_matches_int_matpow(p, m, n):
     ctx = PrecisionContext(p, m)
-    ops = residue_ops(ctx)
+    ops = ctx.ops
     rng = random.Random(100 * p + n)
     a = _rand_rows(rng, n, ctx.modulus)
     for e in list(range(71)) + [211**2]:
@@ -677,13 +677,13 @@ def test_res_matpow_product_count(monkeypatch):
     a = _rand_rows(random.Random(3), 2, ctx.modulus)
     for e in list(range(71)) + [211**2]:
         count[0] = 0
-        _res_matpow(a, e, residue_ops(ctx))
+        _res_matpow(a, e, ctx.ops)
         expected = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
         assert count[0] == expected, e
 
 
 def test_rows_are_zero_on_ints_and_vectors():
-    base, ext = residue_ops(CTX), ext_ring(3, 2, 4).ops
+    base, ext = CTX.ops, ext_ring(3, 2, 4).ops
     assert base.rows_are_zero(((0, 0), (0, 0)))
     assert not base.rows_are_zero(((0, 0), (0, 5)))
     assert ext.rows_are_zero((((0, 0), (0, 0)),))
@@ -698,7 +698,7 @@ def test_shift_of_extension_matrix_matches_scaling(degree):
     ring = ext_ring(3, degree, 4)
     q = ring.ctx.modulus
     rng = random.Random(degree)
-    a = UMatrix.from_ext_vectors(
+    a = UMatrix.from_residues(
         [[[rng.randrange(q) for _ in range(degree)] for _ in range(3)] for _ in range(3)], ring
     )
     for k in range(ring.ctx.m + 1):
@@ -737,3 +737,44 @@ def test_object_products_match_the_dot_oracle(p, m, n, zero_frac, low, plants, s
     b = UMatrix.from_scalars(list(zip(*cols)))
     assert a * b == padic_matmul_oracle(a, b)
     assert a.apply(cols[0]) == tuple(padic_dot_oracle(row, cols[0]) for row in rows)
+
+
+def test_a_matrix_over_mixed_rings_is_refused():
+    """Entries over two precisions are refused, and so is a promotion to another p or m.
+
+    The entry 80 over Z/3^4 in a matrix over Z/3^2 was once kept, read
+    back as the non-canonical residue 80 instead of 80 mod 9 = 8, and
+    refused by teichmuller_spectral as not fixed by sigma.
+    """
+    a, b = PrecisionContext(3, 2), PrecisionContext(3, 4)
+    rows = [[PadicScalar.from_int(int(i == j), a) for j in range(4)] for i in range(4)]
+    rows[3][3] = PadicScalar.from_int(80, b)
+    with pytest.raises(ValueError, match="mixed entry types or rings"):
+        UMatrix.from_scalars(rows)
+    rows[3][3] = PadicScalar.from_int(80, PrecisionContext(3, 2))  # an equal context is the same ring
+    assert UMatrix.from_scalars(rows).residues()[3] == (0, 0, 0, 8)
+    base = UMatrix.from_ints([[1, 0], [0, -1]], a)
+    for ring in (ext_ring(5, 2, 2), ext_ring(3, 2, 4), b):
+        with pytest.raises(ValueError, match="another p or m"):
+            base.promote(ring)
+    assert base.promote(PrecisionContext(3, 2)) is base
+    assert base.promote(ext_ring(3, 2, 2)).residues() == (((1, 0), (0, 0)), ((0, 0), (8, 0)))
+
+
+def test_every_matrix_has_one_ring_handle():
+    """A matrix's ring is its entries' context over Z_p and their ExtRing over O_K, never None.
+
+    The ring's ops belong to it, element builds its entries from residue
+    keys and at moves it to another precision.
+    """
+    ring = ext_ring(3, 2, 4)
+    for handle, key in ((CTX, 5), (ring, (5, 1))):
+        a = UMatrix.identity(2, handle)
+        assert a.ring == handle and handle.ops.ring is handle
+        assert handle.element(key).residue_key() == key
+        assert UMatrix.from_residues([[key, key], [key, key]], handle).ring == handle
+        assert handle.at(handle.ctx.m) is handle
+        low = handle.at(2)
+        assert (low.ctx, low.ops.q, low.ops.degree) == (PrecisionContext(3, 2), 9, handle.ops.degree)
+    assert UMatrix.identity(2, CTX).promote(ring).ring is ring
+    assert repr(UMatrix.identity(2, ring)) == "UMatrix(n=2, ring=ext, p=3, m=4)"

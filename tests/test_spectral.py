@@ -61,7 +61,7 @@ from padicspec import (
 )
 from padicspec import padic, spectral
 from padicspec.cli import run_command
-from padicspec.matrix import inverse, residue_ops
+from padicspec.matrix import inverse
 from padicspec.spectral import (
     _sigma_limit,
     _translation_valuations,
@@ -364,7 +364,7 @@ def test_root_finder_switches_at_the_crossover(monkeypatch, p, degree, n, finder
 def _coords_of(x: UMatrix, degree: int):
     """Residues of x as coordinate vectors in the degree-`degree` ring."""
     pad = (0,) * (degree - 1)
-    if x.ext_ring is not None:
+    if x.ring is not x.ctx:
         return x.residues()
     return tuple(tuple((e,) + pad for e in row) for row in x.residues())
 
@@ -392,7 +392,7 @@ def _multiplication_block(ctx: PrecisionContext, degree: int) -> list:
 def _rand_ext_gl(ring, n: int, rng: random.Random) -> UMatrix:
     q = ring.ctx.modulus
     while True:
-        u = UMatrix.from_ext_vectors(
+        u = UMatrix.from_residues(
             [[[rng.randrange(q) for _ in range(ring.degree)] for _ in range(n)] for _ in range(n)],
             ring,
         )
@@ -536,14 +536,14 @@ def _assert_sigma_limits_match_oracle(rng, trials, degree):
         ctx = PrecisionContext(p, m)
         entries = [[rng.randrange(ctx.modulus) for _ in range(degree)] for _ in range(n * n)]
         if degree == 1:
-            ops = residue_ops(ctx)
+            ops = ctx.ops
             entries = [e[0] for e in entries]
         else:
-            ops = residue_ops(ctx, ext_ring(p, degree, m))
+            ops = ext_ring(p, degree, m).ops
             entries = [tuple(e) for e in entries]
         rows = tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
-        got = _sigma_limit(rows, period, ctx, ops)
-        assert got == sigma_limit_oracle(rows, period, ctx, ops), (p, m, n, period)
+        got = _sigma_limit(rows, period, ops)
+        assert got == sigma_limit_oracle(rows, period, ops), (p, m, n, period)
         outcomes[got is not None] += 1
     return outcomes
 
@@ -575,10 +575,10 @@ def test_sigma_limit_matches_oracle_on_unipotent_inputs(degree):
     for m in (1, 2, 3):
         ctx = PrecisionContext(2, m)
         if degree == 1:
-            ops, zero, omegas = residue_ops(ctx), 0, [1]
+            ops, zero, omegas = ctx.ops, 0, [1]
         else:
             ring = ext_ring(2, 2, m)
-            ops, zero = residue_ops(ctx, ring), (0, 0)
+            ops, zero = ring.ops, (0, 0)
             generator = ring.residue_field.element((0, 1))
             omegas = [(1, 0), teichmuller_lift_ext(generator, m).residue_key()]
         sizes = (1, 2, 4, 5, 8, 9, 16, 17, 32, 33)
@@ -586,8 +586,8 @@ def test_sigma_limit_matches_oracle_on_unipotent_inputs(degree):
             rows = tuple(
                 tuple(omega if j in (i, i + 1) else zero for j in range(n)) for i in range(n)
             )
-            got = _sigma_limit(rows, period, ctx, ops)
-            assert got == sigma_limit_oracle(rows, period, ctx, ops), (m, omega, n, period)
+            got = _sigma_limit(rows, period, ops)
+            assert got == sigma_limit_oracle(rows, period, ops), (m, omega, n, period)
             outcomes[got is not None] += 1
     assert outcomes[True] > 0 and outcomes[False] == (0 if degree == 1 else 60)
 
@@ -599,7 +599,7 @@ def test_sigma_limit_refuses_a_newton_phase_that_does_not_converge():
     Newton phase spends every step it may take.
     """
     ctx = PrecisionContext(3, 4)
-    ops = residue_ops(ctx)
+    ops = ctx.ops
 
     class NoisyOps:
         def __getattr__(self, name):
@@ -611,9 +611,9 @@ def test_sigma_limit_refuses_a_newton_phase_that_does_not_converge():
             return tuple(map(tuple, rows))
 
     rows = ((2, 1), (0, 1))
-    assert _sigma_limit(rows, 1, ctx, ops) == sigma_limit_oracle(rows, 1, ctx, ops) is not None
+    assert _sigma_limit(rows, 1, ops) == sigma_limit_oracle(rows, 1, ops) is not None
     with pytest.raises(RuntimeError, match="did not converge"):
-        _sigma_limit(rows, 1, ctx, NoisyOps())
+        _sigma_limit(rows, 1, NoisyOps())
 
 
 def _count_matpow_calls(monkeypatch) -> list:
@@ -856,7 +856,7 @@ def _planted_level(p: int, m: int, degree: int, points: list, rows=None):
 
     terms = {i: (embed(lam), matrix(proj)) for i, (lam, proj) in enumerate(points)}
     nodes = [((i,), proj) for i, (_, proj) in terms.items()]
-    return spectral._TreeLevel(matrix(rows), terms, nodes), residue_ops(ctx, ring)
+    return spectral._TreeLevel(matrix(rows), terms, nodes), (ctx if ring is None else ring).ops
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -943,6 +943,18 @@ def test_measure_worked_example():
     assert residues_of(nodes[(1, 1)]) == [[0, 0], [0, 1]]
     assert measure.ball_center((1, 0), ctx).residue() == 1
     assert measure.ball_center((1, 1), ctx).residue() == 4
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_measure_refuses_an_extension_ring(degree):
+    """The balls of the measure are balls of Z_p: a matrix over any extension ring is refused.
+
+    The degree-1 ring O_K = Z_p is an extension ring too, whose points
+    are coordinate vectors and cannot be ball centers of Z_p.
+    """
+    a = UMatrix.identity(2, ext_ring(3, degree, 2))
+    with pytest.raises(ValueError, match="built over Z_p"):
+        spectral_measure(a, 1)
 
 
 def test_measure_scalar_operator_single_path():
@@ -1037,7 +1049,7 @@ def _branching_operator():
 def _branching_tree():
     """The certified depth-2 tree whose two level-0 balls split in two each, and its ops."""
     a = _branching_operator()
-    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], residue_ops(a.ctx), 1)
+    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], a.ctx.ops, 1)
     assert [addr for addr, _ in levels[1].nodes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     return levels, ops
 
@@ -1123,7 +1135,7 @@ def _period_two_tree():
         d[i][:2] = block[i]
         d[i + 2][2:] = [(1 + ctx.p) * e for e in block[i]]
     a = conjugate(rand_gl(ctx, 4, random.Random(43)), UMatrix.from_residues(d, ctx))
-    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], residue_ops(ctx), 2)
+    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], ctx.ops, 2)
     assert ops.degree == 2
     parents = [addr[:-1] for addr, _ in levels[1].nodes]
     assert len(parents) == 4 and len(set(parents)) == 2
@@ -1152,7 +1164,7 @@ def test_verify_tree_checks_idempotency_where_orthogonality_is_one_sided():
     only the deepest level's squares refuse the tree.
     """
     ctx = PrecisionContext(5, 2)
-    ops = residue_ops(ctx)
+    ops = ctx.ops
     q = ctx.modulus
     projectors = {0: ((1, 0), (0, 0)), 1: ((0, 0), (q - 1, 0)), 2: ((0, 0), (1, 1))}
     lifts = {i: teichmuller_lift(i, ctx).residue() for i in projectors}
@@ -1182,7 +1194,7 @@ def test_spectral_tree_matches_the_object_level_tree_at_every_level(period):
             a = _hermite_operator(ctx, n, period, rng)
             for x in (a, a.shift(1)):
                 _, digits = spectral._hermite_rows(x, period, ctx.m)
-                _, levels = spectral._spectral_tree(digits, residue_ops(ctx, x.ext_ring), period)
+                _, levels = spectral._spectral_tree(digits, x.ring.ops, period)
                 _assert_tree_matches_the_oracles(x, period, levels)
 
 
@@ -1300,7 +1312,7 @@ def test_a_level_that_splits_one_node_but_not_another_is_resolved(monkeypatch):
     ctx = PrecisionContext(3, 3)
     a = conjugate(rand_gl(ctx, 3, random.Random(5)), diag_matrix(ctx, [1, 4, ctx.modulus - 1]))
     _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, residue_ops(ctx), 1)
+    _, levels = spectral._spectral_tree(digits, ctx.ops, 1)
     assert [[addr for addr, _ in level.nodes] for level in levels[1:]] == [
         [(1, 0), (1, 1), (2, 0)], [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
     ]
@@ -1324,7 +1336,7 @@ def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
     planted = diag_matrix(ctx, _teichmuller_expansion([first, second, third, fourth], ctx))
     a = conjugate(rand_gl(ctx, 4, random.Random(8)), planted)
     _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, residue_ops(ctx), 1)
+    _, levels = spectral._spectral_tree(digits, ctx.ops, 1)
     assert _splitting_levels(levels) == [2, 5, 6]
     assert len(calls) == 1 + 3
     assert [len(level.nodes) for level in levels] == [1, 1, 2, 2, 2, 3, 4, 4]
@@ -1334,7 +1346,7 @@ def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
 def test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue():
     """A node with no unit entry, or one that the digit does not scale, sends the level to _resolve."""
     ctx = PrecisionContext(3, 2)
-    ops = residue_ops(ctx)
+    ops = ctx.ops
     ident = ((1, 0), (0, 1))
     assert spectral._pass_through([((0,), ((3, 0), (0, 3)))], ident, ops) is None
     assert spectral._pass_through([((0,), ident)], ((1, 0), (0, 8)), ops) is None
@@ -1459,7 +1471,7 @@ def test_residue_pipeline_matches_the_object_level_route(problem):
         assert _with_residues(got) == _with_residues(_outcome(teichmuller_spectral_oracle, x, period))
     got = _with_residues(_outcome(operator_spectrum, a, period))
     assert got == _with_residues(_outcome(operator_spectrum_oracle, a, period))
-    if period != 1 or a.ext_ring is not None or isinstance(expansion, tuple):
+    if period != 1 or a.ring is not ctx or isinstance(expansion, tuple):
         return
     depth = ctx.m
     measure = spectral_measure(a, depth)
@@ -1722,7 +1734,7 @@ def documented_scan_budget(p: int, m: int, size: int, bound: int) -> int:
 
 def _sigma_window_walk(x: UMatrix, bound: int) -> OrbitReport:
     """The orbit report of x read off its own sigma_window iterates."""
-    degree = 1 if x.ext_ring is None else x.ext_ring.degree
+    degree = x.ring.ops.degree
     budget = documented_scan_budget(x.ctx.p, x.ctx.m, x.n * degree, bound)
     seen, states, cur = {}, [], x
     for k in range(budget + 1):
@@ -1883,13 +1895,13 @@ def test_translation_valuations_match_the_full_difference(shape, p, m, n, seed):
     if shape == "diag(3, 27)":
         a = UMatrix.from_ints([[3, 0], [0, 27]], ctx)
         points = operator_spectrum(a, period=2)
-        ring = points[0][1].ext_ring
+        ring = points[0][1].ring
         lams = [lam for lam, _ in points]
     elif shape == "base":
         a = UMatrix.from_scalars(
             [[rand_padic_scalar(ctx, rng, 0.3, -2) for _ in range(n)] for _ in range(n)]
         )
-        ring = None
+        ring = ctx
         lams = [rand_padic_scalar(ctx, rng, 0.2, -2) for _ in range(3)]
         lams += [a.entry(i, i) for i in range(n)] + [PadicScalar.zero(ctx)]
     else:
@@ -1904,6 +1916,28 @@ def test_translation_valuations_match_the_full_difference(shape, p, m, n, seed):
         lams += [a.promote(ring).entry(i, i) for i in range(n)] + [ring.zero()]
     expected = [translation_valuation_oracle(a, lam, ring) for lam in lams]
     assert _translation_valuations(a, ring, lams) == expected
+
+
+@pytest.mark.parametrize("spread", [True, False], ids=["diameter", "singleton"])
+def test_spectrum_diameter_checks_the_translation_law(spread):
+    """A translation A - mu by a spectrum point whose norm breaks the law is an internal defect.
+
+    diag(1, 2) at p = 3 has diameter 1, so a claimed diameter valuation
+    of 1 contradicts both of its translations.  The identity has the
+    singleton spectrum {1}; the point 2 in its place leaves A - 2 of
+    norm 1, not 0 at the resolved precision.
+    """
+    if spread:
+        a = diag_matrix(CTX, [1, 2])
+        ring, lams, _ = spectral._spectrum(a, 1)
+        spectral._check_translations(a, ring, lams, 0)
+        with pytest.raises(RuntimeError, match="translation by a spectrum point changed the norm"):
+            spectral._check_translations(a, ring, lams, 1)
+    else:
+        a = UMatrix.identity(2, CTX)
+        spectral._check_translations(a, CTX, [PadicScalar.one(CTX)], INFINITE)
+        with pytest.raises(RuntimeError, match="translation law failed for a singleton spectrum"):
+            spectral._check_translations(a, CTX, [PadicScalar.from_int(2, CTX)], INFINITE)
 
 
 def test_uncertainty_worked_example():

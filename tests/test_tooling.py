@@ -129,11 +129,12 @@ def test_mutant_table_matches_the_source():
             assert f"def {name.partition('[')[0]}(" in text, node
 
 
-def _format_sniffs(path: pathlib.Path) -> list:
-    """The lines of a source file that call isinstance(..., int) or compare a ring with None.
+def _format_sniffs(path: pathlib.Path) -> dict:
+    """The isinstance calls of a source file and the lines that compare a ring with None.
 
-    A ring is a name or attribute ending in "ring" (ring, ext_ring,
-    x.ext_ring); None is the literal constant on either side of a
+    Each isinstance call is (qualified name of its enclosing function or
+    class, line).  A ring is a name or attribute ending in "ring" (ring,
+    x.ring, ext_ring); None is the literal constant on either side of a
     comparison.
     """
     def is_ring(node):
@@ -143,23 +144,63 @@ def _format_sniffs(path: pathlib.Path) -> list:
     def is_none(node):
         return isinstance(node, ast.Constant) and node.value is None
 
-    lines = {"isinstance": [], "ring": []}
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+    found = {"isinstance": [], "ring": []}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance" and len(node.args) == 2
-                and "int" in {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}):
-            lines["isinstance"].append(node.lineno)
+                and node.func.id == "isinstance"):
+            found["isinstance"].append((scope, node.lineno))
         if isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]
             if any(map(is_ring, sides)) and any(map(is_none, sides)):
-                lines["ring"].append(node.lineno)
-    return lines
+                found["ring"].append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), "")
+    return found
 
 
 def test_only_the_ops_know_the_entry_format():
-    """spectral.py and matrix.py never ask whether an entry is an int, and spectral.py
-    never asks whether a ring is None: the entry format and the ring are the ops'
-    (padic._BaseOps, finite_field._ExtOps)."""
-    spectral = _format_sniffs(PACKAGE / "spectral.py")
-    assert spectral == {"isinstance": [], "ring": []}
-    assert _format_sniffs(PACKAGE / "matrix.py")["isinstance"] == []
+    """Only the ops (padic._BaseOps, finite_field._ExtOps) know what an entry is.
+
+    Every matrix has a ring handle, a PrecisionContext or an ExtRing, so
+    matrix.py and spectral.py call no isinstance and compare no ring
+    with None, and padic.py calls isinstance only in PadicScalar's field
+    check (an integer valuation).
+    """
+    for name in ("matrix.py", "spectral.py"):
+        assert _format_sniffs(PACKAGE / name) == {"isinstance": [], "ring": []}, name
+    padic = _format_sniffs(PACKAGE / "padic.py")["isinstance"]
+    assert [scope for scope, _ in padic] == ["PadicScalar.__init__"]
+
+
+# The module-level memo functions of src/padicspec, each with why its entries may
+# outlive one problem.  perfbench/run.py clears finite_field, build_modulus and
+# ext_ring between timed passes; a memo it does not know would make a warm pass
+# faster than a fresh process.
+MODULE_CACHES = {
+    "padic.is_prime": "a proven verdict per integer, asked again by every context at that p",
+    "padic._row_struct": "a compiled struct layout, a function of the packed product's shape only",
+    "finite_field.build_modulus": "the certified modulus of F_{p^N}, found by a search",
+    "finite_field.finite_field": "one field per (p, N), holding that modulus and its ops",
+    "unramified.ext_ring": "one ring per (p, N, m), so equal rings are mostly one object",
+    "cli._parser": "the argparse parser, built once for the first argv the flag table declines",
+}
+
+
+def test_module_level_caches_are_the_pinned_ones():
+    """The functools.cache and lru_cache functions at module level are exactly MODULE_CACHES."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                name = target.id if isinstance(target, ast.Name) else getattr(target, "attr", "")
+                if name in ("cache", "lru_cache"):
+                    found.add(f"{path.stem}.{node.name}")
+    assert found == set(MODULE_CACHES)
