@@ -104,7 +104,7 @@ class MathRejection(Exception):
 
 def scalar_to_json(x) -> object:
     if isinstance(x, ExtScalar):
-        return [scalar_to_json(c) for c in x.coords]
+        return [scalar_to_json(x.ctx.element(c)) for c in x.coords]
     if x.is_zero:
         return {"v": 0, "u": "0"}
     return {"v": int(x.valuation), "u": str(x.unit)}

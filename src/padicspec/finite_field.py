@@ -27,7 +27,7 @@ import itertools
 import operator
 from typing import Iterator, Sequence
 
-from .padic import INFINITE, _BaseOps, _Frozen, _packed_matmul, _setattr, int_valuation, is_prime
+from .padic import INFINITE, _BaseOps, _Frozen, _packed_matmul, _power, _setattr, int_valuation, is_prime
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
@@ -89,15 +89,14 @@ def poly_gcd(a, b, ops) -> list:
 
 
 def poly_powmod(base, exponent: int, modulus, ops) -> list:
-    result = [ops.one]
-    acc = poly_divmod(base, modulus, ops)[1]
-    while exponent:
-        if exponent & 1:
-            result = poly_divmod(poly_mul(result, acc, ops), modulus, ops)[1]
-        exponent >>= 1
-        if exponent:
-            acc = poly_divmod(poly_mul(acc, acc, ops), modulus, ops)[1]
-    return result
+    """base^exponent mod modulus by padic._power; [one] for exponent 0."""
+    if not exponent:
+        return [ops.one]
+
+    def mulmod(a, b):
+        return poly_divmod(poly_mul(a, b, ops), modulus, ops)[1]
+
+    return _power(poly_divmod(base, modulus, ops)[1], exponent, mulmod)
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -281,16 +280,8 @@ class _ExtOps:
         return tuple(out)
 
     def pow(self, a, exponent: int):
-        """a^exponent by binary powering, from the lowest set bit, no square past the top bit."""
-        result = None
-        acc = tuple(c % self.q for c in a)
-        while exponent:
-            if exponent & 1:
-                result = acc if result is None else self.mul(result, acc)
-            exponent >>= 1
-            if exponent:
-                acc = self.mul(acc, acc)
-        return self.one if result is None else result
+        """a^exponent by padic._power over mul, one for exponent 0; a is reduced mod p^m first."""
+        return _power(tuple([c % self.q for c in a]), exponent, self.mul) if exponent else self.one
 
     def dot(self, xs, ys):
         """sum_i xs[i] * ys[i] for canonical coordinates: the 1 x k by k x 1 packed product."""
@@ -411,22 +402,15 @@ def finite_field(p: int, degree: int) -> "FiniteField":
 class FiniteField:
     """F_{p^N} presented as F_p[X] / (modulus), with its arithmetic in ops.
 
-    A modulus the caller supplies is checked to be monic, of the requested
-    degree and irreducible; the default one comes certified from
-    build_modulus.
+    The modulus is build_modulus(p, N), the one every extension ring of
+    the package reduces to, so the coordinates of a field element and of
+    its lifts are read against one basis.
     """
 
-    def __init__(self, p: int, degree: int, modulus: tuple = None):
+    def __init__(self, p: int, degree: int):
         self.p = p
         self.degree = degree
-        if modulus is None:
-            self.modulus = build_modulus(p, degree)
-        else:
-            self.modulus = tuple(modulus)
-            if len(self.modulus) != degree + 1 or self.modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the requested degree")
-            if not is_irreducible(self.modulus, p):
-                raise ValueError("modulus is reducible over F_p")
+        self.modulus = build_modulus(p, degree)
         self.ops = _ExtOps(p, 1, self.modulus)
 
     @property

@@ -16,9 +16,12 @@ with the scalars.  Window computations (everything that only matters
 mod p^m) run on plain residue representatives for speed, through the
 ring's entry protocol ring.ops: padic._BaseOps on ints over Z/p^m, or
 finite_field._ExtOps on coordinate vectors.  _wrap_residues builds the
-matrix of residue rows with the ring's element constructor.  Only the
-two ops classes know what an entry is; the residue helpers here
-(_res_matpow, _res_matmul_blocks, _res_inverse, _res_det and the
+matrix of residue rows with the ring's element constructor, and
+residues reads them back with residue_key: an ExtScalar holds its
+coordinate vector as that key, so neither direction converts an
+extension entry.  Only the two ops classes know what an entry is; the
+residue helpers here (_res_matpow, which is padic._power over
+ops.matmul, _res_matmul_blocks, _res_inverse, _res_det and the
 Hessenberg reduction) call their members.  Both provide matmul, the
 whole residue matrix product of any compatible shapes
 (_res_matmul_blocks multiplies one matrix by several at once), through
@@ -39,7 +42,7 @@ import itertools
 import random
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _setattr, norm_from_valuation
+from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _power, _setattr, norm_from_valuation
 from .unramified import ExtRing, ExtScalar
 
 Scalar = Union[PadicScalar, ExtScalar]
@@ -250,25 +253,8 @@ def _res_identity(n: int, ops) -> tuple:
 
 
 def _res_matpow(a: tuple, exponent: int, ops) -> tuple:
-    """a^exponent by binary powering: floor(log2 e) + popcount(e) - 1 products for e >= 1.
-
-    The result starts at the lowest set bit instead of the identity, and
-    the square after the highest bit is never formed.
-    """
-    if exponent == 0:
-        return _res_identity(len(a), ops)
-    acc = a
-    while not exponent & 1:
-        acc = ops.matmul(acc, acc)
-        exponent >>= 1
-    result = acc
-    exponent >>= 1
-    while exponent:
-        acc = ops.matmul(acc, acc)
-        if exponent & 1:
-            result = ops.matmul(result, acc)
-        exponent >>= 1
-    return result
+    """a^exponent on residue rows: padic._power over ops.matmul, the identity for exponent 0."""
+    return _power(a, exponent, ops.matmul) if exponent else _res_identity(len(a), ops)
 
 
 def _wrap_residues(rows: tuple, ring: Ring) -> UMatrix:

@@ -245,6 +245,27 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> t
     ])
 
 
+def _power(x, exponent: int, mul):
+    """x^exponent for exponent >= 1 by binary powering, in floor(log2 e) + popcount(e) - 1 products.
+
+    The one square-and-multiply of the package: residue matrices, ring
+    elements and polynomials mod f pass their own mul.  The result
+    starts at the lowest set bit instead of at one, and the square after
+    the highest bit is never formed.
+    """
+    while not exponent & 1:
+        x = mul(x, x)
+        exponent >>= 1
+    result = x
+    exponent >>= 1
+    while exponent:
+        x = mul(x, x)
+        if exponent & 1:
+            result = mul(result, x)
+        exponent >>= 1
+    return result
+
+
 class _BaseOps:
     """Residue arithmetic on int entries of Z/p^m.
 

@@ -12,7 +12,10 @@ padicspec.finite_field (the same class that is F_{p^N} at m = 1) whose
 ring is the ExtRing; element builds the ExtScalar of a coordinate
 vector, at is the ring at another precision, random_entry draws an
 entry of a given valuation, and ctx is the base context Z/p^m.
-ExtScalar wraps its coordinate vectors as PadicScalar coordinates.
+An extension scalar is its coordinate vector: ExtScalar.coords is the
+canonical int vector mod p^m that ops computes on, as FqElement.coords
+is over F_{p^N}, so each ExtScalar operator is one ops call and a
+residue row wraps and unwraps without conversion.
 
 Elements carry the sup-of-coordinates norm: |a| = max_i |coords_i|.  It
 is submultiplicative, ultrametric, and equals 1 exactly when the
@@ -28,7 +31,6 @@ from typing import Sequence
 
 from .finite_field import ENUMERATION_LIMIT, FqElement, _ExtOps, finite_field
 from .padic import (
-    INFINITE,
     PadicScalar,
     PrecisionContext,
     _Frozen,
@@ -96,7 +98,7 @@ class ExtRing:
 
 
 class ExtScalar(_Frozen):
-    """Element of O_K/p^m as degree-N coordinates over PadicScalar."""
+    """Element of O_K/p^m as its coordinate vector mod p^m, the entry its ring's ops compute on."""
 
     __slots__ = _fields = _compare = ("ring", "coords")
 
@@ -106,25 +108,27 @@ class ExtScalar(_Frozen):
 
     @classmethod
     def from_vector(cls, ring: ExtRing, coords: Sequence[int]) -> "ExtScalar":
-        scalars = tuple(map(ring.ctx.element, coords))
-        if len(scalars) != ring.degree:
+        """The element of degree-many int coordinates, each taken mod p^m."""
+        q = ring.ctx.modulus
+        coords = tuple([c % q for c in coords])
+        if len(coords) != ring.degree:
             raise ValueError("coordinate vector has wrong length")
-        return cls(ring, scalars)
+        return cls(ring, coords)
 
     @property
     def ctx(self) -> PrecisionContext:
         return self.ring.ctx
 
     def vector(self) -> tuple:
-        return tuple(c.residue() for c in self.coords)
+        return self.coords
 
     @property
     def is_zero(self) -> bool:
-        return all(c.is_zero for c in self.coords)
+        return self.ring.ops.is_zero(self.coords)
 
     @property
     def valuation(self):
-        return min((c.valuation for c in self.coords), default=INFINITE)
+        return self.ring.ops.valuation(self.coords)
 
     @property
     def norm(self) -> float:
@@ -136,11 +140,11 @@ class ExtScalar(_Frozen):
 
     def __add__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.ops.add(self.vector(), other.vector()))
+        return ExtScalar(self.ring, self.ring.ops.add(self.coords, other.coords))
 
     def __sub__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.ops.sub(self.vector(), other.vector()))
+        return ExtScalar(self.ring, self.ring.ops.sub(self.coords, other.coords))
 
     @staticmethod
     def dot(xs: Sequence["ExtScalar"], ys: Sequence["ExtScalar"]) -> "ExtScalar":
@@ -149,48 +153,53 @@ class ExtScalar(_Frozen):
         for z in itertools.chain(xs, ys):
             if z.ring is not ring:
                 xs[0]._check(z)
-        vectors = [x.vector() for x in xs], [y.vector() for y in ys]
-        return ExtScalar.from_vector(ring, ring.ops.dot(*vectors))
+        return ExtScalar(ring, ring.ops.dot([x.coords for x in xs], [y.coords for y in ys]))
 
     def __neg__(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self.ring, self.ring.ops.neg(self.vector()))
+        return ExtScalar(self.ring, self.ring.ops.neg(self.coords))
 
     def __mul__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return ExtScalar.from_vector(self.ring, self.ring.ops.mul(self.vector(), other.vector()))
+        return ExtScalar(self.ring, self.ring.ops.mul(self.coords, other.coords))
 
     def __truediv__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
         ops = self.ring.ops
-        return ExtScalar.from_vector(self.ring, ops.mul(self.vector(), ops.inv_unit(other.vector())))
+        return ExtScalar(self.ring, ops.mul(self.coords, ops.inv_unit(other.coords)))
 
     def __pow__(self, exponent: int) -> "ExtScalar":
         ops = self.ring.ops
         if exponent < 0:
-            return ExtScalar.from_vector(self.ring, ops.pow(ops.inv_unit(self.vector()), -exponent))
-        return ExtScalar.from_vector(self.ring, ops.pow(self.vector(), exponent))
+            return ExtScalar(self.ring, ops.pow(ops.inv_unit(self.coords), -exponent))
+        return ExtScalar(self.ring, ops.pow(self.coords, exponent))
 
     def reduction(self) -> FqElement:
-        return self.ring.residue_field.element(self.vector())
+        return self.ring.residue_field.element(self.coords)
 
     def congruent(self, other: "ExtScalar") -> bool:
         self._check(other)
-        return self.vector() == other.vector()
+        return self.coords == other.coords
 
     def shift(self, k: int) -> "ExtScalar":
         """Multiply by p^k in O_K/p^m; k < 0 needs p^-k to divide every coordinate."""
-        return ExtScalar.from_vector(self.ring, [c.shift(k).residue() for c in self.coords])
+        p, q = self.ctx.p, self.ctx.modulus
+        if k >= 0:
+            scale = pow(p, k, q)
+            return ExtScalar(self.ring, tuple([c * scale % q for c in self.coords]))
+        if self.valuation < -k:
+            raise ValueError("scalar has norm > 1, no residue mod p^m")
+        return ExtScalar(self.ring, tuple([c // p**-k for c in self.coords]))
 
     def __repr__(self):
-        return f"ExtScalar{self.vector()}@{self.ring!r}"
+        return f"ExtScalar{self.coords}@{self.ring!r}"
 
     # -- sigma-orbit protocol ------------------------------------------
 
     def sigma_window(self, period: int = 1) -> "ExtScalar":
-        return ExtScalar.from_vector(self.ring, self.ring.ops.pow(self.vector(), self.ctx.p**period))
+        return self ** self.ctx.p**period
 
     def residue_key(self) -> tuple:
-        return self.vector()
+        return self.coords
 
     def residue_orbit(self) -> tuple:
         """The coordinates, sigma on them, the scalar of a vector, the zero test and the degree.
@@ -199,7 +208,7 @@ class ExtScalar(_Frozen):
         """
         ring = self.ring
         step = functools.partial(ring.ops.pow, exponent=self.ctx.p)
-        return self.vector(), step, ring.element, ring.ops.is_zero, ring.degree
+        return self.coords, step, ring.element, ring.ops.is_zero, ring.degree
 
 
 def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:

@@ -162,6 +162,9 @@ MUTANTS = (
     ("finite_field.py", "if len(self.coords) != self.field.degree:", "if False:", [
         _MALFORMED + "[fq-coordinates-too-short]",
     ]),
+    ("unramified.py", "if len(coords) != ring.degree:", "if False:", [
+        _MALFORMED + "[ext-coordinates-too-long]",
+    ]),
     # the sigma limit's Newton phase: its step bound is tight, and hitting it is refused
     ("spectral.py", "for _ in range((ops.m - 1).bit_length()):",
      "for _ in range((ops.m - 1).bit_length() - 1):", [

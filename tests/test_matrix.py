@@ -1,6 +1,7 @@
 """Sup-norm matrices: GL membership, determinants, projections, sampling."""
 
 import functools
+import importlib
 import operator
 import random
 
@@ -42,9 +43,11 @@ from padicspec import (
 )
 from padicspec import padic
 from padicspec.finite_field import ENUMERATION_LIMIT
-from padicspec.matrix import _hessenberg_charpoly, _res_det, _res_matpow, inverse
+from padicspec.matrix import _hessenberg_charpoly, _res_det, _res_matpow, _wrap_residues, inverse
 
 CTX = PrecisionContext(3, 4)
+# the package exports the function finite_field under the module's name
+finite_field_module = importlib.import_module("padicspec.finite_field")
 
 
 def test_norm_is_sup_of_entries():
@@ -664,22 +667,64 @@ def test_res_matpow_matches_int_matpow(p, m, n):
 
 
 def test_res_matpow_product_count(monkeypatch):
-    """floor(log2 e) + popcount(e) - 1 products for e >= 1, none for e = 0."""
-    count = [0]
-    real = padic._BaseOps.matmul
+    """floor(log2 e) + popcount(e) - 1 products for e >= 1, none for e = 0, for every power.
 
-    def counting(ops, a, b):
-        count[0] += 1
-        return real(ops, a, b)
-
-    monkeypatch.setattr(padic._BaseOps, "matmul", counting)
+    padic._power is the one square-and-multiply: _res_matpow multiplies
+    by ops.matmul, _ExtOps.pow by _ExtOps.mul and poly_powmod by
+    poly_mul (its reductions mod the modulus are no products).
+    """
     ctx = PrecisionContext(3, 4)
     a = _rand_rows(random.Random(3), 2, ctx.modulus)
-    for e in list(range(71)) + [211**2]:
-        count[0] = 0
-        _res_matpow(a, e, ctx.ops)
-        expected = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
-        assert count[0] == expected, e
+    ring_ops, field_ops = ext_ring(3, 2, 4).ops, padic._BaseOps(3, 1)
+    powers = {
+        "matrix": lambda e: _res_matpow(a, e, ctx.ops),
+        "ring": lambda e: ring_ops.pow((2, 7), e),
+        "poly": lambda e: finite_field_module.poly_powmod([1, 1], e, [1, 2, 0, 1], field_ops),
+    }
+    counts = dict.fromkeys(powers, 0)
+
+    def count(kind, owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args):
+            counts[kind] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count("matrix", padic._BaseOps, "matmul")
+    count("ring", finite_field_module._ExtOps, "mul")
+    count("poly", finite_field_module, "poly_mul")
+    for kind, power in powers.items():
+        for e in list(range(71)) + [211**2]:
+            counts.update(dict.fromkeys(powers, 0))
+            power(e)
+            expected = 0 if e == 0 else e.bit_length() - 1 + bin(e).count("1") - 1
+            assert counts == {**dict.fromkeys(powers, 0), kind: expected}, (kind, e)
+
+
+def test_wrapping_extension_rows_builds_no_padic_scalar(monkeypatch):
+    """An extension entry is its coordinate vector: wrapping a residue row converts nothing."""
+    ring = ext_ring(3, 2, 4)
+    rng = random.Random(5)
+    rows = tuple(
+        tuple(tuple(rng.randrange(ring.ctx.modulus) for _ in range(2)) for _ in range(4))
+        for _ in range(4)
+    )
+    built = [0]
+    real = PadicScalar.__init__
+
+    def counting(self, *args):
+        built[0] += 1
+        real(self, *args)
+
+    monkeypatch.setattr(PadicScalar, "__init__", counting)
+    a = _wrap_residues(rows, ring)
+    assert built[0] == 0
+    assert a.residues() == rows
+    for key in (key for row in rows for key in row):
+        assert ring.element(key).coords == key
+    assert built[0] == 0
 
 
 def test_rows_are_zero_on_ints_and_vectors():

@@ -29,6 +29,7 @@ from padicspec import (
 )
 from padicspec.finite_field import FqElement, _ExtOps, finite_field
 from padicspec.ladders import CoeffVector
+from padicspec.unramified import ExtScalar
 from padicspec.padic import PRIMALITY_LIMIT, _BaseOps, _teichmuller_residue, is_prime
 
 from helpers import (
@@ -119,6 +120,8 @@ _MALFORMED = {
     "mixed-entry-types": (lambda: UMatrix(((PadicScalar.one(CTX34), ext_ring(3, 2, 4).one()),) * 2),
                           "mixed entry types"),
     "fq-coordinates-too-short": (lambda: FqElement(finite_field(3, 2), (1,)), "wrong length"),
+    "ext-coordinates-too-long": (lambda: ExtScalar.from_vector(ext_ring(3, 2, 4), (1, 2, 0)),
+                                 "wrong length"),
     "empty-coefficient-vector": (lambda: CoeffVector(CTX34, ()), "nonempty"),
 }
 

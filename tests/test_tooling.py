@@ -177,6 +177,27 @@ def test_only_the_ops_know_the_entry_format():
     assert [scope for scope, _ in padic] == ["PadicScalar.__init__"]
 
 
+def test_power_is_the_one_square_and_multiply():
+    """The only >>= under src/padicspec is in padic._power, the one binary-powering loop.
+
+    Residue matrices, extension-ring elements and polynomials mod f all
+    pass their product to it.
+    """
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.RShift):
+            found.append(scope)
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    assert found and set(found) == {"padic._power"}
+
+
 # The module-level memo functions of src/padicspec, each with why its entries may
 # outlive one problem.  perfbench/run.py clears finite_field, build_modulus and
 # ext_ring between timed passes; a memo it does not know would make a warm pass
