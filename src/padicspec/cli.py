@@ -19,7 +19,12 @@ Matrices are row-major arrays of scalars under "entries", with "p" and
 "m" at the top level and command-specific fields ("N", "depth") beside
 them.  Extension scalars serialise as arrays of base scalars in
 coordinate order, constant coordinate first; they appear in outputs
-only.
+only.  An answer's scalars are written as text straight from each
+one's (v, u), with no dict built per scalar (_Scalars, _scalars_text).
+A residue mod p^m, such as an entry of the certified rows that spectral
+and hermite print, their eigenvalues and every extension coordinate,
+gives its valuation and the rest; a PadicScalar (the relative measure,
+integral and jordan matrices, and the lone scalars) gives its own.
 
 Exit status: 0 on success, 1 on mathematical rejection (with a
 structured reason, including a norm that a double cannot hold) or on
@@ -64,6 +69,7 @@ from .padic import (
     PadicScalar,
     PrecisionContext,
     classify_orbit,
+    int_valuation,
     scalar_from_rational,
     teichmuller_digits,
     teichmuller_lift,
@@ -102,12 +108,52 @@ class MathRejection(Exception):
 # -- serialization -------------------------------------------------------------
 
 
-def scalar_to_json(x) -> object:
-    if isinstance(x, ExtScalar):
-        return [scalar_to_json(x.ctx.element(c)) for c in x.coords]
-    if x.is_zero:
-        return {"v": 0, "u": "0"}
-    return {"v": int(x.valuation), "u": str(x.unit)}
+class _Scalars(tuple):
+    """(entries, p, listed): scalar documents as one leaf of an answer, written by _scalars_text.
+
+    With p the prime, the entries are residues mod p^m, each an int or
+    an extension entry's tuple of coordinates; with p None, PadicScalars.
+    A listed leaf is the list of its entries, any other its one entry.
+    """
+
+
+def _residue_vu(r: int, p: int) -> tuple:
+    """(v, u) of a residue mod p^m, (0, 0) for zero: one valuation per int, none for a unit."""
+    v = int_valuation(r, p) if r and not r % p else 0
+    return v, r // p**v
+
+
+def _scalars(xs: Sequence, listed: bool = True) -> _Scalars:
+    """PadicScalars by their own relative (v, u); ExtScalars by their coordinates, which are residues."""
+    if xs and isinstance(xs[0], ExtScalar):
+        return _Scalars(([x.coords for x in xs], xs[0].ctx.p, listed))
+    return _Scalars((xs, None, listed))
+
+
+def _matrix(rows: tuple, p: Optional[int] = None) -> dict:
+    """A matrix's document: residue rows mod p^m given p, else the rows of a matrix over Z_p."""
+    return {"entries": _Scalars(([e for row in rows for e in row], p, True)), "n": len(rows)}
+
+
+def _scalars_text(entries: Sequence, p: Optional[int], listed: bool, indent: str) -> str:
+    """The text of a _Scalars leaf's documents in json.dumps(..., sort_keys=True, indent=2) at indent.
+
+    A scalar's document is {"u": str(u), "v": v}.
+    """
+    at = indent + "  " if listed else indent  # where an entry starts
+
+    def text(x, at: str) -> str:
+        v, u = _residue_vu(x, p) if p else (0, 0) if x.is_zero else (int(x.valuation), x.unit)
+        return f'{{\n{at}  "u": "{u}",\n{at}  "v": {v}\n{at}}}'
+
+    items = [  # an extension entry is the list of its coordinates' documents
+        text(e, at) if type(e) is not tuple
+        else f"[\n{at}  " + f",\n{at}  ".join([text(c, at + "  ") for c in e]) + f"\n{at}]"
+        for e in entries
+    ]
+    if not listed:
+        return items[0]
+    return f"[\n{at}" + f",\n{at}".join(items) + f"\n{indent}]" if items else "[]"
 
 
 def scalar_from_json(doc, ctx: PrecisionContext, fieldname: str) -> PadicScalar:
@@ -131,13 +177,6 @@ def scalar_from_json(doc, ctx: PrecisionContext, fieldname: str) -> PadicScalar:
     if unit % ctx.p == 0:
         raise SchemaError(fieldname + ".u", "unit residue is divisible by p")
     return PadicScalar(ctx, v_raw, unit % ctx.modulus)
-
-
-def matrix_to_json(a: UMatrix) -> dict:
-    return {
-        "n": a.n,
-        "entries": [scalar_to_json(e) for row in a.rows for e in row],
-    }
 
 
 def valuation_to_json(v):
@@ -251,7 +290,7 @@ def _cmd_lift(args, doc, ctx: PrecisionContext) -> dict:
     if not 0 <= residue < ctx.p:
         raise SchemaError("residue", f"must be in [0, {ctx.p})")
     value = teichmuller_lift(residue, ctx)
-    return {"residue": residue, "value": scalar_to_json(value)}
+    return {"residue": residue, "value": _scalars((value,), listed=False)}
 
 
 def _cmd_digits(args, doc, ctx: PrecisionContext) -> dict:
@@ -262,9 +301,9 @@ def _cmd_digits(args, doc, ctx: PrecisionContext) -> dict:
     scalar = scalar_from_rational(num, den, ctx)
     expansion = teichmuller_digits(scalar)
     return {
-        "value": scalar_to_json(scalar),
+        "value": _scalars((scalar,), listed=False),
         "lead_valuation": expansion.lead_valuation,
-        "digits": [scalar_to_json(d) for d in expansion.digits],
+        "digits": _scalars(expansion.digits),
     }
 
 
@@ -285,9 +324,9 @@ def _cmd_classify(args, doc: dict, ctx: PrecisionContext) -> dict:
         out["period"] = report.period
     if report.limit is not None:
         if isinstance(report.limit, UMatrix):
-            out["limit"] = matrix_to_json(report.limit)
+            out["limit"] = _matrix(report.limit.rows)
         else:
-            out["limit"] = scalar_to_json(report.limit)
+            out["limit"] = _scalars((report.limit,), listed=False)
     return out
 
 
@@ -302,8 +341,8 @@ def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
         "period": decomposition.period,
         "residual_identity_defect": decomposition.residual_identity_defect,
         "points": [
-            {"eigenvalue": scalar_to_json(lam), "projector": matrix_to_json(proj)}
-            for lam, proj in decomposition.points
+            {"eigenvalue": _Scalars(((lam,), ctx.p, False)), "projector": _matrix(rows, ctx.p)}
+            for lam, rows in decomposition.point_residues
         ],
     }
 
@@ -323,8 +362,8 @@ def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
         nodes.append(
             {
                 "address": list(address),
-                "center": scalar_to_json(measure.ball_center(address, ctx)),
-                "projector": matrix_to_json(projector),
+                "center": _scalars((measure.ball_center(address, ctx),), listed=False),
+                "projector": _matrix(projector.rows),
             }
         )
     return {"depth": measure.depth, "lead_valuation": measure.lead_valuation, "nodes": nodes}
@@ -336,8 +375,8 @@ def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
     error = reconstruction - matrix
     return {
         "depth": measure.depth,
-        "identity_check": matrix_to_json(identity_check),
-        "reconstruction": matrix_to_json(reconstruction),
+        "identity_check": _matrix(identity_check.rows),
+        "reconstruction": _matrix(reconstruction.rows),
         "error_valuation": valuation_to_json(error.valuation),
     }
 
@@ -350,8 +389,8 @@ def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
-        "semisimple": matrix_to_json(pair.semisimple),
-        "nilpotent": matrix_to_json(pair.nilpotent),
+        "semisimple": _matrix(pair.semisimple.rows),
+        "nilpotent": _matrix(pair.nilpotent.rows),
         "period": pair.period,
         "steps_to_kill": pair.steps_to_kill,
     }
@@ -364,7 +403,7 @@ def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
     return {
         "period": expansion.period,
         "lead_valuation": expansion.lead_valuation,
-        "digits": [matrix_to_json(d) for d in expansion.digits],
+        "digits": [_matrix(rows, ctx.p) for rows in expansion.digit_rows],
     }
 
 
@@ -380,7 +419,7 @@ def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
         "diameter": report.diameter,
         "diameter_valuation": valuation_to_json(report.diameter_valuation),
         "operator_norm": report.operator_norm,
-        "spectrum": [scalar_to_json(lam) for lam in report.spectrum],
+        "spectrum": _scalars(report.spectrum),
     }
 
 
@@ -402,7 +441,7 @@ def _cmd_uncertainty(args, doc: dict, ctx: PrecisionContext) -> dict:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     reports = [
         {
-            "psi": [scalar_to_json(c) for c in psi],
+            "psi": _scalars(psi),
             "lhs_norm": result.lhs_norm,
             "rhs_norm": result.rhs_norm,
             "holds": result.holds,
@@ -452,7 +491,7 @@ def _cmd_ladder(args, doc: dict, ctx: PrecisionContext) -> dict:
     result = op(_coeff_vector(doc, ctx))
     return {
         "op": name,
-        "coeffs": [scalar_to_json(c) for c in result.coeffs],
+        "coeffs": _scalars(result.coeffs),
         "truncated": result.truncated,
     }
 
@@ -627,6 +666,7 @@ def _render(value, indent: str, out: list) -> None:
     json's own encoder drops to pure Python generators whenever indent is
     set; this renders the same layout with the C string escaper, and
     renders a container's leaves in place instead of recursing into them.
+    A _Scalars leaf is written as the scalar documents it stands for.
     """
     kind = type(value)
     leaf = _LEAVES.get(kind)
@@ -665,6 +705,8 @@ def _render(value, indent: str, out: list) -> None:
                 _render(item, inner, out)
             opener = ",\n" + inner
         out.append("\n" + indent + "]")
+    elif kind is _Scalars:
+        out.append(_scalars_text(*value, indent))
     else:
         raise TypeError(f"{kind.__name__} is not JSON serializable")
 

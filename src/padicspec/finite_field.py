@@ -456,11 +456,13 @@ class FiniteField:
 
 
 class FqElement(_Frozen):
+    """An element of F_{p^N} as its coordinates, each reduced mod p when it is built."""
+
     __slots__ = _fields = _compare = ("field", "coords")
 
     def __init__(self, field: FiniteField, coords: tuple):
         _setattr(self, "field", field)
-        _setattr(self, "coords", coords)
+        _setattr(self, "coords", tuple([c % field.p for c in coords]))
         if len(self.coords) != self.field.degree:
             raise ValueError("coordinate vector has wrong length")
 

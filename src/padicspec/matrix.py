@@ -121,8 +121,12 @@ class UMatrix(_Frozen):
         return self.valuation >= 0
 
     def residues(self) -> tuple:
-        """Entry representatives mod p^m (ints over Z_p, coordinate vectors over O_K)."""
-        if not self.is_integral:
+        """Entry representatives mod p^m (ints over Z_p, coordinate vectors over O_K).
+
+        An extension entry is always integral, so only a base matrix is
+        scanned for a negative valuation.
+        """
+        if self.ring is self.ctx and not self.is_integral:
             raise ValueError("matrix has norm > 1, no residues mod p^m")
         return tuple(tuple(e.residue_key() for e in row) for row in self.rows)
 

@@ -45,7 +45,9 @@ is the operator itself), the measure and the spectrum (so diam and
 uncertainty) alike.  _ambient moves base rows to the degree-N ring at
 period N > 1, and the points are Teichmuller lifts kept as residues
 (padic._teichmuller_residue, the one lift over either ring).  Scalars
-and matrices are built only for what a public function returns.
+and matrices are built only when a caller reads a record's view:
+SpectralDecomposition and HermiteDigitsMatrix keep their ring and the
+certified residue rows, and build their points and digits on each read.
 """
 
 from __future__ import annotations
@@ -185,18 +187,28 @@ def lift_idempotent(a: UMatrix) -> UMatrix:
 class SpectralDecomposition(NamedTuple):
     """Resolution of a sigma^N-fixed operator against the period-N points.
 
-    points holds (eigenvalue, projector) pairs for the nonzero projectors
-    only.  The four defining identities (projectors sum to 1, weighted
-    sum reproduces the operator, idempotency, pairwise orthogonality) are
-    certified mod p^m by the tree certificate (_verify_tree on the
-    one-level tree) before the decomposition is built;
-    residual_identity_defect records the sup norm of sum(projectors) - 1
-    and is 0.0 for every emitted decomposition.
+    The record keeps the certified residues: ring is the ring of the
+    points (the operator's own, or the degree-N extension of Z/p^m for a
+    base operator at N > 1), and point_residues pairs the residue mod
+    p^m of each point with a nonzero projector with that projector as
+    residue rows over ring.  points is the view of (eigenvalue,
+    projector) pairs, a scalar and a UMatrix each, built every time it
+    is read.  The four defining identities (projectors sum to 1,
+    weighted sum reproduces the operator, idempotency, pairwise
+    orthogonality) are certified mod p^m by the tree certificate
+    (_verify_tree on the one-level tree) before the decomposition is
+    built; residual_identity_defect records the sup norm of
+    sum(projectors) - 1 and is 0.0 for every emitted decomposition.
     """
 
     period: int
-    points: tuple
+    ring: object
+    point_residues: tuple
     residual_identity_defect: float
+
+    @property
+    def points(self) -> tuple:
+        return tuple((self.ring.element(lam), _wrap_residues(rows, self.ring)) for lam, rows in self.point_residues)
 
     @property
     def eigenvalues(self) -> tuple:
@@ -321,32 +333,38 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     residue rows by _verify_tree, which with the points also proves x
     fixed by sigma^N, so no sigma^N power of x is taken on the way to an
     answer; only the projectors returned here are built as matrices, in
-    address order.
+    address order, and only when the points view is read.
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
     ops, (level,) = _spectral_tree((x.residues(),), x.ring.ops, period)
-    ring = ops.ring
-    points = tuple(
-        (ring.element(level.terms[index][0]), _wrap_residues(rows, ring))
-        for (index,), rows in level.nodes
-    )
-    return SpectralDecomposition(period, points, 0.0)
+    residues = tuple((level.terms[index][0], rows) for (index,), rows in level.nodes)
+    return SpectralDecomposition(period, ops.ring, residues, 0.0)
 
 
 # -- digit expansion -------------------------------------------------------------
 
 
 class HermiteDigitsMatrix(NamedTuple):
-    """Digit expansion A = sum_i x_i p^(k+i) with sigma^N-fixed commuting digits."""
+    """Digit expansion A = sum_i x_i p^(k+i) with sigma^N-fixed commuting digits.
+
+    digit_rows holds each digit x_i as residue rows mod p^m over ring,
+    the operator's ring; digits is their view as UMatrix, built every
+    time it is read.
+    """
 
     lead_valuation: int
-    digits: tuple
+    digit_rows: tuple
     period: int
+    ring: object
+
+    @property
+    def digits(self) -> tuple:
+        return tuple(_wrap_residues(rows, self.ring) for rows in self.digit_rows)
 
     @property
     def ctx(self) -> PrecisionContext:
-        return self.digits[0].ctx
+        return self.ring.ctx
 
     def reassemble(self) -> UMatrix:
         acc = None
@@ -380,11 +398,11 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     digit costs at most ceil(P_1 / N) + ceil(log2 P) + 1 matrix powers,
     P_1 = pre_period_bound(p, 1, n deg) for a degree-deg ring (see
     _sigma_limit), each of O(N log2 p) products of n x n matrices.  The
-    peeling runs on residue rows (_hermite_rows); only the digits
-    returned here are built as matrices.
+    peeling runs on residue rows (_hermite_rows), and the record keeps
+    them: a digit is built as a matrix only when its digits view is read.
     """
     k, digits = _hermite_rows(a, period, a.ctx.m)
-    return HermiteDigitsMatrix(k, tuple(_wrap_residues(d, a.ring) for d in digits), period)
+    return HermiteDigitsMatrix(k, digits, period, a.ring)
 
 
 def _hermite_rows(a: UMatrix, period: int, depth: int):
@@ -421,7 +439,8 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     k = a.valuation
     if k == INFINITE:
         return 0, (a.residues(),) * depth
-    rows = a.shift(-k).residues()
+    # a.shift(-k).residues(), without building the shifted matrix
+    rows = tuple([tuple([e.shift(-k).residue_key() for e in row]) for row in a.rows])
     digits = []
     for i in range(m):
         ops = ring.at(m + depth - 1 - i if i < depth else m - i).ops

@@ -708,3 +708,39 @@ def roots_by_evaluation(f, p: int, modulus) -> list:
         if not any(acc):
             roots.append(x)
     return roots
+
+
+# -- answer documents (oracle side of the CLI renderer) ---------------------------
+
+
+def residue_scalar_doc(r: int, p: int) -> dict:
+    """The document of a residue mod p^m: r = p^v u with p not dividing u; v = 0, u = "0" for zero."""
+    if r == 0:
+        return {"v": 0, "u": "0"}
+    v = 0
+    while r % p == 0:
+        r //= p
+        v += 1
+    return {"v": v, "u": str(r)}
+
+
+def residue_entry_doc(entry, p: int):
+    """An int entry is one scalar document; an extension entry, a coordinate tuple, a list of them."""
+    if isinstance(entry, int):
+        return residue_scalar_doc(entry, p)
+    return [residue_scalar_doc(c, p) for c in entry]
+
+
+def residue_matrix_doc(rows, p: int) -> dict:
+    """The document of a matrix given as residue rows, entries in row-major order."""
+    return {"entries": [residue_entry_doc(e, p) for row in rows for e in row], "n": len(rows)}
+
+
+def scalar_matrix_doc(a: UMatrix) -> dict:
+    """The document of a matrix of PadicScalars, each by its own valuation and unit, however large."""
+    entries = [
+        {"v": 0, "u": "0"} if e.is_zero else {"v": e.valuation, "u": str(e.unit)}
+        for row in a.rows
+        for e in row
+    ]
+    return {"entries": entries, "n": a.n}

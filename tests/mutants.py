@@ -230,6 +230,19 @@ MUTANTS = (
         _SPECTRAL + "test_measure_refuses_an_extension_ring[1]",
         _SPECTRAL + "test_measure_refuses_an_extension_ring[2]",
     ]),
+    # the renderer's (v, u) of a residue: the valuation step and the zero entry
+    ("cli.py", "return v, r // p**v", "return v + 1, r // p**v", [
+        _CLI + "test_residue_rows_render_as_their_documents[base-3]",
+        _CLI + "test_residue_rows_render_as_their_documents[degree-2-101]",
+    ]),
+    ("cli.py", "if r and not r % p else 0", "if not r % p else 0", [
+        _CLI + "test_residue_rows_render_as_their_documents[base-2]",
+        _CLI + "test_residue_rows_render_as_their_documents[degree-3-5]",
+    ]),
+    # only a base matrix can have a negative valuation and no residues
+    ("matrix.py", "if self.ring is self.ctx and not self.is_integral:", "if False:", [
+        _MATRIX + "test_extension_residues_compute_no_valuation",
+    ]),
 )
 
 

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tempfile
@@ -16,7 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from padicspec import PrecisionContext, UMatrix, spectral, teichmuller_lift
+import helpers
+from padicspec import PrecisionContext, UMatrix, ext_ring, matrix, spectral, teichmuller_lift
 from padicspec import cli
 from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
@@ -898,6 +900,82 @@ def test_dump_is_json_dumps(tree):
 def test_dump_refuses_sets_and_non_string_keys(tree):
     with pytest.raises(TypeError):
         _dump(tree)
+
+
+def _rendered(value, indent: str) -> str:
+    out = []
+    cli._render(value, indent, out)
+    return "".join(out)
+
+
+def _dumped(doc, indent: str) -> str:
+    """json.dumps(doc, sort_keys=True, indent=2) as it reads nested at indent."""
+    return json.dumps(doc, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 101])
+@pytest.mark.parametrize("degree", [1, 2, 3], ids=["base", "degree-2", "degree-3"])
+def test_residue_rows_render_as_their_documents(p, degree):
+    """Residue rows over Z/p^m and O_K/p^m, m = 1..8, written from their ints, are the oracle's documents."""
+    rng = random.Random(100 * p + degree)
+    for m in range(1, 9):
+        q, top = p**m, p ** (m - 1)
+
+        def coordinate():
+            return rng.choice([0, top * rng.randrange(p), rng.randrange(q), rng.randrange(1, p)])
+
+        def entry():
+            return coordinate() if degree == 1 else tuple(coordinate() for _ in range(degree))
+
+        n = rng.randint(1, 4)
+        rows = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        for indent in ("", "  ", "      "):
+            want = helpers.residue_matrix_doc(rows, p)
+            assert _rendered(cli._matrix(rows, p), indent) == _dumped(want, indent)
+            lone = cli._Scalars(((rows[0][0],), p, False))
+            assert _rendered(lone, indent) == _dumped(helpers.residue_entry_doc(rows[0][0], p), indent)
+            listed = cli._Scalars((rows[-1], p, True))
+            assert _rendered(listed, indent) == _dumped([helpers.residue_entry_doc(e, p) for e in rows[-1]], indent)
+        if degree > 1:  # extension scalars print their coordinates, which are residues
+            scalars = cli._scalars([ext_ring(p, degree, m).element(e) for e in rows[-1]])
+            assert _rendered(scalars, "  ") == _dumped([helpers.residue_entry_doc(e, p) for e in rows[-1]], "  ")
+
+
+def test_a_relative_measure_product_renders_as_its_scalars():
+    """A measure node below level 0 keeps m digits past each entry's valuation; it prints them all."""
+    ctx = PrecisionContext(3, 4)
+    a = UMatrix.from_ints([[16, 35, 32, 76], [9, 68, 16, 30], [36, 31, 11, 15], [36, 3, 24, 27]], ctx)
+    node = dict(spectral.spectral_measure(a, 2).nodes)[(0, 0)]
+    # not the canonical residue rows: some entry prints an integer p^v u >= p^m
+    assert any(not e.is_zero and 3**e.valuation * e.unit >= 81 for row in node.rows for e in row)
+    for indent in ("", "      "):
+        assert _rendered(cli._matrix(node.rows), indent) == _dumped(helpers.scalar_matrix_doc(node), indent)
+    assert _rendered({"x": [cli._matrix(node.rows)]}, "") == _dumped({"x": [helpers.scalar_matrix_doc(node)]}, "")
+
+
+@pytest.mark.parametrize("command", ["spectral", "hermite"])
+def test_the_cli_builds_no_matrix_but_its_input(tmp_path, monkeypatch, command):
+    """spectral and hermite print the certified residue rows: no UMatrix is built after parsing."""
+    # X^2 = -1: fixed by sigma^2, with eigenvalues +-i in F_9, so spectral answers over O_K
+    path = write(tmp_path, "i.json", matrix_doc(3, 4, [[0, -1], [1, 0]]))
+    built, wrapped = [0], [0]
+    init, wrap = UMatrix.__init__, matrix._wrap_residues
+
+    def counting_init(self, rows):
+        built[0] += 1
+        init(self, rows)
+
+    def counting_wrap(rows, ring):
+        wrapped[0] += 1
+        return wrap(rows, ring)
+
+    monkeypatch.setattr(UMatrix, "__init__", counting_init)
+    for module in (matrix, spectral):
+        monkeypatch.setattr(module, "_wrap_residues", counting_wrap)
+    status, doc, _ = run([command, "--N", "2", "--in", path])
+    assert status == 0, doc
+    assert len(doc["points"] if command == "spectral" else doc["digits"]) == {"spectral": 2, "hermite": 4}[command]
+    assert (built[0], wrapped[0]) == (1, 0)
 
 
 def _one_call_per_command(tmp_path):

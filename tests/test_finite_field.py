@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import irreducible_by_trial_division, monic_polys, ring_mul, roots_by_evaluation
 from padicspec import build_modulus, ext_ring, finite_field, fq_frobenius
 from padicspec.finite_field import (
+    FqElement,
     _ExtOps,
     _scan_roots,
     is_irreducible,
@@ -271,6 +272,17 @@ def test_fq_arithmetic_is_the_ring_arithmetic_at_precision_one(p, degree):
             assert (a * b).coords == ops.mul(a.coords, b.coords) == product
         if not a.is_zero:
             assert a.inverse().coords == ops.inv_unit(a.coords)
+
+
+def test_element_constructor_reduces_its_coordinates():
+    """FqElement(field, coords) is the element of coords mod p, so (3, 0) over F_9 is zero."""
+    field = finite_field(3, 2)
+    x = FqElement(field, (3, 0))
+    assert x.is_zero
+    assert x == field.zero()
+    assert FqElement(field, (-1, 7)) == field.element([2, 1])
+    with pytest.raises(ValueError, match="wrong length"):
+        FqElement(field, (1, 0, 0))
 
 
 def test_poly_roots_refuses_a_factor_it_could_not_split():

@@ -727,6 +727,29 @@ def test_wrapping_extension_rows_builds_no_padic_scalar(monkeypatch):
     assert built[0] == 0
 
 
+def test_extension_residues_compute_no_valuation(monkeypatch):
+    """An extension entry is always integral: reading its rows scans no valuation."""
+    ring = ext_ring(3, 2, 4)
+    rng = random.Random(6)
+    rows = tuple(
+        tuple(tuple(rng.randrange(ring.ctx.modulus) for _ in range(2)) for _ in range(4))
+        for _ in range(4)
+    )
+    a = _wrap_residues(rows, ring)
+    calls = [0]
+    real = type(ring.ops).valuation
+
+    def counting(self, x):
+        calls[0] += 1
+        return real(self, x)
+
+    monkeypatch.setattr(type(ring.ops), "valuation", counting)
+    assert a.residues() == rows
+    assert calls[0] == 0
+    with pytest.raises(ValueError, match="matrix has norm > 1"):
+        UMatrix.from_ints([[1, 0], [0, 1]], CTX).shift(-1).residues()
+
+
 def test_rows_are_zero_on_ints_and_vectors():
     base, ext = CTX.ops, ext_ring(3, 2, 4).ops
     assert base.rows_are_zero(((0, 0), (0, 0)))

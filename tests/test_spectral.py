@@ -2019,3 +2019,27 @@ def test_hermite_digits_of_extension_operator_with_positive_valuation(p, degree)
         assert got == want, i
     assert peeled.reassemble().congruent(scaled)
     assert expansion.reassemble().congruent(h)
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["base", "extension"])
+def test_record_views_wrap_the_certified_residues(degree):
+    """points and digits, built when read, are the residues the records keep, and the oracles' answers."""
+    ctx = PrecisionContext(3, 4)
+    rng = random.Random(27)
+    x, _, _ = rand_hermite(ctx, 3, rng, diag=rand_teich_diag(ctx, 3, rng))
+    h, _, _ = rand_hermite(ctx, 3, rng)
+    if degree == 2:
+        x, h = x.promote(ext_ring(3, 2, 4)), h.promote(ext_ring(3, 2, 4))
+    dec = teichmuller_spectral(x, degree)
+    assert dec.ring == x.ring
+    assert [(lam.residue_key(), proj.residues()) for lam, proj in dec.points] == list(dec.point_residues)
+    assert dec.eigenvalues == tuple(lam for lam, _ in dec.points)
+    assert dec.projectors == tuple(proj for _, proj in dec.points)
+    got = sorted((lam.residue_key(), proj.residues()) for lam, proj in dec.points)
+    want = sorted((lam.residue_key(), proj.residues()) for lam, proj in teichmuller_spectral_oracle(x, degree))
+    assert got == want
+    expansion = hermite_digits_matrix(h, degree)
+    assert expansion.ring == h.ring and expansion.ctx == ctx
+    assert [d.residues() for d in expansion.digits] == list(expansion.digit_rows)
+    assert (expansion.lead_valuation, expansion.digit_rows) == hermite_rows_oracle(h, degree)
+    assert expansion.reassemble().congruent(h)

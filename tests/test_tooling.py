@@ -225,3 +225,51 @@ def test_module_level_caches_are_the_pinned_ones():
                 if name in ("cache", "lru_cache"):
                     found.add(f"{path.stem}.{node.name}")
     assert found == set(MODULE_CACHES)
+
+
+# Every function under src/padicspec that uses matrix._wrap_residues, the one
+# place residue rows become scalars: the matrix constructors and window results,
+# the digits of a classify orbit, and the views that a library caller reads.
+# The CLI prints residue rows as they are, so no command's answer needs one.
+WRAP_SITES = {
+    "matrix.UMatrix.from_residues",
+    "matrix.UMatrix.identity",
+    "matrix.UMatrix.zeros",
+    "matrix.UMatrix.window_pow",
+    "matrix.UMatrix.residue_orbit",
+    "matrix.inverse",
+    "spectral.lift_idempotent",
+    "spectral.SpectralDecomposition.points",
+    "spectral.HermiteDigitsMatrix.digits",
+    "spectral.spectral_measure",
+    "spectral.operator_spectrum",
+}
+
+
+def _name_sites(name: str) -> dict:
+    """{qualified function: uses} of every load of a name under src/padicspec."""
+    found = {}
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if isinstance(node, ast.Name) and node.id == name and isinstance(node.ctx, ast.Load):
+            found[scope] = found.get(scope, 0) + 1
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)), path.stem)
+    return found
+
+
+def test_residue_rows_are_wrapped_only_at_the_pinned_sites():
+    """_wrap_residues is used by WRAP_SITES only, once each, and never by the CLI."""
+    assert _name_sites("_wrap_residues") == dict.fromkeys(WRAP_SITES, 1)
+
+
+def test_the_cli_writes_answers_without_scalar_dicts():
+    """cli.py renders every scalar from its (v, u): it defines no matrix_to_json or scalar_to_json."""
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not defined & {"matrix_to_json", "scalar_to_json"}
