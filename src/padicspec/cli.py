@@ -118,7 +118,7 @@ class _Scalars(tuple):
 
 
 def _residue_vu(r: int, p: int) -> tuple:
-    """(v, u) of a residue mod p^m, (0, 0) for zero: one valuation per int, none for a unit."""
+    """(v, u) of a residue mod p^m, (0, 0) for zero: a unit is its own u, any other int takes one valuation."""
     v = int_valuation(r, p) if r and not r % p else 0
     return v, r // p**v
 
@@ -142,9 +142,9 @@ def _scalars_text(entries: Sequence, p: Optional[int], listed: bool, indent: str
     """
     at = indent + "  " if listed else indent  # where an entry starts
 
-    def text(x, at: str) -> str:
+    def text(x, start: str) -> str:  # one scalar's document, starting at indent start
         v, u = _residue_vu(x, p) if p else (0, 0) if x.is_zero else (int(x.valuation), x.unit)
-        return f'{{\n{at}  "u": "{u}",\n{at}  "v": {v}\n{at}}}'
+        return f'{{\n{start}  "u": "{u}",\n{start}  "v": {v}\n{start}}}'
 
     items = [  # an extension entry is the list of its coordinates' documents
         text(e, at) if type(e) is not tuple
