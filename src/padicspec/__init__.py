@@ -8,7 +8,7 @@ multiplicative/nilpotent splitting, the spectrum-diameter commutator
 bound, and ladder operators on Mahler and Tate coefficient spaces.
 """
 
-from .finite_field import FiniteField, FqElement, build_modulus, finite_field, fq_frobenius
+from .finite_field import ExtRing, ExtScalar, FqElement, build_modulus, ext_ring, finite_field, fq_frobenius
 from .ladders import (
     MahlerVector,
     TateVector,
@@ -73,10 +73,7 @@ from .spectral import (
     uncertainty_checks,
 )
 from .unramified import (
-    ExtRing,
-    ExtScalar,
     enumerate_teichmuller,
-    ext_ring,
     reduce_mod_p,
     sigma_fixed_points,
     teichmuller_lift_ext,

@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 from typing import Optional, Sequence
 
-from .finite_field import ENUMERATION_LIMIT
+from .finite_field import ENUMERATION_LIMIT, ExtScalar
 from .ladders import (
     CoeffVector,
     euler_operator,
@@ -85,7 +85,6 @@ from .spectral import (
     teichmuller_spectral,
     uncertainty_checks,
 )
-from .unramified import ExtScalar
 
 MAX_DIMENSION = 64
 MAX_PRECISION = 64

@@ -1,4 +1,4 @@
-"""Arithmetic in F_p, its extensions F_{p^N}, and the rings (Z/p^m)[X]/(f).
+"""Arithmetic in F_p, the unramified rings (Z/p^m)[X]/(f), and F_{p^N} as their m = 1 case.
 
 This module is the one home of polynomial and coordinate arithmetic.
 Polynomials are lists of coefficients, constant first, with no trailing
@@ -11,13 +11,23 @@ SCAN_PER_DEGREE * deg f elements, Cantor-Zassenhaus splitting
 (poly_roots) is faster.
 
 _ExtOps is the coordinate arithmetic of (Z/p^m)[X]/(f) for a monic f of
-degree N: at m = 1 it is F_{p^N}, which FqElement wraps, and at higher m
-it is the unramified ring O_K/p^m of padicspec.unramified.  Elements are
-coordinate vectors against the power basis of f, the lexicographically
-smallest monic irreducible of the requested degree (constant coefficient
-first).  The p-power map of F_{p^N} is a field automorphism of order
-dividing N, and the fixed field of its d-th power has exactly p^gcd(d, N)
-elements.
+degree N, the lexicographically smallest monic irreducible of that
+degree over F_p (build_modulus), taken literally mod p^m.  ExtRing is the
+ring handle of O_K/p^m, as padic.PrecisionContext is of Z/p^m: ops is
+its _ExtOps, whose ring is the ExtRing; element builds the ExtScalar of
+a coordinate vector, at is the ring at another precision, random_entry
+draws an entry of a given valuation, and ctx is the base context Z/p^m.
+One ring class and one element class serve every precision: the field
+F_{p^N} is finite_field(p, N) = ext_ring(p, N, 1), so reduction mod p is
+the change of precision ring.at(1) and FqElement is another name for
+ExtScalar.  An ExtScalar is its coordinate vector: coords is the
+canonical int vector mod p^m that ops computes on (constant coefficient
+first), so each operator is one ops call and a residue row wraps and
+unwraps without conversion.  Elements carry the sup-of-coordinates
+norm, |a| = max_i |coords_i|: it is submultiplicative, ultrametric, and
+equals 1 exactly when the reduction mod p is nonzero.  The p-power map
+of F_{p^N} is a field automorphism of order dividing N, and the fixed
+field of its d-th power has exactly p^gcd(d, N) elements.
 """
 
 from __future__ import annotations
@@ -27,7 +37,20 @@ import itertools
 import operator
 from typing import Iterator, Sequence
 
-from .padic import INFINITE, _BaseOps, _Frozen, _packed_matmul, _power, _setattr, int_valuation, is_prime
+from .padic import (
+    INFINITE,
+    PadicScalar,
+    PrecisionContext,
+    _BaseOps,
+    _check_period,
+    _Frozen,
+    _packed_matmul,
+    _power,
+    _setattr,
+    int_valuation,
+    is_prime,
+    norm_from_valuation,
+)
 
 ENUMERATION_LIMIT = 2**20  # p^N cap for exhaustive operations
 
@@ -365,7 +388,7 @@ class _ExtOps:
         raise RuntimeError("unit inversion failed to converge (internal defect)")
 
 
-# -- the fields F_{p^N} ----------------------------------------------------------
+# -- the rings (Z/p^m)[X]/(f) and the fields F_{p^N} ------------------------------
 
 
 @functools.lru_cache(maxsize=None)
@@ -395,112 +418,209 @@ def build_modulus(p: int, degree: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=None)
-def finite_field(p: int, degree: int) -> "FiniteField":
-    return FiniteField(p, degree)
+def ext_ring(p: int, degree: int, m: int) -> "ExtRing":
+    return ExtRing(PrecisionContext(p, m), degree)
 
 
-class FiniteField:
-    """F_{p^N} presented as F_p[X] / (modulus), with its arithmetic in ops.
+@functools.lru_cache(maxsize=None)
+def finite_field(p: int, degree: int) -> "ExtRing":
+    """F_{p^N}: the extension ring at precision 1."""
+    return ext_ring(p, degree, 1)
 
-    The modulus is build_modulus(p, N), the one every extension ring of
-    the package reduces to, so the coordinates of a field element and of
-    its lifts are read against one basis.
+
+class ExtRing:
+    """One extension ring (Z/p^m)[X]/(f), F_{p^N} at m = 1; its coordinate arithmetic is ops.
+
+    The modulus f is build_modulus(p, N), so the rings of one degree at
+    every precision, the residue field among them, read coordinates
+    against one basis.
     """
 
-    def __init__(self, p: int, degree: int):
-        self.p = p
+    def __init__(self, ctx: PrecisionContext, degree: int):
+        self.ctx = ctx
         self.degree = degree
-        self.modulus = build_modulus(p, degree)
-        self.ops = _ExtOps(p, 1, self.modulus)
+        self.modulus = build_modulus(ctx.p, degree)  # literal lift, constant-first
+        self.ops = _ExtOps(ctx.p, ctx.m, self.modulus)
+        self.ops.ring = self
 
-    @property
-    def order(self) -> int:
-        return self.p**self.degree
+    @functools.cached_property
+    def residue_field(self) -> "ExtRing":
+        return self.at(1)
 
-    def element(self, coords: Sequence[int]) -> "FqElement":
-        c = [x % self.p for x in coords]
-        if len(c) > self.degree:
-            c = poly_divmod(c, list(self.modulus), _BaseOps(self.p, 1))[1]
-        return FqElement(self, tuple(c) + self.ops.zero[len(c):])
+    def element(self, coords: Sequence[int]) -> "ExtScalar":
+        return ExtScalar(self, coords)
 
-    def zero(self) -> "FqElement":
-        return self.element([])
+    def at(self, m: int) -> "ExtRing":
+        return self if m == self.ctx.m else ext_ring(self.ctx.p, self.degree, m)
 
-    def one(self) -> "FqElement":
-        return self.element([1])
+    def random_entry(self, rng, v: int) -> "ExtScalar":
+        """p^v u for a unit u whose coordinates are drawn uniformly mod p^m; 0 <= v."""
+        p, q = self.ctx.p, self.ctx.modulus
+        coords = [rng.randrange(q) for _ in range(self.degree)]
+        while all(c % p == 0 for c in coords):
+            coords = [rng.randrange(q) for _ in range(self.degree)]
+        scale = p**v
+        return self.element([c * scale for c in coords])
 
-    def generator(self) -> "FqElement":
-        """The class of X."""
-        return self.element([0, 1])
+    def zero(self) -> "ExtScalar":
+        return ExtScalar(self, self.ops.zero)
 
-    def elements(self) -> Iterator["FqElement"]:
-        """All p^N elements, constant coordinate varying slowest."""
-        if self.order > ENUMERATION_LIMIT:
+    def one(self) -> "ExtScalar":
+        return ExtScalar(self, self.ops.one)
+
+    def generator(self) -> "ExtScalar":
+        """The class of X, which is 0 at degree 1, where f = X."""
+        return ExtScalar(self, (0,) + self.ops.one[:-1])
+
+    def elements(self) -> Iterator["ExtScalar"]:
+        """The p^N elements with coordinates below p, all of F_{p^N} at m = 1; constant coordinate slowest."""
+        if self.ctx.p**self.degree > ENUMERATION_LIMIT:
             raise ValueError("field too large to enumerate")
-        for coords in itertools.product(range(self.p), repeat=self.degree):
-            yield FqElement(self, coords)
+        return map(self.element, self.ops.elements())
+
+    def embed(self, x) -> "ExtScalar":
+        """Embed an integer, or an integral PadicScalar of this ring's context, as a constant."""
+        if isinstance(x, PadicScalar):
+            if x.ctx != self.ctx:
+                raise ValueError(f"{x.ctx!r} is not the context of {self!r}")
+            x = x.residue()
+        return ExtScalar(self, (int(x),) + self.ops.zero[1:])
 
     def __eq__(self, other):
         return (
-            isinstance(other, FiniteField)
-            and self.p == other.p
+            isinstance(other, ExtRing)
+            and self.ctx == other.ctx
             and self.degree == other.degree
             and self.modulus == other.modulus
         )
 
     def __hash__(self):
-        return hash((self.p, self.degree, self.modulus))
+        return hash((self.ctx.p, self.ctx.m, self.degree, self.modulus))
 
     def __repr__(self):
-        return f"FiniteField(p={self.p}, degree={self.degree})"
+        return f"ExtRing(p={self.ctx.p}, degree={self.degree}, m={self.ctx.m})"
 
 
-class FqElement(_Frozen):
-    """An element of F_{p^N} as its coordinates, each reduced mod p when it is built."""
+class ExtScalar(_Frozen):
+    """Element of O_K/p^m, or of F_{p^N} at m = 1, as its coordinate vector mod p^m.
 
-    __slots__ = _fields = _compare = ("field", "coords")
+    The constructor reduces every coordinate mod p^m and checks the length.
+    """
 
-    def __init__(self, field: FiniteField, coords: tuple):
-        _setattr(self, "field", field)
-        _setattr(self, "coords", tuple([c % field.p for c in coords]))
-        if len(self.coords) != self.field.degree:
+    __slots__ = _fields = _compare = ("ring", "coords")
+
+    def __init__(self, ring: ExtRing, coords: Sequence[int]):
+        q = ring.ctx.modulus
+        _setattr(self, "ring", ring)
+        _setattr(self, "coords", tuple([c % q for c in coords]))
+        if len(self.coords) != ring.degree:
             raise ValueError("coordinate vector has wrong length")
 
     @property
+    def ctx(self) -> PrecisionContext:
+        return self.ring.ctx
+
+    def vector(self) -> tuple:
+        return self.coords
+
+    @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coords)
+        return self.ring.ops.is_zero(self.coords)
 
-    def __add__(self, other: "FqElement") -> "FqElement":
+    @property
+    def valuation(self):
+        return self.ring.ops.valuation(self.coords)
+
+    @property
+    def norm(self) -> float:
+        return norm_from_valuation(self.ctx.p, self.valuation)
+
+    def _check(self, other: "ExtScalar"):
+        if self.ring != other.ring:
+            raise ValueError("mixed extension rings")
+
+    def __add__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return FqElement(self.field, self.field.ops.add(self.coords, other.coords))
+        return ExtScalar(self.ring, self.ring.ops.add(self.coords, other.coords))
 
-    def __neg__(self) -> "FqElement":
-        return FqElement(self.field, self.field.ops.neg(self.coords))
-
-    def __sub__(self, other: "FqElement") -> "FqElement":
+    def __sub__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return FqElement(self.field, self.field.ops.sub(self.coords, other.coords))
+        return ExtScalar(self.ring, self.ring.ops.sub(self.coords, other.coords))
 
-    def __mul__(self, other: "FqElement") -> "FqElement":
+    @staticmethod
+    def dot(xs: Sequence["ExtScalar"], ys: Sequence["ExtScalar"]) -> "ExtScalar":
+        """sum_i xs[i] * ys[i] in one ring dot product: exact, so equal to reduce(+, map(*))."""
+        ring = xs[0].ring
+        for z in itertools.chain(xs, ys):
+            if z.ring is not ring:
+                xs[0]._check(z)
+        return ExtScalar(ring, ring.ops.dot([x.coords for x in xs], [y.coords for y in ys]))
+
+    def __neg__(self) -> "ExtScalar":
+        return ExtScalar(self.ring, self.ring.ops.neg(self.coords))
+
+    def __mul__(self, other: "ExtScalar") -> "ExtScalar":
         self._check(other)
-        return FqElement(self.field, self.field.ops.mul(self.coords, other.coords))
+        return ExtScalar(self.ring, self.ring.ops.mul(self.coords, other.coords))
 
-    def inverse(self) -> "FqElement":
-        return FqElement(self.field, self.field.ops.inv_unit(self.coords))
+    def inverse(self) -> "ExtScalar":
+        return ExtScalar(self.ring, self.ring.ops.inv_unit(self.coords))
 
-    def __pow__(self, exponent: int) -> "FqElement":
+    def __truediv__(self, other: "ExtScalar") -> "ExtScalar":
+        self._check(other)
+        return self * other.inverse()
+
+    def __pow__(self, exponent: int) -> "ExtScalar":
         if exponent < 0:
-            return self.inverse() ** (-exponent)
-        return FqElement(self.field, self.field.ops.pow(self.coords, exponent))
+            return self.inverse() ** -exponent
+        return ExtScalar(self.ring, self.ring.ops.pow(self.coords, exponent))
 
-    def _check(self, other: "FqElement"):
-        if self.field != other.field:
-            raise ValueError("elements of different fields")
+    def reduction(self) -> "ExtScalar":
+        """The element of the residue field F_{p^N} with these coordinates mod p."""
+        return self.ring.residue_field.element(self.coords)
+
+    def congruent(self, other: "ExtScalar") -> bool:
+        self._check(other)
+        return self.coords == other.coords
+
+    def shift(self, k: int) -> "ExtScalar":
+        """Multiply by p^k in O_K/p^m; k < 0 needs p^-k to divide every coordinate."""
+        p = self.ctx.p
+        if k >= 0:
+            scale = pow(p, k, self.ctx.modulus)
+            return ExtScalar(self.ring, [c * scale for c in self.coords])
+        if self.valuation < -k:
+            raise ValueError("scalar has norm > 1, no residue mod p^m")
+        return ExtScalar(self.ring, [c // p**-k for c in self.coords])
 
     def __repr__(self):
-        return f"Fq{self.coords}@p^{self.field.degree}" if self.field.degree > 1 else f"F{self.field.p}({self.coords[0]})"
+        ring = self.ring
+        if ring.ctx.m > 1:
+            return f"ExtScalar{self.coords}@{ring!r}"
+        return f"Fq{self.coords}@p^{ring.degree}" if ring.degree > 1 else f"F{ring.ctx.p}({self.coords[0]})"
+
+    # -- sigma-orbit protocol ------------------------------------------
+
+    def sigma_window(self, period: int = 1) -> "ExtScalar":
+        _check_period(period)
+        return self ** self.ctx.p**period
+
+    def residue_key(self) -> tuple:
+        return self.coords
+
+    def residue_orbit(self) -> tuple:
+        """The coordinates, sigma on them, the scalar of a vector, the zero test and the degree.
+
+        What classify_orbit walks (see padic.scan_orbit).
+        """
+        ring = self.ring
+        step = functools.partial(ring.ops.pow, exponent=self.ctx.p)
+        return self.coords, step, ring.element, ring.ops.is_zero, ring.degree
 
 
-def fq_frobenius(a: FqElement) -> FqElement:
+FqElement = ExtScalar  # an element of F_{p^N} is an ExtScalar of finite_field(p, N)
+
+
+def fq_frobenius(a: ExtScalar) -> ExtScalar:
     """The p-power automorphism; its N-th iterate is the identity on F_{p^N}."""
-    return a ** a.field.p
+    return a ** a.ctx.p

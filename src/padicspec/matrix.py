@@ -9,8 +9,8 @@ are exactly the orthogonal projections.
 
 Entries are PadicScalar or ExtScalar, which share one scalar protocol
 (arithmetic, dot, shift by p^k, residue_key), all over one ring: ring
-is the handle of that ring, a padic.PrecisionContext for Z/p^m or an
-unramified.ExtRing for O_K/p^m, and is never None.  Scalar arithmetic,
+is the handle of that ring, a padic.PrecisionContext for Z/p^m or a
+finite_field.ExtRing for O_K/p^m, and is never None.  Scalar arithmetic,
 the dot product of the object-level matmul and apply included, lives
 with the scalars.  Window computations (everything that only matters
 mod p^m) run on plain residue representatives for speed, through the
@@ -42,8 +42,8 @@ import itertools
 import random
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _power, _setattr, norm_from_valuation
-from .unramified import ExtRing, ExtScalar
+from .finite_field import ExtRing, ExtScalar
+from .padic import INFINITE, PadicScalar, PrecisionContext, _Frozen, _check_period, _power, _setattr, norm_from_valuation
 
 Scalar = Union[PadicScalar, ExtScalar]
 Ring = Union[PrecisionContext, ExtRing]
@@ -207,6 +207,7 @@ class UMatrix(_Frozen):
 
     def sigma_window(self, period: int = 1) -> "UMatrix":
         """The p-power map A -> A^(p^period) in the window."""
+        _check_period(period)
         return self.window_pow(self.ctx.p**period)
 
     def residue_key(self) -> tuple:

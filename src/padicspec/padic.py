@@ -427,7 +427,7 @@ class _Frozen:
 class PrecisionContext(_Frozen):
     """Shared precision parameters: prime p and digit count m.
 
-    A context is also the ring handle of Z/p^m, as unramified.ExtRing is
+    A context is also the ring handle of Z/p^m, as finite_field.ExtRing is
     of O_K/p^m: ops is its entry protocol (a _BaseOps whose ring is the
     context), element builds the scalar of a residue, at is the ring at
     another precision, random_entry draws an entry of a given valuation,
@@ -703,14 +703,19 @@ def scalar_from_rational(numerator: int, denominator: int, ctx: PrecisionContext
     return num / den
 
 
+def _check_period(period: int) -> None:
+    """Refuse a sigma period below 1, for every sigma_window and sigma_fixed_points."""
+    if period < 1:
+        raise ValueError("period must be >= 1")
+
+
 def frobenius_step(x: PadicScalar, period: int = 1) -> PadicScalar:
     """sigma^period(x) = x^(p^period), computed in the window Z/p^m.
 
     Requires |x| <= 1; the p-power map leaves the unit ball and is only
     iterated there.
     """
-    if period < 1:
-        raise ValueError("period must be >= 1")
+    _check_period(period)
     if not x.is_zero and x.valuation < 0:
         raise ValueError("frobenius_step requires |x| <= 1")
     r = pow(x.residue(), x.ctx.p**period, x.ctx.modulus)

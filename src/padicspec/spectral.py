@@ -57,7 +57,7 @@ import itertools
 import operator
 from typing import NamedTuple, Sequence
 
-from .finite_field import SCAN_PER_DEGREE, _scan_roots, poly_roots
+from .finite_field import SCAN_PER_DEGREE, _scan_roots, ext_ring, poly_roots
 from .matrix import (
     UMatrix,
     _hessenberg_charpoly,
@@ -77,7 +77,6 @@ from .padic import (
     pre_period_bound,
     scan_orbit,
 )
-from .unramified import ext_ring
 
 
 class NotHermiteError(Exception):

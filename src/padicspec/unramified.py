@@ -6,214 +6,25 @@ literally in {0, ..., p-1}.  Reduction mod p lands back on F_{p^N}, and
 the p-power map permutes the p^N fixed points of sigma^N, which are the
 multiplicative lifts of the residue-field elements.
 
-ExtRing is the ring handle of O_K/p^m, as padic.PrecisionContext is of
-Z/p^m: ops is its coordinate arithmetic, an _ExtOps from
-padicspec.finite_field (the same class that is F_{p^N} at m = 1) whose
-ring is the ExtRing; element builds the ExtScalar of a coordinate
-vector, at is the ring at another precision, random_entry draws an
-entry of a given valuation, and ctx is the base context Z/p^m.
-An extension scalar is its coordinate vector: ExtScalar.coords is the
-canonical int vector mod p^m that ops computes on, as FqElement.coords
-is over F_{p^N}, so each ExtScalar operator is one ops call and a
-residue row wraps and unwraps without conversion.
-
-Elements carry the sup-of-coordinates norm: |a| = max_i |coords_i|.  It
-is submultiplicative, ultrametric, and equals 1 exactly when the
-reduction mod p is nonzero.
+The ring and its elements are padicspec.finite_field's ExtRing and
+ExtScalar, with F_{p^N} the ring at m = 1.  This module holds the
+Teichmuller lift from ring.at(1) to ring.at(m), the fixed points of
+powers of sigma, and reduction mod p of scalars and matrices.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from typing import Sequence
 
-from .finite_field import ENUMERATION_LIMIT, FqElement, _ExtOps, finite_field
-from .padic import (
-    PadicScalar,
-    PrecisionContext,
-    _Frozen,
-    _setattr,
-    _teichmuller_residue,
-    norm_from_valuation,
-)
+# ext_ring is read from this module too: perfbench clears its cache and traces it here
+from .finite_field import ExtScalar, ext_ring, finite_field  # noqa: F401
+from .padic import PadicScalar, _check_period, _teichmuller_residue
 
 
-@functools.lru_cache(maxsize=None)
-def ext_ring(p: int, degree: int, m: int) -> "ExtRing":
-    return ExtRing(PrecisionContext(p, m), degree)
-
-
-class ExtRing:
-    """One extension ring (Z/p^m)[X]/(f); its coordinate arithmetic is ops."""
-
-    def __init__(self, ctx: PrecisionContext, degree: int):
-        self.ctx = ctx
-        self.degree = degree
-        self.residue_field = finite_field(ctx.p, degree)
-        self.modulus = self.residue_field.modulus  # literal lift, constant-first
-        self.ops = _ExtOps(ctx.p, ctx.m, self.modulus)
-        self.ops.ring = self
-
-    def element(self, coords: Sequence[int]) -> "ExtScalar":
-        return ExtScalar.from_vector(self, coords)
-
-    def at(self, m: int) -> "ExtRing":
-        return self if m == self.ctx.m else ext_ring(self.ctx.p, self.degree, m)
-
-    def random_entry(self, rng, v: int) -> "ExtScalar":
-        """p^v u for a unit u whose coordinates are drawn uniformly mod p^m; 0 <= v."""
-        p, q = self.ctx.p, self.ctx.modulus
-        coords = [rng.randrange(q) for _ in range(self.degree)]
-        while all(c % p == 0 for c in coords):
-            coords = [rng.randrange(q) for _ in range(self.degree)]
-        scale = p**v
-        return self.element([c * scale for c in coords])
-
-    def zero(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self, self.ops.zero)
-
-    def one(self) -> "ExtScalar":
-        return ExtScalar.from_vector(self, self.ops.one)
-
-    def embed(self, x) -> "ExtScalar":
-        """Embed an integer or integral PadicScalar as a constant."""
-        r = x.residue() if isinstance(x, PadicScalar) else int(x)
-        return ExtScalar.from_vector(self, (r,) + self.ops.zero[1:])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtRing)
-            and self.ctx == other.ctx
-            and self.degree == other.degree
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.m, self.degree, self.modulus))
-
-    def __repr__(self):
-        return f"ExtRing(p={self.ctx.p}, degree={self.degree}, m={self.ctx.m})"
-
-
-class ExtScalar(_Frozen):
-    """Element of O_K/p^m as its coordinate vector mod p^m, the entry its ring's ops compute on."""
-
-    __slots__ = _fields = _compare = ("ring", "coords")
-
-    def __init__(self, ring: ExtRing, coords: tuple):
-        _setattr(self, "ring", ring)
-        _setattr(self, "coords", coords)
-
-    @classmethod
-    def from_vector(cls, ring: ExtRing, coords: Sequence[int]) -> "ExtScalar":
-        """The element of degree-many int coordinates, each taken mod p^m."""
-        q = ring.ctx.modulus
-        coords = tuple([c % q for c in coords])
-        if len(coords) != ring.degree:
-            raise ValueError("coordinate vector has wrong length")
-        return cls(ring, coords)
-
-    @property
-    def ctx(self) -> PrecisionContext:
-        return self.ring.ctx
-
-    def vector(self) -> tuple:
-        return self.coords
-
-    @property
-    def is_zero(self) -> bool:
-        return self.ring.ops.is_zero(self.coords)
-
-    @property
-    def valuation(self):
-        return self.ring.ops.valuation(self.coords)
-
-    @property
-    def norm(self) -> float:
-        return norm_from_valuation(self.ctx.p, self.valuation)
-
-    def _check(self, other: "ExtScalar"):
-        if self.ring != other.ring:
-            raise ValueError("mixed extension rings")
-
-    def __add__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return ExtScalar(self.ring, self.ring.ops.add(self.coords, other.coords))
-
-    def __sub__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return ExtScalar(self.ring, self.ring.ops.sub(self.coords, other.coords))
-
-    @staticmethod
-    def dot(xs: Sequence["ExtScalar"], ys: Sequence["ExtScalar"]) -> "ExtScalar":
-        """sum_i xs[i] * ys[i] in one ring dot product: exact, so equal to reduce(+, map(*))."""
-        ring = xs[0].ring
-        for z in itertools.chain(xs, ys):
-            if z.ring is not ring:
-                xs[0]._check(z)
-        return ExtScalar(ring, ring.ops.dot([x.coords for x in xs], [y.coords for y in ys]))
-
-    def __neg__(self) -> "ExtScalar":
-        return ExtScalar(self.ring, self.ring.ops.neg(self.coords))
-
-    def __mul__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        return ExtScalar(self.ring, self.ring.ops.mul(self.coords, other.coords))
-
-    def __truediv__(self, other: "ExtScalar") -> "ExtScalar":
-        self._check(other)
-        ops = self.ring.ops
-        return ExtScalar(self.ring, ops.mul(self.coords, ops.inv_unit(other.coords)))
-
-    def __pow__(self, exponent: int) -> "ExtScalar":
-        ops = self.ring.ops
-        if exponent < 0:
-            return ExtScalar(self.ring, ops.pow(ops.inv_unit(self.coords), -exponent))
-        return ExtScalar(self.ring, ops.pow(self.coords, exponent))
-
-    def reduction(self) -> FqElement:
-        return self.ring.residue_field.element(self.coords)
-
-    def congruent(self, other: "ExtScalar") -> bool:
-        self._check(other)
-        return self.coords == other.coords
-
-    def shift(self, k: int) -> "ExtScalar":
-        """Multiply by p^k in O_K/p^m; k < 0 needs p^-k to divide every coordinate."""
-        p, q = self.ctx.p, self.ctx.modulus
-        if k >= 0:
-            scale = pow(p, k, q)
-            return ExtScalar(self.ring, tuple([c * scale % q for c in self.coords]))
-        if self.valuation < -k:
-            raise ValueError("scalar has norm > 1, no residue mod p^m")
-        return ExtScalar(self.ring, tuple([c // p**-k for c in self.coords]))
-
-    def __repr__(self):
-        return f"ExtScalar{self.coords}@{self.ring!r}"
-
-    # -- sigma-orbit protocol ------------------------------------------
-
-    def sigma_window(self, period: int = 1) -> "ExtScalar":
-        return self ** self.ctx.p**period
-
-    def residue_key(self) -> tuple:
-        return self.coords
-
-    def residue_orbit(self) -> tuple:
-        """The coordinates, sigma on them, the scalar of a vector, the zero test and the degree.
-
-        What classify_orbit walks (see padic.scan_orbit).
-        """
-        ring = self.ring
-        step = functools.partial(ring.ops.pow, exponent=self.ctx.p)
-        return self.coords, step, ring.element, ring.ops.is_zero, ring.degree
-
-
-def teichmuller_lift_ext(a: FqElement, m: int) -> ExtScalar:
+def teichmuller_lift_ext(a: ExtScalar, m: int) -> ExtScalar:
     """Lift a residue-field element to the fixed point of sigma^N mod p^m (see _teichmuller_residue)."""
-    ring = ext_ring(a.field.p, a.field.degree, m)
+    ring = a.ring.at(m)
     return ring.element(_teichmuller_residue(a.coords, ring.ops))
 
 
@@ -221,12 +32,10 @@ def enumerate_teichmuller(p: int, degree: int, m: int) -> list:
     """All p^N fixed points of sigma^N in O_K/p^m, one per residue-field element.
 
     Ordered by the coordinates of the reduction (constant coordinate
-    slowest), so the output is deterministic.
+    slowest), so the output is deterministic: sigma_fixed_points at
+    period N.
     """
-    if p**degree > ENUMERATION_LIMIT:
-        raise ValueError(f"p^N = {p**degree} exceeds the enumeration bound {ENUMERATION_LIMIT}")
-    field = finite_field(p, degree)
-    return [teichmuller_lift_ext(a, m) for a in field.elements()]
+    return sigma_fixed_points(p, degree, degree, m)
 
 
 def sigma_fixed_points(p: int, ring_degree: int, period: int, m: int) -> list:
@@ -244,15 +53,12 @@ def sigma_fixed_points(p: int, ring_degree: int, period: int, m: int) -> list:
     for different periods are comparable here because they live in one
     common ring.
     """
-    if p**ring_degree > ENUMERATION_LIMIT:
-        raise ValueError(
-            f"p^degree = {p**ring_degree} exceeds the enumeration bound {ENUMERATION_LIMIT}"
-        )
+    _check_period(period)
     field = finite_field(p, ring_degree)
     g = math.gcd(period, ring_degree)
     basis = []  # echelon rows: each is zero at the pivots of the rows before it
     for i in range(ring_degree):
-        term = field.element([0] * i + [1])
+        term = field.element([int(j == i) for j in range(ring_degree)])
         trace = term
         for _ in range(ring_degree // g - 1):
             term = term ** (p**g)

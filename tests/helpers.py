@@ -73,7 +73,7 @@ def fq_cofactor_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = rows[0][0].field.zero()
+    total = rows[0][0].ring.zero()
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
         term = rows[0][j] * fq_cofactor_det(minor)
@@ -557,11 +557,11 @@ def teichmuller_lift_ext_oracle(a, m: int) -> tuple:
     Iterates from the literal coordinate lift with ring_pow, within
     m * N + 4 steps.
     """
-    field = a.field
-    q = field.p**field.degree
+    ring = a.ring
+    q = ring.ctx.p**ring.degree
     y = tuple(a.coords)
-    for _ in range(m * field.degree + 4):
-        nxt = ring_pow(y, q, field.modulus, field.p**m)
+    for _ in range(m * ring.degree + 4):
+        nxt = ring_pow(y, q, ring.modulus, ring.ctx.p**m)
         if nxt == y:
             return y
         y = nxt

@@ -120,7 +120,7 @@ _MALFORMED = {
     "mixed-entry-types": (lambda: UMatrix(((PadicScalar.one(CTX34), ext_ring(3, 2, 4).one()),) * 2),
                           "mixed entry types"),
     "fq-coordinates-too-short": (lambda: FqElement(finite_field(3, 2), (1,)), "wrong length"),
-    "ext-coordinates-too-long": (lambda: ExtScalar.from_vector(ext_ring(3, 2, 4), (1, 2, 0)),
+    "ext-coordinates-too-long": (lambda: ExtScalar(ext_ring(3, 2, 4), (1, 2, 0)),
                                  "wrong length"),
     "empty-coefficient-vector": (lambda: CoeffVector(CTX34, ()), "nonempty"),
 }

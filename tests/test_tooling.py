@@ -206,8 +206,8 @@ MODULE_CACHES = {
     "padic.is_prime": "a proven verdict per integer, asked again by every context at that p",
     "padic._row_struct": "a compiled struct layout, a function of the packed product's shape only",
     "finite_field.build_modulus": "the certified modulus of F_{p^N}, found by a search",
-    "finite_field.finite_field": "one field per (p, N), holding that modulus and its ops",
-    "unramified.ext_ring": "one ring per (p, N, m), so equal rings are mostly one object",
+    "finite_field.ext_ring": "one ring per (p, N, m), so equal rings are mostly one object",
+    "finite_field.finite_field": "the ring at m = 1 per (p, N), which is F_{p^N}",
     "cli._parser": "the argparse parser, built once for the first argv the flag table declines",
 }
 
@@ -225,6 +225,46 @@ def test_module_level_caches_are_the_pinned_ones():
                 if name in ("cache", "lru_cache"):
                     found.add(f"{path.stem}.{node.name}")
     assert found == set(MODULE_CACHES)
+
+
+def test_the_benchmark_loader_clears_the_pinned_ring_caches():
+    """perfbench.run.load_program imports this package and clears build_modulus, ext_ring and finite_field.
+
+    A rename that broke either hook would otherwise show only as every
+    benchmark run failing.
+    """
+    saved = list(sys.path)
+    sys.path.insert(0, str(PACKAGE.parents[1]))
+    try:
+        from perfbench.run import load_program
+
+        cli, clear_caches = load_program()
+    finally:
+        sys.path[:] = saved
+    from padicspec.finite_field import build_modulus, ext_ring, finite_field
+
+    assert cli is sys.modules["padicspec.cli"]
+    finite_field(3, 2)
+    clear_caches()
+    assert [f.cache_info().currsize for f in (build_modulus, ext_ring, finite_field)] == [0, 0, 0]
+
+
+def test_the_value_classes_are_the_pinned_ones():
+    """The _Frozen subclasses under src/padicspec are these five; an F_{p^N} element is an ExtScalar."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "_Frozen" for base in node.bases
+            ):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == {
+        "padic.PrecisionContext",
+        "padic.PadicScalar",
+        "finite_field.ExtScalar",
+        "matrix.UMatrix",
+        "ladders.CoeffVector",
+    }
 
 
 # Every function under src/padicspec that uses matrix._wrap_residues, the one

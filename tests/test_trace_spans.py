@@ -82,11 +82,14 @@ COMMAND_PROBLEMS = [
 # sigma^N-fixedness on residue rows, so UMatrix.window_pow (and
 # sigma_window above it) serves the library API only; and it lifts its
 # points to residues with padic._teichmuller_residue, so the scalar
-# wrapper teichmuller_lift_ext serves the library API only
+# wrapper teichmuller_lift_ext serves the library API only; a ring reaches
+# its residue field as ring.at(1), through ext_ring, so finite_field, the
+# same ring under the field's name, serves the library API only
 UNREACHED_FROM_THE_CLI = {
     "spectral.uncertainty_check",
     "matrix.UMatrix.window_pow",
     "finite_field.FqElement.__pow__",
+    "finite_field.finite_field",
     "unramified.sigma_fixed_points",
     "unramified.teichmuller_lift_ext",
 }

@@ -163,6 +163,30 @@ def test_ring_inverse():
         a / not_a_unit
 
 
+@pytest.mark.parametrize("p,m", [(5, 2), (3, 2)])
+def test_embed_refuses_a_scalar_of_another_context(p, m):
+    """A residue mod p^m read over another p, or as exact at a higher precision, is refused."""
+    ring = ext_ring(3, 2, 4)
+    with pytest.raises(ValueError, match="is not the context"):
+        ring.embed(PadicScalar.from_int(7, PrecisionContext(p, m)))
+    assert ring.embed(PadicScalar.from_int(7, PrecisionContext(3, 4))) == ring.element((7, 0))
+
+
+_SIGMA_AT = {
+    "base-scalar": lambda period: PadicScalar.from_int(2, PrecisionContext(3, 2)).sigma_window(period),
+    "ext-scalar": lambda period: ext_ring(3, 2, 2).element((1, 2)).sigma_window(period),
+    "matrix": lambda period: UMatrix.from_ints([[1, 0], [0, 2]], PrecisionContext(3, 2)).sigma_window(period),
+    "fixed-points": lambda period: sigma_fixed_points(3, 2, period, 2),
+}
+
+
+@pytest.mark.parametrize("period", [0, -1])
+@pytest.mark.parametrize("kind", list(_SIGMA_AT))
+def test_sigma_refuses_periods_below_one(kind, period):
+    with pytest.raises(ValueError, match="period must be >= 1"):
+        _SIGMA_AT[kind](period)
+
+
 def test_reduce_scalar_and_matrix():
     ctx = PrecisionContext(5, 2)
     assert reduce_mod_p(PadicScalar.from_int(7, ctx)) == 2
