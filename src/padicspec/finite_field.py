@@ -13,21 +13,24 @@ SCAN_PER_DEGREE * deg f elements, Cantor-Zassenhaus splitting
 _ExtOps is the coordinate arithmetic of (Z/p^m)[X]/(f) for a monic f of
 degree N, the lexicographically smallest monic irreducible of that
 degree over F_p (build_modulus), taken literally mod p^m.  ExtRing is the
-ring handle of O_K/p^m, as padic.PrecisionContext is of Z/p^m: ops is
-its _ExtOps, whose ring is the ExtRing; element builds the ExtScalar of
-a coordinate vector, at is the ring at another precision, random_entry
-draws an entry of a given valuation, and ctx is the base context Z/p^m.
-One ring class and one element class serve every precision: the field
+ring handle of O_K/p^m, a frozen value of its context and degree, as
+padic.PrecisionContext is of Z/p^m: ops is its _ExtOps, whose ring is
+the ExtRing; element builds the ExtScalar of a coordinate vector, at is
+the ring at another precision, random_entry draws an entry of a given
+valuation, and ctx is the base context Z/p^m.  Every ops object is built
+by its ring, and only there: F_p's is PrecisionContext(p, 1).ops.  One
+ring class and one element class serve every precision: the field
 F_{p^N} is finite_field(p, N) = ext_ring(p, N, 1), so reduction mod p is
-the change of precision ring.at(1) and FqElement is another name for
-ExtScalar.  An ExtScalar is its coordinate vector: coords is the
-canonical int vector mod p^m that ops computes on (constant coefficient
-first), so each operator is one ops call and a residue row wraps and
-unwraps without conversion.  Elements carry the sup-of-coordinates
-norm, |a| = max_i |coords_i|: it is submultiplicative, ultrametric, and
-equals 1 exactly when the reduction mod p is nonzero.  The p-power map
-of F_{p^N} is a field automorphism of order dividing N, and the fixed
-field of its d-th power has exactly p^gcd(d, N) elements.
+the change of precision ring.at(1), the only handle of the residue
+field, and FqElement is another name for ExtScalar.  An ExtScalar is its
+coordinate vector: coords is the canonical int vector mod p^m that ops
+computes on (constant coefficient first), so each operator is one ops
+call and a residue row wraps and unwraps without conversion.  Elements
+carry the sup-of-coordinates norm, |a| = max_i |coords_i|: it is
+submultiplicative, ultrametric, and equals 1 exactly when the reduction
+mod p is nonzero.  The p-power map of F_{p^N} is a field automorphism of
+order dividing N, and the fixed field of its d-th power has exactly
+p^gcd(d, N) elements.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .padic import (
     INFINITE,
     PadicScalar,
     PrecisionContext,
-    _BaseOps,
     _check_period,
     _Frozen,
     _packed_matmul,
@@ -127,7 +129,7 @@ def is_irreducible(poly: Sequence[int], p: int) -> bool:
     n = len(poly) - 1
     if n < 1:
         return False
-    ops = _BaseOps(p, 1)
+    ops = PrecisionContext(p, 1).ops
     f = list(poly)
     minus_x = [0, p - 1]
     for d in range(1, n):
@@ -247,8 +249,9 @@ class _ExtOps:
     coordinate vectors instead of ints; ring is the ExtRing that owns
     the ops, set by it.  The modulus f is taken literally mod p^m,
     constant coefficient first.  Unit inversion needs f irreducible mod
-    p, so that the units are exactly the vectors with a coordinate not
-    divisible by p.
+    p, so that the ring mod p is the field F_{p^N}: its units are
+    exactly the vectors with a coordinate not divisible by p, and each
+    unit a has a^(p^N - 1) = 1 there.
     """
 
     def __init__(self, p: int, m: int, modulus: Sequence[int]):
@@ -327,10 +330,6 @@ class _ExtOps:
     def elements(self):
         return itertools.product(range(self.p), repeat=self.degree)
 
-    @functools.cached_property
-    def field(self) -> "_ExtOps":
-        return self if self.m == 1 else _ExtOps(self.p, 1, self.modulus)
-
     def map_coords(self, rows: tuple, f) -> tuple:
         return tuple([tuple([tuple(map(f, e)) for e in row]) for row in rows])
 
@@ -364,19 +363,10 @@ class _ExtOps:
         return any(c % self.p for c in a)
 
     def inv_unit(self, a):
-        """Extended Euclid against f mod p, then Newton's b <- b (2 - a b) up to p^m."""
-        field = _BaseOps(self.p, 1)
-        r0 = poly_trim([c % self.p for c in self.modulus], field)
-        r1 = poly_trim([c % self.p for c in a], field)
-        if not r1:
+        """Newton's b <- b (2 - a b) up to p^m from b = a^(p^N - 2), which is a^-1 mod p by Fermat."""
+        if not self.is_unit(a):
             raise ZeroDivisionError("element is not a unit")
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = poly_divmod(r0, r1, field)
-            r0, r1 = r1, rem
-            s0, s1 = s1, poly_add(s0, [field.neg(c) for c in poly_mul(quo, s1, field)], field)
-        inv_lead = field.inv_unit(r0[-1])
-        b = tuple(field.mul(c, inv_lead) for c in s0) + self.zero[len(s0):]
+        b = self.pow(a, self.p**self.degree - 2)
         two = self.add(self.one, self.one)
         for _ in range(self.m.bit_length() + 2):
             prod = self.mul(a, b)
@@ -406,7 +396,7 @@ def build_modulus(p: int, degree: int) -> tuple:
         raise ValueError(f"p^N = {p**degree} exceeds the enumeration bound {ENUMERATION_LIMIT}")
     if degree == 1:
         return (0, 1)  # X itself
-    ops = _BaseOps(p, 1)
+    ops = PrecisionContext(p, 1).ops
     for tail in itertools.product(range(p), repeat=degree):
         candidate = list(tail) + [1]
         # a root in F_p is a linear factor; Rabin certifies the survivor
@@ -428,24 +418,24 @@ def finite_field(p: int, degree: int) -> "ExtRing":
     return ext_ring(p, degree, 1)
 
 
-class ExtRing:
+class ExtRing(_Frozen):
     """One extension ring (Z/p^m)[X]/(f), F_{p^N} at m = 1; its coordinate arithmetic is ops.
 
     The modulus f is build_modulus(p, N), so the rings of one degree at
-    every precision, the residue field among them, read coordinates
-    against one basis.
+    every precision, the residue field ring.at(1) among them, read
+    coordinates against one basis; a ring is the value of its context
+    and degree.
     """
 
-    def __init__(self, ctx: PrecisionContext, degree: int):
-        self.ctx = ctx
-        self.degree = degree
-        self.modulus = build_modulus(ctx.p, degree)  # literal lift, constant-first
-        self.ops = _ExtOps(ctx.p, ctx.m, self.modulus)
-        self.ops.ring = self
+    __slots__ = ("ctx", "degree", "modulus", "ops")
+    _fields = _compare = ("ctx", "degree")
 
-    @functools.cached_property
-    def residue_field(self) -> "ExtRing":
-        return self.at(1)
+    def __init__(self, ctx: PrecisionContext, degree: int):
+        _setattr(self, "ctx", ctx)
+        _setattr(self, "degree", degree)
+        _setattr(self, "modulus", build_modulus(ctx.p, degree))  # literal lift, constant-first
+        _setattr(self, "ops", _ExtOps(ctx.p, ctx.m, self.modulus))
+        self.ops.ring = self
 
     def element(self, coords: Sequence[int]) -> "ExtScalar":
         return ExtScalar(self, coords)
@@ -485,17 +475,6 @@ class ExtRing:
                 raise ValueError(f"{x.ctx!r} is not the context of {self!r}")
             x = x.residue()
         return ExtScalar(self, (int(x),) + self.ops.zero[1:])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExtRing)
-            and self.ctx == other.ctx
-            and self.degree == other.degree
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.ctx.p, self.ctx.m, self.degree, self.modulus))
 
     def __repr__(self):
         return f"ExtRing(p={self.ctx.p}, degree={self.degree}, m={self.ctx.m})"
@@ -577,7 +556,7 @@ class ExtScalar(_Frozen):
 
     def reduction(self) -> "ExtScalar":
         """The element of the residue field F_{p^N} with these coordinates mod p."""
-        return self.ring.residue_field.element(self.coords)
+        return self.ring.at(1).element(self.coords)
 
     def congruent(self, other: "ExtScalar") -> bool:
         self._check(other)

@@ -526,7 +526,7 @@ def certify_orthogonal_projection(
 
     reduction_ok = pi.is_integral
     if reduction_ok:
-        field = ring.ops.field
+        field = ring.at(1).ops
         red = field.map_coords(pi.residues(), ctx.p.__rmod__)
         reduction_ok = field.matmul(red, red) == red
     if not reduction_ok:

@@ -278,9 +278,10 @@ class _BaseOps:
     int coordinate), rows_add, rows_sub, rows_scale (every coordinate
     times an int), rows_mul (every entry times a ring element) and
     rows_are_zero.  Ring members: p, m, q = p^m, degree, elements (the
-    residue field, in enumeration order), field (the same ring at m = 1),
-    packs (whether matmul packs a product of a given inner size) and
-    ring (the PrecisionContext or ExtRing the ops belong to, set by it).
+    residue field, in enumeration order), packs (whether matmul packs a
+    product of a given inner size) and ring (the PrecisionContext or
+    ExtRing the ops belong to, set by it; the only builder of ops).  The
+    residue field's ops are ring.at(1).ops.
     """
 
     degree = 1
@@ -338,10 +339,6 @@ class _BaseOps:
 
     def elements(self):
         return range(self.p)
-
-    @functools.cached_property
-    def field(self) -> "_BaseOps":
-        return self if self.m == 1 else _BaseOps(self.p, 1)
 
     def map_coords(self, rows: tuple, f) -> tuple:
         return tuple([tuple(map(f, row)) for row in rows])
@@ -830,8 +827,11 @@ def scan_orbit(start, step, is_zero, size: int, period_bound: int, ops) -> Orbit
     period_bound is seen to repeat: the orbit is on it from step P.  A
     zero key is TopNilpotent; a repeat is Periodic, or QuasiPeriodic
     with the first cycle key as limit when the cycle misses start; a
-    longer cycle or an exhausted walk is ChaosAtPrecision.
+    longer cycle or an exhausted walk is ChaosAtPrecision.  A
+    period_bound below 1 is refused with ValueError.
     """
+    if period_bound < 1:
+        raise ValueError("period_bound must be >= 1")
     pre_period = pre_period_bound(ops.p, ops.m, size)
     # P + period_bound steps would do; the floor m * period_bound + 4 stays because
     # dropping it shortens walks that end in ChaosAtPrecision, and classify reports
@@ -868,8 +868,6 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     the ops of x's ring; only a QuasiPeriodic limit is built as an
     object of x's type.
     """
-    if period_bound < 1:
-        raise ValueError("period_bound must be >= 1")
     if x.valuation < 0:
         raise ValueError("classify_orbit requires |x| <= 1")
     start, step, wrap, is_zero, size = x.residue_orbit()

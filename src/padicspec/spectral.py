@@ -72,6 +72,7 @@ from .padic import (
     OrbitKind,
     PadicScalar,
     PrecisionContext,
+    _check_period,
     _teichmuller_residue,
     norm_from_valuation,
     pre_period_bound,
@@ -223,7 +224,8 @@ def _spectral_points(rows: tuple, ops, period: int):
 
     The eigenvalues are the roots of the characteristic polynomial of
     rows mod p, built by Hessenberg reduction over the field F_q, q =
-    p^D, that the ambient entries reduce into (D = 1 over Z_p).  For
+    p^D, that the ambient entries reduce into (D = 1 over Z_p), the
+    ambient ring at precision 1.  For
     rows fixed by sigma^N the polynomial splits over F_{p^N}: a scan of
     F_q finds its roots while q <= SCAN_PER_DEGREE * n, and
     Cantor-Zassenhaus above that.  For other rows the scan may leave a
@@ -237,7 +239,7 @@ def _spectral_points(rows: tuple, ops, period: int):
     extension.
     """
     ops, rows = _ambient(rows, ops, period)
-    field = ops.field
+    field = ops.ring.at(1).ops
     charpoly = _hessenberg_charpoly(ops.map_coords(rows, ops.p.__rmod__), field)
     if ops.p**ops.degree <= SCAN_PER_DEGREE * len(rows):
         roots = _scan_roots(charpoly, field.elements(), field)
@@ -431,8 +433,10 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     mod p, a tail that is not divisible by p) is decided mod p, the same
     at every precision.  Neither phase of _sigma_limit stops short of
     its limit or its cycle mod p at any precision, so every stage
-    reaches the verdict of the stage at 2m.
+    reaches the verdict of the stage at 2m.  A period below 1 is refused
+    with ValueError.
     """
+    _check_period(period)
     ring = a.ring
     p, m, q = ring.ops.p, ring.ops.m, ring.ops.q
     k = a.valuation
@@ -516,7 +520,9 @@ def _spectral_tree(digits: Sequence[tuple], ops, period: int):
     fixed is refused with ValueError and the sup norm of X^(p^N) - X;
     any other failure is raised unchanged.  The digits of the other
     levels are sigma^N limits (_hermite_rows), fixed by construction.
+    A period below 1 is refused with ValueError before any work.
     """
+    _check_period(period)
     levels, level, resolved = [], None, []
     try:
         for digit in digits:

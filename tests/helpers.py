@@ -429,7 +429,7 @@ def teichmuller_spectral_oracle(x: UMatrix, period: int = 1) -> list:
         ring = ring or ext_ring(p, period, ctx.m)
         if ring.degree % period != 0:
             raise ValueError(f"period {period} does not divide the extension degree {ring.degree}")
-        ambient, field = x.promote(ring), ring.residue_field
+        ambient, field = x.promote(ring), ring.at(1)
     ops = (ring or ctx).at(1).ops
     charpoly = berkowitz_charpoly(ops.map_coords(ambient.residues(), lambda c: c % p), ops)
     roots = poly_roots(charpoly, p**period, field.degree, ops,

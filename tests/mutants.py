@@ -37,6 +37,7 @@ _MATRIX = "tests/test_matrix.py::"
 _PADIC = "tests/test_padic.py::"
 _FIELD = "tests/test_finite_field.py::"
 _MALFORMED = _PADIC + "test_value_constructors_refuse_malformed_fields"
+_PERIOD = _SPECTRAL + "test_every_spectral_entry_point_refuses_a_period_below_one"
 _DEFECTS = [
     _CLI + "test_pass_through_defect_is_a_document[wrong index]",
     _CLI + "test_pass_through_defect_is_a_document[point off by p]",
@@ -211,6 +212,10 @@ MUTANTS = (
      "return b", [
         _FIELD + "test_unit_inversion_refuses_a_newton_phase_that_does_not_converge",
     ]),
+    # Newton's start is a^-1 mod p by Fermat, a^(p^N - 2)
+    ("finite_field.py", "b = self.pow(a, self.p**self.degree - 2)", "b = self.pow(a, self.p**self.degree - 1)", [
+        _FIELD + "test_field_axioms_on_random_triples",
+    ]),
     # spectrum_diameter's cross-checks: the operator norm and the translation law
     ("spectral.py", "if lam_val != a.valuation:", "if False and lam_val != a.valuation:", [
         _CLI + "test_internal_defect_is_a_document",
@@ -241,6 +246,22 @@ MUTANTS = (
     ("cli.py", "if r and not r % p else 0", "if not r % p else 0", [
         _CLI + "test_residue_rows_render_as_their_documents[base-2]",
         _CLI + "test_residue_rows_render_as_their_documents[degree-3-5]",
+    ]),
+    # a sigma period or period bound below 1 is refused at every spectral entry point
+    ("spectral.py", "    _check_period(period)\n    ring = a.ring", "    ring = a.ring", [
+        _PERIOD + "[hermite-0]",
+        _PERIOD + "[hermite--1]",
+        _PERIOD + "[spectrum-0]",
+    ]),
+    ("spectral.py", "    _check_period(period)\n    levels, level, resolved", "    levels, level, resolved", [
+        _PERIOD + "[spectral-0]",
+        _PERIOD + "[spectral--1]",
+    ]),
+    ("padic.py", "if period_bound < 1:", "if False:", [
+        _PERIOD + "[jordan-0]",
+        _PERIOD + "[jordan--1]",
+        _PERIOD + "[classify-0]",
+        _PERIOD + "[classify--1]",
     ]),
     # only a base matrix can have a negative valuation and no residues
     ("matrix.py", "if self.ring is self.ctx and not self.is_integral:", "if False:", [

@@ -312,7 +312,7 @@ def test_unit_inversion_refuses_a_newton_phase_that_does_not_converge():
     """Newton's unit inversion spends a bounded number of steps, then refuses.
 
     The noisy product below adds p^(m-1) to every product equal to 1, so
-    the noise vanishes mod p, the Euclidean start mod p is unchanged, and
+    the noise vanishes mod p, the Fermat start mod p is unchanged, and
     no product ever reads exactly 1.
     """
     p, m = 3, 3

@@ -58,6 +58,7 @@ from padicspec import (
     teichmuller_lift_ext,
     teichmuller_spectral,
     uncertainty_check,
+    uncertainty_checks,
 )
 from padicspec import padic, spectral
 from padicspec.cli import run_command
@@ -579,7 +580,7 @@ def test_sigma_limit_matches_oracle_on_unipotent_inputs(degree):
         else:
             ring = ext_ring(2, 2, m)
             ops, zero = ring.ops, (0, 0)
-            generator = ring.residue_field.element((0, 1))
+            generator = ring.at(1).element((0, 1))
             omegas = [(1, 0), teichmuller_lift_ext(generator, m).residue_key()]
         sizes = (1, 2, 4, 5, 8, 9, 16, 17, 32, 33)
         for omega, n, period in itertools.product(omegas, sizes, (1, 2, 3)):
@@ -1985,6 +1986,28 @@ def test_uncertainty_propagates_not_hermite():
     psi = (PadicScalar.one(CTX), PadicScalar.zero(CTX))
     with pytest.raises(NotHermiteError):
         uncertainty_check(bad, bad, psi)
+
+
+_PSI = (PadicScalar.one(CTX), PadicScalar.zero(CTX))
+_PERIOD_ENTRY_POINTS = {
+    "spectral": teichmuller_spectral,
+    "hermite": hermite_digits_matrix,
+    "spectrum": operator_spectrum,
+    "diam": spectrum_diameter,
+    "uncertainty": lambda a, period: uncertainty_check(a, a, _PSI, period),
+    "uncertainties": lambda a, period: uncertainty_checks(a, a, [_PSI], period),
+    "jordan": jordan_decompose,
+    "classify": classify_orbit,
+}
+
+
+@pytest.mark.parametrize("period", [0, -1])
+@pytest.mark.parametrize("entry", list(_PERIOD_ENTRY_POINTS))
+def test_every_spectral_entry_point_refuses_a_period_below_one(entry, period):
+    """A sigma period (or period bound) below 1 is refused with ValueError before any work."""
+    a = diag_matrix(CTX, [1, 2])
+    with pytest.raises(ValueError, match=r"period(_bound)? must be >= 1"):
+        _PERIOD_ENTRY_POINTS[entry](a, period)
 
 
 @pytest.mark.parametrize("p,degree", [(3, 2), (2, 3)])

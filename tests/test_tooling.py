@@ -250,7 +250,7 @@ def test_the_benchmark_loader_clears_the_pinned_ring_caches():
 
 
 def test_the_value_classes_are_the_pinned_ones():
-    """The _Frozen subclasses under src/padicspec are these five; an F_{p^N} element is an ExtScalar."""
+    """The _Frozen subclasses under src/padicspec are these six; an F_{p^N} element is an ExtScalar."""
     found = set()
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
@@ -261,6 +261,7 @@ def test_the_value_classes_are_the_pinned_ones():
     assert found == {
         "padic.PrecisionContext",
         "padic.PadicScalar",
+        "finite_field.ExtRing",
         "finite_field.ExtScalar",
         "matrix.UMatrix",
         "ladders.CoeffVector",
@@ -306,6 +307,44 @@ def _name_sites(name: str) -> dict:
 def test_residue_rows_are_wrapped_only_at_the_pinned_sites():
     """_wrap_residues is used by WRAP_SITES only, once each, and never by the CLI."""
     assert _name_sites("_wrap_residues") == dict.fromkeys(WRAP_SITES, 1)
+
+
+def test_only_the_rings_build_ops():
+    """_BaseOps and _ExtOps are named under src/padicspec only where a ring builds its own ops.
+
+    Every ops object belongs to one PrecisionContext or ExtRing, so the
+    residue field's ops are ring.at(1).ops and F_p's are
+    PrecisionContext(p, 1).ops.
+    """
+    assert {**_name_sites("_BaseOps"), **_name_sites("_ExtOps")} == {
+        "padic.PrecisionContext.__init__": 1,
+        "finite_field.ExtRing.__init__": 1,
+    }
+
+
+def test_each_extension_ring_builds_one_ops(monkeypatch):
+    """A period-2 resolution of a base matrix builds one _ExtOps per ExtRing, and no other."""
+    from padicspec import PrecisionContext, UMatrix, teichmuller_spectral
+    from padicspec.finite_field import ExtRing, _ExtOps, ext_ring
+
+    built = {"rings": 0, "ops": 0}
+
+    def counting(cls, key):
+        real = cls.__init__
+
+        def init(self, *args):
+            built[key] += 1
+            real(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+    counting(ExtRing, "rings")
+    counting(_ExtOps, "ops")
+    ext_ring.cache_clear()
+    # X^2 + 1 is irreducible mod 3, so the points lie in F_9
+    rotation = UMatrix.from_ints([[0, -1], [1, 0]], PrecisionContext(3, 3))
+    assert len(teichmuller_spectral(rotation, 2).points) == 2
+    assert built["ops"] == built["rings"] > 0
 
 
 def test_the_cli_writes_answers_without_scalar_dicts():
