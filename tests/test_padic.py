@@ -145,6 +145,7 @@ _VALUES = {
     "fq": (lambda: finite_field(3, 2).generator(), "Fq(0, 1)@p^2"),
     "fp": (lambda: finite_field(5, 1).one(), "F5(1)"),
     "ext": (lambda: ext_ring(3, 2, 2).element([1, 2]), "ExtScalar(1, 2)@ExtRing(p=3, degree=2, m=2)"),
+    "ring": (lambda: ext_ring(3, 2, 2), "ExtRing(p=3, degree=2, m=2)"),
     "matrix": (lambda: UMatrix.from_ints([[1, 3], [0, 2]], _CTX32), "UMatrix(n=2, ring=base, p=3, m=2)"),
     "coefficients": (
         lambda: CoeffVector(_CTX32, (PadicScalar.one(_CTX32), PadicScalar.zero(_CTX32)), True),
