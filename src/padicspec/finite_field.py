@@ -587,15 +587,6 @@ class ExtScalar(_Frozen):
     def residue_key(self) -> tuple:
         return self.coords
 
-    def residue_orbit(self) -> tuple:
-        """The coordinates, sigma on them, the scalar of a vector, the zero test and the degree.
-
-        What classify_orbit walks (see padic.scan_orbit).
-        """
-        ring = self.ring
-        step = functools.partial(ring.ops.pow, exponent=self.ctx.p)
-        return self.coords, step, ring.element, ring.ops.is_zero, ring.degree
-
 
 FqElement = ExtScalar  # an element of F_{p^N} is an ExtScalar of finite_field(p, N)
 

@@ -37,7 +37,6 @@ module defines no arithmetic of its own.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from typing import NamedTuple, Optional, Sequence, Union
@@ -212,17 +211,6 @@ class UMatrix(_Frozen):
 
     def residue_key(self) -> tuple:
         return self.residues()
-
-    def residue_orbit(self) -> tuple:
-        """The residue rows, sigma on rows, the matrix of rows, the zero test and n * deg.
-
-        What classify_orbit walks (see padic.scan_orbit).
-        """
-        ring = self.ring
-        ops = ring.ops
-        step = functools.partial(_res_matpow, exponent=ops.p, ops=ops)
-        wrap = functools.partial(_wrap_residues, ring=ring)
-        return self.residues(), step, wrap, ops.rows_are_zero, self.n * ops.degree
 
     def __repr__(self):
         kind = "base" if self.ring is self.ctx else "ext"

@@ -21,9 +21,11 @@ is stationary mod p (the sigma phase) and then finish with Newton's
 method on x^q = x, whose derivative q x^(q-1) - 1 is -1 mod p, a unit:
 the digits of agreement double at each step, so ceil(log2 m) steps
 finish the limit.  Orbits that need not converge are walked by
-scan_orbit.  The sigma phase and scan_orbit's walk are both bounded by
-pre_period_bound, the number of sigma steps after which any orbit is on
-its cycle, derived from the length of the ring the orbit generates.
+scan_orbit, on residue rows over the ring's ops: a scalar walks as its
+1 x 1 rows, so scalars and matrices share one walk.  The sigma phase
+and scan_orbit's walk are both bounded by pre_period_bound, the number
+of sigma steps after which any orbit is on its cycle, derived from the
+length of the ring the orbit generates.
 """
 
 from __future__ import annotations
@@ -647,15 +649,6 @@ class PadicScalar(_Frozen):
     def residue_key(self) -> int:
         return self.residue()
 
-    def residue_orbit(self) -> tuple:
-        """The residue, sigma on residues, the scalar of a residue, the zero test and size 1.
-
-        What classify_orbit walks (see scan_orbit).
-        """
-        ctx = self.ctx
-        step = functools.partial(pow, exp=ctx.p, mod=ctx.modulus)
-        return self.residue(), step, ctx.element, ctx.ops.is_zero, 1
-
 
 # a base scalar's ring is its context: the ctx slot, read under the name of the ring protocol
 PadicScalar.ring = PadicScalar.ctx
@@ -815,32 +808,30 @@ def pre_period_bound(p: int, m: int, size: int) -> int:
     return bound
 
 
-def scan_orbit(start, step, is_zero, size: int, period_bound: int, ops) -> OrbitReport:
-    """Walk a sigma-orbit of residue keys to its first zero key or its first repeat.
+def scan_orbit(rows: tuple, period_bound: int, ops) -> OrbitReport:
+    """Walk the sigma-orbit of n x n residue rows to its first zero rows or its first repeat.
 
-    step maps a key (an entry of ops or residue rows over it) to its
-    sigma-image and is_zero tests a key; both come with size, n * deg
-    for n x n rows over a degree-deg ring (deg for an entry), from the
-    residue_orbit protocol, and p and m from ops.  The walk takes at
-    most max(m * period_bound + 4, P) + period_bound steps,
-    P = pre_period_bound(p, m, size), so a cycle of length up to
-    period_bound is seen to repeat: the orbit is on it from step P.  A
-    zero key is TopNilpotent; a repeat is Periodic, or QuasiPeriodic
-    with the first cycle key as limit when the cycle misses start; a
-    longer cycle or an exhausted walk is ChaosAtPrecision.  A
-    period_bound below 1 is refused with ValueError.
+    sigma is the p-th power _power(rows, p, ops.matmul); a scalar walks
+    as its 1 x 1 rows.  The walk takes at most
+    max(m * period_bound + 4, P) + period_bound steps,
+    P = pre_period_bound(p, m, n * deg) for a degree-deg ring, so a
+    cycle of length up to period_bound is seen to repeat: the orbit is
+    on it from step P.  Zero rows are TopNilpotent; a repeat is
+    Periodic, or QuasiPeriodic with the first cycle rows as limit when
+    the cycle misses the start; a longer cycle or an exhausted walk is
+    ChaosAtPrecision.  A period_bound below 1 is refused with ValueError.
     """
     if period_bound < 1:
         raise ValueError("period_bound must be >= 1")
-    pre_period = pre_period_bound(ops.p, ops.m, size)
+    pre_period = pre_period_bound(ops.p, ops.m, len(rows) * ops.degree)
     # P + period_bound steps would do; the floor m * period_bound + 4 stays because
     # dropping it shortens walks that end in ChaosAtPrecision, and classify reports
     # their steps, so its output would change.
     budget = max(ops.m * period_bound + 4, pre_period) + period_bound
     verdict = functools.partial(OrbitReport, budget=budget)
-    seen, keys, cur, k = {}, [], start, 0
+    seen, keys, cur, k = {}, [], rows, 0
     while True:
-        if is_zero(cur):
+        if ops.rows_are_zero(cur):
             return verdict(OrbitKind.TOP_NILPOTENT, steps=k)
         entry = seen.setdefault(cur, k)
         if entry < k:
@@ -852,7 +843,7 @@ def scan_orbit(start, step, is_zero, size: int, period_bound: int, ops) -> Orbit
         if k == budget:
             return verdict(OrbitKind.CHAOS_AT_PRECISION, steps=k)
         keys.append(cur)
-        cur, k = step(cur), k + 1
+        cur, k = _power(cur, ops.p, ops.matmul), k + 1
 
 
 def classify_orbit(x, period_bound: int) -> OrbitReport:
@@ -864,15 +855,16 @@ def classify_orbit(x, period_bound: int) -> OrbitReport:
     ChaosAtPrecision: neither happened within scan_orbit's walk of
     max(m * period_bound + 4, P) + period_bound steps, P the
     pre_period_bound of x (a precision-relative verdict, not an error).
-    The scan steps on x's residue key through x.residue_orbit(), over
-    the ops of x's ring; only a QuasiPeriodic limit is built as an
-    object of x's type.
+    scan_orbit walks the residue rows of a matrix, or a scalar's residue
+    key as 1 x 1 rows, over the ops of x's ring; only a QuasiPeriodic
+    limit is built as an object of x's type.
     """
     if x.valuation < 0:
         raise ValueError("classify_orbit requires |x| <= 1")
-    start, step, wrap, is_zero, size = x.residue_orbit()
-    report = scan_orbit(start, step, is_zero, size, period_bound, x.ring.ops)
+    matrix = getattr(x, "rows", None) is not None
+    report = scan_orbit(x.residues() if matrix else ((x.residue_key(),),), period_bound, x.ring.ops)
     if report.limit is None:
         return report
-    return report._replace(limit=wrap(report.limit))
-
+    if matrix:
+        return report._replace(limit=type(x).from_residues(report.limit, x.ring))
+    return report._replace(limit=x.ring.element(report.limit[0][0]))

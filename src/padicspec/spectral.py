@@ -760,23 +760,23 @@ def jordan_decompose(a: UMatrix, period_bound: int = 8) -> JordanPair:
     if not a.is_integral:
         raise ValueError("jordan_decompose requires |A| <= 1")
     ops = a.ring.ops
-    rows, step, wrap, is_zero, size = a.residue_orbit()
-    report = scan_orbit(rows, step, is_zero, size, period_bound, ops)
+    rows = a.residues()
+    report = scan_orbit(rows, period_bound, ops)
     if report.kind is OrbitKind.TOP_NILPOTENT:
-        return JordanPair(wrap(ops.map_coords(rows, lambda c: 0)), a, 1, report.steps)
+        return JordanPair(UMatrix.zeros(a.n, a.ring), a, 1, report.steps)
     if report.kind is OrbitKind.CHAOS_AT_PRECISION:
         raise PeriodExceededError(period_bound, report.budget)
     # the cycle is entered at step steps - period; A_s sits at the next multiple of the period
     cycle = rows if report.limit is None else report.limit
     for _ in range((report.period - report.steps) % report.period):
-        cycle = step(cycle)
-    semisimple = wrap(cycle)
+        cycle = _res_matpow(cycle, ops.p, ops)
+    semisimple = UMatrix.from_residues(cycle, a.ring)
     nilpotent = a - semisimple
     killed, kill = nilpotent.residues(), 0
     while not ops.rows_are_zero(killed):
         if ops.p**kill >= a.n * ops.m:
             raise RuntimeError("nilpotent part failed to vanish (internal defect)")
-        killed, kill = step(killed), kill + 1
+        killed, kill = _res_matpow(killed, ops.p, ops), kill + 1
     return JordanPair(semisimple, nilpotent, report.period, kill)
 
 

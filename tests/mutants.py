@@ -263,6 +263,21 @@ MUTANTS = (
         _PERIOD + "[classify-0]",
         _PERIOD + "[classify--1]",
     ]),
+    # scan_orbit, the one sigma-orbit walk: a cycle of length period_bound is in bound,
+    # zero rows end the walk, and the budget leaves period_bound steps past the pre-period
+    ("padic.py", "if k - entry > period_bound:", "if k - entry >= period_bound:", [
+        "tests/test_unramified.py::test_classify_ext_scalar_orbits",
+        _SPECTRAL + "test_classify_matrix_matches_the_sigma_window_walk",
+    ]),
+    ("padic.py", "if ops.rows_are_zero(cur):", "if False:", [
+        _PADIC + "test_classify_zero_and_p_are_nilpotent",
+        _SPECTRAL + "test_classify_matrix_matches_the_sigma_window_walk",
+    ]),
+    ("padic.py", "budget = max(ops.m * period_bound + 4, pre_period) + period_bound",
+     "budget = max(ops.m * period_bound + 4, pre_period)", [
+        _SPECTRAL + "test_classify_matrix_matches_the_sigma_window_walk",
+        _SPECTRAL + "test_jordan_kill_count_is_the_classify_step[companion-64-2-1]",
+    ]),
     # only a base matrix can have a negative valuation and no residues
     ("matrix.py", "if self.ring is self.ctx and not self.is_integral:", "if False:", [
         _MATRIX + "test_extension_residues_compute_no_valuation",

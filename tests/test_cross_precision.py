@@ -4,15 +4,20 @@ Every answer is promised exact mod p^m.  So the same integers below
 p^m, read at a higher precision m', must give an answer that reduces to
 the one at m, and a verdict that both runs reach on the way must be the
 same verdict.  The shapes are drawn here, not imported from the
-benchmark corpus, so the property stays independent of it.
+benchmark corpus, so the property stays independent of it; only the
+measure probe at the end reads the benchmark's planted operators, as
+the probe that ROADMAP item 1 reports.
 """
 
 import io
 import json
 import os
 import random
+import sys
 import tempfile
+from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +38,12 @@ from padicspec import (
 )
 from padicspec import spectral
 from padicspec.cli import run_command
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.corpus import planted_operator  # noqa: E402
 
 
 def unipotent_rows(n: int) -> list:
@@ -512,3 +523,37 @@ def test_cli_certify_projection_refuses_a_non_idempotent_reduction_at_both_preci
         assert status == 0
         assert (doc["valid"], doc["reduction_idempotent"]) == (False, False)
         assert "reduction_idempotent" in doc["failures"]
+
+
+# -- measure: the printed p^v u of a node entry, read unreduced --------------------------------
+
+
+@pytest.mark.xfail(strict=True, reason="measure prints node products p^v u past p^m (ROADMAP item 1)")
+def test_cli_measure_prints_the_residue_of_the_higher_precision_answer():
+    """measure --depth 2 of the same integers at m = 4 and at m = 8, p = 3.
+
+    The integers are the planted operators U diag U^-1 of
+    perfbench.corpus.planted_operator(3, 8, 4, 2, seed % 2, ...) for
+    seeds 0-39, reduced mod 3^4.  Where both runs accept, every
+    projector entry printed at m = 4 is the integer p^v u as it stands,
+    and must equal the entry at m = 8 mod 3^4: an absolute answer mod
+    p^m is printed as its canonical residue, as hermite and spectral
+    print theirs.
+    """
+    p, m, q = 3, 4, 3**4
+    compared = 0
+    for seed in range(40):
+        planted = planted_operator(3, 8, 4, 2, seed % 2, random.Random(seed))
+        rows = [[x % q for x in row] for row in planted.matrix]
+        low, high = (_cli(["measure", "--depth", "2"], _matrix_doc(rows, p, digits))
+                     for digits in (m, 8))
+        if low[0] or high[0]:
+            continue
+        low, high = low[1]["nodes"], high[1]["nodes"]
+        assert [node["address"] for node in high] == [node["address"] for node in low]
+        for low_node, high_node in zip(low, high):
+            assert [p ** e["v"] * int(e["u"]) for e in low_node["projector"]["entries"]] == [
+                _integer(e, p, q) for e in high_node["projector"]["entries"]
+            ]
+            compared += 1
+    assert compared

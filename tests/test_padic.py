@@ -388,6 +388,40 @@ def test_classify_rejects_norm_above_one():
         classify_orbit(scalar_from_rational(1, 5, CTX52), 2)
 
 
+@st.composite
+def integral_scalar(draw):
+    """An integral PadicScalar (degree 1) or ExtScalar (degree 1-3), p in {2, 3, 5}, m <= 5."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    degree = draw(st.integers(min_value=0, max_value=3))
+    q = p**m
+    residues = st.integers(min_value=0, max_value=q - 1)
+    if degree == 0:
+        return PadicScalar.from_residue(draw(residues), PrecisionContext(p, m))
+    coords = draw(st.lists(residues, min_size=degree, max_size=degree))
+    return ext_ring(p, degree, m).element(coords)
+
+
+@settings(max_examples=200, deadline=None)
+@given(integral_scalar(), st.integers(min_value=1, max_value=4))
+@example(PadicScalar.from_int(2, CTX52), 3)
+@example(PadicScalar.from_int(5, CTX52), 2)
+def test_classify_of_a_scalar_is_that_of_its_one_by_one_matrix(x, bound):
+    """A scalar's orbit report is its 1 x 1 matrix's: verdict, steps, budget and limit key."""
+    scalar = classify_orbit(x, bound)
+    matrix = classify_orbit(UMatrix.from_scalars([[x]]), bound)
+    assert (scalar.kind, scalar.period, scalar.steps, scalar.budget) == (
+        matrix.kind,
+        matrix.period,
+        matrix.steps,
+        matrix.budget,
+    )
+    assert (scalar.limit is None) == (matrix.limit is None)
+    if scalar.limit is not None:
+        assert type(scalar.limit) is type(x)
+        assert matrix.limit.residue_key() == ((scalar.limit.residue_key(),),)
+
+
 # -- algebraic properties ------------------------------------------------------------------
 
 

@@ -269,15 +269,15 @@ def test_the_value_classes_are_the_pinned_ones():
 
 
 # Every function under src/padicspec that uses matrix._wrap_residues, the one
-# place residue rows become scalars: the matrix constructors and window results,
-# the digits of a classify orbit, and the views that a library caller reads.
+# place residue rows become scalars: the matrix constructors (a classify limit and
+# jordan's parts through from_residues and zeros), the window results, and the
+# views that a library caller reads.
 # The CLI prints residue rows as they are, so no command's answer needs one.
 WRAP_SITES = {
     "matrix.UMatrix.from_residues",
     "matrix.UMatrix.identity",
     "matrix.UMatrix.zeros",
     "matrix.UMatrix.window_pow",
-    "matrix.UMatrix.residue_orbit",
     "matrix.inverse",
     "spectral.lift_idempotent",
     "spectral.SpectralDecomposition.points",
