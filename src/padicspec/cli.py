@@ -23,8 +23,9 @@ only.  An answer's scalars are written as text straight from each
 one's (v, u), with no dict built per scalar (_Scalars, _scalars_text).
 A residue mod p^m, such as an entry of the certified rows that spectral
 and hermite print, their eigenvalues and every extension coordinate,
-gives its valuation and the rest; a PadicScalar (the relative measure,
-integral and jordan matrices, and the lone scalars) gives its own.
+gives its valuation and the rest; a PadicScalar or its (v, u) pair
+(the relative measure nodes and centers, the integral and jordan
+matrices, and the lone scalars) gives its own.
 
 Exit status: 0 on success, 1 on mathematical rejection (with a
 structured reason, including a norm that a double cannot hold) or on
@@ -42,6 +43,7 @@ explicit seed and defaults to 0.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -68,6 +70,8 @@ from .padic import (
     NormOutOfRangeError,
     PadicScalar,
     PrecisionContext,
+    _dot_units,
+    _units,
     classify_orbit,
     int_valuation,
     scalar_from_rational,
@@ -111,7 +115,8 @@ class _Scalars(tuple):
     """(entries, p, listed): scalar documents as one leaf of an answer, written by _scalars_text.
 
     With p the prime, the entries are residues mod p^m, each an int or
-    an extension entry's tuple of coordinates; with p None, PadicScalars.
+    an extension entry's tuple of coordinates; with p None, PadicScalars
+    or their (valuation, unit) pairs, (INFINITE, 0) for zero.
     A listed leaf is the list of its entries, any other its one entry.
     """
 
@@ -130,7 +135,7 @@ def _scalars(xs: Sequence, listed: bool = True) -> _Scalars:
 
 
 def _matrix(rows: tuple, p: Optional[int] = None) -> dict:
-    """A matrix's document: residue rows mod p^m given p, else the rows of a matrix over Z_p."""
+    """A matrix's document: residue rows mod p^m given p, else rows of PadicScalars or their (v, u) pairs."""
     return {"entries": _Scalars(([e for row in rows for e in row], p, True)), "n": len(rows)}
 
 
@@ -142,12 +147,13 @@ def _scalars_text(entries: Sequence, p: Optional[int], listed: bool, indent: str
     at = indent + "  " if listed else indent  # where an entry starts
 
     def text(x, start: str) -> str:  # one scalar's document, starting at indent start
-        v, u = _residue_vu(x, p) if p else (0, 0) if x.is_zero else (int(x.valuation), x.unit)
+        v, u = _residue_vu(x, p) if p else x if type(x) is tuple else _units(x)
+        v = v if u else 0  # a zero pair is (INFINITE, 0)
         return f'{{\n{start}  "u": "{u}",\n{start}  "v": {v}\n{start}}}'
 
     items = [  # an extension entry is the list of its coordinates' documents
-        text(e, at) if type(e) is not tuple
-        else f"[\n{at}  " + f",\n{at}  ".join([text(c, at + "  ") for c in e]) + f"\n{at}]"
+        f"[\n{at}  " + f",\n{at}  ".join([text(c, at + "  ") for c in e]) + f"\n{at}]"
+        if p and type(e) is tuple else text(e, at)
         for e in entries
     ]
     if not listed:
@@ -357,12 +363,12 @@ def _measure_inputs(args, doc: dict, ctx: PrecisionContext):
 def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
     _, measure = _measure_inputs(args, doc, ctx)
     nodes = []
-    for address, projector in measure.nodes:
+    for address, rows in measure.node_rows:
         nodes.append(
             {
                 "address": list(address),
-                "center": _scalars((measure.ball_center(address, ctx),), listed=False),
-                "projector": _matrix(projector.rows),
+                "center": _Scalars(((measure.center_units(address),), None, False)),
+                "projector": _matrix(rows),
             }
         )
     return {"depth": measure.depth, "lead_valuation": measure.lead_valuation, "nodes": nodes}
@@ -371,12 +377,15 @@ def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
 def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
     matrix, measure = _measure_inputs(args, doc, ctx)
     identity_check, reconstruction = spectral_integral(measure)
-    error = reconstruction - matrix
+    # (reconstruction - matrix).valuation without building the difference: each entry is r + (-1) a
+    minus = ((0, 1), (0, ctx.modulus - 1))
+    entries = map(itertools.chain.from_iterable, (reconstruction.rows, matrix.rows))
+    error = min(_dot_units(ctx, (_units(r), _units(a)), minus)[0] for r, a in zip(*entries))
     return {
         "depth": measure.depth,
         "identity_check": _matrix(identity_check.rows),
         "reconstruction": _matrix(reconstruction.rows),
-        "error_valuation": valuation_to_json(error.valuation),
+        "error_valuation": valuation_to_json(error),
     }
 
 

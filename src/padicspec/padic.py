@@ -456,11 +456,7 @@ class PrecisionContext(_Frozen):
 
     def element(self, residue: int) -> "PadicScalar":
         """The scalar of a representative of Z/p^m, taken as exact."""
-        r = residue % self.modulus
-        if r == 0:
-            return PadicScalar(self, INFINITE, 0)
-        v = int_valuation(r, self.p)
-        return PadicScalar(self, v, r // self.p**v)
+        return PadicScalar(self, *_residue_units(residue, self))
 
     def random_entry(self, rng, v: int) -> "PadicScalar":
         """p^v u for a unit u drawn uniformly mod p^m; v may be negative."""
@@ -563,36 +559,22 @@ class PadicScalar(_Frozen):
             return other
         if other.is_zero:
             return self
-        v, u = _add_units(self.ctx, self.valuation, self.unit, other.valuation, other.unit)
-        return PadicScalar(self.ctx, v, u)
+        # the two-term sum x + y is the dot product (x, y) . (1, 1)
+        return PadicScalar(self.ctx, *_dot_units(self.ctx, (_units(self), _units(other)), ((0, 1), (0, 1))))
 
     @staticmethod
     def dot(xs: Sequence["PadicScalar"], ys: Sequence["PadicScalar"]) -> "PadicScalar":
         """sum_i xs[i] * ys[i], added from the left exactly as reduce(+, map(*)) adds it.
 
-        Truncation to m digits makes the sum depend on its order, so the
-        products are added one by one, left to right, on (valuation, unit)
-        ints; only the result is built as a scalar.  The sum starts from
-        the zero sentinel, which the first product replaces unchanged.
+        _dot_units sums the products on the (valuation, unit) pairs of
+        the entries; only the result is built as a scalar.
         """
         first = xs[0]
         ctx = first.ctx
-        modulus = ctx.modulus
-        v, u = INFINITE, 0
-        for x, y in zip(xs, ys):
-            if x.ctx is not ctx or y.ctx is not ctx:
+        for x in itertools.chain(xs, ys):
+            if x.ctx is not ctx:
                 first._check_ctx(x)
-                first._check_ctx(y)
-            xu = x.unit
-            yu = y.unit
-            if xu and yu:
-                tv = x.valuation + y.valuation
-                tu = xu * yu % modulus
-                if u:
-                    v, u = _add_units(ctx, v, u, tv, tu)
-                else:
-                    v, u = tv, tu
-        return PadicScalar(ctx, v, u)
+        return PadicScalar(ctx, *_dot_units(ctx, map(_units, xs), map(_units, ys)))
 
     def __neg__(self) -> "PadicScalar":
         if self.is_zero:
@@ -654,32 +636,62 @@ class PadicScalar(_Frozen):
 PadicScalar.ring = PadicScalar.ctx
 
 
-def _add_units(ctx: PrecisionContext, v1: int, u1: int, v2: int, u2: int) -> tuple:
-    """p^v1 u1 + p^v2 u2 for two nonzero scalars, as a (valuation, unit) pair.
+# the (valuation, unit) pair of a PadicScalar, (INFINITE, 0) for zero
+_units = operator.attrgetter("valuation", "unit")
 
-    The exact sum is formed at the common base valuation and stripped of
-    its factors of p; when they reach the m-digit window the sum is zero
-    at precision, (INFINITE, 0), otherwise its unit keeps m digits.  When
-    the valuations are m or more apart, the other term is 0 mod
-    p^(base + m), so the sum is the operand of smaller valuation: p^gap
-    is never formed for a gap that could be arbitrarily large.
+
+def _dot_units(ctx: PrecisionContext, xs, ys) -> tuple:
+    """sum_i xs[i] * ys[i] on (valuation, unit) pairs, cut to m digits after each addition.
+
+    The one relative truncated sum of the package: PadicScalar.dot, and
+    through it every object-level product, and PadicScalar.__add__ (the
+    two-term sum with unit multipliers) call it.  A zero is (INFINITE,
+    0).  Truncation makes the sum depend on its order, so the products
+    are added one by one, left to right, from the zero sentinel, which
+    the next nonzero product replaces unchanged.  Each addition forms
+    the exact sum at the lower valuation and strips its factors of p;
+    when they reach the m-digit window the sum is zero at precision,
+    otherwise its unit keeps m digits.  A term m or more digits above
+    the sum is 0 mod p^(v + m) and is dropped, and a sum m or more
+    digits above the term is replaced by it, so p^gap is never formed
+    for a gap that could be arbitrarily large.
     """
-    p, gap = ctx.p, v2 - v1
-    if gap >= ctx.m:
-        return v1, u1
-    if gap <= -ctx.m:
-        return v2, u2
-    if gap >= 0:
-        base, total = v1, u1 + u2 * p**gap
-    else:
-        base, total = v2, u2 + u1 * p**-gap
-    if total % p:
-        return base, total % ctx.modulus
-    t = int_valuation(total, p)
-    if t >= ctx.m:
-        # cancellation beyond the m-digit window
+    p, m, modulus = ctx.p, ctx.m, ctx.modulus
+    v, u = INFINITE, 0
+    for (xv, xu), (yv, yu) in zip(xs, ys):
+        if not (xu and yu):
+            continue
+        tv, tu = xv + yv, xu * yu % modulus
+        gap = tv - v
+        if not u or gap <= -m:
+            v, u = tv, tu
+            continue
+        if gap >= m:
+            continue
+        if gap >= 0:
+            total = u + tu * p**gap
+        else:
+            v, total = tv, tu + u * p**-gap
+        if total % p:
+            u = total % modulus
+            continue
+        t = int_valuation(total, p)
+        if t >= m:  # cancellation beyond the m-digit window
+            v, u = INFINITE, 0
+        else:
+            v, u = v + t, total // p**t % modulus
+    return v, u
+
+
+def _residue_units(residue: int, ctx: PrecisionContext) -> tuple:
+    """The (valuation, unit) pair of a representative of Z/p^m, taken as exact; (INFINITE, 0) for 0."""
+    r = residue % ctx.modulus
+    if r % ctx.p:
+        return 0, r
+    if not r:
         return INFINITE, 0
-    return base + t, (total // p**t) % ctx.modulus
+    v = int_valuation(r, ctx.p)
+    return v, r // ctx.p**v
 
 
 def scalar_from_rational(numerator: int, denominator: int, ctx: PrecisionContext) -> PadicScalar:

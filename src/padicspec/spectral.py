@@ -47,7 +47,9 @@ period N > 1, and the points are Teichmuller lifts kept as residues
 (padic._teichmuller_residue, the one lift over either ring).  Scalars
 and matrices are built only when a caller reads a record's view:
 SpectralDecomposition and HermiteDigitsMatrix keep their ring and the
-certified residue rows, and build their points and digits on each read.
+certified residue rows, and build their points and digits on each read;
+SpectralMeasure keeps its nodes as (valuation, unit) rows, formed from
+the certified rows by padic._dot_units, and builds them on each read.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ from .padic import (
     PadicScalar,
     PrecisionContext,
     _check_period,
+    _dot_units,
+    _residue_units,
     _teichmuller_residue,
     norm_from_valuation,
     pre_period_bound,
@@ -633,31 +637,50 @@ def _verify_tree(levels: list, ops):
 
 
 class SpectralMeasure(NamedTuple):
-    """Finitely additive projector assignment on depth-d digit balls.
+    """Finitely additive projector assignment on depth-d digit balls, over the context ctx.
 
-    nodes maps digit-path addresses (i_0, ..., i_j) to the product of the
-    per-digit projectors along the path; zero products are omitted.  The
-    stored projectors at each level sum to the identity, refine their
-    parents, and are pairwise orthogonal.  lifts[j] maps each index of
-    level j to the residue of its Teichmuller lift, the point that level
-    j of the tree already computed, so the ball centers need no lift.
+    node_rows maps digit-path addresses (i_0, ..., i_j) to the product
+    of the per-digit projectors along the path, as rows of (valuation,
+    unit) pairs ((INFINITE, 0) for zero), sorted by level then address;
+    zero products are omitted.  The projectors at each level sum to the
+    identity, refine their parents, and are pairwise orthogonal.
+    lifts[j] maps each index of level j to the residue of its
+    Teichmuller lift, the point that level j of the tree already
+    computed, so the ball centers need no lift.  nodes, level and
+    node_map are views that build each projector as a UMatrix every
+    time they are read.
     """
 
     depth: int
     lead_valuation: int
-    nodes: tuple  # ((address, projector), ...) sorted by level then address
+    node_rows: tuple  # ((address, rows of (valuation, unit) pairs), ...) sorted by level then address
     lifts: tuple  # ({index: lift residue mod p^m}, ...) per level
+    ctx: PrecisionContext
+
+    @property
+    def nodes(self) -> tuple:
+        return tuple((addr, _units_matrix(rows, self.ctx)) for addr, rows in self.node_rows)
 
     def level(self, j: int) -> list:
-        return [(addr, proj) for addr, proj in self.nodes if len(addr) == j + 1]
+        return [(addr, _units_matrix(rows, self.ctx)) for addr, rows in self.node_rows if len(addr) == j + 1]
 
     def node_map(self) -> dict:
-        return {addr: proj for addr, proj in self.nodes}
+        return dict(self.nodes)
+
+    def center_units(self, address: tuple) -> tuple:
+        """The (valuation, unit) pair of ball_center(address)."""
+        p = self.ctx.p
+        v, u = _residue_units(sum(self.lifts[j][idx] * p**j for j, idx in enumerate(address)), self.ctx)
+        return (v + self.lead_valuation, u) if u else (v, u)
 
     def ball_center(self, address: tuple, ctx: PrecisionContext) -> PadicScalar:
         """The Z_p number picked out by a digit path of the tree, scaled by p^k."""
-        total = sum(self.lifts[j][idx] * ctx.p**j for j, idx in enumerate(address))
-        return PadicScalar.from_residue(total, ctx).shift(self.lead_valuation)
+        return PadicScalar(ctx, *self.center_units(address))
+
+
+def _units_matrix(rows: tuple, ctx: PrecisionContext) -> UMatrix:
+    """The matrix of rows of (valuation, unit) pairs over ctx."""
+    return UMatrix(tuple([tuple([PadicScalar(ctx, v, u) for v, u in row]) for row in rows]))
 
 
 def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
@@ -670,14 +693,13 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
 
     The tree is _spectral_tree's, built and certified on residue rows mod
     p^m (_verify_tree); its addresses are the residues mod p of the
-    points.  Only the emitted nodes are built as matrices.  Each
-    projector is wrapped once (every one is a factor of some survivor, as
-    the parents sum to 1), and each node below level 0 is the
-    scalar-level product parent * proj, whose entries keep m digits past
-    their own valuation and agree with the certified rows mod p^m.
-    Those products keep the object semantics of PadicScalar addition
-    (each partial sum truncated to m digits, left to right) but run on
-    (valuation, unit) ints in PadicScalar.dot.
+    points.  No scalar is built: each level's projectors are read from
+    the certified residue rows as (valuation, unit) pairs, and each node
+    below level 0 is parent times projector on those pairs, entry by
+    entry through padic._dot_units.  That is the relative product of
+    UMatrix.__mul__ (each partial sum truncated to m digits, left to
+    right), so its entries keep m digits past their own valuation and
+    agree with the certified rows mod p^m.
     """
     ctx, ring = a.ctx, a.ring
     if ring is not ctx:
@@ -689,13 +711,19 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
     nodes, lifts, emitted = [], [], {(): None}
     for level in levels:
         lifts.append({i: lift for i, (lift, _) in level.terms.items()})
-        projs = {i: _wrap_residues(rows, ring) for i, (_, rows) in level.terms.items()}
+        projs = {
+            i: tuple([tuple([_residue_units(r, ctx) for r in row]) for row in rows])
+            for i, (_, rows) in level.terms.items()
+        }
         parents, emitted = emitted, {}
         for address, _ in level.nodes:
             parent, proj = parents[address[:-1]], projs[address[-1]]
-            emitted[address] = proj if parent is None else parent * proj
+            if parent is not None:
+                cols = tuple(zip(*proj))
+                proj = tuple([tuple([_dot_units(ctx, row, col) for col in cols]) for row in parent])
+            emitted[address] = proj
         nodes.extend(emitted.items())
-    return SpectralMeasure(depth, lead_valuation, tuple(nodes), tuple(lifts))
+    return SpectralMeasure(depth, lead_valuation, tuple(nodes), tuple(lifts), ctx)
 
 
 def _res_sum(terms: list, ops):
@@ -711,19 +739,26 @@ def spectral_integral(measure: SpectralMeasure):
 
     Returns (identity_check, reconstruction): the bare sum of the deepest
     projectors, which must be the identity, and the ball-center weighted
-    sum, which approximates the source operator to p^-(k + depth).
+    sum, which approximates the source operator to p^-(k + depth).  Each
+    entry is the object-level sum, added node by node in address order
+    with every partial sum cut to m digits, formed on the (valuation,
+    unit) pairs of the deepest rows by padic._dot_units: against unit
+    multipliers for the plain sum, against the centers for the weighted
+    one.  Only the two results are built as matrices.
     """
-    deepest = measure.level(measure.depth - 1)
+    deepest = [(addr, rows) for addr, rows in measure.node_rows if len(addr) == measure.depth]
     if not deepest:
         raise ValueError("measure has no nodes at its deepest level")
-    ctx = deepest[0][1].ctx
-    identity_check = None
-    reconstruction = None
-    for addr, proj in deepest:
-        identity_check = proj if identity_check is None else identity_check + proj
-        weighted = proj.scale(measure.ball_center(addr, ctx))
-        reconstruction = weighted if reconstruction is None else reconstruction + weighted
-    return identity_check, reconstruction
+    ctx, n = measure.ctx, len(deepest[0][1])
+    ones = [(0, 1)] * len(deepest)
+    centers = [measure.center_units(addr) for addr, _ in deepest]
+    # entry k of the flattened rows, across the deepest nodes
+    stacks = list(zip(*[itertools.chain.from_iterable(rows) for _, rows in deepest]))
+    identity_check, reconstruction = (
+        [[_dot_units(ctx, weights, stack) for stack in stacks[i : i + n]] for i in range(0, n * n, n)]
+        for weights in (ones, centers)
+    )
+    return _units_matrix(identity_check, ctx), _units_matrix(reconstruction, ctx)
 
 
 # -- Jordan decomposition ----------------------------------------------------------

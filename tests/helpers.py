@@ -500,6 +500,58 @@ def spectral_terms_oracle(a: UMatrix, period: int, depth: int) -> list:
     ]
 
 
+def spectral_measure_oracle(a: UMatrix, depth: int) -> list:
+    """Levels 0..depth-1 of spectral_measure's (address, center, node) by the object-level route.
+
+    Digit j is resolved by teichmuller_spectral_oracle, and each of its
+    projectors is wrapped from its residues by PadicScalar.from_int.  A
+    node of level 0 is its projector; a node below is parent * projector
+    through padic_matmul_oracle, kept when it is nonzero mod p^m.  A
+    center is the residue sum of the Teichmuller lifts (by
+    teichmuller_lift_oracle) of the address, the index of level j times
+    p^j, shifted by p^k.  No library sum or product forms a node.
+    """
+    expansion = hermite_digits_matrix(a, 1)
+    k, ctx = expansion.lead_valuation, a.ctx
+
+    def wrap(residue):
+        return PadicScalar.from_int(residue % ctx.modulus, ctx)
+
+    levels, frontier = [], [((), 0, None)]
+    for level in range(depth):
+        terms = [
+            (_point_index(lam), UMatrix(tuple(tuple(map(wrap, row)) for row in proj.residues())))
+            for lam, proj in teichmuller_spectral_oracle(expansion.digits[level], 1)
+        ]
+        frontier = [
+            (address + (index,), total + teichmuller_lift_oracle(index, ctx).residue() * ctx.p**level,
+             proj if parent is None else padic_matmul_oracle(parent, proj))
+            for address, total, parent in frontier
+            for index, proj in terms
+        ]
+        frontier = [node for node in frontier if not node[2].is_zero_mod_precision()]
+        levels.append([(address, wrap(total).shift(k), node) for address, total, node in frontier])
+    return levels
+
+
+def spectral_integral_oracle(deepest: list) -> tuple:
+    """(identity_check, reconstruction) of the deepest (address, center, node) by object sums.
+
+    Entry by entry, the nodes are added in order (padic_dot_oracle's
+    sum), bare and each times its center.
+    """
+    centers = [center for _, center, _ in deepest]
+    n = deepest[0][2].n
+
+    def entrywise(weights):
+        return UMatrix(tuple(
+            tuple(padic_dot_oracle(weights, [node.rows[i][j] for _, _, node in deepest]) for j in range(n))
+            for i in range(n)
+        ))
+
+    return entrywise([PadicScalar.one(centers[0].ctx)] * len(deepest)), entrywise(centers)
+
+
 def _point_index(lam):
     key = lam.residue_key()
     p = lam.ctx.p

@@ -278,6 +278,17 @@ MUTANTS = (
         _SPECTRAL + "test_classify_matrix_matches_the_sigma_window_walk",
         _SPECTRAL + "test_jordan_kill_count_is_the_classify_step[companion-64-2-1]",
     ]),
+    # padic._dot_units, the one relative truncated sum: a term m digits from the sum is
+    # dropped or replaces it without p^gap, and a sum cancelling past the window is zero
+    ("padic.py", "if gap >= m:", "if gap > m:", [
+        _PADIC + "test_a_term_m_or_more_digits_from_the_sum_forms_no_power_of_p[2-1]",
+        _PADIC + "test_a_term_m_or_more_digits_from_the_sum_forms_no_power_of_p[5-4]",
+    ]),
+    ("padic.py", "if t >= m:  # cancellation beyond the m-digit window", "if False:", [
+        _PADIC + "test_dot_adds_from_the_left",
+        _SPECTRAL + "test_measure_and_integral_match_the_object_level_oracle",
+        "tests/test_golden_cli.py::test_cli_matches_golden_digests[measure-tree]",
+    ]),
     # only a base matrix can have a negative valuation and no residues
     ("matrix.py", "if self.ring is self.ctx and not self.is_integral:", "if False:", [
         _MATRIX + "test_extension_residues_compute_no_valuation",

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from padicspec import PrecisionContext, UMatrix, ext_ring, matrix, spectral, teichmuller_lift
+from padicspec import PadicScalar, PrecisionContext, UMatrix, ext_ring, matrix, spectral, teichmuller_lift
 from padicspec import cli
 from padicspec.cli import _COMMANDS, MAX_SAMPLES, _dump, run_command, scalar_from_json
 
@@ -976,6 +976,34 @@ def test_the_cli_builds_no_matrix_but_its_input(tmp_path, monkeypatch, command):
     assert status == 0, doc
     assert len(doc["points"] if command == "spectral" else doc["digits"]) == {"spectral": 2, "hermite": 4}[command]
     assert (built[0], wrapped[0]) == (1, 0)
+
+
+def test_measure_and_integral_build_scalars_for_the_input_and_the_results_only(tmp_path, monkeypatch):
+    """measure and integral form their nodes on (v, u) pairs: no scalar per projector or product.
+
+    On a planted 8 x 8 operator at p = 3, m = 4, run_command builds at
+    most n^2 scalars for the input plus one per node for the centers,
+    and integral 2 n^2 more for its two result matrices.
+    """
+    n = 8
+    a, _, _ = helpers.rand_hermite(CTX, n, random.Random(0), [1, 1, 1, 4, 4, 7, 2, 5])
+    path = write(tmp_path, "planted.json", matrix_doc(3, 4, helpers.residues_of(a)))
+    built = [0]
+    init = PadicScalar.__init__
+
+    def counting_init(self, *args):
+        built[0] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(PadicScalar, "__init__", counting_init)
+    status, doc, _ = run(["measure", "--in", path])
+    assert status == 0, doc
+    nodes = len(doc["nodes"])
+    assert nodes > n and built[0] <= n * n + nodes
+    built[0] = 0
+    status, doc, _ = run(["integral", "--in", path])
+    assert status == 0, doc
+    assert built[0] <= n * n + nodes + 2 * n * n
 
 
 def _one_call_per_command(tmp_path):

@@ -582,6 +582,35 @@ def test_a_sum_across_a_gap_of_m_or_more_is_the_lower_term(p, m):
                     assert total == x
 
 
+class _PowerSpy(int):
+    """A prime that records the exponent of every power taken of it."""
+
+    exponents: list = []
+
+    def __pow__(self, exponent, modulo=None):
+        self.exponents.append(exponent)
+        return int.__pow__(int(self), exponent, modulo)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (5, 4)])
+def test_a_term_m_or_more_digits_from_the_sum_forms_no_power_of_p(p, m):
+    """_dot_units drops a term at a gap of m or more, or replaces the sum by it, without forming p^gap.
+
+    A gap of exactly m would give the same sum through p^m, so only the
+    powers taken show where the shortcut starts: none reaches p^m.
+    """
+    ctx = PrecisionContext(_PowerSpy(p), m)
+    one = PadicScalar.one(ctx)
+    taken = []
+    for gap in range(-m - 2, m + 3):
+        x, y = PadicScalar(ctx, 0, 1), PadicScalar(ctx, gap, p - 1)
+        want = padic_dot_oracle([one, one], [x, y])
+        _PowerSpy.exponents = []
+        assert PadicScalar.dot([one, one], [x, y]) == x + y == want
+        taken += _PowerSpy.exponents
+    assert taken and max(taken) < m
+
+
 def test_dot_checks_contexts_like_the_product():
     twin = PrecisionContext(3, 4)
     xs = [PadicScalar.one(CTX34), PadicScalar.zero(twin)]

@@ -19,6 +19,8 @@ from helpers import (
     jordan_scan_oracle,
     lagrange_oracle,
     operator_spectrum_oracle,
+    padic_dot_oracle,
+    plant_cancellations,
     rand_gl,
     rand_hermite,
     rand_padic_scalar,
@@ -27,6 +29,8 @@ from helpers import (
     residues_of,
     sigma_fixed_points_oracle,
     sigma_limit_oracle,
+    spectral_integral_oracle,
+    spectral_measure_oracle,
     spectral_terms_oracle,
     spectral_tree_oracle,
     teichmuller_companion,
@@ -1098,10 +1102,10 @@ def test_verify_measure_catches_swapped_siblings():
     # the swap is not harmless: the integral of the swapped tree misses A
     a = _branching_operator()
     measure = spectral_measure(a, 2)
-    by_addr = measure.node_map()
+    by_addr = dict(measure.node_rows)
     swap = {(0, 0): by_addr[(0, 1)], (0, 1): by_addr[(0, 0)]}
     swapped = measure._replace(
-        nodes=tuple((addr, swap.get(addr, proj)) for addr, proj in measure.nodes)
+        node_rows=tuple((addr, swap.get(addr, rows)) for addr, rows in measure.node_rows)
     )
     assert (spectral_integral(measure)[1] - a).valuation >= 2
     assert (spectral_integral(swapped)[1] - a).valuation == 1
@@ -1484,6 +1488,56 @@ def test_residue_pipeline_matches_the_object_level_route(problem):
         for addr, center, _ in level:
             window = measure.lead_valuation + ctx.m
             assert (measure.ball_center(addr, ctx) - center).valuation >= window
+
+
+def _pair_rows(node: UMatrix) -> tuple:
+    return tuple(tuple((e.valuation, e.unit) for e in row) for row in node.rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5]),
+    n=st.integers(1, 8),
+    m=st.integers(1, 5),
+    spread=st.integers(1, 3),
+    plants=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(p=3, n=8, m=4, spread=2, plants=6, seed=0)
+@example(p=2, n=6, m=5, spread=3, plants=6, seed=1)
+def test_measure_and_integral_match_the_object_level_oracle(p, n, m, spread, plants, seed):
+    """Every measure node, center and integral matrix equals the object-level oracle's, pair by pair.
+
+    The operator is U diag U^-1 with diagonal entries below p^spread,
+    so eigenvalues repeat and the tree branches below level 0.  At every
+    depth, each node's full (valuation, unit) pairs, each ball center
+    and both spectral_integral matrices equal spectral_measure_oracle's
+    (wrapped projectors, parent * projector through padic_dot_oracle)
+    and spectral_integral_oracle's (object sums).  Then the node product
+    is taken on copies of each deepest node's parent rows and its own
+    columns where plant_cancellations makes some products cancel, to a
+    random depth or past the window: padic._dot_units, which forms every
+    node, equals padic_dot_oracle there too.
+    """
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(seed)
+    a, _, _ = rand_hermite(ctx, n, rng, [rng.randrange(p ** min(spread, m)) for _ in range(n)])
+    levels = spectral_measure_oracle(a, m)
+    for depth in range(1, m + 1):
+        measure = spectral_measure(a, depth)
+        want = [(addr, center, node) for level in levels[:depth] for addr, center, node in level]
+        assert measure.node_rows == tuple((addr, _pair_rows(node)) for addr, _, node in want)
+        assert [measure.ball_center(addr, ctx) for addr, _ in measure.node_rows] == [c for _, c, _ in want]
+        assert spectral_integral(measure) == spectral_integral_oracle(levels[depth - 1])
+    parents = {addr: node for addr, _, node in levels[-2]} if m > 1 else {}
+    for addr, _, node in levels[-1] if parents else ():
+        rows = [list(row) for row in parents[addr[:-1]].rows]
+        cols = [list(col) for col in zip(*node.rows)]
+        plant_cancellations(rows, cols, plants, rng)
+        for row in rows:
+            for col in cols:
+                got = padic._dot_units(ctx, map(padic._units, row), map(padic._units, col))
+                assert got == padic._units(padic_dot_oracle(row, col))
 
 
 @st.composite

@@ -282,7 +282,6 @@ WRAP_SITES = {
     "spectral.lift_idempotent",
     "spectral.SpectralDecomposition.points",
     "spectral.HermiteDigitsMatrix.digits",
-    "spectral.spectral_measure",
     "spectral.operator_spectrum",
 }
 
