@@ -314,8 +314,12 @@ class _BaseOps:
         return inner >= _PACKED_MATMUL_MIN_N
 
     def matmul(self, a, b):
-        """a * b for canonical residue rows, packed once len(b) >= _PACKED_MATMUL_MIN_N."""
-        if self.packs(len(b)):
+        """a * b for canonical residue rows, packed once len(b) or len(b[0]) >= _PACKED_MATMUL_MIN_N.
+
+        A wide product (a few rows of b, each of many entries) packs at any
+        inner size: the per-entry dot would run once per column.
+        """
+        if self.packs(len(b)) or self.packs(len(b[0])):
             return _packed_matmul(a, b, self.q)
         dot = self.dot
         bcols = tuple(zip(*b))

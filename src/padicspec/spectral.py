@@ -20,10 +20,11 @@ j + 1 resolutions.  Over Z_p it is a finitely additive projector-valued
 measure on the balls of Z_p, and integrating the ball centers against
 it reconstructs the operator to the resolved depth; its deepest level
 over all m digits, at any period, is the spectrum.  Once a ball holds a
-single eigenvalue class, deeper digits only relabel it: a level at
-which no node splits is read off one product of the stacked nodes by
-the digit, so the full resolution runs only at level 0 and at the
-levels where some node splits.
+single eigenvalue class, deeper digits only relabel it: at a digit
+where no ball splits, the digit is the sum of the balls, each times the
+Teichmuller point of its index.  So the tree commands read such a digit
+and its level off the level above, and run Newton's method and the full
+resolution only at level 0 and at the levels where some node splits.
 
 The same machinery yields the canonical splitting A = A_s + A_n into a
 multiplicative part and a topologically nilpotent part, the spectrum
@@ -36,11 +37,13 @@ knows what an entry is, taken from the matrix's ring (a
 PrecisionContext or an ExtRing, never None); ops.ring is that ring
 again, which builds the scalars and matrices returned (_wrap_residues)
 and, at another precision, the ops of a peeling stage (ring.at).
-_hermite_rows peels the digits, _resolve
-resolves one digit, _pass_through carries the nodes past a digit that
-splits none of them, _spectral_tree builds the tree and _verify_tree
-certifies it (which, with the points, proves every resolved digit fixed
-by sigma^N), for the Lagrange resolution (the one-level tree whose digit
+_peel is the one digit-peeling loop: hermite runs it
+bare (_hermite_rows), the tree commands with the tree, whose levels it
+reads off the level above where no node splits (_read_off) and builds
+otherwise (_level, the one level builder, over the resolution
+_resolve).  _spectral_tree collects a tree and _verify_tree certifies
+it (which, with the points, proves every resolved digit fixed by
+sigma^N), for the Lagrange resolution (the one-level tree whose digit
 is the operator itself), the measure and the spectrum (so diam and
 uncertainty) alike.  _ambient moves base rows to the degree-N ring at
 period N > 1, and the points are Teichmuller lifts kept as residues
@@ -271,8 +274,8 @@ def _ambient(rows: tuple, ops, period: int):
 def _resolve(rows: tuple, ops, period: int):
     """The Lagrange resolution of one digit of _spectral_tree on residue rows.
 
-    _spectral_tree runs it at level 0 and at each level where some node
-    splits; _pass_through covers the other levels.  It costs a
+    _level runs it at level 0 and at each level where some node splits;
+    _read_off covers the other levels of a tree command.  It costs a
     characteristic polynomial mod p, its roots and one lift per root,
     one p^N-th power of each lift when the ambient degree D exceeds N,
     then 3(k - 2) matrix products for the projectors of k >= 2 points:
@@ -342,7 +345,8 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    ops, (level,) = _spectral_tree((x.residues(),), x.ring.ops, period)
+    ops = x.ring.ops
+    ops, (level,) = _spectral_tree([(x.residues(), ops, None)], ops, period)
     residues = tuple((level.terms[index][0], rows) for (index,), rows in level.nodes)
     return SpectralDecomposition(period, ops.ring, residues, 0.0)
 
@@ -393,18 +397,21 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
     Each division by p consumes one digit of accuracy, so the peeling
     runs on the canonical representatives at a precision that falls by
     one digit per stage, from 2m - 1 digits at digit 0 to m at digit
-    m - 1 (see _hermite_rows), and reduces the digits back to precision
-    m; this keeps every emitted digit exact mod p^m and the digits
-    pairwise commuting mod p^m.
+    m - 1 (see _peel), and reduces the digits back to precision m; this
+    keeps every emitted digit exact mod p^m and the digits pairwise
+    commuting mod p^m.
 
     Each limit is a sigma phase (sigma^N steps until the tail is
     stationary mod p, none for a tail that already is) followed by
     Newton's method on X^(p^N) = X at the stage's precision P, so a
     digit costs at most ceil(P_1 / N) + ceil(log2 P) + 1 matrix powers,
     P_1 = pre_period_bound(p, 1, n deg) for a degree-deg ring (see
-    _sigma_limit), each of O(N log2 p) products of n x n matrices.  The
-    peeling runs on residue rows (_hermite_rows), and the record keeps
-    them: a digit is built as a matrix only when its digits view is read.
+    _sigma_limit), each of O(N log2 p) products of n x n matrices.
+    hermite builds no tree, so every stage pays this bound; a tree
+    command pays it only at the stages that it cannot read off the tree
+    (_read_off).  The peeling runs on residue rows (_hermite_rows), and
+    the record keeps them: a digit is built as a matrix only when its
+    digits view is read.
     """
     k, digits = _hermite_rows(a, period, a.ctx.m)
     return HermiteDigitsMatrix(k, digits, period, a.ring)
@@ -413,12 +420,24 @@ def hermite_digits_matrix(a: UMatrix, period: int = 1) -> HermiteDigitsMatrix:
 def _hermite_rows(a: UMatrix, period: int, depth: int):
     """The digit peeling of hermite_digits_matrix: (lead valuation, digit rows 0..depth-1 mod p^m).
 
-    Every stage i < m is run, as every one can refuse the input, but
-    each at only the precision its outputs need.  The sigma limit and
-    the tail below are integer polynomial maps of the entries, so digit
-    i mod p^j depends only on tail i mod p^j, and tail i + 1 =
-    (tail i - digit i) / p mod p^j only on tail i mod p^(j + 1).  Digit
-    depth - 1 is wanted mod p^m, so stage i < depth runs at
+    _peel without the tree, each stage's digit reduced mod p^m.
+    """
+    k, stages = _peel(a, period, depth, False)
+    q = a.ring.ops.q
+    return k, tuple([ops.map_coords(digit, q.__rmod__) for digit, ops, _ in stages])
+
+
+def _peel(a: UMatrix, period: int, depth: int, tree: bool):
+    """The one digit-peeling loop: (lead valuation, the stages below the depth).
+
+    The stages are a generator, which peels as it is read and yields
+    (digit i mod p^(P_i), the ops of its precision P_i, level i or None)
+    for each stage i < depth.  Every stage i < m is run, as every one can
+    refuse the input, but each at only the precision its outputs need.
+    The sigma limit and the tail below are integer polynomial maps of the
+    entries, so digit i mod p^j depends only on tail i mod p^j, and tail
+    i + 1 = (tail i - digit i) / p mod p^j only on tail i mod p^(j + 1).
+    Digit depth - 1 is wanted mod p^m, so stage i < depth runs at
     P_i = m + depth - 1 - i digits.  A stage past the depth is needed
     only for its verdict, which is decided mod p (below), so stage
     i >= depth runs at P_i = m - i digits; the rows are reduced mod
@@ -439,38 +458,68 @@ def _hermite_rows(a: UMatrix, period: int, depth: int):
     its limit or its cycle mod p at any precision, so every stage
     reaches the verdict of the stage at 2m.  A period below 1 is refused
     with ValueError.
+
+    With the tree, level i is built right after stage i finds its digit,
+    over the ambient ring at P_i, and stage i + 1 first tries to read
+    its digit L off level i (_read_off).  That succeeds exactly when no
+    node splits, and gives Newton's digit, level i + 1 and the tail
+    T - L that is divided by p.  Otherwise the stage runs _sigma_limit
+    and its tail check, and the level is resolved (_level) under level
+    i.  Stages past the depth
+    build no level and read nothing off: at their m - i digits Newton's
+    method costs no more than the read-off's certificate.  The tail
+    check of stage i raises before level i is built, so refusals keep
+    their stage and text, and a refusal at digit s pays the levels
+    before s - 1.  An extension ring whose degree the period does not
+    divide gets no levels: _spectral_tree resolves level 0 itself, and
+    _resolve refuses the period there.
     """
     _check_period(period)
     ring = a.ring
-    p, m, q = ring.ops.p, ring.ops.m, ring.ops.q
     k = a.valuation
     if k == INFINITE:
-        return 0, (a.residues(),) * depth
-    # a.shift(-k).residues(), without building the shifted matrix
-    rows = tuple([tuple([e.shift(-k).residue_key() for e in row]) for row in a.rows])
-    digits = []
+        k, rows = 0, a.residues()
+    else:  # a.shift(-k).residues(), without building the shifted matrix
+        rows = tuple([tuple([e.shift(-k).residue_key() for e in row]) for row in a.rows])
+    if tree:
+        try:
+            _ambient((), ring.ops, period)
+        except ValueError:
+            tree = False
+    return int(k), _stages(rows, ring, period, depth, tree)
+
+
+def _stages(rows: tuple, ring, period: int, depth: int, tree: bool):
+    """The loop of _peel over the stages, from the shifted rows over ring."""
+    p, m = ring.ops.p, ring.ops.m
+    level = None
     for i in range(m):
         ops = ring.at(m + depth - 1 - i if i < depth else m - i).ops
         if i == depth:
             rows = ops.map_coords(rows, ops.q.__rmod__)
-        limit = _sigma_limit(rows, period, ops)
-        if limit is None:
-            raise NotHermiteError(
-                stage=i,
-                defect_norm=1.0,
-                reason=f"sigma^{period} orbit of digit {i} does not stabilise",
-            )
-        tail = ops.rows_sub(rows, limit)
-        if not ops.rows_are_zero(ops.map_coords(tail, p.__rmod__)):
-            raise NotHermiteError(
-                stage=i + 1,
-                defect_norm=1.0,
-                reason=f"nilpotent residue at digit {i + 1}",
-            )
+        read = i < depth and level and _read_off(level, rows, ops, period)
+        if read:
+            limit, tail, level = read
+        else:
+            limit = _sigma_limit(rows, period, ops)
+            if limit is None:
+                raise NotHermiteError(
+                    stage=i,
+                    defect_norm=1.0,
+                    reason=f"sigma^{period} orbit of digit {i} does not stabilise",
+                )
+            tail = ops.rows_sub(rows, limit)
+            if not ops.rows_are_zero(ops.map_coords(tail, p.__rmod__)):
+                raise NotHermiteError(
+                    stage=i + 1,
+                    defect_norm=1.0,
+                    reason=f"nilpotent residue at digit {i + 1}",
+                )
         if i < depth:
-            digits.append(ops.map_coords(limit, q.__rmod__))
+            if tree and not read:
+                level = _level(limit, level, ops, period)
+            yield limit, ops, level
         rows = ops.map_coords(tail, p.__rfloordiv__)
-    return int(k), tuple(digits)
 
 
 # -- the digit tree and its certificate -----------------------------------------------
@@ -480,36 +529,118 @@ class _TreeLevel(NamedTuple):
     """One level of the digit tree, on residue rows over the ambient ring.
 
     digit is the level's digit; terms maps each point's index to (the
-    point's residue mod p^m, projector rows), in the order of the
-    resolution; nodes holds (address, rows) for the nonzero products, in
-    address order.
+    point's residue, projector rows), in the order of the resolution;
+    nodes holds (address, rows) for the nonzero products, in address
+    order; ops is the ambient ring's ops at the precision that the rows
+    are kept at: a level read off the one above (_read_off) keeps the
+    rows of its parent's nodes, at the parent's precision.
     """
 
     digit: tuple
     terms: dict
     nodes: list
+    ops: object = None
 
 
-def _spectral_tree(digits: Sequence[tuple], ops, period: int):
-    """The certified digit tree of an operator: (ambient ops, levels).
+def _level(digit: tuple, parent, ops, period: int) -> _TreeLevel:
+    """The tree level of digit, resolved against the period-N points under the parent level.
 
-    Level 0 resolves digit 0 against the period-N points (_resolve).
-    Each later level first tries _pass_through: one product of all the
-    frontier nodes, stacked, by the level's digit shows whether every
-    node lies in one eigenspace of it.  If so no node splits and the
-    level is read off that product.  Otherwise the level is resolved and
-    each frontier node is multiplied by all of its projectors in one
+    The one level builder of every tree: digit is resolved (_resolve)
+    and each node of the parent level (None above level 0), reduced to
+    the ambient precision first since the packed products need canonical
+    entries, is multiplied by all of the projectors in one
     _res_matmul_blocks, dropping zero children.  A child's address
     extends its parent's by the index of its point, the point's
     reduction mod p (ops.reduce: an int over Z_p, a coordinate tuple
-    over an extension).  The points come ordered by that index, so each
-    level is in address order.  So the full resolution (a characteristic
-    polynomial, its roots, their lifts and the Lagrange products) runs
-    only at level 0 and at the levels where some node splits.
-    _verify_tree certifies every level before the tree is returned.
-    Every spectral command runs this one tree: teichmuller_spectral on
-    the single digit x, spectral_measure to its depth, operator_spectrum
-    over all m digits.
+    over an extension).  The points come ordered by that index, so the
+    level is in address order.
+    """
+    lifts, ambient, digit, projectors = _resolve(digit, ops, period)
+    indices = list(map(ambient.reduce, lifts))
+    rmod = ambient.q.__rmod__
+    children = []
+    for addr, node in parent.nodes if parent else [((), None)]:
+        if node is None:
+            blocks = projectors
+        else:
+            blocks = _res_matmul_blocks(ambient.map_coords(node, rmod), projectors, ambient)
+        children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not ambient.rows_are_zero(c)]
+    return _TreeLevel(digit, dict(zip(indices, zip(lifts, projectors))), children, ambient)
+
+
+def _read_off(level: _TreeLevel, tail: tuple, ops, period: int):
+    """(digit, T - digit, level) of the stage whose input is T = tail, read off the level above, or None.
+
+    tail is over ops, at a precision P no higher than the level's.  The
+    level's node rows N are kept as they are, and the level read off
+    keeps them (see _TreeLevel): only the packed products reduce them to
+    P.  Each node gets the index lambda = (N T)[r][c] / N[r][c] mod p at
+    its first unit entry (one dot product), and the candidate digit is
+    L = sum_lambda omega(lambda) E_lambda, with E_lambda the sum of the
+    nodes of index lambda and omega the Teichmuller lift.  A base
+    operator at N > 1 forms L in the degree-N ring from the promoted
+    tail (_ambient), and L must come back with constant coordinates.
+    L is accepted when the stage's own tail check holds, T - L = 0 mod
+    p, which is decided on the indices before any point is lifted, and
+    L has the certificate of a Newton limit: L^(p^N) = L and L T = T L
+    mod p^P.  Two sigma^N-fixed matrices that commute and agree mod p
+    are equal, and Newton's limit is a polynomial in T, so L is then
+    the sigma^N-limit of T, and the level below has the same nodes, each
+    under its index.  A node without a unit entry, a tail that some
+    node's image does not match mod p (the level splits) or a candidate
+    without the certificate gives None, and the stage runs Newton's
+    method and resolves the level.
+    """
+    ambient, rows = _ambient(tail, ops, period)
+    rmod = ambient.q.__rmod__
+    children, by_index = [], {}  # the sum of the nodes of each index
+    for address, node in level.nodes:
+        units = ((r, c) for r, row in enumerate(node) for c, e in enumerate(row) if ambient.is_unit(e))
+        r, c = next(units, (None, None))
+        if r is None:
+            return None
+        image = ambient.dot(ambient.map_coords(node[r : r + 1], rmod)[0], [row[c] for row in rows])
+        index = ambient.reduce(ambient.mul(image, ambient.inv_unit(node[r][c])))
+        children.append((address + (index,), node))
+        by_index[index] = ambient.rows_add(by_index[index], node) if index in by_index else node
+    # the sums E_i and the tail, flattened, as the rows of one matrix for the packed products
+    indices, flat = sorted(by_index), itertools.chain.from_iterable
+    stack = ambient.map_coords(tuple([tuple(flat(by_index[i])) for i in indices]), rmod) + (tuple(flat(rows)),)
+    # decided mod p, before any point is lifted: T - sum_i i E_i = 0 mod p
+    defect = ambient.matmul((tuple(map(ambient.neg, indices)) + (ambient.one,),), stack)
+    if not ambient.rows_are_zero(ambient.map_coords(defect, ops.p.__rmod__)):
+        return None
+    lifts = tuple([_teichmuller_residue(i, ambient) for i in indices])
+    # L = sum_i omega(i) E_i and T - L, both off the packed stack
+    n, zero = len(rows), (ambient.zero,)
+    weighted = ambient.matmul((lifts + zero, tuple(map(ambient.neg, lifts)) + (ambient.one,)), stack)
+    digit, rest = (tuple([flat[j : j + n] for j in range(0, n * n, n)]) for flat in weighted)
+    terms = {i: (lift, by_index[i]) for i, lift in zip(indices, lifts)}
+    limit = digit
+    if ambient is not ops:  # the constant coordinates of the digit and the rest, promoted back by _ambient
+        limit, rest = (ops.map_coords(rows, operator.itemgetter(0)) for rows in (digit, rest))
+        if _ambient(limit, ops, period)[1] != digit:
+            raise RuntimeError("digit read off the tree is not a base matrix (internal defect)")
+    if _res_matpow(limit, ops.p**period, ops) != limit:
+        return None
+    if ops.matmul(limit, tail) != ops.matmul(tail, limit):
+        return None
+    return limit, rest, _TreeLevel(digit, terms, children, level.ops)
+
+
+def _spectral_tree(stages, ops, period: int):
+    """The certified digit tree of the stages: (ambient ops, levels mod p^m).
+
+    stages gives (digit, stage ops, level) for each level in turn: the
+    level when the stage built it (_peel), or None for a digit to
+    resolve here (_level) under the level before, as for the one-level
+    tree of teichmuller_spectral, whose digit is x itself.  ops is the
+    input's own ring at p^m.  The levels are reduced mod p^m, into the
+    ambient ring (the operator's own, or the degree-N extension of a
+    base operator at N > 1), and _verify_tree certifies every level
+    before the tree is returned.  Every spectral command runs this one
+    tree: teichmuller_spectral on the single digit x, spectral_measure
+    to its depth, operator_spectrum over all m digits.
 
     The certificate also proves every resolved digit fixed by sigma^N
     mod p^m, so no sigma^N power is taken on an accepted tree.  It shows
@@ -519,73 +650,61 @@ def _spectral_tree(digits: Sequence[tuple], ops, period: int):
     fixed by sigma^N.  _teichmuller_residue checks its point fixed by
     sigma^D, which is sigma^N when the ambient degree D equals N, and
     _resolve checks lambda^(p^N) = lambda itself when D > N.  When
-    building or certifying the tree raises, the digits handed to
-    _resolve are checked in level order, and the first that is not
-    fixed is refused with ValueError and the sup norm of X^(p^N) - X;
-    any other failure is raised unchanged.  The digits of the other
-    levels are sigma^N limits (_hermite_rows), fixed by construction.
-    A period below 1 is refused with ValueError before any work.
+    building or certifying the tree raises, the digits resolved here
+    are checked in level order, and the first that is not fixed is
+    refused with ValueError and the sup norm of X^(p^N) - X; any other
+    failure is raised unchanged.  The digits of _peel are sigma^N
+    limits, fixed by construction.  A period below 1 is refused with
+    ValueError before any work.
     """
     _check_period(period)
     levels, level, resolved = [], None, []
     try:
-        for digit in digits:
-            if level is not None:
-                level = _pass_through(level.nodes, _ambient(digit, ops, period)[1], ambient)
-            if level is None:
-                resolved.append(digit)
-                lifts, ambient, digit, projectors = _resolve(digit, ops, period)
-                indices = list(map(ambient.reduce, lifts))
-                children = []
-                for addr, parent in levels[-1].nodes if levels else [((), None)]:
-                    blocks = projectors if parent is None else _res_matmul_blocks(parent, projectors, ambient)
-                    children += [(addr + (i,), c) for i, c in zip(indices, blocks) if not ambient.rows_are_zero(c)]
-                level = _TreeLevel(digit, dict(zip(indices, zip(lifts, projectors))), children)
+        for digit, stage, built in stages:
+            if built is None:
+                resolved.append((digit, stage))
+                built = _level(digit, level, stage, period)
+            level = built
             levels.append(level)
+        ambient = _ambient((), ops, period)[0]
+        levels = _reduced(levels, ambient)
         _verify_tree(levels, ambient)
     except Exception:
-        for digit in resolved:
-            image = _res_matpow(digit, ops.p**period, ops)
+        for digit, stage in resolved:
+            image = _res_matpow(digit, stage.p**period, stage)
             if image != digit:
-                valuation = min(map(ops.valuation, itertools.chain.from_iterable(ops.rows_sub(image, digit))))
-                defect = norm_from_valuation(ops.p, valuation)
+                valuation = min(map(stage.valuation, itertools.chain.from_iterable(stage.rows_sub(image, digit))))
+                defect = norm_from_valuation(stage.p, valuation)
                 reason = f"input is not fixed by sigma^{period} mod p^m (defect norm {defect})"
                 raise ValueError(reason) from None
         raise
     return ambient, levels
 
 
-def _pass_through(nodes: list, digit: tuple, ops):
-    """The next tree level when no node splits under digit, or None.
+def _reduced(levels: list, ops) -> list:
+    """The levels mod p^m over ops, the ambient ring at p^m: digits, points, term rows and nodes.
 
-    All nodes N, stacked, are multiplied by digit x in one product.  A
-    node passes through if N x = lambda N, with lambda = (N x)[a][b] /
-    N[a][b] at its first unit entry: then N E_mu is N for mu = lambda
-    and 0 for every other point mu, so N is its own only child, at the
-    index of lambda mod p.  If every node passes, the projector of each
-    index is the sum of its nodes (the spectral projectors of x are
-    unique) and its point is the Teichmuller lift of the index.  A node
-    without a unit entry or with N x != lambda N gives None, and the
-    caller resolves the level; _verify_tree's reassembly check forces
-    lambda to be that lift.
+    A level kept at p^m over ops is returned as it is.  A level read off
+    the one above keeps its parent's node rows, and a term of one node
+    its node's rows, so rows are reduced once per object, however many
+    levels share them.
     """
-    n = len(digit)
-    image = ops.matmul(tuple(itertools.chain.from_iterable(rows for _, rows in nodes)), digit)
-    children, by_index = [], {}  # the sum of the nodes of each index
-    for k, (address, rows) in enumerate(nodes):
-        units = ((r, c) for r, row in enumerate(rows) for c, e in enumerate(row) if ops.is_unit(e))
-        r, c = next(units, (None, None))
-        if r is None:
-            return None
-        block = image[k * n : (k + 1) * n]
-        lam = ops.mul(block[r][c], ops.inv_unit(rows[r][c]))
-        if ops.rows_mul(lam, rows) != block:
-            return None
-        index = ops.reduce(lam)
-        children.append((address + (index,), rows))
-        by_index[index] = ops.rows_add(by_index[index], rows) if index in by_index else rows
-    terms = {i: (_teichmuller_residue(i, ops), by_index[i]) for i in sorted(by_index)}
-    return _TreeLevel(digit, terms, children)
+    rmod, memo = ops.q.__rmod__, {}
+
+    def reduce(rows):
+        if id(rows) not in memo:
+            memo[id(rows)] = ops.map_coords(rows, rmod)
+        return memo[id(rows)]
+
+    return [
+        level if level.ops is ops else _TreeLevel(
+            reduce(level.digit),
+            {i: (ops.add(lift, ops.zero), reduce(rows)) for i, (lift, rows) in level.terms.items()},
+            [(address, reduce(rows)) for address, rows in level.nodes],
+            ops,
+        )
+        for level in levels
+    ]
 
 
 def _verify_tree(levels: list, ops):
@@ -706,8 +825,8 @@ def spectral_measure(a: UMatrix, depth: int) -> SpectralMeasure:
         raise ValueError("the ball measure is built over Z_p (base matrices)")
     if not 1 <= depth <= ctx.m:
         raise ValueError(f"depth must be in [1, m]; got {depth}")
-    lead_valuation, digits = _hermite_rows(a, 1, depth)
-    _, levels = _spectral_tree(digits, ring.ops, 1)
+    lead_valuation, stages = _peel(a, 1, depth, True)
+    _, levels = _spectral_tree(stages, ring.ops, 1)
     nodes, lifts, emitted = [], [], {(): None}
     for level in levels:
         lifts.append({i: lift for i, (lift, _) in level.terms.items()})
@@ -825,9 +944,9 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
     _verify_tree: each node's projector, with the sum of the points along
     its address, each shifted by p^(k + level) and added left to right,
     as its eigenvalue, a scalar of the ambient ring.  The tree resolves
-    digit 0 and every digit at which a ball splits; the others pass its
-    nodes through (see _spectral_tree).  Only the deepest projectors are
-    built as matrices.
+    digit 0 and every digit at which a ball splits; the others are read
+    off the level above, which carries its nodes down (see _peel).  Only
+    the deepest projectors are built as matrices.
 
     A period N > 1 resolves in the extension ring O_K/p^m, where p^k is 0
     once k >= m, so it needs an operator of valuation 0 <= k < m; any
@@ -840,10 +959,11 @@ def operator_spectrum(a: UMatrix, period: int = 1) -> list:
 def _spectrum(a: UMatrix, period: int):
     """operator_spectrum on residue rows: (ambient ring, eigenvalues, projector rows)."""
     ctx = a.ctx
-    k, digits = _hermite_rows(a, period, ctx.m)
+    k, stages = _peel(a, period, ctx.m, True)
+    stages = list(stages)  # the refusals of the peel come before those of the tree
     if period > 1 and not 0 <= k < ctx.m:
         raise ValueError(f"period > 1 spectra need a valuation in [0, m) = [0, {ctx.m}); got {k}")
-    ops, levels = _spectral_tree(digits, a.ring.ops, period)
+    ops, levels = _spectral_tree(stages, a.ring.ops, period)
     ring = ops.ring
     shifted = [
         {index: ring.element(lift).shift(k + j) for index, (lift, _) in level.terms.items()}

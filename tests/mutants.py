@@ -78,24 +78,34 @@ MUTANTS = (
         _CLI + "test_spectral_runs_the_tree_certificate",
         *_DEFECTS,
     ]),
-    # _pass_through, the levels that no node splits
-    ("spectral.py", "if ops.rows_mul(lam, rows) != block:",
-     "if False and ops.rows_mul(lam, rows) != block:", [
+    # _read_off, the digits and levels that no node splits: the index of a node at its
+    # first unit entry, the sum of the nodes of each index, and the three checks of
+    # the candidate (the tail mod p before any lift, sigma^N-fixed, commuting with the tail)
+    ("spectral.py", "index = ambient.reduce(ambient.mul(image, ambient.inv_unit(node[r][c])))",
+     "index = ambient.reduce(image)", [
+        _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
+    ]),
+    ("spectral.py", "for c, e in enumerate(row) if ambient.is_unit(e))",
+     "for c, e in enumerate(row) if not ambient.is_zero(e))", [
+        _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
+    ]),
+    ("spectral.py",
+     "by_index[index] = ambient.rows_add(by_index[index], node) if index in by_index else node",
+     "by_index.setdefault(index, node)", [
+        _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
+    ]),
+    ("spectral.py",
+     "if not ambient.rows_are_zero(ambient.map_coords(defect, ops.p.__rmod__)):",
+     "if False:", [
         _SPECTRAL + "test_a_level_that_splits_one_node_but_not_another_is_resolved",
         _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
         _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
     ]),
-    ("spectral.py", "for c, e in enumerate(row) if ops.is_unit(e))",
-     "for c, e in enumerate(row) if not ops.is_zero(e))", [
-        _SPECTRAL + "test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue",
+    ("spectral.py", "if _res_matpow(limit, ops.p**period, ops) != limit:", "if False:", [
+        _SPECTRAL + "test_read_off_refuses_a_candidate_that_sigma_moves",
     ]),
-    ("spectral.py",
-     "children.append((address + (index,), rows))\n"
-     "        by_index[index] = ops.rows_add(by_index[index], rows) if index in by_index else rows",
-     "children.append((address + (index,), rows))\n"
-     "        by_index.setdefault(index, rows)", [
-        _SPECTRAL + "test_resolutions_are_one_more_than_the_splitting_levels",
-        _SPECTRAL + "test_spectral_tree_matches_the_object_level_tree_at_every_level[1]",
+    ("spectral.py", "if ops.matmul(limit, tail) != ops.matmul(tail, limit):", "if False:", [
+        _SPECTRAL + "test_read_off_refuses_a_candidate_that_does_not_commute_with_the_tail",
     ]),
     # sigma^N-fixedness: the points over a larger ring, and the digits once the tree fails
     ("spectral.py",

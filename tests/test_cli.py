@@ -777,31 +777,32 @@ def test_pass_through_defect_is_a_document(tmp_path, monkeypatch, defect):
     """A level that skipped its resolution but carries a planted defect is refused, exit 1.
 
     diag(1, 4, -1) at p = 3, m = 3 has the digits (1, 0, 0), (1, 1, 0),
-    (2, 0, 0), so level 2 splits no node and passes all three through
-    under index 0.  Filing them under index 1, or giving index 0 the
+    (2, 0, 0), so level 2 splits no node and is read off level 1, all
+    three nodes under index 0.  Filing them under index 1, or giving index 0 the
     point 0 + p, leaves every sum and refinement intact; only the
     reassembly of digit 2 refuses the tree.
     """
-    pass_through, planted = spectral._pass_through, []
+    read_off, planted = spectral._read_off, []
 
-    def faulty(nodes, digit, ops):
-        level = pass_through(nodes, digit, ops)
-        if level is None:
+    def faulty(above, tail, ops, period):
+        read = read_off(above, tail, ops, period)
+        if read is None:
             return None
-        planted.append(len(nodes))
+        *digit, level = read
+        planted.append(len(level.nodes))
         if defect == "wrong index":
             moved = {i: (i + 1) % ops.p for i in level.terms}
             ctx = PrecisionContext(ops.p, ops.m)
-            return level._replace(
+            return *digit, level._replace(
                 nodes=[(addr[:-1] + (moved[addr[-1]],), rows) for addr, rows in level.nodes],
                 terms={moved[i]: (teichmuller_lift(moved[i], ctx).residue(), rows)
                        for i, (_, rows) in level.terms.items()},
             )
-        return level._replace(terms={
+        return *digit, level._replace(terms={
             i: ((point + ops.p) % ops.q, rows) for i, (point, rows) in level.terms.items()
         })
 
-    monkeypatch.setattr(spectral, "_pass_through", faulty)
+    monkeypatch.setattr(spectral, "_read_off", faulty)
     path = write(tmp_path, "diag.json", matrix_doc(3, 3, [[1, 0, 0], [0, 4, 0], [0, 0, 26]]))
     (status, doc, _), printed = run_silently(["diam", "--in", path])
     assert planted == [3]

@@ -1054,7 +1054,7 @@ def _branching_operator():
 def _branching_tree():
     """The certified depth-2 tree whose two level-0 balls split in two each, and its ops."""
     a = _branching_operator()
-    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 1, 2)[1], a.ctx.ops, 1)
+    ops, levels = spectral._spectral_tree(spectral._peel(a, 1, 2, True)[1], a.ctx.ops, 1)
     assert [addr for addr, _ in levels[1].nodes] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     return levels, ops
 
@@ -1140,7 +1140,7 @@ def _period_two_tree():
         d[i][:2] = block[i]
         d[i + 2][2:] = [(1 + ctx.p) * e for e in block[i]]
     a = conjugate(rand_gl(ctx, 4, random.Random(43)), UMatrix.from_residues(d, ctx))
-    ops, levels = spectral._spectral_tree(spectral._hermite_rows(a, 2, 2)[1], ctx.ops, 2)
+    ops, levels = spectral._spectral_tree(spectral._peel(a, 2, 2, True)[1], ctx.ops, 2)
     assert ops.degree == 2
     parents = [addr[:-1] for addr, _ in levels[1].nodes]
     assert len(parents) == 4 and len(set(parents)) == 2
@@ -1198,8 +1198,8 @@ def test_spectral_tree_matches_the_object_level_tree_at_every_level(period):
         for n in (1, 3, 4, 5):
             a = _hermite_operator(ctx, n, period, rng)
             for x in (a, a.shift(1)):
-                _, digits = spectral._hermite_rows(x, period, ctx.m)
-                _, levels = spectral._spectral_tree(digits, x.ring.ops, period)
+                _, stages = spectral._peel(x, period, ctx.m, True)
+                _, levels = spectral._spectral_tree(stages, x.ring.ops, period)
                 _assert_tree_matches_the_oracles(x, period, levels)
 
 
@@ -1316,8 +1316,9 @@ def test_a_level_that_splits_one_node_but_not_another_is_resolved(monkeypatch):
     calls = _recording_resolve(monkeypatch)
     ctx = PrecisionContext(3, 3)
     a = conjugate(rand_gl(ctx, 3, random.Random(5)), diag_matrix(ctx, [1, 4, ctx.modulus - 1]))
-    _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, ctx.ops, 1)
+    stages = list(spectral._peel(a, 1, ctx.m, True)[1])
+    digits = [digit for digit, _, _ in stages]
+    _, levels = spectral._spectral_tree(stages, ctx.ops, 1)
     assert [[addr for addr, _ in level.nodes] for level in levels[1:]] == [
         [(1, 0), (1, 1), (2, 0)], [(1, 0, 0), (1, 1, 0), (2, 0, 0)]
     ]
@@ -1340,8 +1341,9 @@ def test_resolutions_are_one_more_than_the_splitting_levels(monkeypatch):
     fourth = second[:6] + [2] + second[7:]
     planted = diag_matrix(ctx, _teichmuller_expansion([first, second, third, fourth], ctx))
     a = conjugate(rand_gl(ctx, 4, random.Random(8)), planted)
-    _, digits = spectral._hermite_rows(a, 1, ctx.m)
-    _, levels = spectral._spectral_tree(digits, ctx.ops, 1)
+    stages = list(spectral._peel(a, 1, ctx.m, True)[1])
+    digits = [digit for digit, _, _ in stages]
+    _, levels = spectral._spectral_tree(stages, ctx.ops, 1)
     assert _splitting_levels(levels) == [2, 5, 6]
     assert len(calls) == 1 + 3
     assert [len(level.nodes) for level in levels] == [1, 1, 2, 2, 2, 3, 4, 4]
@@ -1353,11 +1355,111 @@ def test_pass_through_declines_a_node_without_a_unit_entry_or_an_eigenvalue():
     ctx = PrecisionContext(3, 2)
     ops = ctx.ops
     ident = ((1, 0), (0, 1))
-    assert spectral._pass_through([((0,), ((3, 0), (0, 3)))], ident, ops) is None
-    assert spectral._pass_through([((0,), ident)], ((1, 0), (0, 8)), ops) is None
-    level = spectral._pass_through([((0,), ident)], ((8, 0), (0, 8)), ops)
+
+    def above(node):  # a level above whose one node is node
+        return spectral._TreeLevel(node, {0: (0, node)}, [((0,), node)], ops)
+
+    assert spectral._read_off(above(((3, 0), (0, 3))), ident, ops, 1) is None
+    assert spectral._read_off(above(ident), ((1, 0), (0, 8)), ops, 1) is None
+    *_, level = spectral._read_off(above(ident), ((8, 0), (0, 8)), ops, 1)
     assert level.nodes == [((0, 2), ident)]
     assert level.terms == {2: (teichmuller_lift(2, ctx).residue(), ident)}
+
+
+def test_tree_commands_peel_only_the_digits_they_cannot_read_off(monkeypatch):
+    """diag(1, 2, 3) at p = 3, m = 4: digit 0 splits it into three rank-1 nodes, and no later level splits.
+
+    The tree commands run _sigma_limit for digit 0 alone and read digits
+    1..3 off the level above; hermite, which builds no tree, runs it for
+    every digit.
+    """
+    calls, sigma_limit = [], spectral._sigma_limit
+
+    def counted(*args):
+        calls.append(args)
+        return sigma_limit(*args)
+
+    monkeypatch.setattr(spectral, "_sigma_limit", counted)
+    a = diag_matrix(PrecisionContext(3, 4), [1, 2, 3])
+    counts = []
+    for command in (lambda: spectral_measure(a, 4), lambda: spectrum_diameter(a), lambda: hermite_digits_matrix(a)):
+        calls.clear()
+        command()
+        counts.append(len(calls))
+    assert counts == [1, 1, 4]
+
+
+def _tamper_level_zero(monkeypatch, tamper) -> list:
+    """Pass each projector of the first _resolve call through tamper(projector rows, ambient ops).
+
+    Returns the verdicts of _read_off, True for each digit it read off,
+    in stage order.
+    """
+    resolve, read_off, verdicts, tampered = spectral._resolve, spectral._read_off, [], []
+
+    def tampering(*args):
+        lifts, ambient, rows, projectors = resolve(*args)
+        if not tampered:
+            tampered.append(True)
+            projectors = [tamper(projector, ambient) for projector in projectors]
+        return lifts, ambient, rows, projectors
+
+    def recorded(*args):
+        read = read_off(*args)
+        verdicts.append(read is not None)
+        return read
+
+    monkeypatch.setattr(spectral, "_resolve", tampering)
+    monkeypatch.setattr(spectral, "_read_off", recorded)
+    return verdicts
+
+
+def test_read_off_refuses_a_candidate_that_sigma_moves(monkeypatch):
+    """Level 0's projectors scaled by 1 + 3^5 are right mod 3^4, but the digit read off them is not sigma-fixed.
+
+    diag(1, 2, 3) at p = 3, m = 4 resolves level 0 at P_0 = 7 digits and
+    reads digit 1 off it at P_1 = 6.  Each projector is then off by
+    p^(P_1 - 1) times itself: orthogonal to the others and commuting with
+    the tail, so only L^(p^N) = L refuses the candidate.  Stage 1 runs
+    Newton's method and resolves, and digits 2 and 3, at 5 and 4 digits,
+    are read off as before, to the same answer.
+    """
+    a = diag_matrix(PrecisionContext(3, 4), [1, 2, 3])
+    clean = spectrum_diameter(a)
+
+    def scaled(rows, ops):
+        return ops.rows_scale(1 + ops.p ** (ops.m - 2), rows)
+
+    verdicts = _tamper_level_zero(monkeypatch, scaled)
+    assert spectrum_diameter(a) == clean
+    assert verdicts == [False, True, True]
+
+
+def test_read_off_refuses_a_candidate_that_does_not_commute_with_the_tail(monkeypatch):
+    """Level 0's projectors conjugated by 1 + 3^5 E_01 are right mod 3^4, but the digit read off them moves the tail.
+
+    diag(1, 2, 3) at p = 3, m = 4 resolves level 0 at P_0 = 7 digits and
+    reads digit 1 off it at P_1 = 6.  The conjugated projectors are still
+    orthogonal idempotents summing to 1, so the candidate is sigma-fixed,
+    but E_01 mixes the eigenspaces of the tail mod p: only L T = T L
+    refuses the candidate.  Stage 1 then resolves its level under the
+    tampered nodes, which leaves children that vanish mod 3^4 but not
+    mod 3^6, and the tree certificate refuses the tree.
+    """
+    a = diag_matrix(PrecisionContext(3, 4), [1, 2, 3])
+
+    def conjugated(rows, ops):
+        eps = ops.p ** (ops.m - 2)
+        shear = [[int(r == c) for c in range(3)] for r in range(3)]
+        shear[0][1] = eps
+        unshear = [list(row) for row in shear]
+        unshear[0][1] = ops.q - eps
+        return ops.matmul(ops.matmul(ops.map_coords(shear, int), rows), ops.map_coords(unshear, int))
+
+    verdicts = _tamper_level_zero(monkeypatch, conjugated)
+    with pytest.raises(RuntimeError, match="does not refine into its children"):
+        spectrum_diameter(a)
+    assert verdicts[0] is False
 
 
 @pytest.mark.parametrize("period", [1, 2])
@@ -1488,6 +1590,85 @@ def test_residue_pipeline_matches_the_object_level_route(problem):
         for addr, center, _ in level:
             window = measure.lead_valuation + ctx.m
             assert (measure.ball_center(addr, ctx) - center).valuation >= window
+
+
+@st.composite
+def tree_problems(draw):
+    """An operator for the tree commands at p in {2, 3, 5}, n <= 8, m <= 5.
+
+    planted is U diag U^-1 over at most three Teichmuller expansions,
+    so most levels split no node; plain is _hermite_operator's at period
+    1 or 2; shifted moves planted's valuation by -1 or +1; nilpotent
+    plants p^s E_{0,n-1} as peeling_problems does, a refusal at digit s
+    (random residues at n = 1); random is random residues, mostly not
+    Hermite; zero is 0.  An integral operator may be promoted to the
+    degree-2 ring.
+    """
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(min_value=1, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=8))
+    shape = draw(st.sampled_from(["planted", "plain", "shifted", "nilpotent", "random", "zero"]))
+    promoted = draw(st.booleans())
+    ctx = PrecisionContext(p, m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    q = ctx.modulus
+    if shape in ("planted", "shifted"):
+        classes = [[rng.randrange(p) for _ in range(m)] for _ in range(rng.randint(1, 3))]
+        expansion = _teichmuller_expansion([rng.choice(classes) for _ in range(n)], ctx)
+        a = conjugate(rand_gl(ctx, n, rng), diag_matrix(ctx, expansion))
+        if shape == "shifted" and a.valuation != INFINITE:
+            a = a.shift(rng.choice((-1, 1)))
+    elif shape == "plain":
+        a = _hermite_operator(ctx, n, draw(st.sampled_from([1, 2])), rng)
+    elif shape == "nilpotent" and n > 1:
+        d = [rng.randrange(q) for _ in range(n)]
+        d[-1] = d[0]
+        rows = [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        rows[0][-1] = p ** draw(st.integers(min_value=0, max_value=m - 1))
+        a = conjugate(rand_gl(ctx, n, rng), UMatrix.from_residues(rows, ctx))
+    elif shape == "zero":
+        a = UMatrix.zeros(n, ctx)
+    else:
+        a = UMatrix.from_residues([[rng.randrange(q) for _ in range(n)] for _ in range(n)], ctx)
+    if promoted and a.is_integral:
+        a = a.promote(ext_ring(p, 2, m))
+    return a
+
+
+def _tree_outcome(command, *args):
+    """command(*args), or the type, text and stage (None but for NotHermiteError) of its refusal."""
+    try:
+        return command(*args)
+    except (ValueError, NotHermiteError) as exc:
+        return type(exc), str(exc), getattr(exc, "stage", None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tree_problems())
+def test_tree_commands_match_the_oracles_at_every_depth(a):
+    """The peel that reads digits off the tree, against the object-level route.
+
+    Over Z_p, spectral_measure at every depth 1..m gives the node
+    addresses and node residues of spectral_tree_oracle, or the refusal
+    (type, text and stage) of hermite_rows_oracle.  operator_spectrum at
+    N = 1 and 2, on base and degree-2 operators, gives the eigenvalues
+    and projector residues of operator_spectrum_oracle, or its refusal.
+    """
+    ctx = a.ctx
+    if a.ring is ctx:
+        peeled = _tree_outcome(hermite_rows_oracle, a, 1)
+        levels = None if peeled[0] is NotHermiteError else spectral_tree_oracle(a, 1, ctx.m)
+        for depth in range(1, ctx.m + 1):
+            measure = _tree_outcome(spectral_measure, a, depth)
+            if levels is None:
+                assert measure == peeled
+                continue
+            assert [(addr, node.residues()) for addr, node in measure.nodes] == [
+                (addr, proj.residues()) for level in levels[:depth] for addr, _, proj in level
+            ]
+    for period in (1, 2):
+        got = _with_residues(_tree_outcome(operator_spectrum, a, period))
+        assert got == _with_residues(_tree_outcome(operator_spectrum_oracle, a, period)), period
 
 
 def _pair_rows(node: UMatrix) -> tuple:
