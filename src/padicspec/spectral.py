@@ -345,8 +345,7 @@ def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
     """
     if not x.is_integral:
         raise ValueError("teichmuller_spectral requires |x| <= 1")
-    ops = x.ring.ops
-    ops, (level,) = _spectral_tree([(x.residues(), ops, None)], ops, period)
+    ops, (level,) = _spectral_tree([(x.residues(), x.ring.ops, None)], x.ring.ops, period)
     residues = tuple((level.terms[index][0], rows) for (index,), rows in level.nodes)
     return SpectralDecomposition(period, ops.ring, residues, 0.0)
 
