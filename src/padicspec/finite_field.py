@@ -262,16 +262,13 @@ class _ExtOps:
         self.degree = n = len(modulus) - 1
         self.zero = (0,) * n
         self.one = (1,) + (0,) * (n - 1)
-        # X^(n+j) mod f as coordinate vectors mod p^m, j = 0 .. n-2
-        top = [(-c) % q for c in modulus[:n]]
-        table = [tuple(top)]
-        for _ in range(n - 2):
+        # X^(n+j) mod f as coordinate vectors mod p^m, j = 0 .. n-2 (none at degree 1)
+        top = tuple([(-c) % q for c in modulus[:n]])
+        table = [top] if n > 1 else []
+        while len(table) < n - 1:
             prev = table[-1]
-            shifted = [0] + list(prev[:-1])
             carry = prev[-1]
-            if carry:
-                shifted = [(shifted[i] + carry * top[i]) % q for i in range(n)]
-            table.append(tuple(shifted))
+            table.append(tuple([(s + carry * t) % q for s, t in zip((0,) + prev[:-1], top)]))
         self._power_table = table
 
     def add(self, a, b):

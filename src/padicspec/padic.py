@@ -174,19 +174,6 @@ def _unpack(total: int, count: int, slot: int) -> list:
     return [total >> k & mask for k in range(0, count * slot, slot)]
 
 
-def _fold(conv, degree: int, table, q: int) -> tuple:
-    """Coordinates mod q of a polynomial with 2 degree - 1 coefficients, reduced mod f.
-
-    table[j] holds X^(degree + j) mod f; the coefficients are folded
-    unreduced and each coordinate takes one % q.
-    """
-    out = conv[:degree]
-    for c, row in zip(conv[degree:], table):
-        if c:
-            out = [x + c * r for x, r in zip(out, row)]
-    return tuple(map(q.__rmod__, out))
-
-
 def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> tuple:
     """a * b for residue rows over (Z/q)[X]/(f) by Kronecker substitution.
 
@@ -195,8 +182,8 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> t
     every coordinate is canonical, in [0, q); a negative or oversized
     one would borrow from or carry into its neighbours.  Without a
     table the ring is Z/q (degree 1), whose entries are ints; with one,
-    entries are coordinate vectors (of any degree, 1 included) and table
-    is the X^(degree + j) mod f table of _fold.  Every
+    entries are coordinate vectors (of any degree, 1 included) and
+    table[j] holds X^(degree + j) mod f, j = 0 .. degree - 2.  Every
     coefficient sits in a slot of _slot_bits(q, len(b) degree) bits,
     wide enough for a sum of len(b) degree products.  Row k of b is one
     int, entry j starting at slot j (2 degree - 1) with coordinate i at
@@ -215,6 +202,13 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> t
     builtins.  Slots wider than 64 bits (large q or n) hand off to the
     shift-and-mask loops of _pack and _unpack, which byte slicing and
     64-bit word recombination did not beat there.
+
+    With a table, one fold reduces every entry of the product mod f at
+    once: coefficient t of every entry is one slice of the unpacked
+    rows, the high coefficient degree + j of every entry is added to
+    coordinate i times table[j][i] by map, unreduced, and each
+    coordinate then takes one % q.  A fold per entry cost one Python
+    call per entry of the product.
     """
     inner, cols = len(b), len(b[0])
     slot = _slot_bits(q, inner * degree)
@@ -241,10 +235,16 @@ def _packed_matmul(a: tuple, b: tuple, q: int, degree: int = 1, table=None) -> t
         sums = [unpack(sum(map(mul, row, b_rows)).to_bytes(size, "little")) for row in a]
     if table is None:
         return tuple([tuple(map(q.__rmod__, coeffs)) for coeffs in sums])
-    return tuple([
-        tuple([_fold(coeffs[j : j + width], degree, table, q) for j in range(0, count, width)])
-        for coeffs in sums
-    ])
+    # one fold of the whole product: parts[t] is coefficient t of every entry, row after row
+    coeffs = list(itertools.chain.from_iterable(sums))
+    parts = [coeffs[t::width] for t in range(width)]
+    coords = []
+    for i, low in enumerate(parts[:degree]):
+        for high, row in zip(parts[degree:], table):
+            low = map(operator.add, low, map(row[i].__mul__, high))
+        coords.append(map(q.__rmod__, low))
+    entries = tuple(zip(*coords))
+    return tuple([entries[j : j + cols] for j in range(0, len(entries), cols)])
 
 
 def _power(x, exponent: int, mul):

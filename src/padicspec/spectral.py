@@ -280,7 +280,10 @@ def _resolve(rows: tuple, ops, period: int):
     one p^N-th power of each lift when the ambient degree D exceeds N,
     then 3(k - 2) matrix products for the projectors of k >= 2 points:
     the numerator of point j is the prefix product of the shifted
-    matrices x - mu before j times the suffix product after j.
+    matrices x - mu before j times the suffix product after j.  The k
+    Lagrange denominators, each checked to be a unit, take one
+    inversion per resolution: the inverse of their product, from which
+    back-substitution through the prefix products gives each one's.
 
     Returns (lifts, ambient ops, rows, projector rows): the residues mod
     p^m of the eigenvalue points in the ambient ring, its ops, the input
@@ -306,16 +309,23 @@ def _resolve(rows: tuple, ops, period: int):
         prefixes = list(itertools.accumulate(shifted[:-1], ops.matmul))  # shifted[0..j]
         suffixes = list(itertools.accumulate(shifted[:0:-1], ops.matmul))[::-1]  # shifted[j+1..]
         numerators = [suffixes[0], *map(ops.matmul, prefixes[:-1], suffixes[1:]), prefixes[-1]]
-    resolved = []
-    for k, (lam, numerator) in enumerate(zip(lifts, numerators)):
+    denominators = []
+    for k, lam in enumerate(lifts):
         denominator = ops.one
         for j, mu in enumerate(lifts):
             if j != k:
                 denominator = ops.mul(denominator, ops.sub(lam, mu))
         if not ops.is_unit(denominator):
             raise RuntimeError("Lagrange denominator is not a unit (internal defect)")
-        resolved.append(ops.rows_mul(ops.inv_unit(denominator), numerator))
-    return lifts, ops, rows, resolved
+        denominators.append(denominator)
+    # Montgomery's batch inversion: prefixes[k] = d_0 ... d_(k-1), one inverse of the whole product
+    prefixes = [ops.one, *itertools.accumulate(denominators, ops.mul)]
+    inverse = ops.inv_unit(prefixes.pop()) if denominators else None
+    resolved = []
+    for k in reversed(range(len(denominators))):  # inverse is (d_0 ... d_k)^-1 here
+        resolved.append(ops.rows_mul(ops.mul(inverse, prefixes[k]), numerators[k]))
+        inverse = ops.mul(inverse, denominators[k])
+    return lifts, ops, rows, resolved[::-1]
 
 
 def teichmuller_spectral(x: UMatrix, period: int = 1) -> SpectralDecomposition:
@@ -715,8 +725,9 @@ def _verify_tree(levels: list, ops):
     the nodes weighted by the Teichmuller lift of the last index of their
     address sum to digit j, so each projector sits under its own digit.
     Each level's nodes are summed once per parent and once per index, so
-    the three checks cost about two additions per node and one scaling
-    per point.
+    the three checks cost about two additions per node and one stacked
+    product per level: the 1 x k row of the lifts times the k x n^2
+    matrix of the flattened index sums.
 
     Nothing more is needed.  The deepest nodes sum to 1, so
     P_k = sum_i P_k P_i, and P_k P_i = 0 for i < k follows by induction
@@ -733,7 +744,8 @@ def _verify_tree(levels: list, ops):
             raise RuntimeError("projector is not idempotent (internal defect)")
         if not all(map(ops.rows_are_zero, overlaps)):
             raise RuntimeError("same-level projectors overlap (internal defect)")
-    ident = _res_identity(len(levels[0].digit), ops)
+    n = len(levels[0].digit)
+    ident = _res_identity(n, ops)
     parents = []
     for j, level in enumerate(levels):
         by_parent, by_index = {}, {}  # the sums of the nodes under each parent, of each index
@@ -745,8 +757,11 @@ def _verify_tree(levels: list, ops):
             raise RuntimeError(f"level {j} projectors do not sum to 1 (internal defect)")
         if any(by_parent.get(address) != rows for address, rows in parents):
             raise RuntimeError("projector does not refine into its children (internal defect)")
-        weighted = [ops.rows_mul(level.terms[index][0], rows) for index, rows in by_index.items()]
-        if _res_sum(weighted, ops) != level.digit:
+        # sum_i omega(i) E_i: the row of lifts times the flattened index sums, one stacked product
+        lifts = tuple([level.terms[index][0] for index in by_index])
+        stack = tuple([tuple(itertools.chain.from_iterable(rows)) for rows in by_index.values()])
+        (weighted,) = ops.matmul((lifts,), stack)
+        if tuple([weighted[r : r + n] for r in range(0, n * n, n)]) != level.digit:
             raise RuntimeError(f"level {j} projectors do not reassemble digit {j} (internal defect)")
         parents = level.nodes
 

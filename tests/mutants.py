@@ -68,8 +68,8 @@ MUTANTS = (
         _SPECTRAL + "test_verify_measure_catches_a_child_moved_to_another_parent",
         _SPECTRAL + "test_verify_tree_catches_a_level_zero_node_listed_as_its_children",
     ]),
-    ("spectral.py", "if _res_sum(weighted, ops) != level.digit:",
-     "if False and _res_sum(weighted, ops) != level.digit:", [
+    ("spectral.py", "if tuple([weighted[r : r + n] for r in range(0, n * n, n)]) != level.digit:",
+     "if False and tuple([weighted[r : r + n] for r in range(0, n * n, n)]) != level.digit:", [
         _SPECTRAL + "test_verify_measure_catches_swapped_siblings",
         _SPECTRAL + "test_verify_tree_catches_swapped_siblings_over_a_degree_two_ring",
         *_DEFECTS,
@@ -126,9 +126,25 @@ MUTANTS = (
     ("spectral.py", "if len(lifts) <= 1:", "if len(lifts) == 1:", [
         _SPECTRAL + "test_spectral_refusals_follow_their_route[no-root-at-p-1009]",
     ]),
-    # the Lagrange projectors: distinct points have unit differences
+    # the Lagrange projectors: distinct points have unit differences, and one inversion
+    # of their product gives every denominator's inverse through the prefix products
     ("spectral.py", "if not ops.is_unit(denominator):", "if False and not ops.is_unit(denominator):", [
         _SPECTRAL + "test_lagrange_refuses_two_points_with_one_reduction",
+    ]),
+    ("spectral.py", "ops.mul(inverse, prefixes[k])", "ops.mul(inverse, prefixes[k - 1])", [
+        _SPECTRAL + "test_spectral_work_bound[4]",
+        _SPECTRAL + "test_resolve_inverts_once_per_resolution",
+    ]),
+    # the packed extension product folds every entry mod f at once, each table term counts
+    ("padic.py", "for high, row in zip(parts[degree:], table):",
+     "for high, row in zip(parts[degree:-1], table):", [
+        _FIELD + "test_ext_matmul_and_dot_match_the_schoolbook_product",
+        _SPECTRAL + "test_verify_tree_catches_swapped_siblings_over_a_degree_two_ring",
+        "tests/test_golden_cli.py::test_cli_matches_golden_digests[large-p-spectral]",
+    ]),
+    # the modulus search: a root-free candidate is kept only once Rabin certifies it
+    ("finite_field.py", "if is_irreducible(candidate, p):", "if True:", [
+        _FIELD + "test_modulus_skips_a_root_free_reducible_quartic",
     ]),
     # the one Teichmuller lift: its closed form is checked to be fixed
     ("padic.py", "if ops.pow(w, q) != w:", "if False and ops.pow(w, q) != w:", [

@@ -1,5 +1,6 @@
 """F_p extension arithmetic, modulus construction, Frobenius."""
 
+import functools
 import itertools
 import math
 import pickle
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import irreducible_by_trial_division, monic_polys, ring_mul, roots_by_evaluation
+from helpers import irreducible_by_trial_division, monic_polys, ring_mul, ring_pow, roots_by_evaluation
 from padicspec import build_modulus, ext_ring, finite_field, fq_frobenius, teichmuller_lift_ext
 from padicspec.finite_field import (
     FqElement,
@@ -56,6 +57,15 @@ def test_irreducible_rejects_products():
     # (X+1)^2 = X^2 + 2X + 1 over F_3
     assert not is_irreducible((1, 2, 1), 3)
     assert not is_irreducible((0, 1, 1), 2)  # X(X+1)
+
+
+def test_modulus_skips_a_root_free_reducible_quartic():
+    """X^4 + 1 = (X^2 + X + 2)(X^2 + 2X + 2) over F_3 has no root, so only Rabin's test refuses it."""
+    quartic = (1, 0, 0, 0, 1)
+    assert not roots_by_evaluation([(c,) for c in quartic], 3, (0, 1))
+    assert not irreducible_by_trial_division(quartic, 3)
+    assert build_modulus(3, 4) == (1, 0, 1, 1, 1)
+    assert build_modulus(3, 4) == next(g for g in monic_polys(3, 4) if irreducible_by_trial_division(g, 3))
 
 
 def test_frobenius_on_generator_of_gf9():
@@ -327,3 +337,55 @@ def test_unit_inversion_refuses_a_newton_phase_that_does_not_converge():
     assert exact.mul((2, 1), exact.inv_unit((2, 1))) == exact.one
     with pytest.raises(RuntimeError, match="unit inversion failed to converge"):
         NeverOne(p, m, modulus).inv_unit((2, 1))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4])
+def test_power_table_has_a_row_per_high_coefficient(degree):
+    """Rows X^(N + j) mod f for j = 0 .. N - 2: a product of two entries has N - 1 coefficients past X^(N-1)."""
+    ring = ext_ring(3, degree, 2)
+    table = ring.ops._power_table
+    assert len(table) == degree - 1
+    x = (0, 1) + (0,) * (degree - 2)  # the class of X, at degree >= 2 where the table has rows
+    assert table == [ring_pow(x, degree + j, ring.modulus, ring.ctx.modulus) for j in range(degree - 1)]
+
+
+# (p, m): the struct path of byte-aligned slots at small q, shift-and-mask past 64 bits
+_KERNEL_PRECISIONS = [(2, 1), (3, 4), (5, 8), (2**31 - 1, 2), (2**31 - 1, 3)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+@example(data=None)
+def test_ext_matmul_and_dot_match_the_schoolbook_product(data):
+    """_ExtOps.matmul and dot equal the product of entries by mul summed by add, at degrees 1-4.
+
+    The shapes are those of the spectral path: 1 x k by k x n (a stacked
+    reassembly), k x 1 by 1 x n, n x n by n x n, and n x n by the k
+    blocks of n x (n k).  The modulus is any monic f, which the product
+    kernel does not need irreducible, so the 31-bit prime reaches the
+    shift-and-mask slots of more than 64 bits.
+    """
+    if data is None:  # the pinned example: degree 3 past 64 bits, every shape at n = k = 2
+        p, m, degree, modulus, n, k, seed = 2**31 - 1, 2, 3, (5, 0, 7, 1), 2, 2, 0
+    else:
+        p, m = data.draw(st.sampled_from(_KERNEL_PRECISIONS))
+        degree = data.draw(st.integers(1, 4))
+        modulus = tuple(data.draw(st.lists(st.integers(0, p**m - 1), min_size=degree, max_size=degree))) + (1,)
+        n, k, seed = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)), data.draw(st.integers(0, 2**32))
+    ops, q, rng = _ExtOps(p, m, modulus), p**m, random.Random(seed)
+
+    def matrix(rows, cols):
+        return tuple(tuple(tuple(rng.randrange(q) for _ in range(degree)) for _ in range(cols)) for _ in range(rows))
+
+    def schoolbook(a, b):
+        return tuple(
+            tuple(functools.reduce(ops.add, map(ops.mul, row, col), ops.zero) for col in zip(*b)) for row in a
+        )
+
+    x, y = matrix(1, 2)[0]
+    assert ops.mul(x, y) == ring_mul(x, y, modulus, q)
+    for rows, inner, cols in [(1, k, n), (k, 1, n), (n, n, n), (n, n, n * k)]:
+        a, b = matrix(rows, inner), matrix(inner, cols)
+        assert ops.matmul(a, b) == schoolbook(a, b)
+    xs, ys = matrix(1, k)[0], matrix(1, k)[0]
+    assert ops.dot(xs, ys) == schoolbook((xs,), tuple((y,) for y in ys))[0][0]

@@ -66,6 +66,7 @@ from padicspec import (
 )
 from padicspec import padic, spectral
 from padicspec.cli import run_command
+from padicspec.finite_field import _ExtOps
 from padicspec.matrix import inverse
 from padicspec.spectral import (
     _sigma_limit,
@@ -705,6 +706,52 @@ def test_spectral_work_bound(monkeypatch, k):
     dec = teichmuller_spectral(x, 1)
     assert sorted(lam.residue() for lam in dec.eigenvalues) == sorted(points)
     assert (matpows[0], products[0]) == (0, 3 * (k - 2))
+
+
+@pytest.mark.parametrize("p,period,k", [(11, 1, 1), (11, 1, 2), (11, 1, 4), (11, 1, 8), (5, 2, 2), (3, 3, 3)])
+def test_resolve_inverts_once_per_resolution(monkeypatch, p, period, k):
+    """One unit inversion per resolution of k >= 1 points past the point search, and max(0, 3(k - 2)) products.
+
+    The k Lagrange denominators are inverted together: one inversion of
+    their product, then back-substitution through the prefix products.
+    Over Z_p the k points are planted (a repeated one when k = 1); at
+    period N > 1 the operator is the companion matrix of a Teichmuller
+    point of degree N, resolved over the degree-N ring at its N
+    conjugates.
+    """
+    counts, inside = {"matmul": 0, "inv_unit": 0}, [False]
+    for cls in (padic._BaseOps, _ExtOps):
+        for name in counts:
+            def counting(self, *args, real=getattr(cls, name), name=name):
+                counts[name] += inside[0]
+                return real(self, *args)
+
+            monkeypatch.setattr(cls, name, counting)
+    resolve, search = spectral._resolve, spectral._spectral_points
+
+    def counting_points(*args):  # the Hessenberg reduction and root finding invert too
+        found = search(*args)
+        inside[0] = True
+        return found
+
+    def counting_resolve(*args):
+        try:
+            return resolve(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(spectral, "_spectral_points", counting_points)
+    monkeypatch.setattr(spectral, "_resolve", counting_resolve)
+    ctx = PrecisionContext(p, 3)
+    if period == 1:
+        rng = random.Random(k)
+        points = [teichmuller_lift(r, ctx).residue() for r in rng.sample(range(p), k)]
+        x = conjugate(rand_gl(ctx, k + 1, rng), diag_matrix(ctx, points + points[:1]))
+    else:
+        x = UMatrix.from_residues(teichmuller_companion(p, period, 3), ctx)
+    dec = teichmuller_spectral(x, period)
+    assert len(dec.points) == k
+    assert counts == {"matmul": max(0, 3 * (k - 2)), "inv_unit": 1}
 
 
 # -- digit expansions -----------------------------------------------------------------
