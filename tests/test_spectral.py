@@ -710,14 +710,15 @@ def test_spectral_work_bound(monkeypatch, k):
 
 @pytest.mark.parametrize("p,period,k", [(11, 1, 1), (11, 1, 2), (11, 1, 4), (11, 1, 8), (5, 2, 2), (3, 3, 3)])
 def test_resolve_inverts_once_per_resolution(monkeypatch, p, period, k):
-    """One unit inversion per resolution of k >= 1 points past the point search, and max(0, 3(k - 2)) products.
+    """One unit inversion per resolution of k >= 1 points, and max(0, 3(k - 2)) products.
 
     The k Lagrange denominators are inverted together: one inversion of
     their product, then back-substitution through the prefix products.
-    Over Z_p the k points are planted (a repeated one when k = 1); at
-    period N > 1 the operator is the companion matrix of a Teichmuller
-    point of degree N, resolved over the degree-N ring at its N
-    conjugates.
+    Over Z_p the k points are planted in dimension k + 1, the first
+    twice; at period N > 1 the operator is the companion matrix of a
+    Teichmuller point of degree N, resolved over the degree-N ring at
+    its N conjugates.  The point search before the denominators
+    (_spectral_points) inverts too and is not counted.
     """
     counts, inside = {"matmul": 0, "inv_unit": 0}, [False]
     for cls in (padic._BaseOps, _ExtOps):
@@ -729,7 +730,7 @@ def test_resolve_inverts_once_per_resolution(monkeypatch, p, period, k):
             monkeypatch.setattr(cls, name, counting)
     resolve, search = spectral._resolve, spectral._spectral_points
 
-    def counting_points(*args):  # the Hessenberg reduction and root finding invert too
+    def counting_points(*args):
         found = search(*args)
         inside[0] = True
         return found
