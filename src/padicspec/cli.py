@@ -9,7 +9,12 @@ every other argv (help, errors, abbreviations, --flag=value, repeats),
 and both give the same namespace wherever both apply.  The argparse
 parser is built, and argparse imported, the first time such an argv
 arrives, so a process whose argvs all come from the table never loads
-it.
+it.  The operator modules load on demand too: importing cli loads
+padic, finite_field, unramified and ladders, all that lift, digits,
+kochubei, euler and a scalar classify run; a matrix classify and
+certify-projection import matrix when they run, and spectral, measure,
+integral, jordan, hermite, diam and uncertainty import matrix and
+spectral.
 lift and digits take p and m from --p/--m; every other command reads
 them from the problem file named by --in.
 
@@ -64,11 +69,12 @@ from .ladders import (
     tate_derivative,
     tate_raise,
 )
-from .matrix import UMatrix, certify_orthogonal_projection, sample_unit_vector
 from .padic import (
     INFINITE,
     NormOutOfRangeError,
+    NotHermiteError,
     PadicScalar,
+    PeriodExceededError,
     PrecisionContext,
     _dot_units,
     _units,
@@ -77,17 +83,6 @@ from .padic import (
     scalar_from_rational,
     teichmuller_digits,
     teichmuller_lift,
-)
-from .spectral import (
-    NotHermiteError,
-    PeriodExceededError,
-    hermite_digits_matrix,
-    jordan_decompose,
-    spectral_integral,
-    spectral_measure,
-    spectrum_diameter,
-    teichmuller_spectral,
-    uncertainty_checks,
 )
 
 MAX_DIMENSION = 64
@@ -221,7 +216,9 @@ def _context_from(doc: dict) -> PrecisionContext:
         raise SchemaError("p", str(exc))
 
 
-def _matrix_from(doc: dict, ctx: PrecisionContext, fieldname: str = "entries") -> UMatrix:
+def _matrix_from(doc: dict, ctx: PrecisionContext, fieldname: str = "entries"):
+    from .matrix import UMatrix
+
     entries = doc.get(fieldname)
     if not isinstance(entries, list) or not entries:
         raise SchemaError(fieldname, "a nonempty row-major array of scalars is required")
@@ -328,7 +325,7 @@ def _cmd_classify(args, doc: dict, ctx: PrecisionContext) -> dict:
     if report.period is not None:
         out["period"] = report.period
     if report.limit is not None:
-        if isinstance(report.limit, UMatrix):
+        if hasattr(report.limit, "rows"):
             out["limit"] = _matrix(report.limit.rows)
         else:
             out["limit"] = _scalars((report.limit,), listed=False)
@@ -336,6 +333,8 @@ def _cmd_classify(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .spectral import teichmuller_spectral
+
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     try:
@@ -353,6 +352,8 @@ def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _measure_inputs(args, doc: dict, ctx: PrecisionContext):
+    from .spectral import spectral_measure
+
     depth = args.depth if args.depth is not None else doc.get("depth", ctx.m)
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= ctx.m:
         raise SchemaError("depth", f"depth must be an integer in [1, {ctx.m}]")
@@ -375,6 +376,8 @@ def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .spectral import spectral_integral
+
     matrix, measure = _measure_inputs(args, doc, ctx)
     identity_check, reconstruction = spectral_integral(measure)
     # (reconstruction - matrix).valuation without building the difference: each entry is r + (-1) a
@@ -390,6 +393,8 @@ def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .spectral import jordan_decompose
+
     bound = _period_bound_from(args)
     matrix = _matrix_from(doc, ctx)
     try:
@@ -405,6 +410,8 @@ def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .spectral import hermite_digits_matrix
+
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     expansion = hermite_digits_matrix(matrix, period)
@@ -416,6 +423,8 @@ def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .spectral import spectrum_diameter
+
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     try:
@@ -432,6 +441,9 @@ def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_uncertainty(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .matrix import sample_unit_vector
+    from .spectral import uncertainty_checks
+
     period = _period_from(args, doc, ctx)
     samples = _samples_from(args)
     a = _matrix_from(doc, ctx, "A")
@@ -505,6 +517,8 @@ def _cmd_ladder(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_certify(args, doc: dict, ctx: PrecisionContext) -> dict:
+    from .matrix import certify_orthogonal_projection
+
     samples = _samples_from(args)
     matrix = _matrix_from(doc, ctx)
     cert = certify_orthogonal_projection(matrix, samples=samples, seed=args.seed)

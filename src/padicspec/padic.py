@@ -26,6 +26,10 @@ scan_orbit, on residue rows over the ring's ops: a scalar walks as its
 and scan_orbit's walk are both bounded by pre_period_bound, the number
 of sigma steps after which any orbit is on its cycle, derived from the
 length of the ring the orbit generates.
+
+The refusals of every command live here, NotHermiteError and
+PeriodExceededError of padicspec.spectral beside NormOutOfRangeError,
+so that a caller can catch them without loading the operator modules.
 """
 
 from __future__ import annotations
@@ -48,6 +52,31 @@ class NormOutOfRangeError(ArithmeticError):
         super().__init__(f"the norm {p}^{-valuation} is outside the range of a double")
         self.p = p
         self.valuation = valuation
+
+
+class NotHermiteError(Exception):
+    """Digit peeling met a residue that is not divisible by p.
+
+    stage is the index of the digit that failed to materialise;
+    defect_norm is the sup norm of the obstruction.
+    """
+
+    def __init__(self, stage: int, defect_norm: float, reason: str):
+        super().__init__(reason)
+        self.stage = stage
+        self.defect_norm = defect_norm
+        self.reason = reason
+
+
+class PeriodExceededError(Exception):
+    """No period up to the requested bound stabilised within the budget."""
+
+    def __init__(self, period_bound: int, budget: int):
+        super().__init__(
+            f"sigma-iterates found no period <= {period_bound} within {budget} steps"
+        )
+        self.period_bound = period_bound
+        self.budget = budget
 
 
 def norm_from_valuation(p: int, v) -> float:

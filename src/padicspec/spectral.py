@@ -74,8 +74,10 @@ from .matrix import (
 )
 from .padic import (
     INFINITE,
+    NotHermiteError,
     OrbitKind,
     PadicScalar,
+    PeriodExceededError,
     PrecisionContext,
     _check_period,
     _dot_units,
@@ -85,31 +87,6 @@ from .padic import (
     pre_period_bound,
     scan_orbit,
 )
-
-
-class NotHermiteError(Exception):
-    """Digit peeling met a residue that is not divisible by p.
-
-    stage is the index of the digit that failed to materialise;
-    defect_norm is the sup norm of the obstruction.
-    """
-
-    def __init__(self, stage: int, defect_norm: float, reason: str):
-        super().__init__(reason)
-        self.stage = stage
-        self.defect_norm = defect_norm
-        self.reason = reason
-
-
-class PeriodExceededError(Exception):
-    """No period up to the requested bound stabilised within the budget."""
-
-    def __init__(self, period_bound: int, budget: int):
-        super().__init__(
-            f"sigma-iterates found no period <= {period_bound} within {budget} steps"
-        )
-        self.period_bound = period_bound
-        self.budget = budget
 
 
 # -- residue-level sigma machinery -------------------------------------------

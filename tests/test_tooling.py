@@ -1,10 +1,14 @@
 """Rules about the source tree itself rather than its mathematics."""
 
 import ast
+import importlib
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "padicspec"
 
@@ -75,6 +79,137 @@ def test_argparse_loads_only_for_an_argv_the_flag_table_declines():
     assert not heavy & imported
     assert not heavy & after_table
     assert "argparse" in after_help
+
+
+def _fresh_python(script: str, *args: str) -> str:
+    """The stdout of script run by a fresh interpreter with src/ on its path."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def _entries(p: int, m: int, rows: list) -> list:
+    """The scalar documents of a residue matrix's entries, row by row."""
+    out = []
+    for r in (value % p**m for row in rows for value in row):
+        v = 0
+        while r and r % p == 0:
+            r, v = r // p, v + 1
+        out.append({"v": v if r else 0, "u": str(r)})
+    return out
+
+
+_SCALAR_MODULES = ["padicspec", "padicspec.cli", "padicspec.finite_field", "padicspec.ladders",
+                   "padicspec.padic", "padicspec.unramified"]
+_COEFFS = {"p": 3, "m": 2, "coeffs": _entries(3, 2, [[1, 2, 4]])}
+
+# (argv, problem document or None, the padicspec modules the command adds to a fresh process)
+COMMAND_MODULES = [
+    (["lift", "--p", "5", "--m", "3", "--residue", "2"], None, []),
+    (["digits", "--p", "5", "--m", "3", "--num", "7", "--den", "3"], None, []),
+    (["kochubei", "--op", "raise"], _COEFFS, []),
+    (["euler"], _COEFFS, []),
+    # 4 -> 4^3 = 1 -> 1 mod 9: a quasi-periodic orbit, whose limit is a scalar
+    (["classify"], {"p": 3, "m": 2, "scalar": {"v": 0, "u": "4"}}, []),
+    (["classify", "--N", "2"], {"p": 3, "m": 3, "entries": _entries(3, 3, [[0, 1], [-1, 0]])},
+     ["padicspec.matrix"]),
+    (["certify-projection"], {"p": 3, "m": 2, "entries": _entries(3, 2, [[1, 0], [0, 0]])},
+     ["padicspec.matrix"]),
+    (["spectral", "--N", "2"], {"p": 3, "m": 2, "entries": _entries(3, 2, [[0, 1], [-1, 0]])},
+     ["padicspec.matrix", "padicspec.spectral"]),
+]
+
+
+@pytest.mark.parametrize("argv, doc, added", COMMAND_MODULES,
+                         ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(COMMAND_MODULES)])
+def test_a_fresh_process_loads_the_operator_modules_only_for_operator_commands(
+        tmp_path, argv, doc, added):
+    """import padicspec, padicspec.cli loads the scalar modules; a command adds only the ones it runs.
+
+    The scalar commands (lift, digits, the ladders and a scalar classify,
+    here one with a quasi-periodic limit) add nothing; a matrix classify
+    and certify-projection add matrix, and the spectral commands spectral
+    as well.
+    """
+    if doc is not None:
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = argv + ["--in", str(path)]
+    script = (
+        "import io, json, sys\n"
+        "import padicspec, padicspec.cli\n"
+        "def loaded():\n"
+        "    return sorted(name for name in sys.modules if name.partition('.')[0] == 'padicspec')\n"
+        "imported = loaded()\n"
+        "stream = io.StringIO()\n"
+        "status = padicspec.cli.run_command(sys.argv[1:], stream)\n"
+        "print(json.dumps([imported, status, json.loads(stream.getvalue()), loaded()]))\n"
+    )
+    imported, status, answer, after = json.loads(_fresh_python(script, *argv))
+    assert imported == _SCALAR_MODULES
+    assert status == 0, answer
+    assert after == sorted(_SCALAR_MODULES + added)
+    if "scalar" in (doc or {}):
+        assert answer["kind"] == "QuasiPeriodic" and "limit" in answer
+
+
+# padicspec.__all__, frozen, each name under the module that defines it.  A
+# module's own name stands for the submodule, except finite_field, the function
+# that shadows its submodule.
+PUBLIC_NAMES = {
+    "finite_field": "ExtRing ExtScalar FqElement build_modulus ext_ring finite_field fq_frobenius",
+    "ladders": "ladders MahlerVector TateVector commutator_defect euler_operator interior_basis"
+               " kochubei_lower kochubei_raise kochubei_shift number_operator position_operator"
+               " tate_creation tate_derivative tate_raise",
+    "matrix": "matrix ProjectionCertificate UMatrix certify_orthogonal_projection determinant"
+              " inverse is_gl_zp is_orthonormal_columns sample_unit_vector sample_vector"
+              " vector_valuation",
+    "padic": "padic INFINITE NormOutOfRangeError NotHermiteError OrbitKind OrbitReport PadicScalar"
+             " PeriodExceededError PrecisionContext TeichDigits classify_orbit frobenius_step"
+             " norm_from_valuation scalar_from_rational teichmuller_digits teichmuller_lift"
+             " teichmuller_points",
+    "spectral": "spectral HermiteDigitsMatrix JordanPair SpectralDecomposition SpectralMeasure"
+                " SpectrumDiameter UncertaintyReport hermite_digits_matrix jordan_decompose"
+                " lift_idempotent operator_spectrum spectral_integral spectral_measure"
+                " spectrum_diameter teichmuller_spectral uncertainty_check uncertainty_checks",
+    "unramified": "unramified enumerate_teichmuller reduce_mod_p sigma_fixed_points"
+                  " teichmuller_lift_ext",
+}
+
+
+def test_the_public_names_are_the_pinned_ones():
+    """padicspec.__all__ is PUBLIC_NAMES, and each name is the object its module defines.
+
+    matrix and spectral are imported on first use, so every name is
+    checked through getattr on the package and through a star import in
+    a fresh interpreter.  The refusals that padic defines are the classes
+    that spectral raises, and an unknown name is an AttributeError.
+    """
+    import padicspec
+
+    pinned = {name: module for module, names in PUBLIC_NAMES.items() for name in names.split()}
+    assert len(pinned) == len(padicspec.__all__) == 71
+    assert set(padicspec.__all__) == set(pinned)
+    for name, module in pinned.items():
+        found = getattr(padicspec, name)
+        owner = importlib.import_module(f"padicspec.{module}")
+        if name == module and name != "finite_field":
+            assert found is owner, name
+        else:
+            assert found is vars(owner)[name], name
+    assert set(padicspec.__all__) <= set(dir(padicspec))
+    for name in ("NotHermiteError", "PeriodExceededError"):
+        assert getattr(padicspec, name) is vars(padicspec.padic)[name] is vars(padicspec.spectral)[name]
+    with pytest.raises(AttributeError):
+        padicspec.no_such_name
+    script = (
+        "from padicspec import *\n"
+        "import padicspec\n"
+        "print(*sorted(set(padicspec.__all__) - set(globals())))\n"
+    )
+    assert _fresh_python(script).split() == []
 
 
 def _literal_text(node) -> str:

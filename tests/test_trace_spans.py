@@ -11,7 +11,12 @@ import json
 import sys
 from pathlib import Path
 
-import padicspec.cli  # the tracer rebinds names in every loaded padicspec module
+# The tracer rebinds names in every loaded padicspec module, and looks up each
+# span's module in sys.modules; padicspec.cli imports matrix and spectral only
+# when a command runs, so they are imported here.
+import padicspec.cli
+import padicspec.matrix
+import padicspec.spectral
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT) not in sys.path:
