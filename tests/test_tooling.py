@@ -9,6 +9,7 @@ import subprocess
 import sys
 
 import pytest
+from test_trace_spans import COMMAND_PROBLEMS  # one small problem per command
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "padicspec"
 
@@ -90,49 +91,29 @@ def _fresh_python(script: str, *args: str) -> str:
     return proc.stdout
 
 
-def _entries(p: int, m: int, rows: list) -> list:
-    """The scalar documents of a residue matrix's entries, row by row."""
-    out = []
-    for r in (value % p**m for row in rows for value in row):
-        v = 0
-        while r and r % p == 0:
-            r, v = r // p, v + 1
-        out.append({"v": v if r else 0, "u": str(r)})
-    return out
-
-
 _SCALAR_MODULES = ["padicspec", "padicspec.cli", "padicspec.finite_field", "padicspec.ladders",
-                   "padicspec.padic", "padicspec.unramified"]
-_COEFFS = {"p": 3, "m": 2, "coeffs": _entries(3, 2, [[1, 2, 4]])}
-
-# (argv, problem document or None, the padicspec modules the command adds to a fresh process)
-COMMAND_MODULES = [
-    (["lift", "--p", "5", "--m", "3", "--residue", "2"], None, []),
-    (["digits", "--p", "5", "--m", "3", "--num", "7", "--den", "3"], None, []),
-    (["kochubei", "--op", "raise"], _COEFFS, []),
-    (["euler"], _COEFFS, []),
-    # 4 -> 4^3 = 1 -> 1 mod 9: a quasi-periodic orbit, whose limit is a scalar
-    (["classify"], {"p": 3, "m": 2, "scalar": {"v": 0, "u": "4"}}, []),
-    (["classify", "--N", "2"], {"p": 3, "m": 3, "entries": _entries(3, 3, [[0, 1], [-1, 0]])},
-     ["padicspec.matrix"]),
-    (["certify-projection"], {"p": 3, "m": 2, "entries": _entries(3, 2, [[1, 0], [0, 0]])},
-     ["padicspec.matrix"]),
-    (["spectral", "--N", "2"], {"p": 3, "m": 2, "entries": _entries(3, 2, [[0, 1], [-1, 0]])},
-     ["padicspec.matrix", "padicspec.spectral"]),
-]
+                    "padicspec.padic", "padicspec.unramified"]
+# the operator modules each command adds; the classify of COMMAND_PROBLEMS is a matrix's
+_ADDED = {
+    **dict.fromkeys(("lift", "digits", "kochubei", "euler"), []),
+    **dict.fromkeys(("classify", "certify-projection"), ["padicspec.matrix"]),
+}
+# 4 -> 4^3 = 1 -> 1 mod 9: a quasi-periodic orbit, whose limit is a scalar
+_SCALAR_CLASSIFY = (["classify"], {"p": 3, "m": 2, "scalar": {"v": 0, "u": "4"}})
 
 
-@pytest.mark.parametrize("argv, doc, added", COMMAND_MODULES,
-                         ids=[f"{argv[0]}-{i}" for i, (argv, _, _) in enumerate(COMMAND_MODULES)])
-def test_a_fresh_process_loads_the_operator_modules_only_for_operator_commands(
-        tmp_path, argv, doc, added):
+@pytest.mark.parametrize("argv, doc", COMMAND_PROBLEMS + [_SCALAR_CLASSIFY],
+                         ids=[argv[0] for argv, _ in COMMAND_PROBLEMS] + ["classify-scalar"])
+def test_a_fresh_process_loads_the_operator_modules_only_for_operator_commands(tmp_path, argv, doc):
     """import padicspec, padicspec.cli loads the scalar modules; a command adds only the ones it runs.
 
-    The scalar commands (lift, digits, the ladders and a scalar classify,
-    here one with a quasi-periodic limit) add nothing; a matrix classify
-    and certify-projection add matrix, and the spectral commands spectral
+    lift, digits, the ladders and a scalar classify (here one with a
+    quasi-periodic limit) add nothing; a matrix classify and
+    certify-projection add matrix; the spectral commands add spectral
     as well.
     """
+    scalar = "scalar" in (doc or {})
+    added = [] if scalar else _ADDED.get(argv[0], ["padicspec.matrix", "padicspec.spectral"])
     if doc is not None:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -151,7 +132,7 @@ def test_a_fresh_process_loads_the_operator_modules_only_for_operator_commands(
     assert imported == _SCALAR_MODULES
     assert status == 0, answer
     assert after == sorted(_SCALAR_MODULES + added)
-    if "scalar" in (doc or {}):
+    if scalar:
         assert answer["kind"] == "QuasiPeriodic" and "limit" in answer
 
 
