@@ -16,7 +16,7 @@ never compiles them.  Every name of __all__ is an attribute of the
 package either way, and `from padicspec import *` binds them all.
 """
 
-import importlib
+import importlib as _importlib
 
 from .finite_field import ExtRing, ExtScalar, FqElement, build_modulus, ext_ring, finite_field, fq_frobenius
 from .ladders import (
@@ -74,24 +74,7 @@ _LAZY = {
     for name in names.split()
 }
 
-__all__ = [
-    "ExtRing", "ExtScalar", "FqElement", "HermiteDigitsMatrix", "INFINITE", "JordanPair",
-    "MahlerVector", "NormOutOfRangeError", "NotHermiteError", "OrbitKind", "OrbitReport",
-    "PadicScalar", "PeriodExceededError", "PrecisionContext", "ProjectionCertificate",
-    "SpectralDecomposition", "SpectralMeasure", "SpectrumDiameter", "TateVector", "TeichDigits",
-    "UMatrix", "UncertaintyReport", "build_modulus", "certify_orthogonal_projection",
-    "classify_orbit", "commutator_defect", "determinant", "enumerate_teichmuller",
-    "euler_operator", "ext_ring", "finite_field", "fq_frobenius", "frobenius_step",
-    "hermite_digits_matrix", "interior_basis", "inverse", "is_gl_zp", "is_orthonormal_columns",
-    "jordan_decompose", "kochubei_lower", "kochubei_raise", "kochubei_shift", "ladders",
-    "lift_idempotent", "matrix", "norm_from_valuation", "number_operator", "operator_spectrum",
-    "padic", "position_operator", "reduce_mod_p", "sample_unit_vector", "sample_vector",
-    "scalar_from_rational", "sigma_fixed_points", "spectral", "spectral_integral",
-    "spectral_measure", "spectrum_diameter", "tate_creation", "tate_derivative", "tate_raise",
-    "teichmuller_digits", "teichmuller_lift", "teichmuller_lift_ext", "teichmuller_points",
-    "teichmuller_spectral", "uncertainty_check", "uncertainty_checks", "unramified",
-    "vector_valuation",
-]
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY))
 __version__ = "0.1.0"
 
 
@@ -100,7 +83,7 @@ def __getattr__(name: str):
     module = _LAZY.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = importlib.import_module(f"{__name__}.{module}")  # binds the module's own name here
+    value = _importlib.import_module(f"{__name__}.{module}")  # binds the module's own name here
     if name != module:
         value = globals()[name] = getattr(value, name)
     return value

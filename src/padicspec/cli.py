@@ -11,10 +11,11 @@ parser is built, and argparse imported, the first time such an argv
 arrives, so a process whose argvs all come from the table never loads
 it.  The operator modules load on demand too: importing cli loads
 padic, finite_field, unramified and ladders, all that lift, digits,
-kochubei, euler and a scalar classify run; a matrix classify and
-certify-projection import matrix when they run, and spectral, measure,
-integral, jordan, hermite, diam and uncertainty import matrix and
-spectral.
+kochubei, euler and a scalar classify run.  The commands reach matrix
+and spectral as padicspec.matrix and padicspec.spectral, the package's
+lazy names, so a matrix classify and certify-projection load matrix
+when they run, and spectral, measure, integral, jordan, hermite, diam
+and uncertainty load matrix and spectral.
 lift and digits take p and m from --p/--m; every other command reads
 them from the problem file named by --in.
 
@@ -56,6 +57,8 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 from types import SimpleNamespace
 from typing import Optional, Sequence
+
+import padicspec
 
 from .finite_field import ENUMERATION_LIMIT, ExtScalar
 from .ladders import (
@@ -217,8 +220,6 @@ def _context_from(doc: dict) -> PrecisionContext:
 
 
 def _matrix_from(doc: dict, ctx: PrecisionContext, fieldname: str = "entries"):
-    from .matrix import UMatrix
-
     entries = doc.get(fieldname)
     if not isinstance(entries, list) or not entries:
         raise SchemaError(fieldname, "a nonempty row-major array of scalars is required")
@@ -237,7 +238,7 @@ def _matrix_from(doc: dict, ctx: PrecisionContext, fieldname: str = "entries"):
         scalar_from_json(entry, ctx, f"{fieldname}[{i}]") for i, entry in enumerate(entries)
     ]
     rows = [scalars[i * n : (i + 1) * n] for i in range(n)]
-    return UMatrix.from_scalars(rows)
+    return padicspec.matrix.UMatrix.from_scalars(rows)
 
 
 def _vector_from(doc: dict, ctx: PrecisionContext, fieldname: str, length: int) -> tuple:
@@ -333,12 +334,10 @@ def _cmd_classify(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .spectral import teichmuller_spectral
-
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     try:
-        decomposition = teichmuller_spectral(matrix, period)
+        decomposition = padicspec.spectral.teichmuller_spectral(matrix, period)
     except ValueError as exc:
         raise MathRejection({"kind": "not_teichmuller", "reason": str(exc)})
     return {
@@ -352,13 +351,11 @@ def _cmd_spectral(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _measure_inputs(args, doc: dict, ctx: PrecisionContext):
-    from .spectral import spectral_measure
-
     depth = args.depth if args.depth is not None else doc.get("depth", ctx.m)
     if not isinstance(depth, int) or isinstance(depth, bool) or not 1 <= depth <= ctx.m:
         raise SchemaError("depth", f"depth must be an integer in [1, {ctx.m}]")
     matrix = _matrix_from(doc, ctx)
-    return matrix, spectral_measure(matrix, depth)
+    return matrix, padicspec.spectral.spectral_measure(matrix, depth)
 
 
 def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
@@ -376,10 +373,8 @@ def _cmd_measure(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .spectral import spectral_integral
-
     matrix, measure = _measure_inputs(args, doc, ctx)
-    identity_check, reconstruction = spectral_integral(measure)
+    identity_check, reconstruction = padicspec.spectral.spectral_integral(measure)
     # (reconstruction - matrix).valuation without building the difference: each entry is r + (-1) a
     minus = ((0, 1), (0, ctx.modulus - 1))
     entries = map(itertools.chain.from_iterable, (reconstruction.rows, matrix.rows))
@@ -393,12 +388,10 @@ def _cmd_integral(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .spectral import jordan_decompose
-
     bound = _period_bound_from(args)
     matrix = _matrix_from(doc, ctx)
     try:
-        pair = jordan_decompose(matrix, bound)
+        pair = padicspec.spectral.jordan_decompose(matrix, bound)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
@@ -410,11 +403,9 @@ def _cmd_jordan(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .spectral import hermite_digits_matrix
-
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
-    expansion = hermite_digits_matrix(matrix, period)
+    expansion = padicspec.spectral.hermite_digits_matrix(matrix, period)
     return {
         "period": expansion.period,
         "lead_valuation": expansion.lead_valuation,
@@ -423,12 +414,10 @@ def _cmd_hermite(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .spectral import spectrum_diameter
-
     period = _period_from(args, doc, ctx)
     matrix = _matrix_from(doc, ctx)
     try:
-        report = spectrum_diameter(matrix, period)
+        report = padicspec.spectral.spectrum_diameter(matrix, period)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     return {
@@ -441,9 +430,6 @@ def _cmd_diam(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_uncertainty(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .matrix import sample_unit_vector
-    from .spectral import uncertainty_checks
-
     period = _period_from(args, doc, ctx)
     samples = _samples_from(args)
     a = _matrix_from(doc, ctx, "A")
@@ -454,9 +440,9 @@ def _cmd_uncertainty(args, doc: dict, ctx: PrecisionContext) -> dict:
         vectors = [_vector_from(doc, ctx, "psi", a.n)]
     else:
         rng = random.Random(args.seed)
-        vectors = [sample_unit_vector(ctx, a.n, rng) for _ in range(samples)]
+        vectors = [padicspec.matrix.sample_unit_vector(ctx, a.n, rng) for _ in range(samples)]
     try:
-        results = uncertainty_checks(a, b, vectors, period)
+        results = padicspec.spectral.uncertainty_checks(a, b, vectors, period)
     except ValueError as exc:
         raise MathRejection({"kind": "precondition", "reason": str(exc)})
     reports = [
@@ -517,11 +503,9 @@ def _cmd_ladder(args, doc: dict, ctx: PrecisionContext) -> dict:
 
 
 def _cmd_certify(args, doc: dict, ctx: PrecisionContext) -> dict:
-    from .matrix import certify_orthogonal_projection
-
     samples = _samples_from(args)
     matrix = _matrix_from(doc, ctx)
-    cert = certify_orthogonal_projection(matrix, samples=samples, seed=args.seed)
+    cert = padicspec.matrix.certify_orthogonal_projection(matrix, samples=samples, seed=args.seed)
     return {
         "idempotency_defect": cert.idempotency_defect,
         "norm_of_pi": cert.norm_of_pi,
